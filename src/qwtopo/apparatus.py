@@ -13,21 +13,25 @@ offset on switched, i.e. nonzero, angles).
 
 All ideal reflection amplitudes are purely imaginary, so the chain
 works with the real series rho_j = Im r_j; the measured complex
-amplitudes are i * rho_j.
+amplitudes are i * rho_j.  Each realized system is propagated once, in
+batches through `walk.record`, whose real V amplitude at the read-out
+site x = -2 is rho_j and whose per-step window gives the walk
+intensities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
 import numpy as np
 
-from .walk import WalkerState, H, evolve
+from .walk import H, batches, record
 from .scattering import (
     InvariantPair,
     ReflectionSeries,
     ScatteringSystem,
     invariants,
-    reflection_amplitudes,
 )
 
 SAME = "same"
@@ -177,25 +181,12 @@ def perturbed_system(system: ScatteringSystem, model: ApparatusModel) -> Scatter
                             system.termination)
 
 
-def _loss_factors(model: ApparatusModel, t: int) -> np.ndarray:
-    """V-path intensity factor per step 1..t."""
-    return (1.0 + model.loss_asymmetry) ** np.arange(1, t + 1)
-
-
-def _walk_distributions(system: ScatteringSystem, t: int, model: ApparatusModel):
-    """Per-step position intensities of the probe walk, loss applied."""
-    proto = system.protocol()
-    traj = evolve(WalkerState.localized(-1, H), proto, t)
-    final = traj[-1]
-    dists = np.zeros((t + 1, final.sites))
-    gain_h = (1.0 - model.loss_asymmetry) ** np.arange(t + 1)
-    gain_v = (1.0 + model.loss_asymmetry) ** np.arange(t + 1)
-    for j, state in enumerate(traj):
-        off = state.x_min - final.x_min
-        inten = gain_h[j] * np.abs(state.amps[:, 0]) ** 2 \
-            + gain_v[j] * np.abs(state.amps[:, 1]) ** 2
-        dists[j, off:off + state.sites] = inten
-    return dists, final.x_min
+def _intensities(run, model: ApparatusModel) -> np.ndarray:
+    """Per-step position intensities of one probe run, loss applied."""
+    _, a, b = run
+    steps = np.arange(a.shape[0])[:, None]
+    return (1.0 - model.loss_asymmetry) ** steps * a ** 2 \
+        + (1.0 + model.loss_asymmetry) ** steps * b ** 2
 
 
 def emulate_measurement(system: ScatteringSystem, t: int,
@@ -212,12 +203,21 @@ def emulate_measurement(system: ScatteringSystem, t: int,
     """
     if mode not in ("exact", "shots"):
         raise ValueError(f"unknown mode: {mode!r}")
-    realized = perturbed_system(system, model)
-    series = reflection_amplitudes(realized, t)
-    rho = np.imag(series.r)  # ideal amplitudes are i * rho exactly
+    run = record([perturbed_system(system, model).protocol()], -1, H, t)[0]
+    return _measure(run, model, _intensities(run, model), alpha, mode, shots,
+                    seed, floor)
+
+
+def _measure(run, model: ApparatusModel, distributions: np.ndarray, alpha: float,
+             mode: str = "exact", shots: int = 1_000_000, seed: int = 0,
+             floor: float = INTENSITY_FLOOR) -> MeasurementData:
+    """The measurement chain on one probe run of the realized system."""
+    x_min, _, v = run
+    t = v.shape[0] - 1
+    rho = v[1:, -2 - x_min]  # the read-out amplitudes r_j = i * rho_j
 
     rng = np.random.default_rng(seed)
-    gain = _loss_factors(model, t)
+    gain = (1.0 + model.loss_asymmetry) ** np.arange(1, t + 1)  # V-path loss
     intensities = model.efficiency_v * gain * rho ** 2
     if mode == "shots":
         intensities = rng.poisson(intensities * shots) / shots
@@ -238,9 +238,8 @@ def emulate_measurement(system: ScatteringSystem, t: int,
         relative_sign(m.delta, alpha, floor * (m.i_h + m.i_v))
         signs.append(m)
     reference = 1 if (not nonzero or rho[nonzero[0] - 1] >= 0) else -1
-
-    dists, x_min = _walk_distributions(realized, t, model)
-    return MeasurementData(magnitudes, signs, reference, alpha, dists, x_min, t)
+    return MeasurementData(magnitudes, signs, reference, alpha, distributions,
+                           x_min, t)
 
 
 def reconstruct_series(magnitudes: np.ndarray, signs, reference_sign: int,
@@ -319,20 +318,23 @@ def _normalized_rows(dists: np.ndarray, horizon: int) -> np.ndarray:
     return rows / np.where(totals == 0.0, 1.0, totals)
 
 
-def _mc_task(args):
-    system, t, horizon, observed, model, alpha = args
-    sim, _ = _walk_distributions(perturbed_system(system, model), t, model)
-    width = min(observed.shape[1], sim.shape[1])
-    d = _normalized_rows(observed[:, :width], horizon) \
-        - _normalized_rows(sim[:, :width], horizon)
-    distance = float(np.sum(d * d))
-    try:
-        data = emulate_measurement(system, t, model, alpha)
-        pair = measured_invariants(data)
-        q = (pair.q0, pair.qpi)
-    except (AmbiguousSign, ChainBroken):
-        q = (np.nan, np.nan)
-    return distance, q[0], q[1], model
+def _mc_batch(task) -> list[tuple]:
+    """(distance, q0, qpi, model) of each model of one batch."""
+    system, t, observed, horizon, alpha, models = task
+    runs = record([perturbed_system(system, m).protocol() for m in models], -1, H, t)
+    out = []
+    for model, run in zip(models, runs):
+        sim = _intensities(run, model)
+        width = min(observed.shape[1], sim.shape[1])
+        d = _normalized_rows(observed[:, :width], horizon) \
+            - _normalized_rows(sim[:, :width], horizon)
+        try:
+            pair = measured_invariants(_measure(run, model, sim, alpha))
+            q = (pair.q0, pair.qpi)
+        except (AmbiguousSign, ChainBroken):
+            q = (np.nan, np.nan)
+        out.append((float(np.sum(d * d)), q[0], q[1], model))
+    return out
 
 
 def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
@@ -352,9 +354,9 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
     rng = np.random.default_rng(seed)
     models = [ranges.draw(rng) for _ in range(n_sets)]
-    tasks = [(system, data.t, horizon, data.distributions, m, data.alpha)
-             for m in models]
-    results = list(mapper(_mc_task, tasks))
+    tasks = [(system, data.t, data.distributions, horizon, data.alpha, batch)
+             for batch in batches(models)]
+    results = list(chain.from_iterable(mapper(_mc_batch, tasks)))
     best_i = int(np.argmin([r[0] for r in results]))
     _, bq0, bqpi, best = results[best_i]
     q0s = np.array([r[1] for r in results])

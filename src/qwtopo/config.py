@@ -135,8 +135,6 @@ SCHEMA = {
                 "theta_left_pi": _ANGLE,
                 "theta_a_pi": _ANGLE,
                 "theta_b_pi": _ANGLE,
-                "reference_left_pi": _ANGLE,
-                "reference_right_pi": _ANGLE,
                 "p_grid": {"type": "array", "items": _PROB, "minItems": 1},
                 "t": _COUNT,
                 "n_configs": _COUNT,
@@ -174,8 +172,24 @@ SCHEMA = {
 }
 
 
+def _reject_non_finite(node, path: str) -> None:
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{path}.{i}" if path else str(i))
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigInvalid(path, f"{node} is not a finite number")
+
+
 def load(path: str) -> dict:
-    """Parse a configuration file (no validation)."""
+    """Parse a configuration file.
+
+    Only the JSON syntax is checked here, plus one rule the schema cannot
+    state: every number must be finite (json accepts NaN, Infinity and
+    overflowing literals such as 1e999).
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -187,6 +201,7 @@ def load(path: str) -> dict:
         raise ConfigInvalid("", f"not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigInvalid("", "top level must be an object")
+    _reject_non_finite(cfg, "")
     return cfg
 
 

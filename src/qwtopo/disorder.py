@@ -17,14 +17,17 @@ in p at fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+
 import numpy as np
 
-from .walk import CoinField
+from .walk import CoinField, batches
 from .scattering import (
     CANONICAL_ROTATION,
     ScatteringSystem,
     reflection_amplitudes,
     reflection_matrix_element,
+    reflection_rows,
 )
 
 #: Disorder strengths used by the standard ensemble studies.
@@ -94,8 +97,11 @@ def half_r0(system: ScatteringSystem, t: int) -> float:
     Uses the fixed canonical rotation, not per-series auto gauging, so
     ensemble members keep their signed values around zero.
     """
-    series = reflection_amplitudes(system, t)
-    return (CANONICAL_ROTATION * reflection_matrix_element(series, 0.0)).real / 2.0
+    return _half(reflection_amplitudes(system, t).r)
+
+
+def _half(r: np.ndarray) -> float:
+    return (CANONICAL_ROTATION * reflection_matrix_element(r, 0.0)).real / 2.0
 
 
 @dataclass
@@ -119,17 +125,18 @@ class EnsembleResult:
         return float(np.std(self.values))
 
 
-def _ensemble_task(args) -> float:
-    spec, config, t = args
-    return half_r0(scattering_system(spec, config), t)
+def _ensemble_batch(task) -> list[float]:
+    spec, configs, t = task
+    systems = [scattering_system(spec, k) for k in configs]
+    return [_half(1j * rho) for rho in reflection_rows(systems, t)]
 
 
 def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:
     """Half r(0) for every configuration of the ensemble."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    tasks = [(spec, k, t) for k in range(spec.n_configs)]
-    values = np.array(list(mapper(_ensemble_task, tasks)), dtype=float)
+    tasks = [(spec, configs, t) for configs in batches(range(spec.n_configs))]
+    values = np.array(list(chain.from_iterable(mapper(_ensemble_batch, tasks))))
     return EnsembleResult(spec.p, values, t)
 
 

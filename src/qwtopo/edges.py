@@ -14,14 +14,21 @@ while one started at x=0 mostly escapes, and the V polarization (which
 the boundary coin converts toward H before the amplitude crosses the
 bond) maximizes the bound/ballistic contrast.  LAUNCH_SITE and
 LAUNCH_COIN pin the convention.
+
+Configurations run in batches through `walk.record`.  The real coins keep
+the launch state |-1, V> in the engine's real structure (H real, V
+imaginary) up to the global phase i, which no intensity sees, and the
+recorded window is the one `evolve` ends on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
 import numpy as np
 
-from .walk import CoinField, SplitStepProtocol, WalkerState, V, evolve
+from .walk import CoinField, SplitStepProtocol, V, batches, record
 from .disorder import DEFAULT_P_GRID, DisorderSpec, sample_pattern
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
@@ -82,18 +89,19 @@ class LocalizationRecord:
         return self.p_loc_at(self.t)
 
 
-def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> LocalizationRecord:
-    """Evolve the launch state and record every step's distribution."""
+def _launch(system: InterfaceSystem, t: int, configs) -> list[LocalizationRecord]:
+    """Records of the launch state, one per configuration."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    proto = system.protocol(config, extent=t + 2)
-    traj = evolve(WalkerState.localized(LAUNCH_SITE, LAUNCH_COIN), proto, t)
-    final = traj[-1]
-    dists = np.zeros((t + 1, final.sites))
-    for j, state in enumerate(traj):
-        off = state.x_min - final.x_min
-        dists[j, off:off + state.sites] = state.position_probabilities()
-    return LocalizationRecord(dists, final.x_min, t, config)
+    protocols = [system.protocol(k, extent=t + 2) for k in configs]
+    runs = record(protocols, LAUNCH_SITE, LAUNCH_COIN, t)
+    return [LocalizationRecord(a * a + b * b, x_min, t, k)
+            for k, (x_min, a, b) in zip(configs, runs)]
+
+
+def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> LocalizationRecord:
+    """Evolve the launch state and record every step's distribution."""
+    return _launch(system, t, [config])[0]
 
 
 def intensity_map_export(record: LocalizationRecord):
@@ -122,9 +130,9 @@ class EdgePoint:
         return float(np.std(self.values))
 
 
-def _ploc_task(args) -> float:
-    system, t, config = args
-    return run_interface(system, t, config).p_loc
+def _ploc_batch(task) -> list[float]:
+    system, t, configs = task
+    return [rec.p_loc for rec in _launch(system, t, configs)]
 
 
 def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
@@ -140,8 +148,8 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
         n = 1 if p in (0.0, 1.0) else n_configs
         system = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, p, t,
                                            seed, n)
-        tasks = [(system, t, k) for k in range(n)]
-        values = np.array(list(mapper(_ploc_task, tasks)), dtype=float)
+        tasks = [(system, t, configs) for configs in batches(range(n))]
+        values = np.array(list(chain.from_iterable(mapper(_ploc_batch, tasks))))
         out.append(EdgePoint(float(p), values, t))
     return out
 

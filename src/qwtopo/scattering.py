@@ -15,7 +15,10 @@ stay real and V amplitudes stay imaginary under these coins), so the
 canonical gauge rotates the series by -i.  Under that rotation a clean
 sample with first coin identity and second coin angle 1.68*pi comes out
 at Q0 = +1/2 and the reference sample with second coin angle 0.52*pi
-comes out at Q0 = -1/2.
+comes out at Q0 = -1/2.  The same real structure lets `reflection_rows`
+step whole batches of systems on the real engine `walk.real_steps`, and
+the read-out site bounds its window: amplitude left of x = -2 never
+returns, so the window starts there.
 
 Samples may be terminated two ways.  "open" embeds the sample in an
 identity lead on the right as well, so weight that crosses the sample
@@ -29,9 +32,11 @@ weight itself converges to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
 import numpy as np
 
-from .walk import CoinField, SplitStepProtocol
+from .walk import CoinField, SplitStepProtocol, batches, real_steps
 
 #: Unit phase removing the global factor i from ideal reflection series.
 CANONICAL_ROTATION = -1j
@@ -100,15 +105,11 @@ class ScatteringSystem:
         """Position of the reflector site, or None for open termination."""
         return self.sites if self.termination == "mirror" else None
 
-    def field_angles(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coin angles of both fields including the reflector, if any."""
-        if self.termination == "mirror":
-            return (np.append(self.theta1, MIRROR_ANGLE),
-                    np.append(self.theta2, MIRROR_ANGLE))
-        return self.theta1, self.theta2
-
     def protocol(self) -> SplitStepProtocol:
-        th1, th2 = self.field_angles()
+        """Coin fields of the sample, including the reflector, if any."""
+        th1, th2 = self.theta1, self.theta2
+        if self.termination == "mirror":
+            th1, th2 = np.append(th1, MIRROR_ANGLE), np.append(th2, MIRROR_ANGLE)
         return SplitStepProtocol(CoinField(0, th1), CoinField(0, th2))
 
 
@@ -154,56 +155,35 @@ class InvariantPair:
         return (1 if self.q0 > 0 else -1, 1 if self.qpi > 0 else -1)
 
 
-def reflection_amplitudes(system: ScatteringSystem, t: int, *,
-                          skip_identity_coin: bool = True) -> ReflectionSeries:
-    """Evolve the probe for t steps and collect r_j = <-2,V| U^j |-1,H>.
+def reflection_rows(systems: list[ScatteringSystem], t: int) -> np.ndarray:
+    """Real reflection series of a batch: row k holds rho_1 .. rho_t of
+    systems[k], whose amplitudes are r_j = i rho_j = <-2,V| U^j |-1,H>.
 
-    The position window is sized to the light cone, which makes the
-    truncation exact at every finite t.  When the first coin field is
-    the identity everywhere (as in the disorder studies) its application
-    is skipped; the result is identical to the unskipped path.
+    The batch runs `real_steps` on positions [-2, t // 2] whatever the
+    sample size, which is exact.  Nothing left of the read-out site comes
+    back: the lead coins are the identity, so V amplitude there only moves
+    further left and H amplitude there is zero.  On the right, cutting the
+    window after site x first alters V at x after step x + 2, when the
+    probe's front arrives, and the error needs x + 2 more steps to reach
+    the read-out, which is past step t for x = t // 2.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    th1, th2 = system.field_angles()
-    x_min = -(t + 3)
-    if system.termination == "mirror":
-        x_max = system.sites + 1
-    else:
-        x_max = max(t + 1, system.sites + 1)
-    n = x_max - x_min + 1
-    w1 = CoinField(0, th1).window_angles(x_min, n)
-    w2 = CoinField(0, th2).window_angles(x_min, n)
-    r = _reflection_kernel(w1, w2, x_min, t, skip_identity_coin)
-    return ReflectionSeries(r)
+    n = t // 2 + 3
+    fields = [s.protocol() for s in systems]
+    th1 = np.array([f.field1.window_angles(-2, n) for f in fields])
+    th2 = np.array([f.field2.window_angles(-2, n) for f in fields])
+    a = np.zeros((len(systems), n))
+    a[:, 1] = 1.0  # |x=-1, H>
+    rho = np.empty((len(systems), t))
+    for j, (_, b) in enumerate(real_steps(th1, th2, a, np.zeros_like(a), t)):
+        rho[:, j] = b[:, 0]
+    return rho
 
 
-def _reflection_kernel(th1, th2, x_min, t, skip_identity_coin=True):
-    c1 = np.cos(th1)
-    s1 = np.sin(th1)
-    c2 = np.cos(th2)
-    s2 = np.sin(th2)
-    coin1_trivial = skip_identity_coin and not np.any(th1)
-
-    n = th1.size
-    h = np.zeros(n, dtype=complex)
-    v = np.zeros(n, dtype=complex)
-    h[-1 - x_min] = 1.0  # |x=-1, H>
-    read = -2 - x_min
-
-    r = np.empty(t, dtype=complex)
-    for j in range(t):
-        if not coin1_trivial:
-            h, v = c1 * h - 1j * (s1 * v), c1 * v - 1j * (s1 * h)
-        nh = np.zeros_like(h)
-        nh[1:] = h[:-1]
-        h = nh
-        h, v = c2 * h - 1j * (s2 * v), c2 * v - 1j * (s2 * h)
-        nv = np.zeros_like(v)
-        nv[:-1] = v[1:]
-        v = nv
-        r[j] = v[read]
-    return r
+def reflection_amplitudes(system: ScatteringSystem, t: int) -> ReflectionSeries:
+    """Evolve the probe for t steps and collect r_j = <-2,V| U^j |-1,H>."""
+    return ReflectionSeries(1j * reflection_rows([system], t)[0])
 
 
 def reflection_matrix_element(series: ReflectionSeries | np.ndarray, eps: float) -> complex:
@@ -354,13 +334,18 @@ def _line_pairs(parametrization, grid):
     raise ValueError(f"unknown scan parametrization: {parametrization!r}")
 
 
-def _scan_task(args):
-    theta1, theta2, t, gauge = args
-    series = reflection_amplitudes(ScatteringSystem.for_steps(theta1, theta2, t), t)
-    try:
-        return invariants(series, gauge)
-    except DegenerateGauge:
-        return None
+def _scan_batch(task) -> list[InvariantPair | None]:
+    """Invariants of clean samples, one per (theta1, theta2) row; None
+    where the gauge is degenerate."""
+    pairs, t, gauge = task
+    systems = [ScatteringSystem.for_steps(th1, th2, t) for th1, th2 in pairs]
+    out = []
+    for rho in reflection_rows(systems, t):
+        try:
+            out.append(invariants(ReflectionSeries(1j * rho), gauge))
+        except DegenerateGauge:
+            out.append(None)
+    return out
 
 
 def scan_line(parametrization: str, t: int, grid=None, pairs=None,
@@ -381,8 +366,8 @@ def scan_line(parametrization: str, t: int, grid=None, pairs=None,
             raise ValueError("line parametrization needs a grid of swept angles")
         arr = _line_pairs(parametrization, grid)
         scanned = np.asarray(grid, dtype=float)
-    tasks = [(th1, th2, t, gauge) for th1, th2 in arr]
-    results = list(mapper(_scan_task, tasks))
+    tasks = [(batch, t, gauge) for batch in batches(arr)]
+    results = chain.from_iterable(mapper(_scan_batch, tasks))
     points = [ScanPoint(th1, th2, pair) for (th1, th2), pair in zip(arr, results)]
     return ScanResult(parametrization, scanned, points, t)
 
@@ -422,8 +407,9 @@ def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05,
     if resolution < 8:
         raise ValueError("phase diagram resolution must be at least 8")
     centers = (np.arange(resolution) + 0.5) * _TWO_PI / resolution
-    tasks = [(th1, th2, t, gauge) for th1 in centers for th2 in centers]
-    results = list(mapper(_scan_task, tasks))
+    pairs = [(th1, th2) for th1 in centers for th2 in centers]
+    scan = scan_line(LINE_FREE, t, pairs=pairs, gauge=gauge, mapper=mapper)
+    results = [pt.pair for pt in scan.points]
 
     q0 = np.full((resolution, resolution), np.nan)
     qpi = np.full((resolution, resolution), np.nan)

@@ -9,6 +9,14 @@ polarization-selective left shift.
 Amplitudes are stored on a finite window that always contains the light
 cone of the evolved state, so the truncation is exact: a shift that would
 push amplitude past the window edge grows the window first.
+
+`WalkerState` and `evolve` step one complex state; they are the public
+single-state API and the reference for `real_steps`, the batched engine
+every study runs on.  The engine needs real coin angles: exp(-i sigma_x
+theta) then maps H = a, V = i b with real a and b to the same form, so
+two real (walkers, sites) arrays carry a batch exactly, up to a global
+phase that covers both |x, H> and |x, V> launches.  `record` keeps every
+step of a batch on the window `evolve` would end on.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ V = 1
 
 _TWO_PI = 2.0 * np.pi
 _GROW = 16  # slots added when a shift reaches an occupied window edge
+
+#: Walkers per engine batch, the unit of work a worker pool maps over.
+BATCH = 64
 
 
 def coin_matrix(theta: float) -> np.ndarray:
@@ -79,9 +90,6 @@ class CoinField:
         if hi > lo:
             out[lo - x_min : hi - x_min] = self.thetas[lo - self.start : hi - self.start]
         return out
-
-    def is_identity(self) -> bool:
-        return self.thetas.size == 0 or not np.any(self.thetas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +152,6 @@ class WalkerState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-    def position_probabilities(self) -> np.ndarray:
-        """Probability per window position, summed over the coin space."""
-        return np.sum(np.abs(self.amps) ** 2, axis=1)
 
     def copy(self) -> "WalkerState":
         return WalkerState(self.x_min, self.amps.copy(), self.time)
@@ -274,3 +278,70 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
         cur = step(cur, protocol)
         out.append(cur)
     return out
+
+
+def batches(items) -> list:
+    """Consecutive slices of at most BATCH items of a sequence, in order."""
+    return [items[i:i + BATCH] for i in range(0, len(items), BATCH)]
+
+
+def real_steps(th1: np.ndarray, th2: np.ndarray, a: np.ndarray, b: np.ndarray,
+               steps: int):
+    """Yield (a, b) after each of `steps` split steps of a walker batch.
+
+    All arrays have shape (B, n): row k is walker k, column i position
+    x_min + i of a window shared by the batch, with per-site coin angles
+    th1 and th2.  The state is H = a, V = i b, and each step gives the
+    amplitudes of `split_step` bit for bit.  Amplitude shifted past the
+    window edges is dropped, so the window must contain whatever the
+    caller reads.  Coin 1 is skipped when it is the identity on the whole
+    batch.  The inputs are never modified; every yielded pair is new.
+    """
+    c1, s1, c2, s2 = np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2)
+    coin1 = bool(np.any(th1))
+    for _ in range(steps):
+        if coin1:
+            a, b = c1 * a + s1 * b, c1 * b - s1 * a
+        h = np.zeros_like(a)
+        h[:, 1:] = a[:, :-1]
+        a, b = c2 * h + s2 * b, c2 * b - s2 * h
+        v = np.zeros_like(b)
+        v[:, :-1] = b[:, 1:]
+        b = v
+        yield a, b
+
+
+def record(protocols: list, x0: int, coin: int, steps: int) -> list:
+    """Every step of walkers launched at (x0, coin), one per protocol.
+
+    Returns one (x_min, a, b) per protocol, with a and b of shape
+    (steps + 1, width): row j holds H = a and V = i b (up to a global
+    phase) after j steps, on exactly the window `evolve` ends on from
+    `WalkerState.localized(x0, coin)`.  That window starts at
+    [x0 - 1, x0 + 1] and grows by _GROW sites whenever a shift meets
+    amplitude on its edge: after a step, the right edge hi grew iff H
+    now sits at hi + 1 or V sits at hi, the left edge lo iff V sits at
+    lo - 1.  An edge grows only once the front, moving one site per step,
+    has reached it, so no edge passes x0 +- (steps + _GROW - 1) and the
+    batch runs `real_steps` on x0 +- (steps + _GROW).
+    """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    if any(p.mode != "split-step" for p in protocols):
+        raise ValueError("record runs the split-step realization only")
+    reach = steps + _GROW
+    start, n = x0 - reach, 2 * reach + 1
+    th1 = np.array([p.field1.window_angles(start, n) for p in protocols])
+    th2 = np.array([p.field2.window_angles(start, n) for p in protocols])
+    hist = np.zeros((2, len(protocols), steps + 1, n))
+    hist[coin, :, 0, reach] = 1.0
+    rows = np.arange(len(protocols))
+    lo = np.full(len(protocols), x0 - 1 - start)  # window edges as columns
+    hi = np.full(len(protocols), x0 + 1 - start)
+    walk = real_steps(th1, th2, hist[0, :, 0], hist[1, :, 0], steps)
+    for j, (a, b) in enumerate(walk, 1):
+        hist[0, :, j], hist[1, :, j] = a, b
+        hi += _GROW * ((a[rows, hi + 1] != 0) | (b[rows, hi] != 0))
+        lo -= _GROW * (b[rows, lo - 1] != 0)
+    return [(start + i, hist[0, k, :, i:e + 1], hist[1, k, :, i:e + 1])
+            for k, (i, e) in enumerate(zip(lo.tolist(), hi.tolist()))]

@@ -287,6 +287,52 @@ def test_disorder_run_summarizes_the_probability_grid(tmp_path):
     assert first["p"] == "0.0" and first["std_half_r0"] == "0.0"
 
 
+NON_FINITE_SCAN = ('{"experiment": "scan", "scan": {"parametrization": "free", '
+                   '"pairs_pi": [[NaN, Infinity]], "t": 5}}')
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("text, field", [
+    (NON_FINITE_SCAN, "scan.pairs_pi.0.0"),
+    (json.dumps(disorder_config(p=float("nan"))), "disorder.p"),
+], ids=["scan-pairs", "disorder-p"])
+def test_non_finite_numbers_exit_with_code_two(tmp_path, capsys, command, text, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    code = entrypoint(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"ConfigInvalid at field path {field}:" in captured.err
+    assert "is valid" not in captured.out
+
+
+def test_edge_reference_angles_are_not_config_keys(tmp_path, capsys):
+    cfg = {"experiment": "edge", "edge": {
+        "theta_left_pi": 0.52, "theta_a_pi": 1.68, "theta_b_pi": 1.36,
+        "t": 5, "n_configs": 2, "p_grid": [0.5], "reference_left_pi": 0.3}}
+    code = entrypoint(["run", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ConfigInvalid at field path edge:" in err
+    assert "reference_left_pi" in err
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, name):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert entrypoint(["run", "--config", os.path.join(CONFIG_DIR, name),
+                           "--out", str(out), "--threads", threads]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                        if f.name != "manifest.json"})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_cli_seed_flag_overrides_config_seed(tmp_path):
     cfg = disorder_config(t=9, n_configs=4, p_grid=[0.5])
     cfg["seed"] = 1

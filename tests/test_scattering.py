@@ -11,7 +11,8 @@ from qwtopo.scattering import (CANONICAL_ROTATION, LINE_FREE, LINE_GREEN,
                                LINE_TURQUOISE, DegenerateGauge, InvariantPair,
                                ReflectionSeries, ScatteringSystem, classify,
                                invariants, phase_diagram, reflection_amplitudes,
-                               reflection_matrix_element, scan_line)
+                               reflection_matrix_element, reflection_rows,
+                               scan_line)
 
 from oracles import dense_invariants, dense_reflection
 
@@ -134,10 +135,15 @@ def test_odd_steps_vanish_when_first_coin_is_identity():
 
 
 def test_skip_identity_fast_path_is_exact():
+    """Alone, an identity coin 1 is skipped; next to a row with theta1 != 0
+    the batch applies it to both rows.  The bits must not change."""
     system = ScatteringSystem(np.zeros(10), np.linspace(0.2, 5.9, 10))
-    a = reflection_amplitudes(system, 14, skip_identity_coin=True)
-    b = reflection_amplitudes(system, 14, skip_identity_coin=False)
-    assert np.array_equal(a.r, b.r)
+    other = ScatteringSystem(np.full(10, 0.7), np.linspace(0.2, 5.9, 10))
+    alone = reflection_rows([system], 14)[0]
+    batched = reflection_rows([system, other], 14)
+    assert np.max(np.abs(alone)) > 0.1
+    assert np.array_equal(alone, batched[0])
+    assert not np.array_equal(batched[0], batched[1])
 
 
 def test_recording_longer_does_not_change_amplitudes():

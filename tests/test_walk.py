@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from qwtopo.scattering import ScatteringSystem, reflection_rows
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
                          apply_shift_symmetric, coin_matrix,
-                         double_step_equivalent, evolve, split_step, step)
+                         double_step_equivalent, evolve, record, split_step, step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
 
@@ -256,3 +257,68 @@ def test_localized_rejects_window_without_origin():
 def test_evolve_rejects_negative_steps():
     with pytest.raises(ValueError):
         evolve(WalkerState.localized(), SplitStepProtocol.lead_only(), -1)
+
+
+# --- the batched engine against the single-state reference -----------------------
+
+#: Angles that make coins exact (identity, full swap, minus identity) plus a
+#: generic one, so amplitudes hit exact zeros at window edges.
+SPECIAL_ANGLES = (0.0, np.pi / 2, np.pi)
+
+
+def random_field(rng, start, sites):
+    pick = rng.integers(0, len(SPECIAL_ANGLES) + 1, sites)
+    th = rng.uniform(0, 2 * np.pi, sites)
+    for i, angle in enumerate(SPECIAL_ANGLES):
+        th[pick == i] = angle
+    return CoinField(start, th)
+
+
+def test_record_matches_evolve_bit_for_bit():
+    """Same window (x_min and width) and the same per-step H and V
+    intensities as evolve, from both launch coins, with coin 1 the
+    identity on every row (skipped), on some rows or on none.  From x0 the
+    window grows at t = 2, 18 and 34, so t up to 40 covers three growths."""
+    rng = np.random.default_rng(9)
+    for case in range(24):
+        t = 40 if case % 4 == 0 else int(rng.integers(0, 41))
+        x0 = int(rng.integers(-3, 4))
+        coin = case % 2
+        start = x0 - int(rng.integers(0, t + 3))
+        sites = int(rng.integers(1, 2 * t + 6))
+        protocols = [SplitStepProtocol(
+            CoinField.identity() if case % 3 == 0 or k % 2
+            else random_field(rng, start, sites),
+            random_field(rng, start, sites)) for k in range(3)]
+        for proto, (x_min, a, b) in zip(protocols, record(protocols, x0, coin, t)):
+            traj = evolve(WalkerState.localized(x0, coin), proto, t)
+            final = traj[-1]
+            assert x_min == final.x_min
+            assert a.shape == b.shape == (t + 1, final.sites)
+            for j, state in enumerate(traj):
+                h2 = np.zeros(final.sites)
+                v2 = np.zeros(final.sites)
+                off = state.x_min - x_min
+                h2[off:off + state.sites] = np.abs(state.amps[:, H]) ** 2
+                v2[off:off + state.sites] = np.abs(state.amps[:, V]) ** 2
+                assert np.array_equal(a[j] ** 2, h2)
+                assert np.array_equal(b[j] ** 2, v2)
+
+
+def test_record_rejects_double_step_protocols():
+    proto = SplitStepProtocol(CoinField.identity(), CoinField.identity(),
+                              mode="double-step")
+    with pytest.raises(ValueError, match="split-step"):
+        record([proto], 0, H, 3)
+
+
+def test_reflection_row_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(10)
+    t = 30
+    systems = [ScatteringSystem(
+        random_field(rng, 0, sites).thetas, random_field(rng, 0, sites).thetas,
+        "mirror" if k % 3 == 0 else "open")
+        for k, sites in enumerate(rng.integers(1, t + 3, 9))]
+    batched = reflection_rows(systems, t)
+    for system, row in zip(systems, batched):
+        assert np.array_equal(reflection_rows([system], t)[0], row)
