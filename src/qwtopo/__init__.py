@@ -16,7 +16,6 @@ from .walk import (
     double_step_equivalent,
     evolve,
     split_step,
-    step,
 )
 from .scattering import (
     DegenerateGauge,

@@ -21,7 +21,7 @@ from .apparatus import (ApparatusModel, ErrorRanges, emulate_measurement,
 from .config import ConfigInvalid
 from .dataio import (TABLE_KINDS, RunManifest, UnknownDataKind, config_hash,
                      read_csv, detect_kind, write_table)
-from .disorder import DEFAULT_P_GRID, DisorderSpec, disorder_curve, transition_locator
+from .disorder import DisorderSpec, disorder_curve, transition_locator
 from .edges import InterfaceSystem, intensity_map_export, localization_vs_disorder, run_interface
 from .parallel import WorkerPool
 from .scattering import LINE_FREE, ScatteringSystem, phase_diagram, scan_line
@@ -91,11 +91,12 @@ def _cmd_run(args) -> int:
     config.validate(cfg)
     for note in config.config_warnings(cfg):
         print(f"warning: {note}", file=sys.stderr)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    resolved = config.resolve(cfg)
+    seed = args.seed if args.seed is not None else int(resolved["seed"])
     os.makedirs(args.out, exist_ok=True)
     runner = _RUNNERS[cfg["experiment"]]
     with WorkerPool(args.threads) as pool:
-        written = runner(cfg, seed, args.out, args.format, pool.map)
+        written = runner(resolved, seed, args.out, args.format, pool.map)
     manifest = RunManifest(__version__, seed, config_hash(cfg),
                            datetime.now(timezone.utc).isoformat())
     for path in written:
@@ -196,11 +197,11 @@ def _write_json(outdir, name, payload) -> str:
     return path
 
 
-# --- experiment runners -------------------------------------------------------
+# --- experiment runners: each reads a config resolved by config.resolve -----
 
 def _run_scan(cfg, seed, outdir, fmt, mapper):
     blk = cfg["scan"]
-    t, gauge = blk["t"], blk.get("gauge", "auto")
+    t, gauge = blk["t"], blk["gauge"]
     if blk["parametrization"] == LINE_FREE:
         pairs = np.asarray(blk["pairs_pi"], dtype=float) * math.pi
         result = scan_line(LINE_FREE, t, pairs=pairs, gauge=gauge, mapper=mapper)
@@ -219,8 +220,7 @@ def _run_scan(cfg, seed, outdir, fmt, mapper):
 
 def _run_phase_diagram(cfg, seed, outdir, fmt, mapper):
     blk = cfg["phase_diagram"]
-    pd = phase_diagram(blk.get("resolution", 64), blk.get("t", 30),
-                       blk.get("tolerance", 0.05), mapper=mapper)
+    pd = phase_diagram(blk["resolution"], blk["t"], blk["tolerance"], mapper=mapper)
     rows = []
     for i, th1 in enumerate(pd.theta1):
         for j, th2 in enumerate(pd.theta2):
@@ -238,10 +238,7 @@ def _run_phase_diagram(cfg, seed, outdir, fmt, mapper):
 def _run_disorder(cfg, seed, outdir, fmt, mapper):
     blk = cfg["disorder"]
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
-    t, n = blk["t"], blk.get("n_configs", 50)
-    p_grid = blk.get("p_grid")
-    if p_grid is None:
-        p_grid = [blk["p"]] if "p" in blk else list(DEFAULT_P_GRID)
+    t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
     spec = DisorderSpec.for_steps(theta_a, theta_b, p_grid[0], t, seed, n)
     curve = disorder_curve(spec, t, p_grid, mapper)
     run_rows = [[res.p, k, v, t, seed]
@@ -252,9 +249,7 @@ def _run_disorder(cfg, seed, outdir, fmt, mapper):
                       sum_rows, fmt)
     if "transition" in blk:
         tr = blk["transition"]
-        t_tr = tr.get("t", 201)
-        resolution = tr.get("resolution", 0.025)
-        n_tr = tr.get("n_configs", 200)
+        t_tr, n_tr, resolution = tr["t"], tr["n_configs"], tr["resolution"]
         p_crit = transition_locator(spec, t_tr, n_tr, resolution, mapper=mapper)
         written.append(_write_json(outdir, "transition.json", {
             "p_crit": p_crit, "t": t_tr, "n_configs": n_tr,
@@ -267,8 +262,7 @@ def _run_edge(cfg, seed, outdir, fmt, mapper):
     blk = cfg["edge"]
     theta_left = blk["theta_left_pi"] * math.pi
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
-    t, n = blk.get("t", 13), blk.get("n_configs", 50)
-    p_grid = blk.get("p_grid", list(DEFAULT_P_GRID))
+    t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
     points = localization_vs_disorder(theta_left, theta_a, theta_b, seed, t,
                                       p_grid, n, mapper)
     rows = [[pt.p, k, v, t] for pt in points for k, v in enumerate(pt.values)]
@@ -285,23 +279,19 @@ def _run_edge(cfg, seed, outdir, fmt, mapper):
     return written
 
 
-def _model_from(blk: dict) -> ApparatusModel:
-    return ApparatusModel(
-        efficiency_h=blk.get("efficiency_h", 1.0),
-        efficiency_v=blk.get("efficiency_v", 1.0),
-        loss_asymmetry=blk.get("loss_asymmetry", 0.0),
-        eom_error=math.radians(blk.get("eom_error_deg", 0.0)),
-        sbc_error=math.radians(blk.get("sbc_error_deg", 0.0)))
+def _radians(blk: dict) -> dict:
+    """Keyword arguments of a model or ranges block, *_deg keys in radians."""
+    return {key.removesuffix("_deg"): math.radians(v) if key.endswith("_deg") else v
+            for key, v in blk.items()}
 
 
 def _run_emulate(cfg, seed, outdir, fmt, mapper):
     blk = cfg["emulate"]
     system = ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
                                         blk["theta2_pi"] * math.pi, blk["t"])
-    data = emulate_measurement(system, blk["t"], _model_from(blk.get("model", {})),
-                               alpha=blk.get("alpha_pi", 0.25) * math.pi,
-                               mode=blk.get("mode", "exact"),
-                               shots=blk.get("shots", 1_000_000), seed=seed)
+    data = emulate_measurement(system, blk["t"], ApparatusModel(**_radians(blk["model"])),
+                               alpha=blk["alpha_pi"] * math.pi, mode=blk["mode"],
+                               shots=blk["shots"], seed=seed)
     positions = data.x_min + np.arange(data.distributions.shape[1])
     rows = [[step, int(positions[i]), data.distributions[step, i]]
             for step in range(data.distributions.shape[0])
@@ -321,17 +311,9 @@ def _run_mc_errorbars(cfg, seed, outdir, fmt, mapper):
     t = blk["t"]
     system = ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
                                         blk["theta2_pi"] * math.pi, t)
-    truth = _model_from(blk.get("truth_model", {}))
-    data = emulate_measurement(system, t, truth)
-    rng_blk = blk.get("ranges", {})
-    ranges = ErrorRanges(
-        loss_asymmetry=rng_blk.get("loss_asymmetry", 0.03),
-        eom_error=math.radians(rng_blk.get("eom_error_deg", 1.0)),
-        sbc_error=math.radians(rng_blk.get("sbc_error_deg", 1.0)),
-        efficiency_span=rng_blk.get("efficiency_span", 0.02))
-    result = monte_carlo_errorbars(data, system, ranges,
-                                   n_sets=blk.get("n_sets", 1000),
-                                   horizon=blk.get("horizon", 7),
+    data = emulate_measurement(system, t, ApparatusModel(**_radians(blk["truth_model"])))
+    result = monte_carlo_errorbars(data, system, ErrorRanges(**_radians(blk["ranges"])),
+                                   n_sets=blk["n_sets"], horizon=blk["horizon"],
                                    seed=seed, mapper=mapper)
     pair = measured_invariants(data)
     best = result.best

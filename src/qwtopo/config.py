@@ -1,20 +1,28 @@
-"""Experiment configuration: schema validation, warnings, dry-run estimates.
+"""Experiment configuration: schema, defaults, warnings, dry-run estimates.
 
 A configuration is one JSON object with an "experiment" kind, an
 optional master "seed", and exactly one kind-specific block.  All
 angles are given in units of pi with a "_pi" key suffix; values of
 magnitude 2 or more are accepted but flagged as mod-2 reductions by
 `config_warnings`.
+
+Optional keys take their defaults from `SCHEMA` alone, filled in by
+`resolve`, whose output is all that the runners and `estimate` read.
+`validate` also rejects keys the runner would ignore (`p` next to `p_grid`).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
 import jsonschema
 
 from .dataio import IoFailure
+from .disorder import DEFAULT_P_GRID
+from .scattering import reflection_window
+from .walk import record_window
 
 EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate",
                "mc-errorbars")
@@ -42,30 +50,36 @@ class ConfigInvalid(ValueError):
 _ANGLE = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 1}
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
+_P_GRID = {"type": "array", "items": _PROB, "minItems": 1,
+           "default": list(DEFAULT_P_GRID)}
+_ENSEMBLE = {**_COUNT, "default": 50}
 
-_MODEL = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "efficiency_h": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "efficiency_v": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "loss_asymmetry": {"type": "number", "minimum": -0.1, "maximum": 0.1},
-        "eom_error_deg": {"type": "number", "minimum": -10, "maximum": 10},
-        "sbc_error_deg": {"type": "number", "minimum": -10, "maximum": 10},
-    },
-}
 
-_RANGES = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "loss_asymmetry": {"type": "number", "minimum": 0, "maximum": 0.1},
-        "eom_error_deg": {"type": "number", "minimum": 0, "maximum": 10},
-        "sbc_error_deg": {"type": "number", "minimum": 0, "maximum": 10},
-        "efficiency_span": {"type": "number", "minimum": 0, "maximum": 0.5},
-    },
-}
+def _number(low, high, default, low_bound="minimum"):
+    return {"type": "number", low_bound: low, "maximum": high, "default": default}
 
+
+def _optional_block(**properties):
+    return {"type": "object", "additionalProperties": False, "default": {},
+            "properties": properties}
+
+
+_MODEL = _optional_block(
+    efficiency_h=_number(0, 1, 1.0, "exclusiveMinimum"),
+    efficiency_v=_number(0, 1, 1.0, "exclusiveMinimum"),
+    loss_asymmetry=_number(-0.1, 0.1, 0.0),
+    eom_error_deg=_number(-10, 10, 0.0),
+    sbc_error_deg=_number(-10, 10, 0.0))
+
+_RANGES = _optional_block(
+    loss_asymmetry=_number(0, 0.1, 0.03),
+    eom_error_deg=_number(0, 10, 1.0),
+    sbc_error_deg=_number(0, 10, 1.0),
+    efficiency_span=_number(0, 0.5, 0.02))
+
+#: The schema of every config.  An optional key without a "default" is
+#: conditional: the block kind, the scan line or free keys, `disorder.p`
+#: (resolved into `p_grid`) and the optional `disorder.transition`.
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -73,7 +87,7 @@ SCHEMA = {
     "required": ["experiment"],
     "properties": {
         "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
         "scan": {
             "type": "object",
             "additionalProperties": False,
@@ -91,17 +105,16 @@ SCHEMA = {
                               "minItems": 2, "maxItems": 2},
                 },
                 "t": _COUNT,
-                "gauge": {"enum": ["auto", "canonical"]},
+                "gauge": {"enum": ["auto", "canonical"], "default": "auto"},
             },
         },
         "phase_diagram": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "resolution": {"type": "integer", "minimum": 8},
-                "t": _COUNT,
-                "tolerance": {"type": "number", "exclusiveMinimum": 0,
-                              "maximum": 0.5},
+                "resolution": {"type": "integer", "minimum": 8, "default": 64},
+                "t": {**_COUNT, "default": 30},
+                "tolerance": _number(0, 0.5, 0.05, "exclusiveMinimum"),
             },
         },
         "disorder": {
@@ -112,17 +125,16 @@ SCHEMA = {
                 "theta_a_pi": _ANGLE,
                 "theta_b_pi": _ANGLE,
                 "p": _PROB,
-                "p_grid": {"type": "array", "items": _PROB, "minItems": 1},
+                "p_grid": _P_GRID,
                 "t": _COUNT,
-                "n_configs": _COUNT,
+                "n_configs": _ENSEMBLE,
                 "transition": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "t": {"type": "integer", "minimum": 101},
-                        "n_configs": _COUNT,
-                        "resolution": {"type": "number", "exclusiveMinimum": 0,
-                                       "maximum": 0.5},
+                        "t": {"type": "integer", "minimum": 101, "default": 201},
+                        "n_configs": {**_COUNT, "default": 200},
+                        "resolution": _number(0, 0.5, 0.025, "exclusiveMinimum"),
                     },
                 },
             },
@@ -135,9 +147,9 @@ SCHEMA = {
                 "theta_left_pi": _ANGLE,
                 "theta_a_pi": _ANGLE,
                 "theta_b_pi": _ANGLE,
-                "p_grid": {"type": "array", "items": _PROB, "minItems": 1},
-                "t": _COUNT,
-                "n_configs": _COUNT,
+                "p_grid": _P_GRID,
+                "t": {**_COUNT, "default": 13},
+                "n_configs": _ENSEMBLE,
             },
         },
         "emulate": {
@@ -148,10 +160,10 @@ SCHEMA = {
                 "theta1_pi": _ANGLE,
                 "theta2_pi": _ANGLE,
                 "t": _COUNT,
-                "alpha_pi": _ANGLE,
+                "alpha_pi": {**_ANGLE, "default": 0.25},
                 "model": _MODEL,
-                "mode": {"enum": ["exact", "shots"]},
-                "shots": _COUNT,
+                "mode": {"enum": ["exact", "shots"], "default": "exact"},
+                "shots": {**_COUNT, "default": 1_000_000},
             },
         },
         "mc_errorbars": {
@@ -163,8 +175,8 @@ SCHEMA = {
                 "theta2_pi": _ANGLE,
                 "t": {"type": "integer", "minimum": 7},
                 "truth_model": _MODEL,
-                "n_sets": _COUNT,
-                "horizon": _COUNT,
+                "n_sets": {**_COUNT, "default": 1000},
+                "horizon": {**_COUNT, "default": 7},
                 "ranges": _RANGES,
             },
         },
@@ -222,15 +234,45 @@ def validate(cfg: dict) -> None:
         if other in cfg:
             raise ConfigInvalid(other,
                                 f"block does not belong to experiment {kind!r}")
+    blk = cfg[block]
+    ignored, why = set(), ""
     if kind == "scan":
-        scan = cfg[block]
-        if scan["parametrization"] == "free":
-            if "pairs_pi" not in scan:
-                raise ConfigInvalid("scan.pairs_pi",
-                                    "free parametrization needs explicit pairs")
-        elif not {"start_pi", "stop_pi", "count"} <= scan.keys():
-            raise ConfigInvalid("scan",
-                                "line parametrization needs start_pi, stop_pi, count")
+        keys = ({"pairs_pi"}, {"start_pi", "stop_pi", "count"})
+        needed, ignored = keys if blk["parametrization"] == "free" else keys[::-1]
+        why = f"the {blk['parametrization']} parametrization does not use it"
+        missing = sorted(needed - blk.keys())
+        if missing:
+            raise ConfigInvalid(f"scan.{missing[0]}", f"the {blk['parametrization']} "
+                                f"parametrization needs {', '.join(sorted(needed))}")
+    elif kind == "disorder" and "p_grid" in blk:
+        ignored, why = {"p"}, "p and p_grid exclude each other"
+    elif kind == "emulate" and blk.get("mode") != "shots":
+        ignored, why = {"shots"}, "only shots mode draws shots"
+    unused = sorted(ignored & blk.keys())
+    if unused:
+        raise ConfigInvalid(f"{block}.{unused[0]}", f"run would ignore this key: {why}")
+
+
+def _fill(node: dict, schema: dict) -> None:
+    for key, sub in schema.get("properties", {}).items():
+        if key not in node and "default" in sub:
+            node[key] = copy.deepcopy(sub["default"])
+        if isinstance(node.get(key), dict):
+            _fill(node[key], sub)
+
+
+def resolve(cfg: dict) -> dict:
+    """A copy of a validated config with every `SCHEMA` default filled in.
+
+    A lone disorder `p` becomes `p_grid: [p]`.  The runners and `estimate`
+    read only resolved configs; `config_hash` hashes the config as written.
+    """
+    out = copy.deepcopy(cfg)
+    disorder = out.get("disorder", {})
+    if "p" in disorder:
+        disorder["p_grid"] = [disorder.pop("p")]
+    _fill(out, SCHEMA)
+    return out
 
 
 def _walk_angles(node, path):
@@ -261,35 +303,33 @@ def config_warnings(cfg: dict) -> list[str]:
 
 
 def estimate(cfg: dict) -> dict:
-    """Dry-run resource estimate: simulation count and window size."""
+    """Dry-run cost of a validated config, in the engine's units.
+
+    "simulations" counts the walkers `run` steps through `walk.real_steps`
+    (with a disorder `transition`, an upper bound: the bisection may stop
+    early), and "window_sites" is the widest window it steps them on.
+    """
+    cfg = resolve(cfg)
     kind = cfg["experiment"]
     block = cfg[BLOCK_KEY[kind]]
+    t = block["t"]
+    walks = kind in ("edge", "emulate", "mc-errorbars")
+    window = record_window if walks else reflection_window
     if kind == "scan":
         sims = len(block["pairs_pi"]) if block["parametrization"] == "free" \
             else block["count"]
-        t = block["t"]
     elif kind == "phase-diagram":
-        sims = block.get("resolution", 64) ** 2
-        t = block.get("t", 30)
+        sims = block["resolution"] ** 2
     elif kind == "disorder":
-        grid = block.get("p_grid", [block["p"]] if "p" in block else
-                         [i / 10 for i in range(11)])
-        sims = len(grid) * block.get("n_configs", 50)
-        t = block["t"]
+        sims = len(block["p_grid"]) * block["n_configs"]
         tr = block.get("transition")
         if tr is not None:
-            probes = 2 + math.ceil(math.log2(1.0 / tr.get("resolution", 0.025)))
-            sims += probes * tr.get("n_configs", 200)
-            t = max(t, tr.get("t", 201))
-    elif kind == "edge":
-        grid = block.get("p_grid", [i / 10 for i in range(11)])
-        n = block.get("n_configs", 50)
-        sims = sum(1 if p in (0.0, 1.0) else n for p in grid) + 1
-        t = block.get("t", 13)
-    elif kind == "emulate":
-        sims = 2
-        t = block["t"]
-    else:  # mc-errorbars
-        sims = 2 * (block.get("n_sets", 1000) + 1)
-        t = block["t"]
-    return {"simulations": sims, "window_sites": 2 * t + 5}
+            probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
+            sims += probes * tr["n_configs"]
+            t = max(t, tr["t"])
+    elif kind == "edge":  # one walker at p = 0 and 1, plus the intensity map
+        n = block["n_configs"]
+        sims = sum(1 if p in (0.0, 1.0) else n for p in block["p_grid"]) + 1
+    else:  # one walker per apparatus model
+        sims = 1 if kind == "emulate" else block["n_sets"] + 1
+    return {"simulations": sims, "window_sites": window(t)}

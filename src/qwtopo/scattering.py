@@ -155,6 +155,11 @@ class InvariantPair:
         return (1 if self.q0 > 0 else -1, 1 if self.qpi > 0 else -1)
 
 
+def reflection_window(t: int) -> int:
+    """Sites of the window [-2, t // 2] that `reflection_rows` steps."""
+    return t // 2 + 3
+
+
 def reflection_rows(systems: list[ScatteringSystem], t: int) -> np.ndarray:
     """Real reflection series of a batch: row k holds rho_1 .. rho_t of
     systems[k], whose amplitudes are r_j = i rho_j = <-2,V| U^j |-1,H>.
@@ -169,7 +174,7 @@ def reflection_rows(systems: list[ScatteringSystem], t: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    n = t // 2 + 3
+    n = reflection_window(t)
     fields = [s.protocol() for s in systems]
     th1 = np.array([f.field1.window_angles(-2, n) for f in fields])
     th2 = np.array([f.field2.window_angles(-2, n) for f in fields])

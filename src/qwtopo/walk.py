@@ -94,15 +94,10 @@ class CoinField:
 
 @dataclass(frozen=True, eq=False)
 class SplitStepProtocol:
-    """A pair of coin fields plus the realization mode of one step."""
+    """The pair of coin fields of one split step."""
 
     field1: CoinField
     field2: CoinField
-    mode: str = "split-step"  # or "double-step"
-
-    def __post_init__(self):
-        if self.mode not in ("split-step", "double-step"):
-            raise ValueError(f"unknown protocol mode: {self.mode!r}")
 
     @classmethod
     def lead_only(cls) -> "SplitStepProtocol":
@@ -261,13 +256,6 @@ def double_step_equivalent(state: WalkerState, protocol: SplitStepProtocol) -> W
     return out
 
 
-def step(state: WalkerState, protocol: SplitStepProtocol) -> WalkerState:
-    """Advance one step using the protocol's realization mode."""
-    if protocol.mode == "double-step":
-        return double_step_equivalent(state, protocol)
-    return split_step(state, protocol)
-
-
 def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[WalkerState]:
     """Evolve and return the trajectory [state, after 1 step, ..., after t]."""
     if steps < 0:
@@ -275,7 +263,7 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
     out = [state.copy()]
     cur = state
     for _ in range(steps):
-        cur = step(cur, protocol)
+        cur = split_step(cur, protocol)
         out.append(cur)
     return out
 
@@ -311,6 +299,11 @@ def real_steps(th1: np.ndarray, th2: np.ndarray, a: np.ndarray, b: np.ndarray,
         yield a, b
 
 
+def record_window(steps: int) -> int:
+    """Sites of the window x0 +- (steps + _GROW) that `record` steps."""
+    return 2 * (steps + _GROW) + 1
+
+
 def record(protocols: list, x0: int, coin: int, steps: int) -> list:
     """Every step of walkers launched at (x0, coin), one per protocol.
 
@@ -327,10 +320,8 @@ def record(protocols: list, x0: int, coin: int, steps: int) -> list:
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if any(p.mode != "split-step" for p in protocols):
-        raise ValueError("record runs the split-step realization only")
     reach = steps + _GROW
-    start, n = x0 - reach, 2 * reach + 1
+    start, n = x0 - reach, record_window(steps)
     th1 = np.array([p.field1.window_angles(start, n) for p in protocols])
     th2 = np.array([p.field2.window_angles(start, n) for p in protocols])
     hist = np.zeros((2, len(protocols), steps + 1, n))

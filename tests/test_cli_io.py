@@ -165,7 +165,7 @@ def test_angle_warnings_flag_mod_two_reduction():
 def test_cost_estimate_counts_simulations():
     est = cfgmod.estimate(scan_config())
     assert est["simulations"] == 20
-    assert est["window_sites"] == 2 * 5 + 5
+    assert est["window_sites"] == 5
     cfg = disorder_config(p_grid=[0.0, 0.5, 1.0], n_configs=10)
     assert cfgmod.estimate(cfg)["simulations"] == 30
 
@@ -307,6 +307,36 @@ def test_non_finite_numbers_exit_with_code_two(tmp_path, capsys, command, text, 
     assert code == 2
     assert f"ConfigInvalid at field path {field}:" in captured.err
     assert "is valid" not in captured.out
+
+
+EMULATE = {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": 5}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("cfg, field", [
+    (disorder_config(p=0.3, p_grid=[0.9]), "disorder.p"),
+    ({"experiment": "scan", "scan": {"parametrization": "free", "t": 5, "count": 3,
+                                     "pairs_pi": [[0.1, 0.2]]}}, "scan.count"),
+    (scan_config(pairs_pi=[[0.1, 0.2]]), "scan.pairs_pi"),
+    ({"experiment": "emulate", "emulate": {**EMULATE, "shots": 100}}, "emulate.shots"),
+], ids=["p-with-p-grid", "line-keys-in-free-scan", "pairs-in-line-scan",
+        "shots-in-exact-mode"])
+def test_keys_the_runner_would_ignore_exit_with_code_two(tmp_path, capsys, command,
+                                                         cfg, field):
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    code = entrypoint(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"ConfigInvalid at field path {field}: run would ignore" in captured.err
+    assert "is valid" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_shots_are_accepted_in_shots_mode():
+    cfgmod.validate({"experiment": "emulate",
+                     "emulate": {**EMULATE, "mode": "shots", "shots": 100}})
 
 
 def test_edge_reference_angles_are_not_config_keys(tmp_path, capsys):

@@ -1,0 +1,123 @@
+"""Config defaults and dry-run estimates, checked against what `run` does.
+
+`config.estimate` is what `qwtopo verify` prints; here every shipped
+config is run with the engine's `real_steps` counted, so the printed
+walker count and window are the ones the engine really steps.
+"""
+
+import copy
+import json
+import os
+
+import jsonschema
+import pytest
+
+import qwtopo.scattering
+import qwtopo.walk
+from qwtopo import RunManifest
+from qwtopo import config as cfgmod
+from qwtopo.cli import entrypoint
+from qwtopo.dataio import config_hash
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = sorted(os.listdir(CONFIG_DIR))
+
+#: Optional keys that may lack a default: they are conditional.
+CONDITIONAL = {"scan", "phase_diagram", "disorder", "edge", "emulate", "mc_errorbars",
+               "scan.start_pi", "scan.stop_pi", "scan.count", "scan.pairs_pi",
+               "disorder.p", "disorder.transition"}
+
+
+def _optional_properties(schema, path=""):
+    """(dotted path, subschema) of every optional property in a schema."""
+    for key, sub in schema.get("properties", {}).items():
+        sub_path = f"{path}.{key}" if path else key
+        if key not in schema.get("required", ()):
+            yield sub_path, sub
+        yield from _optional_properties(sub, sub_path)
+
+
+def test_every_optional_key_has_a_schema_default():
+    seen = set()
+    for path, sub in _optional_properties(cfgmod.SCHEMA):
+        seen.add(path)
+        if path in CONDITIONAL and "default" not in sub:
+            continue
+        assert "default" in sub, f"{path} has no default in config.SCHEMA"
+        jsonschema.Draft202012Validator(sub).validate(sub["default"])
+    assert CONDITIONAL <= seen
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_resolve_is_idempotent_and_leaves_its_input_alone(name):
+    cfg = cfgmod.load(os.path.join(CONFIG_DIR, name))
+    written = copy.deepcopy(cfg)
+    resolved = cfgmod.resolve(cfg)
+    assert cfg == written
+    assert cfgmod.resolve(resolved) == resolved
+
+
+def test_resolve_maps_a_lone_p_to_a_grid_and_fills_nested_defaults():
+    cfg = {"experiment": "disorder",
+           "disorder": {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": 11, "p": 0.3,
+                        "transition": {"t": 151}}}
+    cfgmod.validate(cfg)
+    resolved = cfgmod.resolve(cfg)
+    block = resolved["disorder"]
+    assert "p" not in block and block["p_grid"] == [0.3]
+    assert block["n_configs"] == 50 and resolved["seed"] == 0
+    assert block["transition"] == {"t": 151, "n_configs": 200, "resolution": 0.025}
+    mc = cfgmod.resolve({"experiment": "mc-errorbars", "mc_errorbars": {
+        "theta1_pi": 0.47, "theta2_pi": 1.21, "t": 11}})["mc_errorbars"]
+    assert mc["truth_model"]["efficiency_h"] == 1.0
+    assert mc["ranges"]["eom_error_deg"] == 1.0
+    mc["ranges"]["sbc_error_deg"] = 9.0  # the filled copy is not the schema's own
+    assert cfgmod.resolve({"experiment": "mc-errorbars", "mc_errorbars": {
+        "theta1_pi": 0.47, "theta2_pi": 1.21, "t": 11}})["mc_errorbars"] == {
+        **mc, "ranges": {**mc["ranges"], "sbc_error_deg": 1.0}}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
+                                                        capsys, name):
+    path = os.path.join(CONFIG_DIR, name)
+    rows, widths = [], []
+
+    def counting(real_steps):
+        def counted(th1, th2, a, b, steps):
+            rows.append(a.shape[0])
+            widths.append(a.shape[1])
+            return real_steps(th1, th2, a, b, steps)
+        return counted
+
+    for module in (qwtopo.walk, qwtopo.scattering):
+        monkeypatch.setattr(module, "real_steps", counting(module.real_steps))
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", path, "--out", str(out),
+                       "--threads", "1"]) == 0
+    assert entrypoint(["verify", "--config", path]) == 0
+    printed = capsys.readouterr().out
+
+    cfg = cfgmod.load(path)
+    est = cfgmod.estimate(cfg)
+    assert f"estimated simulations: {est['simulations']}\n" in printed
+    assert f"estimated window: {est['window_sites']} sites\n" in printed
+    assert est["window_sites"] == max(widths)
+    if "transition" in cfg.get("disorder", {}):
+        assert sum(rows) <= est["simulations"]
+    else:
+        assert sum(rows) == est["simulations"]
+    manifest = RunManifest.read(str(out / "manifest.json"))
+    assert manifest.config_sha256 == config_hash(cfg)
+
+
+def test_manifest_hashes_the_config_as_written(tmp_path):
+    cfg = {"experiment": "disorder",
+           "disorder": {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": 5, "p": 0.5,
+                        "n_configs": 2}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert entrypoint(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    manifest = RunManifest.read(str(tmp_path / "out" / "manifest.json"))
+    assert manifest.config_sha256 == config_hash(cfg)
+    assert manifest.config_sha256 != config_hash(cfgmod.resolve(cfg))

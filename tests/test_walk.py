@@ -7,7 +7,7 @@ from qwtopo.scattering import ScatteringSystem, reflection_rows
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
                          apply_shift_symmetric, coin_matrix,
-                         double_step_equivalent, evolve, record, split_step, step)
+                         double_step_equivalent, evolve, record, split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
 
@@ -178,22 +178,6 @@ def test_double_step_equals_split_step_on_random_instances():
                 assert abs(a.amplitude(x, c) - b.amplitude(x, c)) <= 1e-12
 
 
-def test_step_dispatches_on_protocol_mode():
-    field = CoinField.uniform(1.0, -8, 17)
-    split = SplitStepProtocol(field, field)
-    doubled = SplitStepProtocol(field, field, mode="double-step")
-    a = step(WalkerState.localized(0, H), split)
-    b = step(WalkerState.localized(0, H), doubled)
-    for x in range(-2, 3):
-        for c in (H, V):
-            assert a.amplitude(x, c) == pytest.approx(b.amplitude(x, c), abs=1e-13)
-
-
-def test_unknown_protocol_mode_rejected():
-    with pytest.raises(ValueError):
-        SplitStepProtocol(CoinField.identity(), CoinField.identity(), mode="triple")
-
-
 def test_evolve_zero_steps_returns_initial_state():
     state = WalkerState.localized(0, H)
     traj = evolve(state, SplitStepProtocol.lead_only(), 0)
@@ -303,13 +287,6 @@ def test_record_matches_evolve_bit_for_bit():
                 v2[off:off + state.sites] = np.abs(state.amps[:, V]) ** 2
                 assert np.array_equal(a[j] ** 2, h2)
                 assert np.array_equal(b[j] ** 2, v2)
-
-
-def test_record_rejects_double_step_protocols():
-    proto = SplitStepProtocol(CoinField.identity(), CoinField.identity(),
-                              mode="double-step")
-    with pytest.raises(ValueError, match="split-step"):
-        record([proto], 0, H, 3)
 
 
 def test_reflection_row_does_not_depend_on_its_batch():
