@@ -42,7 +42,6 @@ from .disorder import (
     transition_locator,
 )
 from .edges import (
-    EdgePoint,
     InterfaceSystem,
     LocalizationRecord,
     intensity_map_export,

@@ -40,7 +40,7 @@ OPPOSITE = "opposite"
 #: Mixing angles within this distance of a multiple of pi/2 are rejected.
 ALPHA_GUARD = np.radians(2.0)
 
-#: Default |Delta I| floor, as a fraction of the pair's total intensity.
+#: |Delta I| floor of the read-out, as a fraction of the pair's total intensity.
 INTENSITY_FLOOR = 1e-4
 
 #: Magnitudes at or below this are treated as structurally absent pulses.
@@ -177,8 +177,7 @@ def perturbed_system(system: ScatteringSystem, model: ApparatusModel) -> Scatter
     def shift(thetas):
         return np.where(thetas != 0.0, thetas + off, 0.0)
 
-    return ScatteringSystem(shift(system.theta1), shift(system.theta2),
-                            system.termination)
+    return ScatteringSystem(shift(system.theta1), shift(system.theta2))
 
 
 def _intensities(run, model: ApparatusModel) -> np.ndarray:
@@ -192,8 +191,7 @@ def _intensities(run, model: ApparatusModel) -> np.ndarray:
 def emulate_measurement(system: ScatteringSystem, t: int,
                         model: ApparatusModel = ApparatusModel(),
                         alpha: float = np.pi / 4, mode: str = "exact",
-                        shots: int = 1_000_000, seed: int = 0,
-                        floor: float = INTENSITY_FLOOR) -> MeasurementData:
+                        shots: int = 1_000_000, seed: int = 0) -> MeasurementData:
     """Run the full measurement chain on a lead-sample system.
 
     "exact" mode reads intensities directly; "shots" mode draws Poisson
@@ -204,13 +202,12 @@ def emulate_measurement(system: ScatteringSystem, t: int,
     if mode not in ("exact", "shots"):
         raise ValueError(f"unknown mode: {mode!r}")
     run = record([perturbed_system(system, model).protocol()], -1, H, t)[0]
-    return _measure(run, model, _intensities(run, model), alpha, mode, shots,
-                    seed, floor)
+    return _measure(run, model, _intensities(run, model), alpha, mode, shots, seed)
 
 
 def _measure(run, model: ApparatusModel, distributions: np.ndarray, alpha: float,
-             mode: str = "exact", shots: int = 1_000_000, seed: int = 0,
-             floor: float = INTENSITY_FLOOR) -> MeasurementData:
+             mode: str = "exact", shots: int = 1_000_000,
+             seed: int = 0) -> MeasurementData:
     """The measurement chain on one probe run of the realized system."""
     x_min, _, v = run
     t = v.shape[0] - 1
@@ -235,24 +232,24 @@ def _measure(run, model: ApparatusModel, distributions: np.ndarray, alpha: float
             i_h = rng.poisson(i_h * shots) / shots
             i_v = rng.poisson(i_v * shots) / shots
         m = SignMeasurement(a, b, alpha, i_h, i_v)
-        relative_sign(m.delta, alpha, floor * (m.i_h + m.i_v))
+        relative_sign(m.delta, alpha, INTENSITY_FLOOR * (m.i_h + m.i_v))
         signs.append(m)
     reference = 1 if (not nonzero or rho[nonzero[0] - 1] >= 0) else -1
     return MeasurementData(magnitudes, signs, reference, alpha, distributions,
                            x_min, t)
 
 
-def reconstruct_series(magnitudes: np.ndarray, signs, reference_sign: int,
-                       alpha: float | None = None,
-                       floor: float = INTENSITY_FLOOR) -> np.ndarray:
+def reconstruct_series(magnitudes: np.ndarray, signs, reference_sign: int) -> np.ndarray:
     """Signed real series rho_j from magnitudes plus sign information.
 
     `signs` is a list of SignMeasurement or (step_a, step_b, relation)
     tuples with relation in {SAME, OPPOSITE} or None for an unreadable
-    pair.  The reference sign is attached to the first present pulse;
-    every other pulse must be reachable through the pairwise chain or
-    ChainBroken reports the undetermined steps.  Magnitudes at or below
-    MAGNITUDE_EPS are structurally absent and returned as exact zeros.
+    pair; a SignMeasurement is read at its own alpha, with a floor of
+    INTENSITY_FLOOR times its total intensity.  The reference sign is
+    attached to the first present pulse; every other pulse must be
+    reachable through the pairwise chain or ChainBroken reports the
+    undetermined steps.  Magnitudes at or below MAGNITUDE_EPS are
+    structurally absent and returned as exact zeros.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     t = magnitudes.size
@@ -261,8 +258,8 @@ def reconstruct_series(magnitudes: np.ndarray, signs, reference_sign: int,
     for item in signs:
         if isinstance(item, SignMeasurement):
             try:
-                rel = relative_sign(item.delta, item.alpha if alpha is None else alpha,
-                                    floor * (item.i_h + item.i_v))
+                rel = relative_sign(item.delta, item.alpha,
+                                    INTENSITY_FLOOR * (item.i_h + item.i_v))
             except AmbiguousSign:
                 continue
             relations[(item.step_a, item.step_b)] = rel
@@ -294,10 +291,10 @@ def measured_series(rho: np.ndarray) -> ReflectionSeries:
     return ReflectionSeries(1j * np.asarray(rho, dtype=float))
 
 
-def measured_invariants(data: MeasurementData, gauge="auto") -> InvariantPair:
+def measured_invariants(data: MeasurementData) -> InvariantPair:
     """Invariant pair from one measurement's reconstructed series."""
     rho = reconstruct_series(data.magnitudes, data.signs, data.reference_sign)
-    return invariants(measured_series(rho), gauge)
+    return invariants(measured_series(rho))
 
 
 @dataclass

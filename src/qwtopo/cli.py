@@ -70,10 +70,6 @@ def entrypoint(argv=None) -> int:
         return 3
 
 
-def main():  # pragma: no cover - thin console hook
-    raise SystemExit(entrypoint())
-
-
 def _cmd_verify(args) -> int:
     cfg = config.load(args.config)
     config.validate(cfg)
@@ -107,21 +103,26 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replot(args) -> int:
+    """Redraw <kind>.svg from each <kind>.csv, as `_table` drew it.
+
+    A recognized table under another name, such as phase_diagram.csv, is
+    left alone: its plot needs more than the table holds.
+    """
     names = sorted(os.listdir(args.out)) if os.path.isdir(args.out) else []
-    drawn = 0
+    tables = drawn = 0
     for name in names:
         if not name.endswith(".csv"):
             continue
-        path = os.path.join(args.out, name)
-        header, rows = read_csv(path)
+        header, rows = read_csv(os.path.join(args.out, name))
         try:
             kind = detect_kind(header)
         except UnknownDataKind:
             continue
-        base, _ = os.path.splitext(path)
-        _plot_table(kind, rows, base + ".svg")
-        drawn += 1
-    if drawn == 0:
+        tables += 1
+        if name == f"{kind}.csv":
+            _plot_table(kind, rows, os.path.join(args.out, f"{kind}.svg"))
+            drawn += 1
+    if tables == 0:
         raise UnknownDataKind(f"no recognized tables in {args.out}")
     print(f"redrew {drawn} plots in {args.out}")
     return 0
@@ -180,12 +181,12 @@ def _plot_table(kind: str, rows, path: str) -> str:
     return _write_svg(path, text)
 
 
-def _table(outdir, name, kind, rows, fmt):
-    path = write_table(os.path.join(outdir, name), TABLE_KINDS[kind], rows, fmt)
+def _table(outdir, kind, rows, fmt):
+    """<kind>.<fmt> and, for CSV, its plot <kind>.svg, which replot redraws."""
+    path = write_table(os.path.join(outdir, kind), TABLE_KINDS[kind], rows, fmt)
     written = [path]
     if fmt == "csv":
-        base, _ = os.path.splitext(path)
-        written.append(_plot_table(kind, rows, base + ".svg"))
+        written.append(_plot_table(kind, rows, os.path.join(outdir, f"{kind}.svg")))
     return written
 
 
@@ -201,21 +202,20 @@ def _write_json(outdir, name, payload) -> str:
 
 def _run_scan(cfg, seed, outdir, fmt, mapper):
     blk = cfg["scan"]
-    t, gauge = blk["t"], blk["gauge"]
+    t = blk["t"]
     if blk["parametrization"] == LINE_FREE:
         pairs = np.asarray(blk["pairs_pi"], dtype=float) * math.pi
-        result = scan_line(LINE_FREE, t, pairs=pairs, gauge=gauge, mapper=mapper)
+        result = scan_line(LINE_FREE, t, pairs=pairs, mapper=mapper)
     else:
         grid = np.linspace(blk["start_pi"], blk["stop_pi"], blk["count"]) * math.pi
-        result = scan_line(blk["parametrization"], t, grid=grid, gauge=gauge,
-                           mapper=mapper)
+        result = scan_line(blk["parametrization"], t, grid=grid, mapper=mapper)
     nan = float("nan")
     rows = [[pt.theta1 / math.pi, pt.theta2 / math.pi,
              pt.pair.q0 if pt.pair else nan,
              pt.pair.qpi if pt.pair else nan,
              pt.pair.residual if pt.pair else nan, t]
             for pt in result.points]
-    return _table(outdir, "scan.csv", "scan", rows, fmt)
+    return _table(outdir, "scan", rows, fmt)
 
 
 def _run_phase_diagram(cfg, seed, outdir, fmt, mapper):
@@ -244,9 +244,8 @@ def _run_disorder(cfg, seed, outdir, fmt, mapper):
     run_rows = [[res.p, k, v, t, seed]
                 for res in curve for k, v in enumerate(res.values)]
     sum_rows = [[res.p, res.mean, res.std, res.n_configs, t] for res in curve]
-    written = _table(outdir, "disorder_runs.csv", "disorder_runs", run_rows, fmt)
-    written += _table(outdir, "disorder_summary.csv", "disorder_summary",
-                      sum_rows, fmt)
+    written = _table(outdir, "disorder_runs", run_rows, fmt)
+    written += _table(outdir, "disorder_summary", sum_rows, fmt)
     if "transition" in blk:
         tr = blk["transition"]
         t_tr, n_tr, resolution = tr["t"], tr["n_configs"], tr["resolution"]
@@ -266,7 +265,7 @@ def _run_edge(cfg, seed, outdir, fmt, mapper):
     points = localization_vs_disorder(theta_left, theta_a, theta_b, seed, t,
                                       p_grid, n, mapper)
     rows = [[pt.p, k, v, t] for pt in points for k, v in enumerate(pt.values)]
-    written = _table(outdir, "edge.csv", "edge", rows, fmt)
+    written = _table(outdir, "edge", rows, fmt)
     show_p = max(p_grid)
     system = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, show_p, t,
                                        seed, n)
@@ -275,7 +274,7 @@ def _run_edge(cfg, seed, outdir, fmt, mapper):
     int_rows = [[step, int(positions[i]), matrix[step, i]]
                 for step in range(matrix.shape[0])
                 for i in range(matrix.shape[1])]
-    written += _table(outdir, "intensity.csv", "intensity", int_rows, fmt)
+    written += _table(outdir, "intensity", int_rows, fmt)
     return written
 
 
@@ -296,7 +295,7 @@ def _run_emulate(cfg, seed, outdir, fmt, mapper):
     rows = [[step, int(positions[i]), data.distributions[step, i]]
             for step in range(data.distributions.shape[0])
             for i in range(data.distributions.shape[1])]
-    written = _table(outdir, "intensity.csv", "intensity", rows, fmt)
+    written = _table(outdir, "intensity", rows, fmt)
     pair = measured_invariants(data)
     written.append(_write_json(outdir, "emulate.json", {
         "q0": pair.q0, "qpi": pair.qpi, "residual": pair.residual,

@@ -105,7 +105,6 @@ SCHEMA = {
                               "minItems": 2, "maxItems": 2},
                 },
                 "t": _COUNT,
-                "gauge": {"enum": ["auto", "canonical"], "default": "auto"},
             },
         },
         "phase_diagram": {
@@ -217,10 +216,18 @@ def load(path: str) -> dict:
     return cfg
 
 
+# JSON Schema's "integer" admits integral floats such as 5.0, which the
+# runners cannot use as counts; here an integer must be a JSON integer.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)),
+)(SCHEMA)
+
+
 def validate(cfg: dict) -> None:
     """Raise ConfigInvalid (with a dotted field path) on any violation."""
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(cfg),
+    errors = sorted(_VALIDATOR.iter_errors(cfg),
                     key=lambda e: (-len(e.absolute_path), e.message))
     if errors:
         err = errors[0]

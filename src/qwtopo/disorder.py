@@ -94,8 +94,8 @@ def scattering_system(spec: DisorderSpec, config: int) -> ScatteringSystem:
 def half_r0(system: ScatteringSystem, t: int) -> float:
     """Re(-i r(0)) / 2 for a t-step run: the signed invariant estimate.
 
-    Uses the fixed canonical rotation, not per-series auto gauging, so
-    ensemble members keep their signed values around zero.
+    Q0 as `scattering.invariants` reads it, but without the degeneracy
+    check, so ensemble members keep their signed values around zero.
     """
     return _half(reflection_amplitudes(system, t).r)
 
@@ -106,7 +106,8 @@ def _half(r: np.ndarray) -> float:
 
 @dataclass
 class EnsembleResult:
-    """Per-configuration invariant estimates at one disorder strength."""
+    """Per-configuration values at one disorder strength: half r(0) for
+    `ensemble_r0`, P_loc for `edges.localization_vs_disorder`."""
 
     p: float
     values: np.ndarray

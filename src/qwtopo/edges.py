@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .walk import CoinField, SplitStepProtocol, V, batches, record
-from .disorder import DEFAULT_P_GRID, DisorderSpec, sample_pattern
+from .disorder import DEFAULT_P_GRID, DisorderSpec, EnsembleResult, sample_pattern
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
 LOC_WINDOW = 3
@@ -109,27 +109,6 @@ def intensity_map_export(record: LocalizationRecord):
     return record.positions(), record.distributions
 
 
-@dataclass
-class EdgePoint:
-    """Ensemble localization statistics at one disorder strength."""
-
-    p: float
-    values: np.ndarray
-    t: int
-
-    @property
-    def n_configs(self) -> int:
-        return self.values.size
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.values))
-
-
 def _ploc_batch(task) -> list[float]:
     system, t, configs = task
     return [rec.p_loc for rec in _launch(system, t, configs)]
@@ -137,7 +116,7 @@ def _ploc_batch(task) -> list[float]:
 
 def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
                              seed: int, t: int = 13, p_grid=DEFAULT_P_GRID,
-                             n_configs: int = 50, mapper=map) -> list[EdgePoint]:
+                             n_configs: int = 50, mapper=map) -> list[EnsembleResult]:
     """Ensemble P_loc statistics per disorder strength.
 
     p = 0 and p = 1 are deterministic (every configuration identical),
@@ -150,7 +129,7 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
                                            seed, n)
         tasks = [(system, t, configs) for configs in batches(range(n))]
         values = np.array(list(chain.from_iterable(mapper(_ploc_batch, tasks))))
-        out.append(EdgePoint(float(p), values, t))
+        out.append(EnsembleResult(float(p), values, t))
     return out
 
 

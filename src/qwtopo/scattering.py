@@ -1,32 +1,27 @@
 """Lead-sample scattering and reflection-based topological invariants.
 
 A scattering system is a half-infinite lead (identity coins at x < 0)
-attached to a sample occupying x >= 0.  The probe is a single walker
-launched on the last lead site as |x=-1, H>; because lead coins are the
-identity, the probe enters the sample with unit weight and everything
-that comes back travels through the (x=-2, V) amplitude, which is read
-non-destructively after every step.  Summing the step-resolved
-reflection amplitudes with Fourier phases at quasienergies 0 and pi
-gives the invariant pair (Q0, Qpi), each quantized to +-1/2 once the
-series has converged.
+attached to a sample occupying x >= 0, with identity coins again right
+of the sample, so weight that crosses it escapes and never returns.
+The probe is a single walker launched on the last lead site as
+|x=-1, H>; because lead coins are the identity, the probe enters the
+sample with unit weight and everything that comes back travels through
+the (x=-2, V) amplitude, which is read non-destructively after every
+step.  Summing the step-resolved reflection amplitudes with Fourier
+phases at quasienergies 0 and pi gives the invariant pair (Q0, Qpi),
+each quantized to +-1/2 once the series has converged.
 
-Every ideal reflection amplitude carries a global factor i (H amplitudes
-stay real and V amplitudes stay imaginary under these coins), so the
-canonical gauge rotates the series by -i.  Under that rotation a clean
-sample with first coin identity and second coin angle 1.68*pi comes out
-at Q0 = +1/2 and the reference sample with second coin angle 0.52*pi
-comes out at Q0 = -1/2.  The same real structure lets `reflection_rows`
-step whole batches of systems on the real engine `walk.real_steps`, and
-the read-out site bounds its window: amplitude left of x = -2 never
+The coins are real rotations, so H amplitudes stay real and V
+amplitudes stay imaginary: every reflection amplitude is r_j = i rho_j
+with real rho_j.  The invariants therefore use one fixed rotation,
+(Q0, Qpi) = (Re(-i r(0)), Re(-i r(pi))) / 2, which reads the signed sums
+of rho_j and needs no per-series gauge.  Under it a clean sample with
+first coin identity and second coin angle 1.68*pi comes out at
+Q0 = +1/2 and the reference sample with second coin angle 0.52*pi at
+Q0 = -1/2.  The same real structure lets `reflection_rows` step whole
+batches of systems on the real engine `walk.real_steps`, and the
+read-out site bounds its window: amplitude left of x = -2 never
 returns, so the window starts there.
-
-Samples may be terminated two ways.  "open" embeds the sample in an
-identity lead on the right as well, so weight that crosses the sample
-escapes and never returns; the invariants still converge to +-1/2 but
-the reflected weight saturates below one for transparent samples.
-"mirror" appends one site whose coins rotate by pi/2, a perfect
-reflector that confines the walker to the sample, so the reflected
-weight itself converges to one.
 """
 
 from __future__ import annotations
@@ -38,36 +33,29 @@ import numpy as np
 
 from .walk import CoinField, SplitStepProtocol, batches, real_steps
 
-#: Unit phase removing the global factor i from ideal reflection series.
+#: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
 
-#: |r(0)| below this is too degenerate for automatic gauge fixing.
+#: |r(0)| below this leaves no sign of Q0 to read.
 DEGENERATE_TOL = 1e-6
-
-#: Coin angle of the perfect-reflector site used by mirror termination.
-MIRROR_ANGLE = np.pi / 2.0
 
 _TWO_PI = 2.0 * np.pi
 
-TERMINATIONS = ("open", "mirror")
-
 
 class DegenerateGauge(ValueError):
-    """r(0) is too close to zero to orient the gauge automatically."""
+    """r(0) is too close to zero to read the sign of Q0."""
 
 
 @dataclass(frozen=True, eq=False)
 class ScatteringSystem:
     """Per-site coin angles of the sample region [0, sites).
 
-    The lead convention (identity coins for x < 0) and the probe
-    |-1, H> / read-out (-2, V) are fixed; only the sample and its
-    right-hand termination vary.
+    The lead convention (identity coins outside the sample) and the
+    probe |-1, H> / read-out (-2, V) are fixed; only the sample varies.
     """
 
     theta1: np.ndarray
     theta2: np.ndarray
-    termination: str = "open"
 
     def __post_init__(self):
         t1 = np.array(self.theta1, dtype=float) % _TWO_PI
@@ -76,41 +64,28 @@ class ScatteringSystem:
             raise ValueError("theta1 and theta2 must be 1-d arrays of equal length")
         if t1.size == 0:
             raise ValueError("sample region is empty")
-        if self.termination not in TERMINATIONS:
-            raise ValueError(f"termination must be one of {TERMINATIONS}")
         t1.setflags(write=False)
         t2.setflags(write=False)
         object.__setattr__(self, "theta1", t1)
         object.__setattr__(self, "theta2", t2)
 
     @classmethod
-    def clean(cls, theta1: float, theta2: float, sites: int,
-              termination: str = "open") -> "ScatteringSystem":
+    def clean(cls, theta1: float, theta2: float, sites: int) -> "ScatteringSystem":
         """Uniform sample with coin angles (theta1, theta2) on [0, sites)."""
-        return cls(np.full(sites, float(theta1)), np.full(sites, float(theta2)),
-                   termination)
+        return cls(np.full(sites, float(theta1)), np.full(sites, float(theta2)))
 
     @classmethod
-    def for_steps(cls, theta1: float, theta2: float, t: int,
-                  termination: str = "open") -> "ScatteringSystem":
+    def for_steps(cls, theta1: float, theta2: float, t: int) -> "ScatteringSystem":
         """Clean sample sized to the light cone of a t-step run."""
-        return cls.clean(theta1, theta2, t + 2, termination)
+        return cls.clean(theta1, theta2, t + 2)
 
     @property
     def sites(self) -> int:
         return self.theta1.size
 
-    @property
-    def mirror_site(self) -> int | None:
-        """Position of the reflector site, or None for open termination."""
-        return self.sites if self.termination == "mirror" else None
-
     def protocol(self) -> SplitStepProtocol:
-        """Coin fields of the sample, including the reflector, if any."""
-        th1, th2 = self.theta1, self.theta2
-        if self.termination == "mirror":
-            th1, th2 = np.append(th1, MIRROR_ANGLE), np.append(th2, MIRROR_ANGLE)
-        return SplitStepProtocol(CoinField(0, th1), CoinField(0, th2))
+        """Coin fields of the sample."""
+        return SplitStepProtocol(CoinField(0, self.theta1), CoinField(0, self.theta2))
 
 
 @dataclass
@@ -144,12 +119,11 @@ class ReflectionSeries:
 
 @dataclass(frozen=True)
 class InvariantPair:
-    """Gauge-fixed invariant pair with its convergence diagnostic."""
+    """Invariant pair with its convergence diagnostic."""
 
     q0: float
     qpi: float
     residual: float
-    gauge: complex
 
     def signs(self) -> tuple[int, int]:
         return (1 if self.q0 > 0 else -1, 1 if self.qpi > 0 else -1)
@@ -209,40 +183,18 @@ def reflection_matrix_element(series: ReflectionSeries | np.ndarray, eps: float)
     return complex(np.sum(np.exp(1j * eps * j) * r))
 
 
-def invariants(series: ReflectionSeries, gauge="auto") -> InvariantPair:
-    """Gauge-fixed (Q0, Qpi) = (r(0), r(pi)) / 2 for a reflection series.
+def invariants(series: ReflectionSeries) -> InvariantPair:
+    """(Q0, Qpi) = (Re(-i r(0)), Re(-i r(pi))) / 2 for a reflection series.
 
-    gauge="auto" rotates r(0) onto the real axis with the unit phase
-    nearest the canonical rotation -i, which preserves the physical sign;
-    it raises DegenerateGauge when |r(0)| < 1e-6.  gauge="canonical"
-    applies the fixed rotation -i with no per-series re-anchoring, which
-    is what ensemble averages need so that individual members keep their
-    signed values.  Any explicit unit phase may be passed instead.
+    Raises DegenerateGauge when |r(0)| < 1e-6, where Q0 has no sign.
+    Ensemble members, which need signed values near zero, use
+    `disorder.half_r0` instead.
     """
-    r0 = reflection_matrix_element(series, 0.0)
-    rpi = reflection_matrix_element(series, np.pi)
-    if isinstance(gauge, str):
-        if gauge == "canonical":
-            g = CANONICAL_ROTATION
-            q0 = (g * r0).real / 2.0
-        elif gauge == "auto":
-            v0 = CANONICAL_ROTATION * r0
-            mag = abs(v0)
-            if mag < DEGENERATE_TOL:
-                raise DegenerateGauge(f"|r(0)| = {mag:.3e} is below {DEGENERATE_TOL:.0e}")
-            u = v0 / mag
-            sign = 1.0 if (u.real > 0 or (u.real == 0 and u.imag >= 0)) else -1.0
-            g = sign * np.conj(u) * CANONICAL_ROTATION
-            q0 = sign * mag / 2.0
-        else:
-            raise ValueError(f"unknown gauge mode: {gauge!r}")
-    else:
-        g = complex(gauge)
-        if abs(abs(g) - 1.0) > 1e-9:
-            raise ValueError("explicit gauge must be a unit phase")
-        q0 = (g * r0).real / 2.0
-    qpi = (g * rpi).real / 2.0
-    return InvariantPair(q0, qpi, series.residual, complex(g))
+    v0 = CANONICAL_ROTATION * reflection_matrix_element(series, 0.0)
+    if abs(v0) < DEGENERATE_TOL:
+        raise DegenerateGauge(f"|r(0)| = {abs(v0):.3e} is below {DEGENERATE_TOL:.0e}")
+    vpi = CANONICAL_ROTATION * reflection_matrix_element(series, np.pi)
+    return InvariantPair(v0.real / 2.0, vpi.real / 2.0, series.residual)
 
 
 @dataclass
@@ -342,19 +294,19 @@ def _line_pairs(parametrization, grid):
 def _scan_batch(task) -> list[InvariantPair | None]:
     """Invariants of clean samples, one per (theta1, theta2) row; None
     where the gauge is degenerate."""
-    pairs, t, gauge = task
+    pairs, t = task
     systems = [ScatteringSystem.for_steps(th1, th2, t) for th1, th2 in pairs]
     out = []
     for rho in reflection_rows(systems, t):
         try:
-            out.append(invariants(ReflectionSeries(1j * rho), gauge))
+            out.append(invariants(ReflectionSeries(1j * rho)))
         except DegenerateGauge:
             out.append(None)
     return out
 
 
 def scan_line(parametrization: str, t: int, grid=None, pairs=None,
-              gauge="auto", mapper=map) -> ScanResult:
+              mapper=map) -> ScanResult:
     """Invariants along a coin-angle line for clean samples.
 
     parametrization is one of "theta1=2*theta2" (grid sweeps theta2),
@@ -371,7 +323,7 @@ def scan_line(parametrization: str, t: int, grid=None, pairs=None,
             raise ValueError("line parametrization needs a grid of swept angles")
         arr = _line_pairs(parametrization, grid)
         scanned = np.asarray(grid, dtype=float)
-    tasks = [(batch, t, gauge) for batch in batches(arr)]
+    tasks = [(batch, t) for batch in batches(arr)]
     results = chain.from_iterable(mapper(_scan_batch, tasks))
     points = [ScanPoint(th1, th2, pair) for (th1, th2), pair in zip(arr, results)]
     return ScanResult(parametrization, scanned, points, t)
@@ -403,7 +355,7 @@ def classify(pair: InvariantPair | None, tolerance: float) -> str:
 
 
 def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05,
-                  gauge="auto", mapper=map) -> PhaseDiagram:
+                  mapper=map) -> PhaseDiagram:
     """Classify the (theta1, theta2) plane on a grid of cell centers.
 
     Each cell is labelled by the sign pair of (Q0, Qpi) when both
@@ -413,7 +365,7 @@ def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05,
         raise ValueError("phase diagram resolution must be at least 8")
     centers = (np.arange(resolution) + 0.5) * _TWO_PI / resolution
     pairs = [(th1, th2) for th1 in centers for th2 in centers]
-    scan = scan_line(LINE_FREE, t, pairs=pairs, gauge=gauge, mapper=mapper)
+    scan = scan_line(LINE_FREE, t, pairs=pairs, mapper=mapper)
     results = [pt.pair for pt in scan.points]
 
     q0 = np.full((resolution, resolution), np.nan)

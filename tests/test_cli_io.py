@@ -340,27 +340,68 @@ def test_shots_are_accepted_in_shots_mode():
 
 
 def test_edge_reference_angles_are_not_config_keys(tmp_path, capsys):
-    cfg = {"experiment": "edge", "edge": {
+    """Removed keys exit 2 naming the key: the edge reference angles, which
+    the runner ignored, and the scan gauge, which had one reading."""
+    edge = {"experiment": "edge", "edge": {
         "theta_left_pi": 0.52, "theta_a_pi": 1.68, "theta_b_pi": 1.36,
         "t": 5, "n_configs": 2, "p_grid": [0.5], "reference_left_pi": 0.3}}
-    code = entrypoint(["run", "--config", write_config(tmp_path, cfg),
-                       "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    for cfg, block, key in ((edge, "edge", "reference_left_pi"),
+                            (scan_config(gauge="auto"), "scan", "gauge")):
+        code = entrypoint(["run", "--config", write_config(tmp_path, cfg),
+                           "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"ConfigInvalid at field path {block}:" in err
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+
+INTEGRAL_FLOATS = {
+    "scan-t": ({"experiment": "scan", "scan": {
+        "parametrization": "free", "pairs_pi": [[0.1, 0.2]], "t": 5.0}}, "scan.t"),
+    "seed": ({"experiment": "phase-diagram", "seed": 2.0,
+              "phase_diagram": {"resolution": 8, "t": 5}}, "seed"),
+    "resolution": ({"experiment": "phase-diagram",
+                    "phase_diagram": {"resolution": 8.0, "t": 5}},
+                   "phase_diagram.resolution"),
+    "transition-t": (disorder_config(transition={"t": 101.0}),
+                     "disorder.transition.t"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("case", sorted(INTEGRAL_FLOATS))
+def test_integer_keys_reject_integral_floats(tmp_path, capsys, command, case):
+    cfg, field = INTEGRAL_FLOATS[case]
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    code = entrypoint(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert "ConfigInvalid at field path edge:" in err
-    assert "reference_left_pi" in err
+    assert f"ConfigInvalid at field path {field}: " in captured.err
+    assert "is not of type 'integer'" in captured.err
+    assert "is valid" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
 def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, name):
+    """Also: replot rewrites no file of a run, phase_diagram.svg included."""
+    def files(out):
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         assert entrypoint(["run", "--config", os.path.join(CONFIG_DIR, name),
                            "--out", str(out), "--threads", threads]) == 0
-        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
-                        if f.name != "manifest.json"})
+        outputs.append({k: v for k, v in files(out).items() if k != "manifest.json"})
     assert outputs[0] and outputs[0] == outputs[1]
+    before = files(tmp_path / "1")
+    tables = any(k.endswith(".csv") for k in before)
+    assert entrypoint(["replot", "--out", str(tmp_path / "1")]) == (0 if tables else 3)
+    assert files(tmp_path / "1") == before
 
 
 def test_cli_seed_flag_overrides_config_seed(tmp_path):

@@ -129,7 +129,7 @@ def test_clean_endpoints_match_invariant_pipeline():
         result = ensemble_r0(case1_spec(p), 11)
         assert result.std == 0.0
         clean = ScatteringSystem.for_steps(0.0, theta, 11)
-        pair = invariants(reflection_amplitudes(clean, 11), gauge="canonical")
+        pair = invariants(reflection_amplitudes(clean, 11))
         assert abs(result.mean - pair.q0) < 1e-12
 
 

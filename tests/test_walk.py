@@ -293,9 +293,8 @@ def test_reflection_row_does_not_depend_on_its_batch():
     rng = np.random.default_rng(10)
     t = 30
     systems = [ScatteringSystem(
-        random_field(rng, 0, sites).thetas, random_field(rng, 0, sites).thetas,
-        "mirror" if k % 3 == 0 else "open")
-        for k, sites in enumerate(rng.integers(1, t + 3, 9))]
+        random_field(rng, 0, sites).thetas, random_field(rng, 0, sites).thetas)
+        for sites in rng.integers(1, t + 3, 9)]
     batched = reflection_rows(systems, t)
     for system, row in zip(systems, batched):
         assert np.array_equal(reflection_rows([system], t)[0], row)
