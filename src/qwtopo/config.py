@@ -8,7 +8,8 @@ magnitude 2 or more are accepted but flagged as mod-2 reductions by
 
 Optional keys take their defaults from `SCHEMA` alone, filled in by
 `resolve`, whose output is all that the runners and `estimate` read.
-`validate` also rejects keys the runner would ignore (`p` next to `p_grid`).
+`validate` also rejects keys the runner would ignore (`p` next to `p_grid`)
+and an emulate mixing angle the read-out cannot use.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 
 import jsonschema
 
+from .apparatus import ALPHA_GUARD, within_guard
 from .dataio import IoFailure
 from .disorder import DEFAULT_P_GRID
 from .scattering import reflection_window
@@ -258,6 +260,10 @@ def validate(cfg: dict) -> None:
     unused = sorted(ignored & blk.keys())
     if unused:
         raise ConfigInvalid(f"{block}.{unused[0]}", f"run would ignore this key: {why}")
+    if kind == "emulate" and "alpha_pi" in blk and within_guard(blk["alpha_pi"] * math.pi):
+        raise ConfigInvalid("emulate.alpha_pi",
+                            f"{blk['alpha_pi']}*pi is within {math.degrees(ALPHA_GUARD):.0f} "
+                            "degrees of a multiple of pi/2, where interference reads no sign")
 
 
 def _fill(node: dict, schema: dict) -> None:

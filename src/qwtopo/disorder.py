@@ -11,24 +11,28 @@ config, so a pattern is reproducible bit-for-bit, independent of window
 size, execution order, and of which other configurations were drawn.
 The same uniforms are thresholded for every p, which couples the
 ensembles across disorder strengths and makes transition curves smooth
-in p at fixed seed.
+in p at fixed seed.  An ensemble draws its (configs, sites) block of
+uniforms once, only the prefix its reflection window steps, and
+thresholds it straight into the angle array the engine runs on; a
+disorder curve or a transition bisection draws it once for all its p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 from .walk import CoinField, batches
 from .scattering import (
-    CANONICAL_ROTATION,
     ScatteringSystem,
-    reflection_amplitudes,
-    reflection_matrix_element,
     reflection_rows,
+    reflection_window,
+    rotated_sums,
+    sample_rows,
 )
+
+_TWO_PI = 2.0 * np.pi
 
 #: Disorder strengths used by the standard ensemble studies.
 DEFAULT_P_GRID = tuple(i / 10 for i in range(11))
@@ -77,12 +81,25 @@ def site_uniforms(seed: int, config: int, sites: int) -> np.ndarray:
     return gen.random(sites)
 
 
+def config_uniforms(spec: DisorderSpec, configs, sites: int) -> np.ndarray:
+    """(len(configs), sites) block whose row k is the uniform stream of
+    configuration configs[k]."""
+    for config in configs:
+        if not 0 <= config < spec.n_configs:
+            raise ValueError(f"config index {config} outside [0, {spec.n_configs})")
+    return np.array([site_uniforms(spec.seed, k, sites) for k in configs])
+
+
+def pattern_angles(spec: DisorderSpec, uniforms: np.ndarray) -> np.ndarray:
+    """Second coin angles, reduced mod 2*pi, of the configurations whose
+    uniforms are `uniforms`: theta_b where u < p, theta_a elsewhere."""
+    return np.where(uniforms < spec.p, spec.theta_b, spec.theta_a) % _TWO_PI
+
+
 def sample_pattern(spec: DisorderSpec, config: int) -> CoinField:
     """Second coin field of one disorder configuration."""
-    if not 0 <= config < spec.n_configs:
-        raise ValueError(f"config index {config} outside [0, {spec.n_configs})")
-    u = site_uniforms(spec.seed, config, spec.sites)
-    return CoinField(0, np.where(u < spec.p, spec.theta_b, spec.theta_a))
+    u = config_uniforms(spec, [config], spec.sites)
+    return CoinField(0, pattern_angles(spec, u)[0])
 
 
 def scattering_system(spec: DisorderSpec, config: int) -> ScatteringSystem:
@@ -97,11 +114,12 @@ def half_r0(system: ScatteringSystem, t: int) -> float:
     Q0 as `scattering.invariants` reads it, but without the degeneracy
     check, so ensemble members keep their signed values around zero.
     """
-    return _half(reflection_amplitudes(system, t).r)
+    return float(_halves(reflection_rows([system], t))[0])
 
 
-def _half(r: np.ndarray) -> float:
-    return (CANONICAL_ROTATION * reflection_matrix_element(r, 0.0)).real / 2.0
+def _halves(rho: np.ndarray) -> np.ndarray:
+    """half_r0 of every row of a batch of real series, r_j = i rho_j."""
+    return rotated_sums(rho, 0.0).real / 2.0
 
 
 @dataclass
@@ -126,29 +144,43 @@ class EnsembleResult:
         return float(np.std(self.values))
 
 
-def _ensemble_batch(task) -> list[float]:
-    spec, configs, t = task
-    systems = [scattering_system(spec, k) for k in configs]
-    return [_half(1j * rho) for rho in reflection_rows(systems, t)]
+def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
+    """The uniforms a t-step ensemble of `spec` thresholds, one row per
+    configuration: the prefix of each stream that `sample_rows` steps."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    sites = min(spec.sites, reflection_window(t) - 2)
+    return config_uniforms(spec, range(spec.n_configs), sites)
+
+
+def _ensemble_batch(task) -> np.ndarray:
+    spec, uniforms, t = task
+    th2 = pattern_angles(spec, uniforms)
+    return _halves(sample_rows(np.zeros_like(th2), th2, t))
 
 
 def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:
     """Half r(0) for every configuration of the ensemble."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    tasks = [(spec, configs, t) for configs in batches(range(spec.n_configs))]
-    values = np.array(list(chain.from_iterable(mapper(_ensemble_batch, tasks))))
+    return _ensemble_r0(spec, t, mapper, ensemble_uniforms(spec, t))
+
+
+def _ensemble_r0(spec: DisorderSpec, t: int, mapper, uniforms: np.ndarray) -> EnsembleResult:
+    """`ensemble_r0` thresholding `uniforms`, which is `ensemble_uniforms`
+    of the same seed, configurations and t at any p."""
+    tasks = [(spec, block, t) for block in batches(uniforms)]
+    values = np.concatenate(list(mapper(_ensemble_batch, tasks)))
     return EnsembleResult(spec.p, values, t)
 
 
 def disorder_curve(spec: DisorderSpec, t: int, p_grid=DEFAULT_P_GRID,
                    mapper=map) -> list[EnsembleResult]:
     """Ensemble statistics across a grid of disorder strengths."""
-    return [ensemble_r0(spec.with_p(p), t, mapper) for p in p_grid]
+    uniforms = ensemble_uniforms(spec, t)
+    return [_ensemble_r0(spec.with_p(p), t, mapper, uniforms) for p in p_grid]
 
 
-def _median_sign(spec: DisorderSpec, t: int, mapper) -> float:
-    return float(np.median(np.sign(ensemble_r0(spec, t, mapper).values)))
+def _median_sign(spec: DisorderSpec, t: int, mapper, uniforms) -> float:
+    return float(np.median(np.sign(_ensemble_r0(spec, t, mapper, uniforms).values)))
 
 
 def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
@@ -168,9 +200,10 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
         raise ValueError("need 0 <= p_lo < p_hi <= 1")
     work = DisorderSpec(spec.theta_a, spec.theta_b, p_lo, t + 2, spec.seed,
                         n_configs)
+    uniforms = ensemble_uniforms(work, t)
     lo, hi = p_lo, p_hi
-    m_lo = _median_sign(work.with_p(lo), t, mapper)
-    m_hi = _median_sign(work.with_p(hi), t, mapper)
+    m_lo = _median_sign(work.with_p(lo), t, mapper, uniforms)
+    m_hi = _median_sign(work.with_p(hi), t, mapper, uniforms)
     if m_lo == 0 or m_hi == 0 or np.sign(m_lo) == np.sign(m_hi):
         raise NoCrossing(
             f"median sign is {m_lo:+.2f} at p={lo} and {m_hi:+.2f} at p={hi}")
@@ -178,7 +211,7 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
         mid = round((0.5 * (lo + hi)) / resolution) * resolution
         if not lo < mid < hi:
             break
-        m = _median_sign(work.with_p(mid), t, mapper)
+        m = _median_sign(work.with_p(mid), t, mapper, uniforms)
         if m == 0 or np.sign(m) != np.sign(m_lo):
             hi = mid
         else:

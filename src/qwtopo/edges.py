@@ -28,8 +28,9 @@ from itertools import chain
 
 import numpy as np
 
-from .walk import CoinField, SplitStepProtocol, V, batches, record
-from .disorder import DEFAULT_P_GRID, DisorderSpec, EnsembleResult, sample_pattern
+from .walk import V, batches, record
+from .disorder import (DEFAULT_P_GRID, DisorderSpec, EnsembleResult, config_uniforms,
+                       pattern_angles)
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
 LOC_WINDOW = 3
@@ -56,14 +57,13 @@ class InterfaceSystem:
         return cls(theta_left,
                    DisorderSpec.for_steps(theta_a, theta_b, p, t, seed, n_configs))
 
-    def field2(self, config: int, extent: int) -> CoinField:
-        """Second coin field covering [-extent, right sample end)."""
-        left = np.full(extent, self.theta_left % _TWO_PI)
-        pattern = sample_pattern(self.right, config)
-        return CoinField(-extent, np.concatenate([left, pattern.thetas]))
-
-    def protocol(self, config: int, extent: int) -> SplitStepProtocol:
-        return SplitStepProtocol(CoinField.identity(), self.field2(config, extent))
+    def field2_angles(self, configs, extent: int) -> np.ndarray:
+        """Second coin angles on [-extent, right sample end), one row per
+        configuration: theta_left on the left bulk, then the pattern."""
+        right = pattern_angles(self.right, config_uniforms(self.right, configs,
+                                                           self.right.sites))
+        left = np.full((right.shape[0], extent), self.theta_left % _TWO_PI)
+        return np.concatenate([left, right], axis=1)
 
 
 @dataclass
@@ -93,8 +93,8 @@ def _launch(system: InterfaceSystem, t: int, configs) -> list[LocalizationRecord
     """Records of the launch state, one per configuration."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    protocols = [system.protocol(k, extent=t + 2) for k in configs]
-    runs = record(protocols, LAUNCH_SITE, LAUNCH_COIN, t)
+    th2 = system.field2_angles(configs, extent=t + 2)
+    runs = record(-(t + 2), np.zeros_like(th2), th2, LAUNCH_SITE, LAUNCH_COIN, t)
     return [LocalizationRecord(a * a + b * b, x_min, t, k)
             for k, (x_min, a, b) in zip(configs, runs)]
 

@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .walk import CoinField, SplitStepProtocol, batches, real_steps
+from .walk import CoinField, SplitStepProtocol, batches, place_angles, real_steps
 
 #: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
@@ -135,8 +135,20 @@ def reflection_window(t: int) -> int:
 
 
 def reflection_rows(systems: list[ScatteringSystem], t: int) -> np.ndarray:
+    """`sample_rows` of a list of systems, each padded with identity
+    coins to the largest sample."""
+    width = max((s.sites for s in systems), default=0)
+    th = np.zeros((2, len(systems), width))
+    for k, s in enumerate(systems):
+        th[0, k, :s.sites], th[1, k, :s.sites] = s.theta1, s.theta2
+    return sample_rows(th[0], th[1], t)
+
+
+def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     """Real reflection series of a batch: row k holds rho_1 .. rho_t of
-    systems[k], whose amplitudes are r_j = i rho_j = <-2,V| U^j |-1,H>.
+    the sample whose coin angles on [0, m), reduced mod 2*pi, are row k
+    of the (B, m) arrays theta1 and theta2, with
+    r_j = i rho_j = <-2,V| U^j |-1,H>.
 
     The batch runs `real_steps` on positions [-2, t // 2] whatever the
     sample size, which is exact.  Nothing left of the read-out site comes
@@ -149,12 +161,11 @@ def reflection_rows(systems: list[ScatteringSystem], t: int) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be non-negative")
     n = reflection_window(t)
-    fields = [s.protocol() for s in systems]
-    th1 = np.array([f.field1.window_angles(-2, n) for f in fields])
-    th2 = np.array([f.field2.window_angles(-2, n) for f in fields])
-    a = np.zeros((len(systems), n))
+    th1 = place_angles(0, theta1, -2, n)
+    th2 = place_angles(0, theta2, -2, n)
+    a = np.zeros_like(th1)
     a[:, 1] = 1.0  # |x=-1, H>
-    rho = np.empty((len(systems), t))
+    rho = np.empty((a.shape[0], t))
     for j, (_, b) in enumerate(real_steps(th1, th2, a, np.zeros_like(a), t)):
         rho[:, j] = b[:, 0]
     return rho
@@ -165,22 +176,24 @@ def reflection_amplitudes(system: ScatteringSystem, t: int) -> ReflectionSeries:
     return ReflectionSeries(1j * reflection_rows([system], t)[0])
 
 
-def reflection_matrix_element(series: ReflectionSeries | np.ndarray, eps: float) -> complex:
-    """Fourier sum r(eps) = sum_j exp(i j eps) r_j over the recorded steps.
+def fourier_sums(r: np.ndarray, eps: float) -> np.ndarray:
+    """r(eps) = sum_j exp(i j eps) r_j of every series along the last axis.
 
     eps = 0 and eps = pi use exact coefficient signs so that parities of
     the series survive to machine precision.
     """
-    r = series.r if isinstance(series, ReflectionSeries) else np.asarray(series)
-    if r.size == 0:
-        return 0.0 + 0.0j
     if eps == 0.0:
-        return complex(np.sum(r))
+        return np.sum(r, axis=-1)
+    j = np.arange(1, r.shape[-1] + 1)
     if eps == np.pi:
-        signs = np.where(np.arange(1, r.size + 1) % 2 == 0, 1.0, -1.0)
-        return complex(np.sum(signs * r))
-    j = np.arange(1, r.size + 1)
-    return complex(np.sum(np.exp(1j * eps * j) * r))
+        return np.sum(np.where(j % 2 == 0, 1.0, -1.0) * r, axis=-1)
+    return np.sum(np.exp(1j * eps * j) * r, axis=-1)
+
+
+def reflection_matrix_element(series: ReflectionSeries | np.ndarray, eps: float) -> complex:
+    """Fourier sum r(eps) of one series over the recorded steps."""
+    r = series.r if isinstance(series, ReflectionSeries) else np.asarray(series)
+    return complex(fourier_sums(r, eps)) if r.size else 0.0 + 0.0j
 
 
 def invariants(series: ReflectionSeries) -> InvariantPair:
@@ -195,6 +208,22 @@ def invariants(series: ReflectionSeries) -> InvariantPair:
         raise DegenerateGauge(f"|r(0)| = {abs(v0):.3e} is below {DEGENERATE_TOL:.0e}")
     vpi = CANONICAL_ROTATION * reflection_matrix_element(series, np.pi)
     return InvariantPair(v0.real / 2.0, vpi.real / 2.0, series.residual)
+
+
+def rotated_sums(rho: np.ndarray, eps: float) -> np.ndarray:
+    """-i r(eps) of every row of a (B, t) batch of real series, r_j = i rho_j."""
+    return CANONICAL_ROTATION * fourier_sums(1j * rho, eps)
+
+
+def invariant_rows(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q0, Qpi) of every row of a (B, t) batch of real series, r_j = i rho_j,
+    read as `invariants` reads them, with NaN where it would raise
+    DegenerateGauge."""
+    v0 = rotated_sums(rho, 0.0)
+    vpi = rotated_sums(rho, np.pi)
+    degenerate = np.abs(v0) < DEGENERATE_TOL
+    return (np.where(degenerate, np.nan, v0.real / 2.0),
+            np.where(degenerate, np.nan, vpi.real / 2.0))
 
 
 @dataclass

@@ -84,12 +84,7 @@ class CoinField:
 
     def window_angles(self, x_min: int, sites: int) -> np.ndarray:
         """Per-position angles for a window of given extent (zero outside)."""
-        out = np.zeros(sites)
-        lo = max(self.start, x_min)
-        hi = min(self.stop, x_min + sites)
-        if hi > lo:
-            out[lo - x_min : hi - x_min] = self.thetas[lo - self.start : hi - self.start]
-        return out
+        return place_angles(self.start, self.thetas[None], x_min, sites)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,35 +299,50 @@ def record_window(steps: int) -> int:
     return 2 * (steps + _GROW) + 1
 
 
-def record(protocols: list, x0: int, coin: int, steps: int) -> list:
-    """Every step of walkers launched at (x0, coin), one per protocol.
+def place_angles(start: int, thetas: np.ndarray, x_min: int, sites: int) -> np.ndarray:
+    """The (B, m) angles `thetas` of positions [start, start + m) on the
+    window [x_min, x_min + sites), zero outside."""
+    out = np.zeros((thetas.shape[0], sites))
+    lo = max(start, x_min)
+    hi = min(start + thetas.shape[1], x_min + sites)
+    if hi > lo:
+        out[:, lo - x_min:hi - x_min] = thetas[:, lo - start:hi - start]
+    return out
 
-    Returns one (x_min, a, b) per protocol, with a and b of shape
-    (steps + 1, width): row j holds H = a and V = i b (up to a global
-    phase) after j steps, on exactly the window `evolve` ends on from
-    `WalkerState.localized(x0, coin)`.  That window starts at
-    [x0 - 1, x0 + 1] and grows by _GROW sites whenever a shift meets
-    amplitude on its edge: after a step, the right edge hi grew iff H
-    now sits at hi + 1 or V sits at hi, the left edge lo iff V sits at
-    lo - 1.  An edge grows only once the front, moving one site per step,
-    has reached it, so no edge passes x0 +- (steps + _GROW - 1) and the
-    batch runs `real_steps` on x0 +- (steps + _GROW).
+
+def record(start: int, theta1: np.ndarray, theta2: np.ndarray, x0: int, coin: int,
+           steps: int) -> list:
+    """Every step of walkers launched at (x0, coin), one per row of theta1.
+
+    theta1 and theta2 hold the (B, m) coin angles, reduced mod 2*pi, of
+    the positions [start, start + m); coins elsewhere are the identity.  Returns one
+    (x_min, a, b) per row, with a and b of shape (steps + 1, width): row
+    j holds H = a and V = i b (up to a global phase) after j steps, on
+    exactly the window `evolve` ends on from `WalkerState.localized(x0,
+    coin)`.  That window starts at [x0 - 1, x0 + 1] and grows by _GROW
+    sites whenever a shift meets amplitude on its edge: after a step, the
+    right edge hi grew iff H now sits at hi + 1 or V sits at hi, the left
+    edge lo iff V sits at lo - 1.  An edge grows only once the front,
+    moving one site per step, has reached it, so no edge passes
+    x0 +- (steps + _GROW - 1) and the batch runs `real_steps` on
+    x0 +- (steps + _GROW).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     reach = steps + _GROW
-    start, n = x0 - reach, record_window(steps)
-    th1 = np.array([p.field1.window_angles(start, n) for p in protocols])
-    th2 = np.array([p.field2.window_angles(start, n) for p in protocols])
-    hist = np.zeros((2, len(protocols), steps + 1, n))
+    x_min, n = x0 - reach, record_window(steps)
+    th1 = place_angles(start, theta1, x_min, n)
+    th2 = place_angles(start, theta2, x_min, n)
+    walkers = th1.shape[0]
+    hist = np.zeros((2, walkers, steps + 1, n))
     hist[coin, :, 0, reach] = 1.0
-    rows = np.arange(len(protocols))
-    lo = np.full(len(protocols), x0 - 1 - start)  # window edges as columns
-    hi = np.full(len(protocols), x0 + 1 - start)
+    rows = np.arange(walkers)
+    lo = np.full(walkers, x0 - 1 - x_min)  # window edges as columns
+    hi = np.full(walkers, x0 + 1 - x_min)
     walk = real_steps(th1, th2, hist[0, :, 0], hist[1, :, 0], steps)
     for j, (a, b) in enumerate(walk, 1):
         hist[0, :, j], hist[1, :, j] = a, b
         hi += _GROW * ((a[rows, hi + 1] != 0) | (b[rows, hi] != 0))
         lo -= _GROW * (b[rows, lo - 1] != 0)
-    return [(start + i, hist[0, k, :, i:e + 1], hist[1, k, :, i:e + 1])
+    return [(x_min + i, hist[0, k, :, i:e + 1], hist[1, k, :, i:e + 1])
             for k, (i, e) in enumerate(zip(lo.tolist(), hi.tolist()))]

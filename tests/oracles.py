@@ -74,13 +74,11 @@ class DenseLattice:
                 @ self.shift_h_right() @ self.coin_operator(angle1_at))
 
 
-def sample_angles(thetas, mirror_at=None):
+def sample_angles(thetas):
     """Identity lead for x < 0, per-site sample angles on [0, len)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
 
     def angle_at(x):
-        if mirror_at is not None and x == mirror_at:
-            return np.pi / 2.0
         if 0 <= x < thetas.size:
             return float(thetas[x])
         return 0.0
@@ -88,15 +86,13 @@ def sample_angles(thetas, mirror_at=None):
     return angle_at
 
 
-def dense_reflection(theta1, theta2, t, mirror=False):
+def dense_reflection(theta1, theta2, t):
     """r_1..r_t from probe (-1, H) read at (-2, V), by dense evolution."""
     theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     sites = theta2.size
     lat = DenseLattice(-(t + 4), max(t + 2, sites + 2))
-    mirror_at = sites if mirror else None
-    u = lat.step_operator(sample_angles(theta1, mirror_at),
-                          sample_angles(theta2, mirror_at))
+    u = lat.step_operator(sample_angles(theta1), sample_angles(theta2))
     psi = lat.basis_state(-1, H)
     out = np.empty(t, dtype=complex)
     for j in range(t):
@@ -189,11 +185,6 @@ def main():
     # both-coin bulk of the phase diagram's (+,+) region
     series = dense_reflection(np.full(32, 1.68 * np.pi), np.full(32, 1.68 * np.pi), 30)
     golden["inv_168_168_t30"] = dense_invariants(series)
-
-    # mirror termination confines the walker: reflected weight -> 1
-    r = dense_reflection(np.zeros(8), np.full(8, 0.25 * np.pi), 100, mirror=True)
-    golden["mirror_weight_t100"] = float(np.sum(np.abs(r) ** 2))
-    golden["mirror_inv"] = dense_invariants(r)
 
     # turquoise-line anchors at t=5 (theta2 = 2 * theta1)
     for name, th1 in (("scan_073", 0.73), ("scan_090", 0.90), ("scan_112", 1.12)):

@@ -29,8 +29,14 @@ from qwtopo.apparatus import (
     OPPOSITE,
     SAME,
     SignMeasurement,
-    perturbed_system,
+    _measure,
+    _params,
+    _readout,
+    _runs,
+    perturbed_angles,
+    within_guard,
 )
+from qwtopo.scattering import DegenerateGauge, invariant_rows
 
 PI = np.pi
 
@@ -73,28 +79,31 @@ def test_interference_conserves_energy():
 # ------------------------------------------------------------- relative sign
 
 def test_sign_readout_same_and_opposite():
-    i_h, i_v = interfere(0.3, 0.4, PI / 4)
-    assert relative_sign(i_h - i_v, PI / 4) == SAME
-    i_h, i_v = interfere(0.3, -0.4, PI / 4)
-    assert relative_sign(i_h - i_v, PI / 4) == OPPOSITE
+    assert relative_sign(*interfere(0.3, 0.4, PI / 4), PI / 4) == SAME
+    assert relative_sign(*interfere(0.3, -0.4, PI / 4), PI / 4) == OPPOSITE
 
 
 def test_sign_readout_rejects_contrast_free_mixing_angles():
     for alpha in (0.0, PI / 2, PI, -PI / 2, 3 * PI / 2):
         with pytest.raises(AmbiguousSign):
-            relative_sign(0.1, alpha)
+            relative_sign(0.1, 0.0, alpha)
     # the guard band is two degrees wide on either side
     with pytest.raises(AmbiguousSign):
-        relative_sign(0.1, np.radians(1.5))
-    assert relative_sign(0.1, np.radians(2.5)) == OPPOSITE
+        relative_sign(0.1, 0.0, np.radians(1.5))
+    assert relative_sign(0.1, 0.0, np.radians(2.5)) == OPPOSITE
+    assert within_guard(np.radians(1.5)) and not within_guard(np.radians(2.5))
 
 
 def test_sign_readout_rejects_weak_contrast():
+    """The floor is INTENSITY_FLOOR times the pair's total intensity."""
+    assert INTENSITY_FLOOR == 1e-4
     with pytest.raises(AmbiguousSign):
-        relative_sign(0.0, PI / 4)
+        relative_sign(0.5, 0.5, PI / 4)
     with pytest.raises(AmbiguousSign):
-        relative_sign(5e-5, PI / 4, floor=1e-4)
-    assert relative_sign(2e-4, PI / 4, floor=1e-4) == OPPOSITE
+        relative_sign(0.500025, 0.499975, PI / 4)  # |Delta I| = 5e-5 of 1
+    assert relative_sign(0.5001, 0.4999, PI / 4) == OPPOSITE  # 2e-4 of 1
+    # the same |Delta I| reads on a pair ten times dimmer
+    assert relative_sign(0.050025, 0.049975, PI / 4) == OPPOSITE
 
 
 def test_sign_readout_is_sound_away_from_the_guard():
@@ -106,7 +115,7 @@ def test_sign_readout_is_sound_away_from_the_guard():
         alpha = k * PI / 2 + rng.choice([-1, 1]) * rng.uniform(0.05, PI / 2 - 0.05)
         i_h, i_v = interfere(r1, r2, alpha)
         want = SAME if r1 * r2 > 0 else OPPOSITE
-        assert relative_sign(i_h - i_v, alpha) == want
+        assert relative_sign(i_h, i_v, alpha) == want
 
 
 # ------------------------------------------------------------ reconstruction
@@ -175,7 +184,7 @@ def test_perfect_hardware_reports_ideal_magnitudes():
 def test_perfect_hardware_roundtrips_the_signed_series():
     system = one_coin_sample(1.68, 11)
     data = emulate_measurement(system, 11)
-    rho = reconstruct_series(data.magnitudes, data.signs, data.reference_sign)
+    rho = data.series
     ideal = np.imag(reflection_amplitudes(system, 11).r)
     assert np.allclose(rho, ideal, atol=1e-12)
     assert all(rho[j] == 0.0 for j in range(0, 11, 2))  # odd steps stay dark
@@ -205,8 +214,7 @@ def test_shot_noise_is_seeded_and_small_at_large_budget():
     assert np.array_equal(d1.magnitudes, d2.magnitudes)
     assert not np.array_equal(d1.magnitudes, d3.magnitudes)
     assert np.max(np.abs(d1.magnitudes - exact.magnitudes)) < 2e-3
-    noisy = reconstruct_series(d1.magnitudes, d1.signs, d1.reference_sign)
-    clean = reconstruct_series(exact.magnitudes, exact.signs, exact.reference_sign)
+    noisy, clean = d1.series, exact.series
     big = np.abs(clean) > 1e-6
     assert np.array_equal(np.sign(noisy[big]), np.sign(clean[big]))
 
@@ -218,17 +226,17 @@ def test_hardware_model_validates_efficiencies():
         ApparatusModel(efficiency_h=0.0)
     with pytest.raises(ValueError, match="efficiency_v"):
         ApparatusModel(efficiency_v=1.2)
-    assert ApparatusModel.identity().is_identity
-    assert not ApparatusModel(loss_asymmetry=0.01).is_identity
 
 
 def test_coin_stage_offsets_leave_identity_coins_exact():
     system = one_coin_sample(0.52, 7)
-    model = ApparatusModel(eom_error=0.01, sbc_error=-0.004)
-    bent = perturbed_system(system, model)
-    assert np.array_equal(bent.theta1, system.theta1)  # all zeros stay zeros
-    assert np.allclose(bent.theta2, system.theta2 + 0.006, atol=1e-15)
-    assert perturbed_system(system, ApparatusModel()) is system
+    models = [ApparatusModel(eom_error=0.01, sbc_error=-0.004), ApparatusModel()]
+    theta1 = perturbed_angles(system.theta1, _params(models))
+    theta2 = perturbed_angles(system.theta2, _params(models))
+    assert theta1.shape == theta2.shape == (2, system.sites)
+    assert not np.any(theta1)  # all zeros stay zeros
+    assert np.allclose(theta2[0], system.theta2 + 0.006, atol=1e-15)
+    assert np.array_equal(theta2[1], system.theta2)
 
 
 def test_three_percent_loss_biases_invariants_by_well_under_a_tenth():
@@ -258,7 +266,9 @@ def flip_midpoints(model: ApparatusModel, t: int = 20) -> list:
     """Sign-change midpoints of Q0*Qpi along theta2 = 2*theta1."""
     out, prev_s, prev_a = [], None, None
     for th1 in np.arange(0.60, 0.7401, 0.005) * PI:
-        system = perturbed_system(ScatteringSystem.for_steps(th1, 2 * th1, t), model)
+        clean = ScatteringSystem.for_steps(th1, 2 * th1, t)
+        system = ScatteringSystem(perturbed_angles(clean.theta1, _params([model]))[0],
+                                  perturbed_angles(clean.theta2, _params([model]))[0])
         pair = invariants(reflection_amplitudes(system, t))
         s = np.sign(pair.q0 * pair.qpi)
         if prev_s is not None and s != prev_s:
@@ -274,18 +284,155 @@ def test_one_degree_coin_offset_barely_moves_the_transition():
     assert abs(bent[0] - ideal[0]) < 0.05 * PI
 
 
+# ------------------------------------------------------- batched read-out
+
+def scalar_readout(rho, model, alpha, mode="exact", shots=0, seed=0):
+    """The read-out one pulse pair at a time: magnitudes, then each pair of
+    consecutive present pulses interfered (in shots mode Poisson draws in
+    that order: every magnitude, then i_h and i_v pair by pair)."""
+    rng = np.random.default_rng(seed)
+    t = rho.size
+    gain = (1.0 + model.loss_asymmetry) ** np.arange(1, t + 1)
+    intensities = model.efficiency_v * gain * rho ** 2
+    if mode == "shots":
+        intensities = rng.poisson(intensities * shots) / shots
+    magnitudes = np.sqrt(intensities / model.efficiency_v)
+    present = [j for j in range(1, t + 1) if magnitudes[j - 1] > MAGNITUDE_EPS]
+    signs = []
+    for a, b in zip(present, present[1:]):
+        i_h, i_v = interfere(rho[a - 1] * np.sqrt(gain[a - 1]),
+                             rho[b - 1] * np.sqrt(gain[b - 1]), alpha)
+        i_h *= model.efficiency_h
+        i_v *= model.efficiency_v
+        if mode == "shots":
+            i_h = rng.poisson(i_h * shots) / shots
+            i_v = rng.poisson(i_v * shots) / shots
+        signs.append(SignMeasurement(a, b, alpha, float(i_h), float(i_v)))
+    reference = 1 if not present or rho[present[0] - 1] >= 0 else -1
+    return magnitudes, signs, reference
+
+
+def scalar_pair(magnitudes, signs, reference) -> tuple:
+    """(q0, qpi) through reconstruct_series and invariants, NaN where the
+    chain breaks or the gauge is degenerate."""
+    try:
+        pair = invariants(measured_series(reconstruct_series(magnitudes, signs, reference)))
+    except (ChainBroken, DegenerateGauge):
+        return np.nan, np.nan
+    return pair.q0, pair.qpi
+
+
+def measure_pair(run, model, alpha) -> tuple:
+    """(q0, qpi) through _measure and measured_invariants, NaN where they raise."""
+    try:
+        pair = measured_invariants(_measure(run, model, None, alpha))
+    except (AmbiguousSign, DegenerateGauge):
+        return np.nan, np.nan
+    return pair.q0, pair.qpi
+
+
+def readout_rho(runs) -> np.ndarray:
+    return np.array([v[1:, -2 - x_min] for x_min, _, v in runs])
+
+
+def as_reprs(*columns) -> list:
+    return [tuple(repr(float(x)) for x in row) for row in zip(*columns)]
+
+
+def test_batched_readout_matches_the_scalar_chain_bit_for_bit():
+    rng = np.random.default_rng(31)
+    wide = ErrorRanges(loss_asymmetry=0.1, eom_error=np.radians(10.0),
+                       sbc_error=np.radians(10.0), efficiency_span=0.5)
+    for case in range(6):
+        t = int(rng.integers(7, 25))
+        system = ScatteringSystem.for_steps(*rng.uniform(0, 2 * PI, 2), t)
+        params = wide.draw(rng, 40)
+        models = [ApparatusModel(*row) for row in params.tolist()]
+        alpha = PI / 4 if case % 2 else rng.uniform(0.05, PI / 2 - 0.05)
+        runs = _runs(system, params, t)
+        rho = readout_rho(runs)
+        q0, qpi = invariant_rows(_readout(rho, params, alpha).series())
+        want = [scalar_pair(*scalar_readout(row, m, alpha)) for row, m in zip(rho, models)]
+        assert as_reprs(q0, qpi) == as_reprs(*zip(*want))
+        chain = [measure_pair(run, m, alpha) for run, m in zip(runs, models)]
+        assert as_reprs(*zip(*chain)) == as_reprs(*zip(*want))
+
+
+def test_batched_readout_marks_each_unreadable_row():
+    rho = np.array([
+        [0.5, 0.0, -0.3, 0.0, 0.2, 0.1],    # readable
+        [0.5, 1e-6, 0.3, 0.0, 0.2, 0.1],    # first pair: |Delta I| under the floor
+        [0.5, -0.4, 0.3, 1e-7, 0.2, 0.1],   # chain broken after three pulses
+        [0.25, -0.25, 0.5, -0.5, 0.0, 0.0],  # |r(0)| = 0 < 1e-6
+    ])
+    models = [ApparatusModel(loss_asymmetry=0.02, efficiency_h=0.97)] + [ApparatusModel()] * 3
+    readout = _readout(rho, _params(models), PI / 4)
+    assert readout.readable.tolist() == [True, False, False, True]
+    q0, qpi = invariant_rows(readout.series())
+    assert np.isfinite(q0[0]) and np.isfinite(qpi[0])
+    assert np.isnan(q0[1:]).all() and np.isnan(qpi[1:]).all()
+    want = [scalar_pair(*scalar_readout(row, m, PI / 4)) for row, m in zip(rho, models)]
+    assert as_reprs(q0, qpi) == as_reprs(*zip(*want))
+    history = np.zeros((len(rho), rho.shape[1] + 1, 1))
+    history[:, 1:, 0] = rho  # the read-out site x = -2 as a one-site window
+    chain = [measure_pair((-2, None, v), m, PI / 4) for v, m in zip(history, models)]
+    assert as_reprs(*zip(*chain)) == as_reprs(*zip(*want))
+    with pytest.raises(AmbiguousSign, match="below the floor"):
+        _measure((-2, None, history[2]), models[2], None, PI / 4)
+
+
+def test_shots_readout_keeps_the_draw_order_bit_for_bit():
+    rng = np.random.default_rng(32)
+    unreadable = 0
+    for case in range(12):
+        t = int(rng.integers(5, 20))
+        system = ScatteringSystem.for_steps(*rng.uniform(0, 2 * PI, 2), t)
+        model = ApparatusModel(*ErrorRanges(loss_asymmetry=0.05).draw(rng, 1)[0].tolist())
+        shots = int(rng.choice([50, 1000, 100_000]))
+        rho = readout_rho(_runs(system, _params([model]), t))[0]
+        mags, signs, reference = scalar_readout(rho, model, PI / 4, "shots", shots, case)
+        kw = dict(mode="shots", shots=shots, seed=case)
+        try:
+            for m in signs:
+                relative_sign(m.i_h, m.i_v, m.alpha)
+        except AmbiguousSign:  # few photons: a pair may count equal or zero
+            unreadable += 1
+            with pytest.raises(AmbiguousSign):
+                emulate_measurement(system, t, model, **kw)
+            continue
+        data = emulate_measurement(system, t, model, **kw)
+        assert np.array_equal(data.magnitudes, mags)
+        assert data.reference_sign == reference
+        assert as_reprs(data.series) == as_reprs(reconstruct_series(mags, signs, reference))
+        pair = measured_invariants(data)
+        assert as_reprs([pair.q0], [pair.qpi]) == as_reprs(*zip(scalar_pair(mags, signs,
+                                                                            reference)))
+    assert 0 < unreadable < 12
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 def test_error_range_draws_respect_their_bounds():
     ranges = ErrorRanges()
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        m = ranges.draw(rng)
+    for m in (ApparatusModel(*row) for row in ranges.draw(rng, 200).tolist()):
         assert 1.0 - ranges.efficiency_span <= m.efficiency_h <= 1.0
         assert 1.0 - ranges.efficiency_span <= m.efficiency_v <= 1.0
         assert abs(m.loss_asymmetry) <= ranges.loss_asymmetry
         assert abs(m.eom_error) <= ranges.eom_error
         assert abs(m.sbc_error) <= ranges.sbc_error
+    # five uniforms per model, in field order, as scalar draws take them
+    one_by_one = np.random.default_rng(1)
+    want = [ApparatusModel(
+        efficiency_h=1.0 - one_by_one.uniform(0.0, ranges.efficiency_span),
+        efficiency_v=1.0 - one_by_one.uniform(0.0, ranges.efficiency_span),
+        loss_asymmetry=one_by_one.uniform(-ranges.loss_asymmetry, ranges.loss_asymmetry),
+        eom_error=one_by_one.uniform(-ranges.eom_error, ranges.eom_error),
+        sbc_error=one_by_one.uniform(-ranges.sbc_error, ranges.sbc_error),
+    ) for _ in range(50)]
+    got = ranges.draw(np.random.default_rng(1), 50)
+    assert got.shape == (50, 5)
+    assert [ApparatusModel(*row) for row in got.tolist()] == want
 
 
 def test_monte_carlo_recovers_an_injected_loss():

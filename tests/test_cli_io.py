@@ -334,6 +334,32 @@ def test_keys_the_runner_would_ignore_exit_with_code_two(tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("alpha_pi", [0.0, 0.5, 1.0, 1.505])
+def test_contrast_free_mixing_angle_exits_with_code_two(tmp_path, capsys, command,
+                                                        alpha_pi):
+    """Within ALPHA_GUARD (2 degrees) of a multiple of pi/2 no pair gives a
+    sign; verify and run both refuse such an alpha before any output."""
+    cfg = {"experiment": "emulate", "emulate": {**EMULATE, "t": 11, "alpha_pi": alpha_pi}}
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    code = entrypoint(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ConfigInvalid at field path emulate.alpha_pi:" in captured.err
+    assert "is valid" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha_pi", [0.25, 0.52])
+def test_mixing_angles_outside_the_guard_are_accepted(tmp_path, alpha_pi):
+    cfg = {"experiment": "emulate", "emulate": {**EMULATE, "t": 11, "alpha_pi": alpha_pi}}
+    path = write_config(tmp_path, cfg)
+    assert entrypoint(["verify", "--config", path]) == 0
+    assert entrypoint(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_shots_are_accepted_in_shots_mode():
     cfgmod.validate({"experiment": "emulate",
                      "emulate": {**EMULATE, "mode": "shots", "shots": 100}})

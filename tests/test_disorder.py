@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qwtopo import disorder
 from qwtopo.disorder import (DEFAULT_P_GRID, DisorderSpec, NoCrossing,
                              disorder_curve, ensemble_r0, half_r0,
                              sample_pattern, scattering_system, site_uniforms,
@@ -107,6 +108,32 @@ def test_ensemble_frozen_statistics():
     assert result.n_configs == 50
     assert result.mean == pytest.approx(CASE1_P05_MEAN, abs=1e-12)
     assert result.std == pytest.approx(CASE1_P05_STD, abs=1e-12)
+
+
+def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
+    """An ensemble thresholds one drawn block of uniforms; each value must
+    be the half r(0) of that configuration's own system, from
+    ensemble_r0, at every probe of a bisection and along a disorder
+    curve, whose probes share one block."""
+    probes = []
+    ensemble = disorder._ensemble_r0
+
+    def recording(spec, t, *args):
+        result = ensemble(spec, t, *args)
+        probes.append((spec, result))
+        return result
+
+    monkeypatch.setattr(disorder, "_ensemble_r0", recording)
+    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 30)
+    disorder.transition_locator(spec, t=101, n_configs=30, resolution=0.05)
+    assert len({probe.p for probe, _ in probes}) >= 5
+    disorder.disorder_curve(spec, 11, p_grid=(0.3, 0.7))
+    ensemble_r0(spec.with_p(0.5), 11)
+    assert len(probes) >= 8
+    for probe, result in probes:
+        want = [half_r0(scattering_system(probe, k), result.t)
+                for k in range(probe.n_configs)]
+        assert [repr(v) for v in result.values.tolist()] == [repr(v) for v in want]
 
 
 def test_ensemble_is_deterministic_and_order_independent():

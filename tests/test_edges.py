@@ -32,12 +32,12 @@ def test_launch_convention_is_pinned():
 
 
 def test_field_covers_both_bulks():
-    field = interface(0.0).field2(0, extent=4)
-    assert field.theta_at(-4) == pytest.approx(TH_L)
-    assert field.theta_at(-1) == pytest.approx(TH_L)
-    assert field.theta_at(0) == pytest.approx(TH_A)
-    assert field.theta_at(14) == pytest.approx(TH_A)
-    assert field.theta_at(15) == 0.0  # beyond the sampled right bulk
+    field = interface(0.0).field2_angles([0], extent=4)[0]  # x = -4 .. 14
+    assert field[0] == pytest.approx(TH_L)
+    assert field[3] == pytest.approx(TH_L)
+    assert field[4] == pytest.approx(TH_A)
+    assert field[-1] == pytest.approx(TH_A)
+    assert field.size == 4 + 15  # the sampled right bulk ends at x = 14
 
 
 def test_zero_steps_keeps_walker_in_window():

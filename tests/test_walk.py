@@ -274,7 +274,10 @@ def test_record_matches_evolve_bit_for_bit():
             CoinField.identity() if case % 3 == 0 or k % 2
             else random_field(rng, start, sites),
             random_field(rng, start, sites)) for k in range(3)]
-        for proto, (x_min, a, b) in zip(protocols, record(protocols, x0, coin, t)):
+        th1 = np.array([p.field1.window_angles(start, sites) for p in protocols])
+        th2 = np.array([p.field2.window_angles(start, sites) for p in protocols])
+        runs = record(start, th1, th2, x0, coin, t)
+        for proto, (x_min, a, b) in zip(protocols, runs):
             traj = evolve(WalkerState.localized(x0, coin), proto, t)
             final = traj[-1]
             assert x_min == final.x_min
