@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -77,6 +78,7 @@ def _cmd_verify(args) -> int:
     print(f"ok: {cfg['experiment']} config is valid")
     print(f"estimated simulations: {est['simulations']}")
     print(f"estimated window: {est['window_sites']} sites")
+    print(f"estimated site-steps: {est['site_steps']}")
     for note in config.config_warnings(cfg):
         print(f"warning: {note}")
     return 0
@@ -221,11 +223,10 @@ def _run_scan(cfg, seed, outdir, fmt, mapper):
 def _run_phase_diagram(cfg, seed, outdir, fmt, mapper):
     blk = cfg["phase_diagram"]
     pd = phase_diagram(blk["resolution"], blk["t"], blk["tolerance"], mapper=mapper)
-    rows = []
-    for i, th1 in enumerate(pd.theta1):
-        for j, th2 in enumerate(pd.theta2):
-            rows.append([th1 / math.pi, th2 / math.pi, pd.q0[i, j],
-                         pd.qpi[i, j], pd.residual[i, j], pd.t])
+    n = pd.theta2.size
+    columns = (np.repeat(pd.theta1 / math.pi, n), np.tile(pd.theta2 / math.pi, n),
+               pd.q0, pd.qpi, pd.residual)
+    rows = list(zip(*(c.ravel().tolist() for c in columns), repeat(pd.t)))
     written = [write_table(os.path.join(outdir, "phase_diagram.csv"),
                            TABLE_KINDS["scan"], rows, fmt)]
     levels = np.vectorize(PHASE_LEVELS.get)(pd.labels).astype(float)

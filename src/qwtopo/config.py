@@ -8,8 +8,9 @@ magnitude 2 or more are accepted but flagged as mod-2 reductions by
 
 Optional keys take their defaults from `SCHEMA` alone, filled in by
 `resolve`, whose output is all that the runners and `estimate` read.
-`validate` also rejects keys the runner would ignore (`p` next to `p_grid`)
-and an emulate mixing angle the read-out cannot use.
+`validate` also rejects keys the runner would ignore (`p` next to `p_grid`),
+an emulate mixing angle the read-out cannot use, and a config whose
+predicted cost exceeds `MAX_SITE_STEPS`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ BLOCK_KEY = {
     "emulate": "emulate",
     "mc-errorbars": "mc_errorbars",
 }
+
+
+#: Largest predicted site-steps (walkers x window sites x steps, see
+#: `estimate`) that `validate`, and so `verify` and `run`, accept: tens
+#: of seconds of engine time on one core.
+MAX_SITE_STEPS = 10**9
 
 
 class ConfigInvalid(ValueError):
@@ -264,6 +271,11 @@ def validate(cfg: dict) -> None:
         raise ConfigInvalid("emulate.alpha_pi",
                             f"{blk['alpha_pi']}*pi is within {math.degrees(ALPHA_GUARD):.0f} "
                             "degrees of a multiple of pi/2, where interference reads no sign")
+    est = estimate(cfg)
+    if est["site_steps"] > MAX_SITE_STEPS:
+        raise ConfigInvalid(est["cost_field"],
+                            f"run would step {est['site_steps']} site-steps (walkers x "
+                            f"window x steps), more than MAX_SITE_STEPS = {MAX_SITE_STEPS}")
 
 
 def _fill(node: dict, schema: dict) -> None:
@@ -315,34 +327,56 @@ def config_warnings(cfg: dict) -> list[str]:
     return out
 
 
+def _stages(cfg: dict) -> list[tuple[int, int, str, str]]:
+    """(walkers, steps, walkers field, steps field) of each stepping stage
+    of a resolved config; the fields are dotted paths."""
+    kind = cfg["experiment"]
+    key = BLOCK_KEY[kind]
+    block = cfg[key]
+    extra = []
+    if kind == "scan":
+        free = block["parametrization"] == "free"
+        field, sims = ("pairs_pi", len(block["pairs_pi"])) if free \
+            else ("count", block["count"])
+    elif kind == "phase-diagram":
+        field, sims = "resolution", block["resolution"] ** 2
+    elif kind == "disorder":
+        field, sims = "n_configs", len(block["p_grid"]) * block["n_configs"]
+        tr = block.get("transition")
+        if tr is not None:  # an upper bound: the bisection may stop early
+            probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
+            extra.append((probes * tr["n_configs"], tr["t"],
+                          f"{key}.transition.n_configs", f"{key}.transition.t"))
+    elif kind == "edge":  # one walker at p = 0 and 1, plus the intensity map
+        n = block["n_configs"]
+        field = "n_configs"
+        sims = sum(1 if p in (0.0, 1.0) else n for p in block["p_grid"]) + 1
+    elif kind == "emulate":  # one walker: its steps are all of its cost
+        field, sims = "t", 1
+    else:  # one walker per apparatus model, plus the emulated data
+        field, sims = "n_sets", block["n_sets"] + 1
+    return [(sims, block["t"], f"{key}.{field}", f"{key}.t")] + extra
+
+
 def estimate(cfg: dict) -> dict:
     """Dry-run cost of a validated config, in the engine's units.
 
     "simulations" counts the walkers `run` steps through `walk.real_steps`
     (with a disorder `transition`, an upper bound: the bisection may stop
-    early), and "window_sites" is the widest window it steps them on.
+    early), "window_sites" is the widest window it steps them on, and
+    "site_steps" sums walkers x window x steps over the stages of the run.
+    "cost_field" names the field that drives the cost: of the costliest
+    stage, its walker count or, where window x steps is larger, its steps.
     """
     cfg = resolve(cfg)
     kind = cfg["experiment"]
-    block = cfg[BLOCK_KEY[kind]]
-    t = block["t"]
-    walks = kind in ("edge", "emulate", "mc-errorbars")
-    window = record_window if walks else reflection_window
-    if kind == "scan":
-        sims = len(block["pairs_pi"]) if block["parametrization"] == "free" \
-            else block["count"]
-    elif kind == "phase-diagram":
-        sims = block["resolution"] ** 2
-    elif kind == "disorder":
-        sims = len(block["p_grid"]) * block["n_configs"]
-        tr = block.get("transition")
-        if tr is not None:
-            probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
-            sims += probes * tr["n_configs"]
-            t = max(t, tr["t"])
-    elif kind == "edge":  # one walker at p = 0 and 1, plus the intensity map
-        n = block["n_configs"]
-        sims = sum(1 if p in (0.0, 1.0) else n for p in block["p_grid"]) + 1
-    else:  # one walker per apparatus model
-        sims = 1 if kind == "emulate" else block["n_sets"] + 1
-    return {"simulations": sims, "window_sites": window(t)}
+    window = record_window if kind in ("edge", "emulate", "mc-errorbars") \
+        else reflection_window
+    stages = _stages(cfg)
+    cost = [walkers * window(steps) * steps for walkers, steps, _, _ in stages]
+    walkers, steps, walkers_field, steps_field = stages[cost.index(max(cost))]
+    return {"simulations": sum(stage[0] for stage in stages),
+            "window_sites": window(max(stage[1] for stage in stages)),
+            "site_steps": sum(cost),
+            "cost_field": walkers_field if walkers >= window(steps) * steps
+            else steps_field}

@@ -40,6 +40,8 @@ TABLE_KINDS = {
 
 
 def _cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, bool):
         return str(value)
     if hasattr(value, "item"):  # numpy scalar
@@ -60,8 +62,7 @@ def write_table(path: str, header: list[str], rows, fmt: str = "csv") -> str:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(map(_cell, row) for row in rows)
             payload = buf.getvalue()
         else:
             records = [{k: (v.item() if hasattr(v, "item") else v)

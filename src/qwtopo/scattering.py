@@ -27,7 +27,6 @@ returns, so the window starts there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -320,18 +319,25 @@ def _line_pairs(parametrization, grid):
     raise ValueError(f"unknown scan parametrization: {parametrization!r}")
 
 
-def _scan_batch(task) -> list[InvariantPair | None]:
-    """Invariants of clean samples, one per (theta1, theta2) row; None
-    where the gauge is degenerate."""
+def _scan_batch(task) -> np.ndarray:
+    """(B, 3) rows of Q0, Qpi and residual 1 - sum_j rho_j^2 of clean
+    samples sized by `ScatteringSystem.for_steps`, one per (theta1,
+    theta2) row of the task's pairs; NaN where the gauge is degenerate."""
     pairs, t = task
-    systems = [ScatteringSystem.for_steps(th1, th2, t) for th1, th2 in pairs]
-    out = []
-    for rho in reflection_rows(systems, t):
-        try:
-            out.append(invariants(ReflectionSeries(1j * rho)))
-        except DegenerateGauge:
-            out.append(None)
-    return out
+    angles = np.asarray(pairs, dtype=float) % _TWO_PI
+    shape = (angles.shape[0], t + 2)
+    rho = sample_rows(np.broadcast_to(angles[:, :1], shape),
+                      np.broadcast_to(angles[:, 1:], shape), t)
+    q0, qpi = invariant_rows(rho)
+    residual = np.where(np.isnan(q0), np.nan, 1.0 - np.sum(rho ** 2, axis=1))
+    return np.column_stack([q0, qpi, residual])
+
+
+def _scan_rows(pairs: np.ndarray, t: int, mapper) -> np.ndarray:
+    """`_scan_batch` rows of every (theta1, theta2) row of pairs, one task
+    per batch."""
+    tasks = [(batch, t) for batch in batches(pairs)]
+    return np.concatenate(list(mapper(_scan_batch, tasks)))
 
 
 def scan_line(parametrization: str, t: int, grid=None, pairs=None,
@@ -352,9 +358,10 @@ def scan_line(parametrization: str, t: int, grid=None, pairs=None,
             raise ValueError("line parametrization needs a grid of swept angles")
         arr = _line_pairs(parametrization, grid)
         scanned = np.asarray(grid, dtype=float)
-    tasks = [(batch, t) for batch in batches(arr)]
-    results = chain.from_iterable(mapper(_scan_batch, tasks))
-    points = [ScanPoint(th1, th2, pair) for (th1, th2), pair in zip(arr, results)]
+    rows = _scan_rows(arr, t, mapper)
+    degenerate = np.isnan(rows[:, 0]).tolist()
+    points = [ScanPoint(th1, th2, None if bad else InvariantPair(*row))
+              for (th1, th2), row, bad in zip(arr, rows.tolist(), degenerate)]
     return ScanResult(parametrization, scanned, points, t)
 
 
@@ -374,38 +381,27 @@ class PhaseDiagram:
     tolerance: float
 
 
-def classify(pair: InvariantPair | None, tolerance: float) -> str:
-    """Phase label of one cell; 'boundary' when unconverged or degenerate."""
-    if pair is None:
-        return BOUNDARY_LABEL
-    if min(abs(pair.q0), abs(pair.qpi)) < 0.5 - tolerance:
-        return BOUNDARY_LABEL
-    return ("+" if pair.q0 > 0 else "-") + ("+" if pair.qpi > 0 else "-")
+def phase_labels(q0, qpi, tolerance: float) -> np.ndarray:
+    """Phase label of every cell: the sign pair of (Q0, Qpi) where both
+    magnitudes reach 1/2 - tolerance, else 'boundary' (NaN included)."""
+    q0, qpi = np.asarray(q0), np.asarray(qpi)
+    converged = np.minimum(np.abs(q0), np.abs(qpi)) >= 0.5 - tolerance
+    index = np.where(converged, 2 * (q0 > 0) + (qpi > 0), len(PHASE_LABELS))
+    return np.array(PHASE_LABELS + (BOUNDARY_LABEL,))[index]
 
 
 def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05,
                   mapper=map) -> PhaseDiagram:
     """Classify the (theta1, theta2) plane on a grid of cell centers.
 
-    Each cell is labelled by the sign pair of (Q0, Qpi) when both
-    magnitudes exceed 1/2 - tolerance; otherwise it is marked boundary.
+    Each cell is labelled by `phase_labels`: the sign pair of (Q0, Qpi)
+    when both magnitudes reach 1/2 - tolerance, otherwise boundary.
     """
     if resolution < 8:
         raise ValueError("phase diagram resolution must be at least 8")
     centers = (np.arange(resolution) + 0.5) * _TWO_PI / resolution
-    pairs = [(th1, th2) for th1 in centers for th2 in centers]
-    scan = scan_line(LINE_FREE, t, pairs=pairs, mapper=mapper)
-    results = [pt.pair for pt in scan.points]
-
-    q0 = np.full((resolution, resolution), np.nan)
-    qpi = np.full((resolution, resolution), np.nan)
-    res = np.full((resolution, resolution), np.nan)
-    labels = np.empty((resolution, resolution), dtype="<U8")
-    for idx, pair in enumerate(results):
-        i, j = divmod(idx, resolution)
-        labels[i, j] = classify(pair, tolerance)
-        if pair is not None:
-            q0[i, j] = pair.q0
-            qpi[i, j] = pair.qpi
-            res[i, j] = pair.residual
-    return PhaseDiagram(centers, centers, q0, qpi, res, labels, t, tolerance)
+    pairs = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1)
+    rows = _scan_rows(pairs.reshape(-1, 2), t, mapper)
+    q0, qpi, res = rows.T.reshape(3, resolution, resolution)
+    return PhaseDiagram(centers, centers, q0, qpi, res,
+                        phase_labels(q0, qpi, tolerance), t, tolerance)

@@ -169,11 +169,12 @@ def heatmap(matrix, title="", xlabel="", ylabel="", x_offset=0, y_offset=0) -> s
     parts = frame.axes(title, xlabel, ylabel)
     cw = (_W - _ML - _MR) / cols
     ch = (_H - _MT - _MB) / rows
-    for i in range(rows):
-        for j in range(cols):
-            x = _ML + j * cw
-            y = _MT + i * ch
-            parts.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(cw + 0.5)}" '
-                         f'height="{_f(ch + 0.5)}" '
-                         f'fill="{_heat_color(m[i, j] / peak)}"/>')
+    size = f'width="{_f(cw + 0.5)}" height="{_f(ch + 0.5)}"'
+    xs = [_f(_ML + j * cw) for j in range(cols)]
+    values, index = np.unique(m / peak, return_inverse=True)
+    colors = [_heat_color(v) for v in values.tolist()]
+    for i, row in enumerate(index.reshape(rows, cols).tolist()):
+        y = _f(_MT + i * ch)
+        parts.extend(f'<rect x="{x}" y="{y}" {size} fill="{colors[k]}"/>'
+                     for x, k in zip(xs, row))
     return _document(parts)

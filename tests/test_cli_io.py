@@ -1,6 +1,7 @@
 """Config validation, table IO, manifests, plotting, and the command
 line wiring, exercised end to end inside temporary directories."""
 
+import hashlib
 import json
 import os
 
@@ -64,6 +65,49 @@ def test_numpy_scalars_serialize_without_type_tags(tmp_path):
     body = open(path).read()
     assert "np." not in body and "float64" not in body
     assert "0.05,3" in body
+
+
+def test_numpy_scalars_write_the_bytes_of_their_items(tmp_path):
+    values = [np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.float64("inf"),
+              np.float64("-inf"), np.float64(1e-300), np.int64(-7), np.bool_(True),
+              np.bool_(False)]
+    items = [v.item() for v in values]
+    header = [f"c{k}" for k in range(len(values))]
+    for fmt in ("csv", "json"):
+        written = [dataio.write_table(str(tmp_path / f"{name}.{fmt}"), header,
+                                      [row, tuple(row[::-1])], fmt)
+                   for name, row in (("numpy", values), ("python", items))]
+        assert open(written[0], "rb").read() == open(written[1], "rb").read()
+    csv_rows = open(tmp_path / "python.csv").read().splitlines()
+    assert csv_rows[1] == "0.1,-0.0,nan,inf,-inf,1e-300,-7,True,False"
+
+
+def reference_heatmap(matrix, x_offset, y_offset):
+    """`svgplot.heatmap` drawn cell by cell, one colour per cell."""
+    m = np.asarray(matrix, dtype=float)
+    rows, cols = m.shape
+    peak = float(m.max()) if m.size and m.max() > 0 else 1.0
+    frame = svgplot._Frame((x_offset - 0.5, x_offset + cols - 0.5),
+                           (y_offset + rows - 0.5, y_offset - 0.5))
+    parts = frame.axes("t", "x", "y")
+    cw = (svgplot._W - svgplot._ML - svgplot._MR) / cols
+    ch = (svgplot._H - svgplot._MT - svgplot._MB) / rows
+    for i in range(rows):
+        for j in range(cols):
+            parts.append(f'<rect x="{svgplot._ML + j * cw:.2f}" '
+                         f'y="{svgplot._MT + i * ch:.2f}" width="{cw + 0.5:.2f}" '
+                         f'height="{ch + 0.5:.2f}" '
+                         f'fill="{svgplot._heat_color(m[i, j] / peak)}"/>')
+    return svgplot._document(parts)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, -1.0])
+def test_heatmap_gives_the_bytes_of_a_per_cell_reference(scale):
+    rng = np.random.default_rng(3)
+    levels = np.array([0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 0.1, 1e-9])
+    matrix = scale * rng.choice(levels, size=(9, 13))
+    for m, offsets in ((matrix, (0, 0)), (matrix.T, (-4, 2)), (matrix[:1, :1], (3, 5))):
+        assert svgplot.heatmap(m, "t", "x", "y", *offsets) == reference_heatmap(m, *offsets)
 
 
 def test_unknown_table_format_is_rejected(tmp_path):
@@ -411,9 +455,16 @@ def test_integer_keys_reject_integral_floats(tmp_path, capsys, command, case):
     assert not (tmp_path / "out").exists()
 
 
+with open(os.path.join(os.path.dirname(__file__), "shipped_hashes.json")) as _fh:
+    #: SHA-256 of every output of every shipped config, manifest excluded.
+    #: Re-record only for an output change that CHANGES.md declares.
+    SHIPPED_HASHES = json.load(_fh)
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
 def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, name):
-    """Also: replot rewrites no file of a run, phase_diagram.svg included."""
+    """Also: the one-thread outputs carry their recorded hashes, and
+    replot rewrites no file of a run, phase_diagram.svg included."""
     def files(out):
         return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
@@ -423,6 +474,9 @@ def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, na
         assert entrypoint(["run", "--config", os.path.join(CONFIG_DIR, name),
                            "--out", str(out), "--threads", threads]) == 0
         outputs.append({k: v for k, v in files(out).items() if k != "manifest.json"})
+        if threads == "1":
+            assert {k: hashlib.sha256(v).hexdigest()
+                    for k, v in outputs[0].items()} == SHIPPED_HASHES[name]
     assert outputs[0] and outputs[0] == outputs[1]
     before = files(tmp_path / "1")
     tables = any(k.endswith(".csv") for k in before)

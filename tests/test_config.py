@@ -2,7 +2,7 @@
 
 `config.estimate` is what `qwtopo verify` prints; here every shipped
 config is run with the engine's `real_steps` counted, so the printed
-walker count and window are the ones the engine really steps.
+walker count, window and site-steps are the ones the engine really steps.
 """
 
 import copy
@@ -81,12 +81,13 @@ def test_resolve_maps_a_lone_p_to_a_grid_and_fills_nested_defaults():
 def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
                                                         capsys, name):
     path = os.path.join(CONFIG_DIR, name)
-    rows, widths = [], []
+    rows, widths, site_steps = [], [], []
 
     def counting(real_steps):
         def counted(th1, th2, a, b, steps):
             rows.append(a.shape[0])
             widths.append(a.shape[1])
+            site_steps.append(a.size * steps)
             return real_steps(th1, th2, a, b, steps)
         return counted
 
@@ -102,11 +103,15 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     est = cfgmod.estimate(cfg)
     assert f"estimated simulations: {est['simulations']}\n" in printed
     assert f"estimated window: {est['window_sites']} sites\n" in printed
+    assert f"estimated site-steps: {est['site_steps']}\n" in printed
     assert est["window_sites"] == max(widths)
+    assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS
     if "transition" in cfg.get("disorder", {}):
         assert sum(rows) <= est["simulations"]
+        assert sum(site_steps) <= est["site_steps"]
     else:
         assert sum(rows) == est["simulations"]
+        assert sum(site_steps) == est["site_steps"]
     manifest = RunManifest.read(str(out / "manifest.json"))
     assert manifest.config_sha256 == config_hash(cfg)
 
@@ -121,3 +126,35 @@ def test_manifest_hashes_the_config_as_written(tmp_path):
     manifest = RunManifest.read(str(tmp_path / "out" / "manifest.json"))
     assert manifest.config_sha256 == config_hash(cfg)
     assert manifest.config_sha256 != config_hash(cfgmod.resolve(cfg))
+
+
+OVERSIZED = {
+    "phase_diagram.resolution": {"experiment": "phase-diagram",
+                                 "phase_diagram": {"resolution": 100000, "t": 30}},
+    "emulate.t": {"experiment": "emulate",
+                  "emulate": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": 30000}},
+    "disorder.transition.n_configs": {
+        "experiment": "disorder",
+        "disorder": {"theta_a_pi": 0.63, "theta_b_pi": 1.26, "t": 11,
+                     "transition": {"n_configs": 10**5}}},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("field", sorted(OVERSIZED))
+def test_configs_over_the_site_step_budget_exit_with_code_two(tmp_path, capsys,
+                                                              command, field):
+    cfg = OVERSIZED[field]
+    assert cfgmod.estimate(cfg)["site_steps"] > cfgmod.MAX_SITE_STEPS
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    code = entrypoint(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"ConfigInvalid at field path {field}: " in captured.err
+    assert "MAX_SITE_STEPS" in captured.err
+    assert "is valid" not in captured.out
+    assert not (tmp_path / "out").exists()

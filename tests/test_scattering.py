@@ -4,15 +4,17 @@ Golden numbers were produced by the dense-matrix oracle in oracles.py
 (run `python3 tests/oracles.py`) and frozen here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE,
                                DegenerateGauge, InvariantPair, ReflectionSeries,
-                               ScatteringSystem, classify, invariants,
-                               phase_diagram, reflection_amplitudes,
+                               ScatteringSystem, invariants, phase_diagram,
+                               phase_labels, reflection_amplitudes,
                                reflection_matrix_element, reflection_rows,
-                               scan_line)
+                               scan_line, _scan_rows)
 
 from oracles import dense_invariants, dense_reflection
 
@@ -298,11 +300,79 @@ def test_transition_width_far_from_any_flip_is_zero():
     assert result.transition_width(1.62 * np.pi) == 0.0
 
 
-def test_classify_labels():
-    assert classify(None, 0.05) == "boundary"
-    assert classify(InvariantPair(0.5, 0.5, 0.0), 0.05) == "++"
-    assert classify(InvariantPair(-0.5, 0.49, 0.0), 0.05) == "-+"
-    assert classify(InvariantPair(0.5, 0.3, 0.0), 0.05) == "boundary"
+def reference_label(q0, qpi, tolerance):
+    """The phase label of one cell, read pair by pair."""
+    if math.isnan(q0) or math.isnan(qpi) or min(abs(q0), abs(qpi)) < 0.5 - tolerance:
+        return "boundary"
+    return ("+" if q0 > 0 else "-") + ("+" if qpi > 0 else "-")
+
+
+def test_phase_labels():
+    nan = float("nan")
+    q0 = np.array([nan, 0.5, -0.5, 0.5, -0.5])
+    qpi = np.array([nan, 0.5, 0.49, 0.3, nan])
+    assert phase_labels(q0, qpi, 0.05).tolist() == \
+        ["boundary", "++", "-+", "boundary", "boundary"]
+    assert phase_labels(q0.reshape(5, 1), qpi.reshape(5, 1), 0.05).shape == (5, 1)
+
+
+def reference_cell(theta1, theta2, t):
+    """(Q0, Qpi, residual) of one clean cell through the scalar chain, or
+    None where its gauge is degenerate."""
+    system = ScatteringSystem.for_steps(theta1, theta2, t)
+    try:
+        pair = invariants(reflection_amplitudes(system, t))
+    except DegenerateGauge:
+        return None
+    return pair.q0, pair.qpi, pair.residual
+
+
+def cell_repr(q0, qpi, residual):
+    values = (float(q0), float(qpi), float(residual))
+    if any(math.isnan(v) for v in values):
+        assert all(math.isnan(v) for v in values)
+        return repr(None)
+    return repr(values)
+
+
+def test_array_pass_matches_the_scalar_invariants_bit_for_bit():
+    """Scans and phase diagrams read every cell in one array pass per
+    batch; each cell must equal the scalar `invariants` chain to the last
+    bit, NaN exactly where that chain raises DegenerateGauge."""
+    rng = np.random.default_rng(7)
+    pairs = rng.uniform(-2 * np.pi, 4 * np.pi, (150, 2))  # three batches
+    pairs[:6] = [(0.0, 0.0), (2 * np.pi, -2 * np.pi), (0.0, np.pi), (np.pi, np.pi),
+                 (0.0, 1.68 * np.pi), (0.3 * np.pi, 0.3 * np.pi)]
+    t = 13
+    want = [repr(reference_cell(th1, th2, t)) for th1, th2 in pairs]
+    assert want[:4] == [repr(None)] * 4 and want.count(repr(None)) == 4
+    assert [cell_repr(*row) for row in _scan_rows(pairs, t, map)] == want
+    scan = scan_line(LINE_FREE, t, pairs=pairs)
+    assert [repr(None if p.pair is None else (p.pair.q0, p.pair.qpi, p.pair.residual))
+            for p in scan.points] == want
+
+    pd = phase_diagram(resolution=8, t=12, tolerance=0.05)
+    c = pd.theta1
+    assert np.array_equal(c, pd.theta2)
+    # cells on theta1 = theta2 and on theta1 + theta2 = pi and 3 pi
+    assert c[2] + c[1] == pytest.approx(np.pi) and c[5] + c[6] == pytest.approx(3 * np.pi)
+    for i in range(8):
+        for j in range(8):
+            cell = (pd.q0[i, j], pd.qpi[i, j], pd.residual[i, j])
+            assert cell_repr(*cell) == repr(reference_cell(c[i], c[j], 12))
+            assert pd.labels[i, j] == reference_label(float(pd.q0[i, j]),
+                                                      float(pd.qpi[i, j]), 0.05)
+
+    # the labelling rule on every read cell plus exact zeros and thresholds
+    q0 = np.concatenate([pd.q0.ravel(), [p.pair.q0 if p.pair else np.nan
+                                         for p in scan.points],
+                         [0.0, -0.0, 0.45, -0.45, 0.45, 0.5]])
+    qpi = np.concatenate([pd.qpi.ravel(), [p.pair.qpi if p.pair else np.nan
+                                           for p in scan.points],
+                          [0.0, 0.0, -0.45, 0.45, 0.4499999999999999, -0.0]])
+    for tolerance in (0.05, 0.3, 0.5):
+        assert phase_labels(q0, qpi, tolerance).tolist() == \
+            [reference_label(a, b, tolerance) for a, b in zip(q0.tolist(), qpi.tolist())]
 
 
 def test_phase_diagram_structure():
