@@ -10,7 +10,7 @@ Optional keys take their defaults from `SCHEMA` alone, filled in by
 `resolve`, whose output is all that the runners and `estimate` read.
 `validate` also rejects keys the runner would ignore (`p` next to `p_grid`),
 an emulate mixing angle the read-out cannot use, and a config whose
-predicted cost exceeds `MAX_SITE_STEPS`.
+predicted cost exceeds `MAX_SITE_STEPS` or `MAX_CELLS`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import jsonschema
 from .apparatus import ALPHA_GUARD, within_guard
 from .dataio import IoFailure
 from .disorder import DEFAULT_P_GRID
-from .scattering import reflection_window
-from .walk import record_window
+from .scattering import reflection_site_steps, reflection_window
+from .walk import record_site_steps, record_window
 
 EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate",
                "mc-errorbars")
@@ -41,10 +41,12 @@ BLOCK_KEY = {
 }
 
 
-#: Largest predicted site-steps (walkers x window sites x steps, see
-#: `estimate`) that `validate`, and so `verify` and `run`, accept: tens
-#: of seconds of engine time on one core.
-MAX_SITE_STEPS = 10**9
+#: Largest predicted light-cone site-steps (`estimate`) that `validate`, and so
+#: `verify` and `run`, accept: tens of seconds on one core.  A cone holds half
+#: its window at large t, so this accepts the large runs 10**9 window ones did.
+MAX_SITE_STEPS = 5 * 10**8
+#: Most cells of a phase diagram: about 1.3 GB of tables and SVG, whatever t is.
+MAX_CELLS = 1360**2
 
 
 class ConfigInvalid(ValueError):
@@ -274,8 +276,11 @@ def validate(cfg: dict) -> None:
     est = estimate(cfg)
     if est["site_steps"] > MAX_SITE_STEPS:
         raise ConfigInvalid(est["cost_field"],
-                            f"run would step {est['site_steps']} site-steps (walkers x "
-                            f"window x steps), more than MAX_SITE_STEPS = {MAX_SITE_STEPS}")
+                            f"run would step at least {est['site_steps']} light-cone "
+                            f"site-steps, more than MAX_SITE_STEPS = {MAX_SITE_STEPS}")
+    if kind == "phase-diagram" and est["simulations"] > MAX_CELLS:
+        raise ConfigInvalid("phase_diagram.resolution", f"run would tabulate "
+                            f"{est['simulations']} cells, more than MAX_CELLS = {MAX_CELLS}")
 
 
 def _fill(node: dict, schema: dict) -> None:
@@ -364,19 +369,22 @@ def estimate(cfg: dict) -> dict:
     "simulations" counts the walkers `run` steps through `walk.real_steps`
     (with a disorder `transition`, an upper bound: the bisection may stop
     early), "window_sites" is the widest window it steps them on, and
-    "site_steps" sums walkers x window x steps over the stages of the run.
+    "site_steps" sums walkers x the sites of the engine's `walk.cone` over the
+    stages, or x the cone's floor t * t // 4 where that is over MAX_SITE_STEPS.
     "cost_field" names the field that drives the cost: of the costliest
-    stage, its walker count or, where window x steps is larger, its steps.
+    stage, its walker count or, where a walker's site-steps are more, its steps.
     """
     cfg = resolve(cfg)
     kind = cfg["experiment"]
-    window = record_window if kind in ("edge", "emulate", "mc-errorbars") \
-        else reflection_window
+    window, per_walker = (record_window, record_site_steps) if kind in (
+        "edge", "emulate", "mc-errorbars") else (reflection_window, reflection_site_steps)
     stages = _stages(cfg)
-    cost = [walkers * window(steps) * steps for walkers, steps, _, _ in stages]
-    walkers, steps, walkers_field, steps_field = stages[cost.index(max(cost))]
+    per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else per_walker(t)
+           for w, t, _, _ in stages]
+    cost = [stage[0] * sites for stage, sites in zip(stages, per)]
+    i = cost.index(max(cost))
+    walkers, _, walkers_field, steps_field = stages[i]
     return {"simulations": sum(stage[0] for stage in stages),
             "window_sites": window(max(stage[1] for stage in stages)),
             "site_steps": sum(cost),
-            "cost_field": walkers_field if walkers >= window(steps) * steps
-            else steps_field}
+            "cost_field": walkers_field if walkers >= per[i] else steps_field}

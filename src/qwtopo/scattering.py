@@ -19,8 +19,8 @@ of rho_j and needs no per-series gauge.  Under it a clean sample with
 first coin identity and second coin angle 1.68*pi comes out at
 Q0 = +1/2 and the reference sample with second coin angle 0.52*pi at
 Q0 = -1/2.  The same real structure lets `reflection_rows` step whole
-batches of systems on the real engine `walk.real_steps`, and the
-read-out site bounds its window: amplitude left of x = -2 never
+batches of systems on the real engine `walk.real_steps`, on the sites
+that can still reach the read-out x = -2: amplitude left of it never
 returns, so the window starts there.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinField, SplitStepProtocol, batches, place_angles, real_steps
+from .walk import CoinField, SplitStepProtocol, batches, cone, place_angles, real_steps
 
 #: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
@@ -39,6 +39,8 @@ CANONICAL_ROTATION = -1j
 DEGENERATE_TOL = 1e-6
 
 _TWO_PI = 2.0 * np.pi
+
+_PROBE, _READOUT = 1, 0  # window columns of |-1, H> and the read-out (-2, V)
 
 
 class DegenerateGauge(ValueError):
@@ -133,6 +135,11 @@ def reflection_window(t: int) -> int:
     return t // 2 + 3
 
 
+def reflection_site_steps(t: int) -> int:
+    """Sites one `sample_rows` walker updates: min(j + 2, t - j + 1) at step j."""
+    return cone(_PROBE, _PROBE, reflection_window(t), t, _READOUT)[2]
+
+
 def reflection_rows(systems: list[ScatteringSystem], t: int) -> np.ndarray:
     """`sample_rows` of a list of systems, each padded with identity
     coins to the largest sample."""
@@ -149,24 +156,24 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     of the (B, m) arrays theta1 and theta2, with
     r_j = i rho_j = <-2,V| U^j |-1,H>.
 
-    The batch runs `real_steps` on positions [-2, t // 2] whatever the
+    The batch runs `real_steps` on the window [-2, t // 2] whatever the
     sample size, which is exact.  Nothing left of the read-out site comes
     back: the lead coins are the identity, so V amplitude there only moves
     further left and H amplitude there is zero.  On the right, cutting the
     window after site x first alters V at x after step x + 2, when the
     probe's front arrives, and the error needs x + 2 more steps to reach
-    the read-out, which is past step t for x = t // 2.
+    the read-out, which is past step t for x = t // 2.  Step j updates
+    only sites the probe reached that can still reach x = -2 by step t.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     n = reflection_window(t)
-    th1 = place_angles(0, theta1, -2, n)
-    th2 = place_angles(0, theta2, -2, n)
+    th1, th2 = (place_angles(0, theta, -2, n) for theta in (theta1, theta2))
     a = np.zeros_like(th1)
-    a[:, 1] = 1.0  # |x=-1, H>
-    rho = np.empty((a.shape[0], t))
-    for j, (_, b) in enumerate(real_steps(th1, th2, a, np.zeros_like(a), t)):
-        rho[:, j] = b[:, 0]
+    a[_PROBE] = 1.0
+    rho = np.empty((a.shape[1], t))
+    for j, (_, _, b) in enumerate(real_steps(th1, th2, a, np.zeros_like(a), t, _READOUT)):
+        rho[:, j] = b[0]  # each step's cone starts at the read-out column
     return rho
 
 

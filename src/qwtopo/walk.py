@@ -14,9 +14,10 @@ push amplitude past the window edge grows the window first.
 single-state API and the reference for `real_steps`, the batched engine
 every study runs on.  The engine needs real coin angles: exp(-i sigma_x
 theta) then maps H = a, V = i b with real a and b to the same form, so
-two real (walkers, sites) arrays carry a batch exactly, up to a global
-phase that covers both |x, H> and |x, V> launches.  `record` keeps every
-step of a batch on the window `evolve` would end on.
+two real (sites, walkers) arrays carry a batch exactly, up to a global
+phase that covers both |x, H> and |x, V> launches.  Each step updates
+only its light cone (`cone`), a contiguous block of rows, in reused
+buffers.  `record` keeps every step on the window `evolve` would end on.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class CoinField:
 
     def window_angles(self, x_min: int, sites: int) -> np.ndarray:
         """Per-position angles for a window of given extent (zero outside)."""
-        return place_angles(self.start, self.thetas[None], x_min, sites)[0]
+        return place_angles(self.start, self.thetas[None], x_min, sites)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,30 +269,60 @@ def batches(items) -> list:
     return [items[i:i + BATCH] for i in range(0, len(items), BATCH)]
 
 
-def real_steps(th1: np.ndarray, th2: np.ndarray, a: np.ndarray, b: np.ndarray,
-               steps: int):
-    """Yield (a, b) after each of `steps` split steps of a walker batch.
+def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
+    """(first, last, total): the rows `real_steps` updates at steps j = 1 .. steps
+    from rows [lo, hi], their light cone cut to the window and, for a caller reading
+    only row `read`, to read +- (steps - j); total counts them all, per walker."""
+    j = np.arange(1, steps + 1)
+    first, last = np.maximum(lo - j, 0), np.minimum(hi + j, sites - 1)
+    if read is not None:
+        first, last = np.maximum(first, read - steps + j), np.minimum(last, read + steps - j)
+    return first, last, int(np.sum(last - first + 1))
 
-    All arrays have shape (B, n): row k is walker k, column i position
-    x_min + i of a window shared by the batch, with per-site coin angles
-    th1 and th2.  The state is H = a, V = i b, and each step gives the
-    amplitudes of `split_step` bit for bit.  Amplitude shifted past the
-    window edges is dropped, so the window must contain whatever the
-    caller reads.  Coin 1 is skipped when it is the identity on the whole
-    batch.  The inputs are never modified; every yielded pair is new.
+
+def real_steps(th1: np.ndarray, th2: np.ndarray, a: np.ndarray, b: np.ndarray,
+               steps: int, read: int | None = None):
+    """Yield (lo, a, b) after each of `steps` split steps of a walker batch.
+
+    All arrays have shape (n, B): row i is position x_min + i of a window
+    shared by the batch, column k walker k, with per-site coin angles th1
+    and th2.  The state is H = a, V = i b, and each step gives the
+    amplitudes of `split_step` bit for bit, up to the sign of exact zeros.
+    Amplitude shifted past the window edges is dropped, so the window must
+    contain whatever the caller reads.  Coin 1 is skipped when it is the
+    identity on the whole batch.  The inputs are never modified.  A step
+    updates only the rows of its `cone`, from the initial state's nonzero
+    rows, cut to those that can still reach row `read` if the caller reads
+    only that row.  The yielded a and b are those rows, from row lo on:
+    views of buffers that the next step overwrites.
     """
-    c1, s1, c2, s2 = np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2)
+    live = np.flatnonzero(a.any(1) | b.any(1))
+    first, last, _ = cone(live.min(initial=len(a)), live.max(initial=-1), len(a), steps, read)
+    # a zero guard row on each side, with identity coins, stands for outside
+    buf = np.zeros((7, len(a) + 2, a.shape[1]))
+    buf[0, 1:-1], buf[1, 1:-1], buf[2, 1:-1], buf[3, 1:-1] = th1, th2, a, b
+    (c1, c2), (s1, s2) = np.cos(buf[:2]), np.sin(buf[:2])
+    a, b, a2, b2, tmp = buf[2:]
     coin1 = bool(np.any(th1))
-    for _ in range(steps):
-        if coin1:
-            a, b = c1 * a + s1 * b, c1 * b - s1 * a
-        h = np.zeros_like(a)
-        h[:, 1:] = a[:, :-1]
-        a, b = c2 * h + s2 * b, c2 * b - s2 * h
-        v = np.zeros_like(b)
-        v[:, :-1] = b[:, 1:]
-        b = v
-        yield a, b
+    for lo, hi in zip(first.tolist(), last.tolist()):
+        p, q = lo + 1, hi + 2  # the rows [lo, hi] of the buffers
+        if coin1:  # on the rows coin 2 reads
+            r = slice(p - 1, q + 1)
+            _mix(c1[r], a[r], s1[r], b[r], a2[r], tmp[r])
+            _mix(c1[r], b[r], s1[r], a[r], b2[r], tmp[r], np.subtract)
+            a, a2, b, b2 = a2, a, b2, b
+        # coin 2 between the shifts: H comes from row i - 1, V goes to i - 1
+        o, right = slice(p, q), slice(p + 1, q + 1)
+        _mix(c2[o], a[p - 1:q - 1], s2[o], b[o], a2[o], tmp[o])
+        _mix(c2[right], b[right], s2[right], a[o], b2[o], tmp[o], np.subtract)
+        a, a2, b, b2 = a2, a, b2, b
+        yield lo, a[o], b[o]
+
+
+def _mix(c, x, s, y, out, tmp, op=np.add):
+    """out = op(c x, s y), through the buffer tmp."""
+    np.multiply(c, x, out=out)
+    op(out, np.multiply(s, y, out=tmp), out=out)
 
 
 def record_window(steps: int) -> int:
@@ -299,14 +330,19 @@ def record_window(steps: int) -> int:
     return 2 * (steps + _GROW) + 1
 
 
+def record_site_steps(steps: int) -> int:
+    """Sites one walker's `record` updates: its cone, 2j + 1 at step j."""
+    return cone(steps + _GROW, steps + _GROW, record_window(steps), steps)[2]
+
+
 def place_angles(start: int, thetas: np.ndarray, x_min: int, sites: int) -> np.ndarray:
-    """The (B, m) angles `thetas` of positions [start, start + m) on the
-    window [x_min, x_min + sites), zero outside."""
-    out = np.zeros((thetas.shape[0], sites))
+    """The (sites, B) window [x_min, x_min + sites) of the (B, m) angles
+    `thetas` of positions [start, start + m), zero outside."""
+    out = np.zeros((sites, thetas.shape[0]))
     lo = max(start, x_min)
     hi = min(start + thetas.shape[1], x_min + sites)
     if hi > lo:
-        out[:, lo - x_min:hi - x_min] = thetas[:, lo - start:hi - start]
+        out[lo - x_min:hi - x_min] = thetas[:, lo - start:hi - start].T
     return out
 
 
@@ -324,25 +360,23 @@ def record(start: int, theta1: np.ndarray, theta2: np.ndarray, x0: int, coin: in
     right edge hi grew iff H now sits at hi + 1 or V sits at hi, the left
     edge lo iff V sits at lo - 1.  An edge grows only once the front,
     moving one site per step, has reached it, so no edge passes
-    x0 +- (steps + _GROW - 1) and the batch runs `real_steps` on
-    x0 +- (steps + _GROW).
+    x0 +- (steps + _GROW - 1).  a and b are views of one (steps + 1, sites,
+    B) history on x0 +- (steps + _GROW) that `real_steps` fills on its cone.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     reach = steps + _GROW
     x_min, n = x0 - reach, record_window(steps)
-    th1 = place_angles(start, theta1, x_min, n)
-    th2 = place_angles(start, theta2, x_min, n)
-    walkers = th1.shape[0]
-    hist = np.zeros((2, walkers, steps + 1, n))
-    hist[coin, :, 0, reach] = 1.0
-    rows = np.arange(walkers)
-    lo = np.full(walkers, x0 - 1 - x_min)  # window edges as columns
+    th1, th2 = (place_angles(start, theta, x_min, n) for theta in (theta1, theta2))
+    walkers = th1.shape[1]
+    h, v = np.zeros((2, steps + 1, n, walkers))
+    (h, v)[coin][0, reach] = 1.0
+    cols = np.arange(walkers)
+    lo = np.full(walkers, x0 - 1 - x_min)  # window edges as rows
     hi = np.full(walkers, x0 + 1 - x_min)
-    walk = real_steps(th1, th2, hist[0, :, 0], hist[1, :, 0], steps)
-    for j, (a, b) in enumerate(walk, 1):
-        hist[0, :, j], hist[1, :, j] = a, b
-        hi += _GROW * ((a[rows, hi + 1] != 0) | (b[rows, hi] != 0))
-        lo -= _GROW * (b[rows, lo - 1] != 0)
-    return [(x_min + i, hist[0, k, :, i:e + 1], hist[1, k, :, i:e + 1])
+    for j, (i, a, b) in enumerate(real_steps(th1, th2, h[0], v[0], steps), 1):
+        h[j, i:i + len(a)], v[j, i:i + len(b)] = a, b
+        hi += _GROW * ((h[j, hi + 1, cols] != 0) | (v[j, hi, cols] != 0))
+        lo -= _GROW * (v[j, lo - 1, cols] != 0)
+    return [(x_min + i, h[:, i:e + 1, k], v[:, i:e + 1, k])
             for k, (i, e) in enumerate(zip(lo.tolist(), hi.tolist()))]

@@ -2,7 +2,8 @@
 
 `config.estimate` is what `qwtopo verify` prints; here every shipped
 config is run with the engine's `real_steps` counted, so the printed
-walker count, window and site-steps are the ones the engine really steps.
+walker count, window and site-steps are the ones the engine really steps:
+the site-steps are the sites each yielded step updated.
 """
 
 import copy
@@ -84,11 +85,12 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     rows, widths, site_steps = [], [], []
 
     def counting(real_steps):
-        def counted(th1, th2, a, b, steps):
-            rows.append(a.shape[0])
-            widths.append(a.shape[1])
-            site_steps.append(a.size * steps)
-            return real_steps(th1, th2, a, b, steps)
+        def counted(th1, th2, a, b, steps, read=None):
+            widths.append(a.shape[0])
+            rows.append(a.shape[1])
+            for lo, h, v in real_steps(th1, th2, a, b, steps, read):
+                site_steps.append(h.size)  # the sites this step updated
+                yield lo, h, v
         return counted
 
     for module in (qwtopo.walk, qwtopo.scattering):
@@ -140,12 +142,7 @@ OVERSIZED = {
 }
 
 
-@pytest.mark.parametrize("command", ["verify", "run"])
-@pytest.mark.parametrize("field", sorted(OVERSIZED))
-def test_configs_over_the_site_step_budget_exit_with_code_two(tmp_path, capsys,
-                                                              command, field):
-    cfg = OVERSIZED[field]
-    assert cfgmod.estimate(cfg)["site_steps"] > cfgmod.MAX_SITE_STEPS
+def _rejected(tmp_path, capsys, command, cfg, field, bound):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     argv = [command, "--config", str(path)]
@@ -155,6 +152,61 @@ def test_configs_over_the_site_step_budget_exit_with_code_two(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert f"ConfigInvalid at field path {field}: " in captured.err
-    assert "MAX_SITE_STEPS" in captured.err
+    assert bound in captured.err
     assert "is valid" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("field", sorted(OVERSIZED))
+def test_configs_over_the_site_step_budget_exit_with_code_two(tmp_path, capsys,
+                                                              command, field):
+    cfg = OVERSIZED[field]
+    assert cfgmod.estimate(cfg)["site_steps"] > cfgmod.MAX_SITE_STEPS
+    _rejected(tmp_path, capsys, command, cfg, field, "MAX_SITE_STEPS")
+
+
+#: Steps enough that the cone arrays alone would need gigabytes.
+HUGE_T = {
+    "emulate.t": {"experiment": "emulate",
+                  "emulate": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": 10**9}},
+    "disorder.transition.t": {
+        "experiment": "disorder",
+        "disorder": {"theta_a_pi": 0.63, "theta_b_pi": 1.26, "t": 11,
+                     "transition": {"t": 10**9}}},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("field", sorted(HUGE_T))
+def test_an_oversized_t_exits_with_code_two_without_building_its_cone(
+        tmp_path, capsys, monkeypatch, command, field):
+    """The guard refuses on the floor t * t // 4 of a walker's cone, in O(1),
+    and builds no `walk.cone` of the oversized t."""
+    cone = qwtopo.walk.cone
+
+    def small_cone(lo, hi, sites, steps, read=None):
+        assert steps <= 10**5, f"the cost guard built a cone of {steps} steps"
+        return cone(lo, hi, sites, steps, read)
+
+    for module in (qwtopo.walk, qwtopo.scattering):
+        monkeypatch.setattr(module, "cone", small_cone)
+    _rejected(tmp_path, capsys, command, HUGE_T[field], field, "MAX_SITE_STEPS")
+
+
+#: Inside the site-step budget, but its tables and SVG would need some 230 GB.
+TOO_MANY_CELLS = {"experiment": "phase-diagram",
+                  "phase_diagram": {"resolution": 18257, "t": 1}}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_phase_diagram_over_the_cell_cap_exits_with_code_two(tmp_path, capsys, command):
+    assert cfgmod.estimate(TOO_MANY_CELLS)["site_steps"] <= cfgmod.MAX_SITE_STEPS
+    _rejected(tmp_path, capsys, command, TOO_MANY_CELLS, "phase_diagram.resolution",
+              "MAX_CELLS")
+
+
+def test_the_largest_phase_diagram_at_t_30_is_valid():
+    cfg = {"experiment": "phase-diagram", "phase_diagram": {"resolution": 1360, "t": 30}}
+    cfgmod.validate(cfg)
+    assert cfgmod.estimate(cfg)["simulations"] == cfgmod.MAX_CELLS

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from qwtopo.scattering import ScatteringSystem, reflection_rows
+import qwtopo.scattering
+import qwtopo.walk
+from qwtopo.scattering import (ScatteringSystem, reflection_rows, reflection_site_steps,
+                               sample_rows)
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
                          apply_shift_symmetric, coin_matrix,
-                         double_step_equivalent, evolve, record, split_step)
+                         double_step_equivalent, evolve, record, record_site_steps,
+                         split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
 
@@ -301,3 +305,128 @@ def test_reflection_row_does_not_depend_on_its_batch():
     batched = reflection_rows(systems, t)
     for system, row in zip(systems, batched):
         assert np.array_equal(reflection_rows([system], t)[0], row)
+
+
+# --- the light-cone engine against a full-window one -----------------------------
+
+def full_window_steps(th1, th2, a, b, steps):
+    """Reference engine: (walkers, sites) arrays, every site of the window
+    stepped, fresh arrays every step."""
+    c1, s1, c2, s2 = np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2)
+    coin1 = bool(np.any(th1))
+    for _ in range(steps):
+        if coin1:
+            a, b = c1 * a + s1 * b, c1 * b - s1 * a
+        h = np.zeros_like(a)
+        h[:, 1:] = a[:, :-1]
+        a, b = c2 * h + s2 * b, c2 * b - s2 * h
+        v = np.zeros_like(b)
+        v[:, :-1] = b[:, 1:]
+        b = v
+        yield a, b
+
+
+def on_window(start, thetas, x_min, sites):
+    """(walkers, sites) angles on [x_min, x_min + sites) of the (walkers, m)
+    angles of positions [start, start + m), zero outside."""
+    out = np.zeros((thetas.shape[0], sites))
+    for i in range(sites):
+        if 0 <= x_min + i - start < thetas.shape[1]:
+            out[:, i] = thetas[:, x_min + i - start]
+    return out
+
+
+def random_angles(rng, walkers, sites, identity):
+    if identity:
+        return np.zeros((walkers, sites))
+    return np.array([random_field(rng, 0, sites).thetas for _ in range(walkers)])
+
+
+CONE_STEPS = (0, 1, 2, 3, 4, 5, 30, 201)
+CONE_WALKERS = (1, 7, 64, 65)
+
+
+@pytest.mark.parametrize("t", CONE_STEPS)
+def test_sample_rows_equal_full_window_rows(t):
+    """Bit for bit, with coin 1 the identity (skipped) or random, samples
+    shorter and longer than the window.  Trimming can flip the sign of an
+    exact zero in rho, which reaches no output: array_equal counts -0.0 and
+    0.0 as equal."""
+    rng = np.random.default_rng(t)
+    n = t // 2 + 3
+    for walkers in CONE_WALKERS:
+        for identity in (True, False):
+            m = int(rng.integers(1, t + 4))
+            theta1 = random_angles(rng, walkers, m, identity)
+            theta2 = random_angles(rng, walkers, m, False)
+            th1, th2 = on_window(0, theta1, -2, n), on_window(0, theta2, -2, n)
+            a = np.zeros((walkers, n))
+            a[:, 1] = 1.0
+            expected = np.zeros((walkers, t))
+            steps = full_window_steps(th1, th2, a, np.zeros_like(a), t)
+            for j, (_, b) in enumerate(steps):
+                expected[:, j] = b[:, 0]
+            assert np.array_equal(sample_rows(theta1, theta2, t), expected)
+
+
+@pytest.mark.parametrize("t", CONE_STEPS)
+def test_record_equals_full_window_history(t):
+    """Every step of every walker on its window, bit for bit, from both
+    launch coins, with coin 1 the identity or random; the full window is
+    zero outside each walker's window.  Signs of exact zeros may differ.
+    At t = 201 each batch size runs one of the four coin cases."""
+    rng = np.random.default_rng(100 + t)
+    reach = t + 16
+    cases = [(identity, coin) for identity in (True, False) for coin in (H, V)]
+    for b_index, walkers in enumerate(CONE_WALKERS):
+        for identity, coin in cases if t <= 30 else cases[b_index:b_index + 1]:
+            x0 = int(rng.integers(-3, 4))
+            start = x0 - int(rng.integers(0, t + 3))
+            m = int(rng.integers(1, 2 * t + 6))
+            theta1 = random_angles(rng, walkers, m, identity)
+            theta2 = random_angles(rng, walkers, m, False)
+            runs = record(start, theta1, theta2, x0, coin, t)
+            n = 2 * reach + 1
+            th1 = on_window(start, theta1, x0 - reach, n)
+            th2 = on_window(start, theta2, x0 - reach, n)
+            a = np.zeros((walkers, n))
+            b = np.zeros((walkers, n))
+            (a, b)[coin][:, reach] = 1.0
+            windows = {}  # walkers by window: (first column, width)
+            for k, (x_min, h, _) in enumerate(runs):
+                windows.setdefault((x_min - x0 + reach, h.shape[1]), []).append(k)
+            steps = full_window_steps(th1, th2, a, b, t)
+            for j, (a, b) in enumerate([(a, b), *steps]):
+                for (i, w), ks in windows.items():
+                    for full, part in ((a, 1), (b, 2)):
+                        assert np.array_equal([runs[k][part][j] for k in ks],
+                                              full[ks, i:i + w])
+                        assert not full[ks, :i].any() and not full[ks, i + w:].any()
+
+
+def _counting(real_steps, counted):
+    def counted_steps(th1, th2, a, b, steps, read=None):
+        for lo, h, v in real_steps(th1, th2, a, b, steps, read):
+            counted.append(h.size)  # the sites this step updated, times walkers
+            yield lo, h, v
+    return counted_steps
+
+
+@pytest.mark.parametrize("walkers", (1, 64))
+def test_reflection_runs_step_only_their_light_cone(monkeypatch, walkers):
+    """At t = 201 step j updates min(j + 2, 202 - j) of the 103 window
+    sites: 10 401 site-steps per walker, where the whole window is 20 703.
+    Record steps its forward cone, 2j + 1 sites at step j."""
+    counted = []
+    monkeypatch.setattr(qwtopo.scattering, "real_steps",
+                        _counting(qwtopo.scattering.real_steps, counted))
+    rng = np.random.default_rng(11)
+    sample_rows(np.zeros((walkers, 203)), rng.uniform(0, 2 * np.pi, (walkers, 203)), 201)
+    assert len(counted) == 201
+    assert sum(counted) == walkers * 10401 == walkers * reflection_site_steps(201)
+
+    counted.clear()
+    monkeypatch.setattr(qwtopo.walk, "real_steps", _counting(qwtopo.walk.real_steps, counted))
+    theta = rng.uniform(0, 2 * np.pi, (walkers, 13))
+    record(0, theta, theta, -1, H, 11)
+    assert sum(counted) == walkers * 11 * 13 == walkers * record_site_steps(11)
