@@ -37,7 +37,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .walk import H, batches, record
+from .walk import H, batches, held, record, record_window
 from .scattering import (
     InvariantPair,
     ReflectionSeries,
@@ -461,7 +461,7 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
     params = ranges.draw(np.random.default_rng(seed), n_sets)
     tasks = [(system, data.t, data.distributions, horizon, data.alpha, block)
-             for block in batches(params)]
+             for block in batches(params, held(record_window(data.t), data.t, history=True))]
     distances, q0s, qps = np.concatenate(list(mapper(_mc_batch, tasks))).T
     best = int(np.argmin(distances))
     ok = ~np.isnan(q0s)

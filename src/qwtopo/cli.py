@@ -79,6 +79,8 @@ def _cmd_verify(args) -> int:
     print(f"estimated simulations: {est['simulations']}")
     print(f"estimated window: {est['window_sites']} sites")
     print(f"estimated site-steps: {est['site_steps']}")
+    print("estimated walkers per batch: "
+          + ", ".join(f"{walkers} at {field}" for field, walkers in est["batch_walkers"]))
     for note in config.config_warnings(cfg):
         print(f"warning: {note}")
     return 0

@@ -10,7 +10,7 @@ Optional keys take their defaults from `SCHEMA` alone, filled in by
 `resolve`, whose output is all that the runners and `estimate` read.
 `validate` also rejects keys the runner would ignore (`p` next to `p_grid`),
 an emulate mixing angle the read-out cannot use, and a config whose
-predicted cost exceeds `MAX_SITE_STEPS` or `MAX_CELLS`.
+predicted cost exceeds `MAX_SITE_STEPS`, `MAX_HELD` or `MAX_CELLS`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .apparatus import ALPHA_GUARD, within_guard
 from .dataio import IoFailure
 from .disorder import DEFAULT_P_GRID
 from .scattering import reflection_site_steps, reflection_window
-from .walk import record_site_steps, record_window
+from .walk import batch_walkers, held, record_site_steps, record_window
 
 EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate",
                "mc-errorbars")
@@ -45,6 +45,9 @@ BLOCK_KEY = {
 #: `verify` and `run`, accept: tens of seconds on one core.  A cone holds half
 #: its window at large t, so this accepts the large runs 10**9 window ones did.
 MAX_SITE_STEPS = 5 * 10**8
+#: Most float64 elements one walker may hold in the engine (`walk.held`), 1 GiB:
+#: `walk.record`'s history grows as t * t, so an emulation stops at t = 5 780.
+MAX_HELD = 2**27
 #: Most cells of a phase diagram: about 1.3 GB of tables and SVG, whatever t is.
 MAX_CELLS = 1360**2
 
@@ -278,6 +281,9 @@ def validate(cfg: dict) -> None:
         raise ConfigInvalid(est["cost_field"],
                             f"run would step at least {est['site_steps']} light-cone "
                             f"site-steps, more than MAX_SITE_STEPS = {MAX_SITE_STEPS}")
+    if est["held"] > MAX_HELD:
+        raise ConfigInvalid(est["held_field"], f"one walker would hold {est['held']} "
+                            f"float64 elements, more than MAX_HELD = {MAX_HELD}")
     if kind == "phase-diagram" and est["simulations"] > MAX_CELLS:
         raise ConfigInvalid("phase_diagram.resolution", f"run would tabulate "
                             f"{est['simulations']} cells, more than MAX_CELLS = {MAX_CELLS}")
@@ -332,9 +338,10 @@ def config_warnings(cfg: dict) -> list[str]:
     return out
 
 
-def _stages(cfg: dict) -> list[tuple[int, int, str, str]]:
-    """(walkers, steps, walkers field, steps field) of each stepping stage
-    of a resolved config; the fields are dotted paths."""
+def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
+    """(walkers, steps, walkers field, steps field, group) of each stepping
+    stage of a resolved config: the fields are dotted paths, and group is
+    the most walkers that one `walk.batches` call splits."""
     kind = cfg["experiment"]
     key = BLOCK_KEY[kind]
     block = cfg[key]
@@ -343,24 +350,28 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str]]:
         free = block["parametrization"] == "free"
         field, sims = ("pairs_pi", len(block["pairs_pi"])) if free \
             else ("count", block["count"])
+        group = sims
     elif kind == "phase-diagram":
         field, sims = "resolution", block["resolution"] ** 2
-    elif kind == "disorder":
-        field, sims = "n_configs", len(block["p_grid"]) * block["n_configs"]
+        group = sims
+    elif kind == "disorder":  # batches of one p
+        field, group = "n_configs", block["n_configs"]
+        sims = len(block["p_grid"]) * group
         tr = block.get("transition")
         if tr is not None:  # an upper bound: the bisection may stop early
             probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
-            extra.append((probes * tr["n_configs"], tr["t"],
-                          f"{key}.transition.n_configs", f"{key}.transition.t"))
+            extra.append((probes * tr["n_configs"], tr["t"], f"{key}.transition.n_configs",
+                          f"{key}.transition.t", tr["n_configs"]))
     elif kind == "edge":  # one walker at p = 0 and 1, plus the intensity map
         n = block["n_configs"]
         field = "n_configs"
-        sims = sum(1 if p in (0.0, 1.0) else n for p in block["p_grid"]) + 1
+        counts = [1 if p in (0.0, 1.0) else n for p in block["p_grid"]]
+        sims, group = sum(counts) + 1, max(counts)
     elif kind == "emulate":  # one walker: its steps are all of its cost
-        field, sims = "t", 1
+        field, sims, group = "t", 1, 1
     else:  # one walker per apparatus model, plus the emulated data
-        field, sims = "n_sets", block["n_sets"] + 1
-    return [(sims, block["t"], f"{key}.{field}", f"{key}.t")] + extra
+        field, sims, group = "n_sets", block["n_sets"] + 1, block["n_sets"]
+    return [(sims, block["t"], f"{key}.{field}", f"{key}.t", group)] + extra
 
 
 def estimate(cfg: dict) -> dict:
@@ -373,18 +384,28 @@ def estimate(cfg: dict) -> dict:
     stages, or x the cone's floor t * t // 4 where that is over MAX_SITE_STEPS.
     "cost_field" names the field that drives the cost: of the costliest
     stage, its walker count or, where a walker's site-steps are more, its steps.
+    "batch_walkers" pairs each stage's steps field with the walkers of its
+    widest `walk.batches` batch, and "held" is the most float64 elements
+    (`walk.held`) one walker holds, in the stage whose steps field is "held_field".
     """
     cfg = resolve(cfg)
     kind = cfg["experiment"]
-    window, per_walker = (record_window, record_site_steps) if kind in (
-        "edge", "emulate", "mc-errorbars") else (reflection_window, reflection_site_steps)
+    history = kind in ("edge", "emulate", "mc-errorbars")
+    window, per_walker = (record_window, record_site_steps) if history \
+        else (reflection_window, reflection_site_steps)
     stages = _stages(cfg)
     per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else per_walker(t)
-           for w, t, _, _ in stages]
+           for w, t, *_ in stages]
     cost = [stage[0] * sites for stage, sites in zip(stages, per)]
     i = cost.index(max(cost))
-    walkers, _, walkers_field, steps_field = stages[i]
+    walkers, _, walkers_field, steps_field, _ = stages[i]
+    holds = [held(window(t), t, history) for _, t, *_ in stages]
+    j = holds.index(max(holds))
     return {"simulations": sum(stage[0] for stage in stages),
             "window_sites": window(max(stage[1] for stage in stages)),
             "site_steps": sum(cost),
-            "cost_field": walkers_field if walkers >= per[i] else steps_field}
+            "cost_field": walkers_field if walkers >= per[i] else steps_field,
+            "batch_walkers": [(field, batch_walkers(group, h))
+                              for (_, _, _, field, group), h in zip(stages, holds)],
+            "held": holds[j],
+            "held_field": stages[j][3]}

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .walk import CoinField, batches
+from .walk import CoinField, batches, held
 from .scattering import (
     ScatteringSystem,
     reflection_rows,
@@ -167,7 +167,7 @@ def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:
 def _ensemble_r0(spec: DisorderSpec, t: int, mapper, uniforms: np.ndarray) -> EnsembleResult:
     """`ensemble_r0` thresholding `uniforms`, which is `ensemble_uniforms`
     of the same seed, configurations and t at any p."""
-    tasks = [(spec, block, t) for block in batches(uniforms)]
+    tasks = [(spec, block, t) for block in batches(uniforms, held(reflection_window(t), t))]
     values = np.concatenate(list(mapper(_ensemble_batch, tasks)))
     return EnsembleResult(spec.p, values, t)
 

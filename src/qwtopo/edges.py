@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .walk import V, batches, record
+from .walk import V, batches, held, record, record_window
 from .disorder import (DEFAULT_P_GRID, DisorderSpec, EnsembleResult, config_uniforms,
                        pattern_angles)
 
@@ -57,11 +57,14 @@ class InterfaceSystem:
         return cls(theta_left,
                    DisorderSpec.for_steps(theta_a, theta_b, p, t, seed, n_configs))
 
-    def field2_angles(self, configs, extent: int) -> np.ndarray:
-        """Second coin angles on [-extent, right sample end), one row per
-        configuration: theta_left on the left bulk, then the pattern."""
-        right = pattern_angles(self.right, config_uniforms(self.right, configs,
-                                                           self.right.sites))
+    def uniforms(self, configs) -> np.ndarray:
+        """The right sample's uniforms of the configurations, one row each."""
+        return config_uniforms(self.right, configs, self.right.sites)
+
+    def field2_angles(self, uniforms: np.ndarray, extent: int) -> np.ndarray:
+        """Second coin angles on [-extent, right sample end), one row per row
+        of `uniforms`: theta_left on the left bulk, then the pattern."""
+        right = pattern_angles(self.right, uniforms)
         left = np.full((right.shape[0], extent), self.theta_left % _TWO_PI)
         return np.concatenate([left, right], axis=1)
 
@@ -89,11 +92,12 @@ class LocalizationRecord:
         return self.p_loc_at(self.t)
 
 
-def _launch(system: InterfaceSystem, t: int, configs) -> list[LocalizationRecord]:
-    """Records of the launch state, one per configuration."""
+def _launch(system: InterfaceSystem, t: int, configs, uniforms) -> list[LocalizationRecord]:
+    """Records of the launch state, one per configuration, whose uniforms are
+    the rows of `uniforms`."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    th2 = system.field2_angles(configs, extent=t + 2)
+    th2 = system.field2_angles(uniforms, extent=t + 2)
     runs = record(-(t + 2), np.zeros_like(th2), th2, LAUNCH_SITE, LAUNCH_COIN, t)
     return [LocalizationRecord(a * a + b * b, x_min, t, k)
             for k, (x_min, a, b) in zip(configs, runs)]
@@ -101,7 +105,7 @@ def _launch(system: InterfaceSystem, t: int, configs) -> list[LocalizationRecord
 
 def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> LocalizationRecord:
     """Evolve the launch state and record every step's distribution."""
-    return _launch(system, t, [config])[0]
+    return _launch(system, t, [config], system.uniforms([config]))[0]
 
 
 def intensity_map_export(record: LocalizationRecord):
@@ -110,8 +114,8 @@ def intensity_map_export(record: LocalizationRecord):
 
 
 def _ploc_batch(task) -> list[float]:
-    system, t, configs = task
-    return [rec.p_loc for rec in _launch(system, t, configs)]
+    system, t, configs, uniforms = task
+    return [rec.p_loc for rec in _launch(system, t, configs, uniforms)]
 
 
 def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
@@ -120,14 +124,19 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     """Ensemble P_loc statistics per disorder strength.
 
     p = 0 and p = 1 are deterministic (every configuration identical),
-    so they are run as single configurations with zero variance.
+    so they are run as single configurations with zero variance.  The
+    uniforms are drawn once and thresholded at every p.
     """
+    uniforms = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, 0.0, t, seed,
+                                         n_configs).uniforms(range(n_configs))
+    per_walker = held(record_window(t), t, history=True)
     out = []
     for p in p_grid:
         n = 1 if p in (0.0, 1.0) else n_configs
         system = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, p, t,
                                            seed, n)
-        tasks = [(system, t, configs) for configs in batches(range(n))]
+        tasks = [(system, t, configs, uniforms[configs])
+                 for configs in batches(range(n), per_walker)]
         values = np.array(list(chain.from_iterable(mapper(_ploc_batch, tasks))))
         out.append(EnsembleResult(float(p), values, t))
     return out

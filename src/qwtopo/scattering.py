@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinField, SplitStepProtocol, batches, cone, place_angles, real_steps
+from .walk import (CoinField, SplitStepProtocol, batches, cone, held, place_angles,
+                   real_steps)
 
 #: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
@@ -343,7 +344,7 @@ def _scan_batch(task) -> np.ndarray:
 def _scan_rows(pairs: np.ndarray, t: int, mapper) -> np.ndarray:
     """`_scan_batch` rows of every (theta1, theta2) row of pairs, one task
     per batch."""
-    tasks = [(batch, t) for batch in batches(pairs)]
+    tasks = [(batch, t) for batch in batches(pairs, held(reflection_window(t), t))]
     return np.concatenate(list(mapper(_scan_batch, tasks)))
 
 

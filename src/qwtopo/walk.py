@@ -18,6 +18,8 @@ two real (sites, walkers) arrays carry a batch exactly, up to a global
 phase that covers both |x, H> and |x, V> launches.  Each step updates
 only its light cone (`cone`), a contiguous block of rows, in reused
 buffers.  `record` keeps every step on the window `evolve` would end on.
+A study splits its walkers into `batches` that each hold at most
+BATCH_BUDGET float64 elements, counted per walker by `held`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ V = 1
 _TWO_PI = 2.0 * np.pi
 _GROW = 16  # slots added when a shift reaches an occupied window edge
 
-#: Walkers per engine batch, the unit of work a worker pool maps over.
-BATCH = 64
+#: float64 elements (1.5 MiB) that one engine batch, the unit of work a worker pool
+#: maps over, may hold; a batch takes as many walkers as fit, one at least.
+BATCH_BUDGET = 3 * 2**16
 
 
 def coin_matrix(theta: float) -> np.ndarray:
@@ -264,9 +267,33 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
     return out
 
 
-def batches(items) -> list:
-    """Consecutive slices of at most BATCH items of a sequence, in order."""
-    return [items[i:i + BATCH] for i in range(0, len(items), BATCH)]
+def held(sites: int, steps: int, history: bool = False) -> int:
+    """float64 elements one walker holds while the engine steps it `steps` times
+    on a window of `sites`: the seven buffers and four cos/sin planes of
+    `real_steps`, the two angle planes, the rho row of its `steps` read-outs
+    and the H and V launch planes or, with `history`, the (steps + 1)-row H
+    and V history of `record` that starts with them."""
+    return 11 * (sites + 2) + 2 * sites + steps + 2 * sites * (steps + 1 if history else 1)
+
+
+def _batch_count(walkers: int, per_walker: int) -> int:
+    return -(-walkers // max(1, BATCH_BUDGET // per_walker))
+
+
+def batch_walkers(walkers: int, per_walker: int) -> int:
+    """Walkers in the widest of the `batches` of `walkers` walkers that each
+    hold `per_walker` elements (`held`)."""
+    count = _batch_count(walkers, per_walker)
+    return -(-walkers // count) if count else 0
+
+
+def batches(items, per_walker: int) -> list:
+    """Consecutive slices of a sequence of walkers that each hold `per_walker`
+    elements (`held`), in order: as few as keep every slice within
+    BATCH_BUDGET elements, or one walker where one alone exceeds it, of equal
+    sizes within one."""
+    n, count = len(items), _batch_count(len(items), per_walker)
+    return [items[n * i // count:n * (i + 1) // count] for i in range(count)]
 
 
 def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):

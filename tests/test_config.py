@@ -82,12 +82,13 @@ def test_resolve_maps_a_lone_p_to_a_grid_and_fills_nested_defaults():
 def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
                                                         capsys, name):
     path = os.path.join(CONFIG_DIR, name)
-    rows, widths, site_steps = [], [], []
+    rows, widths, site_steps, widest = [], [], [], {}
 
     def counting(real_steps):
         def counted(th1, th2, a, b, steps, read=None):
             widths.append(a.shape[0])
             rows.append(a.shape[1])
+            widest[steps] = max(widest.get(steps, 0), a.shape[1])
             for lo, h, v in real_steps(th1, th2, a, b, steps, read):
                 site_steps.append(h.size)  # the sites this step updated
                 yield lo, h, v
@@ -106,6 +107,10 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     assert f"estimated simulations: {est['simulations']}\n" in printed
     assert f"estimated window: {est['window_sites']} sites\n" in printed
     assert f"estimated site-steps: {est['site_steps']}\n" in printed
+    batch = {resolved_steps(cfg, field): walkers for field, walkers in est["batch_walkers"]}
+    assert "estimated walkers per batch: " + ", ".join(
+        f"{walkers} at {field}" for field, walkers in est["batch_walkers"]) + "\n" in printed
+    assert widest == batch  # the widest batch of each stage, keyed by its steps
     assert est["window_sites"] == max(widths)
     assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS
     if "transition" in cfg.get("disorder", {}):
@@ -116,6 +121,14 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
         assert sum(site_steps) == est["site_steps"]
     manifest = RunManifest.read(str(out / "manifest.json"))
     assert manifest.config_sha256 == config_hash(cfg)
+
+
+def resolved_steps(cfg, field):
+    """The value of a dotted steps field of a config, defaults filled in."""
+    node = cfgmod.resolve(cfg)
+    for key in field.split("."):
+        node = node[key]
+    return node
 
 
 def test_manifest_hashes_the_config_as_written(tmp_path):
@@ -210,3 +223,25 @@ def test_the_largest_phase_diagram_at_t_30_is_valid():
     cfg = {"experiment": "phase-diagram", "phase_diagram": {"resolution": 1360, "t": 30}}
     cfgmod.validate(cfg)
     assert cfgmod.estimate(cfg)["simulations"] == cfgmod.MAX_CELLS
+
+
+#: Inside the site-step budget, but `walk.record` would keep a 15.5 GB history.
+LONG_HISTORY = {"experiment": "emulate",
+                "emulate": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": 22000}}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_a_walker_over_the_held_cap_exits_with_code_two(tmp_path, capsys, command):
+    est = cfgmod.estimate(LONG_HISTORY)
+    assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS
+    assert est["held"] * 8 > 15 * 10**9 and est["held_field"] == "emulate.t"
+    _rejected(tmp_path, capsys, command, LONG_HISTORY, "emulate.t", "MAX_HELD")
+
+
+def test_the_longest_emulation_under_the_held_cap_is_valid():
+    t = 5780
+    cfg = {"experiment": "emulate", "emulate": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t}}
+    cfgmod.validate(cfg)
+    cfg["emulate"]["t"] = t + 1
+    with pytest.raises(cfgmod.ConfigInvalid, match="MAX_HELD"):
+        cfgmod.validate(cfg)

@@ -32,7 +32,8 @@ def test_launch_convention_is_pinned():
 
 
 def test_field_covers_both_bulks():
-    field = interface(0.0).field2_angles([0], extent=4)[0]  # x = -4 .. 14
+    system = interface(0.0)
+    field = system.field2_angles(system.uniforms([0]), extent=4)[0]  # x = -4 .. 14
     assert field[0] == pytest.approx(TH_L)
     assert field[3] == pytest.approx(TH_L)
     assert field[4] == pytest.approx(TH_A)

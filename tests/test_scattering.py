@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
+import qwtopo.walk
 from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE,
                                DegenerateGauge, InvariantPair, ReflectionSeries,
                                ScatteringSystem, invariants, phase_diagram,
                                phase_labels, reflection_amplitudes,
                                reflection_matrix_element, reflection_rows,
-                               scan_line, _scan_rows)
+                               reflection_window, scan_line, _scan_rows)
+from qwtopo.walk import batches, held
 
 from oracles import dense_invariants, dense_reflection
 
@@ -335,15 +337,17 @@ def cell_repr(q0, qpi, residual):
     return repr(values)
 
 
-def test_array_pass_matches_the_scalar_invariants_bit_for_bit():
+def test_array_pass_matches_the_scalar_invariants_bit_for_bit(monkeypatch):
     """Scans and phase diagrams read every cell in one array pass per
     batch; each cell must equal the scalar `invariants` chain to the last
     bit, NaN exactly where that chain raises DegenerateGauge."""
+    t = 13
+    monkeypatch.setattr(qwtopo.walk, "BATCH_BUDGET", 64 * held(reflection_window(t), t))
     rng = np.random.default_rng(7)
-    pairs = rng.uniform(-2 * np.pi, 4 * np.pi, (150, 2))  # three batches
+    pairs = rng.uniform(-2 * np.pi, 4 * np.pi, (150, 2))
+    assert len(batches(pairs, held(reflection_window(t), t))) == 3
     pairs[:6] = [(0.0, 0.0), (2 * np.pi, -2 * np.pi), (0.0, np.pi), (np.pi, np.pi),
                  (0.0, 1.68 * np.pi), (0.3 * np.pi, 0.3 * np.pi)]
-    t = 13
     want = [repr(reference_cell(th1, th2, t)) for th1, th2 in pairs]
     assert want[:4] == [repr(None)] * 4 and want.count(repr(None)) == 4
     assert [cell_repr(*row) for row in _scan_rows(pairs, t, map)] == want

@@ -9,7 +9,7 @@ from qwtopo.scattering import (ScatteringSystem, reflection_rows, reflection_sit
                                sample_rows)
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
-                         apply_shift_symmetric, coin_matrix,
+                         apply_shift_symmetric, batch_walkers, batches, coin_matrix,
                          double_step_equivalent, evolve, record, record_site_steps,
                          split_step)
 
@@ -430,3 +430,19 @@ def test_reflection_runs_step_only_their_light_cone(monkeypatch, walkers):
     theta = rng.uniform(0, 2 * np.pi, (walkers, 13))
     record(0, theta, theta, -1, H, 11)
     assert sum(counted) == walkers * 11 * 13 == walkers * record_site_steps(11)
+
+
+@pytest.mark.parametrize("budget", (1, 100, 3 * 2**16))
+@pytest.mark.parametrize("held", (1, 7, 100, 101, 3000))
+def test_batches_cover_the_walkers_in_order_within_the_budget(monkeypatch, budget, held):
+    monkeypatch.setattr(qwtopo.walk, "BATCH_BUDGET", budget)
+    for walkers in (0, 1, 2, 13, 64, 65, 200, 1001):
+        parts = batches(np.arange(walkers), held)
+        assert all(part.size for part in parts)
+        assert np.array_equal(np.concatenate([np.arange(0), *parts]), np.arange(walkers))
+        sizes = [part.size for part in parts]
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert max(sizes, default=0) == batch_walkers(walkers, held)
+        assert all(size * held <= budget or size == 1 for size in sizes)
+        if len(parts) > 1:  # one batch fewer would overflow the budget
+            assert -(-walkers // (len(parts) - 1)) * held > budget
