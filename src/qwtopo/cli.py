@@ -274,11 +274,16 @@ def _run_edge(cfg, seed, outdir, fmt, mapper):
                                        seed, n)
     record = run_interface(system, t, config=0)
     positions, matrix = intensity_map_export(record)
-    int_rows = [[step, int(positions[i]), matrix[step, i]]
-                for step in range(matrix.shape[0])
-                for i in range(matrix.shape[1])]
-    written += _table(outdir, "intensity", int_rows, fmt)
+    written += _table(outdir, "intensity", _intensity_rows(positions, matrix), fmt)
     return written
+
+
+def _intensity_rows(positions, matrix) -> list:
+    """(step, position, value) rows of a (steps, positions) matrix, step by
+    step, built from Python scalars as `_run_phase_diagram` builds its rows."""
+    steps, sites = matrix.shape
+    return list(zip(np.repeat(np.arange(steps), sites).tolist(),
+                    np.tile(positions, steps).tolist(), matrix.ravel().tolist()))
 
 
 def _radians(blk: dict) -> dict:
@@ -295,10 +300,7 @@ def _run_emulate(cfg, seed, outdir, fmt, mapper):
                                alpha=blk["alpha_pi"] * math.pi, mode=blk["mode"],
                                shots=blk["shots"], seed=seed)
     positions = data.x_min + np.arange(data.distributions.shape[1])
-    rows = [[step, int(positions[i]), data.distributions[step, i]]
-            for step in range(data.distributions.shape[0])
-            for i in range(data.distributions.shape[1])]
-    written = _table(outdir, "intensity", rows, fmt)
+    written = _table(outdir, "intensity", _intensity_rows(positions, data.distributions), fmt)
     pair = measured_invariants(data)
     written.append(_write_json(outdir, "emulate.json", {
         "q0": pair.q0, "qpi": pair.qpi, "residual": pair.residual,

@@ -8,9 +8,15 @@ magnitude 2 or more are accepted but flagged as mod-2 reductions by
 
 Optional keys take their defaults from `SCHEMA` alone, filled in by
 `resolve`, whose output is all that the runners and `estimate` read.
-`validate` also rejects keys the runner would ignore (`p` next to `p_grid`),
-an emulate mixing angle the read-out cannot use, and a config whose
-predicted cost exceeds `MAX_SITE_STEPS`, `MAX_HELD` or `MAX_CELLS`.
+`validate` checks a config against `SCHEMA` with `schema_errors`, a walker
+over the JSON Schema keywords `SCHEMA` uses and no others: `type` (object,
+array, integer or number; a bool is neither number nor integer, and 5.0 is
+no integer), `enum`, `minimum`, `exclusiveMinimum`, `maximum`, `minItems`,
+`maxItems`, `items`, `properties`, `required` and `additionalProperties:
+false`, worded as jsonschema words them.  `validate` also rejects keys the
+runner would ignore (`p` next to `p_grid`), an emulate mixing angle the
+read-out cannot use, and a config whose predicted cost exceeds
+`MAX_SITE_STEPS`, `MAX_HELD` or `MAX_CELLS`.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-
-import jsonschema
+import operator
 
 from .apparatus import ALPHA_GUARD, within_guard
 from .dataio import IoFailure
@@ -197,6 +202,100 @@ SCHEMA = {
 }
 
 
+_TYPES = {"object": dict, "array": list, "integer": int, "number": (int, float)}
+
+
+def _is(value, kind: str) -> bool:
+    # JSON Schema's "integer" admits integral floats such as 5.0, which the
+    # runners cannot use as counts; here an integer must be a JSON integer,
+    # and a bool is neither an integer nor a number.
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+
+
+def _type(value, kind, schema, path):
+    if not _is(value, kind):
+        yield path, f"{value!r} is not of type {kind!r}"
+
+
+def _enum(value, options, schema, path):
+    if value not in options:  # string options, which equal no other JSON value
+        yield path, f"{value!r} is not one of {options!r}"
+
+
+def _bound(fails, words):
+    def check(value, bound, schema, path):
+        if _is(value, "number") and fails(value, bound):
+            yield path, f"{value!r} {words} {bound!r}"
+    return check
+
+
+def _min_items(value, low, schema, path):
+    if _is(value, "array") and len(value) < low:
+        yield path, f"{value!r} " + ("should be non-empty" if low == 1 else "is too short")
+
+
+def _max_items(value, high, schema, path):
+    if _is(value, "array") and len(value) > high:
+        yield path, f"{value!r} " + ("is expected to be empty" if high == 0 else "is too long")
+
+
+def _items(value, sub, schema, path):
+    if _is(value, "array"):
+        for i, item in enumerate(value):
+            yield from schema_errors(item, sub, path + (i,))
+
+
+def _properties(value, subs, schema, path):
+    if _is(value, "object"):
+        for key, sub in subs.items():
+            if key in value:
+                yield from schema_errors(value[key], sub, path + (key,))
+
+
+def _required(value, keys, schema, path):
+    if _is(value, "object"):
+        for key in keys:
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+
+
+def _closed(value, allowed, schema, path):
+    if allowed is False and _is(value, "object"):
+        extras = sorted(set(value) - set(schema.get("properties", {})))
+        if extras:
+            yield path, (f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                         f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+
+
+#: The check of each JSON Schema keyword `SCHEMA` uses; `schema_errors`
+#: passes over any other key, such as the annotations "$schema" and "default".
+KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "minimum": _bound(operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": _bound(operator.le, "is less than or equal to the minimum of"),
+    "maximum": _bound(operator.gt, "is greater than the maximum of"),
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "items": _items,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _closed,
+}
+
+
+def schema_errors(value, schema: dict = SCHEMA, path: tuple = ()):
+    """Yield (path, message) of every violation of `schema` in `value`.
+
+    The path is a tuple of keys and list indices.  The violations come in
+    jsonschema's order, keyword by keyword in schema order, and in its words.
+    """
+    for keyword, arg in schema.items():
+        check = KEYWORDS.get(keyword)
+        if check is not None:
+            yield from check(value, arg, schema, path)
+
+
 def _reject_non_finite(node, path: str) -> None:
     if isinstance(node, dict):
         for key, value in node.items():
@@ -230,23 +329,12 @@ def load(path: str) -> dict:
     return cfg
 
 
-# JSON Schema's "integer" admits integral floats such as 5.0, which the
-# runners cannot use as counts; here an integer must be a JSON integer.
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)),
-)(SCHEMA)
-
-
 def validate(cfg: dict) -> None:
     """Raise ConfigInvalid (with a dotted field path) on any violation."""
-    errors = sorted(_VALIDATOR.iter_errors(cfg),
-                    key=lambda e: (-len(e.absolute_path), e.message))
+    errors = sorted(schema_errors(cfg), key=lambda e: (-len(e[0]), e[1]))
     if errors:
-        err = errors[0]
-        path = ".".join(str(part) for part in err.absolute_path)
-        raise ConfigInvalid(path, err.message)
+        path, message = errors[0]
+        raise ConfigInvalid(".".join(map(str, path)), message)
     kind = cfg["experiment"]
     block = BLOCK_KEY[kind]
     if block not in cfg:

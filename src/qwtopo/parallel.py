@@ -3,13 +3,13 @@
 Every ensemble in this package is a list of independent tasks reduced
 in task order, so parallel execution cannot change any result; the pool
 only changes wall-clock time.  Worker count resolution: explicit value,
-else the QWTOPO_THREADS environment variable, else 1.
+else the QWTOPO_THREADS environment variable, else 1, at most
+`os.cpu_count()`: a forked pool starts every worker at its first task.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 ENV_THREADS = "QWTOPO_THREADS"
 
@@ -22,7 +22,7 @@ def thread_count(explicit=None) -> int:
             n = int(os.environ.get(ENV_THREADS, "1"))
         except ValueError:
             n = 1
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 class WorkerPool:
@@ -33,7 +33,8 @@ class WorkerPool:
         self._executor = None
 
     def __enter__(self) -> "WorkerPool":
-        if self.threads > 1:
+        if self.threads > 1:  # one-worker runs never load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             self._executor = ProcessPoolExecutor(max_workers=self.threads)
         return self
 

@@ -4,6 +4,8 @@ line wiring, exercised end to end inside temporary directories."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +219,7 @@ def test_cost_estimate_counts_simulations():
 # -------------------------------------------------------------------- pool
 
 def test_thread_count_resolution(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # above every count asked for
     monkeypatch.delenv(ENV_THREADS, raising=False)
     assert thread_count() == 1
     assert thread_count(4) == 4
@@ -225,6 +228,30 @@ def test_thread_count_resolution(monkeypatch):
     assert thread_count() == 3
     monkeypatch.setenv(ENV_THREADS, "not-a-number")
     assert thread_count() == 1
+
+
+def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
+    """A forked pool starts all its workers at the first task, so a huge
+    count would ask the OS for that many processes.  Nothing is started here."""
+    cpus = os.cpu_count() or 1
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    assert thread_count(10**6) == cpus
+    assert WorkerPool(10**6).threads == cpus
+    monkeypatch.setenv(ENV_THREADS, str(10**6))
+    assert thread_count() == cpus
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert thread_count(4) == 1
+
+
+def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
+    """A one-worker run needs neither, and together they cost about a third
+    of the CLI's import time; checked by module presence, not by time."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = ("import sys, qwtopo.cli; print(sorted(m for m in ('jsonschema', "
+             "'multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_serial_pool_preserves_order():

@@ -4,11 +4,17 @@
 config is run with the engine's `real_steps` counted, so the printed
 walker count, window and site-steps are the ones the engine really steps:
 the site-steps are the sites each yielded step updated.
+
+`config.validate`'s schema walker is checked against jsonschema, the
+validator it replaced, on seeded mutations of every shipped and benchmark
+config.
 """
 
 import copy
 import json
 import os
+import random
+import runpy
 
 import jsonschema
 import pytest
@@ -20,7 +26,8 @@ from qwtopo import config as cfgmod
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import config_hash
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(ROOT, "configs")
 SHIPPED = sorted(os.listdir(CONFIG_DIR))
 
 #: Optional keys that may lack a default: they are conditional.
@@ -245,3 +252,168 @@ def test_the_longest_emulation_under_the_held_cap_is_valid():
     cfg["emulate"]["t"] = t + 1
     with pytest.raises(cfgmod.ConfigInvalid, match="MAX_HELD"):
         cfgmod.validate(cfg)
+
+
+# --------------------------------------------------- schema walker parity
+
+#: The validator `config.validate` used before its walker, kept as the
+#: reference: Draft 2020-12 with "integer" meaning a JSON integer only.
+REFERENCE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)),
+)(cfgmod.SCHEMA)
+
+
+def _ordered(errors):
+    """Errors in `config.validate`'s order: deepest path first, then by message."""
+    return sorted(errors, key=lambda e: (-len(e[0]), e[1]))
+
+
+def assert_parity(cfg) -> set:
+    """The walker yields jsonschema's violations, in its words, and `validate`
+    raises the first of them.  Returns the keywords that reported one."""
+    expected = _ordered((tuple(e.absolute_path), e.message, e.validator)
+                        for e in REFERENCE.iter_errors(cfg))
+    assert _ordered(cfgmod.schema_errors(cfg)) == [e[:2] for e in expected], cfg
+    if expected:
+        with pytest.raises(cfgmod.ConfigInvalid) as caught:
+            cfgmod.validate(cfg)
+        path, message, _ = expected[0]
+        assert (caught.value.path, caught.value.reason) == (".".join(map(str, path)), message)
+    return {keyword for *_, keyword in expected}
+
+
+def _bench_configs():
+    workloads = runpy.run_path(os.path.join(ROOT, "bench", "workloads.py"))["WORKLOADS"]
+    return [{**cfg, "seed": 5} for workload in workloads.values()
+            for _, cfg in workload.configs]
+
+
+#: The free scan form, which no shipped config uses: its pairs give the
+#: deepest paths, such as scan.pairs_pi.0.1.
+FREE_SCAN = {"experiment": "scan", "seed": 1,
+             "scan": {"parametrization": "free", "t": 5,
+                      "pairs_pi": [[0.1, 0.2], [0.3, 0.4], [1.5, 0.25]]}}
+
+BASES = ([cfgmod.load(os.path.join(CONFIG_DIR, name)) for name in SHIPPED]
+         + _bench_configs() + [FREE_SCAN])
+
+
+def _schema_nodes(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_nodes(sub)
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"])
+
+
+KNOWN_KEYS = sorted({key for node in _schema_nodes(cfgmod.SCHEMA)
+                     for key in node.get("properties", {})})
+VALUES = [None, True, False, 0, 1, 2, 5, -1, 5.0, 0.0, 0.5, -0.2, 2.5, 101, 1e6,
+          "x", "", "free", "exact", "shots", "scan", "theta1=2*theta2",
+          [], [0.1], [True], [0.1, "a"], [[0.1, 0.2]], [[0.1]], [[0.1, 0.2, 0.3]],
+          [[True, None]], [[]], {}, {"zz": 1}, {"t": 5.0}, {"loss_asymmetry": 0.5}]
+
+
+def _containers(node):
+    yield node
+    children = node.values() if isinstance(node, dict) else node
+    for child in children:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+def mutate(cfg, rng):
+    """Set a value, delete a key or add a key, one to three times."""
+    for _ in range(rng.randint(1, 3)):
+        node = rng.choice(list(_containers(cfg)))
+        op = rng.randrange(3)
+        if isinstance(node, list):
+            if node:
+                node[rng.randrange(len(node))] = copy.deepcopy(rng.choice(VALUES))
+            else:
+                node.append(copy.deepcopy(rng.choice(VALUES)))
+        elif op == 0 and node:
+            node[rng.choice(list(node))] = copy.deepcopy(rng.choice(VALUES))
+        elif op == 1 and node:
+            del node[rng.choice(list(node))]
+        else:
+            key = rng.choice(KNOWN_KEYS + ["zz", "t2", "extra"])
+            node[key] = copy.deepcopy(rng.choice(VALUES))
+    return cfg
+
+
+def test_walker_matches_jsonschema_on_seeded_mutations():
+    rng = random.Random(20261018)
+    reported = set()
+    for _ in range(20_000):
+        reported |= assert_parity(mutate(copy.deepcopy(rng.choice(BASES)), rng))
+    for base in BASES:
+        assert assert_parity(base) == set()
+    # every keyword that reports a violation itself was reached
+    assert reported == set(cfgmod.KEYWORDS) - {"items", "properties"}
+
+
+def _with(base, path, value):
+    cfg = copy.deepcopy(base)
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
+EMULATE = cfgmod.load(os.path.join(CONFIG_DIR, "emulate_lossy.json"))
+DIAGRAM = cfgmod.load(os.path.join(CONFIG_DIR, "phase_diagram.json"))
+DISORDER = cfgmod.load(os.path.join(CONFIG_DIR, "disorder_crossing.json"))
+
+HAND_WRITTEN = {
+    "bool-integer": (_with(EMULATE, ["seed"], True),
+                     "seed", "True is not of type 'integer'"),
+    "bool-number": (_with(EMULATE, ["emulate", "theta1_pi"], False),
+                    "emulate.theta1_pi", "False is not of type 'number'"),
+    "integral-float": (_with(EMULATE, ["emulate", "t"], 5.0),
+                       "emulate.t", "5.0 is not of type 'integer'"),
+    "unexpected-keys": ({**DIAGRAM, "zz": 1, "t": 5},
+                        "", "Additional properties are not allowed ('t', 'zz' were unexpected)"),
+    "unexpected-key": (_with(EMULATE, ["emulate", "model", "gain"], 1.0), "emulate.model",
+                       "Additional properties are not allowed ('gain' was unexpected)"),
+    "min-items-1": (_with(DISORDER, ["disorder", "p_grid"], []),
+                    "disorder.p_grid", "[] should be non-empty"),
+    "min-items-2": (_with(FREE_SCAN, ["scan", "pairs_pi", 1], [0.3]),
+                    "scan.pairs_pi.1", "[0.3] is too short"),
+    "max-items": (_with(FREE_SCAN, ["scan", "pairs_pi", 0], [0.1, 0.2, 0.3]),
+                  "scan.pairs_pi.0", "[0.1, 0.2, 0.3] is too long"),
+    "nested-item": (_with(FREE_SCAN, ["scan", "pairs_pi", 0, 1], "a"),
+                    "scan.pairs_pi.0.1", "'a' is not of type 'number'"),
+    "enum": (_with(DIAGRAM, ["experiment"], "diagram"), "experiment",
+             "'diagram' is not one of ['scan', 'phase-diagram', 'disorder', 'edge', "
+             "'emulate', 'mc-errorbars']"),
+    "required": ({"experiment": "scan", "scan": {"parametrization": "free"}},
+                 "scan", "'t' is a required property"),
+    "exclusive-minimum": (_with(DIAGRAM, ["phase_diagram", "tolerance"], 0),
+                          "phase_diagram.tolerance",
+                          "0 is less than or equal to the minimum of 0"),
+    "maximum": (_with(DISORDER, ["disorder", "p_grid", 3], 1.5),
+                "disorder.p_grid.3", "1.5 is greater than the maximum of 1"),
+    "minimum-before-type": (_with(DIAGRAM, ["phase_diagram", "t"], 0.5),
+                            "phase_diagram.t", "0.5 is less than the minimum of 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_WRITTEN))
+def test_walker_words_each_violation_as_jsonschema(case):
+    cfg, path, message = HAND_WRITTEN[case]
+    with pytest.raises(cfgmod.ConfigInvalid) as caught:
+        cfgmod.validate(cfg)
+    assert (caught.value.path, caught.value.reason) == (path, message)
+    assert_parity(cfg)
+
+
+def test_walker_implements_every_keyword_the_schema_uses():
+    used = {key for node in _schema_nodes(cfgmod.SCHEMA) for key in node}
+    assert used - {"$schema", "default"} <= set(cfgmod.KEYWORDS)
+    for node in _schema_nodes(cfgmod.SCHEMA):  # `enum` compares strings only
+        assert all(isinstance(option, str) for option in node.get("enum", ()))
