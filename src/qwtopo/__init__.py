@@ -44,7 +44,6 @@ from .disorder import (
 from .edges import (
     InterfaceSystem,
     LocalizationRecord,
-    intensity_map_export,
     localization_vs_disorder,
     reference_record,
     run_interface,

@@ -23,7 +23,7 @@ from .config import ConfigInvalid
 from .dataio import (TABLE_KINDS, RunManifest, UnknownDataKind, config_hash,
                      read_csv, detect_kind, write_table)
 from .disorder import DisorderSpec, disorder_curve, transition_locator
-from .edges import InterfaceSystem, intensity_map_export, localization_vs_disorder, run_interface
+from .edges import InterfaceSystem, localization_vs_disorder, run_interface
 from .parallel import WorkerPool
 from .scattering import LINE_FREE, ScatteringSystem, phase_diagram, scan_line
 
@@ -134,10 +134,6 @@ def _cmd_replot(args) -> int:
 
 # --- plotting shared by run and replot ---------------------------------------
 
-def _columns(rows) -> list[np.ndarray]:
-    return [np.array([float(r[i]) for r in rows]) for i in range(len(rows[0]))]
-
-
 def _write_svg(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -152,7 +148,7 @@ def _group_stats(keys, values):
 
 
 def _plot_table(kind: str, rows, path: str) -> str:
-    cols = _columns(rows)
+    cols = np.array(rows, dtype=float).T  # numbers from `run`, CSV strings in `replot`
     if kind == "scan":
         th1, th2, q0, qpi = cols[0], cols[1], cols[2], cols[3]
         xs = th1 if np.ptp(th1) >= np.ptp(th2) else th2
@@ -245,7 +241,7 @@ def _run_disorder(cfg, seed, outdir, fmt, mapper):
     spec = DisorderSpec.for_steps(theta_a, theta_b, p_grid[0], t, seed, n)
     curve = disorder_curve(spec, t, p_grid, mapper)
     run_rows = [[res.p, k, v, t, seed]
-                for res in curve for k, v in enumerate(res.values)]
+                for res in curve for k, v in enumerate(res.values.tolist())]
     sum_rows = [[res.p, res.mean, res.std, res.n_configs, t] for res in curve]
     written = _table(outdir, "disorder_runs", run_rows, fmt)
     written += _table(outdir, "disorder_summary", sum_rows, fmt)
@@ -267,14 +263,14 @@ def _run_edge(cfg, seed, outdir, fmt, mapper):
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
     points = localization_vs_disorder(theta_left, theta_a, theta_b, seed, t,
                                       p_grid, n, mapper)
-    rows = [[pt.p, k, v, t] for pt in points for k, v in enumerate(pt.values)]
+    rows = [[pt.p, k, v, t] for pt in points for k, v in enumerate(pt.values.tolist())]
     written = _table(outdir, "edge", rows, fmt)
     show_p = max(p_grid)
     system = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, show_p, t,
                                        seed, n)
     record = run_interface(system, t, config=0)
-    positions, matrix = intensity_map_export(record)
-    written += _table(outdir, "intensity", _intensity_rows(positions, matrix), fmt)
+    rows = _intensity_rows(record.positions(), record.distributions)
+    written += _table(outdir, "intensity", rows, fmt)
     return written
 
 

@@ -16,7 +16,7 @@ no integer), `enum`, `minimum`, `exclusiveMinimum`, `maximum`, `minItems`,
 false`, worded as jsonschema words them.  `validate` also rejects keys the
 runner would ignore (`p` next to `p_grid`), an emulate mixing angle the
 read-out cannot use, and a config whose predicted cost exceeds
-`MAX_SITE_STEPS`, `MAX_HELD` or `MAX_CELLS`.
+`MAX_SITE_STEPS`, `MAX_HELD` or, in the rows of its largest table, `MAX_CELLS`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,12 @@ BLOCK_KEY = {
 #: its window at large t, so this accepts the large runs 10**9 window ones did.
 MAX_SITE_STEPS = 5 * 10**8
 #: Most float64 elements one walker may hold in the engine (`walk.held`), 1 GiB:
-#: `walk.record`'s history grows as t * t, so an emulation stops at t = 5 780.
+#: `walk.record`'s history grows as t * t, so an mc-errorbars run, which keeps
+#: one whole walk and writes no table, stops at t = 5 780.
 MAX_HELD = 2**27
-#: Most cells of a phase diagram: about 1.3 GB of tables and SVG, whatever t is.
+#: Most rows of any table a run writes, which bounds its heatmap's cells too: a
+#: phase diagram of this many cells needs about 1.3 GB of tables and SVG, and
+#: an emulate or edge intensity map stops at t = 952.
 MAX_CELLS = 1360**2
 
 
@@ -372,9 +375,9 @@ def validate(cfg: dict) -> None:
     if est["held"] > MAX_HELD:
         raise ConfigInvalid(est["held_field"], f"one walker would hold {est['held']} "
                             f"float64 elements, more than MAX_HELD = {MAX_HELD}")
-    if kind == "phase-diagram" and est["simulations"] > MAX_CELLS:
-        raise ConfigInvalid("phase_diagram.resolution", f"run would tabulate "
-                            f"{est['simulations']} cells, more than MAX_CELLS = {MAX_CELLS}")
+    if est["table_rows"] > MAX_CELLS:
+        raise ConfigInvalid(est["table_field"], f"run would tabulate "
+                            f"{est['table_rows']} rows, more than MAX_CELLS = {MAX_CELLS}")
 
 
 def _fill(node: dict, schema: dict) -> None:
@@ -451,15 +454,45 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
             extra.append((probes * tr["n_configs"], tr["t"], f"{key}.transition.n_configs",
                           f"{key}.transition.t", tr["n_configs"]))
     elif kind == "edge":  # one walker at p = 0 and 1, plus the intensity map
-        n = block["n_configs"]
         field = "n_configs"
-        counts = [1 if p in (0.0, 1.0) else n for p in block["p_grid"]]
+        counts = _configs_per_p(kind, block)
         sims, group = sum(counts) + 1, max(counts)
     elif kind == "emulate":  # one walker: its steps are all of its cost
         field, sims, group = "t", 1, 1
     else:  # one walker per apparatus model, plus the emulated data
         field, sims, group = "n_sets", block["n_sets"] + 1, block["n_sets"]
     return [(sims, block["t"], f"{key}.{field}", f"{key}.t", group)] + extra
+
+
+def _configs_per_p(kind: str, block: dict) -> list[int]:
+    """Configurations a disorder or edge run steps at each p of its grid; an
+    edge run steps one at p = 0 and 1, where all configurations are equal."""
+    n = block["n_configs"]
+    return [1 if kind == "edge" and p in (0.0, 1.0) else n for p in block["p_grid"]]
+
+
+def _tables(cfg: dict) -> list[tuple[int, str]]:
+    """(rows, field) of each table a resolved config's run writes: its rows,
+    at most (t + 1) x `walk.record_window(t)` for an intensity map, whose
+    window can end narrower, and the dotted path of the field that drives them."""
+    kind = cfg["experiment"]
+    key = BLOCK_KEY[kind]
+    block = cfg[key]
+    if kind == "scan":
+        if block["parametrization"] == "free":
+            return [(len(block["pairs_pi"]), "scan.pairs_pi")]
+        return [(block["count"], "scan.count")]
+    if kind == "phase-diagram":
+        return [(block["resolution"] ** 2, "phase_diagram.resolution")]
+    tables = []
+    if kind in ("disorder", "edge"):  # a row per configuration at each p
+        counts = _configs_per_p(kind, block)
+        factor = "n_configs" if max(counts) >= len(counts) else "p_grid"
+        tables.append((sum(counts), f"{key}.{factor}"))
+    if kind in ("edge", "emulate"):  # the intensity map: a row per step and site
+        t = block["t"]
+        tables.append(((t + 1) * record_window(t), f"{key}.t"))
+    return tables  # mc-errorbars writes no table
 
 
 def estimate(cfg: dict) -> dict:
@@ -475,6 +508,8 @@ def estimate(cfg: dict) -> dict:
     "batch_walkers" pairs each stage's steps field with the walkers of its
     widest `walk.batches` batch, and "held" is the most float64 elements
     (`walk.held`) one walker holds, in the stage whose steps field is "held_field".
+    "table_rows" bounds the rows of the largest table the run writes, 0 for
+    none, and "table_field" names the field that drives them.
     """
     cfg = resolve(cfg)
     kind = cfg["experiment"]
@@ -489,6 +524,7 @@ def estimate(cfg: dict) -> dict:
     walkers, _, walkers_field, steps_field, _ = stages[i]
     holds = [held(window(t), t, history) for _, t, *_ in stages]
     j = holds.index(max(holds))
+    rows, rows_field = max(_tables(cfg), key=lambda table: table[0], default=(0, ""))
     return {"simulations": sum(stage[0] for stage in stages),
             "window_sites": window(max(stage[1] for stage in stages)),
             "site_steps": sum(cost),
@@ -496,4 +532,6 @@ def estimate(cfg: dict) -> dict:
             "batch_walkers": [(field, batch_walkers(group, h))
                               for (_, _, _, field, group), h in zip(stages, holds)],
             "held": holds[j],
-            "held_field": stages[j][3]}
+            "held_field": stages[j][3],
+            "table_rows": rows,
+            "table_field": rows_field}

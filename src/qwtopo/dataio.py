@@ -1,7 +1,10 @@
 """Deterministic data files: CSV/JSON tables, kind detection, manifests.
 
-Floats are serialized with repr (shortest round-trip form), so a value
-read back compares bit-equal and identical runs yield identical bytes.
+`csv` and `json` format every cell: a cell is written as its `str()`,
+which for a float, numpy's float64 included, is its repr, the shortest
+round-trip form, so a value read back compares bit-equal and identical
+runs yield identical bytes.  Other numpy scalars are written as their
+items.
 Each table kind has a fixed header; replotting recognizes a file purely
 by that header row.
 """
@@ -39,35 +42,27 @@ TABLE_KINDS = {
 }
 
 
-def _cell(value) -> str:
-    if type(value) is float:
-        return repr(value)
-    if isinstance(value, bool):
-        return str(value)
-    if hasattr(value, "item"):  # numpy scalar
-        return _cell(value.item())
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_table(path: str, header: list[str], rows, fmt: str = "csv") -> str:
-    """Write rows under a fixed header as CSV or JSON; returns the path."""
+    """Write rows under a fixed header as CSV or JSON; returns the path.
+
+    Each cell is written as its `str()`, which is the repr of a float; a
+    numpy int or bool is written as its item.  The whole file is formatted
+    before it is opened, so a value that cannot be written leaves no file.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format: {fmt!r}")
     base, _ = os.path.splitext(path)
     path = f"{base}.{fmt}"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        payload = buf.getvalue()
+    else:  # json encodes float64, a float subclass; `default` sees numpy ints and bools
+        payload = json.dumps([dict(zip(header, row)) for row in rows], indent=1,
+                             default=lambda v: v.item()) + "\n"
     try:
-        if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(map(_cell, row) for row in rows)
-            payload = buf.getvalue()
-        else:
-            records = [{k: (v.item() if hasattr(v, "item") else v)
-                        for k, v in zip(header, row)} for row in rows]
-            payload = json.dumps(records, indent=1) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
     except OSError as exc:

@@ -108,11 +108,6 @@ def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> Loca
     return _launch(system, t, [config], system.uniforms([config]))[0]
 
 
-def intensity_map_export(record: LocalizationRecord):
-    """(positions, matrix) of P_i per step, ready for heat maps or CSV."""
-    return record.positions(), record.distributions
-
-
 def _ploc_batch(task) -> list[float]:
     system, t, configs, uniforms = task
     return [rec.p_loc for rec in _launch(system, t, configs, uniforms)]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import (CoinField, SplitStepProtocol, batches, cone, held, place_angles,
+from .walk import (H, CoinField, SplitStepProtocol, batches, cone, held, place_angles,
                    real_steps)
 
 #: Unit phase removing the global factor i from every reflection series.
@@ -100,12 +100,6 @@ class ReflectionSeries:
     def t(self) -> int:
         return self.r.size
 
-    def head(self, t: int) -> "ReflectionSeries":
-        """The first t amplitudes; r_j does not depend on how long we record."""
-        if not 0 <= t <= self.t:
-            raise ValueError(f"cannot take {t} amplitudes from a series of {self.t}")
-        return ReflectionSeries(self.r[:t])
-
     def reflected_weight(self) -> float:
         return float(np.sum(np.abs(self.r) ** 2))
 
@@ -126,9 +120,6 @@ class InvariantPair:
     q0: float
     qpi: float
     residual: float
-
-    def signs(self) -> tuple[int, int]:
-        return (1 if self.q0 > 0 else -1, 1 if self.qpi > 0 else -1)
 
 
 def reflection_window(t: int) -> int:
@@ -170,10 +161,8 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
         raise ValueError("t must be non-negative")
     n = reflection_window(t)
     th1, th2 = (place_angles(0, theta, -2, n) for theta in (theta1, theta2))
-    a = np.zeros_like(th1)
-    a[_PROBE] = 1.0
-    rho = np.empty((a.shape[1], t))
-    for j, (_, _, b) in enumerate(real_steps(th1, th2, a, np.zeros_like(a), t, _READOUT)):
+    rho = np.empty((th1.shape[1], t))
+    for j, (_, _, b) in enumerate(real_steps(th1, th2, _PROBE, H, t, _READOUT)):
         rho[:, j] = b[0]  # each step's cone starts at the read-out column
     return rho
 
@@ -237,11 +226,7 @@ def invariant_rows(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ScanPoint:
     theta1: float
     theta2: float
-    pair: InvariantPair | None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.pair is None
+    pair: InvariantPair | None  # None where the gauge is degenerate
 
 
 @dataclass

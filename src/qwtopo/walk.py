@@ -270,10 +270,10 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
 def held(sites: int, steps: int, history: bool = False) -> int:
     """float64 elements one walker holds while the engine steps it `steps` times
     on a window of `sites`: the seven buffers and four cos/sin planes of
-    `real_steps`, the two angle planes, the rho row of its `steps` read-outs
-    and the H and V launch planes or, with `history`, the (steps + 1)-row H
-    and V history of `record` that starts with them."""
-    return 11 * (sites + 2) + 2 * sites + steps + 2 * sites * (steps + 1 if history else 1)
+    `real_steps`, which write the launch site's unit amplitude themselves, the
+    two angle planes, the rho row of its `steps` read-outs and, with
+    `history`, the (steps + 1)-row H and V history of `record`."""
+    return 11 * (sites + 2) + 2 * sites + steps + (2 * sites * (steps + 1) if history else 0)
 
 
 def _batch_count(walkers: int, per_walker: int) -> int:
@@ -307,27 +307,30 @@ def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
     return first, last, int(np.sum(last - first + 1))
 
 
-def real_steps(th1: np.ndarray, th2: np.ndarray, a: np.ndarray, b: np.ndarray,
-               steps: int, read: int | None = None):
-    """Yield (lo, a, b) after each of `steps` split steps of a walker batch.
+def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: int,
+               read: int | None = None):
+    """Yield (lo, a, b) after each of `steps` split steps of a walker batch
+    launched at row `site` in polarization `coin`.
 
-    All arrays have shape (n, B): row i is position x_min + i of a window
-    shared by the batch, column k walker k, with per-site coin angles th1
-    and th2.  The state is H = a, V = i b, and each step gives the
-    amplitudes of `split_step` bit for bit, up to the sign of exact zeros.
-    Amplitude shifted past the window edges is dropped, so the window must
-    contain whatever the caller reads.  Coin 1 is skipped when it is the
-    identity on the whole batch.  The inputs are never modified.  A step
-    updates only the rows of its `cone`, from the initial state's nonzero
-    rows, cut to those that can still reach row `read` if the caller reads
-    only that row.  The yielded a and b are those rows, from row lo on:
+    The coin angles th1 and th2 have shape (n, B): row i is position
+    x_min + i of a window shared by the batch, column k walker k.  Every
+    walker starts with unit amplitude at (site, coin), which `real_steps`
+    writes into its own buffers.  The state is H = a, V = i b, and each
+    step gives the amplitudes of `split_step` bit for bit, up to the sign
+    of exact zeros and, for a V launch, the global phase i.  Amplitude
+    shifted past the window edges is dropped, so the window must contain
+    whatever the caller reads.  Coin 1 is skipped when it is the identity
+    on the whole batch.  The inputs are never modified.  A step updates
+    only the rows of its `cone` from the launch site, cut to those that
+    can still reach row `read` if the caller reads only that row.  The
+    yielded a and b are those rows, from row lo on, of shape (rows, B):
     views of buffers that the next step overwrites.
     """
-    live = np.flatnonzero(a.any(1) | b.any(1))
-    first, last, _ = cone(live.min(initial=len(a)), live.max(initial=-1), len(a), steps, read)
+    first, last, _ = cone(site, site, len(th1), steps, read)
     # a zero guard row on each side, with identity coins, stands for outside
-    buf = np.zeros((7, len(a) + 2, a.shape[1]))
-    buf[0, 1:-1], buf[1, 1:-1], buf[2, 1:-1], buf[3, 1:-1] = th1, th2, a, b
+    buf = np.zeros((7, len(th1) + 2, th1.shape[1]))
+    buf[0, 1:-1], buf[1, 1:-1] = th1, th2
+    buf[2 + coin, site + 1] = 1.0
     (c1, c2), (s1, s2) = np.cos(buf[:2]), np.sin(buf[:2])
     a, b, a2, b2, tmp = buf[2:]
     coin1 = bool(np.any(th1))
@@ -401,7 +404,7 @@ def record(start: int, theta1: np.ndarray, theta2: np.ndarray, x0: int, coin: in
     cols = np.arange(walkers)
     lo = np.full(walkers, x0 - 1 - x_min)  # window edges as rows
     hi = np.full(walkers, x0 + 1 - x_min)
-    for j, (i, a, b) in enumerate(real_steps(th1, th2, h[0], v[0], steps), 1):
+    for j, (i, a, b) in enumerate(real_steps(th1, th2, reach, coin, steps), 1):
         h[j, i:i + len(a)], v[j, i:i + len(b)] = a, b
         hi += _GROW * ((h[j, hi + 1, cols] != 0) | (v[j, hi, cols] != 0))
         lo -= _GROW * (v[j, lo - 1, cols] != 0)

@@ -56,9 +56,9 @@ def _studies() -> dict:
 def _widest(module, widths):
     real_steps = module.real_steps
 
-    def counted(th1, th2, a, b, steps, read=None):
-        widths.append(a.shape[1])
-        yield from real_steps(th1, th2, a, b, steps, read)
+    def counted(th1, th2, site, coin, steps, read=None):
+        widths.append(th1.shape[1])
+        yield from real_steps(th1, th2, site, coin, steps, read)
     return counted
 
 

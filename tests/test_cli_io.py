@@ -1,7 +1,9 @@
 """Config validation, table IO, manifests, plotting, and the command
 line wiring, exercised end to end inside temporary directories."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -84,6 +86,52 @@ def test_numpy_scalars_write_the_bytes_of_their_items(tmp_path):
     assert csv_rows[1] == "0.1,-0.0,nan,inf,-inf,1e-300,-7,True,False"
 
 
+def reference_cell(value) -> str:
+    """The per-value formatting CSV tables were once written with."""
+    if type(value) is float:
+        return repr(value)
+    if isinstance(value, bool):
+        return str(value)
+    if hasattr(value, "item"):  # numpy scalar
+        return reference_cell(value.item())
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def test_write_table_gives_the_bytes_of_a_per_value_reference(tmp_path):
+    """About 100 000 random float64 bit patterns (every exponent, both signs,
+    subnormals), special floats, Python and numpy ints and bools, as numpy
+    scalars and as Python values, in CSV and in JSON."""
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**63, size=99_000, dtype=np.int64) * rng.choice([1, -1], 99_000)
+    floats = bits.view(np.float64)
+    subnormal = rng.uniform(-1.0, 1.0, 1_000) * 2.0**-1022
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5]
+    values = np.concatenate([floats, subnormal, specials])
+    assert np.sum(np.isfinite(values) & (np.abs(values) < 2.0**-1022) & (values != 0)) > 900
+    cells = list(values[: values.size // 2]) + values[values.size // 2:].tolist()
+    cells += [-7, 2**53 + 1, -(2**63) - 5, np.int64(-3), np.int64(2**62 + 1),
+              np.uint64(2**64 - 1), True, False, np.bool_(True), np.bool_(False)]
+    width = 7
+    cells += [0.5] * (-len(cells) % width)
+    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    rng.shuffle(rows)
+    header = [f"c{k}" for k in range(width)]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([reference_cell(v) for v in row] for row in rows)
+    path = dataio.write_table(str(tmp_path / "t"), header, rows, "csv")
+    assert open(path, encoding="utf-8", newline="").read() == buf.getvalue()
+
+    records = [{k: v.item() if hasattr(v, "item") else v for k, v in zip(header, row)}
+               for row in rows]
+    path = dataio.write_table(str(tmp_path / "t"), header, rows, "json")
+    assert open(path, encoding="utf-8").read() == json.dumps(records, indent=1) + "\n"
+
+
 def reference_heatmap(matrix, x_offset, y_offset):
     """`svgplot.heatmap` drawn cell by cell, one colour per cell."""
     m = np.asarray(matrix, dtype=float)
@@ -115,6 +163,13 @@ def test_heatmap_gives_the_bytes_of_a_per_cell_reference(scale):
 def test_unknown_table_format_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         dataio.write_table(str(tmp_path / "x.csv"), ["a"], [[1]], "xml")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_that_cannot_be_formatted_leaves_no_file(tmp_path, fmt):
+    with pytest.raises((TypeError, csv.Error)):
+        dataio.write_table(str(tmp_path / "x"), ["a"], [[1], 2], fmt)
+    assert os.listdir(tmp_path) == []
 
 
 def test_kind_detection_requires_an_exact_header():

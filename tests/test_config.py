@@ -19,6 +19,7 @@ import runpy
 import jsonschema
 import pytest
 
+import qwtopo.cli
 import qwtopo.scattering
 import qwtopo.walk
 from qwtopo import RunManifest
@@ -92,11 +93,11 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     rows, widths, site_steps, widest = [], [], [], {}
 
     def counting(real_steps):
-        def counted(th1, th2, a, b, steps, read=None):
-            widths.append(a.shape[0])
-            rows.append(a.shape[1])
-            widest[steps] = max(widest.get(steps, 0), a.shape[1])
-            for lo, h, v in real_steps(th1, th2, a, b, steps, read):
+        def counted(th1, th2, site, coin, steps, read=None):
+            widths.append(th1.shape[0])
+            rows.append(th1.shape[1])
+            widest[steps] = max(widest.get(steps, 0), th1.shape[1])
+            for lo, h, v in real_steps(th1, th2, site, coin, steps, read):
                 site_steps.append(h.size)  # the sites this step updated
                 yield lo, h, v
         return counted
@@ -246,12 +247,101 @@ def test_a_walker_over_the_held_cap_exits_with_code_two(tmp_path, capsys, comman
 
 
 def test_the_longest_emulation_under_the_held_cap_is_valid():
+    """mc-errorbars emulates its data with one whole walk and writes no table,
+    so only the held cap bounds its t."""
     t = 5780
-    cfg = {"experiment": "emulate", "emulate": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t}}
+    cfg = {"experiment": "mc-errorbars",
+           "mc_errorbars": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t, "n_sets": 1}}
     cfgmod.validate(cfg)
-    cfg["emulate"]["t"] = t + 1
+    cfg["mc_errorbars"]["t"] = t + 1
     with pytest.raises(cfgmod.ConfigInvalid, match="MAX_HELD"):
         cfgmod.validate(cfg)
+
+
+def _edge(t, n_configs, p_grid):
+    return {"experiment": "edge",
+            "edge": {"theta_left_pi": 0.52, "theta_a_pi": 1.68, "theta_b_pi": 1.36,
+                     "t": t, "n_configs": n_configs, "p_grid": p_grid}}
+
+
+def _emulate(t):
+    return {"experiment": "emulate", "emulate": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t}}
+
+
+def _disorder(t, n_configs, p_grid):
+    return {"experiment": "disorder",
+            "disorder": {"theta_a_pi": 0.63, "theta_b_pi": 1.26, "t": t,
+                         "n_configs": n_configs, "p_grid": p_grid}}
+
+
+def _scan(t, count):
+    return {"experiment": "scan", "scan": {"parametrization": "theta2=2*theta1", "t": t,
+                                           "start_pi": 0.1, "stop_pi": 1.9, "count": count}}
+
+
+#: Inside the site-step and held budgets, but each would write a table of
+#: tens of millions of rows or more, as many Python rows in memory.
+LARGE_TABLES = {
+    "emulate.t": _emulate(5780),  # 67 M intensity rows
+    "edge.t": _edge(3000, 1, [0.5]),  # 18 M intensity rows
+    "disorder.n_configs": _disorder(1, 2 * 10**8, [0.5]),
+    "edge.n_configs": _edge(1, 15 * 10**7, [0.5]),
+    "scan.count": _scan(1, 10**8),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("field", sorted(LARGE_TABLES))
+def test_a_table_over_the_cell_cap_exits_with_code_two(tmp_path, capsys, monkeypatch,
+                                                       command, field):
+    def unreachable(*args):
+        raise AssertionError("the runner was reached")
+
+    for kind in qwtopo.cli._RUNNERS:
+        monkeypatch.setitem(qwtopo.cli._RUNNERS, kind, unreachable)
+    cfg = LARGE_TABLES[field]
+    est = cfgmod.estimate(cfg)
+    assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS and est["held"] <= cfgmod.MAX_HELD
+    assert est["table_rows"] > 9 * cfgmod.MAX_CELLS and est["table_field"] == field
+    _rejected(tmp_path, capsys, command, cfg, field, "MAX_CELLS")
+
+
+@pytest.mark.parametrize("make", [_emulate, lambda t: _edge(t, 1, [0.5])])
+def test_the_largest_intensity_map_is_valid(make):
+    """(t + 1) x (2 (t + 16) + 1) rows: 1 845 961 at t = 952, 1 849 806 at 953."""
+    cfgmod.validate(make(952))
+    with pytest.raises(cfgmod.ConfigInvalid, match="MAX_CELLS") as refused:
+        cfgmod.validate(make(953))
+    assert refused.value.path == make(953)["experiment"] + ".t"
+
+
+#: Small configs whose largest table is driven by the named field.
+TABLE_FIELDS = {
+    "scan.count": _scan(5, 20),
+    "scan.pairs_pi": {"experiment": "scan", "scan": {
+        "parametrization": "free", "t": 5, "pairs_pi": [[0.1, 0.2]] * 3}},
+    "phase_diagram.resolution": {"experiment": "phase-diagram",
+                                 "phase_diagram": {"resolution": 8, "t": 5}},
+    "disorder.n_configs": _disorder(5, 5, [0.1, 0.2]),
+    "disorder.p_grid": _disorder(5, 2, [0.1, 0.2, 0.3]),
+    "edge.n_configs": _edge(1, 100, [0.5]),
+    "edge.p_grid": _edge(1, 2, [0.5] * 40),
+    "edge.t": _edge(3, 2, [0.5]),
+    "emulate.t": _emulate(2),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TABLE_FIELDS))
+def test_the_cell_cap_names_the_field_that_drives_the_rows(monkeypatch, field):
+    cfg = TABLE_FIELDS[field]
+    est = cfgmod.estimate(cfg)
+    assert est["table_field"] == field
+    monkeypatch.setattr(cfgmod, "MAX_CELLS", est["table_rows"])
+    cfgmod.validate(cfg)
+    monkeypatch.setattr(cfgmod, "MAX_CELLS", est["table_rows"] - 1)
+    with pytest.raises(cfgmod.ConfigInvalid, match="MAX_CELLS") as refused:
+        cfgmod.validate(cfg)
+    assert refused.value.path == field
 
 
 # --------------------------------------------------- schema walker parity

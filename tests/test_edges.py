@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, InterfaceSystem,
-                          intensity_map_export, localization_vs_disorder,
+                          localization_vs_disorder,
                           reference_record, run_interface)
 from qwtopo.walk import V
 
@@ -126,9 +126,9 @@ def test_runs_are_reproducible():
     assert np.array_equal(a.distributions, b.distributions)
 
 
-def test_intensity_map_export_shapes():
+def test_intensity_map_shapes():
     record = run_interface(interface(0.0), t=6)
-    positions, matrix = intensity_map_export(record)
+    positions, matrix = record.positions(), record.distributions
     assert matrix.shape == (7, positions.size)
     assert positions[0] == record.x_min
     assert np.all(matrix >= 0)

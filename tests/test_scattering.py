@@ -11,7 +11,7 @@ import pytest
 
 import qwtopo.walk
 from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE,
-                               DegenerateGauge, InvariantPair, ReflectionSeries,
+                               DegenerateGauge, ReflectionSeries,
                                ScatteringSystem, invariants, phase_diagram,
                                phase_labels, reflection_amplitudes,
                                reflection_matrix_element, reflection_rows,
@@ -148,9 +148,7 @@ def test_recording_longer_does_not_change_amplitudes():
     system = ScatteringSystem.clean(0.35 * np.pi, 0.74 * np.pi, 8)
     long = reflection_amplitudes(system, 16)
     short = reflection_amplitudes(system, 7)
-    assert np.array_equal(long.head(7).r, short.r)
-    with pytest.raises(ValueError):
-        long.head(17)
+    assert np.array_equal(long.r[:7], short.r)
 
 
 def test_reflected_weight_bounded_by_one():
@@ -232,10 +230,6 @@ def test_auto_gauge_requires_nonzero_r0():
         invariants(ReflectionSeries(np.zeros(5, dtype=complex)))
 
 
-def test_invariant_signs_helper():
-    assert InvariantPair(0.5, -0.5, 0.0).signs() == (1, -1)
-
-
 def test_residual_reported_on_pair():
     series = clean_identity_first(0.52 * np.pi, 100)
     pair = invariants(series)
@@ -268,8 +262,8 @@ def test_scan_green_line_pairs_angles_correctly():
 def test_scan_free_pairs_and_degenerate_flag():
     pairs = [(0.0, 0.0), (0.0, 1.68 * np.pi)]
     result = scan_line(LINE_FREE, 10, pairs=pairs)
-    assert result.points[0].degenerate  # lead-only point: no reflection at all
-    assert not result.points[1].degenerate
+    assert result.points[0].pair is None  # lead-only point: no reflection at all
+    assert result.points[1].pair is not None
 
 
 def test_scan_argument_validation():

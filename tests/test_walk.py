@@ -405,8 +405,8 @@ def test_record_equals_full_window_history(t):
 
 
 def _counting(real_steps, counted):
-    def counted_steps(th1, th2, a, b, steps, read=None):
-        for lo, h, v in real_steps(th1, th2, a, b, steps, read):
+    def counted_steps(th1, th2, site, coin, steps, read=None):
+        for lo, h, v in real_steps(th1, th2, site, coin, steps, read):
             counted.append(h.size)  # the sites this step updated, times walkers
             yield lo, h, v
     return counted_steps
