@@ -522,7 +522,8 @@ def estimate(cfg: dict) -> dict:
     cost = [stage[0] * sites for stage, sites in zip(stages, per)]
     i = cost.index(max(cost))
     walkers, _, walkers_field, steps_field, _ = stages[i]
-    holds = [held(window(t), t, history) for _, t, *_ in stages]
+    identity_coin1 = kind in ("disorder", "edge")  # the engine's two-sublattice path
+    holds = [held(window(t), t, history, identity_coin1) for _, t, *_ in stages]
     j = holds.index(max(holds))
     rows, rows_field = max(_tables(cfg), key=lambda table: table[0], default=(0, ""))
     return {"simulations": sum(stage[0] for stage in stages),

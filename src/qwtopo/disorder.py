@@ -167,7 +167,8 @@ def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:
 def _ensemble_r0(spec: DisorderSpec, t: int, mapper, uniforms: np.ndarray) -> EnsembleResult:
     """`ensemble_r0` thresholding `uniforms`, which is `ensemble_uniforms`
     of the same seed, configurations and t at any p."""
-    tasks = [(spec, block, t) for block in batches(uniforms, held(reflection_window(t), t))]
+    per_walker = held(reflection_window(t), t, identity_coin1=True)
+    tasks = [(spec, block, t) for block in batches(uniforms, per_walker)]
     values = np.concatenate(list(mapper(_ensemble_batch, tasks)))
     return EnsembleResult(spec.p, values, t)
 

@@ -124,7 +124,7 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     """
     uniforms = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, 0.0, t, seed,
                                          n_configs).uniforms(range(n_configs))
-    per_walker = held(record_window(t), t, history=True)
+    per_walker = held(record_window(t), t, history=True, identity_coin1=True)
     out = []
     for p in p_grid:
         n = 1 if p in (0.0, 1.0) else n_configs

@@ -156,14 +156,20 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     probe's front arrives, and the error needs x + 2 more steps to reach
     the read-out, which is past step t for x = t // 2.  Step j updates
     only sites the probe reached that can still reach x = -2 by step t.
+    Where coin 1 is the identity on the whole batch, as in disorder
+    ensembles, the engine updates half of those sites, the sublattice the
+    probe occupies, and V reaches the read-out only at even steps: rho_j
+    is +0.0 at every odd j.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     n = reflection_window(t)
     th1, th2 = (place_angles(0, theta, -2, n) for theta in (theta1, theta2))
     rho = np.empty((th1.shape[1], t))
-    for j, (_, _, b) in enumerate(real_steps(th1, th2, _PROBE, H, t, _READOUT)):
-        rho[:, j] = b[0]  # each step's cone starts at the read-out column
+    for j, (_, _, rows, b) in enumerate(real_steps(th1, th2, _PROBE, H, t, _READOUT)):
+        # each step's cone starts at the read-out column, where V sits at
+        # every other step if coin 1 is the identity
+        rho[:, j] = b[0] if rows.start == _READOUT else 0.0
     return rho
 
 

@@ -17,9 +17,14 @@ theta) then maps H = a, V = i b with real a and b to the same form, so
 two real (sites, walkers) arrays carry a batch exactly, up to a global
 phase that covers both |x, H> and |x, V> launches.  Each step updates
 only its light cone (`cone`), a contiguous block of rows, in reused
-buffers.  `record` keeps every step on the window `evolve` would end on.
-A study splits its walkers into `batches` that each hold at most
-BATCH_BUDGET float64 elements, counted per walker by `held`.
+buffers.  Where coin 1 is the identity on a whole batch, as in every
+disorder ensemble and interface walk, the walk is bipartite and the
+engine updates half of each cone's sites: the live sublattice, held as
+even-row and odd-row half planes.  The cone's sites times steps stay the
+unit of work that studies budget.  `record` keeps every step on the
+window `evolve` would end on.  A study splits its walkers into `batches`
+that each hold at most BATCH_BUDGET float64 elements, counted per walker
+by `held` on the path the batch takes.
 """
 
 from __future__ import annotations
@@ -267,13 +272,19 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
     return out
 
 
-def held(sites: int, steps: int, history: bool = False) -> int:
+def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = False) -> int:
     """float64 elements one walker holds while the engine steps it `steps` times
-    on a window of `sites`: the seven buffers and four cos/sin planes of
-    `real_steps`, which write the launch site's unit amplitude themselves, the
-    two angle planes, the rho row of its `steps` read-outs and, with
-    `history`, the (steps + 1)-row H and V history of `record`."""
-    return 11 * (sites + 2) + 2 * sites + steps + (2 * sites * (steps + 1) if history else 0)
+    on a window of `sites`: the buffers and cos/sin planes of `real_steps`,
+    which write the launch site's unit amplitude themselves, the two angle
+    planes, the rho row of its `steps` read-outs and, with `history`, the
+    (steps + 1)-row H and V history of `record`.  The dense path holds seven
+    buffers and four cos/sin planes of sites + 2 rows.  A batch whose coin 1
+    is the identity (`identity_coin1`) takes the two-sublattice path, which
+    updates half of each cone's sites and holds nine half planes of
+    (sites + 3) // 2 rows: four of amplitudes, four of cos/sin and one
+    scratch plane."""
+    engine = 9 * ((sites + 3) // 2) if identity_coin1 else 11 * (sites + 2)
+    return engine + 2 * sites + steps + (2 * sites * (steps + 1) if history else 0)
 
 
 def _batch_count(walkers: int, per_walker: int) -> int:
@@ -309,8 +320,8 @@ def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
 
 def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: int,
                read: int | None = None):
-    """Yield (lo, a, b) after each of `steps` split steps of a walker batch
-    launched at row `site` in polarization `coin`.
+    """An iterator of (ra, a, rb, b) after each of `steps` split steps of a
+    walker batch launched at row `site` in polarization `coin`.
 
     The coin angles th1 and th2 have shape (n, B): row i is position
     x_min + i of a window shared by the batch, column k walker k.  Every
@@ -319,34 +330,88 @@ def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: in
     step gives the amplitudes of `split_step` bit for bit, up to the sign
     of exact zeros and, for a V launch, the global phase i.  Amplitude
     shifted past the window edges is dropped, so the window must contain
-    whatever the caller reads.  Coin 1 is skipped when it is the identity
-    on the whole batch.  The inputs are never modified.  A step updates
-    only the rows of its `cone` from the launch site, cut to those that
-    can still reach row `read` if the caller reads only that row.  The
-    yielded a and b are those rows, from row lo on, of shape (rows, B):
-    views of buffers that the next step overwrites.
+    whatever the caller reads.  The inputs are never modified.  A step
+    updates only the rows of its `cone` from the launch site, cut to those
+    that can still reach row `read` if the caller reads only that row.
+    The yielded a and b hold H on the window rows of the slice ra and V on
+    those of rb, in shape (rows, B): views of buffers that the next step
+    overwrites.  Rows of the cone outside them hold exact zeros.
+
+    A batch whose coin 1 is the identity everywhere is bipartite: coin 2
+    maps the pair (H at row i, V at row i + 1) onto (H at i + 1, V at i),
+    so after step j H sits only on rows of the parity of site + j + coin
+    and V only on the others.  That path holds H and V as even-row and
+    odd-row half planes and updates half of each cone's sites: ra and rb
+    step by 2 and together cover the cone once.  Every other batch steps
+    both amplitudes of every cone row, and ra = rb is the cone.
     """
     first, last, _ = cone(site, site, len(th1), steps, read)
+    rows = zip(first.tolist(), last.tolist())
+    if np.any(th1):
+        return _dense_steps(th1, th2, site, coin, rows)
+    return _sublattice_steps(th2, site, coin, rows)
+
+
+def _dense_steps(th1, th2, site, coin, rows):
+    """`real_steps` of every amplitude on the cone rows [lo, hi] of `rows`."""
     # a zero guard row on each side, with identity coins, stands for outside
     buf = np.zeros((7, len(th1) + 2, th1.shape[1]))
     buf[0, 1:-1], buf[1, 1:-1] = th1, th2
     buf[2 + coin, site + 1] = 1.0
     (c1, c2), (s1, s2) = np.cos(buf[:2]), np.sin(buf[:2])
     a, b, a2, b2, tmp = buf[2:]
-    coin1 = bool(np.any(th1))
-    for lo, hi in zip(first.tolist(), last.tolist()):
+    for lo, hi in rows:
         p, q = lo + 1, hi + 2  # the rows [lo, hi] of the buffers
-        if coin1:  # on the rows coin 2 reads
-            r = slice(p - 1, q + 1)
-            _mix(c1[r], a[r], s1[r], b[r], a2[r], tmp[r])
-            _mix(c1[r], b[r], s1[r], a[r], b2[r], tmp[r], np.subtract)
-            a, a2, b, b2 = a2, a, b2, b
+        r = slice(p - 1, q + 1)  # coin 1 on the rows coin 2 reads
+        _rotate(c1[r], s1[r], a[r], b[r], a2[r], b2[r], tmp[r])
+        a, a2, b, b2 = a2, a, b2, b
         # coin 2 between the shifts: H comes from row i - 1, V goes to i - 1
         o, right = slice(p, q), slice(p + 1, q + 1)
         _mix(c2[o], a[p - 1:q - 1], s2[o], b[o], a2[o], tmp[o])
         _mix(c2[right], b[right], s2[right], a[o], b2[o], tmp[o], np.subtract)
         a, a2, b, b2 = a2, a, b2, b
-        yield lo, a[o], b[o]
+        yield slice(lo, hi + 1), a[o], slice(lo, hi + 1), b[o]
+
+
+def _sublattice_steps(th2, site, coin, rows):
+    """`real_steps` of a batch whose coin 1 is the identity, on the live
+    sublattice of the cone rows [lo, hi] of `rows`.
+
+    Window row r is row R = r + 1 of the window with a guard row on each
+    side.  The planes hold the rows R of parity p at rows p * half + R // 2,
+    so each parity is a contiguous half plane.  A step rotates, for every
+    R = 2m + q in [lo + 1, hi + 2], the pair (H at R - 1, V at R) by the
+    coin-2 angle of R into (H at R, V at R - 1), with the operands and
+    order of the dense path.  It reads the H half plane of parity 1 - q and
+    the V half plane of parity q and writes the other two; q flips every
+    step.
+    """
+    n, walkers = th2.shape
+    half = (n + 3) // 2
+    c, s = np.ones((2 * half, walkers)), np.zeros((2 * half, walkers))
+    for trig, out in ((np.cos, c), (np.sin, s)):
+        trig(th2[0::2], out=out[half:half + (n + 1) // 2])  # rows 0, 2, .. are R = 1, 3, ..
+        trig(th2[1::2], out=out[1:n // 2 + 1])  # rows 1, 3, .. are R = 2, 4, ..
+    h, v = np.zeros((2, 2 * half, walkers))
+    (h, v)[coin][(site + 1) % 2 * half + (site + 1) // 2] = 1.0
+    tmp = np.empty((half, walkers))
+    q = (site + coin) % 2
+    for lo, hi in rows:
+        m0, m1 = (lo + 2 - q) // 2, (hi + 2 - q) // 2
+        at, before = q * half, (1 - q) * half + q - 1  # R at row at + m, R - 1 at before + m
+        i, o = slice(at + m0, at + m1 + 1), slice(before + m0, before + m1 + 1)
+        _rotate(c[i], s[i], h[o], v[i], h[i], v[o], tmp[m0:m1 + 1])
+        mh, mv = (hi + 1 - q) // 2, (lo + 3 - q) // 2  # the last H, first V in the cone
+        yield (slice(2 * m0 + q - 1, 2 * mh + q, 2), h[at + m0:at + mh + 1],
+               slice(2 * mv + q - 2, 2 * m1 + q - 1, 2), v[before + mv:before + m1 + 1])
+        q = 1 - q
+
+
+def _rotate(c, s, x, y, x_out, y_out, tmp):
+    """x_out = c x + s y, then y_out = c y - s x, through the buffer tmp.  The
+    views passed in die with the call, not at the next step."""
+    _mix(c, x, s, y, x_out, tmp)
+    _mix(c, y, s, x, y_out, tmp, np.subtract)
 
 
 def _mix(c, x, s, y, out, tmp, op=np.add):
@@ -404,8 +469,8 @@ def record(start: int, theta1: np.ndarray, theta2: np.ndarray, x0: int, coin: in
     cols = np.arange(walkers)
     lo = np.full(walkers, x0 - 1 - x_min)  # window edges as rows
     hi = np.full(walkers, x0 + 1 - x_min)
-    for j, (i, a, b) in enumerate(real_steps(th1, th2, reach, coin, steps), 1):
-        h[j, i:i + len(a)], v[j, i:i + len(b)] = a, b
+    for j, (ra, a, rb, b) in enumerate(real_steps(th1, th2, reach, coin, steps), 1):
+        h[j, ra], v[j, rb] = a, b
         hi += _GROW * ((h[j, hi + 1, cols] != 0) | (v[j, hi, cols] != 0))
         lo -= _GROW * (v[j, lo - 1, cols] != 0)
     return [(x_min + i, h[:, i:e + 1, k], v[:, i:e + 1, k])

@@ -84,19 +84,21 @@ def test_batching_never_changes_a_result(monkeypatch):
 @pytest.mark.parametrize("t", (11, 30, 201))
 def test_held_counts_what_the_engine_allocates(t):
     """A traced batch of 64 walkers allocates `walk.held` float64 elements
-    per walker, within 10 %: `sample_rows` on its reflection window and
-    `record` with its history."""
+    per walker, within 10 %, on both engine paths: `sample_rows` on its
+    reflection window and `record` with its history, each with coin 1 the
+    identity (the two-sublattice path) and random (the dense path)."""
     theta = np.random.default_rng(2).uniform(0, 2 * PI, (64, t + 2))
-    zeros = np.zeros_like(theta)
-    runs = ((lambda: qwtopo.scattering.sample_rows(zeros, theta, t),
-             qwtopo.walk.held(qwtopo.scattering.reflection_window(t), t)),
-            (lambda: qwtopo.walk.record(0, theta, theta, -1, qwtopo.walk.H, t),
-             qwtopo.walk.held(qwtopo.walk.record_window(t), t, history=True)))
-    for run, held in runs:
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.95 <= peak / 8 / 64 / held <= 1.1
+    reflection, history = qwtopo.scattering.reflection_window(t), qwtopo.walk.record_window(t)
+    for theta1, identity in ((np.zeros_like(theta), True), (theta, False)):
+        runs = ((lambda: qwtopo.scattering.sample_rows(theta1, theta, t),
+                 qwtopo.walk.held(reflection, t, identity_coin1=identity)),
+                (lambda: qwtopo.walk.record(0, theta1, theta, -1, qwtopo.walk.H, t),
+                 qwtopo.walk.held(history, t, history=True, identity_coin1=identity)))
+        for run, held in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.95 <= peak / 8 / 64 / held <= 1.1, (identity, held)

@@ -97,9 +97,11 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
             widths.append(th1.shape[0])
             rows.append(th1.shape[1])
             widest[steps] = max(widest.get(steps, 0), th1.shape[1])
-            for lo, h, v in real_steps(th1, th2, site, coin, steps, read):
-                site_steps.append(h.size)  # the sites this step updated
-                yield lo, h, v
+            for ra, h, rb, v in real_steps(th1, th2, site, coin, steps, read):
+                # the sites this step updated, those of its H or V rows
+                updated = set(range(ra.stop)[ra]) | set(range(rb.stop)[rb])
+                site_steps.append(len(updated) * th1.shape[1])
+                yield ra, h, rb, v
         return counted
 
     for module in (qwtopo.walk, qwtopo.scattering):

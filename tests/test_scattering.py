@@ -133,8 +133,9 @@ def test_odd_steps_vanish_when_first_coin_is_identity():
 
 
 def test_skip_identity_fast_path_is_exact():
-    """Alone, an identity coin 1 is skipped; next to a row with theta1 != 0
-    the batch applies it to both rows.  The bits must not change."""
+    """Alone, a sample whose coin 1 is the identity takes the engine's
+    two-sublattice path; next to a row with theta1 != 0 the batch takes the
+    dense path, which applies coin 1 to both rows.  The bits must not change."""
     system = ScatteringSystem(np.zeros(10), np.linspace(0.2, 5.9, 10))
     other = ScatteringSystem(np.full(10, 0.7), np.linspace(0.2, 5.9, 10))
     alone = reflection_rows([system], 14)[0]
@@ -382,6 +383,33 @@ def test_phase_diagram_structure():
     assert pd.labels[13, 13] == "boundary"
     labels = set(pd.labels.ravel().tolist())
     assert labels == {"--", "-+", "+-", "++", "boundary"}
+
+
+def phase_signs(theta1, theta2):
+    """Closed-form (sign Q0, sign Qpi) of a clean bulk: the gap at
+    quasienergy 0 closes on sin theta1 = -sin theta2, the one at pi on
+    sin theta1 = sin theta2."""
+    s1, s2 = np.sin(theta1), np.sin(theta2)
+    return -np.sign(s1 + s2), np.sign(s1 - s2)
+
+
+def test_labelled_cells_off_the_closing_lines_carry_the_closed_form_phase():
+    """Every labelled cell of the 64 x 64, t = 30 diagram at least one cell
+    width, measured perpendicular, from the closing lines sin theta1 =
+    +-sin theta2 (theta1 -+ theta2 a multiple of pi) carries the label of
+    `phase_signs`.  112 such cells are still `boundary` at t = 30: they
+    have not converged and are not checked."""
+    pd = phase_diagram(resolution=64, t=30, tolerance=0.05)
+    th1, th2 = np.meshgrid(pd.theta1, pd.theta2, indexing="ij")
+    to_line = [np.abs((angle + np.pi / 2) % np.pi - np.pi / 2) / np.sqrt(2)
+               for angle in (th1 - th2, th1 + th2)]
+    far = np.minimum(*to_line) >= 2 * np.pi / 64
+    q0, qpi = phase_signs(th1, th2)
+    expected = np.where(q0 > 0, "+", "-").astype(object) + np.where(qpi > 0, "+", "-")
+    checked = far & (pd.labels != "boundary")
+    assert np.count_nonzero(far & ~checked) == 112
+    assert np.count_nonzero(checked) == 3248
+    assert (pd.labels[checked] == expected[checked]).all()
 
 
 def test_phase_diagram_resolution_floor():

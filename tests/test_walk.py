@@ -265,7 +265,7 @@ def random_field(rng, start, sites):
 def test_record_matches_evolve_bit_for_bit():
     """Same window (x_min and width) and the same per-step H and V
     intensities as evolve, from both launch coins, with coin 1 the
-    identity on every row (skipped), on some rows or on none.  From x0 the
+    identity on every row (the two-sublattice path), on some rows or on none.  From x0 the
     window grows at t = 2, 18 and 34, so t up to 40 covers three growths."""
     rng = np.random.default_rng(9)
     for case in range(24):
@@ -348,7 +348,7 @@ CONE_WALKERS = (1, 7, 64, 65)
 
 @pytest.mark.parametrize("t", CONE_STEPS)
 def test_sample_rows_equal_full_window_rows(t):
-    """Bit for bit, with coin 1 the identity (skipped) or random, samples
+    """Bit for bit, with coin 1 the identity (the two-sublattice path) or random, samples
     shorter and longer than the window.  Trimming can flip the sign of an
     exact zero in rho, which reaches no output: array_equal counts -0.0 and
     0.0 as equal."""
@@ -369,12 +369,23 @@ def test_sample_rows_equal_full_window_rows(t):
             assert np.array_equal(sample_rows(theta1, theta2, t), expected)
 
 
+def test_sample_rows_write_positive_zeros_where_the_read_out_is_empty():
+    """With coin 1 the identity the probe |-1, H> returns V to the read-out
+    only at even steps: rho_1, rho_3, ... are +0.0 and the even steps carry
+    the series."""
+    theta2 = np.random.default_rng(3).uniform(0, 2 * np.pi, (7, 40))
+    rho = sample_rows(np.zeros_like(theta2), theta2, 37)
+    assert not rho[:, ::2].any() and not np.signbit(rho[:, ::2]).any()
+    assert np.all(rho[:, 1::2] != 0)
+
+
 @pytest.mark.parametrize("t", CONE_STEPS)
 def test_record_equals_full_window_history(t):
     """Every step of every walker on its window, bit for bit, from both
     launch coins, with coin 1 the identity or random; the full window is
     zero outside each walker's window.  Signs of exact zeros may differ.
-    At t = 201 each batch size runs one of the four coin cases."""
+    The launch row is t + 16, so odd and even t launch at both row
+    parities.  At t = 201 each batch size runs one of the four coin cases."""
     rng = np.random.default_rng(100 + t)
     reach = t + 16
     cases = [(identity, coin) for identity in (True, False) for coin in (H, V)]
@@ -404,11 +415,73 @@ def test_record_equals_full_window_history(t):
                         assert not full[ks, :i].any() and not full[ks, i + w:].any()
 
 
+@pytest.mark.parametrize("identity", (True, False))
+@pytest.mark.parametrize("coin", (H, V))
+@pytest.mark.parametrize("site", (4, 5))
+@pytest.mark.parametrize("read", (None, 0, 3))
+def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coin, site,
+                                                                    read):
+    """Every yielded H and V row equals the full-window reference bit for
+    bit, and every other row of the step's `cone` is zero there: launches
+    at an even and an odd row, from both coins, with coin 1 the identity or
+    random.  The window's right edge cuts the cone from step 4 or 5 on, and
+    with `read` the cone is cut to the rows that can still reach it."""
+    rng = np.random.default_rng(10 * site + coin)
+    n, t, walkers = site + 5, 12, 6
+    theta1 = random_angles(rng, walkers, n, identity)
+    theta2 = random_angles(rng, walkers, n, False)
+    a, b = np.zeros((2, walkers, n))
+    (a, b)[coin][:, site] = 1.0
+    first, last, _ = qwtopo.walk.cone(site, site, n, t, read)
+    steps = qwtopo.walk.real_steps(theta1.T.copy(), theta2.T.copy(), site, coin, t, read)
+    full = full_window_steps(theta1, theta2, a, b, t)
+    for lo, hi, (ra, h, rb, v), (a, b) in zip(first, last, steps, full):
+        assert np.array_equal(h.T, a[:, ra]) and np.array_equal(v.T, b[:, rb])
+        assert cone_sites(ra, rb) == hi - lo + 1
+        for rows, amps in ((ra, a), (rb, b)):
+            others = sorted(set(range(lo, hi + 1)) - set(range(rows.stop)[rows]))
+            assert not amps[:, others].any()
+        if identity:  # one amplitude per site: H and V on rows of opposite parity
+            assert ra.step == rb.step == 2 and (ra.start - rb.start) % 2 == 1
+
+
+@pytest.mark.parametrize("x0", (-3, 0, 1, 4))
+@pytest.mark.parametrize("coin", (H, V))
+def test_identity_coin1_keeps_the_walk_on_one_sublattice(x0, coin):
+    """With coin 1 the identity, coin 2 maps the pair (H at x, V at x + 1)
+    onto (H at x + 1, V at x).  So from |x0, coin>, after step j H sits only
+    on positions of the parity of x0 + j + coin and V only on the others:
+    the amplitudes off that sublattice are exactly zero at every step, for
+    random coin-2 fields with the special angles.  A generic coin 1 fills
+    both sublattices."""
+    rng = np.random.default_rng(40 + 2 * x0 + coin)
+    t = 24
+    for _ in range(4):
+        start = x0 - int(rng.integers(0, t))
+        field2 = random_field(rng, start, int(rng.integers(1, 2 * t)))
+        bipartite = evolve(WalkerState.localized(x0, coin),
+                           SplitStepProtocol(CoinField.identity(), field2), t)
+        generic = evolve(WalkerState.localized(x0, coin), SplitStepProtocol(
+            CoinField(x0 - t, rng.uniform(0.1, 1.4, 2 * t + 1)), field2), t)
+        filled = []
+        for j, (state, mixed) in enumerate(zip(bipartite, generic)):
+            h_rows = (state.positions() - x0 - j - coin) % 2 == 0
+            assert not state.amps[~h_rows, H].any() and not state.amps[h_rows, V].any()
+            h_rows = (mixed.positions() - x0 - j - coin) % 2 == 0
+            filled.append(mixed.amps[~h_rows, H].any() or mixed.amps[h_rows, V].any())
+        assert not filled[0] and all(filled[1:])
+
+
+def cone_sites(ra, rb) -> int:
+    """Window rows a `real_steps` step updated: those of its H or V rows."""
+    return len(set(range(ra.stop)[ra]) | set(range(rb.stop)[rb]))
+
+
 def _counting(real_steps, counted):
     def counted_steps(th1, th2, site, coin, steps, read=None):
-        for lo, h, v in real_steps(th1, th2, site, coin, steps, read):
-            counted.append(h.size)  # the sites this step updated, times walkers
-            yield lo, h, v
+        for ra, h, rb, v in real_steps(th1, th2, site, coin, steps, read):
+            counted.append(cone_sites(ra, rb) * th1.shape[1])  # times walkers
+            yield ra, h, rb, v
     return counted_steps
 
 
