@@ -8,7 +8,6 @@ from .walk import (
     CoinField,
     SplitStepProtocol,
     WalkerState,
-    coin_matrix,
     apply_coin_field,
     apply_shift_minus,
     apply_shift_plus,
@@ -36,7 +35,6 @@ from .disorder import (
     NoCrossing,
     disorder_curve,
     ensemble_r0,
-    half_r0,
     sample_pattern,
     site_uniforms,
     transition_locator,
@@ -45,7 +43,6 @@ from .edges import (
     InterfaceSystem,
     LocalizationRecord,
     localization_vs_disorder,
-    reference_record,
     run_interface,
 )
 from .apparatus import (

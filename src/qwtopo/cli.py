@@ -200,6 +200,12 @@ def _write_json(outdir, name, payload) -> str:
 
 # --- experiment runners: each reads a config resolved by config.resolve -----
 
+def _scan_table(t, *columns) -> list:
+    """`scan` table rows of the equal-shape arrays theta1 / pi, theta2 / pi,
+    Q0, Qpi and residual, then t, built from Python scalars."""
+    return list(zip(*(c.ravel().tolist() for c in columns), repeat(t)))
+
+
 def _run_scan(cfg, seed, outdir, fmt, mapper):
     blk = cfg["scan"]
     t = blk["t"]
@@ -209,12 +215,8 @@ def _run_scan(cfg, seed, outdir, fmt, mapper):
     else:
         grid = np.linspace(blk["start_pi"], blk["stop_pi"], blk["count"]) * math.pi
         result = scan_line(blk["parametrization"], t, grid=grid, mapper=mapper)
-    nan = float("nan")
-    rows = [[pt.theta1 / math.pi, pt.theta2 / math.pi,
-             pt.pair.q0 if pt.pair else nan,
-             pt.pair.qpi if pt.pair else nan,
-             pt.pair.residual if pt.pair else nan, t]
-            for pt in result.points]
+    rows = _scan_table(t, result.theta1 / math.pi, result.theta2 / math.pi, result.q0,
+                       result.qpi, result.residual)
     return _table(outdir, "scan", rows, fmt)
 
 
@@ -222,9 +224,8 @@ def _run_phase_diagram(cfg, seed, outdir, fmt, mapper):
     blk = cfg["phase_diagram"]
     pd = phase_diagram(blk["resolution"], blk["t"], blk["tolerance"], mapper=mapper)
     n = pd.theta2.size
-    columns = (np.repeat(pd.theta1 / math.pi, n), np.tile(pd.theta2 / math.pi, n),
-               pd.q0, pd.qpi, pd.residual)
-    rows = list(zip(*(c.ravel().tolist() for c in columns), repeat(pd.t)))
+    rows = _scan_table(pd.t, np.repeat(pd.theta1 / math.pi, n),
+                       np.tile(pd.theta2 / math.pi, n), pd.q0, pd.qpi, pd.residual)
     written = [write_table(os.path.join(outdir, "phase_diagram.csv"),
                            TABLE_KINDS["scan"], rows, fmt)]
     levels = np.vectorize(PHASE_LEVELS.get)(pd.labels).astype(float)
@@ -276,7 +277,7 @@ def _run_edge(cfg, seed, outdir, fmt, mapper):
 
 def _intensity_rows(positions, matrix) -> list:
     """(step, position, value) rows of a (steps, positions) matrix, step by
-    step, built from Python scalars as `_run_phase_diagram` builds its rows."""
+    step, built from Python scalars as `_scan_table` builds its rows."""
     steps, sites = matrix.shape
     return list(zip(np.repeat(np.arange(steps), sites).tolist(),
                     np.tile(positions, steps).tolist(), matrix.ravel().tolist()))

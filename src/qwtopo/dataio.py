@@ -135,12 +135,3 @@ class RunManifest:
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         return path
 
-    @classmethod
-    def read(cls, path: str) -> "RunManifest":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                body = json.load(fh)
-        except OSError as exc:
-            raise IoFailure(f"cannot read {path}: {exc}") from exc
-        return cls(body["version"], body["seed"], body["config_sha256"],
-                   body["created"], body.get("outputs", {}))

@@ -24,13 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .walk import CoinField, batches, held
-from .scattering import (
-    ScatteringSystem,
-    reflection_rows,
-    reflection_window,
-    rotated_sums,
-    sample_rows,
-)
+from .scattering import reflection_window, rotated_sums, sample_rows
 
 _TWO_PI = 2.0 * np.pi
 
@@ -102,23 +96,11 @@ def sample_pattern(spec: DisorderSpec, config: int) -> CoinField:
     return CoinField(0, pattern_angles(spec, u)[0])
 
 
-def scattering_system(spec: DisorderSpec, config: int) -> ScatteringSystem:
-    """Lead-sample system of one configuration (first coin identity)."""
-    pattern = sample_pattern(spec, config)
-    return ScatteringSystem(np.zeros(spec.sites), pattern.thetas)
-
-
-def half_r0(system: ScatteringSystem, t: int) -> float:
-    """Re(-i r(0)) / 2 for a t-step run: the signed invariant estimate.
-
-    Q0 as `scattering.invariants` reads it, but without the degeneracy
-    check, so ensemble members keep their signed values around zero.
-    """
-    return float(_halves(reflection_rows([system], t))[0])
-
-
 def _halves(rho: np.ndarray) -> np.ndarray:
-    """half_r0 of every row of a batch of real series, r_j = i rho_j."""
+    """Re(-i r(0)) / 2, the signed invariant estimate, of every row of a
+    batch of real series, r_j = i rho_j: Q0 as `scattering.invariants`
+    reads it, but without the degeneracy check, so ensemble members keep
+    their signed values around zero."""
     return rotated_sums(rho, 0.0).real / 2.0
 
 

@@ -136,13 +136,3 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
         out.append(EnsembleResult(float(p), values, t))
     return out
 
-
-def reference_record(theta_left: float, theta_right: float, t: int = 13) -> LocalizationRecord:
-    """Clean interface between two bulks (no disorder, single run).
-
-    With both angles drawn from the same phase this is the study's
-    no-edge-state reference.
-    """
-    spec = DisorderSpec.for_steps(theta_right, theta_right, 0.0, t, seed=0,
-                                  n_configs=1)
-    return run_interface(InterfaceSystem(theta_left, spec), t, 0)

@@ -18,7 +18,7 @@ with real rho_j.  The invariants therefore use one fixed rotation,
 of rho_j and needs no per-series gauge.  Under it a clean sample with
 first coin identity and second coin angle 1.68*pi comes out at
 Q0 = +1/2 and the reference sample with second coin angle 0.52*pi at
-Q0 = -1/2.  The same real structure lets `reflection_rows` step whole
+Q0 = -1/2.  The same real structure lets `sample_rows` step whole
 batches of systems on the real engine `walk.real_steps`, on the sites
 that can still reach the read-out x = -2: amplitude left of it never
 returns, so the window starts there.
@@ -81,10 +81,6 @@ class ScatteringSystem:
         """Clean sample sized to the light cone of a t-step run."""
         return cls.clean(theta1, theta2, t + 2)
 
-    @property
-    def sites(self) -> int:
-        return self.theta1.size
-
     def protocol(self) -> SplitStepProtocol:
         """Coin fields of the sample."""
         return SplitStepProtocol(CoinField(0, self.theta1), CoinField(0, self.theta2))
@@ -96,10 +92,6 @@ class ReflectionSeries:
 
     r: np.ndarray
 
-    @property
-    def t(self) -> int:
-        return self.r.size
-
     def reflected_weight(self) -> float:
         return float(np.sum(np.abs(self.r) ** 2))
 
@@ -107,10 +99,6 @@ class ReflectionSeries:
     def residual(self) -> float:
         """1 - sum_j |r_j|^2: weight not yet returned through the lead."""
         return 1.0 - self.reflected_weight()
-
-    def max_abs_real(self) -> float:
-        """Largest |Re r_j|; exactly 0 for ideal systems."""
-        return float(np.max(np.abs(self.r.real))) if self.r.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -123,23 +111,13 @@ class InvariantPair:
 
 
 def reflection_window(t: int) -> int:
-    """Sites of the window [-2, t // 2] that `reflection_rows` steps."""
+    """Sites of the window [-2, t // 2] that `sample_rows` steps."""
     return t // 2 + 3
 
 
 def reflection_site_steps(t: int) -> int:
     """Sites one `sample_rows` walker updates: min(j + 2, t - j + 1) at step j."""
     return cone(_PROBE, _PROBE, reflection_window(t), t, _READOUT)[2]
-
-
-def reflection_rows(systems: list[ScatteringSystem], t: int) -> np.ndarray:
-    """`sample_rows` of a list of systems, each padded with identity
-    coins to the largest sample."""
-    width = max((s.sites for s in systems), default=0)
-    th = np.zeros((2, len(systems), width))
-    for k, s in enumerate(systems):
-        th[0, k, :s.sites], th[1, k, :s.sites] = s.theta1, s.theta2
-    return sample_rows(th[0], th[1], t)
 
 
 def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
@@ -175,7 +153,7 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
 
 def reflection_amplitudes(system: ScatteringSystem, t: int) -> ReflectionSeries:
     """Evolve the probe for t steps and collect r_j = <-2,V| U^j |-1,H>."""
-    return ReflectionSeries(1j * reflection_rows([system], t)[0])
+    return ReflectionSeries(1j * sample_rows(system.theta1[None], system.theta2[None], t)[0])
 
 
 def fourier_sums(r: np.ndarray, eps: float) -> np.ndarray:
@@ -203,7 +181,7 @@ def invariants(series: ReflectionSeries) -> InvariantPair:
 
     Raises DegenerateGauge when |r(0)| < 1e-6, where Q0 has no sign.
     Ensemble members, which need signed values near zero, use
-    `disorder.half_r0` instead.
+    `disorder.ensemble_r0` instead.
     """
     v0 = CANONICAL_ROTATION * reflection_matrix_element(series, 0.0)
     if abs(v0) < DEGENERATE_TOL:
@@ -229,79 +207,17 @@ def invariant_rows(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class ScanPoint:
-    theta1: float
-    theta2: float
-    pair: InvariantPair | None  # None where the gauge is degenerate
-
-
-@dataclass
 class ScanResult:
-    """Invariants along a one-parameter line in the coin-angle plane."""
+    """Invariants of clean samples at points of the coin-angle plane, one
+    array entry per point; q0, qpi and residual are NaN where the gauge
+    is degenerate."""
 
-    parametrization: str
-    scanned: np.ndarray  # the swept angle per point
-    points: list[ScanPoint]
+    theta1: np.ndarray
+    theta2: np.ndarray
+    q0: np.ndarray
+    qpi: np.ndarray
+    residual: np.ndarray
     t: int
-
-    @property
-    def transitions(self) -> list[float]:
-        """Swept-angle midpoints where sign(Q0 * Qpi) changes."""
-        out = []
-        prev_sign = None
-        prev_angle = None
-        for angle, pt in zip(self.scanned, self.points):
-            if pt.pair is None:
-                continue
-            s = np.sign(pt.pair.q0 * pt.pair.qpi)
-            if s == 0:
-                continue
-            if prev_sign is not None and s != prev_sign:
-                out.append(0.5 * (prev_angle + angle))
-            prev_sign = s
-            prev_angle = angle
-        return out
-
-    def transition_width(self, center: float, floor: float = 0.25) -> float:
-        """Swept-angle width of the unconverged region around a transition.
-
-        A point counts as transitional when min(|Q0|, |Qpi|) < floor or
-        its gauge is degenerate; the width is the extent of the
-        contiguous transitional run nearest to center.  Returns 0.0 when
-        no point near center is transitional.
-        """
-        flags = []
-        for pt in self.points:
-            if pt.pair is None:
-                flags.append(True)
-            else:
-                flags.append(min(abs(pt.pair.q0), abs(pt.pair.qpi)) < floor)
-        runs = []
-        start = None
-        for i, f in enumerate(flags):
-            if f and start is None:
-                start = i
-            elif not f and start is not None:
-                runs.append((start, i - 1))
-                start = None
-        if start is not None:
-            runs.append((start, len(flags) - 1))
-        best = None
-        best_dist = None
-        for a, b in runs:
-            lo, hi = self.scanned[a], self.scanned[b]
-            dist = 0.0 if lo <= center <= hi else min(abs(lo - center), abs(hi - center))
-            if best_dist is None or dist < best_dist:
-                best, best_dist = (a, b), dist
-        if best is None or best_dist > 0.35:
-            return 0.0
-        a, b = best
-        if a == b:
-            # single-point run: charge one grid spacing
-            if len(self.scanned) > 1:
-                return float(np.min(np.diff(self.scanned)))
-            return 0.0
-        return float(self.scanned[b] - self.scanned[a])
 
 
 LINE_GREEN = "theta1=2*theta2"
@@ -345,23 +261,18 @@ def scan_line(parametrization: str, t: int, grid=None, pairs=None,
 
     parametrization is one of "theta1=2*theta2" (grid sweeps theta2),
     "theta2=2*theta1" (grid sweeps theta1) or "free" (explicit pairs of
-    angles).  Points whose gauge is degenerate are kept but flagged.
+    angles).  Points whose gauge is degenerate are kept, with NaN values.
     """
     if parametrization == LINE_FREE:
         if pairs is None:
             raise ValueError("free parametrization needs explicit pairs")
         arr = np.asarray(pairs, dtype=float)
-        scanned = arr[:, 0]
     else:
         if grid is None:
             raise ValueError("line parametrization needs a grid of swept angles")
         arr = _line_pairs(parametrization, grid)
-        scanned = np.asarray(grid, dtype=float)
-    rows = _scan_rows(arr, t, mapper)
-    degenerate = np.isnan(rows[:, 0]).tolist()
-    points = [ScanPoint(th1, th2, None if bad else InvariantPair(*row))
-              for (th1, th2), row, bad in zip(arr, rows.tolist(), degenerate)]
-    return ScanResult(parametrization, scanned, points, t)
+    q0, qpi, residual = _scan_rows(arr, t, mapper).T
+    return ScanResult(arr[:, 0], arr[:, 1], q0, qpi, residual, t)
 
 
 PHASE_LABELS = ("--", "-+", "+-", "++")

@@ -43,18 +43,6 @@ _GROW = 16  # slots added when a shift reaches an occupied window edge
 BATCH_BUDGET = 3 * 2**16
 
 
-def coin_matrix(theta: float) -> np.ndarray:
-    """Return the coin rotation exp(-i sigma_x theta) in the (H, V) basis.
-
-    The angle is reduced mod 2*pi.  The matrix is
-    [[cos(theta), -i sin(theta)], [-i sin(theta), cos(theta)]].
-    """
-    th = float(theta) % _TWO_PI
-    c = np.cos(th)
-    s = np.sin(th)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 @dataclass(frozen=True, eq=False)
 class CoinField:
     """Position-dependent coin angles over one contiguous sample region.
@@ -195,7 +183,8 @@ def apply_shift_symmetric(state: WalkerState) -> WalkerState:
 
 
 def apply_coin_field(state: WalkerState, field: CoinField) -> WalkerState:
-    """Apply the position-dependent coin rotation at every window site."""
+    """Apply the coin rotation exp(-i sigma_x theta), [[cos, -i sin], [-i sin,
+    cos]] in the (H, V) basis, with each window site's own angle theta."""
     th = field.window_angles(state.x_min, state.sites)
     c = np.cos(th)
     s = np.sin(th)
@@ -310,11 +299,14 @@ def batches(items, per_walker: int) -> list:
 def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
     """(first, last, total): the rows `real_steps` updates at steps j = 1 .. steps
     from rows [lo, hi], their light cone cut to the window and, for a caller reading
-    only row `read`, to read +- (steps - j); total counts them all, per walker."""
+    only row `read`, to read +- (steps - j); total counts them all, per walker.
+    Where the cut leaves no row, as when `read` is out of reach, the step is empty:
+    last = first - 1, and it adds 0 to total."""
     j = np.arange(1, steps + 1)
     first, last = np.maximum(lo - j, 0), np.minimum(hi + j, sites - 1)
     if read is not None:
         first, last = np.maximum(first, read - steps + j), np.minimum(last, read + steps - j)
+    last = np.maximum(last, first - 1)
     return first, last, int(np.sum(last - first + 1))
 
 

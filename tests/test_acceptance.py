@@ -14,6 +14,7 @@ from qwtopo import (
     ApparatusModel,
     CoinField,
     DisorderSpec,
+    InvariantPair,
     ScatteringSystem,
     SplitStepProtocol,
     WalkerState,
@@ -26,7 +27,6 @@ from qwtopo import (
     localization_vs_disorder,
     measured_invariants,
     monte_carlo_errorbars,
-    reference_record,
     reflection_amplitudes,
     reflection_matrix_element,
     sample_pattern,
@@ -34,8 +34,11 @@ from qwtopo import (
     split_step,
     transition_locator,
 )
-from qwtopo.disorder import DEFAULT_P_GRID, scattering_system
+from qwtopo.disorder import DEFAULT_P_GRID
+from qwtopo.edges import InterfaceSystem, run_interface
 from qwtopo.walk import H, V
+
+from scanlines import flip_width, sign_flips
 
 PI = np.pi
 SEED = 20260814
@@ -63,7 +66,7 @@ def test_criterion_1_clean_scan_signs_and_sharpening(capfd):
     """
     anchors = scan_line("theta2=2*theta1", 5,
                         grid=np.array([0.12, 0.73, 0.90, 1.12, 1.50]) * PI)
-    p12, p73, p90, p112, p150 = (pt.pair for pt in anchors.points)
+    p12, p73, p90, p112, p150 = map(InvariantPair, anchors.q0, anchors.qpi, anchors.residual)
     same_73 = np.sign(p73.q0) == np.sign(p73.qpi)
     inter_90 = 0.05 < min(abs(p90.q0), abs(p90.qpi)) < 0.45
     opposite_150 = np.sign(p150.q0) != np.sign(p150.qpi)
@@ -73,8 +76,8 @@ def test_criterion_1_clean_scan_signs_and_sharpening(capfd):
     fine = np.arange(0.60, 0.7401, 0.005) * PI
     s5 = scan_line("theta2=2*theta1", 5, grid=fine)
     s50 = scan_line("theta2=2*theta1", 50, grid=fine)
-    w5 = s5.transition_width(s5.transitions[0])
-    w50 = s50.transition_width(s50.transitions[0])
+    w5 = flip_width(fine, s5.q0, s5.qpi, sign_flips(fine, s5.q0, s5.qpi)[0])
+    w50 = flip_width(fine, s50.q0, s50.qpi, sign_flips(fine, s50.q0, s50.qpi)[0])
     sharpened = w5 >= 3 * w50
 
     ok = same_73 and inter_90 and opposite_150 and image_112 and sharpened
@@ -172,7 +175,8 @@ def test_criterion_6_interface_mode_outlives_disorder(capfd):
     points = localization_vs_disorder(0.52 * PI, CASE1["theta_a"],
                                       CASE1["theta_b"], SEED, 13,
                                       DEFAULT_P_GRID, 50)
-    reference = reference_record(CASE1["theta_a"], CASE1["theta_b"], 13)
+    clean = DisorderSpec.for_steps(CASE1["theta_b"], CASE1["theta_b"], 0.0, 13, 0, 1)
+    reference = run_interface(InterfaceSystem(CASE1["theta_a"], clean), 13, 0)
     ref_ploc = reference.p_loc_at(13)
     means = np.array([pt.mean for pt in points])
     contrast = means.min() / ref_ploc
@@ -229,7 +233,7 @@ def test_criterion_8_property_suite(capfd):
     for _ in range(8):
         th1, th2 = rng.uniform(0.0, 2.0 * PI, size=2)
         series = reflection_amplitudes(ScatteringSystem.for_steps(th1, th2, 30), 30)
-        imaginary &= series.max_abs_real() < 1e-10
+        imaginary &= np.max(np.abs(series.r.real)) < 1e-10
         bounded &= series.reflected_weight() <= 1.0 + 1e-10
 
     # identity first coin: odd steps dark, r(0) equals r(pi)
@@ -238,7 +242,8 @@ def test_criterion_8_property_suite(capfd):
     dark = True
     symmetric = True
     for config in range(4):
-        series = reflection_amplitudes(scattering_system(spec, config), 21)
+        system = ScatteringSystem(np.zeros(spec.sites), sample_pattern(spec, config).thetas)
+        series = reflection_amplitudes(system, 21)
         dark &= all(series.r[j] == 0.0 for j in range(0, 21, 2))
         symmetric &= abs(reflection_matrix_element(series, 0.0)
                          - reflection_matrix_element(series, PI)) < 1e-12

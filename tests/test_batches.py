@@ -38,7 +38,8 @@ def _studies() -> dict:
         + "".join(pd.labels.ravel()).encode()
     rng = np.random.default_rng(5)
     scan = scan_line(LINE_FREE, 9, pairs=rng.uniform(0, 2 * PI, (40, 2)))
-    out["scan_line"] = repr([(p.theta1, p.theta2, p.pair) for p in scan.points]).encode()
+    out["scan_line"] = b"".join(_bits(a) for a in (scan.theta1, scan.theta2, scan.q0,
+                                                    scan.qpi, scan.residual))
     spec = DisorderSpec.for_steps(0.63 * PI, 1.26 * PI, 0.6, 15, seed=9, n_configs=30)
     out["ensemble_r0"] = _bits(ensemble_r0(spec, 15).values)
     out["transition_locator"] = repr(transition_locator(

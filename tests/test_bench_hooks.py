@@ -59,6 +59,7 @@ def test_a_traced_run_completes_and_yields_layer_metrics(tmp_path, monkeypatch):
 @pytest.mark.parametrize("owner, name", [
     (disorder.DisorderSpec, "for_steps"),
     (disorder, "ensemble_r0"),
+    (ScatteringSystem, "for_steps"),
     (ScatteringSystem, "protocol"),
     (walk.WalkerState, "localized"),
     (walk, "evolve"),

@@ -195,9 +195,10 @@ def test_manifest_records_file_hashes(tmp_path):
                            created="2026-01-01T00:00:00+00:00")
     manifest.add(str(f1))
     out = manifest.write(str(tmp_path / "manifest.json"))
-    loaded = RunManifest.read(out)
-    assert loaded.seed == 7
-    assert loaded.outputs["a.csv"] == dataio.sha256_file(str(f1))
+    with open(out, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    assert loaded["seed"] == 7
+    assert loaded["outputs"]["a.csv"] == dataio.sha256_file(str(f1))
 
 
 def test_config_hash_ignores_key_order_but_not_values():
@@ -370,9 +371,9 @@ def test_scan_run_writes_table_plot_and_manifest(tmp_path):
     assert len(rows) == 20
     svg = (out / "scan.svg").read_text()
     assert svg.startswith("<svg") and "Q0" in svg
-    manifest = RunManifest.read(str(out / "manifest.json"))
-    assert manifest.outputs["scan.csv"] == dataio.sha256_file(str(out / "scan.csv"))
-    assert "scan.svg" in manifest.outputs
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]["scan.csv"] == dataio.sha256_file(str(out / "scan.csv"))
+    assert "scan.svg" in manifest["outputs"]
 
 
 def test_runs_are_byte_reproducible_and_replot_matches(tmp_path):

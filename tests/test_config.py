@@ -22,7 +22,6 @@ import pytest
 import qwtopo.cli
 import qwtopo.scattering
 import qwtopo.walk
-from qwtopo import RunManifest
 from qwtopo import config as cfgmod
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import config_hash
@@ -129,8 +128,8 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     else:
         assert sum(rows) == est["simulations"]
         assert sum(site_steps) == est["site_steps"]
-    manifest = RunManifest.read(str(out / "manifest.json"))
-    assert manifest.config_sha256 == config_hash(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == config_hash(cfg)
 
 
 def resolved_steps(cfg, field):
@@ -148,9 +147,9 @@ def test_manifest_hashes_the_config_as_written(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert entrypoint(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    manifest = RunManifest.read(str(tmp_path / "out" / "manifest.json"))
-    assert manifest.config_sha256 == config_hash(cfg)
-    assert manifest.config_sha256 != config_hash(cfgmod.resolve(cfg))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config_sha256"] == config_hash(cfg)
+    assert manifest["config_sha256"] != config_hash(cfgmod.resolve(cfg))
 
 
 OVERSIZED = {

@@ -5,13 +5,12 @@ import pytest
 
 from qwtopo import disorder
 from qwtopo.disorder import (DEFAULT_P_GRID, DisorderSpec, NoCrossing,
-                             disorder_curve, ensemble_r0, half_r0,
-                             sample_pattern, scattering_system, site_uniforms,
-                             transition_locator)
+                             disorder_curve, ensemble_r0, sample_pattern,
+                             site_uniforms, transition_locator)
 from qwtopo.scattering import (ScatteringSystem, invariants,
-                               reflection_amplitudes)
+                               reflection_amplitudes, reflection_matrix_element)
 
-from oracles import dense_reflection
+from oracles import _binary_pattern, dense_reflection
 
 SEED = 20260814
 CASE1 = dict(theta_a=1.68 * np.pi, theta_b=1.36 * np.pi)
@@ -86,21 +85,19 @@ def test_flips_grow_monotonically_with_p():
         flipped_prev = flipped
 
 
-def test_scattering_system_first_coin_identity():
-    system = scattering_system(case1_spec(0.5), 0)
-    assert not np.any(system.theta1)
-    series = reflection_amplitudes(system, 11)
-    assert np.all(series.r[::2] == 0)
-
-
 def test_half_r0_matches_dense_oracle_per_config():
-    spec = case1_spec(0.5, t=11)
+    values = ensemble_r0(case1_spec(0.5, t=11), 11).values
     for config in (0, 1, 2):
-        system = scattering_system(spec, config)
-        got = half_r0(system, 11)
-        want = (-1j * np.sum(dense_reflection(np.zeros(13), system.theta2, 11))).real / 2
-        assert got == pytest.approx(want, abs=1e-13)
-        assert got == pytest.approx(CASE1_P05_FIRST3[config], abs=1e-12)
+        theta2 = _binary_pattern(SEED, config, 13, 0.5, CASE1["theta_a"], CASE1["theta_b"])
+        want = (-1j * np.sum(dense_reflection(np.zeros(13), theta2, 11))).real / 2
+        assert values[config] == pytest.approx(want, abs=1e-13)
+        assert values[config] == pytest.approx(CASE1_P05_FIRST3[config], abs=1e-12)
+
+
+def single_run_half_r0(spec: DisorderSpec, config: int, t: int) -> float:
+    """Re(-i r(0)) / 2 of one configuration's system, stepped on its own."""
+    system = ScatteringSystem(np.zeros(spec.sites), sample_pattern(spec, config).thetas)
+    return (-1j * reflection_matrix_element(reflection_amplitudes(system, t), 0.0)).real / 2
 
 
 def test_ensemble_frozen_statistics():
@@ -112,9 +109,9 @@ def test_ensemble_frozen_statistics():
 
 def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     """An ensemble thresholds one drawn block of uniforms; each value must
-    be the half r(0) of that configuration's own system, from
-    ensemble_r0, at every probe of a bisection and along a disorder
-    curve, whose probes share one block."""
+    be the half r(0) of that configuration's own system, stepped on its
+    own, at every probe of a bisection and along a disorder curve, whose
+    probes share one block."""
     probes = []
     ensemble = disorder._ensemble_r0
 
@@ -131,8 +128,7 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     ensemble_r0(spec.with_p(0.5), 11)
     assert len(probes) >= 8
     for probe, result in probes:
-        want = [half_r0(scattering_system(probe, k), result.t)
-                for k in range(probe.n_configs)]
+        want = [single_run_half_r0(probe, k, result.t) for k in range(probe.n_configs)]
         assert [repr(v) for v in result.values.tolist()] == [repr(v) for v in want]
 
 

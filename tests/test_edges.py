@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from qwtopo.disorder import DisorderSpec
 from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, InterfaceSystem,
-                          localization_vs_disorder,
-                          reference_record, run_interface)
+                          localization_vs_disorder, run_interface)
 from qwtopo.walk import V
 
 from oracles import dense_interface_p_loc, _binary_pattern
@@ -23,6 +23,13 @@ PLOC_REFERENCE = 0.26613482314967135
 
 def interface(p: float, n_configs: int = 50) -> InterfaceSystem:
     return InterfaceSystem.for_steps(TH_L, TH_A, TH_B, p, 13, SEED, n_configs)
+
+
+def reference(t: int = 13):
+    """The study's no-edge-state reference: a clean interface between the
+    left bulk TH_A and the right bulk TH_B, drawn from the same phase."""
+    clean = DisorderSpec.for_steps(TH_B, TH_B, 0.0, t, 0, 1)
+    return run_interface(InterfaceSystem(TH_A, clean), t, 0)
 
 
 def test_launch_convention_is_pinned():
@@ -75,7 +82,7 @@ def test_disordered_interface_matches_dense_oracle():
 
 
 def test_reference_interface_spreads_into_double_lobe():
-    record = reference_record(TH_A, TH_B, t=13)
+    record = reference(t=13)
     assert record.p_loc == pytest.approx(PLOC_REFERENCE, abs=1e-12)
     final = record.distributions[-1]
     positions = record.positions()
@@ -113,10 +120,10 @@ def test_every_configuration_localizes():
 
 
 def test_interface_beats_reference_for_all_p():
-    reference = reference_record(TH_A, TH_B, t=13).p_loc
+    ref_ploc = reference(t=13).p_loc
     points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=13, n_configs=20)
     means = [pt.mean for pt in points]
-    assert all(m >= 2.5 * reference for m in means)
+    assert all(m >= 2.5 * ref_ploc for m in means)
     assert (max(means) - min(means)) / max(means) < 0.25
 
 

@@ -14,11 +14,12 @@ from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE,
                                DegenerateGauge, ReflectionSeries,
                                ScatteringSystem, invariants, phase_diagram,
                                phase_labels, reflection_amplitudes,
-                               reflection_matrix_element, reflection_rows,
-                               reflection_window, scan_line, _scan_rows)
+                               reflection_matrix_element, reflection_window,
+                               sample_rows, scan_line, _scan_rows)
 from qwtopo.walk import batches, held
 
 from oracles import dense_invariants, dense_reflection
+from scanlines import flip_width, sign_flips
 
 # frozen oracle outputs
 ONE_COIN_PI4_R = [0j, -0.7071067811865475j, 0j, -0.3535533905932738j]
@@ -54,7 +55,7 @@ def test_mismatched_fields_rejected():
 
 def test_for_steps_covers_light_cone():
     system = ScatteringSystem.for_steps(0.1, 0.2, 11)
-    assert system.sites == 13
+    assert system.theta1.size == system.theta2.size == 13
 
 
 def test_angles_reduced_mod_two_pi():
@@ -81,7 +82,7 @@ def test_two_coin_series_matches_frozen_oracle():
     system = ScatteringSystem.clean(0.35 * np.pi, 0.74 * np.pi, 10)
     series = reflection_amplitudes(system, 8)
     assert np.allclose(series.r.imag, CLEAN_035_074_R_IMAG, atol=1e-13)
-    assert series.max_abs_real() == 0.0
+    assert np.max(np.abs(series.r.real)) == 0.0
 
 
 def test_series_matches_dense_oracle_on_random_systems():
@@ -136,10 +137,10 @@ def test_skip_identity_fast_path_is_exact():
     """Alone, a sample whose coin 1 is the identity takes the engine's
     two-sublattice path; next to a row with theta1 != 0 the batch takes the
     dense path, which applies coin 1 to both rows.  The bits must not change."""
-    system = ScatteringSystem(np.zeros(10), np.linspace(0.2, 5.9, 10))
-    other = ScatteringSystem(np.full(10, 0.7), np.linspace(0.2, 5.9, 10))
-    alone = reflection_rows([system], 14)[0]
-    batched = reflection_rows([system, other], 14)
+    theta1 = np.array([np.zeros(10), np.full(10, 0.7)])
+    theta2 = np.array([np.linspace(0.2, 5.9, 10)] * 2)
+    alone = sample_rows(theta1[:1], theta2[:1], 14)[0]
+    batched = sample_rows(theta1, theta2, 14)
     assert np.max(np.abs(alone)) > 0.1
     assert np.array_equal(alone, batched[0])
     assert not np.array_equal(batched[0], batched[1])
@@ -160,7 +161,7 @@ def test_reflected_weight_bounded_by_one():
                                   rng.uniform(0, 2 * np.pi, sites))
         series = reflection_amplitudes(system, 40)
         assert series.reflected_weight() <= 1 + 1e-10
-        assert series.max_abs_real() < 1e-10
+        assert np.max(np.abs(series.r.real)) < 1e-10
 
 
 def test_strong_reflector_converges_by_t100():
@@ -243,8 +244,8 @@ def test_residual_reported_on_pair():
 def test_scan_frozen_anchors_on_factor_two_line():
     result = scan_line(LINE_TURQUOISE, 5,
                        grid=np.array([0.73, 0.90, 1.12]) * np.pi)
-    got = [(p.pair.q0, p.pair.qpi) for p in result.points]
-    for (gq0, gqpi), (wq0, wqpi) in zip(got, (SCAN_073, SCAN_090, SCAN_112)):
+    got = zip(result.q0.tolist(), result.qpi.tolist())
+    for (gq0, gqpi), (wq0, wqpi) in zip(got, (SCAN_073, SCAN_090, SCAN_112), strict=True):
         assert gq0 == pytest.approx(wq0, abs=1e-12)
         assert gqpi == pytest.approx(wqpi, abs=1e-12)
     # frozen values agree with the dense oracle by construction; re-derive one
@@ -255,16 +256,16 @@ def test_scan_frozen_anchors_on_factor_two_line():
 
 def test_scan_green_line_pairs_angles_correctly():
     result = scan_line(LINE_GREEN, 4, grid=np.array([0.3 * np.pi]))
-    point = result.points[0]
-    assert point.theta1 == pytest.approx(0.6 * np.pi)
-    assert point.theta2 == pytest.approx(0.3 * np.pi)
+    assert result.theta1.tolist() == pytest.approx([0.6 * np.pi])
+    assert result.theta2.tolist() == pytest.approx([0.3 * np.pi])
 
 
 def test_scan_free_pairs_and_degenerate_flag():
     pairs = [(0.0, 0.0), (0.0, 1.68 * np.pi)]
     result = scan_line(LINE_FREE, 10, pairs=pairs)
-    assert result.points[0].pair is None  # lead-only point: no reflection at all
-    assert result.points[1].pair is not None
+    # lead-only point: no reflection at all
+    assert np.isnan([result.q0[0], result.qpi[0], result.residual[0]]).all()
+    assert not np.isnan([result.q0[1], result.qpi[1], result.residual[1]]).any()
 
 
 def test_scan_argument_validation():
@@ -281,20 +282,16 @@ def test_transitions_sharpen_with_time():
     coarse = scan_line(LINE_TURQUOISE, 5, grid=grid)
     fine = scan_line(LINE_TURQUOISE, 20, grid=grid)
     closing = 2 * np.pi / 3
-    assert len(coarse.transitions) == 1
-    assert len(fine.transitions) == 1
-    assert abs(coarse.transitions[0] - closing) < 0.05 * np.pi
-    assert abs(fine.transitions[0] - closing) < 0.015 * np.pi
-    w_coarse = coarse.transition_width(closing)
-    w_fine = fine.transition_width(closing)
+    coarse_flips = sign_flips(grid, coarse.q0, coarse.qpi)
+    fine_flips = sign_flips(grid, fine.q0, fine.qpi)
+    assert len(coarse_flips) == 1
+    assert len(fine_flips) == 1
+    assert abs(coarse_flips[0] - closing) < 0.05 * np.pi
+    assert abs(fine_flips[0] - closing) < 0.015 * np.pi
+    w_coarse = flip_width(grid, coarse.q0, coarse.qpi, closing)
+    w_fine = flip_width(grid, fine.q0, fine.qpi, closing)
     assert w_fine > 0
     assert w_coarse / w_fine >= 3.0
-
-
-def test_transition_width_far_from_any_flip_is_zero():
-    grid = np.arange(1.60, 1.6401, 0.005) * np.pi  # deep inside one phase
-    result = scan_line(LINE_GREEN, 20, grid=grid)
-    assert result.transition_width(1.62 * np.pi) == 0.0
 
 
 def reference_label(q0, qpi, tolerance):
@@ -347,8 +344,7 @@ def test_array_pass_matches_the_scalar_invariants_bit_for_bit(monkeypatch):
     assert want[:4] == [repr(None)] * 4 and want.count(repr(None)) == 4
     assert [cell_repr(*row) for row in _scan_rows(pairs, t, map)] == want
     scan = scan_line(LINE_FREE, t, pairs=pairs)
-    assert [repr(None if p.pair is None else (p.pair.q0, p.pair.qpi, p.pair.residual))
-            for p in scan.points] == want
+    assert [cell_repr(*cell) for cell in zip(scan.q0, scan.qpi, scan.residual)] == want
 
     pd = phase_diagram(resolution=8, t=12, tolerance=0.05)
     c = pd.theta1
@@ -363,11 +359,8 @@ def test_array_pass_matches_the_scalar_invariants_bit_for_bit(monkeypatch):
                                                       float(pd.qpi[i, j]), 0.05)
 
     # the labelling rule on every read cell plus exact zeros and thresholds
-    q0 = np.concatenate([pd.q0.ravel(), [p.pair.q0 if p.pair else np.nan
-                                         for p in scan.points],
-                         [0.0, -0.0, 0.45, -0.45, 0.45, 0.5]])
-    qpi = np.concatenate([pd.qpi.ravel(), [p.pair.qpi if p.pair else np.nan
-                                           for p in scan.points],
+    q0 = np.concatenate([pd.q0.ravel(), scan.q0, [0.0, -0.0, 0.45, -0.45, 0.45, 0.5]])
+    qpi = np.concatenate([pd.qpi.ravel(), scan.qpi,
                           [0.0, 0.0, -0.45, 0.45, 0.4499999999999999, -0.0]])
     for tolerance in (0.05, 0.3, 0.5):
         assert phase_labels(q0, qpi, tolerance).tolist() == \

@@ -5,17 +5,24 @@ import pytest
 
 import qwtopo.scattering
 import qwtopo.walk
-from qwtopo.scattering import (ScatteringSystem, reflection_rows, reflection_site_steps,
-                               sample_rows)
+from qwtopo.scattering import reflection_site_steps, sample_rows
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
-                         apply_shift_symmetric, batch_walkers, batches, coin_matrix,
+                         apply_shift_symmetric, batch_walkers, batches,
                          double_step_equivalent, evolve, record, record_site_steps,
                          split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
 
 RT2 = np.sqrt(0.5)
+
+
+def coin_matrix(theta: float) -> np.ndarray:
+    """The coin `apply_coin_field` applies at a site of angle theta, in the
+    (H, V) basis: column c is the image of |0, c>."""
+    field = CoinField(0, [theta])
+    return np.array([apply_coin_field(WalkerState.localized(0, coin), field).amps[1]
+                     for coin in (H, V)]).T
 
 
 def test_coin_matrix_identity_at_zero():
@@ -299,12 +306,14 @@ def test_record_matches_evolve_bit_for_bit():
 def test_reflection_row_does_not_depend_on_its_batch():
     rng = np.random.default_rng(10)
     t = 30
-    systems = [ScatteringSystem(
-        random_field(rng, 0, sites).thetas, random_field(rng, 0, sites).thetas)
-        for sites in rng.integers(1, t + 3, 9)]
-    batched = reflection_rows(systems, t)
-    for system, row in zip(systems, batched):
-        assert np.array_equal(reflection_rows([system], t)[0], row)
+    fields = [(random_field(rng, 0, sites).thetas, random_field(rng, 0, sites).thetas)
+              for sites in rng.integers(1, t + 3, 9)]
+    theta = np.zeros((2, len(fields), max(th1.size for th1, _ in fields)))
+    for k, (th1, th2) in enumerate(fields):
+        theta[:, k, :th1.size] = th1, th2
+    batched = sample_rows(theta[0], theta[1], t)
+    for (th1, th2), row in zip(fields, batched, strict=True):
+        assert np.array_equal(sample_rows(th1[None], th2[None], t)[0], row)
 
 
 # --- the light-cone engine against a full-window one -----------------------------
@@ -443,6 +452,29 @@ def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coi
             assert not amps[:, others].any()
         if identity:  # one amplitude per site: H and V on rows of opposite parity
             assert ra.step == rb.step == 2 and (ra.start - rb.start) % 2 == 1
+
+
+def test_cone_of_an_unreachable_read_is_empty():
+    """Row 5 of a 7-row window is out of reach from row 1 in 2 steps: both
+    steps are empty, with last = first - 1, and the total is 0, on either
+    engine path."""
+    first, last, total = qwtopo.walk.cone(1, 1, 7, 2, 5)
+    assert first.tolist() == [4, 5] and last.tolist() == [3, 4] and total == 0
+    for theta1 in (np.zeros((7, 3)), np.full((7, 3), 0.4)):
+        for ra, h, rb, v in qwtopo.walk.real_steps(theta1, np.full((7, 3), 1.1), 1, H, 2, 5):
+            assert cone_sites(ra, rb) == 0 and h.size == v.size == 0
+
+
+def test_cone_widths_are_never_negative():
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        sites = int(rng.integers(1, 30))
+        lo = int(rng.integers(0, sites))
+        hi = int(rng.integers(lo, sites))
+        read = None if rng.random() < 0.2 else int(rng.integers(-5, sites + 5))
+        first, last, total = qwtopo.walk.cone(lo, hi, sites, int(rng.integers(0, 40)), read)
+        widths = last - first + 1
+        assert np.all(widths >= 0) and total == np.sum(widths)
 
 
 @pytest.mark.parametrize("x0", (-3, 0, 1, 4))
