@@ -14,7 +14,7 @@ offset on switched, i.e. nonzero, angles).
 All ideal reflection amplitudes are purely imaginary, so the chain
 works with the real series rho_j = Im r_j; the measured complex
 amplitudes are i * rho_j.  Each realized system is propagated once, in
-batches through `walk.record`, whose real V amplitude at the read-out
+batches through `walk.record`, whose real V history at the read-out
 site x = -2 is rho_j and whose per-step window gives the walk
 intensities.
 
@@ -24,7 +24,8 @@ stable sort of each row), their interfered intensities and one sign
 test with one floor rule, the sign chain as a cumulative product from
 the reference pulse, and (Q0, Qpi) per row, NaN where a pair gives no
 sign or |r(0)| is degenerate.  The Monte-Carlo fit runs it on batches
-of models, each batch a (B, 5) array of model parameters.
+of models, each batch a (B, 5) array of model parameters, and reads rho
+and the intensities' distances from the batch's whole histories.
 `emulate_measurement` runs it with B = 1 and keeps the signed series,
 which `measured_invariants` reads.  `relative_sign` and
 `reconstruct_series` apply the same sign rule and chain one pair at a
@@ -209,7 +210,7 @@ def perturbed_angles(thetas: np.ndarray, params: np.ndarray) -> np.ndarray:
     return np.where(thetas != 0.0, thetas + off, 0.0) % _TWO_PI
 
 
-def _runs(system: ScatteringSystem, params: np.ndarray, t: int) -> list:
+def _runs(system: ScatteringSystem, params: np.ndarray, t: int) -> tuple:
     """`walk.record` of the probe |-1, H> on the system as the hardware of
     each row of the model array params realizes it."""
     return record(0, perturbed_angles(system.theta1, params),
@@ -319,25 +320,25 @@ def emulate_measurement(system: ScatteringSystem, t: int,
     if mode not in ("exact", "shots"):
         raise ValueError(f"unknown mode: {mode!r}")
     params = _params([model])
-    run = _runs(system, params, t)[0]
-    dists = _intensities(np.stack([run[1]]), np.stack([run[2]]), params[:, _LOSS, None])
-    return _measure(run, model, dists[0], alpha, mode, shots, seed)
+    x_min, h, v, lo, hi = _runs(system, params, t)
+    a, b = (x[None, :, lo[0]:hi[0] + 1, 0].copy() for x in (h, v))
+    dists = _intensities(a, b, params[:, _LOSS, None])[0]
+    return _measure(v[1:, -2 - x_min, 0], model, x_min + int(lo[0]), dists, alpha, mode,
+                    shots, seed)
 
 
-def _measure(run, model: ApparatusModel, distributions: np.ndarray, alpha: float,
-             mode: str = "exact", shots: int = 1_000_000,
-             seed: int = 0) -> MeasurementData:
-    """The measurement chain on one probe run of the realized system,
-    the batched read-out with B = 1."""
-    x_min, _, v = run
-    out = _readout(v[None, 1:, -2 - x_min], _params([model]), alpha, mode, shots,
+def _measure(rho: np.ndarray, model: ApparatusModel, x_min: int, distributions,
+             alpha: float, mode="exact", shots=1_000_000, seed=0) -> MeasurementData:
+    """The batched read-out with B = 1 of one probe run's series rho_1 ..
+    rho_t, whose intensities `distributions` start at position x_min."""
+    out = _readout(rho[None], _params([model]), alpha, mode, shots,
                    np.random.default_rng(seed))
     if not out.readable[0]:
         # the real pairs come first, so this raises AmbiguousSign at the first bad one
         for i_h, i_v in zip(out.i_h[0].tolist(), out.i_v[0].tolist()):
             relative_sign(i_h, i_v, alpha)
     return MeasurementData(out.magnitudes[0], out.series()[0], int(out.reference[0]),
-                           alpha, distributions, x_min, v.shape[0] - 1)
+                           alpha, distributions, x_min, rho.size)
 
 
 def reconstruct_series(magnitudes: np.ndarray, signs, reference_sign: int) -> np.ndarray:
@@ -414,19 +415,21 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _distances(observed: np.ndarray, runs, loss: np.ndarray, horizon: int) -> np.ndarray:
-    """Summed squared difference of each run's normalized intensities
-    from the observed ones over steps 1 .. horizon.  Columns are compared
-    by index over the narrower of the two windows; runs of one window
-    width are handled together."""
-    groups = {}
-    for k, (_, a, _) in enumerate(runs):
-        groups.setdefault(a.shape[1], []).append(k)
-    out = np.empty(len(runs))
-    for width, rows in groups.items():
-        w = min(observed.shape[1], width)
-        a = np.stack([runs[k][1][:horizon + 1, :w] for k in rows])
-        b = np.stack([runs[k][2][:horizon + 1, :w] for k in rows])
+def _distances(observed: np.ndarray, h: np.ndarray, v: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, loss: np.ndarray, horizon: int) -> np.ndarray:
+    """Summed squared difference of each walker's normalized intensities
+    from the observed ones over steps 1 .. horizon, for `walk.record`
+    histories h and v with walker k's window on rows lo[k] .. hi[k].
+    Columns are compared by index over the narrower of the two windows.
+    The walkers of one window are gathered into a C-contiguous (walkers,
+    horizon + 1, columns) block, as a stack of their windows would be, so
+    every sum adds in the order of one walker's window alone."""
+    out = np.empty(lo.size)
+    for i, e in set(zip(lo.tolist(), hi.tolist())):
+        rows = np.flatnonzero((lo == i) & (hi == e))
+        w = min(observed.shape[1], e - i + 1)
+        a, b = (np.ascontiguousarray(x[:horizon + 1, i:i + w, rows].transpose(2, 0, 1))
+                for x in (h, v))
         d = _normalize(_intensities(a, b, loss[rows])[:, 1:])
         d -= _normalize(observed[1:horizon + 1, :w].copy())
         d *= d
@@ -437,10 +440,9 @@ def _distances(observed: np.ndarray, runs, loss: np.ndarray, horizon: int) -> np
 def _mc_batch(task) -> np.ndarray:
     """(distance, q0, qpi) of each model of one batch, one row each."""
     system, t, observed, horizon, alpha, params = task
-    runs = _runs(system, params, t)
-    rho = np.array([v[1:, -2 - x_min] for x_min, _, v in runs])
-    q0, qpi = invariant_rows(_readout(rho, params, alpha).series())
-    distances = _distances(observed, runs, params[:, _LOSS, None], horizon)
+    x_min, h, v, lo, hi = _runs(system, params, t)
+    q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, alpha).series())
+    distances = _distances(observed, h, v, lo, hi, params[:, _LOSS, None], horizon)
     return np.column_stack([distances, q0, qpi])
 
 

@@ -347,3 +347,7 @@ _RUNNERS = {
     "emulate": _run_emulate,
     "mc-errorbars": _run_mc_errorbars,
 }
+
+
+if __name__ == "__main__":
+    raise SystemExit(entrypoint())

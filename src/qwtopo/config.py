@@ -15,8 +15,9 @@ no integer), `enum`, `minimum`, `exclusiveMinimum`, `maximum`, `minItems`,
 `maxItems`, `items`, `properties`, `required` and `additionalProperties:
 false`, worded as jsonschema words them.  `validate` also rejects keys the
 runner would ignore (`p` next to `p_grid`), an emulate mixing angle the
-read-out cannot use, and a config whose predicted cost exceeds
-`MAX_SITE_STEPS`, `MAX_HELD` or, in the rows of its largest table, `MAX_CELLS`.
+read-out cannot use, an mc-errorbars horizon past its t, and a config whose
+predicted cost exceeds `MAX_SITE_STEPS`, `MAX_HELD` or, in the rows of its
+largest table, `MAX_CELLS`.
 """
 
 from __future__ import annotations
@@ -299,14 +300,16 @@ def schema_errors(value, schema: dict = SCHEMA, path: tuple = ()):
             yield from check(value, arg, schema, path)
 
 
+def _members(node):
+    """(key, value) of a JSON object's members or an array's items."""
+    return node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+
+
 def _reject_non_finite(node, path: str) -> None:
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _reject_non_finite(value, f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _reject_non_finite(value, f"{path}.{i}" if path else str(i))
-    elif isinstance(node, float) and not math.isfinite(node):
+    for key, value in _members(node):
+        _reject_non_finite(value, f"{path}.{key}" if path else str(key))
+    if isinstance(node, float) and not math.isfinite(node):
         raise ConfigInvalid(path, f"{node} is not a finite number")
 
 
@@ -367,6 +370,9 @@ def validate(cfg: dict) -> None:
         raise ConfigInvalid("emulate.alpha_pi",
                             f"{blk['alpha_pi']}*pi is within {math.degrees(ALPHA_GUARD):.0f} "
                             "degrees of a multiple of pi/2, where interference reads no sign")
+    if kind == "mc-errorbars" and blk.get("horizon", 0) > blk["t"]:
+        raise ConfigInvalid("mc_errorbars.horizon", f"{blk['horizon']} is more than "
+                            f"t = {blk['t']}, the recorded steps the fit compares")
     est = estimate(cfg)
     if est["site_steps"] > MAX_SITE_STEPS:
         raise ConfigInvalid(est["cost_field"],
@@ -402,21 +408,15 @@ def resolve(cfg: dict) -> dict:
     return out
 
 
-def _walk_angles(node, path):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            sub = f"{path}.{key}" if path else key
-            if key.endswith("_pi") and isinstance(value, (int, float)):
-                yield sub, value
-            elif key.endswith("_pi") and isinstance(value, list):
-                for i, item in enumerate(value):
-                    if isinstance(item, list):
-                        for j, v in enumerate(item):
-                            yield f"{sub}.{i}.{j}", v
-                    elif isinstance(item, (int, float)):
-                        yield f"{sub}.{i}", item
-            else:
-                yield from _walk_angles(value, sub)
+def _walk_angles(node, path, angle=False):
+    """(dotted path, value) of every number under a key that ends in _pi."""
+    for key, value in _members(node):
+        sub = f"{path}.{key}" if path else key
+        inside = angle or str(key).endswith("_pi")
+        if inside and isinstance(value, (int, float)):
+            yield sub, value
+        else:
+            yield from _walk_angles(value, sub, inside)
 
 
 def config_warnings(cfg: dict) -> list[str]:

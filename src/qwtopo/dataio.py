@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "IoFailure", "UnknownDataKind", "TABLE_KINDS", "write_table", "read_csv",
@@ -73,8 +73,7 @@ def write_table(path: str, header: list[str], rows, fmt: str = "csv") -> str:
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -120,16 +119,10 @@ class RunManifest:
         self.outputs[os.path.basename(path)] = sha256_file(path)
 
     def write(self, path: str) -> str:
-        body = {
-            "version": self.version,
-            "seed": self.seed,
-            "config_sha256": self.config_sha256,
-            "created": self.created,
-            "outputs": dict(sorted(self.outputs.items())),
-        }
+        """Every field as JSON, keys sorted, outputs included."""
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, indent=1, sort_keys=True)
+                json.dump(asdict(self), fh, indent=1, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc}") from exc

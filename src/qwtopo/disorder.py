@@ -137,8 +137,7 @@ def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
 
 def _ensemble_batch(task) -> np.ndarray:
     spec, uniforms, t = task
-    th2 = pattern_angles(spec, uniforms)
-    return _halves(sample_rows(np.zeros_like(th2), th2, t))
+    return _halves(sample_rows(None, pattern_angles(spec, uniforms), t))
 
 
 def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:

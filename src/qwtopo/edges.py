@@ -15,16 +15,18 @@ the boundary coin converts toward H before the amplitude crosses the
 bond) maximizes the bound/ballistic contrast.  LAUNCH_SITE and
 LAUNCH_COIN pin the convention.
 
-Configurations run in batches through `walk.record`.  The real coins keep
+Configurations run in batches through `walk.record`, with no coin-1
+angles, so the engine steps the occupied sublattice.  The real coins keep
 the launch state |-1, V> in the engine's real structure (H real, V
-imaginary) up to the global phase i, which no intensity sees, and the
-recorded window is the one `evolve` ends on.
+imaginary) up to the global phase i, which no intensity sees.  A batch's
+P_loc is one sum over the history rows x in [-3, 3] of every walker,
+which hold exact zeros outside a walker's window; `run_interface` keeps
+its walker's window, the one `evolve` ends on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -81,36 +83,29 @@ class LocalizationRecord:
     def positions(self) -> np.ndarray:
         return np.arange(self.x_min, self.x_min + self.distributions.shape[1])
 
-    def p_loc_at(self, step: int) -> float:
-        """Probability mass in [-LOC_WINDOW, LOC_WINDOW] after `step` steps."""
-        row = self.distributions[step]
-        x = self.positions()
-        return float(row[(x >= -LOC_WINDOW) & (x <= LOC_WINDOW)].sum())
 
-    @property
-    def p_loc(self) -> float:
-        return self.p_loc_at(self.t)
-
-
-def _launch(system: InterfaceSystem, t: int, configs, uniforms) -> list[LocalizationRecord]:
-    """Records of the launch state, one per configuration, whose uniforms are
-    the rows of `uniforms`."""
+def _launch(system: InterfaceSystem, t: int, uniforms: np.ndarray) -> tuple:
+    """`walk.record` of the launch state, one walker per row of `uniforms`."""
     if t < 0:
         raise ValueError("t must be non-negative")
     th2 = system.field2_angles(uniforms, extent=t + 2)
-    runs = record(-(t + 2), np.zeros_like(th2), th2, LAUNCH_SITE, LAUNCH_COIN, t)
-    return [LocalizationRecord(a * a + b * b, x_min, t, k)
-            for k, (x_min, a, b) in zip(configs, runs)]
+    return record(-(t + 2), None, th2, LAUNCH_SITE, LAUNCH_COIN, t)
 
 
 def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> LocalizationRecord:
     """Evolve the launch state and record every step's distribution."""
-    return _launch(system, t, [config], system.uniforms([config]))[0]
+    x_min, h, v, lo, hi = _launch(system, t, system.uniforms([config]))
+    a, b = h[:, lo[0]:hi[0] + 1, 0], v[:, lo[0]:hi[0] + 1, 0]
+    return LocalizationRecord(a * a + b * b, x_min + int(lo[0]), t, config)
 
 
-def _ploc_batch(task) -> list[float]:
-    system, t, configs, uniforms = task
-    return [rec.p_loc for rec in _launch(system, t, configs, uniforms)]
+def _ploc_batch(task) -> np.ndarray:
+    """P_loc after t steps of each row of the task's uniforms: one sum over the
+    rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
+    system, t, uniforms = task
+    x_min, h, v, _, _ = _launch(system, t, uniforms)
+    rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
+    return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
 
 
 def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
@@ -130,9 +125,8 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
         n = 1 if p in (0.0, 1.0) else n_configs
         system = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, p, t,
                                            seed, n)
-        tasks = [(system, t, configs, uniforms[configs])
-                 for configs in batches(range(n), per_walker)]
-        values = np.array(list(chain.from_iterable(mapper(_ploc_batch, tasks))))
+        tasks = [(system, t, block) for block in batches(uniforms[:n], per_walker)]
+        values = np.concatenate(list(mapper(_ploc_batch, tasks)))
         out.append(EnsembleResult(float(p), values, t))
     return out
 

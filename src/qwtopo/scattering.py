@@ -124,7 +124,7 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     """Real reflection series of a batch: row k holds rho_1 .. rho_t of
     the sample whose coin angles on [0, m), reduced mod 2*pi, are row k
     of the (B, m) arrays theta1 and theta2, with
-    r_j = i rho_j = <-2,V| U^j |-1,H>.
+    r_j = i rho_j = <-2,V| U^j |-1,H>; theta1 None is the identity coin 1.
 
     The batch runs `real_steps` on the window [-2, t // 2] whatever the
     sample size, which is exact.  Nothing left of the read-out site comes
@@ -135,15 +135,15 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     the read-out, which is past step t for x = t // 2.  Step j updates
     only sites the probe reached that can still reach x = -2 by step t.
     Where coin 1 is the identity on the whole batch, as in disorder
-    ensembles, the engine updates half of those sites, the sublattice the
-    probe occupies, and V reaches the read-out only at even steps: rho_j
-    is +0.0 at every odd j.
+    ensembles, which pass no coin-1 angles, the engine updates half of
+    those sites, the sublattice the probe occupies, and V reaches the
+    read-out only at even steps: rho_j is +0.0 at every odd j.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     n = reflection_window(t)
     th1, th2 = (place_angles(0, theta, -2, n) for theta in (theta1, theta2))
-    rho = np.empty((th1.shape[1], t))
+    rho = np.empty((th2.shape[1], t))
     for j, (_, _, rows, b) in enumerate(real_steps(th1, th2, _PROBE, H, t, _READOUT)):
         # each step's cone starts at the read-out column, where V sits at
         # every other step if coin 1 is the identity

@@ -21,8 +21,9 @@ buffers.  Where coin 1 is the identity on a whole batch, as in every
 disorder ensemble and interface walk, the walk is bipartite and the
 engine updates half of each cone's sites: the live sublattice, held as
 even-row and odd-row half planes.  The cone's sites times steps stay the
-unit of work that studies budget.  `record` keeps every step on the
-window `evolve` would end on.  A study splits its walkers into `batches`
+unit of work that studies budget.  `record` keeps every step of a batch
+whole, with each walker's window edges, so studies reduce whole batches.
+A study splits its walkers into `batches`
 that each hold at most BATCH_BUDGET float64 elements, counted per walker
 by `held` on the path the batch takes.
 """
@@ -264,16 +265,16 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
 def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = False) -> int:
     """float64 elements one walker holds while the engine steps it `steps` times
     on a window of `sites`: the buffers and cos/sin planes of `real_steps`,
-    which write the launch site's unit amplitude themselves, the two angle
-    planes, the rho row of its `steps` read-outs and, with `history`, the
-    (steps + 1)-row H and V history of `record`.  The dense path holds seven
-    buffers and four cos/sin planes of sites + 2 rows.  A batch whose coin 1
-    is the identity (`identity_coin1`) takes the two-sublattice path, which
-    updates half of each cone's sites and holds nine half planes of
-    (sites + 3) // 2 rows: four of amplitudes, four of cos/sin and one
-    scratch plane."""
-    engine = 9 * ((sites + 3) // 2) if identity_coin1 else 11 * (sites + 2)
-    return engine + 2 * sites + steps + (2 * sites * (steps + 1) if history else 0)
+    which write the launch site's unit amplitude themselves, the angle planes,
+    the rho row of its `steps` read-outs and, with `history`, the (steps + 1)-row
+    H and V history of `record`.  The dense path holds one buffer of eleven
+    planes of sites + 2 rows and both coins' angles.  A batch whose coin 1 is
+    the identity (`identity_coin1`), passed as no coin-1 angles, holds coin 2's
+    and takes the two-sublattice path, which updates half of each cone's sites
+    and holds nine half planes of (sites + 3) // 2 rows: four of amplitudes,
+    four of cos/sin and one scratch plane."""
+    engine = 9 * ((sites + 3) // 2) if identity_coin1 else 11 * (sites + 2) + sites
+    return engine + sites + steps + (2 * sites * (steps + 1) if history else 0)
 
 
 def _batch_count(walkers: int, per_walker: int) -> int:
@@ -316,7 +317,8 @@ def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: in
     walker batch launched at row `site` in polarization `coin`.
 
     The coin angles th1 and th2 have shape (n, B): row i is position
-    x_min + i of a window shared by the batch, column k walker k.  Every
+    x_min + i of a window shared by the batch, column k walker k; th1 None
+    is the identity coin 1 on every site.  Every
     walker starts with unit amplitude at (site, coin), which `real_steps`
     writes into its own buffers.  The state is H = a, V = i b, and each
     step gives the amplitudes of `split_step` bit for bit, up to the sign
@@ -337,21 +339,22 @@ def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: in
     step by 2 and together cover the cone once.  Every other batch steps
     both amplitudes of every cone row, and ra = rb is the cone.
     """
-    first, last, _ = cone(site, site, len(th1), steps, read)
+    first, last, _ = cone(site, site, len(th2), steps, read)
     rows = zip(first.tolist(), last.tolist())
-    if np.any(th1):
+    if th1 is not None and np.any(th1):
         return _dense_steps(th1, th2, site, coin, rows)
     return _sublattice_steps(th2, site, coin, rows)
 
 
 def _dense_steps(th1, th2, site, coin, rows):
     """`real_steps` of every amplitude on the cone rows [lo, hi] of `rows`."""
-    # a zero guard row on each side, with identity coins, stands for outside
-    buf = np.zeros((7, len(th1) + 2, th1.shape[1]))
+    # a zero guard row on each side, with identity coins, stands for outside;
+    # one allocation: separate cos/sin arrays let glibc trim and refault each batch
+    buf = np.zeros((11, len(th1) + 2, th1.shape[1]))
     buf[0, 1:-1], buf[1, 1:-1] = th1, th2
     buf[2 + coin, site + 1] = 1.0
-    (c1, c2), (s1, s2) = np.cos(buf[:2]), np.sin(buf[:2])
-    a, b, a2, b2, tmp = buf[2:]
+    (c1, c2), (s1, s2) = np.cos(buf[:2], out=buf[7:9]), np.sin(buf[:2], out=buf[9:])
+    a, b, a2, b2, tmp = buf[2:7]
     for lo, hi in rows:
         p, q = lo + 1, hi + 2  # the rows [lo, hi] of the buffers
         r = slice(p - 1, q + 1)  # coin 1 on the rows coin 2 reads
@@ -422,9 +425,11 @@ def record_site_steps(steps: int) -> int:
     return cone(steps + _GROW, steps + _GROW, record_window(steps), steps)[2]
 
 
-def place_angles(start: int, thetas: np.ndarray, x_min: int, sites: int) -> np.ndarray:
-    """The (sites, B) window [x_min, x_min + sites) of the (B, m) angles
-    `thetas` of positions [start, start + m), zero outside."""
+def place_angles(start: int, thetas: np.ndarray | None, x_min: int, sites: int):
+    """The (sites, B) window [x_min, x_min + sites) of the (B, m) angles `thetas`
+    of positions [start, start + m), zero outside; None (identity coins) stays None."""
+    if thetas is None:
+        return None
     out = np.zeros((sites, thetas.shape[0]))
     lo = max(start, x_min)
     hi = min(start + thetas.shape[1], x_min + sites)
@@ -433,29 +438,31 @@ def place_angles(start: int, thetas: np.ndarray, x_min: int, sites: int) -> np.n
     return out
 
 
-def record(start: int, theta1: np.ndarray, theta2: np.ndarray, x0: int, coin: int,
-           steps: int) -> list:
-    """Every step of walkers launched at (x0, coin), one per row of theta1.
+def record(start: int, theta1: np.ndarray | None, theta2: np.ndarray, x0: int, coin: int,
+           steps: int) -> tuple:
+    """Every step of walkers launched at (x0, coin), one per row of theta2.
 
     theta1 and theta2 hold the (B, m) coin angles, reduced mod 2*pi, of
-    the positions [start, start + m); coins elsewhere are the identity.  Returns one
-    (x_min, a, b) per row, with a and b of shape (steps + 1, width): row
-    j holds H = a and V = i b (up to a global phase) after j steps, on
-    exactly the window `evolve` ends on from `WalkerState.localized(x0,
-    coin)`.  That window starts at [x0 - 1, x0 + 1] and grows by _GROW
-    sites whenever a shift meets amplitude on its edge: after a step, the
-    right edge hi grew iff H now sits at hi + 1 or V sits at hi, the left
-    edge lo iff V sits at lo - 1.  An edge grows only once the front,
-    moving one site per step, has reached it, so no edge passes
-    x0 +- (steps + _GROW - 1).  a and b are views of one (steps + 1, sites,
-    B) history on x0 +- (steps + _GROW) that `real_steps` fills on its cone.
+    the positions [start, start + m); coins elsewhere, and everywhere for
+    theta1 None, are the identity.  Returns (x_min, h, v, lo, hi): h and v
+    are the (steps + 1, sites, B) history on x0 +- (steps + _GROW) that
+    `real_steps` fills on its cone, [j, i, k] holding H = h and V = i v (up
+    to a global phase) of walker k after j steps at position x_min + i.
+    Walker k's window is the rows lo[k] .. hi[k] of the (B,) arrays lo and
+    hi, exactly the window `evolve` ends on from `WalkerState.localized(x0,
+    coin)`; its other rows hold exact zeros.  That window starts at [x0 - 1,
+    x0 + 1] and grows by _GROW sites whenever a shift meets amplitude on its
+    edge: after a step, the right edge hi grew iff H now sits at hi + 1 or V
+    sits at hi, the left edge lo iff V sits at lo - 1.  An edge grows only
+    once the front, moving one site per step, has reached it, so no edge
+    passes x0 +- (steps + _GROW - 1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     reach = steps + _GROW
     x_min, n = x0 - reach, record_window(steps)
     th1, th2 = (place_angles(start, theta, x_min, n) for theta in (theta1, theta2))
-    walkers = th1.shape[1]
+    walkers = th2.shape[1]
     h, v = np.zeros((2, steps + 1, n, walkers))
     (h, v)[coin][0, reach] = 1.0
     cols = np.arange(walkers)
@@ -465,5 +472,4 @@ def record(start: int, theta1: np.ndarray, theta2: np.ndarray, x0: int, coin: in
         h[j, ra], v[j, rb] = a, b
         hi += _GROW * ((h[j, hi + 1, cols] != 0) | (v[j, hi, cols] != 0))
         lo -= _GROW * (v[j, lo - 1, cols] != 0)
-    return [(x_min + i, h[:, i:e + 1, k], v[:, i:e + 1, k])
-            for k, (i, e) in enumerate(zip(lo.tolist(), hi.tolist()))]
+    return x_min, h, v, lo, hi

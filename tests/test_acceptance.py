@@ -38,6 +38,7 @@ from qwtopo.disorder import DEFAULT_P_GRID
 from qwtopo.edges import InterfaceSystem, run_interface
 from qwtopo.walk import H, V
 
+from references import p_loc_at
 from scanlines import flip_width, sign_flips
 
 PI = np.pi
@@ -177,7 +178,7 @@ def test_criterion_6_interface_mode_outlives_disorder(capfd):
                                       DEFAULT_P_GRID, 50)
     clean = DisorderSpec.for_steps(CASE1["theta_b"], CASE1["theta_b"], 0.0, 13, 0, 1)
     reference = run_interface(InterfaceSystem(CASE1["theta_a"], clean), 13, 0)
-    ref_ploc = reference.p_loc_at(13)
+    ref_ploc = p_loc_at(reference, 13)
     means = np.array([pt.mean for pt in points])
     contrast = means.min() / ref_ploc
     variation = (means.max() - means.min()) / means.mean()

@@ -29,6 +29,9 @@ from qwtopo.apparatus import (
     OPPOSITE,
     SAME,
     SignMeasurement,
+    _LOSS,
+    _distances,
+    _mc_batch,
     _measure,
     _params,
     _readout,
@@ -37,6 +40,8 @@ from qwtopo.apparatus import (
     within_guard,
 )
 from qwtopo.scattering import DegenerateGauge, invariant_rows
+
+from references import distances, mixed_windows, walker_windows
 
 PI = np.pi
 
@@ -322,17 +327,19 @@ def scalar_pair(magnitudes, signs, reference) -> tuple:
     return pair.q0, pair.qpi
 
 
-def measure_pair(run, model, alpha) -> tuple:
+def measure_pair(rho, model, alpha) -> tuple:
     """(q0, qpi) through _measure and measured_invariants, NaN where they raise."""
     try:
-        pair = measured_invariants(_measure(run, model, None, alpha))
+        pair = measured_invariants(_measure(rho, model, -2, None, alpha))
     except (AmbiguousSign, DegenerateGauge):
         return np.nan, np.nan
     return pair.q0, pair.qpi
 
 
-def readout_rho(runs) -> np.ndarray:
-    return np.array([v[1:, -2 - x_min] for x_min, _, v in runs])
+def readout_rho(run) -> np.ndarray:
+    """The (B, t) read-out series of a `walk.record` result, walker by walker
+    from each one's own window."""
+    return np.array([v[1:, -2 - x_min] for x_min, _, v in walker_windows(run)])
 
 
 def as_reprs(*columns) -> list:
@@ -349,12 +356,11 @@ def test_batched_readout_matches_the_scalar_chain_bit_for_bit():
         params = wide.draw(rng, 40)
         models = [ApparatusModel(*row) for row in params.tolist()]
         alpha = PI / 4 if case % 2 else rng.uniform(0.05, PI / 2 - 0.05)
-        runs = _runs(system, params, t)
-        rho = readout_rho(runs)
+        rho = readout_rho(_runs(system, params, t))
         q0, qpi = invariant_rows(_readout(rho, params, alpha).series())
         want = [scalar_pair(*scalar_readout(row, m, alpha)) for row, m in zip(rho, models)]
         assert as_reprs(q0, qpi) == as_reprs(*zip(*want))
-        chain = [measure_pair(run, m, alpha) for run, m in zip(runs, models)]
+        chain = [measure_pair(row, m, alpha) for row, m in zip(rho, models)]
         assert as_reprs(*zip(*chain)) == as_reprs(*zip(*want))
 
 
@@ -373,12 +379,10 @@ def test_batched_readout_marks_each_unreadable_row():
     assert np.isnan(q0[1:]).all() and np.isnan(qpi[1:]).all()
     want = [scalar_pair(*scalar_readout(row, m, PI / 4)) for row, m in zip(rho, models)]
     assert as_reprs(q0, qpi) == as_reprs(*zip(*want))
-    history = np.zeros((len(rho), rho.shape[1] + 1, 1))
-    history[:, 1:, 0] = rho  # the read-out site x = -2 as a one-site window
-    chain = [measure_pair((-2, None, v), m, PI / 4) for v, m in zip(history, models)]
+    chain = [measure_pair(row, m, PI / 4) for row, m in zip(rho, models)]
     assert as_reprs(*zip(*chain)) == as_reprs(*zip(*want))
     with pytest.raises(AmbiguousSign, match="below the floor"):
-        _measure((-2, None, history[2]), models[2], None, PI / 4)
+        _measure(rho[2], models[2], -2, None, PI / 4)
 
 
 def test_shots_readout_keeps_the_draw_order_bit_for_bit():
@@ -408,6 +412,61 @@ def test_shots_readout_keeps_the_draw_order_bit_for_bit():
         assert as_reprs([pair.q0], [pair.qpi]) == as_reprs(*zip(scalar_pair(mags, signs,
                                                                             reference)))
     assert 0 < unreadable < 12
+
+
+# ------------------------------------------- batch reductions, walker by walker
+
+def test_mc_distances_equal_the_per_walker_form_bit_for_bit():
+    """`_distances` gathers each window width's columns from the whole
+    history; the per-walker form stacks every walker's own window.  On
+    batches whose walkers end on windows of different widths and first rows,
+    against observed intensities narrower than some windows and wider than
+    others, they agree as reprs and leave the history as it was."""
+    rng = np.random.default_rng(33)
+    for t in (3, 12, 20):
+        run = mixed_windows(t)
+        _, h, v, lo, hi = run
+        widths = hi - lo + 1
+        assert len(set(widths.tolist())) > 1 and len(set(lo.tolist())) > 1
+        before = h.copy(), v.copy()
+        loss = rng.uniform(-0.05, 0.05, (lo.size, 1))
+        for width in sorted(set(widths.tolist())) + [widths.min() - 5, widths.max() + 3]:
+            observed = rng.uniform(0, 1, (t + 1, width))
+            for horizon in (1, t // 2, t):
+                got = _distances(observed, h, v, lo, hi, loss, horizon)
+                want = distances(observed, walker_windows(run), loss, horizon)
+                assert as_reprs(got) == as_reprs(want)
+        assert np.array_equal(h, before[0]) and np.array_equal(v, before[1])
+
+
+def test_readout_slice_equals_each_walkers_own_window():
+    """rho is one slice of the V history at x = -2; every walker's window
+    holds that site, whatever its width and first row."""
+    for t in (0, 3, 20):
+        run = mixed_windows(t)
+        x_min, _, v, _, _ = run
+        assert as_reprs(*v[1:, -2 - x_min]) == as_reprs(*readout_rho(run).T)
+
+
+def test_mc_batch_equals_the_per_walker_forms_in_any_split():
+    """Distance, Q0 and Qpi of each model, as reprs, from the whole batch and
+    from every walker's own window, and the same whichever way the models
+    are split into batches."""
+    rng = np.random.default_rng(34)
+    system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11)
+    data = emulate_measurement(system, 11, ApparatusModel(loss_asymmetry=0.02))
+    wide = ErrorRanges(loss_asymmetry=0.1, eom_error=np.radians(10.0),
+                       sbc_error=np.radians(10.0), efficiency_span=0.5)
+    params = wide.draw(rng, 60)
+    got = _mc_batch((system, 11, data.distributions, 7, PI / 4, params))
+    run = _runs(system, params, 11)
+    q0, qpi = invariant_rows(_readout(readout_rho(run), params, PI / 4).series())
+    want = distances(data.distributions, walker_windows(run), params[:, _LOSS, None], 7)
+    assert as_reprs(*got.T) == as_reprs(want, q0, qpi)
+    for cuts in ([1], [17, 18], [59], list(range(1, 60))):
+        parts = [_mc_batch((system, 11, data.distributions, 7, PI / 4, block))
+                 for block in np.split(params, cuts)]
+        assert as_reprs(*np.concatenate(parts).T) == as_reprs(*got.T)
 
 
 # ------------------------------------------------------------- Monte Carlo

@@ -58,7 +58,7 @@ def _widest(module, widths):
     real_steps = module.real_steps
 
     def counted(th1, th2, site, coin, steps, read=None):
-        widths.append(th1.shape[1])
+        widths.append(th2.shape[1])
         yield from real_steps(th1, th2, site, coin, steps, read)
     return counted
 
@@ -87,10 +87,11 @@ def test_held_counts_what_the_engine_allocates(t):
     """A traced batch of 64 walkers allocates `walk.held` float64 elements
     per walker, within 10 %, on both engine paths: `sample_rows` on its
     reflection window and `record` with its history, each with coin 1 the
-    identity (the two-sublattice path) and random (the dense path)."""
+    identity, passed as no coin-1 angles (the two-sublattice path), and
+    random (the dense path)."""
     theta = np.random.default_rng(2).uniform(0, 2 * PI, (64, t + 2))
     reflection, history = qwtopo.scattering.reflection_window(t), qwtopo.walk.record_window(t)
-    for theta1, identity in ((np.zeros_like(theta), True), (theta, False)):
+    for theta1, identity in ((None, True), (theta, False)):
         runs = ((lambda: qwtopo.scattering.sample_rows(theta1, theta, t),
                  qwtopo.walk.held(reflection, t, identity_coin1=identity)),
                 (lambda: qwtopo.walk.record(0, theta1, theta, -1, qwtopo.walk.H, t),

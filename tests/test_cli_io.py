@@ -310,6 +310,23 @@ def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["qwtopo", "qwtopo.cli"])
+def test_python_dash_m_runs_the_command_line_and_exits_with_its_code(tmp_path, module):
+    """Both module forms run `entrypoint`: a malformed config exits 2 and a
+    shipped one verifies with exit 0, each printing what it found."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    bad = write_config(tmp_path, disorder_config(t=0))
+    good = os.path.join(CONFIG_DIR, "edge_localization.json")
+    runs = [subprocess.run([sys.executable, "-m", module, "verify", "--config", path],
+                           capture_output=True, text=True, timeout=60, env=env)
+            for path in (bad, good)]
+    assert runs[0].returncode == 2
+    assert "ConfigInvalid at field path disorder.t: " in runs[0].stderr
+    assert runs[1].returncode == 0, runs[1].stderr
+    assert "ok: edge config is valid" in runs[1].stdout
+
+
 def test_serial_pool_preserves_order():
     with WorkerPool(1) as pool:
         assert pool.map(abs, [-3, 2, -1]) == [3, 2, 1]

@@ -93,13 +93,13 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
 
     def counting(real_steps):
         def counted(th1, th2, site, coin, steps, read=None):
-            widths.append(th1.shape[0])
-            rows.append(th1.shape[1])
-            widest[steps] = max(widest.get(steps, 0), th1.shape[1])
+            widths.append(th2.shape[0])
+            rows.append(th2.shape[1])
+            widest[steps] = max(widest.get(steps, 0), th2.shape[1])
             for ra, h, rb, v in real_steps(th1, th2, site, coin, steps, read):
                 # the sites this step updated, those of its H or V rows
                 updated = set(range(ra.stop)[ra]) | set(range(rb.stop)[rb])
-                site_steps.append(len(updated) * th1.shape[1])
+                site_steps.append(len(updated) * th2.shape[1])
                 yield ra, h, rb, v
         return counted
 
@@ -245,6 +245,27 @@ def test_a_walker_over_the_held_cap_exits_with_code_two(tmp_path, capsys, comman
     assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS
     assert est["held"] * 8 > 15 * 10**9 and est["held_field"] == "emulate.t"
     _rejected(tmp_path, capsys, command, LONG_HISTORY, "emulate.t", "MAX_HELD")
+
+
+def _mc(t, horizon):
+    return {"experiment": "mc-errorbars", "mc_errorbars": {
+        "theta1_pi": 0.47, "theta2_pi": 1.21, "t": t, "horizon": horizon, "n_sets": 10}}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_an_mc_horizon_past_t_exits_with_code_two(tmp_path, capsys, command):
+    """The schema accepts t = 8 and horizon = 9, but the fit compares the
+    first horizon steps of the t that the emulated data records."""
+    assert not list(cfgmod.schema_errors(_mc(8, 9)))
+    _rejected(tmp_path, capsys, command, _mc(8, 9), "mc_errorbars.horizon", "t = 8")
+
+
+def test_an_mc_horizon_of_t_runs(tmp_path):
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_mc(8, 8)))
+    assert entrypoint(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "mc.json").read_text())["horizon"] == 8
 
 
 def test_the_longest_emulation_under_the_held_cap_is_valid():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from qwtopo.disorder import DisorderSpec
+import qwtopo.edges
 from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, InterfaceSystem,
-                          localization_vs_disorder, run_interface)
+                          LocalizationRecord, _ploc_batch, localization_vs_disorder,
+                          run_interface)
 from qwtopo.walk import V
 
 from oracles import dense_interface_p_loc, _binary_pattern
+from references import mixed_windows, p_loc_at, walker_windows
 
 SEED = 20260814
 TH_L, TH_A, TH_B = 0.52 * np.pi, 1.68 * np.pi, 1.36 * np.pi
@@ -50,7 +53,7 @@ def test_field_covers_both_bulks():
 
 def test_zero_steps_keeps_walker_in_window():
     record = run_interface(interface(0.0), t=0)
-    assert record.p_loc == pytest.approx(1.0, abs=0)
+    assert p_loc_at(record, record.t) == pytest.approx(1.0, abs=0)
 
 
 def test_distributions_normalized_every_step():
@@ -61,7 +64,7 @@ def test_distributions_normalized_every_step():
 
 def test_clean_interface_matches_frozen_golden_value():
     record = run_interface(interface(0.0), t=13)
-    assert record.p_loc == pytest.approx(PLOC_P0, abs=1e-12)
+    assert p_loc_at(record, record.t) == pytest.approx(PLOC_P0, abs=1e-12)
     final = record.distributions[-1]
     peak = record.positions()[int(np.argmax(final))]
     assert -3 <= peak <= 3
@@ -69,13 +72,13 @@ def test_clean_interface_matches_frozen_golden_value():
 
 def test_full_swap_interface_matches_frozen_golden_value():
     record = run_interface(interface(1.0), t=13)
-    assert record.p_loc == pytest.approx(PLOC_P1, abs=1e-12)
+    assert p_loc_at(record, record.t) == pytest.approx(PLOC_P1, abs=1e-12)
 
 
 def test_disordered_interface_matches_dense_oracle():
     system = interface(0.5)
     for config in range(3):
-        got = run_interface(system, t=13, config=config).p_loc
+        got = p_loc_at(run_interface(system, t=13, config=config), 13)
         pattern = _binary_pattern(SEED, config, 15, 0.5, TH_A, TH_B)
         assert got == pytest.approx(dense_interface_p_loc(TH_L, pattern), abs=1e-12)
         assert got == pytest.approx(PLOC_P05_FIRST3[config], abs=1e-12)
@@ -83,7 +86,7 @@ def test_disordered_interface_matches_dense_oracle():
 
 def test_reference_interface_spreads_into_double_lobe():
     record = reference(t=13)
-    assert record.p_loc == pytest.approx(PLOC_REFERENCE, abs=1e-12)
+    assert p_loc_at(record, record.t) == pytest.approx(PLOC_REFERENCE, abs=1e-12)
     final = record.distributions[-1]
     positions = record.positions()
     peak = positions[int(np.argmax(final))]
@@ -120,7 +123,7 @@ def test_every_configuration_localizes():
 
 
 def test_interface_beats_reference_for_all_p():
-    ref_ploc = reference(t=13).p_loc
+    ref_ploc = p_loc_at(reference(t=13), 13)
     points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=13, n_configs=20)
     means = [pt.mean for pt in points]
     assert all(m >= 2.5 * ref_ploc for m in means)
@@ -144,3 +147,34 @@ def test_intensity_map_shapes():
 def test_negative_t_rejected():
     with pytest.raises(ValueError):
         run_interface(interface(0.0), t=-1)
+
+
+def reprs(values) -> list:
+    return [repr(float(x)) for x in values]
+
+
+def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
+    """One sum over the rows x in [-3, 3] of the whole batch gives, as reprs,
+    the P_loc that masking each configuration's own distributions gives,
+    whichever way the configurations are split into batches."""
+    system = interface(0.5, 30)
+    uniforms = system.uniforms(range(30))
+    got = _ploc_batch((system, 13, uniforms))
+    want = [p_loc_at(run_interface(system, 13, k), 13) for k in range(30)]
+    assert reprs(got) == reprs(want)
+    for cuts in ([1], [11, 12], [29], list(range(1, 30))):
+        parts = [_ploc_batch((system, 13, block)) for block in np.split(uniforms, cuts)]
+        assert reprs(np.concatenate(parts)) == reprs(want)
+
+
+def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
+    """Rows outside a walker's window hold exact zeros, so walkers whose
+    windows differ in width and first row, at t = 0 inside [-3, 3], still sum
+    as each one's own mask does."""
+    for t in (0, 1, 3, 12, 20):
+        run = mixed_windows(t)
+        monkeypatch.setattr(qwtopo.edges, "_launch", lambda system, steps, uniforms: run)
+        want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min, t, k), t)
+                for k, (x_min, a, b) in enumerate(walker_windows(run))]
+        assert reprs(_ploc_batch((None, t, None))) == reprs(want)
+

@@ -13,6 +13,7 @@ from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
+from references import walker_windows
 
 RT2 = np.sqrt(0.5)
 
@@ -287,7 +288,7 @@ def test_record_matches_evolve_bit_for_bit():
             random_field(rng, start, sites)) for k in range(3)]
         th1 = np.array([p.field1.window_angles(start, sites) for p in protocols])
         th2 = np.array([p.field2.window_angles(start, sites) for p in protocols])
-        runs = record(start, th1, th2, x0, coin, t)
+        runs = walker_windows(record(start, th1, th2, x0, coin, t))
         for proto, (x_min, a, b) in zip(protocols, runs):
             traj = evolve(WalkerState.localized(x0, coin), proto, t)
             final = traj[-1]
@@ -301,6 +302,20 @@ def test_record_matches_evolve_bit_for_bit():
                 v2[off:off + state.sites] = np.abs(state.amps[:, V]) ** 2
                 assert np.array_equal(a[j] ** 2, h2)
                 assert np.array_equal(b[j] ** 2, v2)
+
+
+def test_no_coin1_angles_step_as_the_identity_coin1():
+    """theta1 None is the identity coin 1: `sample_rows` and `record` give
+    the bits that all-zero angles give."""
+    theta2 = np.random.default_rng(12).uniform(0, 2 * np.pi, (9, 15))
+    zeros = np.zeros_like(theta2)
+    assert np.array_equal(sample_rows(None, theta2, 13), sample_rows(zeros, theta2, 13))
+    for coin in (H, V):
+        x_min, h, v, lo, hi = record(-4, None, theta2, -1, coin, 13)
+        want = record(-4, zeros, theta2, -1, coin, 13)
+        assert x_min == want[0]
+        for got, expected in zip((h, v, lo, hi), want[1:]):
+            assert np.array_equal(got, expected)
 
 
 def test_reflection_row_does_not_depend_on_its_batch():
@@ -405,7 +420,7 @@ def test_record_equals_full_window_history(t):
             m = int(rng.integers(1, 2 * t + 6))
             theta1 = random_angles(rng, walkers, m, identity)
             theta2 = random_angles(rng, walkers, m, False)
-            runs = record(start, theta1, theta2, x0, coin, t)
+            runs = walker_windows(record(start, theta1, theta2, x0, coin, t))
             n = 2 * reach + 1
             th1 = on_window(start, theta1, x0 - reach, n)
             th2 = on_window(start, theta2, x0 - reach, n)
@@ -512,7 +527,7 @@ def cone_sites(ra, rb) -> int:
 def _counting(real_steps, counted):
     def counted_steps(th1, th2, site, coin, steps, read=None):
         for ra, h, rb, v in real_steps(th1, th2, site, coin, steps, read):
-            counted.append(cone_sites(ra, rb) * th1.shape[1])  # times walkers
+            counted.append(cone_sites(ra, rb) * th2.shape[1])  # times walkers
             yield ra, h, rb, v
     return counted_steps
 
