@@ -36,7 +36,6 @@ from .disorder import (
     disorder_curve,
     ensemble_r0,
     sample_pattern,
-    site_uniforms,
     transition_locator,
 )
 from .edges import (

@@ -321,10 +321,11 @@ def emulate_measurement(system: ScatteringSystem, t: int,
         raise ValueError(f"unknown mode: {mode!r}")
     params = _params([model])
     x_min, h, v, lo, hi = _runs(system, params, t)
-    a, b = (x[None, :, lo[0]:hi[0] + 1, 0].copy() for x in (h, v))
+    rho = v[1:, -2 - x_min, 0].copy()
+    # square the window in place: a copy of it would double what the run holds
+    a, b = (x[None, :, lo[0]:hi[0] + 1, 0] for x in (h, v))
     dists = _intensities(a, b, params[:, _LOSS, None])[0]
-    return _measure(v[1:, -2 - x_min, 0], model, x_min + int(lo[0]), dists, alpha, mode,
-                    shots, seed)
+    return _measure(rho, model, x_min + int(lo[0]), dists, alpha, mode, shots, seed)
 
 
 def _measure(rho: np.ndarray, model: ApparatusModel, x_min: int, distributions,

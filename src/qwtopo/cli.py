@@ -81,6 +81,9 @@ def _cmd_verify(args) -> int:
     print(f"estimated site-steps: {est['site_steps']}")
     print("estimated walkers per batch: "
           + ", ".join(f"{walkers} at {field}" for field, walkers in est["batch_walkers"]))
+    if not est["exact"]:
+        print("note: each distinct disorder pattern is stepped once, so simulations, "
+              "site-steps and walkers per batch are upper bounds")
     for note in config.config_warnings(cfg):
         print(f"warning: {note}")
     return 0
@@ -313,6 +316,8 @@ def _run_mc_errorbars(cfg, seed, outdir, fmt, mapper):
     system = ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
                                         blk["theta2_pi"] * math.pi, t)
     data = emulate_measurement(system, t, ApparatusModel(**_radians(blk["truth_model"])))
+    # the fit compares the first horizon steps: hold those, not the whole walk, beside it
+    data.distributions = data.distributions[:blk["horizon"] + 1].copy()
     result = monte_carlo_errorbars(data, system, ErrorRanges(**_radians(blk["ranges"])),
                                    n_sets=blk["n_sets"], horizon=blk["horizon"],
                                    seed=seed, mapper=mapper)

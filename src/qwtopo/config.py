@@ -31,7 +31,7 @@ from .apparatus import ALPHA_GUARD, within_guard
 from .dataio import IoFailure
 from .disorder import DEFAULT_P_GRID
 from .scattering import reflection_site_steps, reflection_window
-from .walk import batch_walkers, held, record_site_steps, record_window
+from .walk import batch_capacity, batch_walkers, held, record_site_steps, record_window
 
 EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate",
                "mc-errorbars")
@@ -445,18 +445,18 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
     elif kind == "phase-diagram":
         field, sims = "resolution", block["resolution"] ** 2
         group = sims
-    elif kind == "disorder":  # batches of one p
-        field, group = "n_configs", block["n_configs"]
-        sims = len(block["p_grid"]) * group
+    elif kind == "disorder":  # the whole curve in one call
+        field = "n_configs"
+        sims = group = len(block["p_grid"]) * block["n_configs"]
         tr = block.get("transition")
-        if tr is not None:  # an upper bound: the bisection may stop early
+        if tr is not None:  # the bisection may stop early; its endpoints are one call
             probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
             extra.append((probes * tr["n_configs"], tr["t"], f"{key}.transition.n_configs",
-                          f"{key}.transition.t", tr["n_configs"]))
-    elif kind == "edge":  # one walker at p = 0 and 1, plus the intensity map
+                          f"{key}.transition.t", 2 * tr["n_configs"]))
+    elif kind == "edge":  # one call over all p, plus the intensity map
         field = "n_configs"
-        counts = _configs_per_p(kind, block)
-        sims, group = sum(counts) + 1, max(counts)
+        group = sum(_configs_per_p(kind, block))
+        sims = group + 1
     elif kind == "emulate":  # one walker: its steps are all of its cost
         field, sims, group = "t", 1, 1
     else:  # one walker per apparatus model, plus the emulated data
@@ -465,8 +465,8 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
 
 
 def _configs_per_p(kind: str, block: dict) -> list[int]:
-    """Configurations a disorder or edge run steps at each p of its grid; an
-    edge run steps one at p = 0 and 1, where all configurations are equal."""
+    """Members a disorder or edge run reduces at each p of its grid; an edge
+    run keeps one at p = 0 and 1, where all configurations are equal."""
     n = block["n_configs"]
     return [1 if kind == "edge" and p in (0.0, 1.0) else n for p in block["p_grid"]]
 
@@ -498,11 +498,10 @@ def _tables(cfg: dict) -> list[tuple[int, str]]:
 def estimate(cfg: dict) -> dict:
     """Dry-run cost of a validated config, in the engine's units.
 
-    "simulations" counts the walkers `run` steps through `walk.real_steps`
-    (with a disorder `transition`, an upper bound: the bisection may stop
-    early), "window_sites" is the widest window it steps them on, and
-    "site_steps" sums walkers x the sites of the engine's `walk.cone` over the
-    stages, or x the cone's floor t * t // 4 where that is over MAX_SITE_STEPS.
+    "simulations" counts the walkers `run` steps through `walk.real_steps`,
+    "window_sites" is the widest window it steps them on, and "site_steps"
+    sums walkers x the sites of the engine's `walk.cone` over the stages, or
+    x the cone's floor t * t // 4 where that is over MAX_SITE_STEPS.
     "cost_field" names the field that drives the cost: of the costliest
     stage, its walker count or, where a walker's site-steps are more, its steps.
     "batch_walkers" pairs each stage's steps field with the walkers of its
@@ -510,6 +509,14 @@ def estimate(cfg: dict) -> dict:
     (`walk.held`) one walker holds, in the stage whose steps field is "held_field".
     "table_rows" bounds the rows of the largest table the run writes, 0 for
     none, and "table_field" names the field that drives them.
+
+    Disorder and edge studies step each distinct disorder pattern once
+    (`disorder.PatternStudy`), and a disorder `transition` may stop early, so
+    for them "exact" is False: "simulations" and "site_steps" count every
+    member as if its pattern were new, and "batch_walkers" is the widest batch
+    any number of such walkers could make.  These worst cases are what the
+    MAX_SITE_STEPS guard checks, so a config that passes it passes whatever
+    patterns its seed draws.
     """
     cfg = resolve(cfg)
     kind = cfg["experiment"]
@@ -522,15 +529,18 @@ def estimate(cfg: dict) -> dict:
     cost = [stage[0] * sites for stage, sites in zip(stages, per)]
     i = cost.index(max(cost))
     walkers, _, walkers_field, steps_field, _ = stages[i]
-    identity_coin1 = kind in ("disorder", "edge")  # the engine's two-sublattice path
+    exact = kind not in ("disorder", "edge")  # else each distinct pattern is stepped once
+    identity_coin1 = not exact  # the engine's two-sublattice path
     holds = [held(window(t), t, history, identity_coin1) for _, t, *_ in stages]
     j = holds.index(max(holds))
     rows, rows_field = max(_tables(cfg), key=lambda table: table[0], default=(0, ""))
-    return {"simulations": sum(stage[0] for stage in stages),
+    widest = batch_walkers if exact else lambda group, h: min(group, batch_capacity(h))
+    return {"exact": exact,
+            "simulations": sum(stage[0] for stage in stages),
             "window_sites": window(max(stage[1] for stage in stages)),
             "site_steps": sum(cost),
             "cost_field": walkers_field if walkers >= per[i] else steps_field,
-            "batch_walkers": [(field, batch_walkers(group, h))
+            "batch_walkers": [(field, widest(group, h))
                               for (_, _, _, field, group), h in zip(stages, holds)],
             "held": holds[j],
             "held_field": stages[j][3],

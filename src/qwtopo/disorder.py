@@ -11,15 +11,23 @@ config, so a pattern is reproducible bit-for-bit, independent of window
 size, execution order, and of which other configurations were drawn.
 The same uniforms are thresholded for every p, which couples the
 ensembles across disorder strengths and makes transition curves smooth
-in p at fixed seed.  An ensemble draws its (configs, sites) block of
-uniforms once, only the prefix its reflection window steps, and
-thresholds it straight into the angle array the engine runs on; a
-disorder curve or a transition bisection draws it once for all its p.
+in p at fixed seed.  A study draws its (configs, sites) block of
+uniforms once, only the prefix its reflection window steps: a disorder
+curve or a transition bisection once for all its p.
+
+Members of a study often share a pattern: at p = 0 and p = 1 every
+configuration has the same one, and a short window has few patterns at
+all.  A member's value depends on its pattern alone, not on its batch,
+so a `PatternStudy` steps each distinct pattern once, thresholded
+straight into the angle array the engine runs on, and hands its value
+to every member that has it.  A disorder curve evaluates all its p in
+one call; a transition bisection its two endpoints in one call, and it
+keeps the values it stepped for every later probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,33 +69,41 @@ class DisorderSpec:
         """Spec whose sample covers the light cone of a t-step run."""
         return cls(theta_a, theta_b, p, t + 2, seed, n_configs)
 
-    def with_p(self, p: float) -> "DisorderSpec":
-        """Same ensemble (seed, angles, size) at a different strength."""
-        return replace(self, p=p)
-
-
-def site_uniforms(seed: int, config: int, sites: int) -> np.ndarray:
-    """The counter-based uniform stream for one configuration.
-
-    Extending `sites` keeps the existing prefix unchanged.
-    """
-    gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), config]))
-    return gen.random(sites)
-
 
 def config_uniforms(spec: DisorderSpec, configs, sites: int) -> np.ndarray:
     """(len(configs), sites) block whose row k is the uniform stream of
-    configuration configs[k]."""
+    configuration configs[k]: the first `sites` doubles that
+    `np.random.Generator(np.random.Philox(key=[seed, config]))` draws, with
+    the seed reduced mod 2**64.  Extending `sites` keeps the existing prefix
+    unchanged.  One Philox is re-keyed through its state for every stream,
+    with the key converted as its constructor converts it."""
+    configs = list(configs)
     for config in configs:
         if not 0 <= config < spec.n_configs:
             raise ValueError(f"config index {config} outside [0, {spec.n_configs})")
-    return np.array([site_uniforms(spec.seed, k, sites) for k in configs])
+    bits = np.random.Philox(0)
+    draw = np.random.Generator(bits)
+    state = bits.state  # counter 0 and an empty buffer, as in every new Philox
+    seed = spec.seed & (2**64 - 1)
+    out = np.empty((len(configs), sites))
+    for row, config in zip(out, configs):
+        state["state"]["key"] = np.asarray([seed, config]).astype(np.uint64)
+        bits.state = state
+        draw.random(out=row)
+    return out
+
+
+def _angles(theta_a: float, theta_b: float, masks: np.ndarray) -> np.ndarray:
+    """Second coin angles of the patterns `masks`: theta_b where True, theta_a
+    elsewhere, each reduced mod 2*pi."""
+    a, b = np.array([theta_a, theta_b]) % _TWO_PI
+    return np.where(masks, b, a)
 
 
 def pattern_angles(spec: DisorderSpec, uniforms: np.ndarray) -> np.ndarray:
     """Second coin angles, reduced mod 2*pi, of the configurations whose
     uniforms are `uniforms`: theta_b where u < p, theta_a elsewhere."""
-    return np.where(uniforms < spec.p, spec.theta_b, spec.theta_a) % _TWO_PI
+    return _angles(spec.theta_a, spec.theta_b, uniforms < spec.p)
 
 
 def sample_pattern(spec: DisorderSpec, config: int) -> CoinField:
@@ -126,6 +142,43 @@ class EnsembleResult:
         return float(np.std(self.values))
 
 
+class PatternStudy:
+    """The values of the distinct coin patterns of one study, each stepped once.
+
+    A member's pattern is its row of a boolean mask u < p of its uniforms u:
+    theta_b where True, theta_a elsewhere.  `values` steps the patterns the
+    study has not stepped yet, as `walk.batches` of walkers that each hold
+    `per_walker` elements, one task (angles, *args) per batch mapped through
+    `batch`, which returns one value per row of angles.  It keeps every value
+    for the study's later calls.  A member's value depends on its pattern
+    alone, not on its batch, so every member gets the bits that stepping it
+    on its own gives.
+    """
+
+    def __init__(self, theta_a: float, theta_b: float, batch, args: tuple,
+                 per_walker: int, mapper=map):
+        self.theta_a, self.theta_b = theta_a, theta_b
+        self.batch, self.args, self.per_walker, self.mapper = batch, args, per_walker, mapper
+        self.stepped = {}  # pattern bytes -> value
+
+    def values(self, masks: list) -> list[np.ndarray]:
+        """The value of every member of each (members, sites) block of masks,
+        one array per block."""
+        keys = [[row.tobytes() for row in block] for block in masks]
+        new = {}
+        for block, block_keys in zip(masks, keys):
+            for key, row in zip(block_keys, block):
+                if key not in self.stepped and key not in new:
+                    new[key] = row
+        if new:
+            angles = _angles(self.theta_a, self.theta_b, np.array(list(new.values())))
+            tasks = [(block, *self.args) for block in batches(angles, self.per_walker)]
+            values = np.concatenate(list(self.mapper(self.batch, tasks)))
+            self.stepped.update(zip(new, values.tolist()))
+        return [np.array([self.stepped[key] for key in block_keys], dtype=float)
+                for block_keys in keys]
+
+
 def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
     """The uniforms a t-step ensemble of `spec` thresholds, one row per
     configuration: the prefix of each stream that `sample_rows` steps."""
@@ -136,33 +189,30 @@ def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
 
 
 def _ensemble_batch(task) -> np.ndarray:
-    spec, uniforms, t = task
-    return _halves(sample_rows(None, pattern_angles(spec, uniforms), t))
+    """Half r(0) of the sample of every row of a (B, sites) block of second
+    coin angles."""
+    angles, t = task
+    return _halves(sample_rows(None, angles, t))
+
+
+def _study(spec: DisorderSpec, t: int, mapper) -> PatternStudy:
+    """The half r(0) values of t-step ensembles of `spec` at any p."""
+    per_walker = held(reflection_window(t), t, identity_coin1=True)
+    return PatternStudy(spec.theta_a, spec.theta_b, _ensemble_batch, (t,), per_walker, mapper)
 
 
 def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:
     """Half r(0) for every configuration of the ensemble."""
-    return _ensemble_r0(spec, t, mapper, ensemble_uniforms(spec, t))
-
-
-def _ensemble_r0(spec: DisorderSpec, t: int, mapper, uniforms: np.ndarray) -> EnsembleResult:
-    """`ensemble_r0` thresholding `uniforms`, which is `ensemble_uniforms`
-    of the same seed, configurations and t at any p."""
-    per_walker = held(reflection_window(t), t, identity_coin1=True)
-    tasks = [(spec, block, t) for block in batches(uniforms, per_walker)]
-    values = np.concatenate(list(mapper(_ensemble_batch, tasks)))
-    return EnsembleResult(spec.p, values, t)
+    return disorder_curve(spec, t, (spec.p,), mapper)[0]
 
 
 def disorder_curve(spec: DisorderSpec, t: int, p_grid=DEFAULT_P_GRID,
                    mapper=map) -> list[EnsembleResult]:
-    """Ensemble statistics across a grid of disorder strengths."""
+    """Ensemble statistics across a grid of disorder strengths, all p in one
+    `PatternStudy` call."""
     uniforms = ensemble_uniforms(spec, t)
-    return [_ensemble_r0(spec.with_p(p), t, mapper, uniforms) for p in p_grid]
-
-
-def _median_sign(spec: DisorderSpec, t: int, mapper, uniforms) -> float:
-    return float(np.median(np.sign(_ensemble_r0(spec, t, mapper, uniforms).values)))
+    values = _study(spec, t, mapper).values([uniforms < p for p in p_grid])
+    return [EnsembleResult(p, v, t) for p, v in zip(p_grid, values)]
 
 
 def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
@@ -174,7 +224,9 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
     sign(half r(0)) over n_configs configurations, with the sample sized
     to the light cone of t steps.  Larger t sharpens the transition, so
     the bisection estimate converges to the infinite-size critical
-    strength.  Raises NoCrossing when both endpoints share a sign.
+    strength.  Raises NoCrossing when both endpoints share a sign.  The
+    two endpoints are evaluated in one call of one `PatternStudy`, which
+    every probe shares, so a pattern is stepped once per bisection.
     """
     if t < 101:
         raise ValueError("transition location needs t >= 101")
@@ -183,9 +235,13 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
     work = DisorderSpec(spec.theta_a, spec.theta_b, p_lo, t + 2, spec.seed,
                         n_configs)
     uniforms = ensemble_uniforms(work, t)
+    study = _study(work, t, mapper)
+
+    def median_signs(*ps):
+        return [float(np.median(np.sign(v))) for v in study.values([uniforms < p for p in ps])]
+
     lo, hi = p_lo, p_hi
-    m_lo = _median_sign(work.with_p(lo), t, mapper, uniforms)
-    m_hi = _median_sign(work.with_p(hi), t, mapper, uniforms)
+    m_lo, m_hi = median_signs(lo, hi)
     if m_lo == 0 or m_hi == 0 or np.sign(m_lo) == np.sign(m_hi):
         raise NoCrossing(
             f"median sign is {m_lo:+.2f} at p={lo} and {m_hi:+.2f} at p={hi}")
@@ -193,7 +249,7 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
         mid = round((0.5 * (lo + hi)) / resolution) * resolution
         if not lo < mid < hi:
             break
-        m = _median_sign(work.with_p(mid), t, mapper, uniforms)
+        m, = median_signs(mid)
         if m == 0 or np.sign(m) != np.sign(m_lo):
             hi = mid
         else:

@@ -15,13 +15,15 @@ the boundary coin converts toward H before the amplitude crosses the
 bond) maximizes the bound/ballistic contrast.  LAUNCH_SITE and
 LAUNCH_COIN pin the convention.
 
-Configurations run in batches through `walk.record`, with no coin-1
-angles, so the engine steps the occupied sublattice.  The real coins keep
-the launch state |-1, V> in the engine's real structure (H real, V
-imaginary) up to the global phase i, which no intensity sees.  A batch's
-P_loc is one sum over the history rows x in [-3, 3] of every walker,
-which hold exact zeros outside a walker's window; `run_interface` keeps
-its walker's window, the one `evolve` ends on.
+Walkers run in batches through `walk.record`, with no coin-1 angles, so
+the engine steps the occupied sublattice.  The real coins keep the launch
+state |-1, V> in the engine's real structure (H real, V imaginary) up to
+the global phase i, which no intensity sees.  A batch's P_loc is one sum
+over the history rows x in [-3, 3] of every walker, which hold exact
+zeros outside a walker's window; `run_interface` keeps its walker's
+window, the one `evolve` ends on.  `localization_vs_disorder` steps each
+distinct right-bulk pattern of all its p once, through one
+`disorder.PatternStudy` call.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import V, batches, held, record, record_window
-from .disorder import (DEFAULT_P_GRID, DisorderSpec, EnsembleResult, config_uniforms,
-                       pattern_angles)
+from .walk import V, held, record, record_window
+from .disorder import (DEFAULT_P_GRID, DisorderSpec, EnsembleResult, PatternStudy,
+                       config_uniforms, pattern_angles)
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
 LOC_WINDOW = 3
@@ -66,9 +68,14 @@ class InterfaceSystem:
     def field2_angles(self, uniforms: np.ndarray, extent: int) -> np.ndarray:
         """Second coin angles on [-extent, right sample end), one row per row
         of `uniforms`: theta_left on the left bulk, then the pattern."""
-        right = pattern_angles(self.right, uniforms)
-        left = np.full((right.shape[0], extent), self.theta_left % _TWO_PI)
-        return np.concatenate([left, right], axis=1)
+        return _joined(self.theta_left, pattern_angles(self.right, uniforms), extent)
+
+
+def _joined(theta_left: float, right: np.ndarray, extent: int) -> np.ndarray:
+    """Second coin angles on [-extent, right sample end), one row per row of
+    the right bulk's (B, sites) angles `right`: theta_left, then `right`."""
+    left = np.full((right.shape[0], extent), theta_left % _TWO_PI)
+    return np.concatenate([left, right], axis=1)
 
 
 @dataclass
@@ -84,26 +91,27 @@ class LocalizationRecord:
         return np.arange(self.x_min, self.x_min + self.distributions.shape[1])
 
 
-def _launch(system: InterfaceSystem, t: int, uniforms: np.ndarray) -> tuple:
-    """`walk.record` of the launch state, one walker per row of `uniforms`."""
+def _launch(theta2: np.ndarray, t: int) -> tuple:
+    """`walk.record` of the launch state, one walker per row of the (B, sites)
+    second coin angles theta2 of the positions from -(t + 2) on."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    th2 = system.field2_angles(uniforms, extent=t + 2)
-    return record(-(t + 2), None, th2, LAUNCH_SITE, LAUNCH_COIN, t)
+    return record(-(t + 2), None, theta2, LAUNCH_SITE, LAUNCH_COIN, t)
 
 
 def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> LocalizationRecord:
     """Evolve the launch state and record every step's distribution."""
-    x_min, h, v, lo, hi = _launch(system, t, system.uniforms([config]))
+    theta2 = system.field2_angles(system.uniforms([config]), extent=t + 2)
+    x_min, h, v, lo, hi = _launch(theta2, t)
     a, b = h[:, lo[0]:hi[0] + 1, 0], v[:, lo[0]:hi[0] + 1, 0]
     return LocalizationRecord(a * a + b * b, x_min + int(lo[0]), t, config)
 
 
 def _ploc_batch(task) -> np.ndarray:
-    """P_loc after t steps of each row of the task's uniforms: one sum over the
-    rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
-    system, t, uniforms = task
-    x_min, h, v, _, _ = _launch(system, t, uniforms)
+    """P_loc after t steps of each row of the task's right-bulk angles: one sum
+    over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
+    right, theta_left, t = task
+    x_min, h, v, _, _ = _launch(_joined(theta_left, right, t + 2), t)
     rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
     return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
 
@@ -113,20 +121,15 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
                              n_configs: int = 50, mapper=map) -> list[EnsembleResult]:
     """Ensemble P_loc statistics per disorder strength.
 
-    p = 0 and p = 1 are deterministic (every configuration identical),
-    so they are run as single configurations with zero variance.  The
-    uniforms are drawn once and thresholded at every p.
+    The uniforms are drawn once and thresholded at every p, and one
+    `PatternStudy` call steps each distinct pattern of all p once.  p = 0
+    and p = 1 are deterministic (every configuration identical), so they
+    keep one configuration each, with zero variance.
     """
     uniforms = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, 0.0, t, seed,
                                          n_configs).uniforms(range(n_configs))
     per_walker = held(record_window(t), t, history=True, identity_coin1=True)
-    out = []
-    for p in p_grid:
-        n = 1 if p in (0.0, 1.0) else n_configs
-        system = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, p, t,
-                                           seed, n)
-        tasks = [(system, t, block) for block in batches(uniforms[:n], per_walker)]
-        values = np.concatenate(list(mapper(_ploc_batch, tasks)))
-        out.append(EnsembleResult(float(p), values, t))
-    return out
-
+    study = PatternStudy(theta_a, theta_b, _ploc_batch, (theta_left, t), per_walker, mapper)
+    counts = [1 if p in (0.0, 1.0) else n_configs for p in p_grid]
+    values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])
+    return [EnsembleResult(float(p), v, t) for p, v in zip(p_grid, values)]

@@ -277,8 +277,14 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     return engine + sites + steps + (2 * sites * (steps + 1) if history else 0)
 
 
+def batch_capacity(per_walker: int) -> int:
+    """Most walkers that hold `per_walker` elements (`held`) each that one of
+    the `batches` takes: as many as fit in BATCH_BUDGET, one at least."""
+    return max(1, BATCH_BUDGET // per_walker)
+
+
 def _batch_count(walkers: int, per_walker: int) -> int:
-    return -(-walkers // max(1, BATCH_BUDGET // per_walker))
+    return -(-walkers // batch_capacity(per_walker))
 
 
 def batch_walkers(walkers: int, per_walker: int) -> int:

@@ -3,7 +3,9 @@
 `config.estimate` is what `qwtopo verify` prints; here every shipped
 config is run with the engine's `real_steps` counted, so the printed
 walker count, window and site-steps are the ones the engine really steps:
-the site-steps are the sites each yielded step updated.
+the site-steps are the sites each yielded step updated.  Disorder and edge
+studies step each distinct pattern once, so for them the test counts the
+distinct patterns itself, from `config_uniforms`, and the estimate bounds them.
 
 `config.validate`'s schema walker is checked against jsonschema, the
 validator it replaced, on seeded mutations of every shipped and benchmark
@@ -12,9 +14,11 @@ config.
 
 import copy
 import json
+import math
 import os
 import random
 import runpy
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -23,8 +27,12 @@ import qwtopo.cli
 import qwtopo.scattering
 import qwtopo.walk
 from qwtopo import config as cfgmod
+from qwtopo.apparatus import ApparatusModel, emulate_measurement
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import config_hash
+from qwtopo.disorder import DisorderSpec, config_uniforms
+from qwtopo.scattering import ScatteringSystem, reflection_site_steps, reflection_window
+from qwtopo.walk import record_site_steps
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -89,13 +97,14 @@ def test_resolve_maps_a_lone_p_to_a_grid_and_fills_nested_defaults():
 def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
                                                         capsys, name):
     path = os.path.join(CONFIG_DIR, name)
-    rows, widths, site_steps, widest = [], [], [], {}
+    rows, widths, site_steps, widest, walkers = [], [], [], {}, {}
 
     def counting(real_steps):
         def counted(th1, th2, site, coin, steps, read=None):
             widths.append(th2.shape[0])
             rows.append(th2.shape[1])
             widest[steps] = max(widest.get(steps, 0), th2.shape[1])
+            walkers[steps] = walkers.get(steps, 0) + th2.shape[1]
             for ra, h, rb, v in real_steps(th1, th2, site, coin, steps, read):
                 # the sites this step updated, those of its H or V rows
                 updated = set(range(ra.stop)[ra]) | set(range(rb.stop)[rb])
@@ -119,17 +128,65 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     batch = {resolved_steps(cfg, field): walkers for field, walkers in est["batch_walkers"]}
     assert "estimated walkers per batch: " + ", ".join(
         f"{walkers} at {field}" for field, walkers in est["batch_walkers"]) + "\n" in printed
-    assert widest == batch  # the widest batch of each stage, keyed by its steps
     assert est["window_sites"] == max(widths)
     assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS
-    if "transition" in cfg.get("disorder", {}):
-        assert sum(rows) <= est["simulations"]
-        assert sum(site_steps) <= est["site_steps"]
-    else:
+    assert est["exact"] == (cfg["experiment"] not in ("disorder", "edge"))
+    assert ("upper bounds" in printed) == (not est["exact"])
+    if est["exact"]:
+        assert widest == batch  # the widest batch of each stage, keyed by its steps
         assert sum(rows) == est["simulations"]
         assert sum(site_steps) == est["site_steps"]
+    else:
+        distinct = distinct_patterns(cfg, out)
+        assert walkers == distinct  # one walker per distinct pattern, keyed by steps
+        assert sum(distinct.values()) <= est["simulations"]
+        assert widest.keys() == batch.keys()
+        assert all(widest[steps] <= batch[steps] for steps in widest)
+        per_walker = record_site_steps if cfg["experiment"] == "edge" else reflection_site_steps
+        assert sum(site_steps) == sum(per_walker(t) * n for t, n in distinct.items())
+        assert sum(site_steps) <= est["site_steps"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_sha256"] == config_hash(cfg)
+
+
+def bisection_probes(p_crit, resolution):
+    """The p a bisection over [0, 1] probed to end on the bracket centred on p_crit."""
+    lo, hi, probes = 0.0, 1.0, [0.0, 1.0]
+    while hi - lo > resolution * (1 + 1e-9):
+        mid = round((0.5 * (lo + hi)) / resolution) * resolution
+        if not lo < mid < hi:
+            break
+        probes.append(mid)
+        lo, hi = (mid, hi) if p_crit > mid else (lo, mid)
+    assert 0.5 * (lo + hi) == p_crit
+    return probes
+
+
+def distinct_patterns(cfg, out) -> dict:
+    """{steps: walkers} that a disorder or edge run steps: one per distinct
+    pattern u < p of each study, drawn with `config_uniforms`, plus the edge
+    run's intensity-map walker."""
+    resolved = cfgmod.resolve(cfg)
+    kind, seed = resolved["experiment"], resolved["seed"]
+    blk = resolved[cfgmod.BLOCK_KEY[kind]]
+
+    def distinct(t, n, sites, members):
+        uniforms = config_uniforms(DisorderSpec(0.0, 0.0, 0.0, sites, seed, n), range(n), sites)
+        return len({row.tobytes() for m, p in members for row in uniforms[:m] < p})
+
+    t, n = blk["t"], blk["n_configs"]
+    if kind == "edge":
+        members = [(1 if p in (0.0, 1.0) else n, p) for p in blk["p_grid"]]
+        return {t: distinct(t, n, t + 2, members) + 1}
+    counts = {t: distinct(t, n, reflection_window(t) - 2, [(n, p) for p in blk["p_grid"]])}
+    if "transition" in blk:
+        tr = blk["transition"]
+        p_crit = json.loads((out / "transition.json").read_text())["p_crit"]
+        probes = bisection_probes(p_crit, tr["resolution"])
+        found = distinct(tr["t"], tr["n_configs"], reflection_window(tr["t"]) - 2,
+                         [(tr["n_configs"], p) for p in probes])
+        counts[tr["t"]] = counts.get(tr["t"], 0) + found
+    return counts
 
 
 def resolved_steps(cfg, field):
@@ -278,6 +335,49 @@ def test_the_longest_emulation_under_the_held_cap_is_valid():
     cfg["mc_errorbars"]["t"] = t + 1
     with pytest.raises(cfgmod.ConfigInvalid, match="MAX_HELD"):
         cfgmod.validate(cfg)
+
+
+#: What a run may hold beyond `estimate`'s "held", in bytes: numpy's ufunc
+#: buffers (about 190 KB while the intensities are squared in place), the
+#: fit's copies of the first horizon + 1 steps of one walker's window, and
+#: the read-out's (t,) rows.
+HELD_SLACK = 512 * 1024
+
+
+@pytest.mark.parametrize("kind", ["emulate", "mc-errorbars"])
+def test_a_whole_walk_peaks_within_what_estimate_holds(tmp_path, kind):
+    """At t = 400, one walker's history is 5.3 MB, so a copy of its window
+    would show.  The emulation squares its window in place, and the
+    mc-errorbars run keeps only the first horizon + 1 steps of the
+    emulated intensities beside the fit's walkers.  The emulate table,
+    written as Python rows, is outside this bound."""
+    t = 400
+    block = {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t}
+    if kind == "emulate":
+        cfg = {"experiment": "emulate", "emulate": block}
+        system = ScatteringSystem.for_steps(0.47 * math.pi, 1.21 * math.pi, t)
+        model = ApparatusModel(loss_asymmetry=0.03)
+        emulate_measurement(system, 9, model)  # imports and caches outside the peak
+
+        def run():
+            emulate_measurement(system, t, model)
+    else:
+        cfg = {"experiment": "mc-errorbars", "mc_errorbars": {**block, "n_sets": 2}}
+        small = cfgmod.resolve({**cfg, "mc_errorbars": {**block, "t": 9, "n_sets": 2}})
+        qwtopo.cli._run_mc_errorbars(small, 0, str(tmp_path), "csv", map)
+
+        def run():
+            qwtopo.cli._run_mc_errorbars(cfgmod.resolve(cfg), 0, str(tmp_path), "csv", map)
+    held = cfgmod.estimate(cfg)["held"]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held * 8 > 5 * 10**6
+    assert peak <= held * 8 + HELD_SLACK
 
 
 def _edge(t, n_configs, p_grid):

@@ -1,12 +1,14 @@
 """Tests for seeded disorder ensembles and the transition locator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qwtopo import disorder
-from qwtopo.disorder import (DEFAULT_P_GRID, DisorderSpec, NoCrossing,
+from qwtopo import disorder, scattering, walk
+from qwtopo.disorder import (DEFAULT_P_GRID, DisorderSpec, NoCrossing, config_uniforms,
                              disorder_curve, ensemble_r0, sample_pattern,
-                             site_uniforms, transition_locator)
+                             transition_locator)
 from qwtopo.scattering import (ScatteringSystem, invariants,
                                reflection_amplitudes, reflection_matrix_element)
 
@@ -44,6 +46,12 @@ def test_default_grid_matches_study_density():
     assert DEFAULT_P_GRID == tuple(i / 10 for i in range(11))
 
 
+def site_uniforms(seed: int, config: int, sites: int) -> np.ndarray:
+    """The uniform stream of one configuration."""
+    return config_uniforms(DisorderSpec(0.0, 1.0, 0.5, sites, seed, config + 1), [config],
+                           sites)[0]
+
+
 def test_uniforms_are_reproducible_and_prefix_stable():
     a = site_uniforms(SEED, 3, 40)
     b = site_uniforms(SEED, 3, 40)
@@ -56,7 +64,7 @@ def test_uniforms_are_reproducible_and_prefix_stable():
 def test_pattern_endpoints_are_pure():
     spec = case1_spec(0.0)
     assert np.all(sample_pattern(spec, 7).thetas == CASE1["theta_a"] % (2 * np.pi))
-    spec = spec.with_p(1.0)
+    spec = replace(spec, p=1.0)
     assert np.all(sample_pattern(spec, 7).thetas == CASE1["theta_b"] % (2 * np.pi))
 
 
@@ -79,7 +87,7 @@ def test_flips_grow_monotonically_with_p():
     base = DisorderSpec(0.0, 1.0, 0.2, 200, seed=SEED, n_configs=1)
     flipped_prev = None
     for p in (0.2, 0.5, 0.8):
-        flipped = sample_pattern(base.with_p(p), 0).thetas == 1.0
+        flipped = sample_pattern(replace(base, p=p), 0).thetas == 1.0
         if flipped_prev is not None:
             assert np.all(flipped_prev <= flipped)
         flipped_prev = flipped
@@ -108,28 +116,36 @@ def test_ensemble_frozen_statistics():
 
 
 def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
-    """An ensemble thresholds one drawn block of uniforms; each value must
-    be the half r(0) of that configuration's own system, stepped on its
-    own, at every probe of a bisection and along a disorder curve, whose
-    probes share one block."""
+    """A study thresholds one drawn block of uniforms; each value must be
+    the half r(0) of that configuration's own system, stepped on its own,
+    at every probe of a bisection and along a disorder curve, whose probes
+    share one `PatternStudy`.  The p of each block of masks is the grid p
+    whose threshold of the drawn uniforms gives that block."""
     probes = []
-    ensemble = disorder._ensemble_r0
+    values = disorder.PatternStudy.values
 
-    def recording(spec, t, *args):
-        result = ensemble(spec, t, *args)
-        probes.append((spec, result))
+    def recording(study, masks):
+        result = values(study, masks)
+        probes.extend((block, got, study.args[0]) for block, got in zip(masks, result))
         return result
 
-    monkeypatch.setattr(disorder, "_ensemble_r0", recording)
+    monkeypatch.setattr(disorder.PatternStudy, "values", recording)
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 30)
     disorder.transition_locator(spec, t=101, n_configs=30, resolution=0.05)
-    assert len({probe.p for probe, _ in probes}) >= 5
     disorder.disorder_curve(spec, 11, p_grid=(0.3, 0.7))
-    ensemble_r0(spec.with_p(0.5), 11)
+    ensemble_r0(replace(spec, p=0.5), 11)
     assert len(probes) >= 8
-    for probe, result in probes:
-        want = [single_run_half_r0(probe, k, result.t) for k in range(probe.n_configs)]
-        assert [repr(v) for v in result.values.tolist()] == [repr(v) for v in want]
+    grid = [k * 0.05 for k in range(21)]
+    found = set()
+    for block, result, t in probes:
+        uniforms = disorder.ensemble_uniforms(DisorderSpec.for_steps(
+            CASE2["theta_a"], CASE2["theta_b"], 0.0, t, SEED, 30), t)
+        p = next(p for p in grid if np.array_equal(block, uniforms < p))
+        found.add((t, p))
+        probe = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], p, t, SEED, 30)
+        want = [single_run_half_r0(probe, k, t) for k in range(probe.n_configs)]
+        assert [repr(v) for v in result.tolist()] == [repr(v) for v in want]
+    assert len({p for t, p in found if t == 101}) >= 5
 
 
 def test_ensemble_is_deterministic_and_order_independent():
@@ -202,3 +218,115 @@ def test_transition_locator_validates_arguments():
 def test_ensemble_rejects_zero_steps():
     with pytest.raises(ValueError):
         ensemble_r0(case1_spec(0.5), 0)
+
+
+def test_config_uniforms_equal_a_fresh_generator_for_every_stream():
+    """One Philox re-keyed per configuration draws the bits that a new
+    Generator on Philox(key=[seed mod 2**64, config]) draws, also where
+    the seed or the index reaches 2**63 and the key takes numpy's float64
+    conversion."""
+    seeds = (0, SEED, 2**32 + 1, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64 + 5, -1, -2**63)
+    configs = [0, 1, 7, 199, 2**31, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+    with np.errstate(invalid="ignore"):  # numpy's own key conversion warns there
+        for seed in seeds:
+            spec = DisorderSpec(0.0, 1.0, 0.5, 10, seed, n_configs=2**64)
+            got = config_uniforms(spec, configs, 40)
+            for row, config in zip(got, configs):
+                assert np.array_equal(row, fresh_uniforms(seed, config, 40))
+    spec = DisorderSpec(0.0, 1.0, 0.5, 10, SEED, n_configs=200)
+    assert np.array_equal(config_uniforms(spec, range(200), 33),
+                          [fresh_uniforms(SEED, k, 33) for k in range(200)])
+
+
+def fresh_uniforms(seed, config, sites):
+    """A stream drawn by a new Generator, as the module documents it."""
+    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), config])).random(sites)
+
+
+def study_masks(kind: str, rng) -> np.ndarray:
+    """(members, 6) masks: all equal, all distinct, or few patterns repeated."""
+    if kind == "equal":
+        return np.repeat(rng.random((1, 6)) < 0.5, 20, axis=0)
+    if kind == "distinct":
+        return (np.arange(40)[:, None] >> np.arange(6) & 1).astype(bool)
+    return rng.random((4, 6))[rng.integers(0, 4, 30)] < 0.5
+
+
+@pytest.mark.parametrize("kind", ["equal", "distinct", "repeated"])
+@pytest.mark.parametrize("capacity", [1, 3, None])
+def test_a_study_equals_per_member_stepping_in_any_order_and_split(kind, capacity):
+    """Every member gets, as reprs, the value its pattern gives stepped on
+    its own, whatever the member order, the batch split and the split of
+    the members into blocks and calls."""
+    rng = np.random.default_rng(len(kind) + (capacity or 0))
+    masks = study_masks(kind, rng)
+    per_walker = walk.BATCH_BUDGET // capacity if capacity else 1
+    a, b = np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)
+
+    def alone(row):
+        return float(disorder._ensemble_batch((np.where(row, b, a)[None], 11))[0])
+
+    for order in (np.arange(len(masks)), rng.permutation(len(masks))):
+        members = masks[order]
+        study = disorder.PatternStudy(CASE2["theta_a"], CASE2["theta_b"],
+                                      disorder._ensemble_batch, (11,), per_walker)
+        half = len(members) // 2
+        got = study.values([members[:3], members[3:half]])
+        got += study.values([members[half:]])
+        want = [alone(row) for row in members]
+        assert [repr(v) for v in np.concatenate(got).tolist()] == [repr(v) for v in want]
+        assert len(study.stepped) == len({row.tobytes() for row in masks})
+
+
+def spy_real_steps(monkeypatch, module) -> list:
+    """The (n, B) second coin angles of every `real_steps` call of `module`."""
+    calls = []
+    real_steps = module.real_steps
+
+    def spying(th1, th2, *args):
+        calls.append(th2.copy())
+        return real_steps(th1, th2, *args)
+
+    monkeypatch.setattr(module, "real_steps", spying)
+    return calls
+
+
+def spy_masks(monkeypatch) -> list:
+    """Every member mask row passed to `PatternStudy.values`."""
+    rows = []
+    values = disorder.PatternStudy.values
+
+    def spying(study, masks):
+        rows.extend(row for block in masks for row in block)
+        return values(study, masks)
+
+    monkeypatch.setattr(disorder.PatternStudy, "values", spying)
+    return rows
+
+
+@pytest.mark.parametrize("study", ["transition", "curve"])
+def test_each_distinct_pattern_of_a_study_is_stepped_exactly_once(monkeypatch, study):
+    calls = spy_real_steps(monkeypatch, scattering)
+    masks = spy_masks(monkeypatch)
+    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 40)
+    if study == "transition":
+        transition_locator(spec, t=101, n_configs=40, resolution=0.05)
+    else:
+        disorder_curve(spec, 11)
+    stepped = [column[2:].tobytes() for th2 in calls for column in th2.T]  # x >= 0
+    a, b = np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)
+    patterns = {np.where(row, b, a).tobytes() for row in masks}
+    assert len(stepped) == len(set(stepped)) == len(patterns)
+    assert set(stepped) == patterns
+    assert len(masks) > len(patterns)  # members share patterns
+
+
+def test_the_transition_endpoints_run_as_one_batch_of_two_walkers(monkeypatch):
+    calls = spy_real_steps(monkeypatch, scattering)
+    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 40)
+    transition_locator(spec, t=101, n_configs=40, resolution=0.05)
+    first = calls[0][2:]
+    assert first.shape[1] == 2
+    assert np.all(first[:, 0] == CASE2["theta_a"] % (2 * np.pi))
+    assert np.all(first[:, 1] == CASE2["theta_b"] % (2 * np.pi))
+    assert all(th2.shape[1] <= 40 for th2 in calls[1:])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qwtopo.disorder import DisorderSpec
+from qwtopo.disorder import DisorderSpec, pattern_angles
 import qwtopo.edges
 from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, InterfaceSystem,
                           LocalizationRecord, _ploc_batch, localization_vs_disorder,
@@ -158,12 +158,12 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
     the P_loc that masking each configuration's own distributions gives,
     whichever way the configurations are split into batches."""
     system = interface(0.5, 30)
-    uniforms = system.uniforms(range(30))
-    got = _ploc_batch((system, 13, uniforms))
+    right = pattern_angles(system.right, system.uniforms(range(30)))
+    got = _ploc_batch((right, TH_L, 13))
     want = [p_loc_at(run_interface(system, 13, k), 13) for k in range(30)]
     assert reprs(got) == reprs(want)
     for cuts in ([1], [11, 12], [29], list(range(1, 30))):
-        parts = [_ploc_batch((system, 13, block)) for block in np.split(uniforms, cuts)]
+        parts = [_ploc_batch((block, TH_L, 13)) for block in np.split(right, cuts)]
         assert reprs(np.concatenate(parts)) == reprs(want)
 
 
@@ -173,8 +173,31 @@ def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
     as each one's own mask does."""
     for t in (0, 1, 3, 12, 20):
         run = mixed_windows(t)
-        monkeypatch.setattr(qwtopo.edges, "_launch", lambda system, steps, uniforms: run)
+        monkeypatch.setattr(qwtopo.edges, "record", lambda *args: run)
         want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min, t, k), t)
                 for k, (x_min, a, b) in enumerate(walker_windows(run))]
-        assert reprs(_ploc_batch((None, t, None))) == reprs(want)
+        assert reprs(_ploc_batch((np.zeros((len(want), 1)), TH_L, t))) == reprs(want)
 
+
+
+def test_the_localization_study_steps_each_distinct_pattern_once(monkeypatch):
+    """One record pass over all p: a spy on `walk.real_steps` sees every
+    distinct right-bulk pattern of the study once, the one pattern of p = 0
+    and of p = 1 among them, while each of those p keeps one row."""
+    stepped = []
+    real_steps = qwtopo.walk.real_steps
+
+    def spying(th1, th2, *args):
+        stepped.extend(column[-x_min:-x_min + t + 2].tobytes() for column in th2.T)
+        return real_steps(th1, th2, *args)
+
+    t, x_min = 13, LAUNCH_SITE - (13 + 16)  # the window `record` steps
+    monkeypatch.setattr(qwtopo.walk, "real_steps", spying)
+    points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=t, n_configs=50)
+    assert [pt.n_configs for pt in points] == [1] + [50] * 9 + [1]
+    uniforms = interface(0.0).uniforms(range(50))
+    a, b = np.array([TH_A, TH_B]) % (2 * np.pi)
+    patterns = {np.where(row, b, a).tobytes() for pt in points
+                for row in uniforms[:pt.n_configs] < pt.p}
+    assert len(stepped) == len(set(stepped)) == len(patterns) < 452
+    assert set(stepped) == patterns
