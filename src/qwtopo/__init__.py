@@ -1,65 +1,38 @@
-"""qwtopo: scattering topology of one-dimensional split-step quantum walks."""
+"""qwtopo: scattering topology of one-dimensional split-step quantum walks.
+
+Each public name loads its module on first access, not with the package.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .walk import (
-    H,
-    V,
-    CoinField,
-    SplitStepProtocol,
-    WalkerState,
-    apply_coin_field,
-    apply_shift_minus,
-    apply_shift_plus,
-    apply_shift_symmetric,
-    double_step_equivalent,
-    evolve,
-    split_step,
-)
-from .scattering import (
-    DegenerateGauge,
-    InvariantPair,
-    PhaseDiagram,
-    ReflectionSeries,
-    ScanResult,
-    ScatteringSystem,
-    invariants,
-    phase_diagram,
-    reflection_amplitudes,
-    reflection_matrix_element,
-    scan_line,
-)
-from .disorder import (
-    DisorderSpec,
-    EnsembleResult,
-    NoCrossing,
-    disorder_curve,
-    ensemble_r0,
-    sample_pattern,
-    transition_locator,
-)
-from .edges import (
-    InterfaceSystem,
-    LocalizationRecord,
-    localization_vs_disorder,
-    run_interface,
-)
-from .apparatus import (
-    AmbiguousSign,
-    ApparatusModel,
-    ChainBroken,
-    ErrorRanges,
-    McResult,
-    MeasurementData,
-    emulate_measurement,
-    interfere,
-    measured_invariants,
-    measured_series,
-    monte_carlo_errorbars,
-    reconstruct_series,
-    relative_sign,
-)
-from .config import ConfigInvalid
-from .dataio import IoFailure, RunManifest, UnknownDataKind
+_EXPORTS = {
+    "walk": ("H", "V", "CoinField", "SplitStepProtocol", "WalkerState", "apply_coin_field",
+             "apply_shift_minus", "apply_shift_plus", "apply_shift_symmetric",
+             "double_step_equivalent", "evolve", "split_step"),
+    "scattering": ("DegenerateGauge", "InvariantPair", "PhaseDiagram", "ReflectionSeries",
+                   "ScanResult", "ScatteringSystem", "invariants", "phase_diagram",
+                   "reflection_amplitudes", "reflection_matrix_element", "scan_line"),
+    "disorder": ("DisorderSpec", "EnsembleResult", "NoCrossing", "disorder_curve",
+                 "ensemble_r0", "sample_pattern", "transition_locator"),
+    "edges": ("InterfaceSystem", "LocalizationRecord", "localization_vs_disorder",
+              "run_interface"),
+    "apparatus": ("AmbiguousSign", "ApparatusModel", "ChainBroken", "ErrorRanges",
+                  "McResult", "MeasurementData", "emulate_measurement", "interfere",
+                  "measured_invariants", "measured_series", "monte_carlo_errorbars",
+                  "reconstruct_series", "relative_sign"),
+    "config": ("ConfigInvalid",),
+    "dataio": ("IoFailure", "RunManifest", "UnknownDataKind"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)

@@ -38,20 +38,13 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .walk import H, batches, held, record, record_window
-from .scattering import (
-    InvariantPair,
-    ReflectionSeries,
-    ScatteringSystem,
-    invariant_rows,
-    invariants,
-)
+from . import scattering
+from .budget import ALPHA_GUARD, MODEL, batches, within_guard
+from .walk import H, record
+from .scattering import InvariantPair, ReflectionSeries, ScatteringSystem, invariant_rows
 
 SAME = "same"
 OPPOSITE = "opposite"
-
-#: Mixing angles within this distance of a multiple of pi/2 are rejected.
-ALPHA_GUARD = np.radians(2.0)
 
 #: |Delta I| floor of the read-out, as a fraction of the pair's total intensity.
 INTENSITY_FLOOR = 1e-4
@@ -158,13 +151,6 @@ def interfere(r1, r2, alpha: float):
     base = r1 * r1 * s * s + r2 * r2 * c * c
     cross = 2.0 * r1 * r2 * s * c
     return 0.5 * (base - cross), 0.5 * (base + cross)
-
-
-def within_guard(alpha: float) -> bool:
-    """True when alpha lies within ALPHA_GUARD of a multiple of pi/2,
-    where the interference contrast vanishes."""
-    guard = np.sin(ALPHA_GUARD) * np.cos(ALPHA_GUARD)
-    return bool(abs(np.sin(alpha) * np.cos(alpha)) < guard)
 
 
 def _below_floor(i_h, i_v):
@@ -394,7 +380,8 @@ def measured_series(rho: np.ndarray) -> ReflectionSeries:
 
 def measured_invariants(data: MeasurementData) -> InvariantPair:
     """Invariant pair from one measurement's signed series."""
-    return invariants(measured_series(data.series))
+    # looked up at call time, so a wrapper set on `scattering.invariants` is seen
+    return scattering.invariants(measured_series(data.series))
 
 
 @dataclass
@@ -464,7 +451,7 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
     params = ranges.draw(np.random.default_rng(seed), n_sets)
     tasks = [(system, data.t, data.distributions, horizon, data.alpha, block)
-             for block in batches(params, held(record_window(data.t), data.t, history=True))]
+             for block in batches(params, MODEL.held(data.t))]
     distances, q0s, qps = np.concatenate(list(mapper(_mc_batch, tasks))).T
     best = int(np.argmin(distances))
     ok = ~np.isnan(q0s)

@@ -1,0 +1,151 @@
+"""The engine's cost model: windows, light cones, memory per walker, batches.
+
+Pure Python, so that `config.estimate`, and `qwtopo verify` with it, runs
+without numpy or the engine: `walk.real_steps` steps the rows of `cone`,
+and each kind of `Study` splits its walkers into `batches` by `Study.held`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+_GROW = 16  # slots added when a shift reaches an occupied window edge
+
+#: float64 elements (1.5 MiB) that one engine batch, the unit of work a worker pool
+#: maps over, may hold; a batch takes as many walkers as fit, one at least.
+BATCH_BUDGET = 3 * 2**16
+
+#: Rows of the reflection window holding the probe |-1, H> and the read-out (-2, V).
+PROBE_ROW, READOUT_ROW = 1, 0
+
+#: Mixing angles within this distance of a multiple of pi/2 are rejected.
+ALPHA_GUARD = math.radians(2.0)
+
+#: Disorder strengths used by the standard ensemble studies.
+DEFAULT_P_GRID = tuple(i / 10 for i in range(11))
+
+
+def within_guard(alpha: float) -> bool:
+    """True when alpha lies within ALPHA_GUARD of a multiple of pi/2,
+    where the interference contrast vanishes."""
+    guard = math.sin(ALPHA_GUARD) * math.cos(ALPHA_GUARD)
+    return abs(math.sin(alpha) * math.cos(alpha)) < guard
+
+
+def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = False) -> int:
+    """float64 elements one walker holds while the engine steps it `steps` times
+    on a window of `sites`: the buffers and cos/sin planes of `real_steps`,
+    which write the launch site's unit amplitude themselves, the angle planes,
+    the rho row of its `steps` read-outs and, with `history`, the (steps + 1)-row
+    H and V history of `record`.  The dense path holds one buffer of eleven
+    planes of sites + 2 rows and both coins' angles.  A batch whose coin 1 is
+    the identity (`identity_coin1`), passed as no coin-1 angles, holds coin 2's
+    and takes the two-sublattice path, which updates half of each cone's sites
+    and holds nine half planes of (sites + 3) // 2 rows: four of amplitudes,
+    four of cos/sin and one scratch plane."""
+    engine = 9 * ((sites + 3) // 2) if identity_coin1 else 11 * (sites + 2) + sites
+    return engine + sites + steps + (2 * sites * (steps + 1) if history else 0)
+
+
+def batch_capacity(per_walker: int) -> int:
+    """Most walkers that hold `per_walker` elements (`held`) each that one of
+    the `batches` takes: as many as fit in BATCH_BUDGET, one at least."""
+    return max(1, BATCH_BUDGET // per_walker)
+
+
+def _batch_count(walkers: int, per_walker: int) -> int:
+    return -(-walkers // batch_capacity(per_walker))
+
+
+def batch_walkers(walkers: int, per_walker: int) -> int:
+    """Walkers in the widest of the `batches` of `walkers` walkers that each
+    hold `per_walker` elements (`held`)."""
+    count = _batch_count(walkers, per_walker)
+    return -(-walkers // count) if count else 0
+
+
+def batches(items, per_walker: int) -> list:
+    """Consecutive slices of a sequence of walkers that each hold `per_walker`
+    elements (`held`), in order: as few as keep every slice within
+    BATCH_BUDGET elements, or one walker where one alone exceeds it, of equal
+    sizes within one."""
+    n, count = len(items), _batch_count(len(items), per_walker)
+    return [items[n * i // count:n * (i + 1) // count] for i in range(count)]
+
+
+def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
+    """(first, last, total): lists of the rows `real_steps` updates at steps
+    j = 1 .. steps from rows [lo, hi], their light cone cut to the window and,
+    for a caller reading only row `read`, to read +- (steps - j); total counts
+    them all, per walker.  Where the cut leaves no row, as when `read` is out
+    of reach, the step is empty: last = first - 1, and it adds 0 to total."""
+    # the rows that can still reach `read` lie in [low + j, high - j]
+    low, high = (-steps, sites - 1 + steps) if read is None else (read - steps, read + steps)
+    # first = max(lo - j, 0, low + j): falling, then 0, then rising
+    fall = min(max(min(lo, (lo - low) // 2), 0), steps)
+    flat = min(max(-low, fall), steps)
+    first = [*range(lo - 1, lo - 1 - fall, -1), *[0] * (flat - fall),
+             *range(low + flat + 1, low + steps + 1)]
+    # last = min(hi + j, sites - 1, high - j): rising, then sites - 1, then falling
+    rise = min(max(min(sites - 1 - hi, (high - hi) // 2), 0), steps)
+    flat = min(max(high - sites + 1, rise), steps)
+    last = [*range(hi + 1, hi + 1 + rise), *[sites - 1] * (flat - rise),
+            *range(high - flat - 1, high - steps - 1, -1)]
+    # last - first is concave in j, so some step is empty only if the first or last is
+    if steps and min(last[0] - first[0], last[-1] - first[-1]) < -1:
+        last = [max(b, a - 1) for a, b in zip(first, last)]
+    return first, last, sum(last) - sum(first) + steps
+
+
+def reflection_window(t: int) -> int:
+    """Sites of the window [-2, t // 2] that `sample_rows` steps."""
+    return t // 2 + 3
+
+
+def reflection_site_steps(t: int) -> int:
+    """Sites one `sample_rows` walker updates: min(j + 2, t - j + 1) at step j."""
+    return cone(PROBE_ROW, PROBE_ROW, reflection_window(t), t, READOUT_ROW)[2]
+
+
+def record_window(steps: int) -> int:
+    """Sites of the window x0 +- (steps + _GROW) that `record` steps."""
+    return 2 * (steps + _GROW) + 1
+
+
+def record_site_steps(steps: int) -> int:
+    """Sites one walker's `record` updates: its cone, 2j + 1 at step j."""
+    return cone(steps + _GROW, steps + _GROW, record_window(steps), steps)[2]
+
+
+@dataclass(frozen=True)
+class Study:
+    """How one kind of study steps its walkers: with `history` by `walk.record`,
+    keeping whole walks, on the `record_window`, else by `scattering.sample_rows`
+    on the `reflection_window`; with `identity_coin1` on the two-sublattice
+    path; with `distinct` each distinct pattern once (`disorder.PatternStudy`)."""
+
+    history: bool
+    identity_coin1: bool
+    distinct: bool
+
+    def window(self, t: int) -> int:
+        return (record_window if self.history else reflection_window)(t)
+
+    def site_steps(self, t: int) -> int:
+        return (record_site_steps if self.history else reflection_site_steps)(t)
+
+    def held(self, t: int) -> int:
+        return held(self.window(t), t, self.history, self.identity_coin1)
+
+
+SCAN = Study(history=False, identity_coin1=False, distinct=False)  # scans, phase diagrams
+ENSEMBLE = Study(history=False, identity_coin1=True, distinct=True)  # disorder, transitions
+INTERFACE = Study(history=True, identity_coin1=True, distinct=True)  # edge walks
+MODEL = Study(history=True, identity_coin1=False, distinct=False)  # apparatus models
+
+
+def interface_members(n_configs: int, p_grid) -> list[int]:
+    """Members an interface study reduces at each p of its grid: one at
+    p = 0 and 1, where every configuration is equal, else n_configs."""
+    return [1 if p in (0.0, 1.0) else n_configs for p in p_grid]

@@ -27,11 +27,10 @@ import json
 import math
 import operator
 
-from .apparatus import ALPHA_GUARD, within_guard
+from .budget import (ALPHA_GUARD, DEFAULT_P_GRID, ENSEMBLE, INTERFACE, MODEL, SCAN,
+                     batch_capacity, batch_walkers, interface_members, record_window,
+                     within_guard)
 from .dataio import IoFailure
-from .disorder import DEFAULT_P_GRID
-from .scattering import reflection_site_steps, reflection_window
-from .walk import batch_capacity, batch_walkers, held, record_site_steps, record_window
 
 EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate",
                "mc-errorbars")
@@ -46,12 +45,16 @@ BLOCK_KEY = {
     "mc-errorbars": "mc_errorbars",
 }
 
+#: How the run of each kind steps its walkers.
+STUDY = {"scan": SCAN, "phase-diagram": SCAN, "disorder": ENSEMBLE, "edge": INTERFACE,
+         "emulate": MODEL, "mc-errorbars": MODEL}
+
 
 #: Largest predicted light-cone site-steps (`estimate`) that `validate`, and so
 #: `verify` and `run`, accept: tens of seconds on one core.  A cone holds half
 #: its window at large t, so this accepts the large runs 10**9 window ones did.
 MAX_SITE_STEPS = 5 * 10**8
-#: Most float64 elements one walker may hold in the engine (`walk.held`), 1 GiB:
+#: Most float64 elements one walker may hold in the engine (`budget.held`), 1 GiB:
 #: `walk.record`'s history grows as t * t, so an mc-errorbars run, which keeps
 #: one whole walk and writes no table, stops at t = 5 780.
 MAX_HELD = 2**27
@@ -181,7 +184,9 @@ SCHEMA = {
             "properties": {
                 "theta1_pi": _ANGLE,
                 "theta2_pi": _ANGLE,
-                "t": _COUNT,
+                # r_1 is zero on every sample: the lead coin at x = -1 is the
+                # identity, so nothing returns within one step to read a sign from
+                "t": {"type": "integer", "minimum": 2},
                 "alpha_pi": {**_ANGLE, "default": 0.25},
                 "model": _MODEL,
                 "mode": {"enum": ["exact", "shots"], "default": "exact"},
@@ -432,7 +437,7 @@ def config_warnings(cfg: dict) -> list[str]:
 def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
     """(walkers, steps, walkers field, steps field, group) of each stepping
     stage of a resolved config: the fields are dotted paths, and group is
-    the most walkers that one `walk.batches` call splits."""
+    the most walkers that one `budget.batches` call splits."""
     kind = cfg["experiment"]
     key = BLOCK_KEY[kind]
     block = cfg[key]
@@ -455,7 +460,7 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
                           f"{key}.transition.t", 2 * tr["n_configs"]))
     elif kind == "edge":  # one call over all p, plus the intensity map
         field = "n_configs"
-        group = sum(_configs_per_p(kind, block))
+        group = sum(interface_members(block["n_configs"], block["p_grid"]))
         sims = group + 1
     elif kind == "emulate":  # one walker: its steps are all of its cost
         field, sims, group = "t", 1, 1
@@ -464,29 +469,20 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
     return [(sims, block["t"], f"{key}.{field}", f"{key}.t", group)] + extra
 
 
-def _configs_per_p(kind: str, block: dict) -> list[int]:
-    """Members a disorder or edge run reduces at each p of its grid; an edge
-    run keeps one at p = 0 and 1, where all configurations are equal."""
-    n = block["n_configs"]
-    return [1 if kind == "edge" and p in (0.0, 1.0) else n for p in block["p_grid"]]
-
-
 def _tables(cfg: dict) -> list[tuple[int, str]]:
     """(rows, field) of each table a resolved config's run writes: its rows,
-    at most (t + 1) x `walk.record_window(t)` for an intensity map, whose
+    at most (t + 1) x `budget.record_window(t)` for an intensity map, whose
     window can end narrower, and the dotted path of the field that drives them."""
     kind = cfg["experiment"]
     key = BLOCK_KEY[kind]
     block = cfg[key]
-    if kind == "scan":
-        if block["parametrization"] == "free":
-            return [(len(block["pairs_pi"]), "scan.pairs_pi")]
-        return [(block["count"], "scan.count")]
-    if kind == "phase-diagram":
-        return [(block["resolution"] ** 2, "phase_diagram.resolution")]
+    if kind in ("scan", "phase-diagram"):  # a row per walker
+        walkers, _, field, _, _ = _stages(cfg)[0]
+        return [(walkers, field)]
     tables = []
     if kind in ("disorder", "edge"):  # a row per configuration at each p
-        counts = _configs_per_p(kind, block)
+        n, grid = block["n_configs"], block["p_grid"]
+        counts = interface_members(n, grid) if kind == "edge" else [n] * len(grid)
         factor = "n_configs" if max(counts) >= len(counts) else "p_grid"
         tables.append((sum(counts), f"{key}.{factor}"))
     if kind in ("edge", "emulate"):  # the intensity map: a row per step and site
@@ -500,15 +496,16 @@ def estimate(cfg: dict) -> dict:
 
     "simulations" counts the walkers `run` steps through `walk.real_steps`,
     "window_sites" is the widest window it steps them on, and "site_steps"
-    sums walkers x the sites of the engine's `walk.cone` over the stages, or
+    sums walkers x the sites of the engine's `budget.cone` over the stages, or
     x the cone's floor t * t // 4 where that is over MAX_SITE_STEPS.
     "cost_field" names the field that drives the cost: of the costliest
     stage, its walker count or, where a walker's site-steps are more, its steps.
     "batch_walkers" pairs each stage's steps field with the walkers of its
-    widest `walk.batches` batch, and "held" is the most float64 elements
-    (`walk.held`) one walker holds, in the stage whose steps field is "held_field".
+    widest `budget.batches` batch, and "held" is the most float64 elements
+    (`budget.held`) one walker holds, in the stage whose steps field is "held_field".
     "table_rows" bounds the rows of the largest table the run writes, 0 for
-    none, and "table_field" names the field that drives them.
+    none, and "table_field" names the field that drives them.  Every count
+    follows the `STUDY` that runs the config's kind.
 
     Disorder and edge studies step each distinct disorder pattern once
     (`disorder.PatternStudy`), and a disorder `transition` may stop early, so
@@ -519,25 +516,21 @@ def estimate(cfg: dict) -> dict:
     patterns its seed draws.
     """
     cfg = resolve(cfg)
-    kind = cfg["experiment"]
-    history = kind in ("edge", "emulate", "mc-errorbars")
-    window, per_walker = (record_window, record_site_steps) if history \
-        else (reflection_window, reflection_site_steps)
+    study = STUDY[cfg["experiment"]]
     stages = _stages(cfg)
-    per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else per_walker(t)
+    per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else study.site_steps(t)
            for w, t, *_ in stages]
     cost = [stage[0] * sites for stage, sites in zip(stages, per)]
     i = cost.index(max(cost))
     walkers, _, walkers_field, steps_field, _ = stages[i]
-    exact = kind not in ("disorder", "edge")  # else each distinct pattern is stepped once
-    identity_coin1 = not exact  # the engine's two-sublattice path
-    holds = [held(window(t), t, history, identity_coin1) for _, t, *_ in stages]
+    holds = [study.held(t) for _, t, *_ in stages]
     j = holds.index(max(holds))
     rows, rows_field = max(_tables(cfg), key=lambda table: table[0], default=(0, ""))
-    widest = batch_walkers if exact else lambda group, h: min(group, batch_capacity(h))
-    return {"exact": exact,
+    widest = (lambda group, h: min(group, batch_capacity(h))) if study.distinct \
+        else batch_walkers
+    return {"exact": not study.distinct,
             "simulations": sum(stage[0] for stage in stages),
-            "window_sites": window(max(stage[1] for stage in stages)),
+            "window_sites": study.window(max(stage[1] for stage in stages)),
             "site_steps": sum(cost),
             "cost_field": walkers_field if walkers >= per[i] else steps_field,
             "batch_walkers": [(field, widest(group, h))

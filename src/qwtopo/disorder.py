@@ -31,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinField, batches, held
-from .scattering import reflection_window, rotated_sums, sample_rows
+from .budget import DEFAULT_P_GRID, ENSEMBLE, batches, reflection_window
+from .walk import CoinField
+from .scattering import rotated_sums, sample_rows
 
 _TWO_PI = 2.0 * np.pi
-
-#: Disorder strengths used by the standard ensemble studies.
-DEFAULT_P_GRID = tuple(i / 10 for i in range(11))
 
 
 class NoCrossing(ValueError):
@@ -147,7 +145,7 @@ class PatternStudy:
 
     A member's pattern is its row of a boolean mask u < p of its uniforms u:
     theta_b where True, theta_a elsewhere.  `values` steps the patterns the
-    study has not stepped yet, as `walk.batches` of walkers that each hold
+    study has not stepped yet, as `budget.batches` of walkers that each hold
     `per_walker` elements, one task (angles, *args) per batch mapped through
     `batch`, which returns one value per row of angles.  It keeps every value
     for the study's later calls.  A member's value depends on its pattern
@@ -197,8 +195,8 @@ def _ensemble_batch(task) -> np.ndarray:
 
 def _study(spec: DisorderSpec, t: int, mapper) -> PatternStudy:
     """The half r(0) values of t-step ensembles of `spec` at any p."""
-    per_walker = held(reflection_window(t), t, identity_coin1=True)
-    return PatternStudy(spec.theta_a, spec.theta_b, _ensemble_batch, (t,), per_walker, mapper)
+    return PatternStudy(spec.theta_a, spec.theta_b, _ensemble_batch, (t,), ENSEMBLE.held(t),
+                        mapper)
 
 
 def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:

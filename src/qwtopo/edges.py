@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import V, held, record, record_window
-from .disorder import (DEFAULT_P_GRID, DisorderSpec, EnsembleResult, PatternStudy,
-                       config_uniforms, pattern_angles)
+from .budget import DEFAULT_P_GRID, INTERFACE, interface_members
+from .walk import V, record
+from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, config_uniforms,
+                       pattern_angles)
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
 LOC_WINDOW = 3
@@ -128,8 +129,8 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     """
     uniforms = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, 0.0, t, seed,
                                          n_configs).uniforms(range(n_configs))
-    per_walker = held(record_window(t), t, history=True, identity_coin1=True)
-    study = PatternStudy(theta_a, theta_b, _ploc_batch, (theta_left, t), per_walker, mapper)
-    counts = [1 if p in (0.0, 1.0) else n_configs for p in p_grid]
+    study = PatternStudy(theta_a, theta_b, _ploc_batch, (theta_left, t), INTERFACE.held(t),
+                         mapper)
+    counts = interface_members(n_configs, p_grid)
     values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])
     return [EnsembleResult(float(p), v, t) for p, v in zip(p_grid, values)]

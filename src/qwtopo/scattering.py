@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import (H, CoinField, SplitStepProtocol, batches, cone, held, place_angles,
-                   real_steps)
+from .budget import PROBE_ROW, READOUT_ROW, SCAN, batches, reflection_window
+from .walk import H, CoinField, SplitStepProtocol, place_angles, real_steps
 
 #: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
@@ -40,8 +40,6 @@ CANONICAL_ROTATION = -1j
 DEGENERATE_TOL = 1e-6
 
 _TWO_PI = 2.0 * np.pi
-
-_PROBE, _READOUT = 1, 0  # window columns of |-1, H> and the read-out (-2, V)
 
 
 class DegenerateGauge(ValueError):
@@ -110,16 +108,6 @@ class InvariantPair:
     residual: float
 
 
-def reflection_window(t: int) -> int:
-    """Sites of the window [-2, t // 2] that `sample_rows` steps."""
-    return t // 2 + 3
-
-
-def reflection_site_steps(t: int) -> int:
-    """Sites one `sample_rows` walker updates: min(j + 2, t - j + 1) at step j."""
-    return cone(_PROBE, _PROBE, reflection_window(t), t, _READOUT)[2]
-
-
 def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     """Real reflection series of a batch: row k holds rho_1 .. rho_t of
     the sample whose coin angles on [0, m), reduced mod 2*pi, are row k
@@ -144,10 +132,10 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     n = reflection_window(t)
     th1, th2 = (place_angles(0, theta, -2, n) for theta in (theta1, theta2))
     rho = np.empty((th2.shape[1], t))
-    for j, (_, _, rows, b) in enumerate(real_steps(th1, th2, _PROBE, H, t, _READOUT)):
-        # each step's cone starts at the read-out column, where V sits at
+    for j, (_, _, rows, b) in enumerate(real_steps(th1, th2, PROBE_ROW, H, t, READOUT_ROW)):
+        # each step's cone starts at the read-out row, where V sits at
         # every other step if coin 1 is the identity
-        rho[:, j] = b[0] if rows.start == _READOUT else 0.0
+        rho[:, j] = b[0] if rows.start == READOUT_ROW else 0.0
     return rho
 
 
@@ -251,7 +239,7 @@ def _scan_batch(task) -> np.ndarray:
 def _scan_rows(pairs: np.ndarray, t: int, mapper) -> np.ndarray:
     """`_scan_batch` rows of every (theta1, theta2) row of pairs, one task
     per batch."""
-    tasks = [(batch, t) for batch in batches(pairs, held(reflection_window(t), t))]
+    tasks = [(batch, t) for batch in batches(pairs, SCAN.held(t))]
     return np.concatenate(list(mapper(_scan_batch, tasks)))
 
 

@@ -16,16 +16,13 @@ every study runs on.  The engine needs real coin angles: exp(-i sigma_x
 theta) then maps H = a, V = i b with real a and b to the same form, so
 two real (sites, walkers) arrays carry a batch exactly, up to a global
 phase that covers both |x, H> and |x, V> launches.  Each step updates
-only its light cone (`cone`), a contiguous block of rows, in reused
+only its light cone (`budget.cone`), a contiguous block of rows, in reused
 buffers.  Where coin 1 is the identity on a whole batch, as in every
 disorder ensemble and interface walk, the walk is bipartite and the
 engine updates half of each cone's sites: the live sublattice, held as
 even-row and odd-row half planes.  The cone's sites times steps stay the
 unit of work that studies budget.  `record` keeps every step of a batch
 whole, with each walker's window edges, so studies reduce whole batches.
-A study splits its walkers into `batches`
-that each hold at most BATCH_BUDGET float64 elements, counted per walker
-by `held` on the path the batch takes.
 """
 
 from __future__ import annotations
@@ -33,15 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .budget import _GROW, cone, record_window
+
 H = 0
 V = 1
 
 _TWO_PI = 2.0 * np.pi
-_GROW = 16  # slots added when a shift reaches an occupied window edge
-
-#: float64 elements (1.5 MiB) that one engine batch, the unit of work a worker pool
-#: maps over, may hold; a batch takes as many walkers as fit, one at least.
-BATCH_BUDGET = 3 * 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,61 +256,6 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
     return out
 
 
-def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = False) -> int:
-    """float64 elements one walker holds while the engine steps it `steps` times
-    on a window of `sites`: the buffers and cos/sin planes of `real_steps`,
-    which write the launch site's unit amplitude themselves, the angle planes,
-    the rho row of its `steps` read-outs and, with `history`, the (steps + 1)-row
-    H and V history of `record`.  The dense path holds one buffer of eleven
-    planes of sites + 2 rows and both coins' angles.  A batch whose coin 1 is
-    the identity (`identity_coin1`), passed as no coin-1 angles, holds coin 2's
-    and takes the two-sublattice path, which updates half of each cone's sites
-    and holds nine half planes of (sites + 3) // 2 rows: four of amplitudes,
-    four of cos/sin and one scratch plane."""
-    engine = 9 * ((sites + 3) // 2) if identity_coin1 else 11 * (sites + 2) + sites
-    return engine + sites + steps + (2 * sites * (steps + 1) if history else 0)
-
-
-def batch_capacity(per_walker: int) -> int:
-    """Most walkers that hold `per_walker` elements (`held`) each that one of
-    the `batches` takes: as many as fit in BATCH_BUDGET, one at least."""
-    return max(1, BATCH_BUDGET // per_walker)
-
-
-def _batch_count(walkers: int, per_walker: int) -> int:
-    return -(-walkers // batch_capacity(per_walker))
-
-
-def batch_walkers(walkers: int, per_walker: int) -> int:
-    """Walkers in the widest of the `batches` of `walkers` walkers that each
-    hold `per_walker` elements (`held`)."""
-    count = _batch_count(walkers, per_walker)
-    return -(-walkers // count) if count else 0
-
-
-def batches(items, per_walker: int) -> list:
-    """Consecutive slices of a sequence of walkers that each hold `per_walker`
-    elements (`held`), in order: as few as keep every slice within
-    BATCH_BUDGET elements, or one walker where one alone exceeds it, of equal
-    sizes within one."""
-    n, count = len(items), _batch_count(len(items), per_walker)
-    return [items[n * i // count:n * (i + 1) // count] for i in range(count)]
-
-
-def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
-    """(first, last, total): the rows `real_steps` updates at steps j = 1 .. steps
-    from rows [lo, hi], their light cone cut to the window and, for a caller reading
-    only row `read`, to read +- (steps - j); total counts them all, per walker.
-    Where the cut leaves no row, as when `read` is out of reach, the step is empty:
-    last = first - 1, and it adds 0 to total."""
-    j = np.arange(1, steps + 1)
-    first, last = np.maximum(lo - j, 0), np.minimum(hi + j, sites - 1)
-    if read is not None:
-        first, last = np.maximum(first, read - steps + j), np.minimum(last, read + steps - j)
-    last = np.maximum(last, first - 1)
-    return first, last, int(np.sum(last - first + 1))
-
-
 def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: int,
                read: int | None = None):
     """An iterator of (ra, a, rb, b) after each of `steps` split steps of a
@@ -346,7 +285,7 @@ def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: in
     both amplitudes of every cone row, and ra = rb is the cone.
     """
     first, last, _ = cone(site, site, len(th2), steps, read)
-    rows = zip(first.tolist(), last.tolist())
+    rows = zip(first, last)
     if th1 is not None and np.any(th1):
         return _dense_steps(th1, th2, site, coin, rows)
     return _sublattice_steps(th2, site, coin, rows)
@@ -419,16 +358,6 @@ def _mix(c, x, s, y, out, tmp, op=np.add):
     """out = op(c x, s y), through the buffer tmp."""
     np.multiply(c, x, out=out)
     op(out, np.multiply(s, y, out=tmp), out=out)
-
-
-def record_window(steps: int) -> int:
-    """Sites of the window x0 +- (steps + _GROW) that `record` steps."""
-    return 2 * (steps + _GROW) + 1
-
-
-def record_site_steps(steps: int) -> int:
-    """Sites one walker's `record` updates: its cone, 2j + 1 at step j."""
-    return cone(steps + _GROW, steps + _GROW, record_window(steps), steps)[2]
 
 
 def place_angles(start: int, thetas: np.ndarray | None, x_min: int, sites: int):

@@ -34,7 +34,7 @@ from qwtopo import (
     split_step,
     transition_locator,
 )
-from qwtopo.disorder import DEFAULT_P_GRID
+from qwtopo.budget import DEFAULT_P_GRID
 from qwtopo.edges import InterfaceSystem, run_interface
 from qwtopo.walk import H, V
 

@@ -23,7 +23,6 @@ from qwtopo import (
     relative_sign,
 )
 from qwtopo.apparatus import (
-    ALPHA_GUARD,
     INTENSITY_FLOOR,
     MAGNITUDE_EPS,
     OPPOSITE,
@@ -37,8 +36,8 @@ from qwtopo.apparatus import (
     _readout,
     _runs,
     perturbed_angles,
-    within_guard,
 )
+from qwtopo.budget import ALPHA_GUARD, within_guard
 from qwtopo.scattering import DegenerateGauge, invariant_rows
 
 from references import distances, mixed_windows, walker_windows

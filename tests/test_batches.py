@@ -1,7 +1,7 @@
 """Batching never changes a result.
 
-Every study splits its walkers into `walk.batches` of at most
-`walk.BATCH_BUDGET` float64 elements.  The engine and the read-outs work
+Every study splits its walkers into `budget.batches` of at most
+`budget.BATCH_BUDGET` float64 elements.  The engine and the read-outs work
 walker by walker, so one walker per batch, the default budget and all
 walkers in one batch must give the same bits.
 """
@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qwtopo.budget
 import qwtopo.scattering
 import qwtopo.walk
 from qwtopo import (ApparatusModel, ScatteringSystem, emulate_measurement,
@@ -22,7 +23,7 @@ from qwtopo.scattering import LINE_FREE, phase_diagram, scan_line
 PI = np.pi
 
 #: One walker per batch, a few, the default, and every walker in one batch.
-BUDGETS = {"one walker": 1, "a few walkers": 5000, "default": qwtopo.walk.BATCH_BUDGET,
+BUDGETS = {"one walker": 1, "a few walkers": 5000, "default": qwtopo.budget.BATCH_BUDGET,
            "one batch": 10**12}
 
 
@@ -68,7 +69,7 @@ def test_batching_never_changes_a_result(monkeypatch):
     for name, budget in BUDGETS.items():
         seen = widths[name] = []
         with monkeypatch.context() as patch:
-            patch.setattr(qwtopo.walk, "BATCH_BUDGET", budget)
+            patch.setattr(qwtopo.budget, "BATCH_BUDGET", budget)
             for module in (qwtopo.walk, qwtopo.scattering):
                 patch.setattr(module, "real_steps", _widest(module, seen))
             results[name] = _studies()
@@ -84,18 +85,18 @@ def test_batching_never_changes_a_result(monkeypatch):
 
 @pytest.mark.parametrize("t", (11, 30, 201))
 def test_held_counts_what_the_engine_allocates(t):
-    """A traced batch of 64 walkers allocates `walk.held` float64 elements
+    """A traced batch of 64 walkers allocates `budget.held` float64 elements
     per walker, within 10 %, on both engine paths: `sample_rows` on its
     reflection window and `record` with its history, each with coin 1 the
     identity, passed as no coin-1 angles (the two-sublattice path), and
     random (the dense path)."""
     theta = np.random.default_rng(2).uniform(0, 2 * PI, (64, t + 2))
-    reflection, history = qwtopo.scattering.reflection_window(t), qwtopo.walk.record_window(t)
+    reflection, history = qwtopo.budget.reflection_window(t), qwtopo.budget.record_window(t)
     for theta1, identity in ((None, True), (theta, False)):
         runs = ((lambda: qwtopo.scattering.sample_rows(theta1, theta, t),
-                 qwtopo.walk.held(reflection, t, identity_coin1=identity)),
+                 qwtopo.budget.held(reflection, t, identity_coin1=identity)),
                 (lambda: qwtopo.walk.record(0, theta1, theta, -1, qwtopo.walk.H, t),
-                 qwtopo.walk.held(history, t, history=True, identity_coin1=identity)))
+                 qwtopo.budget.held(history, t, history=True, identity_coin1=identity)))
         for run, held in runs:
             tracemalloc.start()
             try:

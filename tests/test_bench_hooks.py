@@ -5,7 +5,10 @@
 `src/` can break `bench/run.py --trace 1` while every other test passes.
 Here the tracer is installed around three shipped configs, as a traced
 benchmark repetition installs it, and the names the benchmark calls are
-looked up.
+looked up.  The tracer rebinds every name of a loaded package module that
+holds a traced function, and `uninstall` restores those; a module that a
+run loads while the tracer is installed, and that binds a traced function
+at load time, would keep the wrapper.
 """
 
 import importlib.util
@@ -54,6 +57,10 @@ def test_a_traced_run_completes_and_yields_layer_metrics(tmp_path, monkeypatch):
     metrics = layers.layer_metrics(spans, predicted)
     assert metrics["dataio.rows_written"] > 0 and metrics["svgplot.calls"] > 0
     assert not hasattr(qwtopo.cli.entrypoint, "__wrapped__")  # uninstalled
+    wrapped = [f"{name}.{key}" for name, module in list(sys.modules.items())
+               if name == "qwtopo" or name.startswith("qwtopo.")
+               for key, value in vars(module).items() if hasattr(value, "__wrapped__")]
+    assert wrapped == []
 
 
 @pytest.mark.parametrize("owner, name", [

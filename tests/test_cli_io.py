@@ -301,13 +301,39 @@ def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
 
 def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
     """A one-worker run needs neither, and together they cost about a third
-    of the CLI's import time; checked by module presence, not by time."""
+    of the CLI's import time; numpy, most of the rest, loads only in `run`
+    and `replot`.  Checked by module presence, not by time."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     probe = ("import sys, qwtopo.cli; print(sorted(m for m in ('jsonschema', "
-             "'multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+             "'multiprocessing', 'concurrent.futures.process', 'numpy') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+VERIFY_PROBE = """
+import contextlib, io, sys
+from qwtopo.cli import entrypoint
+out, commands = sys.argv[1], [["verify", "--config", path] for path in sys.argv[2:]]
+commands.append(["run", "--config", sys.argv[-1], "--out", out])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [entrypoint(argv) for argv in commands]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_verify_and_config_errors_load_no_numpy(tmp_path):
+    """`verify` of every shipped config, and the exit 2 of a malformed one
+    under `verify` and `run`, check and estimate the config without numpy."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
+    paths.append(write_config(tmp_path, disorder_config(t=0)))
+    out = subprocess.run([sys.executable, "-c", VERIFY_PROBE, str(tmp_path / "out"), *paths],
+                         capture_output=True, text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == f"{[0] * (len(paths) - 1) + [2, 2]} False"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("module", ["qwtopo", "qwtopo.cli"])

@@ -23,7 +23,8 @@ import tracemalloc
 import jsonschema
 import pytest
 
-import qwtopo.cli
+import qwtopo.budget
+import qwtopo.runners
 import qwtopo.scattering
 import qwtopo.walk
 from qwtopo import config as cfgmod
@@ -31,12 +32,17 @@ from qwtopo.apparatus import ApparatusModel, emulate_measurement
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import config_hash
 from qwtopo.disorder import DisorderSpec, config_uniforms
-from qwtopo.scattering import ScatteringSystem, reflection_site_steps, reflection_window
-from qwtopo.walk import record_site_steps
+from qwtopo.budget import record_site_steps, reflection_site_steps, reflection_window
+from qwtopo.scattering import ScatteringSystem
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
 SHIPPED = sorted(os.listdir(CONFIG_DIR))
+
+#: `estimate` of each shipped config as JSON: the counts `verify` prints, the
+#: worst cases `validate` guards and the fields it names, frozen.
+with open(os.path.join(os.path.dirname(__file__), "shipped_estimates.json")) as _fh:
+    SHIPPED_ESTIMATES = json.load(_fh)
 
 #: Optional keys that may lack a default: they are conditional.
 CONDITIONAL = {"scan", "phase_diagram", "disorder", "edge", "emulate", "mc_errorbars",
@@ -197,6 +203,12 @@ def resolved_steps(cfg, field):
     return node
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_the_estimate_of_each_shipped_config_is_pinned(name):
+    est = cfgmod.estimate(cfgmod.load(os.path.join(CONFIG_DIR, name)))
+    assert json.loads(json.dumps(est)) == SHIPPED_ESTIMATES[name.removesuffix(".json")]
+
+
 def test_manifest_hashes_the_config_as_written(tmp_path):
     cfg = {"experiment": "disorder",
            "disorder": {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": 5, "p": 0.5,
@@ -261,15 +273,14 @@ HUGE_T = {
 def test_an_oversized_t_exits_with_code_two_without_building_its_cone(
         tmp_path, capsys, monkeypatch, command, field):
     """The guard refuses on the floor t * t // 4 of a walker's cone, in O(1),
-    and builds no `walk.cone` of the oversized t."""
-    cone = qwtopo.walk.cone
+    and builds no `budget.cone` of the oversized t."""
+    cone = qwtopo.budget.cone
 
     def small_cone(lo, hi, sites, steps, read=None):
         assert steps <= 10**5, f"the cost guard built a cone of {steps} steps"
         return cone(lo, hi, sites, steps, read)
 
-    for module in (qwtopo.walk, qwtopo.scattering):
-        monkeypatch.setattr(module, "cone", small_cone)
+    monkeypatch.setattr(qwtopo.budget, "cone", small_cone)
     _rejected(tmp_path, capsys, command, HUGE_T[field], field, "MAX_SITE_STEPS")
 
 
@@ -325,6 +336,22 @@ def test_an_mc_horizon_of_t_runs(tmp_path):
     assert json.loads((out / "mc.json").read_text())["horizon"] == 8
 
 
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_an_emulation_of_one_step_exits_with_code_two(tmp_path, capsys, command):
+    """r_1 is zero on every sample: the lead coin at x = -1 is the identity,
+    so nothing returns within one step and `run` would find no sign."""
+    _rejected(tmp_path, capsys, command, _emulate(1), "emulate.t", "minimum of 2")
+
+
+def test_an_emulation_of_two_steps_runs(tmp_path):
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_emulate(2)))
+    assert entrypoint(["run", "--config", str(path), "--out", str(out)]) == 0
+    emulated = json.loads((out / "emulate.json").read_text())
+    assert emulated["magnitudes"][0] == 0.0 and emulated["q0"] != 0.0
+
+
 def test_the_longest_emulation_under_the_held_cap_is_valid():
     """mc-errorbars emulates its data with one whole walk and writes no table,
     so only the held cap bounds its t."""
@@ -364,10 +391,10 @@ def test_a_whole_walk_peaks_within_what_estimate_holds(tmp_path, kind):
     else:
         cfg = {"experiment": "mc-errorbars", "mc_errorbars": {**block, "n_sets": 2}}
         small = cfgmod.resolve({**cfg, "mc_errorbars": {**block, "t": 9, "n_sets": 2}})
-        qwtopo.cli._run_mc_errorbars(small, 0, str(tmp_path), "csv", map)
+        qwtopo.runners._run_mc_errorbars(small, 0, str(tmp_path), "csv", map)
 
         def run():
-            qwtopo.cli._run_mc_errorbars(cfgmod.resolve(cfg), 0, str(tmp_path), "csv", map)
+            qwtopo.runners._run_mc_errorbars(cfgmod.resolve(cfg), 0, str(tmp_path), "csv", map)
     held = cfgmod.estimate(cfg)["held"]
     tracemalloc.start()
     try:
@@ -419,8 +446,8 @@ def test_a_table_over_the_cell_cap_exits_with_code_two(tmp_path, capsys, monkeyp
     def unreachable(*args):
         raise AssertionError("the runner was reached")
 
-    for kind in qwtopo.cli._RUNNERS:
-        monkeypatch.setitem(qwtopo.cli._RUNNERS, kind, unreachable)
+    for kind in qwtopo.runners.RUNNERS:
+        monkeypatch.setitem(qwtopo.runners.RUNNERS, kind, unreachable)
     cfg = LARGE_TABLES[field]
     est = cfgmod.estimate(cfg)
     assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS and est["held"] <= cfgmod.MAX_HELD

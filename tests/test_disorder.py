@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qwtopo import disorder, scattering, walk
-from qwtopo.disorder import (DEFAULT_P_GRID, DisorderSpec, NoCrossing, config_uniforms,
-                             disorder_curve, ensemble_r0, sample_pattern,
-                             transition_locator)
+from qwtopo import budget, disorder, scattering, walk
+from qwtopo.budget import DEFAULT_P_GRID
+from qwtopo.disorder import (DisorderSpec, NoCrossing, config_uniforms, disorder_curve,
+                             ensemble_r0, sample_pattern, transition_locator)
 from qwtopo.scattering import (ScatteringSystem, invariants,
                                reflection_amplitudes, reflection_matrix_element)
 
@@ -260,7 +260,7 @@ def test_a_study_equals_per_member_stepping_in_any_order_and_split(kind, capacit
     the members into blocks and calls."""
     rng = np.random.default_rng(len(kind) + (capacity or 0))
     masks = study_masks(kind, rng)
-    per_walker = walk.BATCH_BUDGET // capacity if capacity else 1
+    per_walker = budget.BATCH_BUDGET // capacity if capacity else 1
     a, b = np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)
 
     def alone(row):

@@ -9,14 +9,14 @@ import math
 import numpy as np
 import pytest
 
-import qwtopo.walk
+import qwtopo.budget
+from qwtopo.budget import batches, held, reflection_window
 from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE,
                                DegenerateGauge, ReflectionSeries,
                                ScatteringSystem, invariants, phase_diagram,
                                phase_labels, reflection_amplitudes,
-                               reflection_matrix_element, reflection_window,
-                               sample_rows, scan_line, _scan_rows)
-from qwtopo.walk import batches, held
+                               reflection_matrix_element, sample_rows, scan_line,
+                               _scan_rows)
 
 from oracles import dense_invariants, dense_reflection
 from scanlines import flip_width, sign_flips
@@ -334,7 +334,7 @@ def test_array_pass_matches_the_scalar_invariants_bit_for_bit(monkeypatch):
     batch; each cell must equal the scalar `invariants` chain to the last
     bit, NaN exactly where that chain raises DegenerateGauge."""
     t = 13
-    monkeypatch.setattr(qwtopo.walk, "BATCH_BUDGET", 64 * held(reflection_window(t), t))
+    monkeypatch.setattr(qwtopo.budget, "BATCH_BUDGET", 64 * held(reflection_window(t), t))
     rng = np.random.default_rng(7)
     pairs = rng.uniform(-2 * np.pi, 4 * np.pi, (150, 2))
     assert len(batches(pairs, held(reflection_window(t), t))) == 3

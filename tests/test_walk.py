@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import qwtopo.budget
 import qwtopo.scattering
 import qwtopo.walk
-from qwtopo.scattering import reflection_site_steps, sample_rows
+from qwtopo.budget import batch_walkers, batches, record_site_steps, reflection_site_steps
+from qwtopo.scattering import sample_rows
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
-                         apply_shift_symmetric, batch_walkers, batches,
-                         double_step_equivalent, evolve, record, record_site_steps,
+                         apply_shift_symmetric, double_step_equivalent, evolve, record,
                          split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
@@ -456,7 +457,7 @@ def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coi
     theta2 = random_angles(rng, walkers, n, False)
     a, b = np.zeros((2, walkers, n))
     (a, b)[coin][:, site] = 1.0
-    first, last, _ = qwtopo.walk.cone(site, site, n, t, read)
+    first, last, _ = qwtopo.budget.cone(site, site, n, t, read)
     steps = qwtopo.walk.real_steps(theta1.T.copy(), theta2.T.copy(), site, coin, t, read)
     full = full_window_steps(theta1, theta2, a, b, t)
     for lo, hi, (ra, h, rb, v), (a, b) in zip(first, last, steps, full):
@@ -473,11 +474,37 @@ def test_cone_of_an_unreachable_read_is_empty():
     """Row 5 of a 7-row window is out of reach from row 1 in 2 steps: both
     steps are empty, with last = first - 1, and the total is 0, on either
     engine path."""
-    first, last, total = qwtopo.walk.cone(1, 1, 7, 2, 5)
-    assert first.tolist() == [4, 5] and last.tolist() == [3, 4] and total == 0
+    first, last, total = qwtopo.budget.cone(1, 1, 7, 2, 5)
+    assert first == [4, 5] and last == [3, 4] and total == 0
     for theta1 in (np.zeros((7, 3)), np.full((7, 3), 0.4)):
         for ra, h, rb, v in qwtopo.walk.real_steps(theta1, np.full((7, 3), 1.1), 1, H, 2, 5):
             assert cone_sites(ra, rb) == 0 and h.size == v.size == 0
+
+
+def reference_cone(lo, hi, sites, steps, read=None):
+    """`budget.cone` step by step, from its definition."""
+    first, last = [], []
+    for j in range(1, steps + 1):
+        a, b = max(lo - j, 0), min(hi + j, sites - 1)
+        if read is not None:
+            a, b = max(a, read - steps + j), min(b, read + steps - j)
+        first.append(a)
+        last.append(max(b, a - 1))
+    return first, last, sum(b - a + 1 for a, b in zip(first, last))
+
+
+def test_cone_equals_its_step_by_step_definition():
+    """Reads anywhere from far left of the window to far right of it, from
+    every launch block, up to steps past both window edges."""
+    rng = np.random.default_rng(23)
+    for _ in range(5000):
+        sites = int(rng.integers(1, 40))
+        lo = int(rng.integers(0, sites))
+        hi = int(rng.integers(lo, sites))
+        read = None if rng.random() < 0.2 else int(rng.integers(-50, sites + 50))
+        steps = int(rng.integers(0, 90))
+        assert qwtopo.budget.cone(lo, hi, sites, steps, read) == \
+            reference_cone(lo, hi, sites, steps, read), (lo, hi, sites, steps, read)
 
 
 def test_cone_widths_are_never_negative():
@@ -487,9 +514,9 @@ def test_cone_widths_are_never_negative():
         lo = int(rng.integers(0, sites))
         hi = int(rng.integers(lo, sites))
         read = None if rng.random() < 0.2 else int(rng.integers(-5, sites + 5))
-        first, last, total = qwtopo.walk.cone(lo, hi, sites, int(rng.integers(0, 40)), read)
-        widths = last - first + 1
-        assert np.all(widths >= 0) and total == np.sum(widths)
+        first, last, total = qwtopo.budget.cone(lo, hi, sites, int(rng.integers(0, 40)), read)
+        widths = [b - a + 1 for a, b in zip(first, last)]
+        assert min(widths, default=0) >= 0 and total == sum(widths)
 
 
 @pytest.mark.parametrize("x0", (-3, 0, 1, 4))
@@ -555,7 +582,7 @@ def test_reflection_runs_step_only_their_light_cone(monkeypatch, walkers):
 @pytest.mark.parametrize("budget", (1, 100, 3 * 2**16))
 @pytest.mark.parametrize("held", (1, 7, 100, 101, 3000))
 def test_batches_cover_the_walkers_in_order_within_the_budget(monkeypatch, budget, held):
-    monkeypatch.setattr(qwtopo.walk, "BATCH_BUDGET", budget)
+    monkeypatch.setattr(qwtopo.budget, "BATCH_BUDGET", budget)
     for walkers in (0, 1, 2, 13, 64, 65, 200, 1001):
         parts = batches(np.arange(walkers), held)
         assert all(part.size for part in parts)
