@@ -39,8 +39,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import scattering
-from .budget import ALPHA_GUARD, MODEL, batches, within_guard
-from .walk import H, record
+from .budget import ALPHA_GUARD, MODEL, within_guard
+from .walk import H, over_batches, record
 from .scattering import InvariantPair, ReflectionSeries, ScatteringSystem, invariant_rows
 
 SAME = "same"
@@ -425,9 +425,9 @@ def _distances(observed: np.ndarray, h: np.ndarray, v: np.ndarray, lo: np.ndarra
     return out
 
 
-def _mc_batch(task) -> np.ndarray:
-    """(distance, q0, qpi) of each model of one batch, one row each."""
-    system, t, observed, horizon, alpha, params = task
+def _mc_batch(system: ScatteringSystem, t: int, observed: np.ndarray, horizon: int,
+              alpha: float, params: np.ndarray) -> np.ndarray:
+    """(distance, q0, qpi) of each model of one batch, one row per row of params."""
     x_min, h, v, lo, hi = _runs(system, params, t)
     q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, alpha).series())
     distances = _distances(observed, h, v, lo, hi, params[:, _LOSS, None], horizon)
@@ -436,8 +436,7 @@ def _mc_batch(task) -> np.ndarray:
 
 def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
                           ranges: ErrorRanges = ErrorRanges(),
-                          n_sets: int = 1000, horizon: int = 7,
-                          seed: int = 0, mapper=map) -> McResult:
+                          n_sets: int = 1000, horizon: int = 7, seed: int = 0) -> McResult:
     """Fit an apparatus model to observed walk distributions.
 
     Draws n_sets models uniformly within the ranges, simulates each,
@@ -450,9 +449,9 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
     if data.t < horizon:
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
     params = ranges.draw(np.random.default_rng(seed), n_sets)
-    tasks = [(system, data.t, data.distributions, horizon, data.alpha, block)
-             for block in batches(params, MODEL.held(data.t))]
-    distances, q0s, qps = np.concatenate(list(mapper(_mc_batch, tasks))).T
+    distances, q0s, qps = over_batches(
+        lambda block: _mc_batch(system, data.t, data.distributions, horizon, data.alpha, block),
+        params, MODEL.held(data.t)).T
     best = int(np.argmin(distances))
     ok = ~np.isnan(q0s)
     q0_err = float(np.mean(np.abs(q0s[ok] - q0s[best]))) if ok.any() else np.nan

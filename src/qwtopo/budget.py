@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 _GROW = 16  # slots added when a shift reaches an occupied window edge
 
-#: float64 elements (1.5 MiB) that one engine batch, the unit of work a worker pool
-#: maps over, may hold; a batch takes as many walkers as fit, one at least.
+#: float64 elements (1.5 MiB) that one engine batch may hold, which bounds what a
+#: run holds at once; a batch takes as many walkers as fit, one at least.
 BATCH_BUDGET = 3 * 2**16
 
 #: Rows of the reflection window holding the probe |-1, H> and the read-out (-2, V).

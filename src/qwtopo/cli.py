@@ -14,7 +14,6 @@ from datetime import datetime, timezone
 
 from . import __version__, config
 from .dataio import RunManifest, UnknownDataKind, config_hash, read_csv, detect_kind
-from .parallel import WorkerPool
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
-    run.add_argument("--threads", type=int, default=None,
-                     help="worker processes (QWTOPO_THREADS as fallback)")
     run.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="table format")
     run.set_defaults(func=_cmd_run)
@@ -86,8 +83,7 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     from . import runners
     runner = runners.RUNNERS[cfg["experiment"]]
-    with WorkerPool(args.threads) as pool:
-        written = runner(resolved, seed, args.out, args.format, pool.map)
+    written = runner(resolved, seed, args.out, args.format)
     manifest = RunManifest(__version__, seed, config_hash(cfg),
                            datetime.now(timezone.utc).isoformat())
     for path in written:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import DEFAULT_P_GRID, ENSEMBLE, batches, reflection_window
-from .walk import CoinField
+from .budget import DEFAULT_P_GRID, ENSEMBLE, reflection_window
+from .walk import CoinField, over_batches
 from .scattering import rotated_sums, sample_rows
 
 _TWO_PI = 2.0 * np.pi
@@ -146,17 +146,16 @@ class PatternStudy:
     A member's pattern is its row of a boolean mask u < p of its uniforms u:
     theta_b where True, theta_a elsewhere.  `values` steps the patterns the
     study has not stepped yet, as `budget.batches` of walkers that each hold
-    `per_walker` elements, one task (angles, *args) per batch mapped through
-    `batch`, which returns one value per row of angles.  It keeps every value
-    for the study's later calls.  A member's value depends on its pattern
-    alone, not on its batch, so every member gets the bits that stepping it
-    on its own gives.
+    `per_walker` elements, through `batch`, which maps a (B, sites) block of
+    second coin angles to one value per row.  It keeps every value for the
+    study's later calls.  A member's value depends on its pattern alone, not
+    on its batch, so every member gets the bits that stepping it on its own
+    gives.
     """
 
-    def __init__(self, theta_a: float, theta_b: float, batch, args: tuple,
-                 per_walker: int, mapper=map):
+    def __init__(self, theta_a: float, theta_b: float, batch, per_walker: int):
         self.theta_a, self.theta_b = theta_a, theta_b
-        self.batch, self.args, self.per_walker, self.mapper = batch, args, per_walker, mapper
+        self.batch, self.per_walker = batch, per_walker
         self.stepped = {}  # pattern bytes -> value
 
     def values(self, masks: list) -> list[np.ndarray]:
@@ -170,8 +169,7 @@ class PatternStudy:
                     new[key] = row
         if new:
             angles = _angles(self.theta_a, self.theta_b, np.array(list(new.values())))
-            tasks = [(block, *self.args) for block in batches(angles, self.per_walker)]
-            values = np.concatenate(list(self.mapper(self.batch, tasks)))
+            values = over_batches(self.batch, angles, self.per_walker)
             self.stepped.update(zip(new, values.tolist()))
         return [np.array([self.stepped[key] for key in block_keys], dtype=float)
                 for block_keys in keys]
@@ -186,36 +184,33 @@ def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
     return config_uniforms(spec, range(spec.n_configs), sites)
 
 
-def _ensemble_batch(task) -> np.ndarray:
-    """Half r(0) of the sample of every row of a (B, sites) block of second
-    coin angles."""
-    angles, t = task
+def _ensemble_batch(angles: np.ndarray, t: int) -> np.ndarray:
+    """Half r(0) after t steps of the sample of every row of a (B, sites)
+    block of second coin angles."""
     return _halves(sample_rows(None, angles, t))
 
 
-def _study(spec: DisorderSpec, t: int, mapper) -> PatternStudy:
+def _study(spec: DisorderSpec, t: int) -> PatternStudy:
     """The half r(0) values of t-step ensembles of `spec` at any p."""
-    return PatternStudy(spec.theta_a, spec.theta_b, _ensemble_batch, (t,), ENSEMBLE.held(t),
-                        mapper)
+    return PatternStudy(spec.theta_a, spec.theta_b, lambda angles: _ensemble_batch(angles, t),
+                        ENSEMBLE.held(t))
 
 
-def ensemble_r0(spec: DisorderSpec, t: int, mapper=map) -> EnsembleResult:
+def ensemble_r0(spec: DisorderSpec, t: int) -> EnsembleResult:
     """Half r(0) for every configuration of the ensemble."""
-    return disorder_curve(spec, t, (spec.p,), mapper)[0]
+    return disorder_curve(spec, t, (spec.p,))[0]
 
 
-def disorder_curve(spec: DisorderSpec, t: int, p_grid=DEFAULT_P_GRID,
-                   mapper=map) -> list[EnsembleResult]:
+def disorder_curve(spec: DisorderSpec, t: int, p_grid=DEFAULT_P_GRID) -> list[EnsembleResult]:
     """Ensemble statistics across a grid of disorder strengths, all p in one
     `PatternStudy` call."""
     uniforms = ensemble_uniforms(spec, t)
-    values = _study(spec, t, mapper).values([uniforms < p for p in p_grid])
+    values = _study(spec, t).values([uniforms < p for p in p_grid])
     return [EnsembleResult(p, v, t) for p, v in zip(p_grid, values)]
 
 
 def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
-                       resolution: float = 0.025, p_lo: float = 0.0,
-                       p_hi: float = 1.0, mapper=map) -> float:
+                       resolution: float = 0.025, p_lo: float = 0.0, p_hi: float = 1.0) -> float:
     """Disorder strength where the ensemble median invariant flips sign.
 
     Bisects on a p grid of the given resolution using the median of
@@ -233,7 +228,7 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
     work = DisorderSpec(spec.theta_a, spec.theta_b, p_lo, t + 2, spec.seed,
                         n_configs)
     uniforms = ensemble_uniforms(work, t)
-    study = _study(work, t, mapper)
+    study = _study(work, t)
 
     def median_signs(*ps):
         return [float(np.median(np.sign(v))) for v in study.values([uniforms < p for p in ps])]

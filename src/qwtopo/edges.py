@@ -108,10 +108,9 @@ def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> Loca
     return LocalizationRecord(a * a + b * b, x_min + int(lo[0]), t, config)
 
 
-def _ploc_batch(task) -> np.ndarray:
-    """P_loc after t steps of each row of the task's right-bulk angles: one sum
-    over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
-    right, theta_left, t = task
+def _ploc_batch(right: np.ndarray, theta_left: float, t: int) -> np.ndarray:
+    """P_loc after t steps of each row of the (B, sites) right-bulk angles: one
+    sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
     x_min, h, v, _, _ = _launch(_joined(theta_left, right, t + 2), t)
     rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
     return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
@@ -119,7 +118,7 @@ def _ploc_batch(task) -> np.ndarray:
 
 def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
                              seed: int, t: int = 13, p_grid=DEFAULT_P_GRID,
-                             n_configs: int = 50, mapper=map) -> list[EnsembleResult]:
+                             n_configs: int = 50) -> list[EnsembleResult]:
     """Ensemble P_loc statistics per disorder strength.
 
     The uniforms are drawn once and thresholded at every p, and one
@@ -129,8 +128,8 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     """
     uniforms = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, 0.0, t, seed,
                                          n_configs).uniforms(range(n_configs))
-    study = PatternStudy(theta_a, theta_b, _ploc_batch, (theta_left, t), INTERFACE.held(t),
-                         mapper)
+    study = PatternStudy(theta_a, theta_b, lambda right: _ploc_batch(right, theta_left, t),
+                         INTERFACE.held(t))
     counts = interface_members(n_configs, p_grid)
     values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])
     return [EnsembleResult(float(p), v, t) for p, v in zip(p_grid, values)]

@@ -80,24 +80,23 @@ def _scan_table(t, *columns) -> list:
     return list(zip(*(c.ravel().tolist() for c in columns), repeat(t)))
 
 
-def _run_scan(cfg, seed, outdir, fmt, mapper):
+def _run_scan(cfg, seed, outdir, fmt):
     blk = cfg["scan"]
     t = blk["t"]
     if blk["parametrization"] == scattering.LINE_FREE:
         pairs = np.asarray(blk["pairs_pi"], dtype=float) * math.pi
-        result = scattering.scan_line(scattering.LINE_FREE, t, pairs=pairs, mapper=mapper)
+        result = scattering.scan_line(scattering.LINE_FREE, t, pairs=pairs)
     else:
         grid = np.linspace(blk["start_pi"], blk["stop_pi"], blk["count"]) * math.pi
-        result = scattering.scan_line(blk["parametrization"], t, grid=grid, mapper=mapper)
+        result = scattering.scan_line(blk["parametrization"], t, grid=grid)
     rows = _scan_table(t, result.theta1 / math.pi, result.theta2 / math.pi, result.q0,
                        result.qpi, result.residual)
     return _table(outdir, "scan", rows, fmt)
 
 
-def _run_phase_diagram(cfg, seed, outdir, fmt, mapper):
+def _run_phase_diagram(cfg, seed, outdir, fmt):
     blk = cfg["phase_diagram"]
-    pd = scattering.phase_diagram(blk["resolution"], blk["t"], blk["tolerance"],
-                                  mapper=mapper)
+    pd = scattering.phase_diagram(blk["resolution"], blk["t"], blk["tolerance"])
     n = pd.theta2.size
     rows = _scan_table(pd.t, np.repeat(pd.theta1 / math.pi, n),
                        np.tile(pd.theta2 / math.pi, n), pd.q0, pd.qpi, pd.residual)
@@ -110,12 +109,12 @@ def _run_phase_diagram(cfg, seed, outdir, fmt, mapper):
     return written
 
 
-def _run_disorder(cfg, seed, outdir, fmt, mapper):
+def _run_disorder(cfg, seed, outdir, fmt):
     blk = cfg["disorder"]
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
     spec = disorder.DisorderSpec.for_steps(theta_a, theta_b, p_grid[0], t, seed, n)
-    curve = disorder.disorder_curve(spec, t, p_grid, mapper)
+    curve = disorder.disorder_curve(spec, t, p_grid)
     run_rows = [[res.p, k, v, t, seed]
                 for res in curve for k, v in enumerate(res.values.tolist())]
     sum_rows = [[res.p, res.mean, res.std, res.n_configs, t] for res in curve]
@@ -124,7 +123,7 @@ def _run_disorder(cfg, seed, outdir, fmt, mapper):
     if "transition" in blk:
         tr = blk["transition"]
         t_tr, n_tr, resolution = tr["t"], tr["n_configs"], tr["resolution"]
-        p_crit = disorder.transition_locator(spec, t_tr, n_tr, resolution, mapper=mapper)
+        p_crit = disorder.transition_locator(spec, t_tr, n_tr, resolution)
         written.append(_write_json(outdir, "transition.json", {
             "p_crit": p_crit, "t": t_tr, "n_configs": n_tr,
             "resolution": resolution, "seed": seed,
@@ -132,13 +131,12 @@ def _run_disorder(cfg, seed, outdir, fmt, mapper):
     return written
 
 
-def _run_edge(cfg, seed, outdir, fmt, mapper):
+def _run_edge(cfg, seed, outdir, fmt):
     blk = cfg["edge"]
     theta_left = blk["theta_left_pi"] * math.pi
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
-    points = edges.localization_vs_disorder(theta_left, theta_a, theta_b, seed, t,
-                                            p_grid, n, mapper)
+    points = edges.localization_vs_disorder(theta_left, theta_a, theta_b, seed, t, p_grid, n)
     rows = [[pt.p, k, v, t] for pt in points for k, v in enumerate(pt.values.tolist())]
     written = _table(outdir, "edge", rows, fmt)
     show_p = max(p_grid)
@@ -164,7 +162,7 @@ def _radians(blk: dict) -> dict:
             for key, v in blk.items()}
 
 
-def _run_emulate(cfg, seed, outdir, fmt, mapper):
+def _run_emulate(cfg, seed, outdir, fmt):
     blk = cfg["emulate"]
     system = scattering.ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
                                                    blk["theta2_pi"] * math.pi, blk["t"])
@@ -182,7 +180,7 @@ def _run_emulate(cfg, seed, outdir, fmt, mapper):
     return written
 
 
-def _run_mc_errorbars(cfg, seed, outdir, fmt, mapper):
+def _run_mc_errorbars(cfg, seed, outdir, fmt):
     blk = cfg["mc_errorbars"]
     t = blk["t"]
     system = scattering.ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
@@ -193,7 +191,7 @@ def _run_mc_errorbars(cfg, seed, outdir, fmt, mapper):
     data.distributions = data.distributions[:blk["horizon"] + 1].copy()
     result = apparatus.monte_carlo_errorbars(
         data, system, apparatus.ErrorRanges(**_radians(blk["ranges"])), n_sets=blk["n_sets"],
-        horizon=blk["horizon"], seed=seed, mapper=mapper)
+        horizon=blk["horizon"], seed=seed)
     pair = apparatus.measured_invariants(data)
     best = result.best
     written = [_write_json(outdir, "mc.json", {

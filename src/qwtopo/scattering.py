@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import PROBE_ROW, READOUT_ROW, SCAN, batches, reflection_window
-from .walk import H, CoinField, SplitStepProtocol, place_angles, real_steps
+from .budget import PROBE_ROW, READOUT_ROW, SCAN, reflection_window
+from .walk import H, CoinField, SplitStepProtocol, over_batches, place_angles, real_steps
 
 #: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
@@ -222,11 +222,10 @@ def _line_pairs(parametrization, grid):
     raise ValueError(f"unknown scan parametrization: {parametrization!r}")
 
 
-def _scan_batch(task) -> np.ndarray:
-    """(B, 3) rows of Q0, Qpi and residual 1 - sum_j rho_j^2 of clean
-    samples sized by `ScatteringSystem.for_steps`, one per (theta1,
-    theta2) row of the task's pairs; NaN where the gauge is degenerate."""
-    pairs, t = task
+def _scan_batch(pairs: np.ndarray, t: int) -> np.ndarray:
+    """(B, 3) rows of Q0, Qpi and residual 1 - sum_j rho_j^2 of t-step clean
+    samples sized by `ScatteringSystem.for_steps`, one per (theta1, theta2)
+    row of pairs; NaN where the gauge is degenerate."""
     angles = np.asarray(pairs, dtype=float) % _TWO_PI
     shape = (angles.shape[0], t + 2)
     rho = sample_rows(np.broadcast_to(angles[:, :1], shape),
@@ -236,15 +235,12 @@ def _scan_batch(task) -> np.ndarray:
     return np.column_stack([q0, qpi, residual])
 
 
-def _scan_rows(pairs: np.ndarray, t: int, mapper) -> np.ndarray:
-    """`_scan_batch` rows of every (theta1, theta2) row of pairs, one task
-    per batch."""
-    tasks = [(batch, t) for batch in batches(pairs, SCAN.held(t))]
-    return np.concatenate(list(mapper(_scan_batch, tasks)))
+def _scan_rows(pairs: np.ndarray, t: int) -> np.ndarray:
+    """`_scan_batch` rows of every (theta1, theta2) row of pairs, batch by batch."""
+    return over_batches(lambda batch: _scan_batch(batch, t), pairs, SCAN.held(t))
 
 
-def scan_line(parametrization: str, t: int, grid=None, pairs=None,
-              mapper=map) -> ScanResult:
+def scan_line(parametrization: str, t: int, grid=None, pairs=None) -> ScanResult:
     """Invariants along a coin-angle line for clean samples.
 
     parametrization is one of "theta1=2*theta2" (grid sweeps theta2),
@@ -259,7 +255,7 @@ def scan_line(parametrization: str, t: int, grid=None, pairs=None,
         if grid is None:
             raise ValueError("line parametrization needs a grid of swept angles")
         arr = _line_pairs(parametrization, grid)
-    q0, qpi, residual = _scan_rows(arr, t, mapper).T
+    q0, qpi, residual = _scan_rows(arr, t).T
     return ScanResult(arr[:, 0], arr[:, 1], q0, qpi, residual, t)
 
 
@@ -288,8 +284,7 @@ def phase_labels(q0, qpi, tolerance: float) -> np.ndarray:
     return np.array(PHASE_LABELS + (BOUNDARY_LABEL,))[index]
 
 
-def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05,
-                  mapper=map) -> PhaseDiagram:
+def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05) -> PhaseDiagram:
     """Classify the (theta1, theta2) plane on a grid of cell centers.
 
     Each cell is labelled by `phase_labels`: the sign pair of (Q0, Qpi)
@@ -299,7 +294,7 @@ def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05,
         raise ValueError("phase diagram resolution must be at least 8")
     centers = (np.arange(resolution) + 0.5) * _TWO_PI / resolution
     pairs = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1)
-    rows = _scan_rows(pairs.reshape(-1, 2), t, mapper)
+    rows = _scan_rows(pairs.reshape(-1, 2), t)
     q0, qpi, res = rows.T.reshape(3, resolution, resolution)
     return PhaseDiagram(centers, centers, q0, qpi, res,
                         phase_labels(q0, qpi, tolerance), t, tolerance)

@@ -159,8 +159,18 @@ def _heat_color(v: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _bins(cells: int, pixels: int) -> tuple[np.ndarray, np.ndarray]:
+    """First cells and sizes of the blocks of ceil(cells / pixels) cells, the
+    last one cut short, that bin `cells` cells into at most `pixels` blocks."""
+    starts = np.arange(0, cells, -(-cells // pixels))
+    return starts, np.diff(starts, append=cells)
+
+
 def heatmap(matrix, title="", xlabel="", ylabel="", x_offset=0, y_offset=0) -> str:
-    """Row 0 at the top; cell color scales with value / max."""
+    """Row 0 at the top; cell color scales with value / max.  A matrix with
+    more rows or columns than the plot area has pixels is binned to at most
+    one block per pixel, each drawn as its largest cell, so that a one-cell
+    peak or front stays visible."""
     m = np.asarray(matrix, dtype=float)
     rows, cols = m.shape
     peak = float(m.max()) if m.size and m.max() > 0 else 1.0
@@ -169,12 +179,13 @@ def heatmap(matrix, title="", xlabel="", ylabel="", x_offset=0, y_offset=0) -> s
     parts = frame.axes(title, xlabel, ylabel)
     cw = (_W - _ML - _MR) / cols
     ch = (_H - _MT - _MB) / rows
-    size = f'width="{_f(cw + 0.5)}" height="{_f(ch + 0.5)}"'
-    xs = [_f(_ML + j * cw) for j in range(cols)]
+    (r0, rn), (c0, cn) = _bins(rows, _H - _MT - _MB), _bins(cols, _W - _ML - _MR)
+    m = np.maximum.reduceat(np.maximum.reduceat(m, r0, axis=0), c0, axis=1)
+    xs = [(_f(_ML + j * cw), _f(n * cw + 0.5)) for j, n in zip(c0.tolist(), cn.tolist())]
     values, index = np.unique(m / peak, return_inverse=True)
     colors = [_heat_color(v) for v in values.tolist()]
-    for i, row in enumerate(index.reshape(rows, cols).tolist()):
-        y = _f(_MT + i * ch)
-        parts.extend(f'<rect x="{x}" y="{y}" {size} fill="{colors[k]}"/>'
-                     for x, k in zip(xs, row))
+    for i, n, row in zip(r0.tolist(), rn.tolist(), index.reshape(m.shape).tolist()):
+        y, h = _f(_MT + i * ch), _f(n * ch + 0.5)
+        parts.extend(f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{colors[k]}"/>'
+                     for (x, w), k in zip(xs, row))
     return _document(parts)

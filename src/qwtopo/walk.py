@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .budget import _GROW, cone, record_window
+from .budget import _GROW, batches, cone, record_window
 
 H = 0
 V = 1
@@ -408,3 +408,10 @@ def record(start: int, theta1: np.ndarray | None, theta2: np.ndarray, x0: int, c
         hi += _GROW * ((h[j, hi + 1, cols] != 0) | (v[j, hi, cols] != 0))
         lo -= _GROW * (v[j, lo - 1, cols] != 0)
     return x_min, h, v, lo, hi
+
+
+def over_batches(fn, walkers, per_walker: int) -> np.ndarray:
+    """fn of each of the `budget.batches` of the sequence `walkers`, which
+    each hold `per_walker` elements (`budget.held`), one after another in
+    this process, joined along the first axis: one result row per walker."""
+    return np.concatenate([fn(batch) for batch in batches(walkers, per_walker)])

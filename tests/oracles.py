@@ -5,10 +5,18 @@ indexed (site, coin) basis and plain matrix-vector products.  That is
 a deliberately different construction from the vectorized package
 code, so agreement between the two is meaningful evidence.
 
+It also holds two exact references that need no sampling: the closed-form
+phase labels of the clean walk (`closed_form_phase`, `gap_line_distance`)
+and the exact small-window disorder statistics, enumerated over every
+binary pattern a short reflection run can see (`pattern_half_r0`,
+`exact_disorder_stats`).
+
 Run as a script to print the golden values that the test suite pins:
 
     python3 tests/oracles.py
 """
+
+import itertools
 
 import numpy as np
 
@@ -157,6 +165,53 @@ def dense_interface_p_loc(theta_left, right_thetas, t=13):
     for x in range(-3, 4):
         total += probs[lat.index(x, H)] + probs[lat.index(x, V)]
     return float(total)
+
+
+def closed_form_phase(theta1, theta2):
+    """Phase labels of clean walks with coin angles (theta1, theta2), as arrays:
+    the signs of (Q0, Qpi) from sign Q0 = -sign(sin theta1 + sin theta2) and
+    sign Qpi = sign(sin theta1 - sin theta2), written as "+-" and the like."""
+    s1, s2 = np.sin(theta1), np.sin(theta2)
+    q0 = np.where(s1 + s2 < 0, "+", "-")
+    qpi = np.where(s1 - s2 > 0, "+", "-")
+    return np.char.add(q0, qpi)
+
+
+def gap_line_distance(theta1, theta2):
+    """Euclidean distance of (theta1, theta2) from the nearest line where the
+    gap closes: cos E = cos theta1 cos theta2 cos k - sin theta1 sin theta2
+    reaches +-1, at E = 0 or pi, only on theta1 +- theta2 = 0 or pi (mod 2 pi)."""
+    def off(x):  # distance of x from the nearest multiple of pi
+        return np.abs((np.asarray(x) + np.pi / 2) % np.pi - np.pi / 2)
+
+    return np.minimum(off(theta1 + theta2), off(theta1 - theta2)) / np.sqrt(2)
+
+
+def pattern_half_r0(theta_a, theta_b, t=11, sites=6):
+    """(k, half r(0)) of every binary pattern on the sample sites [0, sites):
+    k sites at theta_b, the others at theta_a, the first coin the identity,
+    half r(0) = Re(-i sum_j r_j) / 2 over t steps.  A t-step reflection
+    reads only the sites [0, t // 2], so sites = t // 2 + 1 covers all a
+    t-step ensemble can see: 6 sites, 64 patterns at t = 11."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=sites):
+        r = dense_reflection(np.zeros(sites), np.where(bits, theta_b, theta_a), t)
+        out.append((sum(bits), (-1j * np.sum(r)).real / 2.0))
+    return out
+
+
+def exact_disorder_stats(patterns, p, sites=6):
+    """Exact (mean, variance) of half r(0) and (mean, variance) of the
+    indicator half r(0) > 0 at disorder strength p, each of the
+    `pattern_half_r0` patterns weighted by its probability
+    p**k (1 - p)**(sites - k).  The indicator's variance is P(> 0) P(<= 0),
+    each summed over its own patterns, so it is exactly 0 where every
+    pattern of nonzero weight has one sign."""
+    weights = np.array([p ** k * (1 - p) ** (sites - k) for k, _ in patterns])
+    values = np.array([v for _, v in patterns])
+    mean = float(np.sum(weights * values))
+    above, below = float(np.sum(weights[values > 0])), float(np.sum(weights[values <= 0]))
+    return (mean, float(np.sum(weights * (values - mean) ** 2))), (above, above * below)
 
 
 def _binary_pattern(seed, config, sites, p, theta_a, theta_b):

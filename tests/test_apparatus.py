@@ -457,13 +457,13 @@ def test_mc_batch_equals_the_per_walker_forms_in_any_split():
     wide = ErrorRanges(loss_asymmetry=0.1, eom_error=np.radians(10.0),
                        sbc_error=np.radians(10.0), efficiency_span=0.5)
     params = wide.draw(rng, 60)
-    got = _mc_batch((system, 11, data.distributions, 7, PI / 4, params))
+    got = _mc_batch(system, 11, data.distributions, 7, PI / 4, params)
     run = _runs(system, params, 11)
     q0, qpi = invariant_rows(_readout(readout_rho(run), params, PI / 4).series())
     want = distances(data.distributions, walker_windows(run), params[:, _LOSS, None], 7)
     assert as_reprs(*got.T) == as_reprs(want, q0, qpi)
     for cuts in ([1], [17, 18], [59], list(range(1, 60))):
-        parts = [_mc_batch((system, 11, data.distributions, 7, PI / 4, block))
+        parts = [_mc_batch(system, 11, data.distributions, 7, PI / 4, block)
                  for block in np.split(params, cuts)]
         assert as_reprs(*np.concatenate(parts).T) == as_reprs(*got.T)
 

@@ -45,7 +45,7 @@ def test_a_traced_run_completes_and_yields_layer_metrics(tmp_path, monkeypatch):
     traced.install()
     try:
         codes = [qwtopo.cli.entrypoint(["run", "--config", path, "--out",
-                                        str(tmp_path / name), "--threads", "1"])
+                                        str(tmp_path / name)])
                  for name, path in zip(CONFIGS, paths)]
     finally:
         traced.uninstall()

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,6 @@ from qwtopo import ConfigInvalid, IoFailure, RunManifest, UnknownDataKind
 from qwtopo import config as cfgmod
 from qwtopo import dataio, svgplot
 from qwtopo.cli import entrypoint
-from qwtopo.parallel import ENV_THREADS, WorkerPool, thread_count
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -132,8 +132,10 @@ def test_write_table_gives_the_bytes_of_a_per_value_reference(tmp_path):
     assert open(path, encoding="utf-8").read() == json.dumps(records, indent=1) + "\n"
 
 
-def reference_heatmap(matrix, x_offset, y_offset):
-    """`svgplot.heatmap` drawn cell by cell, one colour per cell."""
+def reference_heatmap(matrix, x_offset, y_offset, block=(1, 1)):
+    """`svgplot.heatmap` drawn cell by cell, one colour per cell, or with
+    `block` = (rows, columns) block by block, the last ones cut short, each
+    coloured by its largest cell."""
     m = np.asarray(matrix, dtype=float)
     rows, cols = m.shape
     peak = float(m.max()) if m.size and m.max() > 0 else 1.0
@@ -142,12 +144,14 @@ def reference_heatmap(matrix, x_offset, y_offset):
     parts = frame.axes("t", "x", "y")
     cw = (svgplot._W - svgplot._ML - svgplot._MR) / cols
     ch = (svgplot._H - svgplot._MT - svgplot._MB) / rows
-    for i in range(rows):
-        for j in range(cols):
+    for i in range(0, rows, block[0]):
+        for j in range(0, cols, block[1]):
+            cells = m[i:i + block[0], j:j + block[1]]
             parts.append(f'<rect x="{svgplot._ML + j * cw:.2f}" '
-                         f'y="{svgplot._MT + i * ch:.2f}" width="{cw + 0.5:.2f}" '
-                         f'height="{ch + 0.5:.2f}" '
-                         f'fill="{svgplot._heat_color(m[i, j] / peak)}"/>')
+                         f'y="{svgplot._MT + i * ch:.2f}" '
+                         f'width="{cells.shape[1] * cw + 0.5:.2f}" '
+                         f'height="{cells.shape[0] * ch + 0.5:.2f}" '
+                         f'fill="{svgplot._heat_color(cells.max() / peak)}"/>')
     return svgplot._document(parts)
 
 
@@ -158,6 +162,30 @@ def test_heatmap_gives_the_bytes_of_a_per_cell_reference(scale):
     matrix = scale * rng.choice(levels, size=(9, 13))
     for m, offsets in ((matrix, (0, 0)), (matrix.T, (-4, 2)), (matrix[:1, :1], (3, 5))):
         assert svgplot.heatmap(m, "t", "x", "y", *offsets) == reference_heatmap(m, *offsets)
+
+
+def test_a_heatmap_larger_than_the_plot_area_is_binned_by_block_maximum():
+    """The plot area is 624 x 384 px.  A 385 x 40 matrix is drawn in blocks
+    of 2 x 1 cells and a 30 x 1250 one in blocks of 1 x 3, the last block of
+    each row or column of blocks cut short; a 2000 x 2000 matrix in at most
+    one block per pixel, with its one hot cell still drawn, once, over its
+    own position."""
+    rng = np.random.default_rng(8)
+    for shape, block in (((385, 40), (2, 1)), ((30, 1250), (1, 3))):
+        matrix = rng.choice([0.0, 0.5, 1.0, 3.0], size=shape, p=[0.7, 0.2, 0.08, 0.02])
+        assert svgplot.heatmap(matrix, "t", "x", "y", 2, -3) == \
+            reference_heatmap(matrix, 2, -3, block=block)
+
+    big = np.zeros((2000, 2000))
+    big[1234, 567] = 7.0
+    doc = svgplot.heatmap(big)
+    assert doc.count("<rect") - 2 <= 624 * 384  # less the background and the frame
+    hot_color = svgplot._heat_color(1.0)
+    hot = [line for line in doc.splitlines() if hot_color in line]
+    assert len(hot) == 1
+    x, y, w, h = (float(v) for v in re.findall(r'"([0-9.]+)"', hot[0]))
+    assert x <= 72 + 567 * 624 / 2000 and 72 + 568 * 624 / 2000 <= x + w
+    assert y <= 40 + 1234 * 384 / 2000 and 40 + 1235 * 384 / 2000 <= y + h
 
 
 def test_unknown_table_format_is_rejected(tmp_path):
@@ -272,35 +300,10 @@ def test_cost_estimate_counts_simulations():
     assert cfgmod.estimate(cfg)["simulations"] == 30
 
 
-# -------------------------------------------------------------------- pool
-
-def test_thread_count_resolution(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # above every count asked for
-    monkeypatch.delenv(ENV_THREADS, raising=False)
-    assert thread_count() == 1
-    assert thread_count(4) == 4
-    assert thread_count(0) == 1
-    monkeypatch.setenv(ENV_THREADS, "3")
-    assert thread_count() == 3
-    monkeypatch.setenv(ENV_THREADS, "not-a-number")
-    assert thread_count() == 1
-
-
-def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
-    """A forked pool starts all its workers at the first task, so a huge
-    count would ask the OS for that many processes.  Nothing is started here."""
-    cpus = os.cpu_count() or 1
-    monkeypatch.delenv(ENV_THREADS, raising=False)
-    assert thread_count(10**6) == cpus
-    assert WorkerPool(10**6).threads == cpus
-    monkeypatch.setenv(ENV_THREADS, str(10**6))
-    assert thread_count() == cpus
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-    assert thread_count(4) == 1
-
+# ---------------------------------------------------------------- start-up
 
 def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
-    """A one-worker run needs neither, and together they cost about a third
+    """A run needs neither, and together they cost about a third
     of the CLI's import time; numpy, most of the rest, loads only in `run`
     and `replot`.  Checked by module presence, not by time."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -353,9 +356,34 @@ def test_python_dash_m_runs_the_command_line_and_exits_with_its_code(tmp_path, m
     assert "ok: edge config is valid" in runs[1].stdout
 
 
-def test_serial_pool_preserves_order():
-    with WorkerPool(1) as pool:
-        assert pool.map(abs, [-3, 2, -1]) == [3, 2, 1]
+RUN_PROBE = """
+import runpy, sys
+sys.argv = ["qwtopo", *sys.argv[1:]]
+try:
+    runpy.run_module("qwtopo", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, sorted(m for m in ("qwtopo.parallel", "concurrent.futures",
+                                        "multiprocessing") if m in sys.modules))
+"""
+
+
+def test_a_run_steps_its_batches_in_one_process(tmp_path):
+    """`python -m qwtopo run` of the shipped transition study, whose probes step
+    the most batches, ends with no process-pool module loaded, and `run` has
+    no `--threads` flag: argparse refuses it with exit 2 and no output."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    path = os.path.join(CONFIG_DIR, "disorder_crossing.json")
+    done = subprocess.run([sys.executable, "-c", RUN_PROBE, "run", "--config", path,
+                           "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.stdout.splitlines()[-1] == "0 []", done.stderr
+    refused = subprocess.run([sys.executable, "-m", "qwtopo", "run", "--config", path,
+                              "--out", str(tmp_path / "pooled"), "--threads", "2"],
+                             capture_output=True, text=True, timeout=60, env=env)
+    assert refused.returncode == 2
+    assert "unrecognized arguments: --threads 2" in refused.stderr
+    assert not (tmp_path / "pooled").exists()
 
 
 # ------------------------------------------------------------------- plots
@@ -589,25 +617,22 @@ with open(os.path.join(os.path.dirname(__file__), "shipped_hashes.json")) as _fh
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
 def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, name):
-    """Also: the one-thread outputs carry their recorded hashes, and
-    replot rewrites no file of a run, phase_diagram.svg included."""
+    """A run's outputs carry their recorded hashes, and replot rewrites no
+    file of the run, phase_diagram.svg included.  Every run is one process,
+    so the one run stands for any thread count of the name."""
     def files(out):
         return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert entrypoint(["run", "--config", os.path.join(CONFIG_DIR, name),
-                           "--out", str(out), "--threads", threads]) == 0
-        outputs.append({k: v for k, v in files(out).items() if k != "manifest.json"})
-        if threads == "1":
-            assert {k: hashlib.sha256(v).hexdigest()
-                    for k, v in outputs[0].items()} == SHIPPED_HASHES[name]
-    assert outputs[0] and outputs[0] == outputs[1]
-    before = files(tmp_path / "1")
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", os.path.join(CONFIG_DIR, name),
+                       "--out", str(out)]) == 0
+    before = files(out)
+    outputs = {k: v for k, v in before.items() if k != "manifest.json"}
+    assert outputs
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == SHIPPED_HASHES[name]
     tables = any(k.endswith(".csv") for k in before)
-    assert entrypoint(["replot", "--out", str(tmp_path / "1")]) == (0 if tables else 3)
-    assert files(tmp_path / "1") == before
+    assert entrypoint(["replot", "--out", str(out)]) == (0 if tables else 3)
+    assert files(out) == before
 
 
 def test_cli_seed_flag_overrides_config_seed(tmp_path):

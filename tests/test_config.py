@@ -121,8 +121,7 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     for module in (qwtopo.walk, qwtopo.scattering):
         monkeypatch.setattr(module, "real_steps", counting(module.real_steps))
     out = tmp_path / "out"
-    assert entrypoint(["run", "--config", path, "--out", str(out),
-                       "--threads", "1"]) == 0
+    assert entrypoint(["run", "--config", path, "--out", str(out)]) == 0
     assert entrypoint(["verify", "--config", path]) == 0
     printed = capsys.readouterr().out
 
@@ -391,10 +390,10 @@ def test_a_whole_walk_peaks_within_what_estimate_holds(tmp_path, kind):
     else:
         cfg = {"experiment": "mc-errorbars", "mc_errorbars": {**block, "n_sets": 2}}
         small = cfgmod.resolve({**cfg, "mc_errorbars": {**block, "t": 9, "n_sets": 2}})
-        qwtopo.runners._run_mc_errorbars(small, 0, str(tmp_path), "csv", map)
+        qwtopo.runners._run_mc_errorbars(small, 0, str(tmp_path), "csv")
 
         def run():
-            qwtopo.runners._run_mc_errorbars(cfgmod.resolve(cfg), 0, str(tmp_path), "csv", map)
+            qwtopo.runners._run_mc_errorbars(cfgmod.resolve(cfg), 0, str(tmp_path), "csv")
     held = cfgmod.estimate(cfg)["held"]
     tracemalloc.start()
     try:

@@ -1,5 +1,8 @@
 """Tests for seeded disorder ensembles and the transition locator."""
 
+import json
+import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +10,14 @@ import pytest
 
 from qwtopo import budget, disorder, scattering, walk
 from qwtopo.budget import DEFAULT_P_GRID
+from qwtopo.cli import entrypoint
+from qwtopo.dataio import read_csv
 from qwtopo.disorder import (DisorderSpec, NoCrossing, config_uniforms, disorder_curve,
                              ensemble_r0, sample_pattern, transition_locator)
 from qwtopo.scattering import (ScatteringSystem, invariants,
                                reflection_amplitudes, reflection_matrix_element)
 
-from oracles import _binary_pattern, dense_reflection
+from oracles import _binary_pattern, dense_reflection, exact_disorder_stats, pattern_half_r0
 
 SEED = 20260814
 CASE1 = dict(theta_a=1.68 * np.pi, theta_b=1.36 * np.pi)
@@ -121,15 +126,21 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     at every probe of a bisection and along a disorder curve, whose probes
     share one `PatternStudy`.  The p of each block of masks is the grid p
     whose threshold of the drawn uniforms gives that block."""
-    probes = []
-    values = disorder.PatternStudy.values
+    probes, steps = [], {}  # steps: study -> its t
+    values, study_of = disorder.PatternStudy.values, disorder._study
 
     def recording(study, masks):
         result = values(study, masks)
-        probes.extend((block, got, study.args[0]) for block, got in zip(masks, result))
+        probes.extend((block, got, steps[study]) for block, got in zip(masks, result))
         return result
 
+    def tagged(spec, t):
+        study = study_of(spec, t)
+        steps[study] = t
+        return study
+
     monkeypatch.setattr(disorder.PatternStudy, "values", recording)
+    monkeypatch.setattr(disorder, "_study", tagged)
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 30)
     disorder.transition_locator(spec, t=101, n_configs=30, resolution=0.05)
     disorder.disorder_curve(spec, 11, p_grid=(0.3, 0.7))
@@ -149,18 +160,14 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
 
 
 def test_ensemble_is_deterministic_and_order_independent():
+    """Two runs give the same values; the order of the batches cannot change
+    them, as `tests/test_batches.py` checks for every batch split and
+    `test_a_study_equals_per_member_stepping_in_any_order_and_split` for
+    every member order."""
     spec = case1_spec(0.5)
     a = ensemble_r0(spec, 11)
     b = ensemble_r0(spec, 11)
     assert np.array_equal(a.values, b.values)
-
-    def reversed_mapper(fn, tasks):
-        tasks = list(tasks)
-        results = [fn(task) for task in reversed(tasks)]
-        return reversed(results)
-
-    c = ensemble_r0(spec, 11, mapper=reversed_mapper)
-    assert np.array_equal(a.values, c.values)
 
 
 def test_clean_endpoints_match_invariant_pipeline():
@@ -264,12 +271,13 @@ def test_a_study_equals_per_member_stepping_in_any_order_and_split(kind, capacit
     a, b = np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)
 
     def alone(row):
-        return float(disorder._ensemble_batch((np.where(row, b, a)[None], 11))[0])
+        return float(disorder._ensemble_batch(np.where(row, b, a)[None], 11)[0])
 
     for order in (np.arange(len(masks)), rng.permutation(len(masks))):
         members = masks[order]
         study = disorder.PatternStudy(CASE2["theta_a"], CASE2["theta_b"],
-                                      disorder._ensemble_batch, (11,), per_walker)
+                                      lambda angles: disorder._ensemble_batch(angles, 11),
+                                      per_walker)
         half = len(members) // 2
         got = study.values([members[:3], members[3:half]])
         got += study.values([members[half:]])
@@ -330,3 +338,26 @@ def test_the_transition_endpoints_run_as_one_batch_of_two_walkers(monkeypatch):
     assert np.all(first[:, 0] == CASE2["theta_a"] % (2 * np.pi))
     assert np.all(first[:, 1] == CASE2["theta_b"] % (2 * np.pi))
     assert all(th2.shape[1] <= 40 for th2 in calls[1:])
+
+
+@pytest.mark.parametrize("name", ["disorder_crossing.json", "disorder_same_phase.json"])
+def test_a_shipped_curve_lies_within_four_standard_errors_of_the_exact_one(tmp_path, name):
+    """At t = 11 an ensemble sees 6 sample sites, so its infinite ensemble is
+    a weighted sum over 64 patterns, stepped here by the dense oracle.  At
+    every p the sampled mean of half r(0) and the fraction of members above
+    0 lie within 4 standard errors, sqrt(variance / n), of the exact values,
+    or within 1e-9 of them where the exact variance is 0."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    with open(path, encoding="utf-8") as fh:
+        blk = json.load(fh)["disorder"]
+    assert blk["t"] == 11
+    assert entrypoint(["run", "--config", path, "--out", str(tmp_path)]) == 0
+    patterns = pattern_half_r0(blk["theta_a_pi"] * np.pi, blk["theta_b_pi"] * np.pi)
+    members, summary = ([[float(v) for v in row] for row in read_csv(str(tmp_path / table))[1]]
+                        for table in ("disorder_runs.csv", "disorder_summary.csv"))
+    assert [row[0] for row in summary] == blk["p_grid"]
+    for p, mean, _, n, _ in summary:
+        above = np.mean([row[2] > 0 for row in members if row[0] == p])
+        for sampled, (exact, variance) in zip((mean, above), exact_disorder_stats(patterns, p)):
+            bound = 4 * math.sqrt(variance / n) if variance > 0 else 1e-9
+            assert abs(sampled - exact) <= bound, (p, sampled, exact, variance)

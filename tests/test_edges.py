@@ -159,11 +159,11 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
     whichever way the configurations are split into batches."""
     system = interface(0.5, 30)
     right = pattern_angles(system.right, system.uniforms(range(30)))
-    got = _ploc_batch((right, TH_L, 13))
+    got = _ploc_batch(right, TH_L, 13)
     want = [p_loc_at(run_interface(system, 13, k), 13) for k in range(30)]
     assert reprs(got) == reprs(want)
     for cuts in ([1], [11, 12], [29], list(range(1, 30))):
-        parts = [_ploc_batch((block, TH_L, 13)) for block in np.split(right, cuts)]
+        parts = [_ploc_batch(block, TH_L, 13) for block in np.split(right, cuts)]
         assert reprs(np.concatenate(parts)) == reprs(want)
 
 
@@ -176,7 +176,7 @@ def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
         monkeypatch.setattr(qwtopo.edges, "record", lambda *args: run)
         want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min, t, k), t)
                 for k, (x_min, a, b) in enumerate(walker_windows(run))]
-        assert reprs(_ploc_batch((np.zeros((len(want), 1)), TH_L, t))) == reprs(want)
+        assert reprs(_ploc_batch(np.zeros((len(want), 1)), TH_L, t)) == reprs(want)
 
 
 

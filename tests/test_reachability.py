@@ -112,8 +112,7 @@ def covers(entry, name) -> bool:
 def test_every_package_function_is_reached_by_a_shipped_run_or_declared(tmp_path,
                                                                         monkeypatch):
     configs = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
-    env = {key: value for key, value in os.environ.items() if key != "QWTOPO_THREADS"}
-    env["PYTHONPATH"] = os.path.dirname(PACKAGE)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE)}
     done = subprocess.run([sys.executable, "-c", TRACE, PACKAGE, str(tmp_path), *configs],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr

@@ -18,7 +18,7 @@ from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE,
                                reflection_matrix_element, sample_rows, scan_line,
                                _scan_rows)
 
-from oracles import dense_invariants, dense_reflection
+from oracles import closed_form_phase, dense_invariants, dense_reflection, gap_line_distance
 from scanlines import flip_width, sign_flips
 
 # frozen oracle outputs
@@ -342,7 +342,7 @@ def test_array_pass_matches_the_scalar_invariants_bit_for_bit(monkeypatch):
                  (0.0, 1.68 * np.pi), (0.3 * np.pi, 0.3 * np.pi)]
     want = [repr(reference_cell(th1, th2, t)) for th1, th2 in pairs]
     assert want[:4] == [repr(None)] * 4 and want.count(repr(None)) == 4
-    assert [cell_repr(*row) for row in _scan_rows(pairs, t, map)] == want
+    assert [cell_repr(*row) for row in _scan_rows(pairs, t)] == want
     scan = scan_line(LINE_FREE, t, pairs=pairs)
     assert [cell_repr(*cell) for cell in zip(scan.q0, scan.qpi, scan.residual)] == want
 
@@ -378,31 +378,20 @@ def test_phase_diagram_structure():
     assert labels == {"--", "-+", "+-", "++", "boundary"}
 
 
-def phase_signs(theta1, theta2):
-    """Closed-form (sign Q0, sign Qpi) of a clean bulk: the gap at
-    quasienergy 0 closes on sin theta1 = -sin theta2, the one at pi on
-    sin theta1 = sin theta2."""
-    s1, s2 = np.sin(theta1), np.sin(theta2)
-    return -np.sign(s1 + s2), np.sign(s1 - s2)
-
-
 def test_labelled_cells_off_the_closing_lines_carry_the_closed_form_phase():
-    """Every labelled cell of the 64 x 64, t = 30 diagram at least one cell
-    width, measured perpendicular, from the closing lines sin theta1 =
-    +-sin theta2 (theta1 -+ theta2 a multiple of pi) carries the label of
-    `phase_signs`.  112 such cells are still `boundary` at t = 30: they
-    have not converged and are not checked."""
-    pd = phase_diagram(resolution=64, t=30, tolerance=0.05)
-    th1, th2 = np.meshgrid(pd.theta1, pd.theta2, indexing="ij")
-    to_line = [np.abs((angle + np.pi / 2) % np.pi - np.pi / 2) / np.sqrt(2)
-               for angle in (th1 - th2, th1 + th2)]
-    far = np.minimum(*to_line) >= 2 * np.pi / 64
-    q0, qpi = phase_signs(th1, th2)
-    expected = np.where(q0 > 0, "+", "-").astype(object) + np.where(qpi > 0, "+", "-")
-    checked = far & (pd.labels != "boundary")
-    assert np.count_nonzero(far & ~checked) == 112
-    assert np.count_nonzero(checked) == 3248
-    assert (pd.labels[checked] == expected[checked]).all()
+    """Every cell of the 32 x 32 and 64 x 64, t = 30 diagrams at least one
+    cell width, measured perpendicular, from the closing lines
+    theta1 +- theta2 = 0 or pi (mod 2 pi) carries the label of the
+    closed-form oracle `closed_form_phase` or reads `boundary`.  At 64 x 64,
+    112 such cells are still `boundary` at t = 30: they have not converged."""
+    for resolution, unconverged, labelled in ((32, 0, 672), (64, 112, 3248)):
+        pd = phase_diagram(resolution=resolution, t=30, tolerance=0.05)
+        th1, th2 = np.meshgrid(pd.theta1, pd.theta2, indexing="ij")
+        far = gap_line_distance(th1, th2) >= 2 * np.pi / resolution
+        checked = far & (pd.labels != "boundary")
+        assert np.count_nonzero(far & ~checked) == unconverged
+        assert np.count_nonzero(checked) == labelled
+        assert (pd.labels[checked] == closed_form_phase(th1, th2)[checked]).all()
 
 
 def test_phase_diagram_resolution_floor():
