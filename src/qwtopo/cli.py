@@ -13,7 +13,8 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, config
-from .dataio import RunManifest, UnknownDataKind, config_hash, read_csv, detect_kind
+from .dataio import (Columns, RunManifest, UnknownDataKind, config_hash, detect_kind,
+                     read_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +113,8 @@ def _cmd_replot(args) -> int:
             continue
         tables += 1
         if name == f"{kind}.csv":
-            runners.plot_table(kind, rows, os.path.join(args.out, f"{kind}.svg"))
+            runners.plot_table(kind, Columns(*zip(*rows, strict=True)),
+                               os.path.join(args.out, f"{kind}.svg"))
             drawn += 1
     if tables == 0:
         raise UnknownDataKind(f"no recognized tables in {args.out}")

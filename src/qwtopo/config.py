@@ -15,7 +15,8 @@ no integer), `enum`, `minimum`, `exclusiveMinimum`, `maximum`, `minItems`,
 `maxItems`, `items`, `properties`, `required` and `additionalProperties:
 false`, worded as jsonschema words them.  `validate` also rejects keys the
 runner would ignore (`p` next to `p_grid`), an emulate mixing angle the
-read-out cannot use, an mc-errorbars horizon past its t, and a config whose
+read-out cannot use, an mc-errorbars horizon past its t, a disorder
+transition study whose two bulks lie in one phase, and a config whose
 predicted cost exceeds `MAX_SITE_STEPS`, `MAX_HELD` or, in the rows of its
 largest table, `MAX_CELLS`.
 """
@@ -375,6 +376,13 @@ def validate(cfg: dict) -> None:
         raise ConfigInvalid("emulate.alpha_pi",
                             f"{blk['alpha_pi']}*pi is within {math.degrees(ALPHA_GUARD):.0f} "
                             "degrees of a multiple of pi/2, where interference reads no sign")
+    if kind == "disorder" and "transition" in blk:
+        signs = q0_sign(blk["theta_a_pi"]), q0_sign(blk["theta_b_pi"])
+        if signs[0] * signs[1] != -1:
+            raise ConfigInvalid("disorder.theta_b_pi", "a transition needs bulks of opposite "
+                                f"Q0 sign, but theta_a_pi = {blk['theta_a_pi']} and "
+                                f"theta_b_pi = {blk['theta_b_pi']} give {signs[0]:+d} and "
+                                f"{signs[1]:+d}: sign Q0 = -sign(sin theta)")
     if kind == "mc-errorbars" and blk.get("horizon", 0) > blk["t"]:
         raise ConfigInvalid("mc_errorbars.horizon", f"{blk['horizon']} is more than "
                             f"t = {blk['t']}, the recorded steps the fit compares")
@@ -389,6 +397,15 @@ def validate(cfg: dict) -> None:
     if est["table_rows"] > MAX_CELLS:
         raise ConfigInvalid(est["table_field"], f"run would tabulate "
                             f"{est['table_rows']} rows, more than MAX_CELLS = {MAX_CELLS}")
+
+
+def q0_sign(theta_pi: float) -> int:
+    """sign Q0 of a clean bulk whose coin 1 is the identity and whose coin 2
+    rotates by theta_pi * pi, as in a disorder study: -sign(sin theta), and
+    0 on a gap-closing line, where theta_pi is an integer.  Read from
+    theta_pi mod 2, which is exact, not from the rounding of sin."""
+    half_turns = theta_pi % 2.0
+    return 0 if half_turns in (0.0, 1.0) else -1 if half_turns < 1.0 else 1
 
 
 def _fill(node: dict, schema: dict) -> None:

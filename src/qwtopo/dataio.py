@@ -1,10 +1,12 @@
 """Deterministic data files: CSV/JSON tables, kind detection, manifests.
 
-`csv` and `json` format every cell: a cell is written as its `str()`,
-which for a float, numpy's float64 included, is its repr, the shortest
-round-trip form, so a value read back compares bit-equal and identical
-runs yield identical bytes.  Other numpy scalars are written as their
-items.
+Tables are written from columns (`Columns`), never from Python row
+objects.  Each cell is written as its `str()`, which for a float, numpy's
+float64 included, is its repr, the shortest round-trip form, so a value
+read back compares bit-equal and identical runs yield identical bytes; a
+numpy int or bool is written as its item.  A float64 column is formatted
+once per distinct bit pattern, so 0.0 and -0.0 stay apart, an integer or
+bool column once per distinct value, and any other column value by value.
 Each table kind has a fixed header; replotting recognizes a file purely
 by that header row.
 """
@@ -13,13 +15,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 from dataclasses import asdict, dataclass, field
 
 __all__ = [
-    "IoFailure", "UnknownDataKind", "TABLE_KINDS", "write_table", "read_csv",
+    "IoFailure", "UnknownDataKind", "TABLE_KINDS", "Columns", "write_table", "read_csv",
     "detect_kind", "RunManifest", "sha256_file", "config_hash",
 ]
 
@@ -42,29 +43,36 @@ TABLE_KINDS = {
 }
 
 
-def write_table(path: str, header: list[str], rows, fmt: str = "csv") -> str:
-    """Write rows under a fixed header as CSV or JSON; returns the path.
+class Columns:
+    """A table as its columns: equal-length sequences in header order.
 
-    Each cell is written as its `str()`, which is the repr of a float; a
-    numpy int or bool is written as its item.  The whole file is formatted
-    before it is opened, so a value that cannot be written leaves no file.
+    len() is the number of data rows, as it is for a list of rows.
+    """
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
+def write_table(path: str, header: list[str], table: Columns, fmt: str = "csv") -> str:
+    """Write the columns of `table` under a fixed header as CSV or JSON;
+    returns the path.
+
+    `cells` formats every cell before the file is opened, so a table that
+    cannot be written leaves no file; CSV text is then written in blocks of
+    rows, and JSON is `json.dumps` of the same cells.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format: {fmt!r}")
+    from . import cells  # the numpy half of the writer: `verify` never loads it
+    text = cells.encode(header, table.columns, len(table), fmt)
     base, _ = os.path.splitext(path)
     path = f"{base}.{fmt}"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        payload = buf.getvalue()
-    else:  # json encodes float64, a float subclass; `default` sees numpy ints and bools
-        payload = json.dumps([dict(zip(header, row)) for row in rows], indent=1,
-                             default=lambda v: v.item()) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            fh.writelines(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import repeat
 
 import numpy as np
 
@@ -31,9 +30,10 @@ def _group_stats(keys, values):
     return np.array(order), np.array(means), np.array(stds)
 
 
-def plot_table(kind: str, rows, path: str) -> str:
-    """Draw a `kind` table's plot to `path` from the rows `run` wrote."""
-    cols = np.array(rows, dtype=float).T  # numbers from `run`, CSV strings in `replot`
+def plot_table(kind: str, table: dataio.Columns, path: str) -> str:
+    """Draw a `kind` table's plot to `path` from the columns `run` wrote."""
+    # arrays from `run`, CSV strings in `replot`
+    cols = [np.asarray(c, dtype=float) for c in table.columns]
     if kind == "scan":
         th1, th2, q0, qpi = cols[0], cols[1], cols[2], cols[3]
         xs = th1 if np.ptp(th1) >= np.ptp(th2) else th2
@@ -57,12 +57,14 @@ def plot_table(kind: str, rows, path: str) -> str:
     return _write_svg(path, text)
 
 
-def _table(outdir, kind, rows, fmt):
-    """<kind>.<fmt> and, for CSV, its plot <kind>.svg, which replot redraws."""
+def _table(outdir, kind, columns, fmt):
+    """<kind>.<fmt> of the columns and, for CSV, its plot <kind>.svg, which
+    replot redraws."""
+    table = dataio.Columns(*columns)
     written = [dataio.write_table(os.path.join(outdir, kind), dataio.TABLE_KINDS[kind],
-                                  rows, fmt)]
+                                  table, fmt)]
     if fmt == "csv":
-        written.append(plot_table(kind, rows, os.path.join(outdir, f"{kind}.svg")))
+        written.append(plot_table(kind, table, os.path.join(outdir, f"{kind}.svg")))
     return written
 
 
@@ -74,10 +76,20 @@ def _write_json(outdir, name, payload) -> str:
     return path
 
 
-def _scan_table(t, *columns) -> list:
-    """`scan` table rows of the equal-shape arrays theta1 / pi, theta2 / pi,
-    Q0, Qpi and residual, then t, built from Python scalars."""
-    return list(zip(*(c.ravel().tolist() for c in columns), repeat(t)))
+def _scan_columns(t, *arrays) -> list:
+    """`scan` table columns: the equal-shape arrays theta1 / pi, theta2 / pi,
+    Q0, Qpi and residual, flattened, then t."""
+    columns = [a.ravel() for a in arrays]
+    return columns + [np.full(columns[0].size, t)]
+
+
+def _member_columns(results) -> list:
+    """p, member index and value columns of per-p results, a row per member.
+    p keeps the type each result holds, so an integer p is written as one."""
+    sizes = [r.values.size for r in results]
+    return [np.repeat(np.array([r.p for r in results], dtype=object), sizes),
+            np.concatenate([np.arange(n) for n in sizes]),
+            np.concatenate([r.values for r in results])]
 
 
 def _run_scan(cfg, seed, outdir, fmt):
@@ -89,19 +101,19 @@ def _run_scan(cfg, seed, outdir, fmt):
     else:
         grid = np.linspace(blk["start_pi"], blk["stop_pi"], blk["count"]) * math.pi
         result = scattering.scan_line(blk["parametrization"], t, grid=grid)
-    rows = _scan_table(t, result.theta1 / math.pi, result.theta2 / math.pi, result.q0,
-                       result.qpi, result.residual)
-    return _table(outdir, "scan", rows, fmt)
+    columns = _scan_columns(t, result.theta1 / math.pi, result.theta2 / math.pi, result.q0,
+                            result.qpi, result.residual)
+    return _table(outdir, "scan", columns, fmt)
 
 
 def _run_phase_diagram(cfg, seed, outdir, fmt):
     blk = cfg["phase_diagram"]
     pd = scattering.phase_diagram(blk["resolution"], blk["t"], blk["tolerance"])
     n = pd.theta2.size
-    rows = _scan_table(pd.t, np.repeat(pd.theta1 / math.pi, n),
-                       np.tile(pd.theta2 / math.pi, n), pd.q0, pd.qpi, pd.residual)
+    columns = _scan_columns(pd.t, np.repeat(pd.theta1 / math.pi, n),
+                            np.tile(pd.theta2 / math.pi, n), pd.q0, pd.qpi, pd.residual)
     written = [dataio.write_table(os.path.join(outdir, "phase_diagram.csv"),
-                                  dataio.TABLE_KINDS["scan"], rows, fmt)]
+                                  dataio.TABLE_KINDS["scan"], dataio.Columns(*columns), fmt)]
     levels = np.vectorize(PHASE_LEVELS.get)(pd.labels).astype(float)
     text = svgplot.heatmap(levels, title="phase labels", xlabel="theta2 cell",
                            ylabel="theta1 cell")
@@ -115,11 +127,14 @@ def _run_disorder(cfg, seed, outdir, fmt):
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
     spec = disorder.DisorderSpec.for_steps(theta_a, theta_b, p_grid[0], t, seed, n)
     curve = disorder.disorder_curve(spec, t, p_grid)
-    run_rows = [[res.p, k, v, t, seed]
-                for res in curve for k, v in enumerate(res.values.tolist())]
-    sum_rows = [[res.p, res.mean, res.std, res.n_configs, t] for res in curve]
-    written = _table(outdir, "disorder_runs", run_rows, fmt)
-    written += _table(outdir, "disorder_summary", sum_rows, fmt)
+    members = _member_columns(curve)
+    rows = members[0].size
+    written = _table(outdir, "disorder_runs",
+                     members + [np.full(rows, t), np.full(rows, seed)], fmt)
+    written += _table(outdir, "disorder_summary", [
+        np.array([res.p for res in curve], dtype=object),
+        np.array([res.mean for res in curve]), np.array([res.std for res in curve]),
+        np.array([res.n_configs for res in curve]), np.full(len(curve), t)], fmt)
     if "transition" in blk:
         tr = blk["transition"]
         t_tr, n_tr, resolution = tr["t"], tr["n_configs"], tr["resolution"]
@@ -137,23 +152,22 @@ def _run_edge(cfg, seed, outdir, fmt):
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
     points = edges.localization_vs_disorder(theta_left, theta_a, theta_b, seed, t, p_grid, n)
-    rows = [[pt.p, k, v, t] for pt in points for k, v in enumerate(pt.values.tolist())]
-    written = _table(outdir, "edge", rows, fmt)
+    members = _member_columns(points)
+    written = _table(outdir, "edge", members + [np.full(members[0].size, t)], fmt)
     show_p = max(p_grid)
     system = edges.InterfaceSystem.for_steps(theta_left, theta_a, theta_b, show_p, t,
                                              seed, n)
     record = edges.run_interface(system, t, config=0)
-    rows = _intensity_rows(record.positions(), record.distributions)
-    written += _table(outdir, "intensity", rows, fmt)
+    written += _table(outdir, "intensity",
+                      _intensity_columns(record.positions(), record.distributions), fmt)
     return written
 
 
-def _intensity_rows(positions, matrix) -> list:
-    """(step, position, value) rows of a (steps, positions) matrix, step by
-    step, built from Python scalars as `_scan_table` builds its rows."""
+def _intensity_columns(positions, matrix) -> list:
+    """Step, position and value columns of a (steps, positions) matrix, a row
+    per cell, step by step."""
     steps, sites = matrix.shape
-    return list(zip(np.repeat(np.arange(steps), sites).tolist(),
-                    np.tile(positions, steps).tolist(), matrix.ravel().tolist()))
+    return [np.repeat(np.arange(steps), sites), np.tile(positions, steps), matrix.ravel()]
 
 
 def _radians(blk: dict) -> dict:
@@ -170,7 +184,8 @@ def _run_emulate(cfg, seed, outdir, fmt):
         system, blk["t"], apparatus.ApparatusModel(**_radians(blk["model"])),
         alpha=blk["alpha_pi"] * math.pi, mode=blk["mode"], shots=blk["shots"], seed=seed)
     positions = data.x_min + np.arange(data.distributions.shape[1])
-    written = _table(outdir, "intensity", _intensity_rows(positions, data.distributions), fmt)
+    written = _table(outdir, "intensity", _intensity_columns(positions, data.distributions),
+                     fmt)
     pair = apparatus.measured_invariants(data)
     written.append(_write_json(outdir, "emulate.json", {
         "q0": pair.q0, "qpi": pair.qpi, "residual": pair.residual,

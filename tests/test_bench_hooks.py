@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import qwtopo.cli
-from qwtopo import config, disorder, walk
+from qwtopo import config, dataio, disorder, walk
 from qwtopo.scattering import ScatteringSystem
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -55,7 +55,13 @@ def test_a_traced_run_completes_and_yields_layer_metrics(tmp_path, monkeypatch):
     assert not [s.name for s in spans if s.error]
     predicted = sum(config.estimate(config.load(path))["simulations"] for path in paths)
     metrics = layers.layer_metrics(spans, predicted)
-    assert metrics["dataio.rows_written"] > 0 and metrics["svgplot.calls"] > 0
+    # the tracer counts len() of write_table's third argument: it must be the data rows
+    tables = [path for name in CONFIGS for path in sorted((tmp_path / name).glob("*.csv"))]
+    assert [path.name for path in tables] == [
+        "scan.csv", "intensity.csv", "disorder_runs.csv", "disorder_summary.csv"]
+    data_rows = sum(len(dataio.read_csv(str(path))[1]) for path in tables)
+    assert data_rows > 0 and metrics["dataio.rows_written"] == data_rows
+    assert metrics["svgplot.calls"] > 0
     assert not hasattr(qwtopo.cli.entrypoint, "__wrapped__")  # uninstalled
     wrapped = [f"{name}.{key}" for name, module in list(sys.modules.items())
                if name == "qwtopo" or name.startswith("qwtopo.")

@@ -21,6 +21,7 @@ import runpy
 import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
 
 import qwtopo.budget
@@ -81,7 +82,7 @@ def test_resolve_is_idempotent_and_leaves_its_input_alone(name):
 
 def test_resolve_maps_a_lone_p_to_a_grid_and_fills_nested_defaults():
     cfg = {"experiment": "disorder",
-           "disorder": {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": 11, "p": 0.3,
+           "disorder": {"theta_a_pi": 0.63, "theta_b_pi": 1.26, "t": 11, "p": 0.3,
                         "transition": {"t": 151}}}
     cfgmod.validate(cfg)
     resolved = cfgmod.resolve(cfg)
@@ -375,8 +376,8 @@ def test_a_whole_walk_peaks_within_what_estimate_holds(tmp_path, kind):
     """At t = 400, one walker's history is 5.3 MB, so a copy of its window
     would show.  The emulation squares its window in place, and the
     mc-errorbars run keeps only the first horizon + 1 steps of the
-    emulated intensities beside the fit's walkers.  The emulate table,
-    written as Python rows, is outside this bound."""
+    emulated intensities beside the fit's walkers.  The emulate table is
+    outside this bound; its writer's peak is pinned in test_cli_io."""
     t = 400
     block = {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t}
     if kind == "emulate":
@@ -428,7 +429,7 @@ def _scan(t, count):
 
 
 #: Inside the site-step and held budgets, but each would write a table of
-#: tens of millions of rows or more, as many Python rows in memory.
+#: tens of millions of rows or more.
 LARGE_TABLES = {
     "emulate.t": _emulate(5780),  # 67 M intensity rows
     "edge.t": _edge(3000, 1, [0.5]),  # 18 M intensity rows
@@ -461,6 +462,50 @@ def test_the_largest_intensity_map_is_valid(make):
     with pytest.raises(cfgmod.ConfigInvalid, match="MAX_CELLS") as refused:
         cfgmod.validate(make(953))
     assert refused.value.path == make(953)["experiment"] + ".t"
+
+
+#: A transition study whose two bulks share a phase: its bisection has no
+#: sign change to find, and `run` would stop with NoCrossing.
+SAME_PHASE_TRANSITION = {"experiment": "disorder", "seed": 3, "disorder": {
+    "theta_a_pi": 0.63, "theta_b_pi": 0.7, "t": 11, "n_configs": 20,
+    "transition": {"t": 101, "n_configs": 20}}}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("theta_b_pi", [0.7, 1.0, 2.0, -1.3, 2.9])
+def test_a_transition_between_bulks_of_one_phase_exits_with_code_two(
+        tmp_path, capsys, command, theta_b_pi):
+    """With coin 1 the identity, sign Q0 = -sign(sin theta): 0.63 pi and
+    0.7 pi (and -1.3 pi, 2.9 pi) share a sign, and pi or 2 pi closes the gap."""
+    cfg = copy.deepcopy(SAME_PHASE_TRANSITION)
+    cfg["disorder"]["theta_b_pi"] = theta_b_pi
+    _rejected(tmp_path, capsys, command, cfg, "disorder.theta_b_pi", "opposite Q0 sign")
+
+
+def test_crossing_transitions_still_validate():
+    """The shipped crossing and the benchmark's configs, among them the
+    ensemble workload's transition study."""
+    crossing = cfgmod.load(os.path.join(CONFIG_DIR, "disorder_crossing.json"))
+    transitions = [cfg for cfg in [crossing] + _bench_configs()
+                   if "transition" in cfg.get("disorder", {})]
+    assert len(transitions) == 2
+    for cfg in transitions:
+        cfgmod.validate(cfg)
+    without = copy.deepcopy(SAME_PHASE_TRANSITION)
+    del without["disorder"]["transition"]
+    cfgmod.validate(without)  # a curve alone needs no crossing
+
+
+def test_the_closed_form_q0_sign_matches_the_engine():
+    """Half r(0) of clean bulks after t = 101 steps of `sample_rows`, coin 1
+    the identity, on a theta grid kept 0.05 pi away from 0 and pi, taken
+    past 2 pi and below 0 to check the reduction."""
+    grid = np.concatenate([np.linspace(0.05, 0.95, 19), np.linspace(1.05, 1.95, 19)])
+    grid = np.concatenate([grid, grid[::5] + 2.0, grid[::5] - 2.0])
+    angles = np.repeat(grid[:, None] * math.pi, 103, axis=1)
+    half_r0 = qwtopo.scattering.sample_rows(None, angles, 101).sum(axis=1) / 2
+    assert np.all(np.abs(half_r0) > 0.1)
+    assert [cfgmod.q0_sign(float(theta)) for theta in grid] == np.sign(half_r0).tolist()
 
 
 #: Small configs whose largest table is driven by the named field.
