@@ -35,17 +35,13 @@ def within_guard(alpha: float) -> bool:
 
 def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = False) -> int:
     """float64 elements one walker holds while the engine steps it `steps` times
-    on a window of `sites`: the buffers and cos/sin planes of `real_steps`,
-    which write the launch site's unit amplitude themselves, the angle planes,
-    the rho row of its `steps` read-outs and, with `history`, the (steps + 1)-row
-    H and V history of `record`.  The dense path holds one buffer of eleven
-    planes of sites + 2 rows and both coins' angles.  A batch whose coin 1 is
-    the identity (`identity_coin1`), passed as no coin-1 angles, holds coin 2's
-    and takes the two-sublattice path, which updates half of each cone's sites
-    and holds nine half planes of (sites + 3) // 2 rows: four of amplitudes,
-    four of cos/sin and one scratch plane."""
-    engine = 9 * ((sites + 3) // 2) if identity_coin1 else 11 * (sites + 2) + sites
-    return engine + sites + steps + (2 * sites * (steps + 1) if history else 0)
+    on a window of `sites`: one angle per row of the lattice `real_steps` runs
+    on, the window with coin 1 the identity (`identity_coin1`, passed as no
+    coin-1 angles) and twice its rows otherwise; the kernel's buffer of nine
+    half planes of that lattice, with the launch amplitude; the rho row of its
+    `steps` read-outs and, with `history`, the H and V history of `record`."""
+    rows = sites if identity_coin1 else 2 * sites
+    return rows + 9 * ((rows + 3) // 2) + steps + (2 * sites * (steps + 1) if history else 0)
 
 
 def batch_capacity(per_walker: int) -> int:
@@ -122,8 +118,9 @@ def record_site_steps(steps: int) -> int:
 class Study:
     """How one kind of study steps its walkers: with `history` by `walk.record`,
     keeping whole walks, on the `record_window`, else by `scattering.sample_rows`
-    on the `reflection_window`; with `identity_coin1` on the two-sublattice
-    path; with `distinct` each distinct pattern once (`disorder.PatternStudy`)."""
+    on the `reflection_window`; with `identity_coin1` on that window's rows,
+    else on the doubled lattice; with `distinct` each distinct pattern once
+    (`disorder.PatternStudy`)."""
 
     history: bool
     identity_coin1: bool

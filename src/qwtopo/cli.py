@@ -106,20 +106,31 @@ def _cmd_replot(args) -> int:
     for name in names:
         if not name.endswith(".csv"):
             continue
-        header, rows = read_csv(os.path.join(args.out, name))
+        path = os.path.join(args.out, name)
+        header, rows = read_csv(path)
         try:
             kind = detect_kind(header)
         except UnknownDataKind:
             continue
         tables += 1
         if name == f"{kind}.csv":
-            runners.plot_table(kind, Columns(*zip(*rows, strict=True)),
+            runners.plot_table(kind, _columns(path, header, rows),
                                os.path.join(args.out, f"{kind}.svg"))
             drawn += 1
     if tables == 0:
         raise UnknownDataKind(f"no recognized tables in {args.out}")
     print(f"redrew {drawn} plots in {args.out}")
     return 0
+
+
+def _columns(path: str, header: list[str], rows: list[list[str]]) -> Columns:
+    """The columns of the table read from `path`, refused unless each of its
+    data rows, one at least, is as wide as the header."""
+    bad = next((i for i, row in enumerate(rows, 1) if len(row) != len(header)), 0)
+    if bad or not rows:
+        raise UnknownDataKind(f"{path}: data row {bad} holds {len(rows[bad - 1])} cells, its "
+                              f"header {len(header)}" if bad else f"{path} holds no data rows")
+    return Columns(*zip(*rows))
 
 
 if __name__ == "__main__":

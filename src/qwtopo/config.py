@@ -383,6 +383,16 @@ def validate(cfg: dict) -> None:
                                 f"Q0 sign, but theta_a_pi = {blk['theta_a_pi']} and "
                                 f"theta_b_pi = {blk['theta_b_pi']} give {signs[0]:+d} and "
                                 f"{signs[1]:+d}: sign Q0 = -sign(sin theta)")
+    if kind in ("emulate", "mc-errorbars"):
+        # `apparatus.perturbed_angles` keeps 0 mod 2 pi exact and adds this to every other angle
+        model = resolve(cfg)[block]["model" if kind == "emulate" else "truth_model"]
+        offset = math.radians(model["sbc_error_deg"]) + math.radians(model["eom_error_deg"])
+        half_turns = [blk["theta1_pi"] % 2.0, blk["theta2_pi"] % 2.0]  # exact, as in q0_sign
+        coin1, coin2 = (h == 0.0 or h == 1.0 and offset == 0.0 for h in half_turns)
+        if coin2 and (coin1 or blk["t"] == 2):
+            raise ConfigInvalid(f"{block}.theta2_pi", "nothing returns through the lead, so Q0 "
+                                "has no sign: the apparatus realizes coin 2 as a multiple of pi, "
+                                "and coin 1 too or t = 2, where r_2 ~ sin theta2 is all")
     if kind == "mc-errorbars" and blk.get("horizon", 0) > blk["t"]:
         raise ConfigInvalid("mc_errorbars.horizon", f"{blk['horizon']} is more than "
                             f"t = {blk['t']}, the recorded steps the fit compares")

@@ -30,7 +30,8 @@ class IoFailure(OSError):
 
 
 class UnknownDataKind(ValueError):
-    """No recognized table header was found."""
+    """A data file is no table qwtopo writes: its header is not recognized,
+    or its data rows are missing or do not fit the header."""
 
 
 #: Fixed column layout per table kind.

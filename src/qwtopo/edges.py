@@ -132,4 +132,4 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
                          INTERFACE.held(t))
     counts = interface_members(n_configs, p_grid)
     values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])
-    return [EnsembleResult(float(p), v, t) for p, v in zip(p_grid, values)]
+    return [EnsembleResult(p, v, t) for p, v in zip(p_grid, values)]

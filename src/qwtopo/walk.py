@@ -15,14 +15,17 @@ single-state API and the reference for `real_steps`, the batched engine
 every study runs on.  The engine needs real coin angles: exp(-i sigma_x
 theta) then maps H = a, V = i b with real a and b to the same form, so
 two real (sites, walkers) arrays carry a batch exactly, up to a global
-phase that covers both |x, H> and |x, V> launches.  Each step updates
-only its light cone (`budget.cone`), a contiguous block of rows, in reused
-buffers.  Where coin 1 is the identity on a whole batch, as in every
-disorder ensemble and interface walk, the walk is bipartite and the
-engine updates half of each cone's sites: the live sublattice, held as
-even-row and odd-row half planes.  The cone's sites times steps stay the
-unit of work that studies budget.  `record` keeps every step of a batch
-whole, with each walker's window edges, so studies reduce whole batches.
+phase that covers both |x, H> and |x, V> launches.  One kernel steps
+every batch: the walk whose coin 1 is the identity, which is bipartite,
+so the kernel holds H and V as even-row and odd-row half planes in one
+reused buffer and updates the live sublattice of each step's light cone
+(`budget.cone`).  A batch whose coin 1 is the identity, as in every
+disorder ensemble and interface walk, runs on its own window; any other
+runs on the doubled lattice of the fibre loop, where a split step is two
+such steps (`double_step_equivalent`).  The cone's sites times steps stay
+the unit of work that studies budget.  `record` keeps every step of a
+batch whole, with each walker's window edges, so studies reduce whole
+batches.
 """
 
 from __future__ import annotations
@@ -263,101 +266,75 @@ def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: in
 
     The coin angles th1 and th2 have shape (n, B): row i is position
     x_min + i of a window shared by the batch, column k walker k; th1 None
-    is the identity coin 1 on every site.  Every
-    walker starts with unit amplitude at (site, coin), which `real_steps`
-    writes into its own buffers.  The state is H = a, V = i b, and each
-    step gives the amplitudes of `split_step` bit for bit, up to the sign
-    of exact zeros and, for a V launch, the global phase i.  Amplitude
-    shifted past the window edges is dropped, so the window must contain
-    whatever the caller reads.  The inputs are never modified.  A step
-    updates only the rows of its `cone` from the launch site, cut to those
-    that can still reach row `read` if the caller reads only that row.
-    The yielded a and b hold H on the window rows of the slice ra and V on
-    those of rb, in shape (rows, B): views of buffers that the next step
-    overwrites.  Rows of the cone outside them hold exact zeros.
+    is the identity coin 1 on every site.  Every walker starts with unit
+    amplitude at (site, coin).  The state is H = a, V = i b, and each step
+    gives the amplitudes of `split_step` bit for bit, up to the sign of
+    exact zeros and, for a V launch, the global phase i.  Amplitude shifted
+    past the window edges is dropped.  The inputs are never modified.  The
+    yielded a and b hold H on the window rows of the slice ra and V on
+    those of rb, in shape (rows, B): views that the next step overwrites.
+    Together ra and rb cover the step's `cone` from the launch site, cut to
+    the rows that can still reach row `read` if the caller reads only it.
 
-    A batch whose coin 1 is the identity everywhere is bipartite: coin 2
-    maps the pair (H at row i, V at row i + 1) onto (H at i + 1, V at i),
-    so after step j H sits only on rows of the parity of site + j + coin
-    and V only on the others.  That path holds H and V as even-row and
-    odd-row half planes and updates half of each cone's sites: ra and rb
-    step by 2 and together cover the cone once.  Every other batch steps
-    both amplitudes of every cone row, and ra = rb is the cone.
-    """
-    first, last, _ = cone(site, site, len(th2), steps, read)
-    rows = zip(first, last)
-    if th1 is not None and np.any(th1):
-        return _dense_steps(th1, th2, site, coin, rows)
-    return _sublattice_steps(th2, site, coin, rows)
-
-
-def _dense_steps(th1, th2, site, coin, rows):
-    """`real_steps` of every amplitude on the cone rows [lo, hi] of `rows`."""
-    # a zero guard row on each side, with identity coins, stands for outside;
-    # one allocation: separate cos/sin arrays let glibc trim and refault each batch
-    buf = np.zeros((11, len(th1) + 2, th1.shape[1]))
-    buf[0, 1:-1], buf[1, 1:-1] = th1, th2
-    buf[2 + coin, site + 1] = 1.0
-    (c1, c2), (s1, s2) = np.cos(buf[:2], out=buf[7:9]), np.sin(buf[:2], out=buf[9:])
-    a, b, a2, b2, tmp = buf[2:7]
-    for lo, hi in rows:
-        p, q = lo + 1, hi + 2  # the rows [lo, hi] of the buffers
-        r = slice(p - 1, q + 1)  # coin 1 on the rows coin 2 reads
-        _rotate(c1[r], s1[r], a[r], b[r], a2[r], b2[r], tmp[r])
-        a, a2, b, b2 = a2, a, b2, b
-        # coin 2 between the shifts: H comes from row i - 1, V goes to i - 1
-        o, right = slice(p, q), slice(p + 1, q + 1)
-        _mix(c2[o], a[p - 1:q - 1], s2[o], b[o], a2[o], tmp[o])
-        _mix(c2[right], b[right], s2[right], a[o], b2[o], tmp[o], np.subtract)
-        a, a2, b, b2 = a2, a, b2, b
-        yield slice(lo, hi + 1), a[o], slice(lo, hi + 1), b[o]
-
-
-def _sublattice_steps(th2, site, coin, rows):
-    """`real_steps` of a batch whose coin 1 is the identity, on the live
-    sublattice of the cone rows [lo, hi] of `rows`.
-
-    Window row r is row R = r + 1 of the window with a guard row on each
-    side.  The planes hold the rows R of parity p at rows p * half + R // 2,
-    so each parity is a contiguous half plane.  A step rotates, for every
-    R = 2m + q in [lo + 1, hi + 2], the pair (H at R - 1, V at R) by the
-    coin-2 angle of R into (H at R, V at R - 1), with the operands and
-    order of the dense path.  It reads the H half plane of parity 1 - q and
-    the V half plane of parity q and writes the other two; q flips every
-    step.
+    One kernel steps every batch: the walk with coin 1 the identity, which
+    is bipartite (coin 2 maps the pair (H at row i, V at row i + 1) onto (H
+    at i + 1, V at i)), so it holds H and V as even-row and odd-row half
+    planes and updates only the live one of each pair.  A batch whose coin
+    1 is the identity runs on its n rows, and ra and rb step by 2.  Any
+    other runs on the doubled lattice of 2n rows, where a split step is two
+    kernel steps, as it is two roundtrips of the fibre loop
+    (`double_step_equivalent`): coin 2 of row r and H sit on row 2r, coin 1
+    and V on row 2r + 1.  Every second step is yielded with its rows halved,
+    so ra and rb are contiguous; at a read cut H on the cone's first row,
+    which cannot reach V on the read row in time, is left out.
     """
     n, walkers = th2.shape
+    if th1 is None or not np.any(th1):
+        per, even, odd = 1, th2[0::2], th2[1::2]
+    else:
+        per, even, odd = 2, th2, th1
+        n, site, steps = 2 * n, 2 * site + coin, 2 * steps
+        read = None if read is None else 2 * read + 1
+    # kernel row R = window row + 1, a zero guard row with identity coins on
+    # each side; the rows R of parity p sit at p * half + R // 2 of a plane
     half = (n + 3) // 2
-    c, s = np.ones((2 * half, walkers)), np.zeros((2 * half, walkers))
-    for trig, out in ((np.cos, c), (np.sin, s)):
-        trig(th2[0::2], out=out[half:half + (n + 1) // 2])  # rows 0, 2, .. are R = 1, 3, ..
-        trig(th2[1::2], out=out[1:n // 2 + 1])  # rows 1, 3, .. are R = 2, 4, ..
-    h, v = np.zeros((2, 2 * half, walkers))
-    (h, v)[coin][(site + 1) % 2 * half + (site + 1) // 2] = 1.0
-    tmp = np.empty((half, walkers))
-    q = (site + coin) % 2
-    for lo, hi in rows:
+    buf = np.empty((9, half, walkers))  # one allocation, so no plane is trimmed and refaulted
+    buf[2:8] = 0.0
+    s = buf[2:4].reshape(2 * half, walkers)
+    s[half:half + len(even)], s[1:1 + len(odd)] = even, odd  # R = 1, 3, .. and 2, 4, ..
+    np.cos(s, out=buf[0:2].reshape(2 * half, walkers))  # 1 on the guard rows
+    np.sin(s, out=s)
+    buf[4 + 2 * coin + (site + 1) % 2, (site + 1) // 2] = 1.0
+    return _half_steps(buf, (site + coin) % 2, per, *cone(site, site, n, steps, read)[:2])
+
+
+def _half_steps(buf, q, per, first, last):
+    """The kernel loop of `real_steps`, apart so that the set-up's views die first:
+    the steps of the cone rows [lo, hi] of `first` and `last`, yielding every `per`-th."""
+    half, walkers = buf.shape[1:]
+    c, s, h, v = (buf[p:p + 2].reshape(2 * half, walkers) for p in (0, 2, 4, 6))
+    for k, lo, hi in zip(range(1, len(first) + 1), first, last):
+        # rotate, for every R = 2m + q in [lo + 1, hi + 2], the pair (H at R - 1, V at R)
+        # by the coin of R into (H at R, V at R - 1): H of parity 1 - q, V of parity q
         m0, m1 = (lo + 2 - q) // 2, (hi + 2 - q) // 2
         at, before = q * half, (1 - q) * half + q - 1  # R at row at + m, R - 1 at before + m
         i, o = slice(at + m0, at + m1 + 1), slice(before + m0, before + m1 + 1)
-        _rotate(c[i], s[i], h[o], v[i], h[i], v[o], tmp[m0:m1 + 1])
-        mh, mv = (hi + 1 - q) // 2, (lo + 3 - q) // 2  # the last H, first V in the cone
-        yield (slice(2 * m0 + q - 1, 2 * mh + q, 2), h[at + m0:at + mh + 1],
-               slice(2 * mv + q - 2, 2 * m1 + q - 1, 2), v[before + mv:before + m1 + 1])
+        _rotate(c[i], s[i], h[o], v[i], h[i], v[o], buf[8, m0:m1 + 1])
+        if k % per == 0:
+            mh, mv = (hi + 1 - q) // 2, (lo + 3 - q) // 2  # the last H, first V in the cone
+            # H on the window rows 2m + q - 1, V on 2m + q - 2, halved on the doubled lattice
+            yield (slice((2 * m0 + q - 1) // per, (2 * mh + q - 1) // per + 1, 2 // per),
+                   h[at + m0:at + mh + 1],
+                   slice((2 * mv + q - 2) // per, (2 * m1 + q - 2) // per + 1, 2 // per),
+                   v[before + mv:before + m1 + 1])
         q = 1 - q
 
 
 def _rotate(c, s, x, y, x_out, y_out, tmp):
     """x_out = c x + s y, then y_out = c y - s x, through the buffer tmp.  The
     views passed in die with the call, not at the next step."""
-    _mix(c, x, s, y, x_out, tmp)
-    _mix(c, y, s, x, y_out, tmp, np.subtract)
-
-
-def _mix(c, x, s, y, out, tmp, op=np.add):
-    """out = op(c x, s y), through the buffer tmp."""
-    np.multiply(c, x, out=out)
-    op(out, np.multiply(s, y, out=tmp), out=out)
+    np.add(np.multiply(c, x, out=x_out), np.multiply(s, y, out=tmp), out=x_out)
+    np.subtract(np.multiply(c, y, out=y_out), np.multiply(s, x, out=tmp), out=y_out)
 
 
 def place_angles(start: int, thetas: np.ndarray | None, x_min: int, sites: int):

@@ -34,7 +34,7 @@ def _bits(values) -> bytes:
 def _studies() -> dict:
     """Byte strings of every batched study, small enough to run at any budget."""
     out = {}
-    pd = phase_diagram(resolution=40, t=12)  # two batches at the default budget
+    pd = phase_diagram(resolution=42, t=12)  # two batches at the default budget
     out["phase_diagram"] = b"".join(_bits(a) for a in (pd.q0, pd.qpi, pd.residual)) \
         + "".join(pd.labels.ravel()).encode()
     rng = np.random.default_rng(5)
@@ -73,9 +73,9 @@ def test_batching_never_changes_a_result(monkeypatch):
             for module in (qwtopo.walk, qwtopo.scattering):
                 patch.setattr(module, "real_steps", _widest(module, seen))
             results[name] = _studies()
-    # the budgets really batch differently, up to all 1600 phase-diagram cells
+    # the budgets really batch differently, up to all 1764 phase-diagram cells
     assert max(widths["one walker"]) == 1
-    assert max(widths["one batch"]) == 1600
+    assert max(widths["one batch"]) == 1764
     calls = [len(widths[name]) for name in BUDGETS]
     assert calls == sorted(calls, reverse=True) and len(set(calls)) == len(calls)
     for name in BUDGETS:
@@ -86,10 +86,10 @@ def test_batching_never_changes_a_result(monkeypatch):
 @pytest.mark.parametrize("t", (11, 30, 201))
 def test_held_counts_what_the_engine_allocates(t):
     """A traced batch of 64 walkers allocates `budget.held` float64 elements
-    per walker, within 10 %, on both engine paths: `sample_rows` on its
-    reflection window and `record` with its history, each with coin 1 the
-    identity, passed as no coin-1 angles (the two-sublattice path), and
-    random (the dense path)."""
+    per walker, within 10 %, on both lattices the engine runs on:
+    `sample_rows` on its reflection window and `record` with its history,
+    each with coin 1 the identity, passed as no coin-1 angles (the window's
+    rows), and random (the doubled lattice)."""
     theta = np.random.default_rng(2).uniform(0, 2 * PI, (64, t + 2))
     reflection, history = qwtopo.budget.reflection_window(t), qwtopo.budget.record_window(t)
     for theta1, identity in ((None, True), (theta, False)):

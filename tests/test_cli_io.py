@@ -518,6 +518,24 @@ def test_runtime_errors_exit_with_code_three(tmp_path, capsys):
     assert "UnknownDataKind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["p,config,P_loc,t", "0.5,0,0.25"], "data row 1 holds 3 cells, its header 4"),
+    (["p,config,P_loc,t", "0.5,0,0.25,9", "0.5,1,0.25", "0.5,2,0.25"],
+     "data row 2 holds 3 cells, its header 4"),
+    (["p,config,P_loc,t"], "holds no data rows"),
+])
+def test_replot_refuses_a_table_whose_rows_do_not_fit_its_header(tmp_path, capsys, lines,
+                                                                 message):
+    """A row narrower than the header, or no data row at all: exit 3, naming
+    the file and the first bad row, and no plot is drawn."""
+    (tmp_path / "edge.csv").write_text("\n".join(lines) + "\n")
+    assert entrypoint(["replot", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("UnknownDataKind: ") and str(tmp_path / "edge.csv") in err
+    assert message in err
+    assert not (tmp_path / "edge.svg").exists()
+
+
 def test_scan_run_writes_table_plot_and_manifest(tmp_path):
     out = tmp_path / "out"
     code = entrypoint(["run", "--config", write_config(tmp_path, scan_config()),
@@ -584,9 +602,8 @@ def per_row_text(header, rows, fmt) -> str:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_an_integer_p_grid_keeps_the_bytes_of_the_per_row_writer(tmp_path, fmt):
-    """p_grid [0, 0.5, 1] and a seed past int64: the disorder tables write p
-    as 0 and 1, as the runner's rows of Python cells did, and the edge
-    table, whose results hold float(p), writes 0.0 and 1.0."""
+    """p_grid [0, 0.5, 1] and a seed past int64: the disorder tables and the
+    edge table write p as 0 and 1, as the runner's rows of Python cells did."""
     grid, seed, t, n = [0, 0.5, 1], 2**70 + 3, 7, 3
     angles = {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": t, "n_configs": n, "p_grid": grid}
     theta_a, theta_b = 1.68 * math.pi, 1.36 * math.pi
@@ -613,7 +630,7 @@ def test_an_integer_p_grid_keeps_the_bytes_of_the_per_row_writer(tmp_path, fmt):
             return {line.split(",", 1)[0] for line in lines}
         assert p_cells("disorder", "disorder_runs") == {"0", "0.5", "1"}
         assert p_cells("disorder", "disorder_summary") == {"0", "0.5", "1"}
-        assert p_cells("edge", "edge") == {"0.0", "0.5", "1.0"}
+        assert p_cells("edge", "edge") == {"0", "0.5", "1"}
 
 
 NON_FINITE_SCAN = ('{"experiment": "scan", "scan": {"parametrization": "free", '

@@ -29,6 +29,7 @@ import qwtopo.runners
 import qwtopo.scattering
 import qwtopo.walk
 from qwtopo import config as cfgmod
+from qwtopo import apparatus
 from qwtopo.apparatus import ApparatusModel, emulate_measurement
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import config_hash
@@ -506,6 +507,61 @@ def test_the_closed_form_q0_sign_matches_the_engine():
     half_r0 = qwtopo.scattering.sample_rows(None, angles, 101).sum(axis=1) / 2
     assert np.all(np.abs(half_r0) > 0.1)
     assert [cfgmod.q0_sign(float(theta)) for theta in grid] == np.sign(half_r0).tolist()
+
+
+#: Coin angles over pi on which the lead may fall silent, 0 and pi among them.
+SILENT_GRID = (0, 0.25, 0.47, 0.5, 0.75, 1, 1.21, 1.25, 1.5)
+
+
+@pytest.mark.parametrize("sbc_error_deg", (0.0, 1.0))
+@pytest.mark.parametrize("t", (2, 3, 11))
+def test_verify_refuses_exactly_the_measurements_through_a_silent_lead(t, sbc_error_deg):
+    """`validate` refuses an emulation, and at t = 11 a Monte-Carlo fit, with
+    code 2 at theta2_pi exactly where |r(0)| = |sum rho| of `sample_rows` on
+    the angles the apparatus realizes (`apparatus.perturbed_angles`) is below
+    1e-6: both coins multiples of pi, or theta2 at t = 2.  The model's
+    offset moves pi, but not 0."""
+    pairs = [(a, b) for a in SILENT_GRID for b in SILENT_GRID]
+    params = apparatus._params([ApparatusModel(sbc_error=math.radians(sbc_error_deg))])
+    systems = [ScatteringSystem.for_steps(a * math.pi, b * math.pi, t) for a, b in pairs]
+    theta1, theta2 = (np.concatenate([apparatus.perturbed_angles(getattr(s, name), params)
+                                      for s in systems]) for name in ("theta1", "theta2"))
+    silent = np.abs(qwtopo.scattering.sample_rows(theta1, theta2, t).sum(axis=1)) < 1e-6
+    assert silent.any() and not silent.all()
+    kinds = [("emulate", "emulate", "model")]
+    if t >= 7:
+        kinds.append(("mc-errorbars", "mc_errorbars", "truth_model"))
+    for (a, b), quiet in zip(pairs, silent):
+        for kind, block, model in kinds:
+            cfg = {"experiment": kind, block: {"theta1_pi": a, "theta2_pi": b, "t": t,
+                                               model: {"sbc_error_deg": sbc_error_deg}}}
+            if quiet:
+                with pytest.raises(cfgmod.ConfigInvalid, match="nothing returns") as refused:
+                    cfgmod.validate(cfg)
+                assert refused.value.path == f"{block}.theta2_pi", (a, b)
+            else:
+                cfgmod.validate(cfg)
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_a_silent_lead_exits_with_code_two(tmp_path, capsys, command):
+    cfg = {"experiment": "emulate", "emulate": {"theta1_pi": 0, "theta2_pi": 1, "t": 11}}
+    _rejected(tmp_path, capsys, command, cfg, "emulate.theta2_pi", "nothing returns")
+
+
+def test_a_coin_offset_from_pi_still_runs(tmp_path):
+    """(theta1, theta2) = (pi, 0) with a 1 degree SBC offset realizes theta1
+    off pi, so the walk mixes and the emulation and the fit run."""
+    for kind, block, model in (("emulate", "emulate", "model"),
+                               ("mc-errorbars", "mc_errorbars", "truth_model")):
+        cfg = {"experiment": kind, block: {"theta1_pi": 1, "theta2_pi": 0, "t": 11,
+                                           model: {"sbc_error_deg": 1}}}
+        if kind == "mc-errorbars":
+            cfg[block]["n_sets"] = 20
+        path = tmp_path / f"{block}.json"
+        path.write_text(json.dumps(cfg))
+        assert entrypoint(["verify", "--config", str(path)]) == 0
+        assert entrypoint(["run", "--config", str(path), "--out", str(tmp_path / block)]) == 0
 
 
 #: Small configs whose largest table is driven by the named field.

@@ -134,9 +134,9 @@ def test_odd_steps_vanish_when_first_coin_is_identity():
 
 
 def test_skip_identity_fast_path_is_exact():
-    """Alone, a sample whose coin 1 is the identity takes the engine's
-    two-sublattice path; next to a row with theta1 != 0 the batch takes the
-    dense path, which applies coin 1 to both rows.  The bits must not change."""
+    """Alone, a sample whose coin 1 is the identity runs on the window's
+    rows; next to a row with theta1 != 0 the batch runs on the doubled
+    lattice, which applies coin 1 to both rows.  The bits must not change."""
     theta1 = np.array([np.zeros(10), np.full(10, 0.7)])
     theta2 = np.array([np.linspace(0.2, 5.9, 10)] * 2)
     alone = sample_rows(theta1[:1], theta2[:1], 14)[0]

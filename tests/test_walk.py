@@ -274,7 +274,7 @@ def random_field(rng, start, sites):
 def test_record_matches_evolve_bit_for_bit():
     """Same window (x_min and width) and the same per-step H and V
     intensities as evolve, from both launch coins, with coin 1 the
-    identity on every row (the two-sublattice path), on some rows or on none.  From x0 the
+    identity on every row (the window's own lattice), on some rows or on none.  From x0 the
     window grows at t = 2, 18 and 34, so t up to 40 covers three growths."""
     rng = np.random.default_rng(9)
     for case in range(24):
@@ -373,7 +373,7 @@ CONE_WALKERS = (1, 7, 64, 65)
 
 @pytest.mark.parametrize("t", CONE_STEPS)
 def test_sample_rows_equal_full_window_rows(t):
-    """Bit for bit, with coin 1 the identity (the two-sublattice path) or random, samples
+    """Bit for bit, with coin 1 the identity (the window's own lattice) or random, samples
     shorter and longer than the window.  Trimming can flip the sign of an
     exact zero in rho, which reaches no output: array_equal counts -0.0 and
     0.0 as equal."""
@@ -447,10 +447,13 @@ def test_record_equals_full_window_history(t):
 def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coin, site,
                                                                     read):
     """Every yielded H and V row equals the full-window reference bit for
-    bit, and every other row of the step's `cone` is zero there: launches
-    at an even and an odd row, from both coins, with coin 1 the identity or
-    random.  The window's right edge cuts the cone from step 4 or 5 on, and
-    with `read` the cone is cut to the rows that can still reach it."""
+    bit, V on row `read` equals it at every step, and every other row of
+    the step's `cone` is zero there: launches at an even and an odd row,
+    from both coins, with coin 1 the identity or random.  The window's
+    right edge cuts the cone from step 4 or 5 on, and with `read` the cone
+    is cut to the rows that can still reach it.  With a random coin 1 the
+    engine runs on the doubled lattice, whose read cut also leaves out H on
+    the cone's first row: it cannot reach V on the read row in time."""
     rng = np.random.default_rng(10 * site + coin)
     n, t, walkers = site + 5, 12, 6
     theta1 = random_angles(rng, walkers, n, identity)
@@ -460,14 +463,22 @@ def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coi
     first, last, _ = qwtopo.budget.cone(site, site, n, t, read)
     steps = qwtopo.walk.real_steps(theta1.T.copy(), theta2.T.copy(), site, coin, t, read)
     full = full_window_steps(theta1, theta2, a, b, t)
-    for lo, hi, (ra, h, rb, v), (a, b) in zip(first, last, steps, full):
+    for j, (lo, hi, (ra, h, rb, v), (a, b)) in enumerate(zip(first, last, steps, full), 1):
         assert np.array_equal(h.T, a[:, ra]) and np.array_equal(v.T, b[:, rb])
         assert cone_sites(ra, rb) == hi - lo + 1
+        if read is not None:
+            rows = range(rb.stop)[rb]
+            assert np.array_equal(v[rows.index(read)] if read in rows else np.zeros(walkers),
+                                  b[:, read])
         for rows, amps in ((ra, a), (rb, b)):
-            others = sorted(set(range(lo, hi + 1)) - set(range(rows.stop)[rows]))
-            assert not amps[:, others].any()
+            others = set(range(lo, hi + 1)) - set(range(rows.stop)[rows])
+            if not identity and read is not None and rows is ra:
+                others.discard(read - (t - j))
+            assert not amps[:, sorted(others)].any()
         if identity:  # one amplitude per site: H and V on rows of opposite parity
             assert ra.step == rb.step == 2 and (ra.start - rb.start) % 2 == 1
+        else:  # the doubled lattice's rows, halved
+            assert ra.step == rb.step == 1
 
 
 def test_cone_of_an_unreachable_read_is_empty():
