@@ -11,9 +11,9 @@ _EXPORTS = {
     "walk": ("H", "V", "CoinField", "SplitStepProtocol", "WalkerState", "apply_coin_field",
              "apply_shift_minus", "apply_shift_plus", "apply_shift_symmetric",
              "double_step_equivalent", "evolve", "split_step"),
-    "scattering": ("DegenerateGauge", "InvariantPair", "PhaseDiagram", "ReflectionSeries",
-                   "ScanResult", "ScatteringSystem", "invariants", "phase_diagram",
-                   "reflection_amplitudes", "reflection_matrix_element", "scan_line"),
+    "scattering": ("InvariantPair", "PhaseDiagram", "ReflectionSeries", "ScanResult",
+                   "ScatteringSystem", "invariants", "phase_diagram", "reflection_amplitudes",
+                   "reflection_matrix_element", "scan_line"),
     "disorder": ("DisorderSpec", "EnsembleResult", "NoCrossing", "disorder_curve",
                  "ensemble_r0", "sample_pattern", "transition_locator"),
     "edges": ("InterfaceSystem", "LocalizationRecord", "localization_vs_disorder",

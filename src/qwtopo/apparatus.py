@@ -19,17 +19,19 @@ site x = -2 is rho_j and whose per-step window gives the walk
 intensities.
 
 The read-out runs on a whole batch at once: a (B, t) array of rho
-gives the magnitudes, the pairs of consecutive present pulses (a
-stable sort of each row), their interfered intensities and one sign
-test with one floor rule, the sign chain as a cumulative product from
-the reference pulse, and (Q0, Qpi) per row, NaN where a pair gives no
-sign or |r(0)| is degenerate.  The Monte-Carlo fit runs it on batches
+gives the magnitudes, each present pulse interfered with the previous
+present pulse of its row, one sign test with one floor rule per pair,
+and the sign chain as a cumulative product over time from the reference
+pulse.  Wherever a sign cannot be read, the result is NaN and no run
+stops: a row with an unreadable pair is NaN, and so are (Q0, Qpi) of a
+row whose |r(0)| is below 1e-6.  The Monte-Carlo fit runs it on batches
 of models, each batch a (B, 5) array of model parameters, and reads rho
 and the intensities' distances from the batch's whole histories.
-`emulate_measurement` runs it with B = 1 and keeps the signed series,
-which `measured_invariants` reads.  `relative_sign` and
+`emulate_measurement` runs it with B = 1 and keeps the signed series as
+it is, which `measured_invariants` reads.  `relative_sign` and
 `reconstruct_series` apply the same sign rule and chain one pair at a
-time to sign data given as a list of pairs.
+time to sign data given as a list of pairs, and raise where the batch
+gives NaN.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class MeasurementData:
     """What one run measures, and the series its sign chain reads."""
 
     magnitudes: np.ndarray           # |rho_j| estimates, index j-1
-    series: np.ndarray               # signed rho_j: magnitudes times chained signs
+    series: np.ndarray               # signed rho_j, or NaN where a pair gives no sign
     reference_sign: int              # global sign of the first nonzero pulse
     alpha: float
     distributions: np.ndarray        # (t+1, sites) walk intensities per step
@@ -165,6 +167,13 @@ def _same(i_h, i_v, alpha: float):
     return -(i_h - i_v) * (np.sin(alpha) * np.cos(alpha)) > 0
 
 
+def _check_guard(alpha: float) -> None:
+    if within_guard(alpha):
+        raise AmbiguousSign(
+            f"mixing angle {alpha:.4f} rad is within {np.degrees(ALPHA_GUARD):.0f} "
+            "degrees of a multiple of pi/2")
+
+
 def relative_sign(i_h: float, i_v: float, alpha: float) -> str:
     """SAME or OPPOSITE for two pulses interfered at mixing angle alpha
     into the detector intensities i_h and i_v.
@@ -174,10 +183,7 @@ def relative_sign(i_h: float, i_v: float, alpha: float) -> str:
     ALPHA_GUARD of a multiple of pi/2 (vanishing contrast) or |Delta I|
     is zero or below INTENSITY_FLOOR times i_h + i_v.
     """
-    if within_guard(alpha):
-        raise AmbiguousSign(
-            f"mixing angle {alpha:.4f} rad is within {np.degrees(ALPHA_GUARD):.0f} "
-            "degrees of a multiple of pi/2")
+    _check_guard(alpha)
     if _below_floor(i_h, i_v):
         raise AmbiguousSign(f"|Delta I| = {abs(i_h - i_v):.3e} is below the floor "
                             f"{INTENSITY_FLOOR * (i_h + i_v):.3e}")
@@ -216,80 +222,47 @@ def _intensities(a: np.ndarray, b: np.ndarray, loss: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
-class _Readout:
-    """The detector data of a batch of runs.
-
-    Row k of `order` lists the 0-based steps of run k with its
-    `count[k]` present pulses first, in time order; pair i interferes
-    pulses order[k, i] and order[k, i + 1] into i_h[k, i], i_v[k, i],
-    and is a real pair for i < count[k] - 1.
-    """
-
-    magnitudes: np.ndarray  # (B, t) |rho_j| estimates
-    order: np.ndarray       # (B, t)
-    count: np.ndarray       # (B,)
-    i_h: np.ndarray         # (B, t - 1)
-    i_v: np.ndarray
-    reference: np.ndarray   # (B,) sign of the first present pulse, +1 without one
-    alpha: float
-
-    @property
-    def readable(self) -> np.ndarray:
-        """Rows whose every pair gives a sign."""
-        bad = within_guard(self.alpha) | _below_floor(self.i_h, self.i_v)
-        return ~np.any(bad & _paired(self.count, self.i_h.shape[1]), axis=1)
-
-    def series(self) -> np.ndarray:
-        """Signed rows from the magnitudes and the sign chain, a
-        cumulative product of pair relations from the reference pulse;
-        NaN rows where a pair gives no sign.  Absent pulses are exact
-        zeros."""
-        b, t = self.magnitudes.shape
-        relations = np.where(_same(self.i_h, self.i_v, self.alpha), 1.0, -1.0)
-        signs = np.cumprod(np.concatenate([self.reference[:, None], relations], axis=1),
-                           axis=1)
-        present = np.arange(t) < self.count[:, None]
-        mags = np.take_along_axis(self.magnitudes, self.order, axis=1)
-        rows = np.zeros((b, t))
-        np.put_along_axis(rows, self.order, np.where(present, signs * mags, 0.0), axis=1)
-        rows[~self.readable] = np.nan
-        return rows
-
-
-def _paired(count: np.ndarray, pairs: int) -> np.ndarray:
-    return np.arange(pairs) < count[:, None] - 1
-
-
 def _readout(rho: np.ndarray, params: np.ndarray, alpha: float, mode: str = "exact",
-             shots: int = 1_000_000, rng: np.random.Generator | None = None) -> _Readout:
-    """Detector data of a (B, t) batch of read-out series, row k measured
-    by the model in row k of the (B, 5) model array params.
+             shots: int = 1_000_000, rng: np.random.Generator | None = None) -> tuple:
+    """(magnitudes, series, reference) of a (B, t) batch of read-out series,
+    row k measured by the model in row k of the (B, 5) model array params:
+    the |rho_j| estimates, the signed rows, and the sign of each row's first
+    present pulse (+1 without one).
 
-    In "shots" mode Poisson counts with `shots` photons per unit
-    intensity are drawn from rng: every magnitude first, then each pair's
-    (i_h, i_v) in turn, row after row.
+    Each present pulse is interfered with the previous present pulse of its
+    row, and the signs are a cumulative product over time of the pair
+    relations from that first pulse.  Absent pulses are exact zeros, and a
+    row with a pair whose |Delta I| is below the floor is NaN.  In "shots"
+    mode Poisson counts with `shots` photons per unit intensity are drawn
+    from rng: every magnitude first, then each pair's (i_h, i_v) in turn,
+    row after row.
     """
-    eff_v = params[:, _EFF_V, None]
-    gain = (1.0 + params[:, _LOSS, None]) ** np.arange(1, rho.shape[1] + 1)
-    intensities = eff_v * gain * rho ** 2  # V-path loss
+    steps = np.arange(rho.shape[1])
+    gain = (1.0 + params[:, _LOSS, None]) ** (steps + 1)
+    intensities = params[:, _EFF_V, None] * gain * rho ** 2  # V-path loss
     if mode == "shots":
         intensities = rng.poisson(intensities * shots) / shots
-    magnitudes = np.sqrt(intensities / eff_v)
+    magnitudes = np.sqrt(intensities / params[:, _EFF_V, None])
     present = magnitudes > MAGNITUDE_EPS
-    order = np.argsort(~present, axis=1, kind="stable")
-    count = present.sum(axis=1)
-    amps = np.take_along_axis(rho * np.sqrt(gain), order, axis=1)
-    i_h, i_v = interfere(amps[:, :-1], amps[:, 1:], alpha)
-    i_h = i_h * params[:, _EFF_H, None]
-    i_v = i_v * eff_v
+    amps = rho * np.sqrt(gain)  # sqrt(gain) > 0 keeps the sign of rho
+    # the last present step before each step, -1 before the first: a running maximum
+    previous = np.roll(np.maximum.accumulate(np.where(present, steps, -1), axis=1), 1, axis=1)
+    previous[:, :1] = -1
+    paired = present & (previous >= 0)
+    rows = np.nonzero(paired)[0]
+    i_h, i_v = interfere(amps[rows, previous[paired]], amps[paired], alpha)
+    i_h = i_h * params[rows, _EFF_H]
+    i_v = i_v * params[rows, _EFF_V]
     if mode == "shots":
-        paired = _paired(count, i_h.shape[1])
-        drawn = rng.poisson(np.stack([i_h[paired], i_v[paired]], axis=1) * shots) / shots
-        i_h[paired], i_v[paired] = drawn[:, 0], drawn[:, 1]
-    # amps[:, :1] is empty for t = 0; sqrt(gain) > 0 keeps the sign of rho
-    reference = np.where((count == 0) | np.all(amps[:, :1] >= 0, axis=1), 1, -1)
-    return _Readout(magnitudes, order, count, i_h, i_v, reference, alpha)
+        i_h, i_v = (rng.poisson(np.stack([i_h, i_v], axis=1) * shots) / shots).T
+    negative = present & (previous < 0) & (amps < 0)
+    relations = np.where(negative, -1.0, 1.0)
+    relations[paired] = np.where(_below_floor(i_h, i_v), np.nan,
+                                 np.where(_same(i_h, i_v, alpha), 1.0, -1.0))
+    signs = np.cumprod(relations, axis=1)  # a NaN runs on to the end of its row
+    series = np.where(present, signs * magnitudes, 0.0)
+    series[np.isnan(signs[:, -1:]).any(axis=1)] = np.nan  # a slice: empty at t = 0
+    return magnitudes, series, np.where(negative.any(axis=1), -1, 1)
 
 
 def emulate_measurement(system: ScatteringSystem, t: int,
@@ -299,12 +272,15 @@ def emulate_measurement(system: ScatteringSystem, t: int,
     """Run the full measurement chain on a lead-sample system.
 
     "exact" mode reads intensities directly; "shots" mode draws Poisson
-    counts with the given photon budget per unit intensity.  Raises
-    AmbiguousSign if any needed pairwise sign cannot be read (for
-    example when alpha is a multiple of pi/2).
+    counts with the given photon budget per unit intensity.  A series with
+    a pair whose sign cannot be read, as few photons may give, is NaN, and
+    so are the invariants `measured_invariants` reads from it.  Raises
+    AmbiguousSign when alpha is within ALPHA_GUARD of a multiple of pi/2,
+    where no pair gives a sign.
     """
     if mode not in ("exact", "shots"):
         raise ValueError(f"unknown mode: {mode!r}")
+    _check_guard(alpha)
     params = _params([model])
     x_min, h, v, lo, hi = _runs(system, params, t)
     rho = v[1:, -2 - x_min, 0].copy()
@@ -318,14 +294,10 @@ def _measure(rho: np.ndarray, model: ApparatusModel, x_min: int, distributions,
              alpha: float, mode="exact", shots=1_000_000, seed=0) -> MeasurementData:
     """The batched read-out with B = 1 of one probe run's series rho_1 ..
     rho_t, whose intensities `distributions` start at position x_min."""
-    out = _readout(rho[None], _params([model]), alpha, mode, shots,
-                   np.random.default_rng(seed))
-    if not out.readable[0]:
-        # the real pairs come first, so this raises AmbiguousSign at the first bad one
-        for i_h, i_v in zip(out.i_h[0].tolist(), out.i_v[0].tolist()):
-            relative_sign(i_h, i_v, alpha)
-    return MeasurementData(out.magnitudes[0], out.series()[0], int(out.reference[0]),
-                           alpha, distributions, x_min, rho.size)
+    magnitudes, series, reference = _readout(rho[None], _params([model]), alpha, mode, shots,
+                                             np.random.default_rng(seed))
+    return MeasurementData(magnitudes[0], series[0], int(reference[0]), alpha, distributions,
+                           x_min, rho.size)
 
 
 def reconstruct_series(magnitudes: np.ndarray, signs, reference_sign: int) -> np.ndarray:
@@ -429,7 +401,7 @@ def _mc_batch(system: ScatteringSystem, t: int, observed: np.ndarray, horizon: i
               alpha: float, params: np.ndarray) -> np.ndarray:
     """(distance, q0, qpi) of each model of one batch, one row per row of params."""
     x_min, h, v, lo, hi = _runs(system, params, t)
-    q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, alpha).series())
+    q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, alpha)[1])
     distances = _distances(observed, h, v, lo, hi, params[:, _LOSS, None], horizon)
     return np.column_stack([distances, q0, qpi])
 

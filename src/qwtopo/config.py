@@ -15,10 +15,11 @@ no integer), `enum`, `minimum`, `exclusiveMinimum`, `maximum`, `minItems`,
 `maxItems`, `items`, `properties`, `required` and `additionalProperties:
 false`, worded as jsonschema words them.  `validate` also rejects keys the
 runner would ignore (`p` next to `p_grid`), an emulate mixing angle the
-read-out cannot use, an mc-errorbars horizon past its t, a disorder
-transition study whose two bulks lie in one phase, and a config whose
-predicted cost exceeds `MAX_SITE_STEPS`, `MAX_HELD` or, in the rows of its
-largest table, `MAX_CELLS`.
+read-out cannot use, a shots budget whose Poisson means may pass `LAM_MAX`,
+an mc-errorbars horizon past its t, a disorder transition study whose two
+bulks lie in one phase, and a config whose predicted cost exceeds
+`MAX_SITE_STEPS`, `MAX_HELD` or, in the rows of its largest table,
+`MAX_CELLS`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ MAX_HELD = 2**27
 #: phase diagram of this many cells needs about 1.3 GB of tables and SVG, and
 #: an emulate or edge intensity map stops at t = 952.
 MAX_CELLS = 1360**2
+#: Largest mean numpy's `Generator.poisson` draws from, which shots mode must keep to.
+LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 class ConfigInvalid(ValueError):
@@ -384,8 +387,9 @@ def validate(cfg: dict) -> None:
                                 f"theta_b_pi = {blk['theta_b_pi']} give {signs[0]:+d} and "
                                 f"{signs[1]:+d}: sign Q0 = -sign(sin theta)")
     if kind in ("emulate", "mc-errorbars"):
+        resolved = resolve(cfg)[block]
         # `apparatus.perturbed_angles` keeps 0 mod 2 pi exact and adds this to every other angle
-        model = resolve(cfg)[block]["model" if kind == "emulate" else "truth_model"]
+        model = resolved["model" if kind == "emulate" else "truth_model"]
         offset = math.radians(model["sbc_error_deg"]) + math.radians(model["eom_error_deg"])
         half_turns = [blk["theta1_pi"] % 2.0, blk["theta2_pi"] % 2.0]  # exact, as in q0_sign
         coin1, coin2 = (h == 0.0 or h == 1.0 and offset == 0.0 for h in half_turns)
@@ -393,6 +397,13 @@ def validate(cfg: dict) -> None:
             raise ConfigInvalid(f"{block}.theta2_pi", "nothing returns through the lead, so Q0 "
                                 "has no sign: the apparatus realizes coin 2 as a multiple of pi, "
                                 "and coin 1 too or t = 2, where r_2 ~ sin theta2 is all")
+        # every Poisson mean is at most shots * (1 + max(loss, 0))**t, as eff <= 1 and
+        # sum rho_j**2 <= 1; logs, since shots is any JSON integer and t is not yet bounded
+        if kind == "emulate" and resolved["mode"] == "shots" and math.log(resolved["shots"]) \
+                + blk["t"] * math.log1p(max(model["loss_asymmetry"], 0.0)) > math.log(LAM_MAX):
+            raise ConfigInvalid("emulate.shots", f"{resolved['shots']} shots times the V-path "
+                                "gain (1 + max(loss_asymmetry, 0))**t may ask a Poisson draw "
+                                f"for a mean above {LAM_MAX:.4g}, the largest numpy draws")
     if kind == "mc-errorbars" and blk.get("horizon", 0) > blk["t"]:
         raise ConfigInvalid("mc_errorbars.horizon", f"{blk['horizon']} is more than "
                             f"t = {blk['t']}, the recorded steps the fit compares")

@@ -69,9 +69,12 @@ def _table(outdir, kind, columns, fmt):
 
 
 def _write_json(outdir, name, payload) -> str:
+    """<name> holding the flat payload as strict JSON: null where a value is NaN."""
     path = os.path.join(outdir, name)
+    payload = {k: None if isinstance(v, float) and math.isnan(v) else v
+               for k, v in payload.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 

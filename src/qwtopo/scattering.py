@@ -42,10 +42,6 @@ DEGENERATE_TOL = 1e-6
 _TWO_PI = 2.0 * np.pi
 
 
-class DegenerateGauge(ValueError):
-    """r(0) is too close to zero to read the sign of Q0."""
-
-
 @dataclass(frozen=True, eq=False)
 class ScatteringSystem:
     """Per-site coin angles of the sample region [0, sites).
@@ -167,13 +163,13 @@ def reflection_matrix_element(series: ReflectionSeries | np.ndarray, eps: float)
 def invariants(series: ReflectionSeries) -> InvariantPair:
     """(Q0, Qpi) = (Re(-i r(0)), Re(-i r(pi))) / 2 for a reflection series.
 
-    Raises DegenerateGauge when |r(0)| < 1e-6, where Q0 has no sign.
-    Ensemble members, which need signed values near zero, use
-    `disorder.ensemble_r0` instead.
+    Q0 = Qpi = NaN where |r(0)| < 1e-6, where Q0 has no sign, as in
+    `invariant_rows`.  Ensemble members, which need signed values near
+    zero, use `disorder.ensemble_r0` instead.
     """
     v0 = CANONICAL_ROTATION * reflection_matrix_element(series, 0.0)
     if abs(v0) < DEGENERATE_TOL:
-        raise DegenerateGauge(f"|r(0)| = {abs(v0):.3e} is below {DEGENERATE_TOL:.0e}")
+        return InvariantPair(np.nan, np.nan, series.residual)
     vpi = CANONICAL_ROTATION * reflection_matrix_element(series, np.pi)
     return InvariantPair(v0.real / 2.0, vpi.real / 2.0, series.residual)
 
@@ -185,8 +181,7 @@ def rotated_sums(rho: np.ndarray, eps: float) -> np.ndarray:
 
 def invariant_rows(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q0, Qpi) of every row of a (B, t) batch of real series, r_j = i rho_j,
-    read as `invariants` reads them, with NaN where it would raise
-    DegenerateGauge."""
+    read as `invariants` reads them, NaN where |r(0)| < 1e-6."""
     v0 = rotated_sums(rho, 0.0)
     vpi = rotated_sums(rho, np.pi)
     degenerate = np.abs(v0) < DEGENERATE_TOL

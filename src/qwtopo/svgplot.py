@@ -120,7 +120,7 @@ def line_plot(curves, title="", xlabel="", ylabel="") -> str:
 
 
 def errorbar_plot(xs, means, stds, title="", xlabel="", ylabel="", label="") -> str:
-    """Mean curve with vertical +-std bars."""
+    """Mean curve with vertical +-std bars, skipping non-finite means and bars."""
     xs = np.asarray(xs, dtype=float)
     means = np.asarray(means, dtype=float)
     stds = np.asarray(stds, dtype=float)
@@ -128,6 +128,8 @@ def errorbar_plot(xs, means, stds, title="", xlabel="", ylabel="", label="") -> 
     parts = frame.axes(title, xlabel, ylabel)
     color = PALETTE[0]
     for x, m, s in zip(xs, means, stds):
+        if not np.isfinite(m - s):
+            continue
         xp = frame.px(x)
         parts.append(f'<line x1="{_f(xp)}" y1="{_f(frame.py(m - s))}" '
                      f'x2="{_f(xp)}" y2="{_f(frame.py(m + s))}" '
@@ -136,6 +138,8 @@ def errorbar_plot(xs, means, stds, title="", xlabel="", ylabel="", label="") -> 
             yp = frame.py(end)
             parts.append(f'<line x1="{_f(xp - 4)}" y1="{_f(yp)}" x2="{_f(xp + 4)}" '
                          f'y2="{_f(yp)}" stroke="{color}" stroke-width="1"/>')
+    shown = np.isfinite(means)
+    xs, means = xs[shown], means[shown]
     pts = " ".join(f"{_f(frame.px(x))},{_f(frame.py(m))}" for x, m in zip(xs, means))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                  f'stroke-width="1.5"/>')

@@ -564,6 +564,84 @@ def test_a_coin_offset_from_pi_still_runs(tmp_path):
         assert entrypoint(["run", "--config", str(path), "--out", str(tmp_path / block)]) == 0
 
 
+def _refuse_token(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def _run_json(tmp_path, cfg, name: str) -> dict:
+    """`verify` and `run` of cfg, both exiting 0, and the run's `name` file
+    parsed as strict JSON (no NaN or Infinity token)."""
+    tmp_path.mkdir(exist_ok=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert entrypoint(["verify", "--config", str(path)]) == 0
+    assert entrypoint(["run", "--config", str(path), "--out", str(out)]) == 0
+    for other in ("manifest.json", name):
+        doc = json.loads((out / other).read_text(), parse_constant=_refuse_token)
+    return doc
+
+
+def test_a_lead_within_rounding_of_silence_writes_null_invariants(tmp_path):
+    """(0, 1e-8 pi) passes the exact silent-lead rule, and |r(0)| = 1.6e-7 is
+    below 1e-6: both experiments run and write null where Q0 has no sign."""
+    block = {"theta1_pi": 0, "theta2_pi": 1e-8, "t": 11}
+    emulated = _run_json(tmp_path / "e", {"experiment": "emulate", "emulate": block},
+                         "emulate.json")
+    assert emulated["q0"] is None and emulated["qpi"] is None
+    assert emulated["residual"] > 0.99
+    fitted = _run_json(tmp_path / "m", {"experiment": "mc-errorbars",
+                                        "mc_errorbars": {**block, "n_sets": 20}}, "mc.json")
+    assert fitted["q0"] is None and fitted["qpi"] is None
+    svg = (tmp_path / "m" / "out" / "mc_invariants.svg").read_text()
+    assert "nan" not in svg
+
+
+@pytest.mark.parametrize("shots, seed", [(5, 1), (10, 1), (30, 0), (100, 7), (300, 0)])
+def test_too_few_shots_to_read_a_sign_write_null_invariants(tmp_path, shots, seed):
+    """Pairs that count equal, or no photon, give no sign: the run exits 0 and
+    writes null invariants, with the magnitudes it measured."""
+    cfg = {"experiment": "emulate", "seed": seed, "emulate": {
+        "theta1_pi": 0.47, "theta2_pi": 1.21, "t": 11, "mode": "shots", "shots": shots}}
+    doc = _run_json(tmp_path, cfg, "emulate.json")
+    assert doc["q0"] is None and doc["qpi"] is None and doc["residual"] is None
+    assert len(doc["magnitudes"]) == 11
+
+
+def test_default_shots_at_t_60_write_null_invariants(tmp_path):
+    """At the default 10**6 shots and t = 60 the late pulses hold too few
+    photons to read every sign (every seed of 0 .. 9 does so)."""
+    cfg = {"experiment": "emulate", "emulate": {
+        "theta1_pi": 0.47, "theta2_pi": 1.21, "t": 60, "mode": "shots"}}
+    assert _run_json(tmp_path, cfg, "emulate.json")["q0"] is None
+
+
+@pytest.mark.parametrize("shots, t, loss, accepted", [
+    (10**20, 11, 0.0, False), (10**400, 2, -0.1, False), (9 * 10**18, 11, 0.0, True),
+    (10**6, 313, 0.1, True), (10**6, 314, 0.1, False), (10**6, 700, 0.1, False),
+    (10**6, 952, 0.03, True), (10**6, 952, -0.1, True)])
+def test_verify_refuses_shots_past_the_largest_poisson_mean(shots, t, loss, accepted):
+    """shots * (1 + max(loss, 0))**t bounds every Poisson mean a shots-mode
+    emulate draws; past `LAM_MAX` (about 9.22e18), where numpy refuses to
+    draw, the config exits 2 naming emulate.shots."""
+    cfg = {"experiment": "emulate", "emulate": {
+        "theta1_pi": 0.47, "theta2_pi": 1.21, "t": t, "mode": "shots", "shots": shots,
+        "model": {"loss_asymmetry": loss}}}
+    if accepted:
+        cfgmod.validate(cfg)
+        return
+    with pytest.raises(cfgmod.ConfigInvalid, match="Poisson") as refused:
+        cfgmod.validate(cfg)
+    assert refused.value.path == "emulate.shots"
+
+
+def test_lam_max_is_the_largest_mean_numpy_draws_from():
+    rng = np.random.default_rng(0)
+    assert rng.poisson(cfgmod.LAM_MAX) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(cfgmod.LAM_MAX, np.inf))
+
+
 #: Small configs whose largest table is driven by the named field.
 TABLE_FIELDS = {
     "scan.count": _scan(5, 20),

@@ -1,0 +1,98 @@
+"""A seeded fuzz of `verify` then `run` for the measurement experiments.
+
+`verify` accepting a config must mean that `run` completes it: each drawn
+`emulate` or `mc-errorbars` config is verified and, where `verify` exits 0,
+run in-process through `cli.entrypoint`, and every JSON file the run
+writes must parse as strict JSON (no NaN or Infinity tokens).  The draws
+reach the classes that once passed `verify` and stopped `run` with exit 3:
+shots too few to read every sign, angles within rounding of a silent lead,
+and shot budgets past numpy's largest Poisson mean.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import numpy as np
+
+from qwtopo import config
+from qwtopo.cli import entrypoint
+
+CONFIGS = 240
+
+
+def _strict(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def _angle(rng) -> float:
+    """Uniform, or an integer k in {0, +-1, 2} plus an offset of 0, +-1e-9 or +-1e-6."""
+    if rng.random() < 0.5:
+        return float(rng.uniform(-2.0, 4.0))
+    return int(rng.choice([0, 1, -1, 2])) + float(rng.choice([0.0, 1e-9, -1e-9, 1e-6, -1e-6]))
+
+
+def _block(properties: dict, rng) -> dict:
+    """Some of the number fields of a SCHEMA block, each drawn across its
+    whole range, its endpoints included where the schema allows them."""
+    out = {}
+    for name, prop in properties.items():
+        if rng.random() < 0.25:
+            continue  # left to its default
+        low = prop.get("minimum", prop.get("exclusiveMinimum"))
+        high = prop["maximum"]
+        ends = [high] + ([low] if "minimum" in prop else [])
+        out[name] = float(rng.choice(ends)) if rng.random() < 0.2 \
+            else float(rng.uniform(low, high))
+    return out
+
+
+def _draw(rng) -> dict:
+    props = config.SCHEMA["properties"]
+    kind = "emulate" if rng.random() < 0.6 else "mc-errorbars"
+    # log-uniform on [2, 120]: an emulate's intensity map grows as t**2
+    t = int(np.rint(2.0 * 60.0 ** rng.random()))
+    block = {"theta1_pi": _angle(rng), "theta2_pi": _angle(rng), "t": t}
+    if kind == "emulate":
+        block["model"] = _block(props["emulate"]["properties"]["model"]["properties"], rng)
+        if rng.random() < 0.2:
+            block["alpha_pi"] = float(rng.uniform(-1.0, 1.0))
+        if rng.random() < 0.6:
+            block["mode"] = "shots"
+            block["shots"] = int(10 ** rng.uniform(0.0, 21.0))
+    else:
+        sub = props["mc_errorbars"]["properties"]
+        block["truth_model"] = _block(sub["truth_model"]["properties"], rng)
+        block["ranges"] = _block(sub["ranges"]["properties"], rng)
+        block["n_sets"] = int(rng.integers(1, 31))
+        block["horizon"] = int(rng.integers(1, t + 3))
+    return {"experiment": kind, "seed": int(rng.integers(0, 2**31)),
+            config.BLOCK_KEY[kind]: block}
+
+
+def test_verify_accepting_a_measurement_config_means_run_completes_it(tmp_path):
+    rng = np.random.default_rng(7)
+    path = str(tmp_path / "cfg.json")
+    refused = unsigned = 0
+    for case in range(CONFIGS):
+        cfg = _draw(rng)
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = str(tmp_path / f"run{case}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            verified = entrypoint(["verify", "--config", path])
+            ran = entrypoint(["run", "--config", path, "--out", out]) if verified == 0 else None
+        assert verified in (0, 2), (cfg, err.getvalue())
+        refused += verified == 2
+        if verified:
+            continue
+        assert ran == 0, (cfg, err.getvalue())
+        for name in sorted(os.listdir(out)):
+            if name.endswith(".json"):
+                with open(os.path.join(out, name)) as fh:
+                    doc = json.loads(fh.read(), parse_constant=_strict)
+                unsigned += name in ("emulate.json", "mc.json") and doc["q0"] is None
+    # the draws reach refusals and runs with no readable sign alike
+    assert refused >= 10 and unsigned >= 10, (refused, unsigned)

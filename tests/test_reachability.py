@@ -29,8 +29,8 @@ DECLARED = {
             "CoinField", "SplitStepProtocol", "WalkerState", "_grown", "apply_shift_plus",
             "apply_shift_minus", "apply_shift_symmetric", "apply_coin_field", "split_step",
             "_interleave_field", "double_step_equivalent", "evolve")],
-    "the scalar read-out: the tests' pair-by-pair reference for the batched "
-    "`apparatus._readout`": [
+    "the scalar read-out, which raises where the batched `apparatus._readout` "
+    "gives NaN: the tests' pair-by-pair reference for it": [
         ("apparatus.py", "relative_sign"), ("apparatus.py", "reconstruct_series")],
     "refuses invalid input and does nothing else: exception constructors, and "
     "the maxItems check, whose one user, a free scan's pairs_pi, no shipped "
