@@ -42,7 +42,7 @@ import numpy as np
 
 from . import scattering
 from .budget import ALPHA_GUARD, MODEL, within_guard
-from .walk import H, over_batches, record
+from .walk import H, coins, over_batches, record
 from .scattering import InvariantPair, ReflectionSeries, ScatteringSystem, invariant_rows
 
 SAME = "same"
@@ -205,8 +205,8 @@ def perturbed_angles(thetas: np.ndarray, params: np.ndarray) -> np.ndarray:
 def _runs(system: ScatteringSystem, params: np.ndarray, t: int) -> tuple:
     """`walk.record` of the probe |-1, H> on the system as the hardware of
     each row of the model array params realizes it."""
-    return record(0, perturbed_angles(system.theta1, params),
-                  perturbed_angles(system.theta2, params), -1, H, t)
+    return record(0, coins(perturbed_angles(system.theta1, params)),
+                  coins(perturbed_angles(system.theta2, params)), -1, H, t)
 
 
 def _intensities(a: np.ndarray, b: np.ndarray, loss: np.ndarray) -> np.ndarray:

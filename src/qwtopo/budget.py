@@ -35,13 +35,14 @@ def within_guard(alpha: float) -> bool:
 
 def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = False) -> int:
     """float64 elements one walker holds while the engine steps it `steps` times
-    on a window of `sites`: one angle per row of the lattice `real_steps` runs
-    on, the window with coin 1 the identity (`identity_coin1`, passed as no
-    coin-1 angles) and twice its rows otherwise; the kernel's buffer of nine
-    half planes of that lattice, with the launch amplitude; the rho row of its
-    `steps` read-outs and, with `history`, the H and V history of `record`."""
+    on a window of `sites`: the kernel's buffer of nine half planes of the
+    lattice `real_steps` runs on, the window with coin 1 the identity
+    (`identity_coin1`, passed as no coin-1 angles) and twice its rows
+    otherwise, which holds the coins, the state and the launch amplitude;
+    then, with `history`, the H and V history of `record`, else the rho row
+    of its `steps` read-outs.  The coins a study passes in are not counted."""
     rows = sites if identity_coin1 else 2 * sites
-    return rows + 9 * ((rows + 3) // 2) + steps + (2 * sites * (steps + 1) if history else 0)
+    return 9 * ((rows + 3) // 2) + (2 * sites * (steps + 1) if history else steps)
 
 
 def batch_capacity(per_walker: int) -> int:

@@ -9,6 +9,7 @@ formatted value by value.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -19,16 +20,18 @@ BLOCK = 1 << 14
 def encode(header: list[str], columns, rows: int, fmt: str):
     """Format every cell of the columns now and return the file's text as
     parts to write: for CSV the header line and blocks of `BLOCK` data
-    lines, joined as they are written; for JSON one `json.dumps` of records
-    of the same cells."""
+    lines, joined as they are written; for JSON one strict `json.dumps` of
+    records of the same cells, with null where a cell is NaN or infinite,
+    which JSON cannot hold."""
     if len(columns) != len(header) or any(len(c) != rows for c in columns) \
             or any(getattr(c, "ndim", 1) != 1 for c in columns):
         raise ValueError(f"{len(header)} header names need as many flat columns of "
                          f"{rows} rows, got lengths {[len(c) for c in columns]}")
     if fmt == "json":  # float64 is a float subclass; `default` sees numpy ints and bools
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        cells = [[None if isinstance(v, float) and not math.isfinite(v) else v
+                  for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
         return [json.dumps([dict(zip(header, row)) for row in zip(*cells)], indent=1,
-                           default=lambda v: v.item()) + "\n"]
+                           allow_nan=False, default=lambda v: v.item()) + "\n"]
     head = ",".join(_strings(header).tolist())
     return _lines(head, [_strings(c) for c in columns], rows)
 

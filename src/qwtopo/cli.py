@@ -43,8 +43,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `entrypoint` call in this process, built on the
+    first: parsing leaves a parser as it was, so each call can reuse it."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def entrypoint(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except config.ConfigInvalid as exc:

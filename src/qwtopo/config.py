@@ -58,7 +58,7 @@ STUDY = {"scan": SCAN, "phase-diagram": SCAN, "disorder": ENSEMBLE, "edge": INTE
 MAX_SITE_STEPS = 5 * 10**8
 #: Most float64 elements one walker may hold in the engine (`budget.held`), 1 GiB:
 #: `walk.record`'s history grows as t * t, so an mc-errorbars run, which keeps
-#: one whole walk and writes no table, stops at t = 5 780.
+#: one whole walk and writes no table, stops at t = 5 781.
 MAX_HELD = 2**27
 #: Most rows of any table a run writes, which bounds its heatmap's cells too: a
 #: phase diagram of this many cells needs about 1.3 GB of tables and SVG, and

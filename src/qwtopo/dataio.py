@@ -63,7 +63,7 @@ def write_table(path: str, header: list[str], table: Columns, fmt: str = "csv") 
 
     `cells` formats every cell before the file is opened, so a table that
     cannot be written leaves no file; CSV text is then written in blocks of
-    rows, and JSON is `json.dumps` of the same cells.
+    rows, and JSON is a strict `json.dumps` of the same cells, NaN as null.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format: {fmt!r}")

@@ -18,11 +18,12 @@ curve or a transition bisection once for all its p.
 Members of a study often share a pattern: at p = 0 and p = 1 every
 configuration has the same one, and a short window has few patterns at
 all.  A member's value depends on its pattern alone, not on its batch,
-so a `PatternStudy` steps each distinct pattern once, thresholded
-straight into the angle array the engine runs on, and hands its value
-to every member that has it.  A disorder curve evaluates all its p in
-one call; a transition bisection its two endpoints in one call, and it
-keeps the values it stepped for every later probe.
+so a `PatternStudy` steps each distinct pattern once, its mask gathering
+the cosine and sine of theta_a and theta_b into the coins the engine
+runs on, and hands its value to every member that has it.  A disorder
+curve evaluates all its p in one call; a transition bisection its two
+endpoints in one call, and it keeps the values it stepped for every
+later probe.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_P_GRID, ENSEMBLE, reflection_window
-from .walk import CoinField, over_batches
+from .walk import CoinField, coins, over_batches
 from .scattering import rotated_sums, sample_rows
 
 _TWO_PI = 2.0 * np.pi
@@ -146,15 +147,18 @@ class PatternStudy:
     A member's pattern is its row of a boolean mask u < p of its uniforms u:
     theta_b where True, theta_a elsewhere.  `values` steps the patterns the
     study has not stepped yet, as `budget.batches` of walkers that each hold
-    `per_walker` elements, through `batch`, which maps a (B, sites) block of
-    second coin angles to one value per row.  It keeps every value for the
-    study's later calls.  A member's value depends on its pattern alone, not
-    on its batch, so every member gets the bits that stepping it on its own
-    gives.
+    `per_walker` elements, through `batch`, which maps the second coins of a
+    (B, sites) block of patterns, a pair of `walk.coins` arrays, to one value
+    per row.  The cosine and sine of theta_a and theta_b are taken once, and
+    every pattern's coins are gathered from them.  It keeps every value for
+    the study's later calls.  A member's value depends on its pattern alone,
+    not on its batch, so every member gets the bits that stepping it on its
+    own gives.
     """
 
     def __init__(self, theta_a: float, theta_b: float, batch, per_walker: int):
-        self.theta_a, self.theta_b = theta_a, theta_b
+        # [[cos theta_a, sin theta_a], [cos theta_b, sin theta_b]]
+        self.table = np.column_stack(coins(np.array([theta_a, theta_b]) % _TWO_PI))
         self.batch, self.per_walker = batch, per_walker
         self.stepped = {}  # pattern bytes -> value
 
@@ -168,11 +172,17 @@ class PatternStudy:
                 if key not in self.stepped and key not in new:
                     new[key] = row
         if new:
-            angles = _angles(self.theta_a, self.theta_b, np.array(list(new.values())))
-            values = over_batches(self.batch, angles, self.per_walker)
+            values = over_batches(lambda block: self.batch(self._coins(block)),
+                                  np.array(list(new.values())), self.per_walker)
             self.stepped.update(zip(new, values.tolist()))
         return [np.array([self.stepped[key] for key in block_keys], dtype=float)
                 for block_keys in keys]
+
+    def _coins(self, masks: np.ndarray) -> tuple:
+        """The second coins of the (B, sites) patterns `masks`, gathered from
+        those of theta_a and theta_b."""
+        table = np.take(self.table, masks.view(np.uint8), axis=0)  # (B, sites, cos and sin)
+        return table[..., 0], table[..., 1]
 
 
 def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
@@ -184,15 +194,15 @@ def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
     return config_uniforms(spec, range(spec.n_configs), sites)
 
 
-def _ensemble_batch(angles: np.ndarray, t: int) -> np.ndarray:
+def _ensemble_batch(coin2: tuple, t: int) -> np.ndarray:
     """Half r(0) after t steps of the sample of every row of a (B, sites)
-    block of second coin angles."""
-    return _halves(sample_rows(None, angles, t))
+    block of second coins."""
+    return _halves(sample_rows(None, coin2, t))
 
 
 def _study(spec: DisorderSpec, t: int) -> PatternStudy:
     """The half r(0) values of t-step ensembles of `spec` at any p."""
-    return PatternStudy(spec.theta_a, spec.theta_b, lambda angles: _ensemble_batch(angles, t),
+    return PatternStudy(spec.theta_a, spec.theta_b, lambda coin2: _ensemble_batch(coin2, t),
                         ENSEMBLE.held(t))
 
 

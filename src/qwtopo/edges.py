@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_P_GRID, INTERFACE, interface_members
-from .walk import V, record
+from .walk import V, coins, record
 from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, config_uniforms,
                        pattern_angles)
 
@@ -69,14 +69,13 @@ class InterfaceSystem:
     def field2_angles(self, uniforms: np.ndarray, extent: int) -> np.ndarray:
         """Second coin angles on [-extent, right sample end), one row per row
         of `uniforms`: theta_left on the left bulk, then the pattern."""
-        return _joined(self.theta_left, pattern_angles(self.right, uniforms), extent)
+        return _joined(self.theta_left % _TWO_PI, pattern_angles(self.right, uniforms), extent)
 
 
-def _joined(theta_left: float, right: np.ndarray, extent: int) -> np.ndarray:
-    """Second coin angles on [-extent, right sample end), one row per row of
-    the right bulk's (B, sites) angles `right`: theta_left, then `right`."""
-    left = np.full((right.shape[0], extent), theta_left % _TWO_PI)
-    return np.concatenate([left, right], axis=1)
+def _joined(left, right: np.ndarray, extent: int) -> np.ndarray:
+    """Values on [-extent, right sample end), one row per row of the right
+    bulk's (B, sites) values `right`: the left bulk's `left`, then `right`."""
+    return np.concatenate([np.full((right.shape[0], extent), left), right], axis=1)
 
 
 @dataclass
@@ -92,26 +91,28 @@ class LocalizationRecord:
         return np.arange(self.x_min, self.x_min + self.distributions.shape[1])
 
 
-def _launch(theta2: np.ndarray, t: int) -> tuple:
+def _launch(coin2: tuple, t: int) -> tuple:
     """`walk.record` of the launch state, one walker per row of the (B, sites)
-    second coin angles theta2 of the positions from -(t + 2) on."""
+    second coins coin2 of the positions from -(t + 2) on."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    return record(-(t + 2), None, theta2, LAUNCH_SITE, LAUNCH_COIN, t)
+    return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t)
 
 
 def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> LocalizationRecord:
     """Evolve the launch state and record every step's distribution."""
     theta2 = system.field2_angles(system.uniforms([config]), extent=t + 2)
-    x_min, h, v, lo, hi = _launch(theta2, t)
+    x_min, h, v, lo, hi = _launch(coins(theta2), t)
     a, b = h[:, lo[0]:hi[0] + 1, 0], v[:, lo[0]:hi[0] + 1, 0]
     return LocalizationRecord(a * a + b * b, x_min + int(lo[0]), t, config)
 
 
-def _ploc_batch(right: np.ndarray, theta_left: float, t: int) -> np.ndarray:
-    """P_loc after t steps of each row of the (B, sites) right-bulk angles: one
+def _ploc_batch(right: tuple, theta_left: float, t: int) -> np.ndarray:
+    """P_loc after t steps of each row of the (B, sites) right-bulk coins: one
     sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
-    x_min, h, v, _, _ = _launch(_joined(theta_left, right, t + 2), t)
+    left = coins(np.array([theta_left % _TWO_PI]))
+    x_min, h, v, _, _ = _launch(tuple(_joined(edge, bulk, t + 2)
+                                      for edge, bulk in zip(left, right)), t)
     rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
     return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
 

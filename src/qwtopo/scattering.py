@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import PROBE_ROW, READOUT_ROW, SCAN, reflection_window
-from .walk import H, CoinField, SplitStepProtocol, over_batches, place_angles, real_steps
+from .walk import H, CoinField, SplitStepProtocol, coins, over_batches, real_steps
 
 #: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
@@ -104,11 +104,11 @@ class InvariantPair:
     residual: float
 
 
-def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
+def sample_rows(coin1: tuple | None, coin2: tuple, t: int) -> np.ndarray:
     """Real reflection series of a batch: row k holds rho_1 .. rho_t of
-    the sample whose coin angles on [0, m), reduced mod 2*pi, are row k
-    of the (B, m) arrays theta1 and theta2, with
-    r_j = i rho_j = <-2,V| U^j |-1,H>; theta1 None is the identity coin 1.
+    the sample whose coins on [0, m) are row k of the pairs of (B, m)
+    arrays coin1 and coin2 (`walk.coins` of the angles, reduced mod 2*pi),
+    with r_j = i rho_j = <-2,V| U^j |-1,H>; coin1 None is the identity coin 1.
 
     The batch runs `real_steps` on the window [-2, t // 2] whatever the
     sample size, which is exact.  Nothing left of the read-out site comes
@@ -117,27 +117,23 @@ def sample_rows(theta1: np.ndarray, theta2: np.ndarray, t: int) -> np.ndarray:
     window after site x first alters V at x after step x + 2, when the
     probe's front arrives, and the error needs x + 2 more steps to reach
     the read-out, which is past step t for x = t // 2.  Step j updates
-    only sites the probe reached that can still reach x = -2 by step t.
-    Where coin 1 is the identity on the whole batch, as in disorder
+    only sites the probe reached that can still reach x = -2 by step t,
+    and the kernel copies V on the read-out site into the series as it
+    goes.  Where coin 1 is the identity on the whole batch, as in disorder
     ensembles, which pass no coin-1 angles, the engine updates half of
     those sites, the sublattice the probe occupies, and V reaches the
     read-out only at even steps: rho_j is +0.0 at every odd j.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    n = reflection_window(t)
-    th1, th2 = (place_angles(0, theta, -2, n) for theta in (theta1, theta2))
-    rho = np.empty((th2.shape[1], t))
-    for j, (_, _, rows, b) in enumerate(real_steps(th1, th2, PROBE_ROW, H, t, READOUT_ROW)):
-        # each step's cone starts at the read-out row, where V sits at
-        # every other step if coin 1 is the identity
-        rho[:, j] = b[0] if rows.start == READOUT_ROW else 0.0
-    return rho
+    # the sample's first site, x = 0, is row 2 of the window
+    return real_steps(coin1, coin2, 2, reflection_window(t), PROBE_ROW, H, t, READOUT_ROW)
 
 
 def reflection_amplitudes(system: ScatteringSystem, t: int) -> ReflectionSeries:
     """Evolve the probe for t steps and collect r_j = <-2,V| U^j |-1,H>."""
-    return ReflectionSeries(1j * sample_rows(system.theta1[None], system.theta2[None], t)[0])
+    rho = sample_rows(coins(system.theta1[None]), coins(system.theta2[None]), t)
+    return ReflectionSeries(1j * rho[0])
 
 
 def fourier_sums(r: np.ndarray, eps: float) -> np.ndarray:
@@ -221,10 +217,11 @@ def _scan_batch(pairs: np.ndarray, t: int) -> np.ndarray:
     """(B, 3) rows of Q0, Qpi and residual 1 - sum_j rho_j^2 of t-step clean
     samples sized by `ScatteringSystem.for_steps`, one per (theta1, theta2)
     row of pairs; NaN where the gauge is degenerate."""
-    angles = np.asarray(pairs, dtype=float) % _TWO_PI
-    shape = (angles.shape[0], t + 2)
-    rho = sample_rows(np.broadcast_to(angles[:, :1], shape),
-                      np.broadcast_to(angles[:, 1:], shape), t)
+    c, s = coins(np.asarray(pairs, dtype=float) % _TWO_PI)  # column 0 coin 1, 1 coin 2
+    shape = (c.shape[0], t + 2)
+    coin1, coin2 = ((np.broadcast_to(c[:, k, None], shape), np.broadcast_to(s[:, k, None], shape))
+                    for k in (0, 1))
+    rho = sample_rows(coin1, coin2, t)
     q0, qpi = invariant_rows(rho)
     residual = np.where(np.isnan(q0), np.nan, 1.0 - np.sum(rho ** 2, axis=1))
     return np.column_stack([q0, qpi, residual])

@@ -152,15 +152,21 @@ def errorbar_plot(xs, means, stds, title="", xlabel="", ylabel="", label="") -> 
     return _document(parts)
 
 
-def _heat_color(v: float) -> str:
-    """Fixed dark-blue -> yellow ramp for v in [0, 1]."""
-    stops = ((13, 8, 135), (126, 3, 168), (204, 71, 120), (248, 149, 64),
-             (240, 249, 33))
-    v = min(max(float(v), 0.0), 1.0) * (len(stops) - 1)
-    i = min(int(v), len(stops) - 2)
-    f = v - i
-    r, g, b = (round(a + (b_ - a) * f) for a, b_ in zip(stops[i], stops[i + 1]))
-    return f"#{r:02x}{g:02x}{b:02x}"
+#: The heatmap's fixed dark-blue -> yellow ramp: RGB at v = 0, 1/4, .., 1.
+HEAT_STOPS = np.array([(13, 8, 135), (126, 3, 168), (204, 71, 120), (248, 149, 64),
+                       (240, 249, 33)], dtype=float)
+
+
+def _heat_colors(values: np.ndarray) -> np.ndarray:
+    """The ramp's colour "#rrggbb" of every value in [0, 1] of a flat array:
+    linear between the two stops around it, each channel rounded half to
+    even, as an object array.  Each distinct colour is formatted once."""
+    v = np.clip(values, 0.0, 1.0) * (len(HEAT_STOPS) - 1)
+    i = np.minimum(v.astype(int), len(HEAT_STOPS) - 2)
+    low, high = HEAT_STOPS[i], HEAT_STOPS[i + 1]
+    r, g, b = np.rint(low + (high - low) * (v - i)[:, None]).T
+    distinct, inverse = np.unique((r * 256 + g) * 256 + b, return_inverse=True)  # exact
+    return np.array([f"#{int(c):06x}" for c in distinct.tolist()], dtype=object)[inverse]
 
 
 def _bins(cells: int, pixels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +193,7 @@ def heatmap(matrix, title="", xlabel="", ylabel="", x_offset=0, y_offset=0) -> s
     m = np.maximum.reduceat(np.maximum.reduceat(m, r0, axis=0), c0, axis=1)
     xs = [(_f(_ML + j * cw), _f(n * cw + 0.5)) for j, n in zip(c0.tolist(), cn.tolist())]
     values, index = np.unique(m / peak, return_inverse=True)
-    colors = [_heat_color(v) for v in values.tolist()]
+    colors = _heat_colors(values).tolist()
     for i, n, row in zip(r0.tolist(), rn.tolist(), index.reshape(m.shape).tolist()):
         y, h = _f(_MT + i * ch), _f(n * ch + 0.5)
         parts.extend(f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{colors[k]}"/>'

@@ -23,9 +23,14 @@ reused buffer and updates the live sublattice of each step's light cone
 disorder ensemble and interface walk, runs on its own window; any other
 runs on the doubled lattice of the fibre loop, where a split step is two
 such steps (`double_step_equivalent`).  The cone's sites times steps stay
-the unit of work that studies budget.  `record` keeps every step of a
-batch whole, with each walker's window edges, so studies reduce whole
-batches.
+the unit of work that studies budget.  Coins enter the kernel as their
+cosines and sines (`coins`), which the studies take once per distinct
+angle, where they make the angles, and gather into (walkers, sites)
+arrays; the kernel copies them into its buffer and runs no trig.  Its
+loop writes each step's read-out, or the step's cone into a history, as
+it goes: `scattering.sample_rows` reads one row's V, and `record` keeps
+every step of a batch whole, with each walker's window edges, so studies
+reduce whole batches.
 """
 
 from __future__ import annotations
@@ -79,7 +84,11 @@ class CoinField:
 
     def window_angles(self, x_min: int, sites: int) -> np.ndarray:
         """Per-position angles for a window of given extent (zero outside)."""
-        return place_angles(self.start, self.thetas[None], x_min, sites)[:, 0]
+        out = np.zeros(sites)
+        lo, hi = max(self.start, x_min), min(self.stop, x_min + sites)
+        if hi > lo:
+            out[lo - x_min:hi - x_min] = self.thetas[lo - self.start:hi - self.start]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,129 +268,154 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
     return out
 
 
-def real_steps(th1: np.ndarray, th2: np.ndarray, site: int, coin: int, steps: int,
-               read: int | None = None):
-    """An iterator of (ra, a, rb, b) after each of `steps` split steps of a
-    walker batch launched at row `site` in polarization `coin`.
+def coins(theta):
+    """The coins of the angles theta, reduced mod 2*pi, as the engine takes
+    them: the pair (cos theta, sin theta), each of theta's shape; None (the
+    identity coins) stays None.  The studies take the cosine and sine of each
+    distinct angle once and gather them into their coin arrays: an element
+    of either ufunc does not depend on the array around it."""
+    return None if theta is None else (np.cos(theta), np.sin(theta))
 
-    The coin angles th1 and th2 have shape (n, B): row i is position
-    x_min + i of a window shared by the batch, column k walker k; th1 None
-    is the identity coin 1 on every site.  Every walker starts with unit
-    amplitude at (site, coin).  The state is H = a, V = i b, and each step
-    gives the amplitudes of `split_step` bit for bit, up to the sign of
-    exact zeros and, for a V launch, the global phase i.  Amplitude shifted
-    past the window edges is dropped.  The inputs are never modified.  The
-    yielded a and b hold H on the window rows of the slice ra and V on
-    those of rb, in shape (rows, B): views that the next step overwrites.
-    Together ra and rb cover the step's `cone` from the launch site, cut to
-    the rows that can still reach row `read` if the caller reads only it.
+
+def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, steps: int,
+               read: int | None = None, history: tuple | None = None):
+    """Step a walker batch `steps` split steps on the window rows [0, sites),
+    from unit amplitude at row `site` in polarization `coin`.
+
+    coin2 is the pair (c, s) of `coins`: (B, m) arrays, row k walker k,
+    whose column i holds the coin of window row offset + i; every other row
+    has the identity coin, and coin1 None is the identity coin 1 on every
+    row.  The state is H = a, V = i b, and each step gives the amplitudes of
+    `split_step` bit for bit, up to the sign of exact zeros and, for a V
+    launch, the global phase i.  Amplitude shifted past the window edges is
+    dropped, and the inputs are never modified.  Each step updates the rows
+    of its `cone` from the launch site, cut to the rows that can still
+    reach row `read` if one is given.
+
+    With `read`, returns the (B, steps) read-out: column j - 1 holds V of
+    every walker on row `read` after step j.  With `history` = (h, v),
+    (steps + 1, sites, B) arrays, writes H and V of each step j's cone rows
+    into h[j] and v[j] and leaves every other element alone.
 
     One kernel steps every batch: the walk with coin 1 the identity, which
     is bipartite (coin 2 maps the pair (H at row i, V at row i + 1) onto (H
     at i + 1, V at i)), so it holds H and V as even-row and odd-row half
     planes and updates only the live one of each pair.  A batch whose coin
-    1 is the identity runs on its n rows, and ra and rb step by 2.  Any
-    other runs on the doubled lattice of 2n rows, where a split step is two
-    kernel steps, as it is two roundtrips of the fibre loop
+    1 is the identity runs on its window's rows.  Any other runs on the
+    doubled lattice of 2 * sites rows, where a split step is two kernel
+    steps, as it is two roundtrips of the fibre loop
     (`double_step_equivalent`): coin 2 of row r and H sit on row 2r, coin 1
-    and V on row 2r + 1.  Every second step is yielded with its rows halved,
-    so ra and rb are contiguous; at a read cut H on the cone's first row,
-    which cannot reach V on the read row in time, is left out.
+    and V on row 2r + 1, and every second step is read out on the rows
+    halved; at a read cut, H on the cone's first row, which cannot reach V
+    on the read row in time, is left out of the history.
     """
-    n, walkers = th2.shape
-    if th1 is None or not np.any(th1):
-        per, even, odd = 1, th2[0::2], th2[1::2]
-    else:
-        per, even, odd = 2, th2, th1
-        n, site, steps = 2 * n, 2 * site + coin, 2 * steps
+    walkers, m = coin2[0].shape
+    lo, hi = max(offset, 0), max(min(offset + m, sites), offset, 0)  # the coin rows in the window
+    doubled = coin1 is not None and np.any(coin1[1][:, lo - offset:hi - offset])
+    per, rows = (2, 2 * sites) if doubled else (1, sites)  # kernel steps per step, lattice rows
+    if doubled:
+        site, steps = 2 * site + coin, 2 * steps
         read = None if read is None else 2 * read + 1
-    # kernel row R = window row + 1, a zero guard row with identity coins on
-    # each side; the rows R of parity p sit at p * half + R // 2 of a plane
-    half = (n + 3) // 2
-    buf = np.empty((9, half, walkers))  # one allocation, so no plane is trimmed and refaulted
-    buf[2:8] = 0.0
-    s = buf[2:4].reshape(2 * half, walkers)
-    s[half:half + len(even)], s[1:1 + len(odd)] = even, odd  # R = 1, 3, .. and 2, 4, ..
-    np.cos(s, out=buf[0:2].reshape(2 * half, walkers))  # 1 on the guard rows
-    np.sin(s, out=s)
+    buf = _buffer(coin1 if doubled else None, coin2, offset, rows, lo, hi)
     buf[4 + 2 * coin + (site + 1) % 2, (site + 1) // 2] = 1.0
-    return _half_steps(buf, (site + coin) % 2, per, *cone(site, site, n, steps, read)[:2])
+    rho = None if read is None else np.zeros((walkers, steps // per))
+    first, last = cone(site, site, rows, steps, read)[:2]
+    _kernel(buf, (site + coin) % 2, per, first, last,
+            None if read is None else read + 1, rho, history)
+    return rho
 
 
-def _half_steps(buf, q, per, first, last):
-    """The kernel loop of `real_steps`, apart so that the set-up's views die first:
-    the steps of the cone rows [lo, hi] of `first` and `last`, yielding every `per`-th."""
+def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int) -> np.ndarray:
+    """The kernel's buffer for a lattice of `rows` rows: the c, s, H, V and
+    scratch half planes, with the coins of the window rows [lo, hi) placed
+    and the state zero.  Kernel row R = lattice row + 1, a zero guard row
+    with identity coins on each side; the rows R of parity p sit at
+    p * half + R // 2 of a plane.  With coin1 None window row i is kernel
+    row i + 1, else coin 2 of row i is kernel row 2i + 1 and coin 1 2i + 2."""
+    half, walkers = (rows + 3) // 2, coin2[0].shape[0]
+    buf = np.empty((9, half, walkers))  # one allocation, so no plane is trimmed and refaulted
+    buf[0:2] = 1.0
+    buf[2:8] = 0.0
+    c, s = buf[0:2].reshape(2 * half, walkers), buf[2:4].reshape(2 * half, walkers)
+    if coin1 is None:  # even window rows on the parity-1 half plane, odd on the parity-0
+        even, odd = lo + lo % 2, lo + 1 - lo % 2
+        placed = ((coin2, half + even // 2, slice(even - offset, hi - offset, 2)),
+                  (coin2, odd // 2 + 1, slice(odd - offset, hi - offset, 2)))
+    else:
+        placed = ((coin2, half + lo, slice(lo - offset, hi - offset)),
+                  (coin1, lo + 1, slice(lo - offset, hi - offset)))
+    for (cv, sv), at, cols in placed:
+        count = len(range(cv.shape[1])[cols])
+        c[at:at + count], s[at:at + count] = cv.T[cols], sv.T[cols]
+    return buf
+
+
+def _kernel(buf, q, per, first, last, read, rho, history):
+    """The kernel loop of `real_steps`: the steps of the cone rows [lo, hi] of
+    `first` and `last`, copying every `per`-th into rho, V on kernel row
+    `read`, and into history."""
     half, walkers = buf.shape[1:]
     c, s, h, v = (buf[p:p + 2].reshape(2 * half, walkers) for p in (0, 2, 4, 6))
+    at_read = None if read is None else read % 2 * half + read // 2
     for k, lo, hi in zip(range(1, len(first) + 1), first, last):
         # rotate, for every R = 2m + q in [lo + 1, hi + 2], the pair (H at R - 1, V at R)
         # by the coin of R into (H at R, V at R - 1): H of parity 1 - q, V of parity q
-        m0, m1 = (lo + 2 - q) // 2, (hi + 2 - q) // 2
+        m0, m1 = (lo + 2 - q) // 2, (hi + 4 - q) // 2  # m in [m0, m1)
         at, before = q * half, (1 - q) * half + q - 1  # R at row at + m, R - 1 at before + m
-        i, o = slice(at + m0, at + m1 + 1), slice(before + m0, before + m1 + 1)
-        _rotate(c[i], s[i], h[o], v[i], h[i], v[o], buf[8, m0:m1 + 1])
+        i, o = slice(at + m0, at + m1), slice(before + m0, before + m1)
+        _rotate(c[i], s[i], h[o], v[i], h[i], v[o], buf[8, m0:m1])
         if k % per == 0:
-            mh, mv = (hi + 1 - q) // 2, (lo + 3 - q) // 2  # the last H, first V in the cone
-            # H on the window rows 2m + q - 1, V on 2m + q - 2, halved on the doubled lattice
-            yield (slice((2 * m0 + q - 1) // per, (2 * mh + q - 1) // per + 1, 2 // per),
-                   h[at + m0:at + mh + 1],
-                   slice((2 * mv + q - 2) // per, (2 * m1 + q - 2) // per + 1, 2 // per),
-                   v[before + mv:before + m1 + 1])
+            if rho is not None and lo < read <= hi + 1 and (read + q) % 2:
+                rho[:, k // per - 1] = v[at_read]  # V on the read row, written this step
+            if history is not None:
+                mh, mv = (hi + 1 - q) // 2, (lo + 3 - q) // 2  # the last H, first V in the cone
+                # H on the window rows 2m + q - 1, V on 2m + q - 2, halved on the doubled lattice
+                j = k // per
+                history[0][j, (2 * m0 + q - 1) // per:(2 * mh + q - 1) // per + 1:2 // per] = \
+                    h[at + m0:at + mh + 1]
+                history[1][j, (2 * mv + q - 2) // per:(2 * m1 + q - 4) // per + 1:2 // per] = \
+                    v[before + mv:before + m1]
         q = 1 - q
 
 
 def _rotate(c, s, x, y, x_out, y_out, tmp):
     """x_out = c x + s y, then y_out = c y - s x, through the buffer tmp.  The
     views passed in die with the call, not at the next step."""
-    np.add(np.multiply(c, x, out=x_out), np.multiply(s, y, out=tmp), out=x_out)
-    np.subtract(np.multiply(c, y, out=y_out), np.multiply(s, x, out=tmp), out=y_out)
+    np.add(np.multiply(c, x, x_out), np.multiply(s, y, tmp), x_out)
+    np.subtract(np.multiply(c, y, y_out), np.multiply(s, x, tmp), y_out)
 
 
-def place_angles(start: int, thetas: np.ndarray | None, x_min: int, sites: int):
-    """The (sites, B) window [x_min, x_min + sites) of the (B, m) angles `thetas`
-    of positions [start, start + m), zero outside; None (identity coins) stays None."""
-    if thetas is None:
-        return None
-    out = np.zeros((sites, thetas.shape[0]))
-    lo = max(start, x_min)
-    hi = min(start + thetas.shape[1], x_min + sites)
-    if hi > lo:
-        out[lo - x_min:hi - x_min] = thetas[:, lo - start:hi - start].T
-    return out
-
-
-def record(start: int, theta1: np.ndarray | None, theta2: np.ndarray, x0: int, coin: int,
+def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
            steps: int) -> tuple:
-    """Every step of walkers launched at (x0, coin), one per row of theta2.
+    """Every step of walkers launched at (x0, coin), one per row of coin2.
 
-    theta1 and theta2 hold the (B, m) coin angles, reduced mod 2*pi, of
-    the positions [start, start + m); coins elsewhere, and everywhere for
-    theta1 None, are the identity.  Returns (x_min, h, v, lo, hi): h and v
-    are the (steps + 1, sites, B) history on x0 +- (steps + _GROW) that
-    `real_steps` fills on its cone, [j, i, k] holding H = h and V = i v (up
-    to a global phase) of walker k after j steps at position x_min + i.
-    Walker k's window is the rows lo[k] .. hi[k] of the (B,) arrays lo and
-    hi, exactly the window `evolve` ends on from `WalkerState.localized(x0,
-    coin)`; its other rows hold exact zeros.  That window starts at [x0 - 1,
-    x0 + 1] and grows by _GROW sites whenever a shift meets amplitude on its
-    edge: after a step, the right edge hi grew iff H now sits at hi + 1 or V
-    sits at hi, the left edge lo iff V sits at lo - 1.  An edge grows only
-    once the front, moving one site per step, has reached it, so no edge
-    passes x0 +- (steps + _GROW - 1).
+    coin1 and coin2 are the pairs of `coins` of the (B, m) coin angles,
+    reduced mod 2*pi, of the positions [start, start + m); coins elsewhere,
+    and everywhere for coin1 None, are the identity.  Returns (x_min, h, v,
+    lo, hi): h and v are the (steps + 1, sites, B) history on x0 +- (steps +
+    _GROW) that `real_steps` fills on its cone, [j, i, k] holding H = h and
+    V = i v (up to a global phase) of walker k after j steps at position
+    x_min + i.  Walker k's window is the rows lo[k] .. hi[k] of the (B,)
+    arrays lo and hi, exactly the window `evolve` ends on from
+    `WalkerState.localized(x0, coin)`; its other rows hold exact zeros.
+    That window starts at [x0 - 1, x0 + 1] and grows by _GROW sites
+    whenever a shift meets amplitude on its edge: after a step, the right
+    edge hi grew iff H now sits at hi + 1 or V sits at hi, the left edge lo
+    iff V sits at lo - 1.  An edge grows only once the front, moving one
+    site per step, has reached it, so no edge passes x0 +- (steps + _GROW - 1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     reach = steps + _GROW
     x_min, n = x0 - reach, record_window(steps)
-    th1, th2 = (place_angles(start, theta, x_min, n) for theta in (theta1, theta2))
-    walkers = th2.shape[1]
+    walkers = coin2[0].shape[0]
     h, v = np.zeros((2, steps + 1, n, walkers))
     (h, v)[coin][0, reach] = 1.0
+    real_steps(coin1, coin2, start - x_min, n, reach, coin, steps, history=(h, v))
     cols = np.arange(walkers)
     lo = np.full(walkers, x0 - 1 - x_min)  # window edges as rows
     hi = np.full(walkers, x0 + 1 - x_min)
-    for j, (ra, a, rb, b) in enumerate(real_steps(th1, th2, reach, coin, steps), 1):
-        h[j, ra], v[j, rb] = a, b
+    for j in range(1, steps + 1):
         hi += _GROW * ((h[j, hi + 1, cols] != 0) | (v[j, hi, cols] != 0))
         lo -= _GROW * (v[j, lo - 1, cols] != 0)
     return x_min, h, v, lo, hi

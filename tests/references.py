@@ -7,14 +7,15 @@ replaced, kept here to check them bit for bit: each walker's own window of
 the history, the Monte-Carlo distances regrouped from those windows, and
 P_loc masked from one walker's distributions.  `mixed_windows` builds a
 batch whose walkers end on windows of different widths and first rows,
-which no shipped run produces.
+which no shipped run produces.  `written_rows` reads the rows each step of
+an engine call writes.
 """
 
 import numpy as np
 
 from qwtopo.apparatus import _intensities, _normalize
 from qwtopo.edges import LOC_WINDOW
-from qwtopo.walk import H, record
+from qwtopo.walk import H, coins, real_steps, record
 
 
 def mixed_windows(t: int, walkers: int = 64, seed: int = 0):
@@ -23,7 +24,7 @@ def mixed_windows(t: int, walkers: int = 64, seed: int = 0):
     coin reflects the walk completely, so some walkers never reach one window
     edge or the other and their windows stop growing there."""
     theta2 = np.random.default_rng(seed).choice([0.0, np.pi / 2, np.pi, 1.1], (walkers, 6))
-    return record(-3, None, theta2, -1, H, t)
+    return record(-3, None, coins(theta2), -1, H, t)
 
 
 def walker_windows(run) -> list:
@@ -52,6 +53,19 @@ def distances(observed, runs, loss, horizon) -> np.ndarray:
         d *= d
         out[rows] = np.sum(d, axis=(1, 2))
     return out
+
+
+def written_rows(coin1, coin2, offset, sites, site, coin, steps, read=None) -> list:
+    """The window rows of H and of V that each step of a `walk.real_steps`
+    call writes into a history, one pair of index arrays per step: the call
+    rerun on one walker into a NaN-filled history.  That walker has coin-1
+    angles if any walker of the batch has, so it runs on the batch's lattice."""
+    k = 0 if coin1 is None else int(np.argmax(np.any(coin1[1] != 0, axis=1)))
+    h, v = np.full((2, steps + 1, sites, 1), np.nan)
+    real_steps(None if coin1 is None else tuple(x[k:k + 1] for x in coin1),
+               tuple(x[k:k + 1] for x in coin2), offset, sites, site, coin, steps, read, (h, v))
+    return [(np.flatnonzero(~np.isnan(a[:, 0])), np.flatnonzero(~np.isnan(b[:, 0])))
+            for a, b in zip(h[1:], v[1:])]
 
 
 def p_loc_at(record, step: int) -> float:

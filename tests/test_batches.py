@@ -34,7 +34,7 @@ def _bits(values) -> bytes:
 def _studies() -> dict:
     """Byte strings of every batched study, small enough to run at any budget."""
     out = {}
-    pd = phase_diagram(resolution=42, t=12)  # two batches at the default budget
+    pd = phase_diagram(resolution=45, t=12)  # two batches at the default budget
     out["phase_diagram"] = b"".join(_bits(a) for a in (pd.q0, pd.qpi, pd.residual)) \
         + "".join(pd.labels.ravel()).encode()
     rng = np.random.default_rng(5)
@@ -58,9 +58,9 @@ def _studies() -> dict:
 def _widest(module, widths):
     real_steps = module.real_steps
 
-    def counted(th1, th2, site, coin, steps, read=None):
-        widths.append(th2.shape[1])
-        yield from real_steps(th1, th2, site, coin, steps, read)
+    def counted(coin1, coin2, *args, **kwargs):
+        widths.append(coin2[0].shape[0])
+        return real_steps(coin1, coin2, *args, **kwargs)
     return counted
 
 
@@ -73,9 +73,9 @@ def test_batching_never_changes_a_result(monkeypatch):
             for module in (qwtopo.walk, qwtopo.scattering):
                 patch.setattr(module, "real_steps", _widest(module, seen))
             results[name] = _studies()
-    # the budgets really batch differently, up to all 1764 phase-diagram cells
+    # the budgets really batch differently, up to all 2025 phase-diagram cells
     assert max(widths["one walker"]) == 1
-    assert max(widths["one batch"]) == 1764
+    assert max(widths["one batch"]) == 2025
     calls = [len(widths[name]) for name in BUDGETS]
     assert calls == sorted(calls, reverse=True) and len(set(calls)) == len(calls)
     for name in BUDGETS:
@@ -89,8 +89,8 @@ def test_held_counts_what_the_engine_allocates(t):
     per walker, within 10 %, on both lattices the engine runs on:
     `sample_rows` on its reflection window and `record` with its history,
     each with coin 1 the identity, passed as no coin-1 angles (the window's
-    rows), and random (the doubled lattice)."""
-    theta = np.random.default_rng(2).uniform(0, 2 * PI, (64, t + 2))
+    rows), and random (the doubled lattice).  The coins are made before."""
+    theta = qwtopo.walk.coins(np.random.default_rng(2).uniform(0, 2 * PI, (64, t + 2)))
     reflection, history = qwtopo.budget.reflection_window(t), qwtopo.budget.record_window(t)
     for theta1, identity in ((None, True), (theta, False)):
         runs = ((lambda: qwtopo.scattering.sample_rows(theta1, theta, t),

@@ -102,18 +102,23 @@ def reference_cell(value) -> str:
     return str(value)
 
 
+def reference_json(value):
+    """A cell's item as strict JSON holds it: null for NaN and infinities."""
+    value = value.item() if hasattr(value, "item") else value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def reference_files(header, columns) -> tuple[str, str]:
     """The CSV and JSON text of the table whose row k holds the k-th cell of
     every column, written row by row: `csv.writer` over `reference_cell`
-    strings, and `json.dumps` of records of the cells' items."""
+    strings, and a strict `json.dumps` of records of the cells' items."""
     rows = list(zip(*columns))  # numpy scalars from arrays, the objects from lists
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([reference_cell(v) for v in row] for row in rows)
-    records = [{k: v.item() if hasattr(v, "item") else v for k, v in zip(header, row)}
-               for row in rows]
-    return buf.getvalue(), json.dumps(records, indent=1) + "\n"
+    records = [{k: reference_json(v) for k, v in zip(header, row)} for row in rows]
+    return buf.getvalue(), json.dumps(records, indent=1, allow_nan=False) + "\n"
 
 
 def assert_reference_bytes(tmp_path, header, columns):
@@ -205,6 +210,28 @@ def test_writing_a_table_peaks_within_a_multiple_of_its_bytes(tmp_path):
     assert peak < WRITER_PEAK_PER_BYTE * size
 
 
+def reference_heat_color(v: float) -> str:
+    """The heatmap's colour of one value, channel by channel in Python, with
+    `round`, which rounds half to even."""
+    stops = ((13, 8, 135), (126, 3, 168), (204, 71, 120), (248, 149, 64),
+             (240, 249, 33))
+    v = min(max(float(v), 0.0), 1.0) * (len(stops) - 1)
+    i = min(int(v), len(stops) - 2)
+    f = v - i
+    r, g, b = (round(a + (b_ - a) * f) for a, b_ in zip(stops[i], stops[i + 1]))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def test_heat_colors_are_the_per_value_reference():
+    """On the eighths, where channels fall on exact halves (0.125 gives red
+    69.5, which rounds to 70, and green 5.5, to 6), on random values, and
+    outside [0, 1], which clips."""
+    rng = np.random.default_rng(4)
+    values = np.concatenate([np.arange(9) / 8, rng.uniform(0, 1, 2000), [-0.5, -0.0, 1.5]])
+    assert reference_heat_color(0.125) == "#460698"
+    assert svgplot._heat_colors(values).tolist() == [reference_heat_color(v) for v in values]
+
+
 def reference_heatmap(matrix, x_offset, y_offset, block=(1, 1)):
     """`svgplot.heatmap` drawn cell by cell, one colour per cell, or with
     `block` = (rows, columns) block by block, the last ones cut short, each
@@ -224,7 +251,7 @@ def reference_heatmap(matrix, x_offset, y_offset, block=(1, 1)):
                          f'y="{svgplot._MT + i * ch:.2f}" '
                          f'width="{cells.shape[1] * cw + 0.5:.2f}" '
                          f'height="{cells.shape[0] * ch + 0.5:.2f}" '
-                         f'fill="{svgplot._heat_color(cells.max() / peak)}"/>')
+                         f'fill="{reference_heat_color(cells.max() / peak)}"/>')
     return svgplot._document(parts)
 
 
@@ -253,7 +280,7 @@ def test_a_heatmap_larger_than_the_plot_area_is_binned_by_block_maximum():
     big[1234, 567] = 7.0
     doc = svgplot.heatmap(big)
     assert doc.count("<rect") - 2 <= 624 * 384  # less the background and the frame
-    hot_color = svgplot._heat_color(1.0)
+    hot_color = reference_heat_color(1.0)
     hot = [line for line in doc.splitlines() if hot_color in line]
     assert len(hot) == 1
     x, y, w, h = (float(v) for v in re.findall(r'"([0-9.]+)"', hot[0]))
@@ -796,3 +823,41 @@ def test_cli_seed_flag_overrides_config_seed(tmp_path):
     runs = lambda d: (d / "disorder_runs.csv").read_bytes()
     assert runs(a) != runs(b)
     assert runs(a) == runs(c)
+
+
+def test_repeated_in_process_calls_share_one_parser_and_keep_no_state(tmp_path, capsys):
+    """The parser is built on the first call and kept for the process.  Usage
+    errors exit 2 every time, with argparse's message, and a call's flags do
+    not outlive it: each call parses as a newly built parser does, and a
+    second round of calls writes the bytes of the first."""
+    from qwtopo import cli
+    cfg_path = write_config(tmp_path, disorder_config(t=9, n_configs=4, p_grid=[0.5]))
+    usage = [([], "the following arguments are required: command"),
+             (["run"], "the following arguments are required: --config"),
+             (["run", "--config", cfg_path, "--format", "xml"], "invalid choice: 'xml'"),
+             (["bogus"], "invalid choice: 'bogus'")]
+    flags = (["--seed", "2", "--format", "json"], [])
+    written = []
+    for _ in range(2):
+        for argv, message in usage:
+            with pytest.raises(SystemExit) as exc:
+                entrypoint(argv)
+            assert exc.value.code == 2 and message in capsys.readouterr().err
+        for extra in flags:
+            out = tmp_path / f"run{len(written)}"
+            argv = ["run", "--config", cfg_path, "--out", str(out), *extra]
+            assert vars(cli._parser().parse_args(argv)) == \
+                vars(cli.build_parser().parse_args(argv))
+            assert entrypoint(argv) == 0
+            written.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))
+                            if name != "manifest.json"})
+        assert entrypoint(["verify", "--config", cfg_path]) == 0
+    assert cli._parser() is cli._parser()
+    probe = "import qwtopo.cli; print(qwtopo.cli._PARSER is None)"  # not built at import
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src}
+                          ).stdout == "True\n"
+    assert written[:2] == written[2:]
+    assert "disorder_runs.json" in written[0] and "disorder_runs.csv" in written[1]
+    assert written[0]["disorder_runs.json"] != written[1]["disorder_runs.csv"]

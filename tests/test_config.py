@@ -36,6 +36,9 @@ from qwtopo.dataio import config_hash
 from qwtopo.disorder import DisorderSpec, config_uniforms
 from qwtopo.budget import record_site_steps, reflection_site_steps, reflection_window
 from qwtopo.scattering import ScatteringSystem
+from qwtopo.walk import coins
+
+from references import written_rows
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -108,16 +111,16 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     rows, widths, site_steps, widest, walkers = [], [], [], {}, {}
 
     def counting(real_steps):
-        def counted(th1, th2, site, coin, steps, read=None):
-            widths.append(th2.shape[0])
-            rows.append(th2.shape[1])
-            widest[steps] = max(widest.get(steps, 0), th2.shape[1])
-            walkers[steps] = walkers.get(steps, 0) + th2.shape[1]
-            for ra, h, rb, v in real_steps(th1, th2, site, coin, steps, read):
+        def counted(coin1, coin2, offset, sites, site, coin, steps, read=None, history=None):
+            batch = coin2[0].shape[0]
+            widths.append(sites)
+            rows.append(batch)
+            widest[steps] = max(widest.get(steps, 0), batch)
+            walkers[steps] = walkers.get(steps, 0) + batch
+            for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read):
                 # the sites this step updated, those of its H or V rows
-                updated = set(range(ra.stop)[ra]) | set(range(rb.stop)[rb])
-                site_steps.append(len(updated) * th2.shape[1])
-                yield ra, h, rb, v
+                site_steps.append(len(set(ra.tolist()) | set(rb.tolist())) * batch)
+            return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history)
         return counted
 
     for module in (qwtopo.walk, qwtopo.scattering):
@@ -356,7 +359,7 @@ def test_an_emulation_of_two_steps_runs(tmp_path):
 def test_the_longest_emulation_under_the_held_cap_is_valid():
     """mc-errorbars emulates its data with one whole walk and writes no table,
     so only the held cap bounds its t."""
-    t = 5780
+    t = 5781
     cfg = {"experiment": "mc-errorbars",
            "mc_errorbars": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t, "n_sets": 1}}
     cfgmod.validate(cfg)
@@ -504,7 +507,7 @@ def test_the_closed_form_q0_sign_matches_the_engine():
     grid = np.concatenate([np.linspace(0.05, 0.95, 19), np.linspace(1.05, 1.95, 19)])
     grid = np.concatenate([grid, grid[::5] + 2.0, grid[::5] - 2.0])
     angles = np.repeat(grid[:, None] * math.pi, 103, axis=1)
-    half_r0 = qwtopo.scattering.sample_rows(None, angles, 101).sum(axis=1) / 2
+    half_r0 = qwtopo.scattering.sample_rows(None, coins(angles), 101).sum(axis=1) / 2
     assert np.all(np.abs(half_r0) > 0.1)
     assert [cfgmod.q0_sign(float(theta)) for theta in grid] == np.sign(half_r0).tolist()
 
@@ -526,7 +529,8 @@ def test_verify_refuses_exactly_the_measurements_through_a_silent_lead(t, sbc_er
     systems = [ScatteringSystem.for_steps(a * math.pi, b * math.pi, t) for a, b in pairs]
     theta1, theta2 = (np.concatenate([apparatus.perturbed_angles(getattr(s, name), params)
                                       for s in systems]) for name in ("theta1", "theta2"))
-    silent = np.abs(qwtopo.scattering.sample_rows(theta1, theta2, t).sum(axis=1)) < 1e-6
+    rho = qwtopo.scattering.sample_rows(coins(theta1), coins(theta2), t)
+    silent = np.abs(rho.sum(axis=1)) < 1e-6
     assert silent.any() and not silent.all()
     kinds = [("emulate", "emulate", "model")]
     if t >= 7:

@@ -16,6 +16,7 @@ from qwtopo.disorder import (DisorderSpec, NoCrossing, config_uniforms, disorder
                              ensemble_r0, sample_pattern, transition_locator)
 from qwtopo.scattering import (ScatteringSystem, invariants,
                                reflection_amplitudes, reflection_matrix_element)
+from qwtopo.walk import coins
 
 from oracles import _binary_pattern, dense_reflection, exact_disorder_stats, pattern_half_r0
 
@@ -271,12 +272,12 @@ def test_a_study_equals_per_member_stepping_in_any_order_and_split(kind, capacit
     a, b = np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)
 
     def alone(row):
-        return float(disorder._ensemble_batch(np.where(row, b, a)[None], 11)[0])
+        return float(disorder._ensemble_batch(coins(np.where(row, b, a)[None]), 11)[0])
 
     for order in (np.arange(len(masks)), rng.permutation(len(masks))):
         members = masks[order]
         study = disorder.PatternStudy(CASE2["theta_a"], CASE2["theta_b"],
-                                      lambda angles: disorder._ensemble_batch(angles, 11),
+                                      lambda coin2: disorder._ensemble_batch(coin2, 11),
                                       per_walker)
         half = len(members) // 2
         got = study.values([members[:3], members[3:half]])
@@ -287,13 +288,14 @@ def test_a_study_equals_per_member_stepping_in_any_order_and_split(kind, capacit
 
 
 def spy_real_steps(monkeypatch, module) -> list:
-    """The (n, B) second coin angles of every `real_steps` call of `module`."""
+    """The (B, sites) second coins, cosines and sines, of every `real_steps`
+    call of `module`."""
     calls = []
     real_steps = module.real_steps
 
-    def spying(th1, th2, *args):
-        calls.append(th2.copy())
-        return real_steps(th1, th2, *args)
+    def spying(coin1, coin2, *args, **kwargs):
+        calls.append(tuple(x.copy() for x in coin2))
+        return real_steps(coin1, coin2, *args, **kwargs)
 
     monkeypatch.setattr(module, "real_steps", spying)
     return calls
@@ -321,9 +323,10 @@ def test_each_distinct_pattern_of_a_study_is_stepped_exactly_once(monkeypatch, s
         transition_locator(spec, t=101, n_configs=40, resolution=0.05)
     else:
         disorder_curve(spec, 11)
-    stepped = [column[2:].tobytes() for th2 in calls for column in th2.T]  # x >= 0
-    a, b = np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)
-    patterns = {np.where(row, b, a).tobytes() for row in masks}
+    stepped = [(c.tobytes(), s.tobytes()) for coin2 in calls for c, s in zip(*coin2)]  # x >= 0
+    (ca, cb), (sa, sb) = coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi))
+    patterns = {(np.where(row, cb, ca).tobytes(), np.where(row, sb, sa).tobytes())
+                for row in masks}
     assert len(stepped) == len(set(stepped)) == len(patterns)
     assert set(stepped) == patterns
     assert len(masks) > len(patterns)  # members share patterns
@@ -333,11 +336,12 @@ def test_the_transition_endpoints_run_as_one_batch_of_two_walkers(monkeypatch):
     calls = spy_real_steps(monkeypatch, scattering)
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 40)
     transition_locator(spec, t=101, n_configs=40, resolution=0.05)
-    first = calls[0][2:]
+    first = np.array(calls[0])  # cosines, sines
+    table = np.array(coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)))
     assert first.shape[1] == 2
-    assert np.all(first[:, 0] == CASE2["theta_a"] % (2 * np.pi))
-    assert np.all(first[:, 1] == CASE2["theta_b"] % (2 * np.pi))
-    assert all(th2.shape[1] <= 40 for th2 in calls[1:])
+    assert np.all(first[:, 0] == table[:, :1])
+    assert np.all(first[:, 1] == table[:, 1:])
+    assert all(c.shape[0] <= 40 for c, _ in calls[1:])
 
 
 @pytest.mark.parametrize("name", ["disorder_crossing.json", "disorder_same_phase.json"])

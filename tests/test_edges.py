@@ -8,7 +8,7 @@ import qwtopo.edges
 from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, InterfaceSystem,
                           LocalizationRecord, _ploc_batch, localization_vs_disorder,
                           run_interface)
-from qwtopo.walk import V
+from qwtopo.walk import V, coins
 
 from oracles import dense_interface_p_loc, _binary_pattern
 from references import mixed_windows, p_loc_at, walker_windows
@@ -159,11 +159,11 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
     whichever way the configurations are split into batches."""
     system = interface(0.5, 30)
     right = pattern_angles(system.right, system.uniforms(range(30)))
-    got = _ploc_batch(right, TH_L, 13)
+    got = _ploc_batch(coins(right), TH_L, 13)
     want = [p_loc_at(run_interface(system, 13, k), 13) for k in range(30)]
     assert reprs(got) == reprs(want)
     for cuts in ([1], [11, 12], [29], list(range(1, 30))):
-        parts = [_ploc_batch(block, TH_L, 13) for block in np.split(right, cuts)]
+        parts = [_ploc_batch(coins(block), TH_L, 13) for block in np.split(right, cuts)]
         assert reprs(np.concatenate(parts)) == reprs(want)
 
 
@@ -176,7 +176,7 @@ def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
         monkeypatch.setattr(qwtopo.edges, "record", lambda *args: run)
         want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min, t, k), t)
                 for k, (x_min, a, b) in enumerate(walker_windows(run))]
-        assert reprs(_ploc_batch(np.zeros((len(want), 1)), TH_L, t)) == reprs(want)
+        assert reprs(_ploc_batch(coins(np.zeros((len(want), 1))), TH_L, t)) == reprs(want)
 
 
 
@@ -187,17 +187,17 @@ def test_the_localization_study_steps_each_distinct_pattern_once(monkeypatch):
     stepped = []
     real_steps = qwtopo.walk.real_steps
 
-    def spying(th1, th2, *args):
-        stepped.extend(column[-x_min:-x_min + t + 2].tobytes() for column in th2.T)
-        return real_steps(th1, th2, *args)
+    def spying(coin1, coin2, *args, **kwargs):
+        stepped.extend((c[t + 2:].tobytes(), s[t + 2:].tobytes()) for c, s in zip(*coin2))
+        return real_steps(coin1, coin2, *args, **kwargs)
 
-    t, x_min = 13, LAUNCH_SITE - (13 + 16)  # the window `record` steps
+    t = 13  # the coins start at x = -(t + 2), the right bulk at x = 0
     monkeypatch.setattr(qwtopo.walk, "real_steps", spying)
     points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=t, n_configs=50)
     assert [pt.n_configs for pt in points] == [1] + [50] * 9 + [1]
     uniforms = interface(0.0).uniforms(range(50))
-    a, b = np.array([TH_A, TH_B]) % (2 * np.pi)
-    patterns = {np.where(row, b, a).tobytes() for pt in points
-                for row in uniforms[:pt.n_configs] < pt.p}
+    (ca, cb), (sa, sb) = coins(np.array([TH_A, TH_B]) % (2 * np.pi))
+    patterns = {(np.where(row, cb, ca).tobytes(), np.where(row, sb, sa).tobytes())
+                for pt in points for row in uniforms[:pt.n_configs] < pt.p}
     assert len(stepped) == len(set(stepped)) == len(patterns) < 452
     assert set(stepped) == patterns

@@ -1,12 +1,15 @@
-"""A seeded fuzz of `verify` then `run` for the measurement experiments.
+"""A seeded fuzz of `verify` then `run` for every experiment.
 
 `verify` accepting a config must mean that `run` completes it: each drawn
-`emulate` or `mc-errorbars` config is verified and, where `verify` exits 0,
-run in-process through `cli.entrypoint`, and every JSON file the run
-writes must parse as strict JSON (no NaN or Infinity tokens).  The draws
-reach the classes that once passed `verify` and stopped `run` with exit 3:
-shots too few to read every sign, angles within rounding of a silent lead,
-and shot budgets past numpy's largest Poisson mean.
+config is verified and, where `verify` exits 0, run in-process through
+`cli.entrypoint`, and every JSON file the run writes must parse as strict
+JSON (no NaN or Infinity tokens).  For `emulate` and `mc-errorbars` the
+draws reach the classes that once passed `verify` and stopped `run` with
+exit 3: shots too few to read every sign, angles within rounding of a
+silent lead, and shot budgets past numpy's largest Poisson mean.  The
+`scan`, `phase-diagram`, `disorder` (transitions included) and `edge`
+draws run with `--format json`, so their tables are JSON too, and they
+reach cells with no sign to read, which a table writes as null.
 """
 
 import contextlib
@@ -96,3 +99,83 @@ def test_verify_accepting_a_measurement_config_means_run_completes_it(tmp_path):
                 unsigned += name in ("emulate.json", "mc.json") and doc["q0"] is None
     # the draws reach refusals and runs with no readable sign alike
     assert refused >= 10 and unsigned >= 10, (refused, unsigned)
+
+
+TABLE_CONFIGS = 160
+
+
+def _p_grid(rng) -> list:
+    return sorted(float(rng.choice([0.0, 1.0])) if rng.random() < 0.3 else
+                  float(rng.uniform(0, 1)) for _ in range(int(rng.integers(1, 5))))
+
+
+def _draw_table_kind(rng, kind: str) -> dict:
+    """A `scan`, `phase-diagram`, `disorder` or `edge` config, small enough
+    to run in milliseconds, a disorder transition in a fraction of a second."""
+    t = int(rng.integers(1, 41))
+    if kind == "scan":
+        line = str(rng.choice(["theta1=2*theta2", "theta2=2*theta1", "free"]))
+        block = {"parametrization": line, "t": t}
+        if line == "free":
+            block["pairs_pi"] = [[_angle(rng), _angle(rng)]
+                                 for _ in range(int(rng.integers(1, 9)))]
+        else:
+            block.update(start_pi=_angle(rng), stop_pi=_angle(rng),
+                         count=int(rng.integers(2, 30)))
+    elif kind == "phase-diagram":
+        block = {"resolution": int(rng.integers(8, 25)), "t": t}
+        if rng.random() < 0.5:
+            block["tolerance"] = float(rng.uniform(0.0, 0.5)) or 0.5
+    elif kind == "disorder":
+        block = {"theta_a_pi": _angle(rng), "theta_b_pi": _angle(rng), "t": t,
+                 "n_configs": int(rng.integers(1, 30)), "p_grid": _p_grid(rng)}
+        if rng.random() < 0.4:
+            block["transition"] = {"t": int(rng.integers(101, 122)),
+                                   "n_configs": int(rng.integers(1, 25)),
+                                   "resolution": float(rng.uniform(0.05, 0.5))}
+    else:
+        block = {"theta_left_pi": _angle(rng), "theta_a_pi": _angle(rng),
+                 "theta_b_pi": _angle(rng), "t": int(rng.integers(1, 21)),
+                 "n_configs": int(rng.integers(1, 20)), "p_grid": _p_grid(rng)}
+    return {"experiment": kind, "seed": int(rng.integers(0, 2**31)),
+            config.BLOCK_KEY[kind]: block}
+
+
+def _nulls(doc) -> int:
+    if isinstance(doc, list):
+        return sum(map(_nulls, doc))
+    if isinstance(doc, dict):
+        return sum(map(_nulls, doc.values()))
+    return doc is None
+
+
+def test_verify_accepting_a_table_config_means_run_writes_strict_json(tmp_path):
+    rng = np.random.default_rng(11)
+    path = str(tmp_path / "cfg.json")
+    kinds = ("scan", "phase-diagram", "disorder", "edge")
+    ran, nulls = dict.fromkeys(kinds, 0), 0
+    transitions = 0
+    for case in range(TABLE_CONFIGS):
+        kind = kinds[case % len(kinds)]
+        cfg = _draw_table_kind(rng, kind)
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = str(tmp_path / f"run{case}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            verified = entrypoint(["verify", "--config", path])
+            code = entrypoint(["run", "--config", path, "--out", out, "--format", "json"]) \
+                if verified == 0 else None
+        assert verified in (0, 2), (cfg, err.getvalue())
+        if verified:
+            continue
+        assert code == 0, (cfg, err.getvalue())
+        ran[kind] += 1
+        transitions += "transition.json" in os.listdir(out)
+        tables = [name for name in sorted(os.listdir(out)) if name.endswith(".json")]
+        assert len(tables) > 1 and not any(name.endswith(".csv") for name in os.listdir(out))
+        for name in tables:
+            with open(os.path.join(out, name)) as fh:
+                nulls += _nulls(json.loads(fh.read(), parse_constant=_strict))
+    # every kind runs, a transition among them, and some cell has no sign to read
+    assert min(ran.values()) >= 20 and transitions >= 3 and nulls >= 1, (ran, transitions, nulls)

@@ -11,6 +11,7 @@ import pytest
 
 import qwtopo.budget
 from qwtopo.budget import batches, held, reflection_window
+from qwtopo.walk import coins
 from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE, ReflectionSeries,
                                ScatteringSystem, invariants, phase_diagram,
                                phase_labels, reflection_amplitudes,
@@ -138,8 +139,8 @@ def test_skip_identity_fast_path_is_exact():
     lattice, which applies coin 1 to both rows.  The bits must not change."""
     theta1 = np.array([np.zeros(10), np.full(10, 0.7)])
     theta2 = np.array([np.linspace(0.2, 5.9, 10)] * 2)
-    alone = sample_rows(theta1[:1], theta2[:1], 14)[0]
-    batched = sample_rows(theta1, theta2, 14)
+    alone = sample_rows(coins(theta1[:1]), coins(theta2[:1]), 14)[0]
+    batched = sample_rows(coins(theta1), coins(theta2), 14)
     assert np.max(np.abs(alone)) > 0.1
     assert np.array_equal(alone, batched[0])
     assert not np.array_equal(batched[0], batched[1])

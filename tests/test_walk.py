@@ -1,5 +1,8 @@
 """Unit and property tests for the state-vector walk engine."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -10,13 +13,14 @@ from qwtopo.budget import batch_walkers, batches, record_site_steps, reflection_
 from qwtopo.scattering import sample_rows
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
-                         apply_shift_symmetric, double_step_equivalent, evolve, record,
-                         split_step)
+                         apply_shift_symmetric, coins, double_step_equivalent, evolve,
+                         record, split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
-from references import walker_windows
+from references import walker_windows, written_rows
 
 RT2 = np.sqrt(0.5)
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def coin_matrix(theta: float) -> np.ndarray:
@@ -289,7 +293,7 @@ def test_record_matches_evolve_bit_for_bit():
             random_field(rng, start, sites)) for k in range(3)]
         th1 = np.array([p.field1.window_angles(start, sites) for p in protocols])
         th2 = np.array([p.field2.window_angles(start, sites) for p in protocols])
-        runs = walker_windows(record(start, th1, th2, x0, coin, t))
+        runs = walker_windows(record(start, coins(th1), coins(th2), x0, coin, t))
         for proto, (x_min, a, b) in zip(protocols, runs):
             traj = evolve(WalkerState.localized(x0, coin), proto, t)
             final = traj[-1]
@@ -310,10 +314,11 @@ def test_no_coin1_angles_step_as_the_identity_coin1():
     the bits that all-zero angles give."""
     theta2 = np.random.default_rng(12).uniform(0, 2 * np.pi, (9, 15))
     zeros = np.zeros_like(theta2)
-    assert np.array_equal(sample_rows(None, theta2, 13), sample_rows(zeros, theta2, 13))
+    assert np.array_equal(sample_rows(None, coins(theta2), 13),
+                          sample_rows(coins(zeros), coins(theta2), 13))
     for coin in (H, V):
-        x_min, h, v, lo, hi = record(-4, None, theta2, -1, coin, 13)
-        want = record(-4, zeros, theta2, -1, coin, 13)
+        x_min, h, v, lo, hi = record(-4, None, coins(theta2), -1, coin, 13)
+        want = record(-4, coins(zeros), coins(theta2), -1, coin, 13)
         assert x_min == want[0]
         for got, expected in zip((h, v, lo, hi), want[1:]):
             assert np.array_equal(got, expected)
@@ -327,9 +332,9 @@ def test_reflection_row_does_not_depend_on_its_batch():
     theta = np.zeros((2, len(fields), max(th1.size for th1, _ in fields)))
     for k, (th1, th2) in enumerate(fields):
         theta[:, k, :th1.size] = th1, th2
-    batched = sample_rows(theta[0], theta[1], t)
+    batched = sample_rows(coins(theta[0]), coins(theta[1]), t)
     for (th1, th2), row in zip(fields, batched, strict=True):
-        assert np.array_equal(sample_rows(th1[None], th2[None], t)[0], row)
+        assert np.array_equal(sample_rows(coins(th1[None]), coins(th2[None]), t)[0], row)
 
 
 # --- the light-cone engine against a full-window one -----------------------------
@@ -371,6 +376,19 @@ CONE_STEPS = (0, 1, 2, 3, 4, 5, 30, 201)
 CONE_WALKERS = (1, 7, 64, 65)
 
 
+def full_window_rows(theta1, theta2, t):
+    """The reference engine's read-out V at x = -2 after each of t steps of
+    the probe |-1, H> on samples whose (walkers, m) angles start at x = 0."""
+    n = t // 2 + 3
+    th1, th2 = on_window(0, theta1, -2, n), on_window(0, theta2, -2, n)
+    a = np.zeros((theta2.shape[0], n))
+    a[:, 1] = 1.0
+    expected = np.zeros((theta2.shape[0], t))
+    for j, (_, b) in enumerate(full_window_steps(th1, th2, a, np.zeros_like(a), t)):
+        expected[:, j] = b[:, 0]
+    return expected
+
+
 @pytest.mark.parametrize("t", CONE_STEPS)
 def test_sample_rows_equal_full_window_rows(t):
     """Bit for bit, with coin 1 the identity (the window's own lattice) or random, samples
@@ -378,20 +396,83 @@ def test_sample_rows_equal_full_window_rows(t):
     exact zero in rho, which reaches no output: array_equal counts -0.0 and
     0.0 as equal."""
     rng = np.random.default_rng(t)
-    n = t // 2 + 3
     for walkers in CONE_WALKERS:
         for identity in (True, False):
             m = int(rng.integers(1, t + 4))
             theta1 = random_angles(rng, walkers, m, identity)
             theta2 = random_angles(rng, walkers, m, False)
-            th1, th2 = on_window(0, theta1, -2, n), on_window(0, theta2, -2, n)
-            a = np.zeros((walkers, n))
-            a[:, 1] = 1.0
-            expected = np.zeros((walkers, t))
-            steps = full_window_steps(th1, th2, a, np.zeros_like(a), t)
-            for j, (_, b) in enumerate(steps):
-                expected[:, j] = b[:, 0]
-            assert np.array_equal(sample_rows(theta1, theta2, t), expected)
+            assert np.array_equal(sample_rows(coins(theta1), coins(theta2), t),
+                                  full_window_rows(theta1, theta2, t))
+
+
+@pytest.mark.parametrize("t", (30, 31, 200, 201))
+@pytest.mark.parametrize("walkers", (1, 64))
+def test_sample_rows_of_coin_tables_equal_full_window_rows(walkers, t):
+    """The studies take the cosine and sine of each distinct angle once and
+    gather them: a scan broadcasts each (theta1, theta2) pair's coins over
+    its sample, on the doubled lattice, and a disorder pattern gathers
+    those of theta_a and theta_b through its mask, on the window's rows.
+    Their rho rows equal, bit for bit, those of the reference engine, which
+    takes the cosine and sine of whole (walkers, sites) angle planes."""
+    rng = np.random.default_rng(walkers + t)
+    m = t + 2
+    pairs = rng.uniform(0, 2 * np.pi, (walkers, 2))
+    c, s = coins(pairs)
+    coin1, coin2 = ((np.broadcast_to(c[:, k, None], (walkers, m)),
+                     np.broadcast_to(s[:, k, None], (walkers, m))) for k in (0, 1))
+    assert np.array_equal(sample_rows(coin1, coin2, t), full_window_rows(
+        np.repeat(pairs[:, :1], m, axis=1), np.repeat(pairs[:, 1:], m, axis=1), t))
+    a, b = np.array([0.63, 1.26]) * np.pi
+    masks = rng.random((walkers, t // 2 + 1)) < 0.6
+    (ca, cb), (sa, sb) = coins(np.array([a, b]))
+    rho = sample_rows(None, (np.where(masks, cb, ca), np.where(masks, sb, sa)), t)
+    assert np.array_equal(rho, full_window_rows(np.zeros(masks.shape),
+                                                np.where(masks, b, a), t))
+    assert rho.flags.c_contiguous and rho.shape == (walkers, t)
+
+
+def shipped_angles() -> np.ndarray:
+    """Every angle the shipped configs give in units of pi, times pi, reduced
+    mod 2 pi, with the cell centres of the 64 x 64 phase diagram."""
+    found = []
+
+    def walk_config(node, key=""):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk_config(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk_config(v, key)
+        elif key.endswith("_pi") and isinstance(node, (int, float)):
+            found.append(float(node))
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            walk_config(json.load(fh))
+    assert len(found) > 10
+    centres = (np.arange(64) + 0.5) * 2 * np.pi / 64
+    return np.concatenate([np.array(found) * np.pi % (2 * np.pi), centres])
+
+
+def test_a_coin_is_the_same_alone_and_inside_a_plane():
+    """The coin tables rest on this: np.cos and np.sin of an angle alone, as
+    a scalar or a one-element array, give the bits of its element in an
+    array of any shape, as whole (rows, B) planes held it, the sine taken in
+    place, for random angles, the shipped ones and the special ones."""
+    rng = np.random.default_rng(21)
+    angles = np.concatenate([rng.uniform(0, 2 * np.pi, 3000), shipped_angles(),
+                             np.arange(16) * np.pi / 8 % (2 * np.pi), [5e-324, 1e-300]])
+    alone = np.array([[f(x) for x in angles] for f in (np.cos, np.sin)])
+    assert np.array_equal(alone, [[f(np.array([x]))[0] for x in angles]
+                                  for f in (np.cos, np.sin)])
+    bits = lambda x: np.ascontiguousarray(x).view(np.int64)
+    for shape in ((2,), (819, 2), (103, 200), (18, 819), (7, 1), (1, 3)):
+        pick = rng.integers(0, angles.size, shape)
+        plane = angles[pick]
+        cos = np.empty(shape)
+        np.cos(plane, out=cos)
+        np.sin(plane, out=plane)
+        assert np.array_equal(bits(cos), bits(alone[0][pick]))
+        assert np.array_equal(bits(plane), bits(alone[1][pick]))
 
 
 def test_sample_rows_write_positive_zeros_where_the_read_out_is_empty():
@@ -399,7 +480,7 @@ def test_sample_rows_write_positive_zeros_where_the_read_out_is_empty():
     only at even steps: rho_1, rho_3, ... are +0.0 and the even steps carry
     the series."""
     theta2 = np.random.default_rng(3).uniform(0, 2 * np.pi, (7, 40))
-    rho = sample_rows(np.zeros_like(theta2), theta2, 37)
+    rho = sample_rows(coins(np.zeros_like(theta2)), coins(theta2), 37)
     assert not rho[:, ::2].any() and not np.signbit(rho[:, ::2]).any()
     assert np.all(rho[:, 1::2] != 0)
 
@@ -421,7 +502,7 @@ def test_record_equals_full_window_history(t):
             m = int(rng.integers(1, 2 * t + 6))
             theta1 = random_angles(rng, walkers, m, identity)
             theta2 = random_angles(rng, walkers, m, False)
-            runs = walker_windows(record(start, theta1, theta2, x0, coin, t))
+            runs = walker_windows(record(start, coins(theta1), coins(theta2), x0, coin, t))
             n = 2 * reach + 1
             th1 = on_window(start, theta1, x0 - reach, n)
             th2 = on_window(start, theta2, x0 - reach, n)
@@ -446,14 +527,16 @@ def test_record_equals_full_window_history(t):
 @pytest.mark.parametrize("read", (None, 0, 3))
 def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coin, site,
                                                                     read):
-    """Every yielded H and V row equals the full-window reference bit for
-    bit, V on row `read` equals it at every step, and every other row of
-    the step's `cone` is zero there: launches at an even and an odd row,
-    from both coins, with coin 1 the identity or random.  The window's
-    right edge cuts the cone from step 4 or 5 on, and with `read` the cone
-    is cut to the rows that can still reach it.  With a random coin 1 the
-    engine runs on the doubled lattice, whose read cut also leaves out H on
-    the cone's first row: it cannot reach V on the read row in time."""
+    """Every H and V row a step writes into the history equals the
+    full-window reference bit for bit, the read-out equals V on row `read`
+    at every step, and every other row of the step's `cone` is zero there:
+    launches at an even and an odd row, from both coins, with coin 1 the
+    identity or random.  The window's right edge cuts the cone from step 4
+    or 5 on, and with `read` the cone is cut to the rows that can still
+    reach it.  With a random coin 1 the engine runs on the doubled lattice,
+    whose read cut also leaves out H on the cone's first row: it cannot
+    reach V on the read row in time.  The coins start on the window's first
+    row, or two rows before it."""
     rng = np.random.default_rng(10 * site + coin)
     n, t, walkers = site + 5, 12, 6
     theta1 = random_angles(rng, walkers, n, identity)
@@ -461,24 +544,33 @@ def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coi
     a, b = np.zeros((2, walkers, n))
     (a, b)[coin][:, site] = 1.0
     first, last, _ = qwtopo.budget.cone(site, site, n, t, read)
-    steps = qwtopo.walk.real_steps(theta1.T.copy(), theta2.T.copy(), site, coin, t, read)
-    full = full_window_steps(theta1, theta2, a, b, t)
-    for j, (lo, hi, (ra, h, rb, v), (a, b)) in enumerate(zip(first, last, steps, full), 1):
-        assert np.array_equal(h.T, a[:, ra]) and np.array_equal(v.T, b[:, rb])
-        assert cone_sites(ra, rb) == hi - lo + 1
-        if read is not None:
-            rows = range(rb.stop)[rb]
-            assert np.array_equal(v[rows.index(read)] if read in rows else np.zeros(walkers),
-                                  b[:, read])
-        for rows, amps in ((ra, a), (rb, b)):
-            others = set(range(lo, hi + 1)) - set(range(rows.stop)[rows])
-            if not identity and read is not None and rows is ra:
-                others.discard(read - (t - j))
-            assert not amps[:, sorted(others)].any()
-        if identity:  # one amplitude per site: H and V on rows of opposite parity
-            assert ra.step == rb.step == 2 and (ra.start - rb.start) % 2 == 1
-        else:  # the doubled lattice's rows, halved
-            assert ra.step == rb.step == 1
+    full = list(full_window_steps(theta1, theta2, a, b, t))
+    # coins also of rows -2 and -1, outside the window, which no step reads
+    padded = [np.concatenate([rng.uniform(0, 2 * np.pi, (walkers, 2)), th], axis=1)
+              for th in (theta1, theta2)]
+    for offset, th1, th2 in ((0, theta1, theta2), (-2, *padded)):
+        h, v = np.full((2, t + 1, n, walkers), np.nan)
+        rho = qwtopo.walk.real_steps(coins(th1), coins(th2), offset, n, site, coin, t, read,
+                                     (h, v))
+        assert np.isnan(h[0]).all() and np.isnan(v[0]).all()
+        for j, (lo, hi, (a, b)) in enumerate(zip(first, last, full), 1):
+            ra, rb = (np.flatnonzero(~np.isnan(x[j, :, 0])) for x in (h, v))
+            assert np.array_equal(np.isnan(h[j]), np.isnan(h[j, :, :1]).repeat(walkers, 1))
+            assert np.array_equal(np.isnan(v[j]), np.isnan(v[j, :, :1]).repeat(walkers, 1))
+            assert np.array_equal(h[j, ra].T, a[:, ra]) and np.array_equal(v[j, rb].T, b[:, rb])
+            assert len(set(ra) | set(rb)) == hi - lo + 1
+            if read is not None:
+                assert np.array_equal(rho[:, j - 1], b[:, read])
+            for rows, amps in ((ra, a), (rb, b)):
+                others = set(range(lo, hi + 1)) - set(rows.tolist())
+                if not identity and read is not None and rows is ra:
+                    others.discard(read - (t - j))
+                assert not amps[:, sorted(others)].any()
+            # identity: one amplitude per site, H and V on rows of opposite parity;
+            # else the doubled lattice's rows, halved
+            step = 2 if identity else 1
+            assert all(np.all(np.diff(rows) == step) for rows in (ra, rb))
+            assert not identity or not ra.size or not rb.size or (ra[0] - rb[0]) % 2 == 1
 
 
 def test_cone_of_an_unreachable_read_is_empty():
@@ -487,9 +579,12 @@ def test_cone_of_an_unreachable_read_is_empty():
     engine path."""
     first, last, total = qwtopo.budget.cone(1, 1, 7, 2, 5)
     assert first == [4, 5] and last == [3, 4] and total == 0
-    for theta1 in (np.zeros((7, 3)), np.full((7, 3), 0.4)):
-        for ra, h, rb, v in qwtopo.walk.real_steps(theta1, np.full((7, 3), 1.1), 1, H, 2, 5):
-            assert cone_sites(ra, rb) == 0 and h.size == v.size == 0
+    for theta1 in (np.zeros((3, 7)), np.full((3, 7), 0.4)):
+        h, v = np.full((2, 3, 7, 3), np.nan)
+        rho = qwtopo.walk.real_steps(coins(theta1), coins(np.full((3, 7), 1.1)), 0, 7, 1, H, 2,
+                                     5, (h, v))
+        assert np.isnan(h[1:]).all() and np.isnan(v[1:]).all()
+        assert rho.shape == (3, 2) and not rho.any()
 
 
 def reference_cone(lo, hi, sites, steps, read=None):
@@ -557,16 +652,14 @@ def test_identity_coin1_keeps_the_walk_on_one_sublattice(x0, coin):
         assert not filled[0] and all(filled[1:])
 
 
-def cone_sites(ra, rb) -> int:
-    """Window rows a `real_steps` step updated: those of its H or V rows."""
-    return len(set(range(ra.stop)[ra]) | set(range(rb.stop)[rb]))
-
-
 def _counting(real_steps, counted):
-    def counted_steps(th1, th2, site, coin, steps, read=None):
-        for ra, h, rb, v in real_steps(th1, th2, site, coin, steps, read):
-            counted.append(cone_sites(ra, rb) * th2.shape[1])  # times walkers
-            yield ra, h, rb, v
+    """real_steps, appending the window rows each step updates, those of its
+    H or V rows, times the walkers."""
+    def counted_steps(coin1, coin2, offset, sites, site, coin, steps, read=None,
+                      history=None):
+        for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read):
+            counted.append(len(set(ra.tolist()) | set(rb.tolist())) * coin2[0].shape[0])
+        return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history)
     return counted_steps
 
 
@@ -579,13 +672,14 @@ def test_reflection_runs_step_only_their_light_cone(monkeypatch, walkers):
     monkeypatch.setattr(qwtopo.scattering, "real_steps",
                         _counting(qwtopo.scattering.real_steps, counted))
     rng = np.random.default_rng(11)
-    sample_rows(np.zeros((walkers, 203)), rng.uniform(0, 2 * np.pi, (walkers, 203)), 201)
+    sample_rows(coins(np.zeros((walkers, 203))),
+                coins(rng.uniform(0, 2 * np.pi, (walkers, 203))), 201)
     assert len(counted) == 201
     assert sum(counted) == walkers * 10401 == walkers * reflection_site_steps(201)
 
     counted.clear()
     monkeypatch.setattr(qwtopo.walk, "real_steps", _counting(qwtopo.walk.real_steps, counted))
-    theta = rng.uniform(0, 2 * np.pi, (walkers, 13))
+    theta = coins(rng.uniform(0, 2 * np.pi, (walkers, 13)))
     record(0, theta, theta, -1, H, 11)
     assert sum(counted) == walkers * 11 * 13 == walkers * record_site_steps(11)
 
