@@ -13,11 +13,10 @@ _EXPORTS = {
              "double_step_equivalent", "evolve", "split_step"),
     "scattering": ("InvariantPair", "PhaseDiagram", "ReflectionSeries", "ScanResult",
                    "ScatteringSystem", "invariants", "phase_diagram", "reflection_amplitudes",
-                   "reflection_matrix_element", "scan_line"),
+                   "scan_line"),
     "disorder": ("DisorderSpec", "EnsembleResult", "NoCrossing", "disorder_curve",
                  "ensemble_r0", "sample_pattern", "transition_locator"),
-    "edges": ("InterfaceSystem", "LocalizationRecord", "localization_vs_disorder",
-              "run_interface"),
+    "edges": ("LocalizationRecord", "localization_vs_disorder", "run_interface"),
     "apparatus": ("AmbiguousSign", "ApparatusModel", "ChainBroken", "ErrorRanges",
                   "McResult", "MeasurementData", "emulate_measurement", "interfere",
                   "measured_invariants", "measured_series", "monte_carlo_errorbars",

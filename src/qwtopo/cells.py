@@ -9,9 +9,10 @@ formatted value by value.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
+
+from .dataio import json_value
 
 #: Data rows per block of CSV lines joined and written at once.
 BLOCK = 1 << 14
@@ -28,8 +29,8 @@ def encode(header: list[str], columns, rows: int, fmt: str):
         raise ValueError(f"{len(header)} header names need as many flat columns of "
                          f"{rows} rows, got lengths {[len(c) for c in columns]}")
     if fmt == "json":  # float64 is a float subclass; `default` sees numpy ints and bools
-        cells = [[None if isinstance(v, float) and not math.isfinite(v) else v
-                  for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+        cells = [[json_value(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+                 for c in columns]
         return [json.dumps([dict(zip(header, row)) for row in zip(*cells)], indent=1,
                            allow_nan=False, default=lambda v: v.item()) + "\n"]
     head = ",".join(_strings(header).tolist())

@@ -88,7 +88,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = config.load(args.config)
-    config.validate(cfg)
+    # a --seed override obeys the config's seed rule; the manifest hashes cfg as written
+    config.validate(cfg if args.seed is None else {**cfg, "seed": args.seed})
     for note in config.config_warnings(cfg):
         print(f"warning: {note}", file=sys.stderr)
     resolved = config.resolve(cfg)

@@ -8,7 +8,9 @@ numpy int or bool is written as its item.  A float64 column is formatted
 once per distinct bit pattern, so 0.0 and -0.0 stay apart, an integer or
 bool column once per distinct value, and any other column value by value.
 Each table kind has a fixed header; replotting recognizes a file purely
-by that header row.
+by that header row.  Every JSON file is strict: a float that is NaN or
+infinite is written as null (`json_value`), in tables and in the run's
+other JSON files (`write_json`) alike.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "IoFailure", "UnknownDataKind", "TABLE_KINDS", "Columns", "write_table", "read_csv",
-    "detect_kind", "RunManifest", "sha256_file", "config_hash",
+    "detect_kind", "RunManifest", "sha256_file", "config_hash", "json_value", "write_json",
 ]
 
 
@@ -79,6 +82,24 @@ def write_table(path: str, header: list[str], table: Columns, fmt: str = "csv") 
     return path
 
 
+def json_value(value):
+    """value as strict JSON holds it: null for a NaN or infinite float."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def write_json(path: str, payload: dict) -> str:
+    """Write the mapping `payload` as strict JSON, keys sorted, each of its
+    values through `json_value`; returns the path."""
+    text = json.dumps({k: json_value(v) for k, v in payload.items()}, indent=1,
+                      sort_keys=True, allow_nan=False) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -129,11 +150,5 @@ class RunManifest:
 
     def write(self, path: str) -> str:
         """Every field as JSON, keys sorted, outputs included."""
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(asdict(self), fh, indent=1, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
-        return path
+        return write_json(path, asdict(self))
 

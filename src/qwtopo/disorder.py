@@ -20,10 +20,10 @@ configuration has the same one, and a short window has few patterns at
 all.  A member's value depends on its pattern alone, not on its batch,
 so a `PatternStudy` steps each distinct pattern once, its mask gathering
 the cosine and sine of theta_a and theta_b into the coins the engine
-runs on, and hands its value to every member that has it.  A disorder
-curve evaluates all its p in one call; a transition bisection its two
-endpoints in one call, and it keeps the values it stepped for every
-later probe.
+runs on (`pattern_coins`, which interface walks share), and hands its
+value to every member that has it.  A disorder curve evaluates all its
+p in one call; a transition bisection its two endpoints in one call,
+and it keeps the values it stepped for every later probe.
 """
 
 from __future__ import annotations
@@ -92,23 +92,25 @@ def config_uniforms(spec: DisorderSpec, configs, sites: int) -> np.ndarray:
     return out
 
 
-def _angles(theta_a: float, theta_b: float, masks: np.ndarray) -> np.ndarray:
-    """Second coin angles of the patterns `masks`: theta_b where True, theta_a
-    elsewhere, each reduced mod 2*pi."""
-    a, b = np.array([theta_a, theta_b]) % _TWO_PI
-    return np.where(masks, b, a)
-
-
-def pattern_angles(spec: DisorderSpec, uniforms: np.ndarray) -> np.ndarray:
-    """Second coin angles, reduced mod 2*pi, of the configurations whose
-    uniforms are `uniforms`: theta_b where u < p, theta_a elsewhere."""
-    return _angles(spec.theta_a, spec.theta_b, uniforms < spec.p)
-
-
 def sample_pattern(spec: DisorderSpec, config: int) -> CoinField:
-    """Second coin field of one disorder configuration."""
-    u = config_uniforms(spec, [config], spec.sites)
-    return CoinField(0, pattern_angles(spec, u)[0])
+    """Second coin field of one disorder configuration: theta_b where its
+    uniform u < p, theta_a elsewhere, each reduced mod 2*pi."""
+    u = config_uniforms(spec, [config], spec.sites)[0]
+    a, b = np.array([spec.theta_a, spec.theta_b]) % _TWO_PI
+    return CoinField(0, np.where(u < spec.p, b, a))
+
+
+def coin_table(theta_a: float, theta_b: float) -> np.ndarray:
+    """[[cos theta_a, sin theta_a], [cos theta_b, sin theta_b]]: the coins of
+    theta_a and theta_b, reduced mod 2*pi, that `pattern_coins` gathers."""
+    return np.column_stack(coins(np.array([theta_a, theta_b]) % _TWO_PI))
+
+
+def pattern_coins(table: np.ndarray, masks: np.ndarray) -> tuple:
+    """The second coins of the (B, sites) boolean patterns `masks`, gathered
+    from the `coin_table` rows of theta_a (False) and theta_b (True)."""
+    table = np.take(table, masks.view(np.uint8), axis=0)  # (B, sites, cos and sin)
+    return table[..., 0], table[..., 1]
 
 
 def _halves(rho: np.ndarray) -> np.ndarray:
@@ -157,8 +159,7 @@ class PatternStudy:
     """
 
     def __init__(self, theta_a: float, theta_b: float, batch, per_walker: int):
-        # [[cos theta_a, sin theta_a], [cos theta_b, sin theta_b]]
-        self.table = np.column_stack(coins(np.array([theta_a, theta_b]) % _TWO_PI))
+        self.table = coin_table(theta_a, theta_b)
         self.batch, self.per_walker = batch, per_walker
         self.stepped = {}  # pattern bytes -> value
 
@@ -172,17 +173,11 @@ class PatternStudy:
                 if key not in self.stepped and key not in new:
                     new[key] = row
         if new:
-            values = over_batches(lambda block: self.batch(self._coins(block)),
+            values = over_batches(lambda block: self.batch(pattern_coins(self.table, block)),
                                   np.array(list(new.values())), self.per_walker)
             self.stepped.update(zip(new, values.tolist()))
         return [np.array([self.stepped[key] for key in block_keys], dtype=float)
                 for block_keys in keys]
-
-    def _coins(self, masks: np.ndarray) -> tuple:
-        """The second coins of the (B, sites) patterns `masks`, gathered from
-        those of theta_a and theta_b."""
-        table = np.take(self.table, masks.view(np.uint8), axis=0)  # (B, sites, cos and sin)
-        return table[..., 0], table[..., 1]
 
 
 def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
@@ -220,10 +215,10 @@ def disorder_curve(spec: DisorderSpec, t: int, p_grid=DEFAULT_P_GRID) -> list[En
 
 
 def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
-                       resolution: float = 0.025, p_lo: float = 0.0, p_hi: float = 1.0) -> float:
+                       resolution: float = 0.025) -> float:
     """Disorder strength where the ensemble median invariant flips sign.
 
-    Bisects on a p grid of the given resolution using the median of
+    Bisects [0, 1] on a p grid of the given resolution using the median of
     sign(half r(0)) over n_configs configurations, with the sample sized
     to the light cone of t steps.  Larger t sharpens the transition, so
     the bisection estimate converges to the infinite-size critical
@@ -233,17 +228,14 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
     """
     if t < 101:
         raise ValueError("transition location needs t >= 101")
-    if not 0 <= p_lo < p_hi <= 1:
-        raise ValueError("need 0 <= p_lo < p_hi <= 1")
-    work = DisorderSpec(spec.theta_a, spec.theta_b, p_lo, t + 2, spec.seed,
-                        n_configs)
+    work = DisorderSpec(spec.theta_a, spec.theta_b, 0.0, t + 2, spec.seed, n_configs)
     uniforms = ensemble_uniforms(work, t)
     study = _study(work, t)
 
     def median_signs(*ps):
         return [float(np.median(np.sign(v))) for v in study.values([uniforms < p for p in ps])]
 
-    lo, hi = p_lo, p_hi
+    lo, hi = 0.0, 1.0
     m_lo, m_hi = median_signs(lo, hi)
     if m_lo == 0 or m_hi == 0 or np.sign(m_lo) == np.sign(m_hi):
         raise NoCrossing(

@@ -1,12 +1,13 @@
 """Interfaces between topologically distinct bulks and walker localization.
 
-An interface system joins a uniform left bulk (second coin angle
-theta_left for x < 0) to a binary-disordered right bulk (x >= 0), with
-the first coin field the identity everywhere.  A walker launched on the
-boundary site of the left bulk stays pinned when the two bulks carry
-different invariants, for every disorder configuration; with equal
-invariants it spreads ballistically into the usual double-lobe profile.
-Localization is quantified as the probability mass within [-3, 3].
+An interface joins a uniform left bulk (second coin angle theta_left for
+x < 0) to a binary-disordered right bulk (x >= 0), whose law is a
+`disorder.DisorderSpec`, with the first coin field the identity
+everywhere.  A walker launched on the boundary site of the left bulk
+stays pinned when the two bulks carry different invariants, for every
+disorder configuration; with equal invariants it spreads ballistically
+into the usual double-lobe profile.  Localization is quantified as the
+probability mass within [-3, 3].
 
 The launch state matters: the bound mode's weight sits on the left side
 of the interface bond, so a walker started at x=-1 overlaps it strongly
@@ -16,14 +17,16 @@ bond) maximizes the bound/ballistic contrast.  LAUNCH_SITE and
 LAUNCH_COIN pin the convention.
 
 Walkers run in batches through `walk.record`, with no coin-1 angles, so
-the engine steps the occupied sublattice.  The real coins keep the launch
-state |-1, V> in the engine's real structure (H real, V imaginary) up to
-the global phase i, which no intensity sees.  A batch's P_loc is one sum
-over the history rows x in [-3, 3] of every walker, which hold exact
-zeros outside a walker's window; `run_interface` keeps its walker's
-window, the one `evolve` ends on.  `localization_vs_disorder` steps each
-distinct right-bulk pattern of all its p once, through one
-`disorder.PatternStudy` call.
+the engine steps the occupied sublattice.  The right bulk's coins are
+gathered through each pattern's mask from those of theta_a and theta_b
+(`disorder.pattern_coins`), as every disorder study gathers them.  The
+real coins keep the launch state |-1, V> in the engine's real structure
+(H real, V imaginary) up to the global phase i, which no intensity sees.
+A batch's P_loc is one sum over the history rows x in [-3, 3] of every
+walker, which hold exact zeros outside a walker's window; `run_interface`
+keeps its walker's window, the one `evolve` ends on.
+`localization_vs_disorder` steps each distinct right-bulk pattern of all
+its p once, through one `disorder.PatternStudy` call.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 
 from .budget import DEFAULT_P_GRID, INTERFACE, interface_members
 from .walk import V, coins, record
-from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, config_uniforms,
-                       pattern_angles)
+from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, coin_table,
+                       config_uniforms, pattern_coins)
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
 LOC_WINDOW = 3
@@ -47,29 +50,6 @@ LAUNCH_SITE = -1
 LAUNCH_COIN = V
 
 _TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class InterfaceSystem:
-    """Left bulk angle plus the disorder law of the right bulk."""
-
-    theta_left: float
-    right: DisorderSpec
-
-    @classmethod
-    def for_steps(cls, theta_left: float, theta_a: float, theta_b: float,
-                  p: float, t: int, seed: int, n_configs: int = 50) -> "InterfaceSystem":
-        return cls(theta_left,
-                   DisorderSpec.for_steps(theta_a, theta_b, p, t, seed, n_configs))
-
-    def uniforms(self, configs) -> np.ndarray:
-        """The right sample's uniforms of the configurations, one row each."""
-        return config_uniforms(self.right, configs, self.right.sites)
-
-    def field2_angles(self, uniforms: np.ndarray, extent: int) -> np.ndarray:
-        """Second coin angles on [-extent, right sample end), one row per row
-        of `uniforms`: theta_left on the left bulk, then the pattern."""
-        return _joined(self.theta_left % _TWO_PI, pattern_angles(self.right, uniforms), extent)
 
 
 def _joined(left, right: np.ndarray, extent: int) -> np.ndarray:
@@ -91,18 +71,25 @@ class LocalizationRecord:
         return np.arange(self.x_min, self.x_min + self.distributions.shape[1])
 
 
-def _launch(coin2: tuple, t: int) -> tuple:
+def _launch(theta_left: float, right: tuple, t: int) -> tuple:
     """`walk.record` of the launch state, one walker per row of the (B, sites)
-    second coins coin2 of the positions from -(t + 2) on."""
+    right-bulk second coins `right`, behind the left bulk theta_left, on the
+    positions from -(t + 2) on."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    left = coins(np.array([theta_left % _TWO_PI]))
+    coin2 = tuple(_joined(edge, bulk, t + 2) for edge, bulk in zip(left, right))
     return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t)
 
 
-def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> LocalizationRecord:
-    """Evolve the launch state and record every step's distribution."""
-    theta2 = system.field2_angles(system.uniforms([config]), extent=t + 2)
-    x_min, h, v, lo, hi = _launch(coins(theta2), t)
+def run_interface(theta_left: float, right: DisorderSpec, t: int = 13,
+                  config: int = 0) -> LocalizationRecord:
+    """Evolve the launch state at the interface of the left bulk theta_left
+    with configuration `config` of the right bulk `right`, and record every
+    step's distribution."""
+    mask = config_uniforms(right, [config], right.sites) < right.p
+    x_min, h, v, lo, hi = _launch(
+        theta_left, pattern_coins(coin_table(right.theta_a, right.theta_b), mask), t)
     a, b = h[:, lo[0]:hi[0] + 1, 0], v[:, lo[0]:hi[0] + 1, 0]
     return LocalizationRecord(a * a + b * b, x_min + int(lo[0]), t, config)
 
@@ -110,9 +97,7 @@ def run_interface(system: InterfaceSystem, t: int = 13, config: int = 0) -> Loca
 def _ploc_batch(right: tuple, theta_left: float, t: int) -> np.ndarray:
     """P_loc after t steps of each row of the (B, sites) right-bulk coins: one
     sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
-    left = coins(np.array([theta_left % _TWO_PI]))
-    x_min, h, v, _, _ = _launch(tuple(_joined(edge, bulk, t + 2)
-                                      for edge, bulk in zip(left, right)), t)
+    x_min, h, v, _, _ = _launch(theta_left, right, t)
     rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
     return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
 
@@ -127,9 +112,9 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     and p = 1 are deterministic (every configuration identical), so they
     keep one configuration each, with zero variance.
     """
-    uniforms = InterfaceSystem.for_steps(theta_left, theta_a, theta_b, 0.0, t, seed,
-                                         n_configs).uniforms(range(n_configs))
-    study = PatternStudy(theta_a, theta_b, lambda right: _ploc_batch(right, theta_left, t),
+    right = DisorderSpec.for_steps(theta_a, theta_b, 0.0, t, seed, n_configs)
+    uniforms = config_uniforms(right, range(n_configs), right.sites)
+    study = PatternStudy(theta_a, theta_b, lambda coin2: _ploc_batch(coin2, theta_left, t),
                          INTERFACE.held(t))
     counts = interface_members(n_configs, p_grid)
     values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])

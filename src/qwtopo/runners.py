@@ -6,7 +6,6 @@ up on their modules at each call, so no wrapper set there stays bound here.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
@@ -68,17 +67,6 @@ def _table(outdir, kind, columns, fmt):
     return written
 
 
-def _write_json(outdir, name, payload) -> str:
-    """<name> holding the flat payload as strict JSON: null where a value is NaN."""
-    path = os.path.join(outdir, name)
-    payload = {k: None if isinstance(v, float) and math.isnan(v) else v
-               for k, v in payload.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
 def _scan_columns(t, *arrays) -> list:
     """`scan` table columns: the equal-shape arrays theta1 / pi, theta2 / pi,
     Q0, Qpi and residual, flattened, then t."""
@@ -117,7 +105,8 @@ def _run_phase_diagram(cfg, seed, outdir, fmt):
                             np.tile(pd.theta2 / math.pi, n), pd.q0, pd.qpi, pd.residual)
     written = [dataio.write_table(os.path.join(outdir, "phase_diagram.csv"),
                                   dataio.TABLE_KINDS["scan"], dataio.Columns(*columns), fmt)]
-    levels = np.vectorize(PHASE_LEVELS.get)(pd.labels).astype(float)
+    names = sorted(PHASE_LEVELS)
+    levels = np.array([PHASE_LEVELS[name] for name in names])[np.searchsorted(names, pd.labels)]
     text = svgplot.heatmap(levels, title="phase labels", xlabel="theta2 cell",
                            ylabel="theta1 cell")
     written.append(_write_svg(os.path.join(outdir, "phase_diagram.svg"), text))
@@ -142,7 +131,7 @@ def _run_disorder(cfg, seed, outdir, fmt):
         tr = blk["transition"]
         t_tr, n_tr, resolution = tr["t"], tr["n_configs"], tr["resolution"]
         p_crit = disorder.transition_locator(spec, t_tr, n_tr, resolution)
-        written.append(_write_json(outdir, "transition.json", {
+        written.append(dataio.write_json(os.path.join(outdir, "transition.json"), {
             "p_crit": p_crit, "t": t_tr, "n_configs": n_tr,
             "resolution": resolution, "seed": seed,
         }))
@@ -158,9 +147,8 @@ def _run_edge(cfg, seed, outdir, fmt):
     members = _member_columns(points)
     written = _table(outdir, "edge", members + [np.full(members[0].size, t)], fmt)
     show_p = max(p_grid)
-    system = edges.InterfaceSystem.for_steps(theta_left, theta_a, theta_b, show_p, t,
-                                             seed, n)
-    record = edges.run_interface(system, t, config=0)
+    right = disorder.DisorderSpec.for_steps(theta_a, theta_b, show_p, t, seed, n)
+    record = edges.run_interface(theta_left, right, t, config=0)
     written += _table(outdir, "intensity",
                       _intensity_columns(record.positions(), record.distributions), fmt)
     return written
@@ -190,7 +178,7 @@ def _run_emulate(cfg, seed, outdir, fmt):
     written = _table(outdir, "intensity", _intensity_columns(positions, data.distributions),
                      fmt)
     pair = apparatus.measured_invariants(data)
-    written.append(_write_json(outdir, "emulate.json", {
+    written.append(dataio.write_json(os.path.join(outdir, "emulate.json"), {
         "q0": pair.q0, "qpi": pair.qpi, "residual": pair.residual,
         "reference_sign": data.reference_sign,
         "magnitudes": [float(m) for m in data.magnitudes],
@@ -212,7 +200,7 @@ def _run_mc_errorbars(cfg, seed, outdir, fmt):
         horizon=blk["horizon"], seed=seed)
     pair = apparatus.measured_invariants(data)
     best = result.best
-    written = [_write_json(outdir, "mc.json", {
+    written = [dataio.write_json(os.path.join(outdir, "mc.json"), {
         "q0": pair.q0, "qpi": pair.qpi,
         "q0_error": result.q0_error, "qpi_error": result.qpi_error,
         "distance": result.distance, "n_sets": result.n_sets,

@@ -18,10 +18,11 @@ with real rho_j.  The invariants therefore use one fixed rotation,
 of rho_j and needs no per-series gauge.  Under it a clean sample with
 first coin identity and second coin angle 1.68*pi comes out at
 Q0 = +1/2 and the reference sample with second coin angle 0.52*pi at
-Q0 = -1/2.  The same real structure lets `sample_rows` step whole
-batches of systems on the real engine `walk.real_steps`, on the sites
-that can still reach the read-out x = -2: amplitude left of it never
-returns, so the window starts there.
+Q0 = -1/2.  One reader, `invariant_rows`, reads the pair from a batch
+of rho rows; `invariants` reads one series through it.  The same real
+structure lets `sample_rows` step whole batches of systems on the real
+engine `walk.real_steps`, on the sites that can still reach the read-out
+x = -2: amplitude left of it never returns, so the window starts there.
 """
 
 from __future__ import annotations
@@ -137,37 +138,28 @@ def reflection_amplitudes(system: ScatteringSystem, t: int) -> ReflectionSeries:
 
 
 def fourier_sums(r: np.ndarray, eps: float) -> np.ndarray:
-    """r(eps) = sum_j exp(i j eps) r_j of every series along the last axis.
-
-    eps = 0 and eps = pi use exact coefficient signs so that parities of
-    the series survive to machine precision.
-    """
+    """r(eps) = sum_j exp(i j eps) r_j of every series along the last axis, at
+    the quasienergy eps = 0 or pi, with exact coefficient signs so that
+    parities of the series survive to machine precision."""
     if eps == 0.0:
         return np.sum(r, axis=-1)
+    if eps != np.pi:
+        raise ValueError(f"invariants are read at eps = 0 and pi, not at {eps}")
     j = np.arange(1, r.shape[-1] + 1)
-    if eps == np.pi:
-        return np.sum(np.where(j % 2 == 0, 1.0, -1.0) * r, axis=-1)
-    return np.sum(np.exp(1j * eps * j) * r, axis=-1)
-
-
-def reflection_matrix_element(series: ReflectionSeries | np.ndarray, eps: float) -> complex:
-    """Fourier sum r(eps) of one series over the recorded steps."""
-    r = series.r if isinstance(series, ReflectionSeries) else np.asarray(series)
-    return complex(fourier_sums(r, eps)) if r.size else 0.0 + 0.0j
+    return np.sum(np.where(j % 2 == 0, 1.0, -1.0) * r, axis=-1)
 
 
 def invariants(series: ReflectionSeries) -> InvariantPair:
-    """(Q0, Qpi) = (Re(-i r(0)), Re(-i r(pi))) / 2 for a reflection series.
+    """(Q0, Qpi) = (Re(-i r(0)), Re(-i r(pi))) / 2 of a reflection series
+    r_j = i rho_j, as `invariant_rows` reads its rho_j, the imaginary parts,
+    with the series' residual.
 
-    Q0 = Qpi = NaN where |r(0)| < 1e-6, where Q0 has no sign, as in
-    `invariant_rows`.  Ensemble members, which need signed values near
-    zero, use `disorder.ensemble_r0` instead.
+    Q0 = Qpi = NaN where |r(0)| < 1e-6, where Q0 has no sign.  Ensemble
+    members, which need signed values near zero, use `disorder.ensemble_r0`
+    instead.
     """
-    v0 = CANONICAL_ROTATION * reflection_matrix_element(series, 0.0)
-    if abs(v0) < DEGENERATE_TOL:
-        return InvariantPair(np.nan, np.nan, series.residual)
-    vpi = CANONICAL_ROTATION * reflection_matrix_element(series, np.pi)
-    return InvariantPair(v0.real / 2.0, vpi.real / 2.0, series.residual)
+    q0, qpi = invariant_rows(series.r.imag[None])
+    return InvariantPair(float(q0[0]), float(qpi[0]), series.residual)
 
 
 def rotated_sums(rho: np.ndarray, eps: float) -> np.ndarray:
@@ -177,7 +169,7 @@ def rotated_sums(rho: np.ndarray, eps: float) -> np.ndarray:
 
 def invariant_rows(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q0, Qpi) of every row of a (B, t) batch of real series, r_j = i rho_j,
-    read as `invariants` reads them, NaN where |r(0)| < 1e-6."""
+    NaN where |r(0)| < 1e-6: the one invariant reader of the package."""
     v0 = rotated_sums(rho, 0.0)
     vpi = rotated_sums(rho, np.pi)
     degenerate = np.abs(v0) < DEGENERATE_TOL

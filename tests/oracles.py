@@ -5,11 +5,12 @@ indexed (site, coin) basis and plain matrix-vector products.  That is
 a deliberately different construction from the vectorized package
 code, so agreement between the two is meaningful evidence.
 
-It also holds two exact references that need no sampling: the closed-form
-phase labels of the clean walk (`closed_form_phase`, `gap_line_distance`)
-and the exact small-window disorder statistics, enumerated over every
-binary pattern a short reflection run can see (`pattern_half_r0`,
-`exact_disorder_stats`).
+It also holds three exact references that need no sampling: the closed-form
+phase labels of the clean walk (`closed_form_phase`, `gap_line_distance`),
+the clean walk's reflection series solved order by order from its
+algebraic equation, with no lattice (`clean_series`), and the exact
+small-window disorder statistics, enumerated over every binary pattern a
+short reflection run can see (`pattern_half_r0`, `exact_disorder_stats`).
 
 Run as a script to print the golden values that the test suite pins:
 
@@ -185,6 +186,32 @@ def gap_line_distance(theta1, theta2):
         return np.abs((np.asarray(x) + np.pi / 2) % np.pi - np.pi / 2)
 
     return np.minimum(off(theta1 + theta2), off(theta1 - theta2)) / np.sqrt(2)
+
+
+def clean_series(theta1, theta2, t):
+    """rho_1 .. rho_t, with r_j = i rho_j, of the clean walks with coin angles
+    (theta1, theta2), one row per element of the equal-shape angle arrays.
+
+    With s1 = sin theta1 and s2 = sin theta2, R(z) = sum_j rho_j z^j solves
+    (s1 + s2 z) R^2 - z (1 - z^2) R - z^3 (s2 + s1 z) = 0.  Its series
+    solution is R = z^2 S with
+    S = [-(s2 + s1 z) + z (s1 + s2 z) S^2] / (1 - z^2),
+    which fixes S_k from S_0 .. S_{k-1}, so rho_j = S_{j-2}.
+    """
+    s1 = np.sin(np.ravel(np.asarray(theta1, dtype=float)))
+    s2 = np.sin(np.ravel(np.asarray(theta2, dtype=float)))
+    S = np.zeros((s1.size, max(t - 1, 0)))
+
+    def square(m):  # the z^m coefficient of S^2
+        return np.sum(S[:, :m + 1] * S[:, m::-1], axis=1) if m >= 0 else 0.0
+
+    for k in range(S.shape[1]):  # the z^k terms; S_k is the one unknown of them
+        source = -s2 if k == 0 else -s1 if k == 1 else 0.0
+        S[:, k] = (S[:, k - 2] if k >= 2 else 0.0) + source \
+            + s1 * square(k - 1) + s2 * square(k - 2)
+    rho = np.zeros((s1.size, t))
+    rho[:, 1:] = S
+    return rho
 
 
 def pattern_half_r0(theta_a, theta_b, t=11, sites=6):

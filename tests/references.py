@@ -8,8 +8,12 @@ the history, the Monte-Carlo distances regrouped from those windows, and
 P_loc masked from one walker's distributions.  `mixed_windows` builds a
 batch whose walkers end on windows of different widths and first rows,
 which no shipped run produces.  `written_rows` reads the rows each step of
-an engine call writes.
+an engine call writes.  `scalar_invariants` reads the invariants of one
+complex series with complex scalars, the reference for the package's one
+array reader, `scattering.invariant_rows`.
 """
+
+import math
 
 import numpy as np
 
@@ -74,3 +78,17 @@ def p_loc_at(record, step: int) -> float:
     row = record.distributions[step]
     x = record.positions()
     return float(row[(x >= -LOC_WINDOW) & (x <= LOC_WINDOW)].sum())
+
+
+def scalar_invariants(r) -> tuple:
+    """(Q0, Qpi) of one complex series r_1 .. r_t read with complex scalars:
+    r(0) = sum_j r_j and r(pi) = sum_j (-1)^j r_j, with exact signs, each
+    turned by -i and halved, NaN where |r(0)| < 1e-6.  The per-series form
+    of `scattering.invariant_rows`."""
+    r = np.asarray(r)
+    signs = np.where(np.arange(1, r.size + 1) % 2 == 0, 1.0, -1.0)
+    v0 = -1j * complex(np.sum(r))
+    if abs(v0) < 1e-6:
+        return math.nan, math.nan
+    vpi = -1j * complex(np.sum(signs * r))
+    return v0.real / 2.0, vpi.real / 2.0

@@ -17,7 +17,7 @@ import pytest
 
 from qwtopo import ConfigInvalid, IoFailure, RunManifest, UnknownDataKind
 from qwtopo import config as cfgmod
-from qwtopo import cells, dataio, disorder, edges, runners, svgplot
+from qwtopo import cells, dataio, disorder, edges, runners, scattering, svgplot
 from qwtopo.cli import entrypoint
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -342,6 +342,38 @@ def test_manifest_records_file_hashes(tmp_path):
     assert loaded["outputs"]["a.csv"] == dataio.sha256_file(str(f1))
 
 
+def test_manifest_bytes_are_its_fields_dumped_with_sorted_keys(tmp_path):
+    manifest = RunManifest(version="0.0", seed=7, config_sha256="00",
+                           created="2026-01-01T00:00:00+00:00", outputs={"b.csv": "1", "a": "2"})
+    out = manifest.write(str(tmp_path / "manifest.json"))
+    want = json.dumps({"config_sha256": "00", "created": "2026-01-01T00:00:00+00:00",
+                       "outputs": {"a": "2", "b.csv": "1"}, "seed": 7, "version": "0.0"},
+                      indent=1) + "\n"
+    assert open(out, encoding="utf-8", newline="").read() == want
+
+
+def test_run_json_files_are_strict_with_null_for_non_finite_values(tmp_path):
+    """`write_json` nulls NaN and infinite floats, as table cells are, and
+    otherwise writes the keys sorted, one space of indent, and a newline."""
+    payload = {"q0": math.nan, "qpi": math.inf, "low": -math.inf, "residual": 0.25, "t": 7,
+               "zero": -0.0, "magnitudes": [0.5, 1.0], "best_model": {"eom_error_deg": 1.5}}
+    path = dataio.write_json(str(tmp_path / "emulate.json"), payload)
+    text = open(path, encoding="utf-8", newline="").read()
+
+    def refuse(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+
+    assert json.loads(text, parse_constant=refuse) == \
+        {**payload, "q0": None, "qpi": None, "low": None}
+    finite = {k: v for k, v in payload.items() if k not in ("q0", "qpi", "low")}
+    assert open(dataio.write_json(path, finite), encoding="utf-8").read() == \
+        json.dumps(finite, indent=1, sort_keys=True) + "\n"
+    assert [dataio.json_value(v) for v in (math.nan, 1.5, np.float64(math.inf), 3, "x")] == \
+        [None, 1.5, None, 3, "x"]
+    with pytest.raises(IoFailure):
+        dataio.write_json(str(tmp_path / "missing" / "mc.json"), finite)
+
+
 def test_config_hash_ignores_key_order_but_not_values():
     a = {"experiment": "scan", "seed": 1, "scan": {"t": 5}}
     b = {"scan": {"t": 5}, "seed": 1, "experiment": "scan"}
@@ -590,6 +622,18 @@ def test_runs_are_byte_reproducible_and_replot_matches(tmp_path):
     assert (out1 / "scan.svg").read_bytes() == original
 
 
+def test_phase_diagram_heatmap_levels_are_the_labels_looked_up_cell_by_cell(tmp_path):
+    cfg = {"experiment": "phase-diagram", "phase_diagram": {"resolution": 16, "t": 30}}
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    labels = scattering.phase_diagram(16, 30, 0.05).labels.tolist()
+    assert {label for row in labels for label in row} == set(runners.PHASE_LEVELS)
+    levels = np.array([[runners.PHASE_LEVELS[label] for label in row] for row in labels])
+    want = svgplot.heatmap(levels, title="phase labels", xlabel="theta2 cell",
+                           ylabel="theta1 cell")
+    assert (out / "phase_diagram.svg").read_text(encoding="utf-8") == want
+
+
 def test_json_format_skips_plots(tmp_path):
     out = tmp_path / "out"
     code = entrypoint(["run", "--config", write_config(tmp_path, scan_config()),
@@ -823,6 +867,33 @@ def test_cli_seed_flag_overrides_config_seed(tmp_path):
     runs = lambda d: (d / "disorder_runs.csv").read_bytes()
     assert runs(a) != runs(b)
     assert runs(a) == runs(c)
+
+
+def shipped_config(kind: str) -> str:
+    """The first shipped config of an experiment kind."""
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        path = os.path.join(CONFIG_DIR, name)
+        if cfgmod.load(path)["experiment"] == kind:
+            return path
+    raise LookupError(kind)
+
+
+@pytest.mark.parametrize("kind", cfgmod.EXPERIMENTS)
+def test_a_negative_seed_override_exits_2_naming_seed(tmp_path, capsys, kind):
+    """--seed obeys the config's rule seed >= 0 before any output is made;
+    with no override or a valid one the run goes on, and its manifest hashes
+    the config as written."""
+    out = tmp_path / "out"
+    path = shipped_config(kind)
+    assert entrypoint(["run", "--config", path, "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "ConfigInvalid at field path seed: -1 is less than the minimum of 0\n"
+    assert not out.exists()
+    if kind == "scan":
+        assert entrypoint(["run", "--config", path, "--out", str(out), "--seed", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 5
+        assert manifest["config_sha256"] == dataio.config_hash(cfgmod.load(path))
 
 
 def test_repeated_in_process_calls_share_one_parser_and_keep_no_state(tmp_path, capsys):

@@ -1,13 +1,12 @@
-"""Tests for interface systems and edge-state localization."""
+"""Tests for interface walks and edge-state localization."""
 
 import numpy as np
 import pytest
 
-from qwtopo.disorder import DisorderSpec, pattern_angles
+from qwtopo.disorder import DisorderSpec, coin_table, config_uniforms, pattern_coins
 import qwtopo.edges
-from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, InterfaceSystem,
-                          LocalizationRecord, _ploc_batch, localization_vs_disorder,
-                          run_interface)
+from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, LocalizationRecord,
+                          _ploc_batch, localization_vs_disorder, run_interface)
 from qwtopo.walk import V, coins
 
 from oracles import dense_interface_p_loc, _binary_pattern
@@ -24,15 +23,20 @@ PLOC_P05_FIRST3 = [0.937843097026395, 0.9605426150668745, 0.9729287562826263]
 PLOC_REFERENCE = 0.26613482314967135
 
 
-def interface(p: float, n_configs: int = 50) -> InterfaceSystem:
-    return InterfaceSystem.for_steps(TH_L, TH_A, TH_B, p, 13, SEED, n_configs)
+def right_bulk(p: float, n_configs: int = 50) -> DisorderSpec:
+    """The study's right bulk, sized to a 13-step run."""
+    return DisorderSpec.for_steps(TH_A, TH_B, p, 13, SEED, n_configs)
+
+
+def run(p: float, t: int = 13, config: int = 0):
+    return run_interface(TH_L, right_bulk(p), t, config)
 
 
 def reference(t: int = 13):
     """The study's no-edge-state reference: a clean interface between the
     left bulk TH_A and the right bulk TH_B, drawn from the same phase."""
     clean = DisorderSpec.for_steps(TH_B, TH_B, 0.0, t, 0, 1)
-    return run_interface(InterfaceSystem(TH_A, clean), t, 0)
+    return run_interface(TH_A, clean, t, 0)
 
 
 def test_launch_convention_is_pinned():
@@ -41,29 +45,39 @@ def test_launch_convention_is_pinned():
     assert LOC_WINDOW == 3
 
 
-def test_field_covers_both_bulks():
-    system = interface(0.0)
-    field = system.field2_angles(system.uniforms([0]), extent=4)[0]  # x = -4 .. 14
-    assert field[0] == pytest.approx(TH_L)
-    assert field[3] == pytest.approx(TH_L)
-    assert field[4] == pytest.approx(TH_A)
-    assert field[-1] == pytest.approx(TH_A)
-    assert field.size == 4 + 15  # the sampled right bulk ends at x = 14
+def test_field_covers_both_bulks(monkeypatch):
+    """`walk.record` receives the coins of theta_left on x = -(t + 2) .. -1,
+    then those of the right bulk's pattern, bit for bit."""
+    seen = []
+    record = qwtopo.edges.record
+
+    def spying(start, coin1, coin2, *args):
+        seen.append((start, coin1, coin2))
+        return record(start, coin1, coin2, *args)
+
+    monkeypatch.setattr(qwtopo.edges, "record", spying)
+    run_interface(TH_L, right_bulk(0.5), t=2, config=1)
+    (start, coin1, coin2), = seen
+    pattern = _binary_pattern(SEED, 1, 15, 0.5, TH_A, TH_B)
+    assert 0 < np.sum(pattern == TH_B) < 15
+    field = np.concatenate([np.full(4, TH_L), pattern]) % (2 * np.pi)  # x = -4 .. 14
+    assert start == -4 and coin1 is None
+    assert all(np.array_equal(got, want[None]) for got, want in zip(coin2, coins(field)))
 
 
 def test_zero_steps_keeps_walker_in_window():
-    record = run_interface(interface(0.0), t=0)
+    record = run(0.0, t=0)
     assert p_loc_at(record, record.t) == pytest.approx(1.0, abs=0)
 
 
 def test_distributions_normalized_every_step():
-    record = run_interface(interface(0.5), t=13, config=3)
+    record = run(0.5, t=13, config=3)
     sums = record.distributions.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) < 1e-12)
 
 
 def test_clean_interface_matches_frozen_golden_value():
-    record = run_interface(interface(0.0), t=13)
+    record = run(0.0, t=13)
     assert p_loc_at(record, record.t) == pytest.approx(PLOC_P0, abs=1e-12)
     final = record.distributions[-1]
     peak = record.positions()[int(np.argmax(final))]
@@ -71,14 +85,13 @@ def test_clean_interface_matches_frozen_golden_value():
 
 
 def test_full_swap_interface_matches_frozen_golden_value():
-    record = run_interface(interface(1.0), t=13)
+    record = run(1.0, t=13)
     assert p_loc_at(record, record.t) == pytest.approx(PLOC_P1, abs=1e-12)
 
 
 def test_disordered_interface_matches_dense_oracle():
-    system = interface(0.5)
     for config in range(3):
-        got = p_loc_at(run_interface(system, t=13, config=config), 13)
+        got = p_loc_at(run(0.5, t=13, config=config), 13)
         pattern = _binary_pattern(SEED, config, 15, 0.5, TH_A, TH_B)
         assert got == pytest.approx(dense_interface_p_loc(TH_L, pattern), abs=1e-12)
         assert got == pytest.approx(PLOC_P05_FIRST3[config], abs=1e-12)
@@ -99,8 +112,8 @@ def test_reference_interface_spreads_into_double_lobe():
 
 
 def test_disorder_does_not_change_the_localized_shape_much():
-    base = run_interface(interface(0.0), t=13).distributions[-1]
-    noisy = run_interface(interface(0.5), t=13, config=0).distributions[-1]
+    base = run(0.0, t=13).distributions[-1]
+    noisy = run(0.5, t=13, config=0).distributions[-1]
     assert np.sum(np.abs(base / base.sum() - noisy / noisy.sum())) < 0.3
 
 
@@ -131,13 +144,13 @@ def test_interface_beats_reference_for_all_p():
 
 
 def test_runs_are_reproducible():
-    a = run_interface(interface(0.5), t=13, config=4)
-    b = run_interface(interface(0.5), t=13, config=4)
+    a = run(0.5, t=13, config=4)
+    b = run(0.5, t=13, config=4)
     assert np.array_equal(a.distributions, b.distributions)
 
 
 def test_intensity_map_shapes():
-    record = run_interface(interface(0.0), t=6)
+    record = run(0.0, t=6)
     positions, matrix = record.positions(), record.distributions
     assert matrix.shape == (7, positions.size)
     assert positions[0] == record.x_min
@@ -146,7 +159,7 @@ def test_intensity_map_shapes():
 
 def test_negative_t_rejected():
     with pytest.raises(ValueError):
-        run_interface(interface(0.0), t=-1)
+        run(0.0, t=-1)
 
 
 def reprs(values) -> list:
@@ -157,13 +170,15 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
     """One sum over the rows x in [-3, 3] of the whole batch gives, as reprs,
     the P_loc that masking each configuration's own distributions gives,
     whichever way the configurations are split into batches."""
-    system = interface(0.5, 30)
-    right = pattern_angles(system.right, system.uniforms(range(30)))
-    got = _ploc_batch(coins(right), TH_L, 13)
-    want = [p_loc_at(run_interface(system, 13, k), 13) for k in range(30)]
+    spec = right_bulk(0.5, 30)
+    right = pattern_coins(coin_table(TH_A, TH_B),
+                          config_uniforms(spec, range(30), spec.sites) < spec.p)
+    got = _ploc_batch(right, TH_L, 13)
+    want = [p_loc_at(run_interface(TH_L, spec, 13, k), 13) for k in range(30)]
     assert reprs(got) == reprs(want)
     for cuts in ([1], [11, 12], [29], list(range(1, 30))):
-        parts = [_ploc_batch(coins(block), TH_L, 13) for block in np.split(right, cuts)]
+        parts = [_ploc_batch(block, TH_L, 13)
+                 for block in zip(*(np.split(plane, cuts) for plane in right))]
         assert reprs(np.concatenate(parts)) == reprs(want)
 
 
@@ -195,7 +210,7 @@ def test_the_localization_study_steps_each_distinct_pattern_once(monkeypatch):
     monkeypatch.setattr(qwtopo.walk, "real_steps", spying)
     points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=t, n_configs=50)
     assert [pt.n_configs for pt in points] == [1] + [50] * 9 + [1]
-    uniforms = interface(0.0).uniforms(range(50))
+    uniforms = config_uniforms(right_bulk(0.0), range(50), 15)
     (ca, cb), (sa, sb) = coins(np.array([TH_A, TH_B]) % (2 * np.pi))
     patterns = {(np.where(row, cb, ca).tobytes(), np.where(row, sb, sa).tobytes())
                 for pt in points for row in uniforms[:pt.n_configs] < pt.p}

@@ -4,22 +4,29 @@ Golden numbers were produced by the dense-matrix oracle in oracles.py
 (run `python3 tests/oracles.py`) and frozen here.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import qwtopo.budget
 from qwtopo.budget import batches, held, reflection_window
+from qwtopo.cli import entrypoint
+from qwtopo.dataio import read_csv
 from qwtopo.walk import coins
 from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE, ReflectionSeries,
-                               ScatteringSystem, invariants, phase_diagram,
-                               phase_labels, reflection_amplitudes,
-                               reflection_matrix_element, sample_rows, scan_line,
+                               ScatteringSystem, fourier_sums, invariants, phase_diagram,
+                               phase_labels, reflection_amplitudes, sample_rows, scan_line,
                                _scan_rows)
 
-from oracles import closed_form_phase, dense_invariants, dense_reflection, gap_line_distance
+from oracles import (clean_series, closed_form_phase, dense_invariants, dense_reflection,
+                     gap_line_distance)
+from references import scalar_invariants
 from scanlines import flip_width, sign_flips
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 # frozen oracle outputs
 ONE_COIN_PI4_R = [0j, -0.7071067811865475j, 0j, -0.3535533905932738j]
@@ -128,8 +135,8 @@ def test_odd_steps_vanish_when_first_coin_is_identity():
         series = reflection_amplitudes(
             ScatteringSystem(np.zeros(9), rng.uniform(0, 2 * np.pi, 9)), 12)
         assert np.all(series.r[::2] == 0)  # r_1, r_3, ... are exactly zero
-        r0 = reflection_matrix_element(series, 0.0)
-        rpi = reflection_matrix_element(series, np.pi)
+        r0 = fourier_sums(series.r, 0.0)
+        rpi = fourier_sums(series.r, np.pi)
         assert r0 == rpi
 
 
@@ -178,25 +185,27 @@ def test_negative_t_rejected():
 
 def test_matrix_element_of_zero_series_vanishes():
     series = ReflectionSeries(np.zeros(6, dtype=complex))
-    for eps in (0.0, 0.4, np.pi):
-        assert reflection_matrix_element(series, eps) == 0
+    for eps in (0.0, np.pi):
+        assert fourier_sums(series.r, eps) == 0
+    assert fourier_sums(np.zeros(0, dtype=complex), 0.0) == 0
 
 
 def test_matrix_element_sum_and_alternating_sum():
     r = np.array([0.1j, -0.2j, 0.3j])
-    series = ReflectionSeries(r)
-    assert reflection_matrix_element(series, 0.0) == pytest.approx(0.2j)
+    assert fourier_sums(r, 0.0) == pytest.approx(0.2j)
     # j = 1, 2, 3 -> signs -, +, -
-    assert reflection_matrix_element(series, np.pi) == pytest.approx(-0.6j)
-    generic = reflection_matrix_element(series, 0.7)
-    want = sum(np.exp(1j * 0.7 * j) * rj for j, rj in zip((1, 2, 3), r))
-    assert generic == pytest.approx(want)
+    assert fourier_sums(r, np.pi) == pytest.approx(-0.6j)
+
+
+def test_matrix_elements_exist_only_at_zero_and_pi():
+    with pytest.raises(ValueError, match="0 and pi"):
+        fourier_sums(np.array([0.1j, -0.2j, 0.3j]), 0.7)
 
 
 def test_single_even_pulse_has_equal_elements():
-    series = ReflectionSeries(np.array([0, -0.5j]))
-    assert reflection_matrix_element(series, 0.0) == -0.5j
-    assert reflection_matrix_element(series, np.pi) == -0.5j
+    r = np.array([0, -0.5j])
+    assert fourier_sums(r, 0.0) == -0.5j
+    assert fourier_sums(r, np.pi) == -0.5j
 
 
 # --- invariants ----------------------------------------------------------------
@@ -231,6 +240,42 @@ def test_auto_gauge_requires_nonzero_r0():
     pair = invariants(ReflectionSeries(np.zeros(5, dtype=complex)))
     assert np.isnan(pair.q0) and np.isnan(pair.qpi)
     assert pair.residual == 1.0
+
+
+def engine_series(rng, t: int, walkers: int = 12) -> list:
+    """i rho of engine rows at t steps: random per-site coins, clean samples,
+    binary samples with coin 1 the identity, and multiples of pi/4."""
+    m = t + 2
+    clean = np.repeat(rng.uniform(0, 2 * np.pi, (2, walkers, 1)), m, axis=2)
+    binary = np.stack([np.zeros((walkers, m)), rng.choice([0.63 * np.pi, 1.26 * np.pi],
+                                                          (walkers, m))])
+    eighths = rng.integers(0, 8, (2, walkers, m)) * np.pi / 4
+    out = []
+    for theta1, theta2 in (rng.uniform(0, 2 * np.pi, (2, walkers, m)), clean, binary,
+                           eighths):
+        rho = sample_rows(coins(theta1 % (2 * np.pi)), coins(theta2 % (2 * np.pi)), t)
+        out += [1j * row for row in rho]
+    return out
+
+
+def test_invariants_read_as_the_scalar_reference_bit_for_bit():
+    """`invariants` reads one series through `invariant_rows`.  It gives the
+    reprs of the complex scalar reader, NaN where |r(0)| < 1e-6, on engine
+    series, on rounded series that cancel exactly, on signed zeros, on the
+    threshold and on NaN, with the series' residual."""
+    rng = np.random.default_rng(22)
+    series = [r for t in (1, 2, 3, 7, 12, 25, 40) for r in engine_series(rng, t)]
+    series += list(1j * np.round(rng.normal(size=(300, 6)), 1))
+    series += [1j * np.array(rho) for rho in (
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.1, -0.1], [-0.1, 0.1, -0.0], [1e-6], [-1e-6],
+        [0.999e-6], [0.0, 2e-6, -0.0], [np.nan, 0.1])]
+    reads = []
+    for r in series:
+        pair, want = invariants(ReflectionSeries(r)), scalar_invariants(r)
+        reads.append(repr((pair.q0, pair.qpi)))
+        assert reads[-1] == repr(want)
+        assert repr(pair.residual) == repr(ReflectionSeries(r).residual)
+    assert 30 < reads.count(repr((math.nan, math.nan))) < len(series) - 300
 
 
 def test_residual_reported_on_pair():
@@ -314,12 +359,12 @@ def test_phase_labels():
 def reference_cell(theta1, theta2, t):
     """(Q0, Qpi, residual) of one clean cell through the scalar chain, or
     None where its gauge is degenerate."""
-    system = ScatteringSystem.for_steps(theta1, theta2, t)
-    pair = invariants(reflection_amplitudes(system, t))
-    if math.isnan(pair.q0):
-        assert math.isnan(pair.qpi)
+    series = reflection_amplitudes(ScatteringSystem.for_steps(theta1, theta2, t), t)
+    q0, qpi = scalar_invariants(series.r)
+    if math.isnan(q0):
+        assert math.isnan(qpi)
         return None
-    return pair.q0, pair.qpi, pair.residual
+    return q0, qpi, series.residual
 
 
 def cell_repr(q0, qpi, residual):
@@ -398,3 +443,62 @@ def test_labelled_cells_off_the_closing_lines_carry_the_closed_form_phase():
 def test_phase_diagram_resolution_floor():
     with pytest.raises(ValueError):
         phase_diagram(resolution=4, t=10)
+
+
+# --- the lattice-free clean series oracle --------------------------------------
+
+def oracle_cells(theta1, theta2, t):
+    """Q0, Qpi and residual 1 - sum_j rho_j^2 arrays of clean cells, read as
+    real sums of `oracles.clean_series`, NaN where |r(0)| < 1e-6."""
+    rho = clean_series(theta1, theta2, t)
+    r0, rpi = rho.sum(axis=1), ((-1.0) ** np.arange(1, t + 1) * rho).sum(axis=1)
+    degenerate = np.abs(r0) < 1e-6
+    return [np.where(degenerate, np.nan, v)
+            for v in (r0 / 2, rpi / 2, 1.0 - (rho ** 2).sum(axis=1))]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 8, 31, 120, 300])
+def test_clean_series_oracle_matches_the_engine_on_random_pairs(t):
+    """The oracle solves the clean walk's algebraic equation order by order,
+    with no lattice; the engine's rows agree with it on random pairs, pairs
+    with coin 1 the identity and pairs on the gap-closing lines."""
+    pairs = np.random.default_rng(t).uniform(0, 2 * np.pi, (60, 2))
+    pairs[:6] = [(0.0, 0.52 * np.pi), (0.0, 1.68 * np.pi), (0.3, 0.3), (0.3, np.pi - 0.3),
+                 (np.pi / 2, np.pi / 2), (0.0, 0.0)]
+    whole = [coins(np.repeat(theta[:, None], t + 2, axis=1)) for theta in pairs.T]
+    got = sample_rows(*whole, t)
+    want = clean_series(pairs[:, 0], pairs[:, 1], t)
+    assert got.shape == want.shape == (60, t)
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert np.all(want[:2, ::2] == 0.0)  # coin 1 the identity: odd steps dark
+
+
+@pytest.mark.parametrize("name", ["scan_line_t5.json", "phase_diagram.json"])
+def test_shipped_scan_tables_match_the_clean_series_oracle_cell_by_cell(tmp_path, name):
+    """Every row a shipped scan or phase-diagram run writes holds the Q0, Qpi
+    and residual that the oracle gives its angles, NaN in the same cells, and
+    the 32 x 32 diagram's labels are those of the oracle's values."""
+    config = os.path.join(CONFIG_DIR, name)
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", config, "--out", str(out)]) == 0
+    (table,) = out.glob("*.csv")
+    theta1_pi, theta2_pi, *got, t = np.array(read_csv(str(table))[1], dtype=float).T
+    want = oracle_cells(theta1_pi * np.pi, theta2_pi * np.pi, int(t[0]))
+    for column, expected in zip(got, want):
+        assert np.array_equal(np.isnan(column), np.isnan(expected))
+        assert np.nanmax(np.abs(column - expected)) < 1e-12
+    if name == "phase_diagram.json":
+        with open(config, encoding="utf-8") as fh:
+            blk = json.load(fh)["phase_diagram"]
+        assert blk["resolution"] == 32 and theta1_pi.size == 32 * 32
+        labels = phase_diagram(blk["resolution"], blk["t"], blk["tolerance"]).labels
+        assert np.array_equal(labels.ravel(), phase_labels(*want[:2], blk["tolerance"]))
+
+
+def test_the_64_by_64_diagram_matches_the_clean_series_oracle_cell_by_cell():
+    pd = phase_diagram(resolution=64, t=30, tolerance=0.05)
+    want = oracle_cells(*np.meshgrid(pd.theta1, pd.theta2, indexing="ij"), 30)
+    for got, expected in zip((pd.q0, pd.qpi, pd.residual), want):
+        assert np.array_equal(np.isnan(got.ravel()), np.isnan(expected))
+        assert np.nanmax(np.abs(got.ravel() - expected)) < 1e-12
+    assert np.array_equal(pd.labels.ravel(), phase_labels(*want[:2], 0.05))
