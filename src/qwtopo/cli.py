@@ -3,6 +3,7 @@
 Exit codes: 0 on success, 2 for configuration errors, 3 for runtime
 failures (I/O, unrecognized data, numerical dead ends).  Only `run` and
 `replot` load `runners`, so `verify` and every exit 2 load no numpy.
+`run` writes the manifest of the files its runner's `runners.Outputs` lists.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from datetime import datetime, timezone
 
 from . import __version__, config
 from .dataio import (Columns, RunManifest, UnknownDataKind, config_hash, detect_kind,
-                     read_csv)
+                     read_csv, write_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,14 +97,14 @@ def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else int(resolved["seed"])
     os.makedirs(args.out, exist_ok=True)
     from . import runners
-    runner = runners.RUNNERS[cfg["experiment"]]
-    written = runner(resolved, seed, args.out, args.format)
+    out = runners.Outputs(args.out, args.format)
+    runners.RUNNERS[cfg["experiment"]](resolved, seed, out)
     manifest = RunManifest(__version__, seed, config_hash(cfg),
                            datetime.now(timezone.utc).isoformat())
-    for path in written:
+    for path in out.paths:
         manifest.add(path)
     manifest.write(os.path.join(args.out, "manifest.json"))
-    print(f"wrote {len(written)} files and manifest.json to {args.out}")
+    print(f"wrote {len(out.paths)} files and manifest.json to {args.out}")
     return 0
 
 
@@ -127,8 +128,8 @@ def _cmd_replot(args) -> int:
             continue
         tables += 1
         if name == f"{kind}.csv":
-            runners.plot_table(kind, _columns(path, header, rows),
-                               os.path.join(args.out, f"{kind}.svg"))
+            write_text(os.path.join(args.out, f"{kind}.svg"),
+                       [runners.plot_table(kind, _columns(path, header, rows))])
             drawn += 1
     if tables == 0:
         raise UnknownDataKind(f"no recognized tables in {args.out}")

@@ -117,7 +117,8 @@ SCHEMA = {
     "required": ["experiment"],
     "properties": {
         "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0, "default": 0},
+        # numpy keys a Philox through float64 from 2**63 on, so such seeds collide
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1, "default": 0},
         "scan": {
             "type": "object",
             "additionalProperties": False,

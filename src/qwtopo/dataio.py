@@ -10,7 +10,9 @@ bool column once per distinct value, and any other column value by value.
 Each table kind has a fixed header; replotting recognizes a file purely
 by that header row.  Every JSON file is strict: a float that is NaN or
 infinite is written as null (`json_value`), in tables and in the run's
-other JSON files (`write_json`) alike.
+other JSON files (`write_json`) alike.  Tables, JSON files and plots are
+all written by `write_text`, the one place the package opens a file for
+writing, so each write that fails raises `IoFailure` naming its file.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import os
 from dataclasses import asdict, dataclass, field
 
 __all__ = [
-    "IoFailure", "UnknownDataKind", "TABLE_KINDS", "Columns", "write_table", "read_csv",
-    "detect_kind", "RunManifest", "sha256_file", "config_hash", "json_value", "write_json",
+    "IoFailure", "UnknownDataKind", "TABLE_KINDS", "Columns", "write_text", "write_table",
+    "read_csv", "detect_kind", "RunManifest", "sha256_file", "config_hash", "json_value",
+    "write_json",
 ]
 
 
@@ -60,6 +63,17 @@ class Columns:
         return len(self.columns[0]) if self.columns else 0
 
 
+def write_text(path: str, parts) -> str:
+    """Write the strings `parts` to `path` as UTF-8, newlines untranslated;
+    returns the path.  An `OSError` becomes `IoFailure` naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def write_table(path: str, header: list[str], table: Columns, fmt: str = "csv") -> str:
     """Write the columns of `table` under a fixed header as CSV or JSON;
     returns the path.
@@ -73,13 +87,7 @@ def write_table(path: str, header: list[str], table: Columns, fmt: str = "csv") 
     from . import cells  # the numpy half of the writer: `verify` never loads it
     text = cells.encode(header, table.columns, len(table), fmt)
     base, _ = os.path.splitext(path)
-    path = f"{base}.{fmt}"
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return path
+    return write_text(f"{base}.{fmt}", text)
 
 
 def json_value(value):
@@ -90,14 +98,8 @@ def json_value(value):
 def write_json(path: str, payload: dict) -> str:
     """Write the mapping `payload` as strict JSON, keys sorted, each of its
     values through `json_value`; returns the path."""
-    text = json.dumps({k: json_value(v) for k, v in payload.items()}, indent=1,
-                      sort_keys=True, allow_nan=False) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return path
+    return write_text(path, [json.dumps({k: json_value(v) for k, v in payload.items()},
+                                        indent=1, sort_keys=True, allow_nan=False), "\n"])
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:

@@ -1,7 +1,8 @@
 """The experiment runners of `qwtopo run` and the plots `replot` redraws.
 
-Runners read configs resolved by `config.resolve` and look package functions
-up on their modules at each call, so no wrapper set there stays bound here.
+A runner reads a config resolved by `config.resolve` and names its files to
+an `Outputs`.  Runners look package functions up on their modules at each
+call, so no wrapper set there stays bound here.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from . import apparatus, dataio, disorder, edges, scattering, svgplot
 PHASE_LEVELS = {"--": 0.0, "-+": 1.0, "boundary": 2.0, "+-": 3.0, "++": 4.0}
 
 
-def _write_svg(path: str, text: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
-
-
 def _group_stats(keys, values):
     order = sorted(set(keys.tolist()))
     means = [float(np.mean(values[keys == k])) for k in order]
@@ -29,42 +24,54 @@ def _group_stats(keys, values):
     return np.array(order), np.array(means), np.array(stds)
 
 
-def plot_table(kind: str, table: dataio.Columns, path: str) -> str:
-    """Draw a `kind` table's plot to `path` from the columns `run` wrote."""
+def plot_table(kind: str, table: dataio.Columns) -> str:
+    """The SVG text of a `kind` table's plot, drawn from the columns `run` wrote."""
     # arrays from `run`, CSV strings in `replot`
     cols = [np.asarray(c, dtype=float) for c in table.columns]
     if kind == "scan":
         th1, th2, q0, qpi = cols[0], cols[1], cols[2], cols[3]
         xs = th1 if np.ptp(th1) >= np.ptp(th2) else th2
         label = "theta1 / pi" if xs is th1 else "theta2 / pi"
-        text = svgplot.line_plot([(xs, q0, "Q0"), (xs, qpi, "Qpi")],
+        return svgplot.line_plot([(xs, q0, "Q0"), (xs, qpi, "Qpi")],
                                  title="scattering invariants",
                                  xlabel=label, ylabel="invariant")
-    elif kind == "intensity":
+    if kind == "intensity":
         steps, pos, val = cols[0].astype(int), cols[1].astype(int), cols[2]
         s0, p0 = steps.min(), pos.min()
         matrix = np.zeros((steps.max() - s0 + 1, pos.max() - p0 + 1))
         matrix[steps - s0, pos - p0] = val
-        text = svgplot.heatmap(matrix, title="walk intensity", xlabel="position",
+        return svgplot.heatmap(matrix, title="walk intensity", xlabel="position",
                                ylabel="step", x_offset=int(p0), y_offset=int(s0))
-    else:  # mean and std at each p: a summary's rows, or grouped from a row per member
-        title, ylabel = ("interface localization", "P_loc") if kind == "edge" \
-            else ("ensemble r(0) / 2", "r(0) / 2")
-        xs, means, stds = cols[:3] if kind == "disorder_summary" \
-            else _group_stats(cols[0], cols[2])
-        text = svgplot.errorbar_plot(xs, means, stds, title=title, xlabel="p", ylabel=ylabel)
-    return _write_svg(path, text)
+    # mean and std at each p: a summary's rows, or grouped from a row per member
+    title, ylabel = ("interface localization", "P_loc") if kind == "edge" \
+        else ("ensemble r(0) / 2", "r(0) / 2")
+    xs, means, stds = cols[:3] if kind == "disorder_summary" \
+        else _group_stats(cols[0], cols[2])
+    return svgplot.errorbar_plot(xs, means, stds, title=title, xlabel="p", ylabel=ylabel)
 
 
-def _table(outdir, kind, columns, fmt):
-    """<kind>.<fmt> of the columns and, for CSV, its plot <kind>.svg, which
-    replot redraws."""
-    table = dataio.Columns(*columns)
-    written = [dataio.write_table(os.path.join(outdir, kind), dataio.TABLE_KINDS[kind],
-                                  table, fmt)]
-    if fmt == "csv":
-        written.append(plot_table(kind, table, os.path.join(outdir, f"{kind}.svg")))
-    return written
+class Outputs:
+    """The files of one run: tables, JSON files and plots, each written into
+    `outdir` when a runner names it; `paths` lists them in the order written."""
+
+    def __init__(self, outdir: str, fmt: str):
+        self.outdir, self.fmt, self.paths = outdir, fmt, []
+
+    def table(self, kind: str, columns, name: str | None = None):
+        """<name or kind>.<fmt> of a `kind` table and, for CSV under the kind's
+        own name, the plot <kind>.svg that replot redraws."""
+        name = name or kind
+        table = dataio.Columns(*columns)
+        self.paths.append(dataio.write_table(os.path.join(self.outdir, name),
+                                             dataio.TABLE_KINDS[kind], table, self.fmt))
+        if self.fmt == "csv" and name == kind:
+            self.svg(kind, plot_table(kind, table))
+
+    def json(self, name: str, payload: dict):
+        self.paths.append(dataio.write_json(os.path.join(self.outdir, name + ".json"), payload))
+
+    def svg(self, name: str, text: str):
+        self.paths.append(dataio.write_text(os.path.join(self.outdir, name + ".svg"), [text]))
 
 
 def _scan_columns(t, *arrays) -> list:
@@ -83,7 +90,7 @@ def _member_columns(results) -> list:
             np.concatenate([r.values for r in results])]
 
 
-def _run_scan(cfg, seed, outdir, fmt):
+def _run_scan(cfg, seed, out):
     blk = cfg["scan"]
     t = blk["t"]
     if blk["parametrization"] == scattering.LINE_FREE:
@@ -94,26 +101,23 @@ def _run_scan(cfg, seed, outdir, fmt):
         result = scattering.scan_line(blk["parametrization"], t, grid=grid)
     columns = _scan_columns(t, result.theta1 / math.pi, result.theta2 / math.pi, result.q0,
                             result.qpi, result.residual)
-    return _table(outdir, "scan", columns, fmt)
+    out.table("scan", columns)
 
 
-def _run_phase_diagram(cfg, seed, outdir, fmt):
+def _run_phase_diagram(cfg, seed, out):
     blk = cfg["phase_diagram"]
     pd = scattering.phase_diagram(blk["resolution"], blk["t"], blk["tolerance"])
     n = pd.theta2.size
     columns = _scan_columns(pd.t, np.repeat(pd.theta1 / math.pi, n),
                             np.tile(pd.theta2 / math.pi, n), pd.q0, pd.qpi, pd.residual)
-    written = [dataio.write_table(os.path.join(outdir, "phase_diagram.csv"),
-                                  dataio.TABLE_KINDS["scan"], dataio.Columns(*columns), fmt)]
+    out.table("scan", columns, name="phase_diagram")
     names = sorted(PHASE_LEVELS)
     levels = np.array([PHASE_LEVELS[name] for name in names])[np.searchsorted(names, pd.labels)]
-    text = svgplot.heatmap(levels, title="phase labels", xlabel="theta2 cell",
-                           ylabel="theta1 cell")
-    written.append(_write_svg(os.path.join(outdir, "phase_diagram.svg"), text))
-    return written
+    out.svg("phase_diagram", svgplot.heatmap(levels, title="phase labels",
+                                             xlabel="theta2 cell", ylabel="theta1 cell"))
 
 
-def _run_disorder(cfg, seed, outdir, fmt):
+def _run_disorder(cfg, seed, out):
     blk = cfg["disorder"]
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
@@ -121,37 +125,33 @@ def _run_disorder(cfg, seed, outdir, fmt):
     curve = disorder.disorder_curve(spec, t, p_grid)
     members = _member_columns(curve)
     rows = members[0].size
-    written = _table(outdir, "disorder_runs",
-                     members + [np.full(rows, t), np.full(rows, seed)], fmt)
-    written += _table(outdir, "disorder_summary", [
+    out.table("disorder_runs", members + [np.full(rows, t), np.full(rows, seed)])
+    out.table("disorder_summary", [
         np.array([res.p for res in curve], dtype=object),
         np.array([res.mean for res in curve]), np.array([res.std for res in curve]),
-        np.array([res.n_configs for res in curve]), np.full(len(curve), t)], fmt)
+        np.array([res.n_configs for res in curve]), np.full(len(curve), t)])
     if "transition" in blk:
         tr = blk["transition"]
         t_tr, n_tr, resolution = tr["t"], tr["n_configs"], tr["resolution"]
         p_crit = disorder.transition_locator(spec, t_tr, n_tr, resolution)
-        written.append(dataio.write_json(os.path.join(outdir, "transition.json"), {
+        out.json("transition", {
             "p_crit": p_crit, "t": t_tr, "n_configs": n_tr,
             "resolution": resolution, "seed": seed,
-        }))
-    return written
+        })
 
 
-def _run_edge(cfg, seed, outdir, fmt):
+def _run_edge(cfg, seed, out):
     blk = cfg["edge"]
     theta_left = blk["theta_left_pi"] * math.pi
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
     points = edges.localization_vs_disorder(theta_left, theta_a, theta_b, seed, t, p_grid, n)
     members = _member_columns(points)
-    written = _table(outdir, "edge", members + [np.full(members[0].size, t)], fmt)
+    out.table("edge", members + [np.full(members[0].size, t)])
     show_p = max(p_grid)
     right = disorder.DisorderSpec.for_steps(theta_a, theta_b, show_p, t, seed, n)
     record = edges.run_interface(theta_left, right, t, config=0)
-    written += _table(outdir, "intensity",
-                      _intensity_columns(record.positions(), record.distributions), fmt)
-    return written
+    out.table("intensity", _intensity_columns(record.positions(), record.distributions))
 
 
 def _intensity_columns(positions, matrix) -> list:
@@ -167,7 +167,7 @@ def _radians(blk: dict) -> dict:
             for key, v in blk.items()}
 
 
-def _run_emulate(cfg, seed, outdir, fmt):
+def _run_emulate(cfg, seed, out):
     blk = cfg["emulate"]
     system = scattering.ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
                                                    blk["theta2_pi"] * math.pi, blk["t"])
@@ -175,18 +175,16 @@ def _run_emulate(cfg, seed, outdir, fmt):
         system, blk["t"], apparatus.ApparatusModel(**_radians(blk["model"])),
         alpha=blk["alpha_pi"] * math.pi, mode=blk["mode"], shots=blk["shots"], seed=seed)
     positions = data.x_min + np.arange(data.distributions.shape[1])
-    written = _table(outdir, "intensity", _intensity_columns(positions, data.distributions),
-                     fmt)
+    out.table("intensity", _intensity_columns(positions, data.distributions))
     pair = apparatus.measured_invariants(data)
-    written.append(dataio.write_json(os.path.join(outdir, "emulate.json"), {
+    out.json("emulate", {
         "q0": pair.q0, "qpi": pair.qpi, "residual": pair.residual,
         "reference_sign": data.reference_sign,
         "magnitudes": [float(m) for m in data.magnitudes],
-    }))
-    return written
+    })
 
 
-def _run_mc_errorbars(cfg, seed, outdir, fmt):
+def _run_mc_errorbars(cfg, seed, out):
     blk = cfg["mc_errorbars"]
     t = blk["t"]
     system = scattering.ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
@@ -200,7 +198,7 @@ def _run_mc_errorbars(cfg, seed, outdir, fmt):
         horizon=blk["horizon"], seed=seed)
     pair = apparatus.measured_invariants(data)
     best = result.best
-    written = [dataio.write_json(os.path.join(outdir, "mc.json"), {
+    out.json("mc", {
         "q0": pair.q0, "qpi": pair.qpi,
         "q0_error": result.q0_error, "qpi_error": result.qpi_error,
         "distance": result.distance, "n_sets": result.n_sets,
@@ -212,13 +210,10 @@ def _run_mc_errorbars(cfg, seed, outdir, fmt):
             "eom_error_deg": math.degrees(best.eom_error),
             "sbc_error_deg": math.degrees(best.sbc_error),
         },
-    })]
-    text = svgplot.errorbar_plot([0.0, 1.0], [pair.q0, pair.qpi],
-                                 [result.q0_error, result.qpi_error],
-                                 title="invariants with MC error bars",
-                                 xlabel="0 = Q0, 1 = Qpi", ylabel="invariant")
-    written.append(_write_svg(os.path.join(outdir, "mc_invariants.svg"), text))
-    return written
+    })
+    out.svg("mc_invariants", svgplot.errorbar_plot(
+        [0.0, 1.0], [pair.q0, pair.qpi], [result.q0_error, result.qpi_error],
+        title="invariants with MC error bars", xlabel="0 = Q0, 1 = Qpi", ylabel="invariant"))
 
 
 #: The runner of each experiment kind.

@@ -673,9 +673,10 @@ def per_row_text(header, rows, fmt) -> str:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_an_integer_p_grid_keeps_the_bytes_of_the_per_row_writer(tmp_path, fmt):
-    """p_grid [0, 0.5, 1] and a seed past int64: the disorder tables and the
-    edge table write p as 0 and 1, as the runner's rows of Python cells did."""
-    grid, seed, t, n = [0, 0.5, 1], 2**70 + 3, 7, 3
+    """p_grid [0, 0.5, 1] and the largest seed a config takes: the disorder
+    tables and the edge table write p as 0 and 1, and the seed in full, as the
+    runner's rows of Python cells did."""
+    grid, seed, t, n = [0, 0.5, 1], 2**63 - 1, 7, 3
     angles = {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": t, "n_configs": n, "p_grid": grid}
     theta_a, theta_b = 1.68 * math.pi, 1.36 * math.pi
     curve = disorder.disorder_curve(
@@ -854,6 +855,41 @@ def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, na
     assert files(out) == before
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_the_manifest_lists_exactly_the_files_a_run_wrote(tmp_path, capsys, name, fmt):
+    """The run directory holds manifest.json and the manifest's outputs and
+    nothing else; each output was written once and carries its SHA-256."""
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", os.path.join(CONFIG_DIR, name), "--out", str(out),
+                       "--format", fmt]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert capsys.readouterr().out.endswith(
+        f"wrote {len(outputs)} files and manifest.json to {out}\n")
+    assert sorted(f.name for f in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    assert outputs == {k: hashlib.sha256((out / k).read_bytes()).hexdigest() for k in outputs}
+
+
+@pytest.mark.parametrize("cfg, plot", [
+    (scan_config(), "scan.svg"),
+    ({"experiment": "phase-diagram", "phase_diagram": {"resolution": 8, "t": 9}},
+     "phase_diagram.svg"),
+], ids=["table-plot", "run-plot"])
+def test_a_plot_that_cannot_be_written_exits_3_naming_it(tmp_path, capsys, cfg, plot):
+    """A run whose plot path is a directory fails as every other write does,
+    keeps the table it wrote before it, and writes no manifest; a replot in
+    that directory fails the same way."""
+    out = tmp_path / "out"
+    (out / plot).mkdir(parents=True)
+    assert entrypoint(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    want = f"IoFailure: cannot write {out / plot}: "
+    assert capsys.readouterr().err.startswith(want)
+    assert sorted(f.name for f in out.iterdir()) == sorted([plot.replace(".svg", ".csv"), plot])
+    if plot == "scan.svg":
+        assert entrypoint(["replot", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(want)
+
+
 def test_cli_seed_flag_overrides_config_seed(tmp_path):
     cfg = disorder_config(t=9, n_configs=4, p_grid=[0.5])
     cfg["seed"] = 1
@@ -894,6 +930,26 @@ def test_a_negative_seed_override_exits_2_naming_seed(tmp_path, capsys, kind):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["config_sha256"] == dataio.config_hash(cfgmod.load(path))
+
+
+@pytest.mark.parametrize("kind", cfgmod.EXPERIMENTS)
+def test_a_seed_of_2_63_or_more_exits_2_naming_seed(tmp_path, capsys, kind):
+    """numpy keys a Philox through float64 from 2**63 on, so that seeds 2**63 + 1
+    and 2**63 + 500 would draw one pattern: verify, run and run --seed refuse
+    2**63 before any output is made, and 2**63 - 1 runs."""
+    path = shipped_config(kind)
+    big = write_config(tmp_path, {**cfgmod.load(path), "seed": 2**63})
+    out = tmp_path / "out"
+    want = (f"ConfigInvalid at field path seed: {2**63} is greater than the maximum of "
+            f"{2**63 - 1}\n")
+    for argv in (["verify", "--config", big], ["run", "--config", big, "--out", str(out)],
+                 ["run", "--config", path, "--out", str(out), "--seed", str(2**63)]):
+        assert entrypoint(argv) == 2
+        assert capsys.readouterr().err == want
+    assert not out.exists()
+    assert entrypoint(["run", "--config", path, "--out", str(out),
+                       "--seed", str(2**63 - 1)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2**63 - 1
 
 
 def test_repeated_in_process_calls_share_one_parser_and_keep_no_state(tmp_path, capsys):

@@ -395,10 +395,11 @@ def test_a_whole_walk_peaks_within_what_estimate_holds(tmp_path, kind):
     else:
         cfg = {"experiment": "mc-errorbars", "mc_errorbars": {**block, "n_sets": 2}}
         small = cfgmod.resolve({**cfg, "mc_errorbars": {**block, "t": 9, "n_sets": 2}})
-        qwtopo.runners._run_mc_errorbars(small, 0, str(tmp_path), "csv")
+        qwtopo.runners._run_mc_errorbars(small, 0, qwtopo.runners.Outputs(str(tmp_path), "csv"))
 
         def run():
-            qwtopo.runners._run_mc_errorbars(cfgmod.resolve(cfg), 0, str(tmp_path), "csv")
+            qwtopo.runners._run_mc_errorbars(cfgmod.resolve(cfg), 0,
+                                             qwtopo.runners.Outputs(str(tmp_path), "csv"))
     held = cfgmod.estimate(cfg)["held"]
     tracemalloc.start()
     try:
