@@ -12,8 +12,8 @@ _EXPORTS = {
              "apply_shift_minus", "apply_shift_plus", "apply_shift_symmetric",
              "double_step_equivalent", "evolve", "split_step"),
     "scattering": ("InvariantPair", "PhaseDiagram", "ReflectionSeries", "ScanResult",
-                   "ScatteringSystem", "invariants", "phase_diagram", "reflection_amplitudes",
-                   "scan_line"),
+                   "ScatteringSystem", "invariants", "line_pairs", "phase_diagram",
+                   "reflection_amplitudes", "scan_line"),
     "disorder": ("DisorderSpec", "EnsembleResult", "NoCrossing", "disorder_curve",
                  "ensemble_r0", "sample_pattern", "transition_locator"),
     "edges": ("LocalizationRecord", "localization_vs_disorder", "run_interface"),

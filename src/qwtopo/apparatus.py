@@ -28,7 +28,8 @@ row whose |r(0)| is below 1e-6.  The Monte-Carlo fit runs it on batches
 of models, each batch a (B, 5) array of model parameters, and reads rho
 and the intensities' distances from the batch's whole histories.
 `emulate_measurement` runs it with B = 1 and keeps the signed series as
-it is, which `measured_invariants` reads.  `relative_sign` and
+it is, which `measured_invariants` reads; its defaults, which no config
+key sets, read the data an mc-errorbars run fits.  `relative_sign` and
 `reconstruct_series` apply the same sign rule and chain one pair at a
 time to sign data given as a list of pairs, and raise where the batch
 gives NaN.
@@ -91,10 +92,10 @@ class ApparatusModel:
 class ErrorRanges:
     """Uniform draw ranges for Monte-Carlo model sampling."""
 
-    loss_asymmetry: float = 0.03        # +-
-    eom_error: float = np.radians(1.0)  # +-
-    sbc_error: float = np.radians(1.0)  # +-
-    efficiency_span: float = 0.02       # efficiencies in [1 - span, 1]
+    loss_asymmetry: float   # +-
+    eom_error: float        # +-, radians
+    sbc_error: float        # +-, radians
+    efficiency_span: float  # efficiencies in [1 - span, 1]
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(n, 5) array of n models, one row each with the columns in
@@ -407,8 +408,7 @@ def _mc_batch(system: ScatteringSystem, t: int, observed: np.ndarray, horizon: i
 
 
 def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
-                          ranges: ErrorRanges = ErrorRanges(),
-                          n_sets: int = 1000, horizon: int = 7, seed: int = 0) -> McResult:
+                          ranges: ErrorRanges, n_sets: int, horizon: int, seed: int) -> McResult:
     """Fit an apparatus model to observed walk distributions.
 
     Draws n_sets models uniformly within the ranges, simulates each,

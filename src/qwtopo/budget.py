@@ -3,6 +3,7 @@
 Pure Python, so that `config.estimate`, and `qwtopo verify` with it, runs
 without numpy or the engine: `walk.real_steps` steps the rows of `cone`,
 and each kind of `Study` splits its walkers into `batches` by `Study.held`.
+It holds no run value, such as a p grid: those come from the config alone.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ PROBE_ROW, READOUT_ROW = 1, 0
 
 #: Mixing angles within this distance of a multiple of pi/2 are rejected.
 ALPHA_GUARD = math.radians(2.0)
-
-#: Disorder strengths used by the standard ensemble studies.
-DEFAULT_P_GRID = tuple(i / 10 for i in range(11))
 
 
 def within_guard(alpha: float) -> bool:

@@ -14,8 +14,8 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, config
-from .dataio import (Columns, RunManifest, UnknownDataKind, config_hash, detect_kind,
-                     read_csv, write_text)
+from .dataio import (Columns, IoFailure, RunManifest, UnknownDataKind, config_hash,
+                     detect_kind, read_csv, write_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +95,10 @@ def _cmd_run(args) -> int:
         print(f"warning: {note}", file=sys.stderr)
     resolved = config.resolve(cfg)
     seed = args.seed if args.seed is not None else int(resolved["seed"])
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {args.out}: {exc}") from exc
     from . import runners
     out = runners.Outputs(args.out, args.format)
     runners.RUNNERS[cfg["experiment"]](resolved, seed, out)
@@ -129,7 +132,7 @@ def _cmd_replot(args) -> int:
         tables += 1
         if name == f"{kind}.csv":
             write_text(os.path.join(args.out, f"{kind}.svg"),
-                       [runners.plot_table(kind, _columns(path, header, rows))])
+                       [runners.plot_table(kind, _columns(path, kind, header, rows))])
             drawn += 1
     if tables == 0:
         raise UnknownDataKind(f"no recognized tables in {args.out}")
@@ -137,14 +140,29 @@ def _cmd_replot(args) -> int:
     return 0
 
 
-def _columns(path: str, header: list[str], rows: list[list[str]]) -> Columns:
-    """The columns of the table read from `path`, refused unless each of its
-    data rows, one at least, is as wide as the header."""
+def _columns(path: str, kind: str, header: list[str], rows: list[list[str]]) -> Columns:
+    """The float columns of the `kind` table read from `path`, refused unless
+    each of its data rows, one at least, is as wide as the header and holds
+    numbers that `float` reads, all finite in an intensity table."""
+    import numpy as np  # loaded with `runners`, which replot needs anyway
+
     bad = next((i for i, row in enumerate(rows, 1) if len(row) != len(header)), 0)
     if bad or not rows:
         raise UnknownDataKind(f"{path}: data row {bad} holds {len(rows[bad - 1])} cells, its "
                               f"header {len(header)}" if bad else f"{path} holds no data rows")
-    return Columns(*zip(*rows))
+    try:
+        table = np.array(rows, dtype=float)  # each cell read as float() reads it
+    except ValueError:
+        for i, row in enumerate(rows, 1):
+            try:
+                list(map(float, row))
+            except ValueError:
+                raise UnknownDataKind(f"{path}: data row {i} holds a non-number") from None
+        raise
+    finite = np.isfinite(table).all(axis=1)
+    if kind == "intensity" and not finite.all():  # its plot indexes by step and position
+        raise UnknownDataKind(f"{path}: data row {np.argmin(finite) + 1} holds a non-finite cell")
+    return Columns(*table.T)
 
 
 if __name__ == "__main__":

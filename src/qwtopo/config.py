@@ -7,7 +7,8 @@ magnitude 2 or more are accepted but flagged as mod-2 reductions by
 `config_warnings`.
 
 Optional keys take their defaults from `SCHEMA` alone, filled in by
-`resolve`, whose output is all that the runners and `estimate` read.
+`resolve`, whose output is all that the runners and `estimate` read; the
+engine functions the runners call restate none of them.
 `validate` checks a config against `SCHEMA` with `schema_errors`, a walker
 over the JSON Schema keywords `SCHEMA` uses and no others: `type` (object,
 array, integer or number; a bool is neither number nor integer, and 5.0 is
@@ -29,9 +30,8 @@ import json
 import math
 import operator
 
-from .budget import (ALPHA_GUARD, DEFAULT_P_GRID, ENSEMBLE, INTERFACE, MODEL, SCAN,
-                     batch_capacity, batch_walkers, interface_members, record_window,
-                     within_guard)
+from .budget import (ALPHA_GUARD, ENSEMBLE, INTERFACE, MODEL, SCAN, batch_capacity,
+                     batch_walkers, interface_members, record_window, within_guard)
 from .dataio import IoFailure
 
 EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate",
@@ -81,7 +81,7 @@ _ANGLE = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 1}
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
 _P_GRID = {"type": "array", "items": _PROB, "minItems": 1,
-           "default": list(DEFAULT_P_GRID)}
+           "default": [i / 10 for i in range(11)]}
 _ENSEMBLE = {**_COUNT, "default": 50}
 
 

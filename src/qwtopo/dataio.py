@@ -37,7 +37,8 @@ class IoFailure(OSError):
 
 class UnknownDataKind(ValueError):
     """A data file is no table qwtopo writes: its header is not recognized,
-    or its data rows are missing or do not fit the header."""
+    its data rows are missing or do not fit the header, or a cell is no
+    number, or is not finite where the table's plot needs it to be."""
 
 
 #: Fixed column layout per table kind.

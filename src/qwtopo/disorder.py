@@ -23,7 +23,8 @@ the cosine and sine of theta_a and theta_b into the coins the engine
 runs on (`pattern_coins`, which interface walks share), and hands its
 value to every member that has it.  A disorder curve evaluates all its
 p in one call; a transition bisection its two endpoints in one call,
-and it keeps the values it stepped for every later probe.
+and it keeps the values it stepped for every later probe.  A bisection
+takes of a spec only the angles and the seed, with its own t and size.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import DEFAULT_P_GRID, ENSEMBLE, reflection_window
+from .budget import ENSEMBLE, reflection_window
 from .walk import CoinField, coins, over_batches
 from .scattering import rotated_sums, sample_rows
 
@@ -52,7 +53,7 @@ class DisorderSpec:
     p: float
     sites: int
     seed: int
-    n_configs: int = 50
+    n_configs: int
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -64,7 +65,7 @@ class DisorderSpec:
 
     @classmethod
     def for_steps(cls, theta_a: float, theta_b: float, p: float, t: int,
-                  seed: int, n_configs: int = 50) -> "DisorderSpec":
+                  seed: int, n_configs: int) -> "DisorderSpec":
         """Spec whose sample covers the light cone of a t-step run."""
         return cls(theta_a, theta_b, p, t + 2, seed, n_configs)
 
@@ -128,7 +129,6 @@ class EnsembleResult:
 
     p: float
     values: np.ndarray
-    t: int
 
     @property
     def n_configs(self) -> int:
@@ -206,21 +206,22 @@ def ensemble_r0(spec: DisorderSpec, t: int) -> EnsembleResult:
     return disorder_curve(spec, t, (spec.p,))[0]
 
 
-def disorder_curve(spec: DisorderSpec, t: int, p_grid=DEFAULT_P_GRID) -> list[EnsembleResult]:
+def disorder_curve(spec: DisorderSpec, t: int, p_grid) -> list[EnsembleResult]:
     """Ensemble statistics across a grid of disorder strengths, all p in one
     `PatternStudy` call."""
     uniforms = ensemble_uniforms(spec, t)
     values = _study(spec, t).values([uniforms < p for p in p_grid])
-    return [EnsembleResult(p, v, t) for p, v in zip(p_grid, values)]
+    return [EnsembleResult(p, v) for p, v in zip(p_grid, values)]
 
 
-def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
-                       resolution: float = 0.025) -> float:
+def transition_locator(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int,
+                       resolution: float) -> float:
     """Disorder strength where the ensemble median invariant flips sign.
 
     Bisects [0, 1] on a p grid of the given resolution using the median of
-    sign(half r(0)) over n_configs configurations, with the sample sized
-    to the light cone of t steps.  Larger t sharpens the transition, so
+    sign(half r(0)) over n_configs configurations of binary disorder between
+    theta_a and theta_b drawn from `seed`, with the sample sized to the
+    light cone of t steps.  Larger t sharpens the transition, so
     the bisection estimate converges to the infinite-size critical
     strength.  Raises NoCrossing when both endpoints share a sign.  The
     two endpoints are evaluated in one call of one `PatternStudy`, which
@@ -228,7 +229,7 @@ def transition_locator(spec: DisorderSpec, t: int = 201, n_configs: int = 200,
     """
     if t < 101:
         raise ValueError("transition location needs t >= 101")
-    work = DisorderSpec(spec.theta_a, spec.theta_b, 0.0, t + 2, spec.seed, n_configs)
+    work = DisorderSpec.for_steps(theta_a, theta_b, 0.0, t, seed, n_configs)
     uniforms = ensemble_uniforms(work, t)
     study = _study(work, t)
 

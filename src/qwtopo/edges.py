@@ -26,7 +26,8 @@ A batch's P_loc is one sum over the history rows x in [-3, 3] of every
 walker, which hold exact zeros outside a walker's window; `run_interface`
 keeps its walker's window, the one `evolve` ends on.
 `localization_vs_disorder` steps each distinct right-bulk pattern of all
-its p once, through one `disorder.PatternStudy` call.
+its p once, through one `disorder.PatternStudy` call.  Neither study has
+a default: every value comes from the run's config.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import DEFAULT_P_GRID, INTERFACE, interface_members
+from .budget import INTERFACE, interface_members
 from .walk import V, coins, record
 from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, coin_table,
                        config_uniforms, pattern_coins)
@@ -64,8 +65,6 @@ class LocalizationRecord:
 
     distributions: np.ndarray  # (t+1, sites), row j is P_i after j steps
     x_min: int
-    t: int
-    config: int
 
     def positions(self) -> np.ndarray:
         return np.arange(self.x_min, self.x_min + self.distributions.shape[1])
@@ -82,8 +81,8 @@ def _launch(theta_left: float, right: tuple, t: int) -> tuple:
     return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t)
 
 
-def run_interface(theta_left: float, right: DisorderSpec, t: int = 13,
-                  config: int = 0) -> LocalizationRecord:
+def run_interface(theta_left: float, right: DisorderSpec, t: int,
+                  config: int) -> LocalizationRecord:
     """Evolve the launch state at the interface of the left bulk theta_left
     with configuration `config` of the right bulk `right`, and record every
     step's distribution."""
@@ -91,7 +90,7 @@ def run_interface(theta_left: float, right: DisorderSpec, t: int = 13,
     x_min, h, v, lo, hi = _launch(
         theta_left, pattern_coins(coin_table(right.theta_a, right.theta_b), mask), t)
     a, b = h[:, lo[0]:hi[0] + 1, 0], v[:, lo[0]:hi[0] + 1, 0]
-    return LocalizationRecord(a * a + b * b, x_min + int(lo[0]), t, config)
+    return LocalizationRecord(a * a + b * b, x_min + int(lo[0]))
 
 
 def _ploc_batch(right: tuple, theta_left: float, t: int) -> np.ndarray:
@@ -103,8 +102,7 @@ def _ploc_batch(right: tuple, theta_left: float, t: int) -> np.ndarray:
 
 
 def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
-                             seed: int, t: int = 13, p_grid=DEFAULT_P_GRID,
-                             n_configs: int = 50) -> list[EnsembleResult]:
+                             seed: int, t: int, p_grid, n_configs: int) -> list[EnsembleResult]:
     """Ensemble P_loc statistics per disorder strength.
 
     The uniforms are drawn once and thresholded at every p, and one
@@ -118,4 +116,4 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
                          INTERFACE.held(t))
     counts = interface_members(n_configs, p_grid)
     values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])
-    return [EnsembleResult(p, v, t) for p, v in zip(p_grid, values)]
+    return [EnsembleResult(p, v) for p, v in zip(p_grid, values)]

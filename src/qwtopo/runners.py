@@ -26,7 +26,7 @@ def _group_stats(keys, values):
 
 def plot_table(kind: str, table: dataio.Columns) -> str:
     """The SVG text of a `kind` table's plot, drawn from the columns `run` wrote."""
-    # arrays from `run`, CSV strings in `replot`
+    # arrays from `run` and from `replot`'s CSV cells
     cols = [np.asarray(c, dtype=float) for c in table.columns]
     if kind == "scan":
         th1, th2, q0, qpi = cols[0], cols[1], cols[2], cols[3]
@@ -93,12 +93,12 @@ def _member_columns(results) -> list:
 def _run_scan(cfg, seed, out):
     blk = cfg["scan"]
     t = blk["t"]
-    if blk["parametrization"] == scattering.LINE_FREE:
+    if blk["parametrization"] == "free":
         pairs = np.asarray(blk["pairs_pi"], dtype=float) * math.pi
-        result = scattering.scan_line(scattering.LINE_FREE, t, pairs=pairs)
     else:
         grid = np.linspace(blk["start_pi"], blk["stop_pi"], blk["count"]) * math.pi
-        result = scattering.scan_line(blk["parametrization"], t, grid=grid)
+        pairs = scattering.line_pairs(blk["parametrization"], grid)
+    result = scattering.scan_line(pairs, t)
     columns = _scan_columns(t, result.theta1 / math.pi, result.theta2 / math.pi, result.q0,
                             result.qpi, result.residual)
     out.table("scan", columns)
@@ -108,7 +108,7 @@ def _run_phase_diagram(cfg, seed, out):
     blk = cfg["phase_diagram"]
     pd = scattering.phase_diagram(blk["resolution"], blk["t"], blk["tolerance"])
     n = pd.theta2.size
-    columns = _scan_columns(pd.t, np.repeat(pd.theta1 / math.pi, n),
+    columns = _scan_columns(blk["t"], np.repeat(pd.theta1 / math.pi, n),
                             np.tile(pd.theta2 / math.pi, n), pd.q0, pd.qpi, pd.residual)
     out.table("scan", columns, name="phase_diagram")
     names = sorted(PHASE_LEVELS)
@@ -131,13 +131,9 @@ def _run_disorder(cfg, seed, out):
         np.array([res.mean for res in curve]), np.array([res.std for res in curve]),
         np.array([res.n_configs for res in curve]), np.full(len(curve), t)])
     if "transition" in blk:
-        tr = blk["transition"]
-        t_tr, n_tr, resolution = tr["t"], tr["n_configs"], tr["resolution"]
-        p_crit = disorder.transition_locator(spec, t_tr, n_tr, resolution)
-        out.json("transition", {
-            "p_crit": p_crit, "t": t_tr, "n_configs": n_tr,
-            "resolution": resolution, "seed": seed,
-        })
+        tr = blk["transition"]  # t, n_configs and resolution, by their parameter names
+        p_crit = disorder.transition_locator(theta_a, theta_b, seed, **tr)
+        out.json("transition", {"p_crit": p_crit, **tr, "seed": seed})
 
 
 def _run_edge(cfg, seed, out):

@@ -23,6 +23,7 @@ of rho rows; `invariants` reads one series through it.  The same real
 structure lets `sample_rows` step whole batches of systems on the real
 engine `walk.real_steps`, on the sites that can still reach the read-out
 x = -2: amplitude left of it never returns, so the window starts there.
+`scan_line` steps the angle pairs it is given, a line's from `line_pairs`.
 """
 
 from __future__ import annotations
@@ -188,15 +189,15 @@ class ScanResult:
     q0: np.ndarray
     qpi: np.ndarray
     residual: np.ndarray
-    t: int
 
 
 LINE_GREEN = "theta1=2*theta2"
 LINE_TURQUOISE = "theta2=2*theta1"
-LINE_FREE = "free"
 
 
-def _line_pairs(parametrization, grid):
+def line_pairs(parametrization: str, grid) -> np.ndarray:
+    """(theta1, theta2) rows of a coin-angle line, one per angle of grid:
+    "theta1=2*theta2" sweeps theta2 and "theta2=2*theta1" sweeps theta1."""
     grid = np.asarray(grid, dtype=float)
     if parametrization == LINE_GREEN:
         return np.column_stack([2.0 * grid % _TWO_PI, grid])
@@ -224,23 +225,13 @@ def _scan_rows(pairs: np.ndarray, t: int) -> np.ndarray:
     return over_batches(lambda batch: _scan_batch(batch, t), pairs, SCAN.held(t))
 
 
-def scan_line(parametrization: str, t: int, grid=None, pairs=None) -> ScanResult:
-    """Invariants along a coin-angle line for clean samples.
-
-    parametrization is one of "theta1=2*theta2" (grid sweeps theta2),
-    "theta2=2*theta1" (grid sweeps theta1) or "free" (explicit pairs of
-    angles).  Points whose gauge is degenerate are kept, with NaN values.
-    """
-    if parametrization == LINE_FREE:
-        if pairs is None:
-            raise ValueError("free parametrization needs explicit pairs")
-        arr = np.asarray(pairs, dtype=float)
-    else:
-        if grid is None:
-            raise ValueError("line parametrization needs a grid of swept angles")
-        arr = _line_pairs(parametrization, grid)
+def scan_line(pairs, t: int) -> ScanResult:
+    """Invariants of t-step clean samples at (theta1, theta2) rows of pairs,
+    explicit ones or a coin-angle line's `line_pairs`.  Points whose gauge
+    is degenerate are kept, with NaN values."""
+    arr = np.asarray(pairs, dtype=float)
     q0, qpi, residual = _scan_rows(arr, t).T
-    return ScanResult(arr[:, 0], arr[:, 1], q0, qpi, residual, t)
+    return ScanResult(arr[:, 0], arr[:, 1], q0, qpi, residual)
 
 
 PHASE_LABELS = ("--", "-+", "+-", "++")
@@ -255,8 +246,6 @@ class PhaseDiagram:
     qpi: np.ndarray
     residual: np.ndarray
     labels: np.ndarray  # strings from PHASE_LABELS or BOUNDARY_LABEL
-    t: int
-    tolerance: float
 
 
 def phase_labels(q0, qpi, tolerance: float) -> np.ndarray:
@@ -268,7 +257,7 @@ def phase_labels(q0, qpi, tolerance: float) -> np.ndarray:
     return np.array(PHASE_LABELS + (BOUNDARY_LABEL,))[index]
 
 
-def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05) -> PhaseDiagram:
+def phase_diagram(resolution: int, t: int, tolerance: float) -> PhaseDiagram:
     """Classify the (theta1, theta2) plane on a grid of cell centers.
 
     Each cell is labelled by `phase_labels`: the sign pair of (Q0, Qpi)
@@ -280,5 +269,4 @@ def phase_diagram(resolution: int = 64, t: int = 30, tolerance: float = 0.05) ->
     pairs = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1)
     rows = _scan_rows(pairs.reshape(-1, 2), t)
     q0, qpi, res = rows.T.reshape(3, resolution, resolution)
-    return PhaseDiagram(centers, centers, q0, qpi, res,
-                        phase_labels(q0, qpi, tolerance), t, tolerance)
+    return PhaseDiagram(centers, centers, q0, qpi, res, phase_labels(q0, qpi, tolerance))

@@ -25,14 +25,15 @@ def _finite(values):
     return arr[np.isfinite(arr)]
 
 
-def _span(values, pad_frac=0.06):
+def _span(values):
+    """The axis range of the finite values, padded by 6 % of their spread."""
     arr = _finite(values)
     if arr.size == 0:
         return 0.0, 1.0
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    pad = (hi - lo) * pad_frac
+    pad = (hi - lo) * 0.06
     return lo - pad, hi + pad
 
 
@@ -119,7 +120,7 @@ def line_plot(curves, title="", xlabel="", ylabel="") -> str:
     return _document(parts)
 
 
-def errorbar_plot(xs, means, stds, title="", xlabel="", ylabel="", label="") -> str:
+def errorbar_plot(xs, means, stds, title="", xlabel="", ylabel="") -> str:
     """Mean curve with vertical +-std bars, skipping non-finite means and bars."""
     xs = np.asarray(xs, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -146,9 +147,6 @@ def errorbar_plot(xs, means, stds, title="", xlabel="", ylabel="", label="") -> 
     for x, m in zip(xs, means):
         parts.append(f'<circle cx="{_f(frame.px(x))}" cy="{_f(frame.py(m))}" r="3" '
                      f'fill="{color}"/>')
-    if label:
-        parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 18}" font-size="12" '
-                     f'text-anchor="end" fill="{color}">{label}</text>')
     return _document(parts)
 
 

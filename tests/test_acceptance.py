@@ -24,6 +24,7 @@ from qwtopo import (
     ensemble_r0,
     evolve,
     invariants,
+    line_pairs,
     localization_vs_disorder,
     measured_invariants,
     monte_carlo_errorbars,
@@ -33,11 +34,11 @@ from qwtopo import (
     split_step,
     transition_locator,
 )
-from qwtopo.budget import DEFAULT_P_GRID
 from qwtopo.edges import run_interface
 from qwtopo.scattering import fourier_sums
 from qwtopo.walk import H, V
 
+from defaults import P_GRID, RANGES
 from references import p_loc_at
 from scanlines import flip_width, sign_flips
 
@@ -65,8 +66,8 @@ def test_criterion_1_clean_scan_signs_and_sharpening(capfd):
     of 0.12pi, since 2.24pi = 0.24pi mod 2pi) reads the swapped pair of
     0.12pi.
     """
-    anchors = scan_line("theta2=2*theta1", 5,
-                        grid=np.array([0.12, 0.73, 0.90, 1.12, 1.50]) * PI)
+    anchors = scan_line(line_pairs("theta2=2*theta1",
+                                   np.array([0.12, 0.73, 0.90, 1.12, 1.50]) * PI), 5)
     p12, p73, p90, p112, p150 = map(InvariantPair, anchors.q0, anchors.qpi, anchors.residual)
     same_73 = np.sign(p73.q0) == np.sign(p73.qpi)
     inter_90 = 0.05 < min(abs(p90.q0), abs(p90.qpi)) < 0.45
@@ -75,8 +76,8 @@ def test_criterion_1_clean_scan_signs_and_sharpening(capfd):
                  and abs(p112.qpi - p12.q0) < 1e-12)
 
     fine = np.arange(0.60, 0.7401, 0.005) * PI
-    s5 = scan_line("theta2=2*theta1", 5, grid=fine)
-    s50 = scan_line("theta2=2*theta1", 50, grid=fine)
+    s5 = scan_line(line_pairs("theta2=2*theta1", fine), 5)
+    s50 = scan_line(line_pairs("theta2=2*theta1", fine), 50)
     w5 = flip_width(fine, s5.q0, s5.qpi, sign_flips(fine, s5.q0, s5.qpi)[0])
     w50 = flip_width(fine, s50.q0, s50.qpi, sign_flips(fine, s50.q0, s50.qpi)[0])
     sharpened = w5 >= 3 * w50
@@ -125,7 +126,7 @@ def test_criterion_3_uniform_invariant_survives_disorder(capfd):
     with small spread across the whole disorder range."""
     spec = DisorderSpec.for_steps(CASE1["theta_a"], CASE1["theta_b"], 0.0, 11,
                                   SEED, 50)
-    curve = disorder_curve(spec, 11, DEFAULT_P_GRID)
+    curve = disorder_curve(spec, 11, P_GRID)
     worst_mean = max(abs(res.mean - 0.5) for res in curve)
     worst_std = max(res.std for res in curve)
     ok = worst_mean < 0.08 and worst_std < 0.05
@@ -143,12 +144,12 @@ def test_criterion_4_distinct_phases_cross_with_wide_spread(capfd):
                                    SEED, 50)
     spec2 = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11,
                                    SEED, 50)
-    curve1 = disorder_curve(spec1, 11, DEFAULT_P_GRID)
-    curve2 = disorder_curve(spec2, 11, DEFAULT_P_GRID)
+    curve1 = disorder_curve(spec1, 11, P_GRID)
+    curve2 = disorder_curve(spec2, 11, P_GRID)
     means = [res.mean for res in curve2]
     monotone = all(b - a > -0.03 for a, b in zip(means, means[1:]))
     ends = means[0] < -0.4 and means[-1] > 0.4
-    mid = len(DEFAULT_P_GRID) // 2
+    mid = len(P_GRID) // 2
     ratio = curve2[mid].std / curve1[mid].std
     ok = monotone and ends and ratio >= 3
     report(capfd, 4, ok,
@@ -162,9 +163,8 @@ def test_criterion_4_distinct_phases_cross_with_wide_spread(capfd):
 def test_criterion_5_transition_point_at_large_size(capfd):
     """Sign-flip bisection at t=201 with 200 configurations per probe
     lands on p_crit = 0.625 +- 0.05."""
-    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11,
-                                  SEED, 50)
-    p_crit = transition_locator(spec, t=201, n_configs=200, resolution=0.025)
+    p_crit = transition_locator(CASE2["theta_a"], CASE2["theta_b"], SEED, t=201,
+                                n_configs=200, resolution=0.025)
     ok = abs(p_crit - 0.625) <= 0.05
     report(capfd, 5, ok, f"p_crit = {p_crit:.4f} (target 0.625 +- 0.05)")
     assert abs(p_crit - 0.625) <= 0.05
@@ -175,7 +175,7 @@ def test_criterion_6_interface_mode_outlives_disorder(capfd):
     P_loc at every p, varying by < 25% relative across the grid."""
     points = localization_vs_disorder(0.52 * PI, CASE1["theta_a"],
                                       CASE1["theta_b"], SEED, 13,
-                                      DEFAULT_P_GRID, 50)
+                                      P_GRID, 50)
     clean = DisorderSpec.for_steps(CASE1["theta_b"], CASE1["theta_b"], 0.0, 13, 0, 1)
     reference = run_interface(CASE1["theta_a"], clean, 13, 0)
     ref_ploc = p_loc_at(reference, 13)
@@ -285,7 +285,7 @@ def test_criterion_9_monte_carlo_recovers_known_loss(capfd):
     system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11)
     truth = ApparatusModel(loss_asymmetry=0.02)
     data = emulate_measurement(system, 11, truth)
-    result = monte_carlo_errorbars(data, system, n_sets=1000, horizon=7, seed=3)
+    result = monte_carlo_errorbars(data, system, RANGES, n_sets=1000, horizon=7, seed=3)
     recovered = result.best.loss_asymmetry
     ok = abs(recovered - 0.02) <= 0.01
     report(capfd, 9, ok,

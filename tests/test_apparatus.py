@@ -3,6 +3,8 @@ reconstruction, hardware imperfections, and the Monte-Carlo error-bar
 fit.  Amplitude-level references come from the scattering module, whose
 own tests pin it against the dense oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from qwtopo.apparatus import (
 from qwtopo.budget import ALPHA_GUARD, within_guard
 from qwtopo.scattering import invariant_rows
 
+from defaults import MC, RANGES
 from references import distances, mixed_windows, walker_windows
 
 PI = np.pi
@@ -391,7 +394,7 @@ def test_shots_readout_keeps_the_draw_order_bit_for_bit():
     for case in range(12):
         t = int(rng.integers(5, 20))
         system = ScatteringSystem.for_steps(*rng.uniform(0, 2 * PI, 2), t)
-        model = ApparatusModel(*ErrorRanges(loss_asymmetry=0.05).draw(rng, 1)[0].tolist())
+        model = ApparatusModel(*replace(RANGES, loss_asymmetry=0.05).draw(rng, 1)[0].tolist())
         shots = int(rng.choice([50, 1000, 100_000]))
         rho = readout_rho(_runs(system, _params([model]), t))[0]
         mags, signs, reference = scalar_readout(rho, model, PI / 4, "shots", shots, case)
@@ -475,7 +478,7 @@ def test_mc_batch_equals_the_per_walker_forms_in_any_split():
 # ------------------------------------------------------------- Monte Carlo
 
 def test_error_range_draws_respect_their_bounds():
-    ranges = ErrorRanges()
+    ranges = RANGES
     rng = np.random.default_rng(0)
     for m in (ApparatusModel(*row) for row in ranges.draw(rng, 200).tolist()):
         assert 1.0 - ranges.efficiency_span <= m.efficiency_h <= 1.0
@@ -501,7 +504,7 @@ def test_monte_carlo_recovers_an_injected_loss():
     system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11)
     truth = ApparatusModel(loss_asymmetry=0.02)
     data = emulate_measurement(system, 11, truth)
-    res = monte_carlo_errorbars(data, system, n_sets=300, seed=3)
+    res = monte_carlo_errorbars(data, system, RANGES, n_sets=300, horizon=MC["horizon"], seed=3)
     assert abs(res.best.loss_asymmetry - truth.loss_asymmetry) < 0.015
     assert res.distance < 1e-4
     assert 0.0 < res.q0_error < 0.2 and 0.0 < res.qpi_error < 0.2
@@ -511,7 +514,7 @@ def test_monte_carlo_recovers_an_injected_loss():
 def test_monte_carlo_on_clean_data_finds_a_near_identity_model():
     system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11)
     data = emulate_measurement(system, 11)
-    res = monte_carlo_errorbars(data, system, n_sets=120, seed=1)
+    res = monte_carlo_errorbars(data, system, RANGES, n_sets=120, horizon=MC["horizon"], seed=1)
     assert abs(res.best.loss_asymmetry) < 0.01
     assert res.distance < 1e-5
 
@@ -520,4 +523,4 @@ def test_monte_carlo_needs_enough_recorded_steps():
     system = one_coin_sample(0.52, 5)
     data = emulate_measurement(system, 5)
     with pytest.raises(ValueError, match="recorded steps"):
-        monte_carlo_errorbars(data, system, horizon=7)
+        monte_carlo_errorbars(data, system, RANGES, n_sets=MC["n_sets"], horizon=7, seed=0)

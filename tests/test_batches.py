@@ -18,7 +18,9 @@ from qwtopo import (ApparatusModel, ScatteringSystem, emulate_measurement,
                     monte_carlo_errorbars)
 from qwtopo.disorder import DisorderSpec, ensemble_r0, transition_locator
 from qwtopo.edges import localization_vs_disorder
-from qwtopo.scattering import LINE_FREE, phase_diagram, scan_line
+from qwtopo.scattering import phase_diagram, scan_line
+
+from defaults import DIAGRAM, RANGES
 
 PI = np.pi
 
@@ -34,24 +36,25 @@ def _bits(values) -> bytes:
 def _studies() -> dict:
     """Byte strings of every batched study, small enough to run at any budget."""
     out = {}
-    pd = phase_diagram(resolution=45, t=12)  # two batches at the default budget
+    # two batches at the default budget
+    pd = phase_diagram(resolution=45, t=12, tolerance=DIAGRAM["tolerance"])
     out["phase_diagram"] = b"".join(_bits(a) for a in (pd.q0, pd.qpi, pd.residual)) \
         + "".join(pd.labels.ravel()).encode()
     rng = np.random.default_rng(5)
-    scan = scan_line(LINE_FREE, 9, pairs=rng.uniform(0, 2 * PI, (40, 2)))
+    scan = scan_line(rng.uniform(0, 2 * PI, (40, 2)), 9)
     out["scan_line"] = b"".join(_bits(a) for a in (scan.theta1, scan.theta2, scan.q0,
                                                     scan.qpi, scan.residual))
     spec = DisorderSpec.for_steps(0.63 * PI, 1.26 * PI, 0.6, 15, seed=9, n_configs=30)
     out["ensemble_r0"] = _bits(ensemble_r0(spec, 15).values)
     out["transition_locator"] = repr(transition_locator(
-        spec, t=101, n_configs=24, resolution=0.125)).encode()
+        spec.theta_a, spec.theta_b, spec.seed, t=101, n_configs=24, resolution=0.125)).encode()
     edge = localization_vs_disorder(0.52 * PI, 1.68 * PI, 1.36 * PI, seed=4, t=9,
                                     p_grid=(0.0, 0.4, 1.0), n_configs=12)
     out["localization_vs_disorder"] = b"".join(_bits(r.values) for r in edge)
     system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11)
     data = emulate_measurement(system, 11, ApparatusModel(loss_asymmetry=0.02))
     out["monte_carlo_errorbars"] = repr(monte_carlo_errorbars(
-        data, system, n_sets=30, horizon=7, seed=3)).encode()
+        data, system, RANGES, n_sets=30, horizon=7, seed=3)).encode()
     return out
 
 

@@ -536,7 +536,7 @@ def test_a_run_steps_its_batches_in_one_process(tmp_path):
 def test_svg_documents_are_well_formed():
     line = svgplot.line_plot([([0, 1, 2], [0.5, 0.4, -0.5], "Q0")],
                              title="t", xlabel="x", ylabel="y")
-    bars = svgplot.errorbar_plot([0, 1], [0.5, 0.4], [0.01, 0.02], label="m")
+    bars = svgplot.errorbar_plot([0, 1], [0.5, 0.4], [0.01, 0.02])
     heat = svgplot.heatmap(np.array([[0.0, 1.0], [0.5, 0.25]]))
     for doc in (line, bars, heat):
         assert doc.startswith("<svg")
@@ -593,6 +593,55 @@ def test_replot_refuses_a_table_whose_rows_do_not_fit_its_header(tmp_path, capsy
     assert err.startswith("UnknownDataKind: ") and str(tmp_path / "edge.csv") in err
     assert message in err
     assert not (tmp_path / "edge.svg").exists()
+
+
+@pytest.mark.parametrize("name, lines, message", [
+    ("intensity.csv", ["step,position,intensity", "0,-1,1.0", "nan,0,0.5"],
+     "data row 2 holds a non-finite cell"),
+    ("intensity.csv", ["step,position,intensity", "0,-1,inf"],
+     "data row 1 holds a non-finite cell"),
+    ("edge.csv", ["p,config,P_loc,t", "0.5,0,0.25,9", "0.5,abc,0.25,9"],
+     "data row 2 holds a non-number"),
+    ("scan.csv", ["theta1_pi,theta2_pi,Q0,Qpi,residual,t", "0.1,0.2,,0.5,0.0,5"],
+     "data row 1 holds a non-number"),
+])
+def test_replot_refuses_a_cell_it_cannot_plot(tmp_path, capsys, name, lines, message):
+    """A cell that float() cannot read, or a non-finite one in an intensity
+    table, whose plot indexes by step and position: exit 3, naming the file
+    and the row, and no plot is drawn."""
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    assert entrypoint(["replot", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("UnknownDataKind: ") and str(tmp_path / name) in err
+    assert message in err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_replot_draws_a_scan_with_nan_cells(tmp_path):
+    """A scan point whose gauge is degenerate is written as nan, and replot
+    reads it as run drew it."""
+    cfg = scan_config(parametrization="free", pairs_pi=[[0.0, 0.0], [0.0, 1.68]])
+    for key in ("start_pi", "stop_pi", "count"):
+        cfg["scan"].pop(key)
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert "nan" in (out / "scan.csv").read_text()
+    drawn = (out / "scan.svg").read_bytes()
+    (out / "scan.svg").unlink()
+    assert entrypoint(["replot", "--out", str(out)]) == 0
+    assert (out / "scan.svg").read_bytes() == drawn
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_an_output_directory_that_cannot_be_made_exits_3_naming_it(tmp_path, capsys, where):
+    """--out naming a file, or a path under one, fails as every other write
+    does, and writes nothing."""
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / where
+    assert entrypoint(["run", "--config", write_config(tmp_path, scan_config()),
+                       "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"IoFailure: cannot create {out}: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_scan_run_writes_table_plot_and_manifest(tmp_path):

@@ -13,6 +13,7 @@ config.
 """
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -25,6 +26,8 @@ import numpy as np
 import pytest
 
 import qwtopo.budget
+import qwtopo.disorder
+import qwtopo.edges
 import qwtopo.runners
 import qwtopo.scattering
 import qwtopo.walk
@@ -73,6 +76,29 @@ def test_every_optional_key_has_a_schema_default():
         assert "default" in sub, f"{path} has no default in config.SCHEMA"
         jsonschema.Draft202012Validator(sub).validate(sub["default"])
     assert CONDITIONAL <= seen
+
+
+#: The engine entry points the runners call with values of a resolved config.
+ENTRY_POINTS = {
+    "phase_diagram": qwtopo.scattering.phase_diagram,
+    "scan_line": qwtopo.scattering.scan_line,
+    "disorder_curve": qwtopo.disorder.disorder_curve,
+    "transition_locator": qwtopo.disorder.transition_locator,
+    "DisorderSpec": qwtopo.disorder.DisorderSpec,
+    "DisorderSpec.for_steps": qwtopo.disorder.DisorderSpec.for_steps,
+    "localization_vs_disorder": qwtopo.edges.localization_vs_disorder,
+    "run_interface": qwtopo.edges.run_interface,
+    "monte_carlo_errorbars": apparatus.monte_carlo_errorbars,
+    "ErrorRanges": apparatus.ErrorRanges,
+}
+
+
+def test_the_runners_entry_points_state_no_default():
+    """`SCHEMA` alone holds a run's defaults: no parameter of an engine
+    function a runner passes config values to has one of its own."""
+    defaults = {name: [p.name for p in inspect.signature(fn).parameters.values()
+                       if p.default is not p.empty] for name, fn in ENTRY_POINTS.items()}
+    assert {name: names for name, names in defaults.items() if names} == {}
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qwtopo import budget, disorder, scattering, walk
-from qwtopo.budget import DEFAULT_P_GRID
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import read_csv
 from qwtopo.disorder import (DisorderSpec, NoCrossing, config_uniforms, disorder_curve,
@@ -18,6 +17,7 @@ from qwtopo.scattering import (ScatteringSystem, fourier_sums, invariants,
                                reflection_amplitudes)
 from qwtopo.walk import coins
 
+from defaults import P_GRID, TRANSITION
 from oracles import _binary_pattern, dense_reflection, exact_disorder_stats, pattern_half_r0
 
 SEED = 20260814
@@ -37,9 +37,9 @@ def case1_spec(p: float, t: int = 11, n_configs: int = 50) -> DisorderSpec:
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="p must lie"):
-        DisorderSpec(0.1, 0.2, 1.3, 10, 0)
+        DisorderSpec(0.1, 0.2, 1.3, 10, 0, 1)
     with pytest.raises(ValueError, match="empty"):
-        DisorderSpec(0.1, 0.2, 0.5, 0, 0)
+        DisorderSpec(0.1, 0.2, 0.5, 0, 0, 1)
     with pytest.raises(ValueError, match="configuration"):
         DisorderSpec(0.1, 0.2, 0.5, 10, 0, n_configs=0)
 
@@ -49,7 +49,7 @@ def test_for_steps_sizes_sample_to_light_cone():
 
 
 def test_default_grid_matches_study_density():
-    assert DEFAULT_P_GRID == tuple(i / 10 for i in range(11))
+    assert P_GRID == tuple(i / 10 for i in range(11))
 
 
 def site_uniforms(seed: int, config: int, sites: int) -> np.ndarray:
@@ -143,7 +143,8 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     monkeypatch.setattr(disorder.PatternStudy, "values", recording)
     monkeypatch.setattr(disorder, "_study", tagged)
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 30)
-    disorder.transition_locator(spec, t=101, n_configs=30, resolution=0.05)
+    disorder.transition_locator(CASE2["theta_a"], CASE2["theta_b"], SEED, t=101, n_configs=30,
+                                resolution=0.05)
     disorder.disorder_curve(spec, 11, p_grid=(0.3, 0.7))
     ensemble_r0(replace(spec, p=0.5), 11)
     assert len(probes) >= 8
@@ -187,7 +188,7 @@ def test_disorder_curve_spans_grid():
 
 
 def test_same_phase_ensemble_stays_near_half():
-    curve = disorder_curve(case1_spec(0.0), 11)
+    curve = disorder_curve(case1_spec(0.0), 11, P_GRID)
     for result in curve:
         assert abs(result.mean - 0.5) < 0.08
         assert result.std < 0.05
@@ -196,29 +197,29 @@ def test_same_phase_ensemble_stays_near_half():
 def test_crossing_ensemble_interpolates_between_phases():
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11,
                                   SEED, 50)
-    curve = disorder_curve(spec, 11)
+    curve = disorder_curve(spec, 11, P_GRID)
     means = [c.mean for c in curve]
     assert means[0] < -0.4 and means[-1] > 0.4
     assert all(b - a > -0.03 for a, b in zip(means, means[1:]))
 
 
 def test_transition_locator_finds_crossing():
-    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11,
-                                  SEED, 50)
-    p_crit = transition_locator(spec, t=101, n_configs=40, resolution=0.05)
+    p_crit = transition_locator(CASE2["theta_a"], CASE2["theta_b"], SEED, t=101, n_configs=40,
+                                resolution=0.05)
     assert 0.45 <= p_crit <= 0.8
 
 
 def test_transition_locator_rejects_same_phase_pair():
-    spec = case1_spec(0.0, n_configs=20)
     with pytest.raises(NoCrossing):
-        transition_locator(spec, t=101, n_configs=20, resolution=0.1)
+        transition_locator(CASE1["theta_a"], CASE1["theta_b"], SEED, t=101, n_configs=20,
+                           resolution=0.1)
 
 
 def test_transition_locator_validates_arguments():
-    spec = case1_spec(0.0)
     with pytest.raises(ValueError, match="t >= 101"):
-        transition_locator(spec, t=51)
+        transition_locator(CASE1["theta_a"], CASE1["theta_b"], SEED, t=51,
+                           n_configs=TRANSITION["n_configs"],
+                           resolution=TRANSITION["resolution"])
 
 
 def test_ensemble_rejects_zero_steps():
@@ -318,9 +319,10 @@ def test_each_distinct_pattern_of_a_study_is_stepped_exactly_once(monkeypatch, s
     masks = spy_masks(monkeypatch)
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 40)
     if study == "transition":
-        transition_locator(spec, t=101, n_configs=40, resolution=0.05)
+        transition_locator(spec.theta_a, spec.theta_b, SEED, t=101, n_configs=40,
+                           resolution=0.05)
     else:
-        disorder_curve(spec, 11)
+        disorder_curve(spec, 11, P_GRID)
     stepped = [(c.tobytes(), s.tobytes()) for coin2 in calls for c, s in zip(*coin2)]  # x >= 0
     (ca, cb), (sa, sb) = coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi))
     patterns = {(np.where(row, cb, ca).tobytes(), np.where(row, sb, sa).tobytes())
@@ -332,8 +334,8 @@ def test_each_distinct_pattern_of_a_study_is_stepped_exactly_once(monkeypatch, s
 
 def test_the_transition_endpoints_run_as_one_batch_of_two_walkers(monkeypatch):
     calls = spy_real_steps(monkeypatch, scattering)
-    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 40)
-    transition_locator(spec, t=101, n_configs=40, resolution=0.05)
+    transition_locator(CASE2["theta_a"], CASE2["theta_b"], SEED, t=101, n_configs=40,
+                       resolution=0.05)
     first = np.array(calls[0])  # cosines, sines
     table = np.array(coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)))
     assert first.shape[1] == 2

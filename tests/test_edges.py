@@ -9,6 +9,7 @@ from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, LocalizationReco
                           _ploc_batch, localization_vs_disorder, run_interface)
 from qwtopo.walk import V, coins
 
+from defaults import P_GRID
 from oracles import dense_interface_p_loc, _binary_pattern
 from references import mixed_windows, p_loc_at, walker_windows
 
@@ -67,7 +68,7 @@ def test_field_covers_both_bulks(monkeypatch):
 
 def test_zero_steps_keeps_walker_in_window():
     record = run(0.0, t=0)
-    assert p_loc_at(record, record.t) == pytest.approx(1.0, abs=0)
+    assert p_loc_at(record, 0) == pytest.approx(1.0, abs=0)
 
 
 def test_distributions_normalized_every_step():
@@ -78,7 +79,7 @@ def test_distributions_normalized_every_step():
 
 def test_clean_interface_matches_frozen_golden_value():
     record = run(0.0, t=13)
-    assert p_loc_at(record, record.t) == pytest.approx(PLOC_P0, abs=1e-12)
+    assert p_loc_at(record, 13) == pytest.approx(PLOC_P0, abs=1e-12)
     final = record.distributions[-1]
     peak = record.positions()[int(np.argmax(final))]
     assert -3 <= peak <= 3
@@ -86,7 +87,7 @@ def test_clean_interface_matches_frozen_golden_value():
 
 def test_full_swap_interface_matches_frozen_golden_value():
     record = run(1.0, t=13)
-    assert p_loc_at(record, record.t) == pytest.approx(PLOC_P1, abs=1e-12)
+    assert p_loc_at(record, 13) == pytest.approx(PLOC_P1, abs=1e-12)
 
 
 def test_disordered_interface_matches_dense_oracle():
@@ -99,7 +100,7 @@ def test_disordered_interface_matches_dense_oracle():
 
 def test_reference_interface_spreads_into_double_lobe():
     record = reference(t=13)
-    assert p_loc_at(record, record.t) == pytest.approx(PLOC_REFERENCE, abs=1e-12)
+    assert p_loc_at(record, 13) == pytest.approx(PLOC_REFERENCE, abs=1e-12)
     final = record.distributions[-1]
     positions = record.positions()
     peak = positions[int(np.argmax(final))]
@@ -137,7 +138,8 @@ def test_every_configuration_localizes():
 
 def test_interface_beats_reference_for_all_p():
     ref_ploc = p_loc_at(reference(t=13), 13)
-    points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=13, n_configs=20)
+    points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=13, p_grid=P_GRID,
+                                      n_configs=20)
     means = [pt.mean for pt in points]
     assert all(m >= 2.5 * ref_ploc for m in means)
     assert (max(means) - min(means)) / max(means) < 0.25
@@ -189,7 +191,7 @@ def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
     for t in (0, 1, 3, 12, 20):
         run = mixed_windows(t)
         monkeypatch.setattr(qwtopo.edges, "record", lambda *args: run)
-        want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min, t, k), t)
+        want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min), t)
                 for k, (x_min, a, b) in enumerate(walker_windows(run))]
         assert reprs(_ploc_batch(coins(np.zeros((len(want), 1))), TH_L, t)) == reprs(want)
 
@@ -208,7 +210,8 @@ def test_the_localization_study_steps_each_distinct_pattern_once(monkeypatch):
 
     t = 13  # the coins start at x = -(t + 2), the right bulk at x = 0
     monkeypatch.setattr(qwtopo.walk, "real_steps", spying)
-    points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=t, n_configs=50)
+    points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=t, p_grid=P_GRID,
+                                      n_configs=50)
     assert [pt.n_configs for pt in points] == [1] + [50] * 9 + [1]
     uniforms = config_uniforms(right_bulk(0.0), range(50), 15)
     (ca, cb), (sa, sb) = coins(np.array([TH_A, TH_B]) % (2 * np.pi))

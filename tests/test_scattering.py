@@ -16,8 +16,8 @@ from qwtopo.budget import batches, held, reflection_window
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import read_csv
 from qwtopo.walk import coins
-from qwtopo.scattering import (LINE_FREE, LINE_GREEN, LINE_TURQUOISE, ReflectionSeries,
-                               ScatteringSystem, fourier_sums, invariants, phase_diagram,
+from qwtopo.scattering import (LINE_GREEN, LINE_TURQUOISE, ReflectionSeries, ScatteringSystem,
+                               fourier_sums, invariants, line_pairs, phase_diagram,
                                phase_labels, reflection_amplitudes, sample_rows, scan_line,
                                _scan_rows)
 
@@ -288,8 +288,7 @@ def test_residual_reported_on_pair():
 # --- scans and the phase diagram -----------------------------------------------
 
 def test_scan_frozen_anchors_on_factor_two_line():
-    result = scan_line(LINE_TURQUOISE, 5,
-                       grid=np.array([0.73, 0.90, 1.12]) * np.pi)
+    result = scan_line(line_pairs(LINE_TURQUOISE, np.array([0.73, 0.90, 1.12]) * np.pi), 5)
     got = zip(result.q0.tolist(), result.qpi.tolist())
     for (gq0, gqpi), (wq0, wqpi) in zip(got, (SCAN_073, SCAN_090, SCAN_112), strict=True):
         assert gq0 == pytest.approx(wq0, abs=1e-12)
@@ -301,14 +300,14 @@ def test_scan_frozen_anchors_on_factor_two_line():
 
 
 def test_scan_green_line_pairs_angles_correctly():
-    result = scan_line(LINE_GREEN, 4, grid=np.array([0.3 * np.pi]))
+    result = scan_line(line_pairs(LINE_GREEN, np.array([0.3 * np.pi])), 4)
     assert result.theta1.tolist() == pytest.approx([0.6 * np.pi])
     assert result.theta2.tolist() == pytest.approx([0.3 * np.pi])
 
 
 def test_scan_free_pairs_and_degenerate_flag():
     pairs = [(0.0, 0.0), (0.0, 1.68 * np.pi)]
-    result = scan_line(LINE_FREE, 10, pairs=pairs)
+    result = scan_line(pairs, 10)
     # lead-only point: no reflection at all
     assert np.isnan([result.q0[0], result.qpi[0], result.residual[0]]).all()
     assert not np.isnan([result.q0[1], result.qpi[1], result.residual[1]]).any()
@@ -316,17 +315,13 @@ def test_scan_free_pairs_and_degenerate_flag():
 
 def test_scan_argument_validation():
     with pytest.raises(ValueError):
-        scan_line(LINE_FREE, 5)
-    with pytest.raises(ValueError):
-        scan_line(LINE_TURQUOISE, 5)
-    with pytest.raises(ValueError):
-        scan_line("diagonal", 5, grid=np.array([0.3]))
+        line_pairs("diagonal", np.array([0.3]))
 
 
 def test_transitions_sharpen_with_time():
     grid = np.arange(0.60, 0.7401, 0.005) * np.pi
-    coarse = scan_line(LINE_TURQUOISE, 5, grid=grid)
-    fine = scan_line(LINE_TURQUOISE, 20, grid=grid)
+    coarse = scan_line(line_pairs(LINE_TURQUOISE, grid), 5)
+    fine = scan_line(line_pairs(LINE_TURQUOISE, grid), 20)
     closing = 2 * np.pi / 3
     coarse_flips = sign_flips(grid, coarse.q0, coarse.qpi)
     fine_flips = sign_flips(grid, fine.q0, fine.qpi)
@@ -389,7 +384,7 @@ def test_array_pass_matches_the_scalar_invariants_bit_for_bit(monkeypatch):
     want = [repr(reference_cell(th1, th2, t)) for th1, th2 in pairs]
     assert want[:4] == [repr(None)] * 4 and want.count(repr(None)) == 4
     assert [cell_repr(*row) for row in _scan_rows(pairs, t)] == want
-    scan = scan_line(LINE_FREE, t, pairs=pairs)
+    scan = scan_line(pairs, t)
     assert [cell_repr(*cell) for cell in zip(scan.q0, scan.qpi, scan.residual)] == want
 
     pd = phase_diagram(resolution=8, t=12, tolerance=0.05)
@@ -442,7 +437,7 @@ def test_labelled_cells_off_the_closing_lines_carry_the_closed_form_phase():
 
 def test_phase_diagram_resolution_floor():
     with pytest.raises(ValueError):
-        phase_diagram(resolution=4, t=10)
+        phase_diagram(resolution=4, t=10, tolerance=0.05)
 
 
 # --- the lattice-free clean series oracle --------------------------------------
