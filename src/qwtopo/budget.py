@@ -38,14 +38,19 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     (`identity_coin1`, passed as no coin-1 angles) and twice its rows
     otherwise, which holds the coins, the state and the launch amplitude;
     then, with `history`, the H and V history of `record`, else the rho row
-    of its `steps` read-outs.  The coins a study passes in are not counted."""
+    of its `steps` read-outs.  The coins a study passes in are not counted,
+    nor the buffer's column pad: a batch of 8 walkers or more rounds its
+    buffer up to a multiple of 8 columns, at most 7 more than it has walkers,
+    and a narrower batch none (`walk._buffer`)."""
     rows = sites if identity_coin1 else 2 * sites
     return 9 * ((rows + 3) // 2) + (2 * sites * (steps + 1) if history else steps)
 
 
 def batch_capacity(per_walker: int) -> int:
     """Most walkers that hold `per_walker` elements (`held`) each that one of
-    the `batches` takes: as many as fit in BATCH_BUDGET, one at least."""
+    the `batches` takes: as many as fit in BATCH_BUDGET, one at least.  The
+    engine's buffer may hold up to 7 columns more than a batch of 8 walkers
+    or more has walkers, and none more below 8; the budget leaves them out."""
     return max(1, BATCH_BUDGET // per_walker)
 
 

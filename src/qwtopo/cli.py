@@ -143,7 +143,10 @@ def _cmd_replot(args) -> int:
 def _columns(path: str, kind: str, header: list[str], rows: list[list[str]]) -> Columns:
     """The float columns of the `kind` table read from `path`, refused unless
     each of its data rows, one at least, is as wide as the header and holds
-    numbers that `float` reads, all finite in an intensity table."""
+    numbers that `float` reads.  An intensity table's plot is a matrix
+    indexed by step and position, so its cells must be finite, its steps and
+    positions whole numbers within 2**53 of 0, and its matrix no larger than
+    its rows: a run's table holds every cell of its matrix."""
     import numpy as np  # loaded with `runners`, which replot needs anyway
 
     bad = next((i for i, row in enumerate(rows, 1) if len(row) != len(header)), 0)
@@ -159,9 +162,20 @@ def _columns(path: str, kind: str, header: list[str], rows: list[list[str]]) -> 
             except ValueError:
                 raise UnknownDataKind(f"{path}: data row {i} holds a non-number") from None
         raise
-    finite = np.isfinite(table).all(axis=1)
-    if kind == "intensity" and not finite.all():  # its plot indexes by step and position
-        raise UnknownDataKind(f"{path}: data row {np.argmin(finite) + 1} holds a non-finite cell")
+    if kind == "intensity":
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            raise UnknownDataKind(f"{path}: data row {np.argmin(finite) + 1} holds a non-finite "
+                                  "cell")
+        index = table[:, :2]
+        whole = ((index == np.trunc(index)) & (np.abs(index) <= 2**53)).all(axis=1)
+        if not whole.all():
+            raise UnknownDataKind(f"{path}: data row {np.argmin(whole) + 1} holds a step or "
+                                  "position that is not a whole number within 2**53 of 0")
+        steps, positions = index.max(axis=0) - index.min(axis=0) + 1
+        if steps * positions > len(rows):
+            raise UnknownDataKind(f"{path}: its steps and positions span {steps:.0f} x "
+                                  f"{positions:.0f} cells, more than its {len(rows)} data rows")
     return Columns(*table.T)
 
 

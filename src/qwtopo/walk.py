@@ -19,10 +19,14 @@ phase that covers both |x, H> and |x, V> launches.  One kernel steps
 every batch: the walk whose coin 1 is the identity, which is bipartite,
 so the kernel holds H and V as even-row and odd-row half planes in one
 reused buffer and updates the live sublattice of each step's light cone
-(`budget.cone`).  A batch whose coin 1 is the identity, as in every
-disorder ensemble and interface walk, runs on its own window; any other
-runs on the doubled lattice of the fibre loop, where a split step is two
-such steps (`double_step_equivalent`).  The cone's sites times steps stay
+(`budget.cone`).  A walker is a column of that buffer.  The buffer starts
+on a 64-byte cache line, and a batch of 8 walkers or more is padded with
+identity-coin columns to a multiple of 8, so that each row the kernel
+rotates starts on a cache line too; the pad leaves every real walker's
+arithmetic, and so its bits, as they are.  A batch whose coin 1 is the
+identity, as in every disorder ensemble and interface walk, runs on its
+own window; any other runs on the doubled lattice of the fibre loop,
+where a split step is two such steps (`double_step_equivalent`).  The cone's sites times steps stay
 the unit of work that studies budget.  Coins enter the kernel as their
 cosines and sines (`coins`), which the studies take once per distinct
 angle, where they make the angles, and gather into (walkers, sites)
@@ -320,7 +324,7 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     buf[4 + 2 * coin + (site + 1) % 2, (site + 1) // 2] = 1.0
     rho = None if read is None else np.zeros((walkers, steps // per))
     first, last = cone(site, site, rows, steps, read)[:2]
-    _kernel(buf, (site + coin) % 2, per, first, last,
+    _kernel(buf, walkers, (site + coin) % 2, per, first, last,
             None if read is None else read + 1, rho, history)
     return rho
 
@@ -331,12 +335,22 @@ def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int) -> np.ndarra
     and the state zero.  Kernel row R = lattice row + 1, a zero guard row
     with identity coins on each side; the rows R of parity p sit at
     p * half + R // 2 of a plane.  With coin1 None window row i is kernel
-    row i + 1, else coin 2 of row i is kernel row 2i + 1 and coin 1 2i + 2."""
+    row i + 1, else coin 2 of row i is kernel row 2i + 1 and coin 1 2i + 2.
+
+    Column k is walker k.  The buffer starts on a 64-byte cache line, and a
+    batch of 8 walkers or more has its columns rounded up to a multiple of
+    8, so that every row, and every slice of rows the kernel rotates, starts
+    on a cache line too.  The pad columns hold identity coins: the kernel
+    steps them with the rest and reads out only the first B columns."""
     half, walkers = (rows + 3) // 2, coin2[0].shape[0]
-    buf = np.empty((9, half, walkers))  # one allocation, so no plane is trimmed and refaulted
+    width = walkers if walkers < 8 else -(-walkers // 8) * 8
+    # one allocation, so no plane is trimmed and refaulted, 8 elements over to align it
+    raw = np.empty(9 * half * width + 8)
+    first = -raw.__array_interface__["data"][0] % 64 // 8
+    buf = raw[first:first + 9 * half * width].reshape(9, half, width)
     buf[0:2] = 1.0
     buf[2:8] = 0.0
-    c, s = buf[0:2].reshape(2 * half, walkers), buf[2:4].reshape(2 * half, walkers)
+    c, s = buf[0:2].reshape(2 * half, width), buf[2:4].reshape(2 * half, width)
     if coin1 is None:  # even window rows on the parity-1 half plane, odd on the parity-0
         even, odd = lo + lo % 2, lo + 1 - lo % 2
         placed = ((coin2, half + even // 2, slice(even - offset, hi - offset, 2)),
@@ -346,16 +360,16 @@ def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int) -> np.ndarra
                   (coin1, lo + 1, slice(lo - offset, hi - offset)))
     for (cv, sv), at, cols in placed:
         count = len(range(cv.shape[1])[cols])
-        c[at:at + count], s[at:at + count] = cv.T[cols], sv.T[cols]
+        c[at:at + count, :walkers], s[at:at + count, :walkers] = cv.T[cols], sv.T[cols]
     return buf
 
 
-def _kernel(buf, q, per, first, last, read, rho, history):
+def _kernel(buf, walkers, q, per, first, last, read, rho, history):
     """The kernel loop of `real_steps`: the steps of the cone rows [lo, hi] of
     `first` and `last`, copying every `per`-th into rho, V on kernel row
-    `read`, and into history."""
-    half, walkers = buf.shape[1:]
-    c, s, h, v = (buf[p:p + 2].reshape(2 * half, walkers) for p in (0, 2, 4, 6))
+    `read`, and into history, from the buffer's first `walkers` columns."""
+    half, width = buf.shape[1:]
+    c, s, h, v = (buf[p:p + 2].reshape(2 * half, width) for p in (0, 2, 4, 6))
     at_read = None if read is None else read % 2 * half + read // 2
     for k, lo, hi in zip(range(1, len(first) + 1), first, last):
         # rotate, for every R = 2m + q in [lo + 1, hi + 2], the pair (H at R - 1, V at R)
@@ -366,15 +380,15 @@ def _kernel(buf, q, per, first, last, read, rho, history):
         _rotate(c[i], s[i], h[o], v[i], h[i], v[o], buf[8, m0:m1])
         if k % per == 0:
             if rho is not None and lo < read <= hi + 1 and (read + q) % 2:
-                rho[:, k // per - 1] = v[at_read]  # V on the read row, written this step
+                rho[:, k // per - 1] = v[at_read, :walkers]  # V on the read row, written this step
             if history is not None:
                 mh, mv = (hi + 1 - q) // 2, (lo + 3 - q) // 2  # the last H, first V in the cone
                 # H on the window rows 2m + q - 1, V on 2m + q - 2, halved on the doubled lattice
                 j = k // per
                 history[0][j, (2 * m0 + q - 1) // per:(2 * mh + q - 1) // per + 1:2 // per] = \
-                    h[at + m0:at + mh + 1]
+                    h[at + m0:at + mh + 1, :walkers]
                 history[1][j, (2 * mv + q - 2) // per:(2 * m1 + q - 4) // per + 1:2 // per] = \
-                    v[before + mv:before + m1]
+                    v[before + mv:before + m1, :walkers]
         q = 1 - q
 
 

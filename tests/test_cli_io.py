@@ -604,11 +604,22 @@ def test_replot_refuses_a_table_whose_rows_do_not_fit_its_header(tmp_path, capsy
      "data row 2 holds a non-number"),
     ("scan.csv", ["theta1_pi,theta2_pi,Q0,Qpi,residual,t", "0.1,0.2,,0.5,0.0,5"],
      "data row 1 holds a non-number"),
+    ("intensity.csv", ["step,position,intensity", "0,0,0.5", "0.5,0,0.5"],
+     "data row 2 holds a step or position that is not a whole number"),
+    ("intensity.csv", ["step,position,intensity", "0,0,0.5", "0,-1.5,0.5"],
+     "data row 2 holds a step or position that is not a whole number"),
+    ("intensity.csv", ["step,position,intensity", "0,0,0.5", "1e300,0,0.5"],
+     "data row 2 holds a step or position that is not a whole number within 2**53 of 0"),
+    ("intensity.csv", ["step,position,intensity", "-1e300,0,0.5"],
+     "data row 1 holds a step or position that is not a whole number within 2**53 of 0"),
+    ("intensity.csv", ["step,position,intensity", "0,0,0.5", "5,0,0.5", "0,1,0.5"],
+     "span 6 x 2 cells, more than its 3 data rows"),
 ])
 def test_replot_refuses_a_cell_it_cannot_plot(tmp_path, capsys, name, lines, message):
-    """A cell that float() cannot read, or a non-finite one in an intensity
-    table, whose plot indexes by step and position: exit 3, naming the file
-    and the row, and no plot is drawn."""
+    """A cell that float() cannot read, or in an intensity table, whose plot
+    is a matrix indexed by step and position, a non-finite cell, a step or
+    position that indexes no matrix, or a matrix larger than the table: exit
+    3, naming the file and the row or the span, and no plot is drawn."""
     (tmp_path / name).write_text("\n".join(lines) + "\n")
     assert entrypoint(["replot", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err

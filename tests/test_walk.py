@@ -337,6 +337,46 @@ def test_reflection_row_does_not_depend_on_its_batch():
         assert np.array_equal(sample_rows(coins(th1[None]), coins(th2[None]), t)[0], row)
 
 
+@pytest.mark.parametrize("identity", (True, False))
+@pytest.mark.parametrize("walkers", (8, 9, 61, 64, 199))
+def test_buffer_rows_start_on_cache_lines(walkers, identity):
+    """The kernel's buffer starts on a 64-byte cache line and its rows, and
+    so its planes, are whole cache lines long, with coin 1 the identity and
+    on the doubled lattice; its at most 7 pad columns hold identity coins."""
+    rng = np.random.default_rng(walkers)
+    coin2 = coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
+    coin1 = None if identity else coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
+    rows = 20 if identity else 40
+    buf = qwtopo.walk._buffer(coin1, coin2, 3, rows, 3, 15)
+    assert buf.__array_interface__["data"][0] % 64 == 0
+    assert buf.strides[1] % 64 == 0 and buf.strides[2] == 8
+    assert buf.shape[:2] == (9, (rows + 3) // 2) and 0 <= buf.shape[2] - walkers < 8
+    assert (buf[0:2, :, walkers:] == 1).all() and (buf[2:8, :, walkers:] == 0).all()
+
+
+@pytest.mark.parametrize("walkers", (1, 2, 7, 9, 61))
+def test_a_walker_steps_the_same_alone_and_in_any_batch(walkers):
+    """Each walker's `sample_rows` row and `record` history hold, bit for bit,
+    those of the same walker stepped alone, whether its batch is padded or
+    not, with coin 1 the identity and on the doubled lattice."""
+    rng = np.random.default_rng(walkers)
+    t, m = 21, 14
+    theta = np.array([[random_field(rng, 0, m).thetas for _ in range(walkers)]
+                      for _ in range(2)])
+    for theta1 in (None, coins(theta[0])):
+        theta2 = coins(theta[1])
+        rows = sample_rows(theta1, theta2, t)
+        x_min, h, v, lo, hi = record(-3, theta1, theta2, -1, V, t)
+        for k in range(walkers):
+            one1, one2 = (None if pair is None else (pair[0][k:k + 1], pair[1][k:k + 1])
+                          for pair in (theta1, theta2))
+            assert sample_rows(one1, one2, t)[0].tobytes() == rows[k].tobytes()
+            alone = record(-3, one1, one2, -1, V, t)
+            assert alone[0] == x_min
+            for got, want in zip(alone[1:], (h, v, lo, hi)):
+                assert got[..., 0].tobytes() == want[..., k].tobytes()
+
+
 # --- the light-cone engine against a full-window one -----------------------------
 
 def full_window_steps(th1, th2, a, b, steps):
