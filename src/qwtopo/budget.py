@@ -14,7 +14,9 @@ from dataclasses import dataclass
 _GROW = 16  # slots added when a shift reaches an occupied window edge
 
 #: float64 elements (1.5 MiB) that one engine batch may hold, which bounds what a
-#: run holds at once; a batch takes as many walkers as fit, one at least.
+#: run holds at once; a batch takes as many walkers as fit, one at least.  It
+#: leaves out the engine's column pad (`held`): a batch's buffer may hold up to
+#: 7/64, 11 %, more than the budget counts for it.
 BATCH_BUDGET = 3 * 2**16
 
 #: Rows of the reflection window holding the probe |-1, H> and the read-out (-2, V).
@@ -39,9 +41,9 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     otherwise, which holds the coins, the state and the launch amplitude;
     then, with `history`, the H and V history of `record`, else the rho row
     of its `steps` read-outs.  The coins a study passes in are not counted,
-    nor the buffer's column pad: a batch of 8 walkers or more rounds its
+    nor the buffer's column pad: a batch of 64 walkers or more rounds its
     buffer up to a multiple of 8 columns, at most 7 more than it has walkers,
-    and a narrower batch none (`walk._buffer`)."""
+    so 7/64 of its buffer at most, and a narrower batch none (`walk._buffer`)."""
     rows = sites if identity_coin1 else 2 * sites
     return 9 * ((rows + 3) // 2) + (2 * sites * (steps + 1) if history else steps)
 
@@ -49,8 +51,8 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
 def batch_capacity(per_walker: int) -> int:
     """Most walkers that hold `per_walker` elements (`held`) each that one of
     the `batches` takes: as many as fit in BATCH_BUDGET, one at least.  The
-    engine's buffer may hold up to 7 columns more than a batch of 8 walkers
-    or more has walkers, and none more below 8; the budget leaves them out."""
+    engine's buffer may hold up to 7 columns more than a batch of 64 walkers
+    or more has walkers, and none more below 64; the budget leaves them out."""
     return max(1, BATCH_BUDGET // per_walker)
 
 

@@ -131,8 +131,11 @@ def _cmd_replot(args) -> int:
             continue
         tables += 1
         if name == f"{kind}.csv":
-            write_text(os.path.join(args.out, f"{kind}.svg"),
-                       [runners.plot_table(kind, _columns(path, kind, header, rows))])
+            try:
+                text = runners.plot_table(kind, _columns(header, rows))
+            except UnknownDataKind as exc:  # the refusals name the row, this the file
+                raise UnknownDataKind(f"{path}: {exc}") from None
+            write_text(os.path.join(args.out, f"{kind}.svg"), [text])
             drawn += 1
     if tables == 0:
         raise UnknownDataKind(f"no recognized tables in {args.out}")
@@ -140,19 +143,16 @@ def _cmd_replot(args) -> int:
     return 0
 
 
-def _columns(path: str, kind: str, header: list[str], rows: list[list[str]]) -> Columns:
-    """The float columns of the `kind` table read from `path`, refused unless
-    each of its data rows, one at least, is as wide as the header and holds
-    numbers that `float` reads.  An intensity table's plot is a matrix
-    indexed by step and position, so its cells must be finite, its steps and
-    positions whole numbers within 2**53 of 0, and its matrix no larger than
-    its rows: a run's table holds every cell of its matrix."""
+def _columns(header: list[str], rows: list[list[str]]) -> Columns:
+    """The float columns of a table, refused unless each of its data rows,
+    one at least, is as wide as the header and holds numbers that `float`
+    reads; `runners.plot_table` refuses the cells it cannot plot."""
     import numpy as np  # loaded with `runners`, which replot needs anyway
 
     bad = next((i for i, row in enumerate(rows, 1) if len(row) != len(header)), 0)
     if bad or not rows:
-        raise UnknownDataKind(f"{path}: data row {bad} holds {len(rows[bad - 1])} cells, its "
-                              f"header {len(header)}" if bad else f"{path} holds no data rows")
+        raise UnknownDataKind(f"data row {bad} holds {len(rows[bad - 1])} cells, its header "
+                              f"{len(header)}" if bad else "the table holds no data rows")
     try:
         table = np.array(rows, dtype=float)  # each cell read as float() reads it
     except ValueError:
@@ -160,22 +160,8 @@ def _columns(path: str, kind: str, header: list[str], rows: list[list[str]]) -> 
             try:
                 list(map(float, row))
             except ValueError:
-                raise UnknownDataKind(f"{path}: data row {i} holds a non-number") from None
+                raise UnknownDataKind(f"data row {i} holds a non-number") from None
         raise
-    if kind == "intensity":
-        finite = np.isfinite(table).all(axis=1)
-        if not finite.all():
-            raise UnknownDataKind(f"{path}: data row {np.argmin(finite) + 1} holds a non-finite "
-                                  "cell")
-        index = table[:, :2]
-        whole = ((index == np.trunc(index)) & (np.abs(index) <= 2**53)).all(axis=1)
-        if not whole.all():
-            raise UnknownDataKind(f"{path}: data row {np.argmin(whole) + 1} holds a step or "
-                                  "position that is not a whole number within 2**53 of 0")
-        steps, positions = index.max(axis=0) - index.min(axis=0) + 1
-        if steps * positions > len(rows):
-            raise UnknownDataKind(f"{path}: its steps and positions span {steps:.0f} x "
-                                  f"{positions:.0f} cells, more than its {len(rows)} data rows")
     return Columns(*table.T)
 
 

@@ -24,8 +24,34 @@ def _group_stats(keys, values):
     return np.array(order), np.array(means), np.array(stds)
 
 
+def _intensity_matrix(steps, positions, values) -> tuple[np.ndarray, int, int]:
+    """The (step, position) matrix of an intensity table's cells, with its
+    first step and position.  Refused (UnknownDataKind, naming the row or
+    the span) unless every cell is finite, every step and position a whole
+    number within 2**53 of 0, and the matrix no larger than the table: a
+    run's table holds every cell of its matrix."""
+    finite = np.isfinite([steps, positions, values]).all(axis=0)
+    if not finite.all():
+        raise dataio.UnknownDataKind(f"data row {np.argmin(finite) + 1} holds a non-finite cell")
+    index = np.array([steps, positions])
+    whole = ((index == np.trunc(index)) & (np.abs(index) <= 2**53)).all(axis=0)
+    if not whole.all():
+        raise dataio.UnknownDataKind(f"data row {np.argmin(whole) + 1} holds a step or position "
+                                     "that is not a whole number within 2**53 of 0")
+    first = index.min(axis=1)
+    shape = tuple(int(n) for n in index.max(axis=1) - first + 1)
+    if shape[0] * shape[1] > len(values):
+        raise dataio.UnknownDataKind(f"its steps and positions span {shape[0]} x {shape[1]} "
+                                     f"cells, more than its {len(values)} data rows")
+    s0, p0 = (int(n) for n in first)
+    matrix = np.zeros(shape)
+    matrix[index[0].astype(int) - s0, index[1].astype(int) - p0] = values
+    return matrix, s0, p0
+
+
 def plot_table(kind: str, table: dataio.Columns) -> str:
-    """The SVG text of a `kind` table's plot, drawn from the columns `run` wrote."""
+    """The SVG text of a `kind` table's plot, drawn from the columns `run` wrote;
+    an intensity table that indexes no matrix is refused (`_intensity_matrix`)."""
     # arrays from `run` and from `replot`'s CSV cells
     cols = [np.asarray(c, dtype=float) for c in table.columns]
     if kind == "scan":
@@ -36,12 +62,9 @@ def plot_table(kind: str, table: dataio.Columns) -> str:
                                  title="scattering invariants",
                                  xlabel=label, ylabel="invariant")
     if kind == "intensity":
-        steps, pos, val = cols[0].astype(int), cols[1].astype(int), cols[2]
-        s0, p0 = steps.min(), pos.min()
-        matrix = np.zeros((steps.max() - s0 + 1, pos.max() - p0 + 1))
-        matrix[steps - s0, pos - p0] = val
+        matrix, s0, p0 = _intensity_matrix(*cols)
         return svgplot.heatmap(matrix, title="walk intensity", xlabel="position",
-                               ylabel="step", x_offset=int(p0), y_offset=int(s0))
+                               ylabel="step", x_offset=p0, y_offset=s0)
     # mean and std at each p: a summary's rows, or grouped from a row per member
     title, ylabel = ("interface localization", "P_loc") if kind == "edge" \
         else ("ensemble r(0) / 2", "r(0) / 2")

@@ -20,21 +20,21 @@ every batch: the walk whose coin 1 is the identity, which is bipartite,
 so the kernel holds H and V as even-row and odd-row half planes in one
 reused buffer and updates the live sublattice of each step's light cone
 (`budget.cone`).  A walker is a column of that buffer.  The buffer starts
-on a 64-byte cache line, and a batch of 8 walkers or more is padded with
-identity-coin columns to a multiple of 8, so that each row the kernel
-rotates starts on a cache line too; the pad leaves every real walker's
-arithmetic, and so its bits, as they are.  A batch whose coin 1 is the
-identity, as in every disorder ensemble and interface walk, runs on its
-own window; any other runs on the doubled lattice of the fibre loop,
-where a split step is two such steps (`double_step_equivalent`).  The cone's sites times steps stay
-the unit of work that studies budget.  Coins enter the kernel as their
-cosines and sines (`coins`), which the studies take once per distinct
-angle, where they make the angles, and gather into (walkers, sites)
-arrays; the kernel copies them into its buffer and runs no trig.  Its
-loop writes each step's read-out, or the step's cone into a history, as
-it goes: `scattering.sample_rows` reads one row's V, and `record` keeps
-every step of a batch whole, with each walker's window edges, so studies
-reduce whole batches.
+on a 64-byte cache line, and a batch of 64 walkers or more is padded
+with identity-coin columns to a multiple of 8, so that each row the
+kernel rotates starts on a cache line too; the pad leaves every real
+walker's arithmetic, and so its bits, as they are.  A batch whose coin 1
+is the identity, as in every disorder ensemble and interface walk, runs
+on its own window; any other runs on the doubled lattice of the fibre
+loop, where a split step is two such steps (`double_step_equivalent`).
+The cone's sites times steps stay the unit of work that studies budget.
+Coins enter the kernel as their cosines and sines (`coins`), which the
+studies take once per distinct angle, where they make the angles, and
+gather into (walkers, sites) arrays; the kernel copies them into its
+buffer and runs no trig.  Its loop writes each step's read-out, or the
+step's cone into a history, as it goes: `scattering.sample_rows` reads
+one row's V, and `record` keeps every step of a batch whole, with each
+walker's window edges, so studies reduce whole batches.
 """
 
 from __future__ import annotations
@@ -338,12 +338,14 @@ def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int) -> np.ndarra
     row i + 1, else coin 2 of row i is kernel row 2i + 1 and coin 1 2i + 2.
 
     Column k is walker k.  The buffer starts on a 64-byte cache line, and a
-    batch of 8 walkers or more has its columns rounded up to a multiple of
+    batch of 64 walkers or more has its columns rounded up to a multiple of
     8, so that every row, and every slice of rows the kernel rotates, starts
     on a cache line too.  The pad columns hold identity coins: the kernel
-    steps them with the rest and reads out only the first B columns."""
+    steps them with the rest and reads out only the first B columns.  A
+    narrower batch is not padded: its rows gain little, and the pad would
+    be a large share of what it holds (`budget.held`)."""
     half, walkers = (rows + 3) // 2, coin2[0].shape[0]
-    width = walkers if walkers < 8 else -(-walkers // 8) * 8
+    width = walkers if walkers < 64 else -(-walkers // 8) * 8
     # one allocation, so no plane is trimmed and refaulted, 8 elements over to align it
     raw = np.empty(9 * half * width + 8)
     first = -raw.__array_interface__["data"][0] % 64 // 8

@@ -108,3 +108,27 @@ def test_held_counts_what_the_engine_allocates(t):
             finally:
                 tracemalloc.stop()
             assert 0.95 <= peak / 8 / 64 / held <= 1.1, (identity, held)
+
+
+def test_the_column_pad_is_all_the_budget_leaves_out():
+    """The engine pads a batch of 64 walkers or more to a multiple of 8
+    buffer columns, which `budget.held` leaves out.  Traced at t = 201 with
+    coin 1 the identity: 65 walkers, the largest share of pad, hold one
+    walker's `held` and 7 buffer columns more than 64 walkers, 7/65 of
+    their buffer over the budget; 63 walkers hold one `held` less, unpadded.
+    Within 128 elements, numpy's cache of small arrays."""
+    t = 201
+    sites = qwtopo.budget.reflection_window(t)
+    held = qwtopo.budget.held(sites, t, identity_coin1=True)
+    column = 9 * ((sites + 3) // 2)  # one walker's buffer
+    peaks = {}
+    for walkers in (63, 64, 65):
+        theta = qwtopo.walk.coins(np.random.default_rng(2).uniform(0, 2 * PI, (walkers, t + 2)))
+        tracemalloc.start()
+        try:
+            qwtopo.scattering.sample_rows(None, theta, t)
+            peaks[walkers] = tracemalloc.get_traced_memory()[1] / 8
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[64] - peaks[63] - held) <= 128
+    assert abs(peaks[65] - peaks[64] - held - 7 * column) <= 128

@@ -338,23 +338,27 @@ def test_reflection_row_does_not_depend_on_its_batch():
 
 
 @pytest.mark.parametrize("identity", (True, False))
-@pytest.mark.parametrize("walkers", (8, 9, 61, 64, 199))
+@pytest.mark.parametrize("walkers", (8, 9, 61, 64, 65, 199))
 def test_buffer_rows_start_on_cache_lines(walkers, identity):
-    """The kernel's buffer starts on a 64-byte cache line and its rows, and
-    so its planes, are whole cache lines long, with coin 1 the identity and
-    on the doubled lattice; its at most 7 pad columns hold identity coins."""
+    """The kernel's buffer starts on a 64-byte cache line, with coin 1 the
+    identity and on the doubled lattice.  From 64 walkers on its rows, and
+    so its planes, are whole cache lines long, and its at most 7 pad
+    columns hold identity coins; a narrower batch has no pad."""
     rng = np.random.default_rng(walkers)
     coin2 = coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
     coin1 = None if identity else coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
     rows = 20 if identity else 40
     buf = qwtopo.walk._buffer(coin1, coin2, 3, rows, 3, 15)
-    assert buf.__array_interface__["data"][0] % 64 == 0
-    assert buf.strides[1] % 64 == 0 and buf.strides[2] == 8
-    assert buf.shape[:2] == (9, (rows + 3) // 2) and 0 <= buf.shape[2] - walkers < 8
-    assert (buf[0:2, :, walkers:] == 1).all() and (buf[2:8, :, walkers:] == 0).all()
+    assert buf.__array_interface__["data"][0] % 64 == 0 and buf.strides[2] == 8
+    assert buf.shape[:2] == (9, (rows + 3) // 2)
+    if walkers < 64:
+        assert buf.shape[2] == walkers
+    else:
+        assert buf.strides[1] % 64 == 0 and 0 <= buf.shape[2] - walkers < 8
+        assert (buf[0:2, :, walkers:] == 1).all() and (buf[2:8, :, walkers:] == 0).all()
 
 
-@pytest.mark.parametrize("walkers", (1, 2, 7, 9, 61))
+@pytest.mark.parametrize("walkers", (1, 2, 7, 9, 61, 65))
 def test_a_walker_steps_the_same_alone_and_in_any_batch(walkers):
     """Each walker's `sample_rows` row and `record` history hold, bit for bit,
     those of the same walker stepped alone, whether its batch is padded or
