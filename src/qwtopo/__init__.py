@@ -19,8 +19,8 @@ _EXPORTS = {
     "edges": ("LocalizationRecord", "localization_vs_disorder", "run_interface"),
     "apparatus": ("AmbiguousSign", "ApparatusModel", "ChainBroken", "ErrorRanges",
                   "McResult", "MeasurementData", "emulate_measurement", "interfere",
-                  "measured_invariants", "measured_series", "monte_carlo_errorbars",
-                  "reconstruct_series", "relative_sign"),
+                  "measured_invariants", "monte_carlo_errorbars", "reconstruct_series",
+                  "relative_sign"),
     "config": ("ConfigInvalid",),
     "dataio": ("IoFailure", "RunManifest", "UnknownDataKind"),
 }

@@ -15,8 +15,8 @@ All ideal reflection amplitudes are purely imaginary, so the chain
 works with the real series rho_j = Im r_j; the measured complex
 amplitudes are i * rho_j.  Each realized system is propagated once, in
 batches through `walk.record`, whose real V history at the read-out
-site x = -2 is rho_j and whose per-step window gives the walk
-intensities.
+site x = -2 is rho_j and whose history on the batch's window gives the
+walk intensities.
 
 The read-out runs on a whole batch at once: a (B, t) array of rho
 gives the magnitudes, each present pulse interfered with the previous
@@ -26,7 +26,9 @@ pulse.  Wherever a sign cannot be read, the result is NaN and no run
 stops: a row with an unreadable pair is NaN, and so are (Q0, Qpi) of a
 row whose |r(0)| is below 1e-6.  The Monte-Carlo fit runs it on batches
 of models, each batch a (B, 5) array of model parameters, and reads rho
-and the intensities' distances from the batch's whole histories.
+and the intensities' distances from the batch's whole histories: the
+fit compares model and observed intensities by position, each observed
+column with the history row of its own site.
 `emulate_measurement` runs it with B = 1 and keeps the signed series as
 it is, which `measured_invariants` reads; its defaults, which no config
 key sets, read the data an mc-errorbars run fits.  `relative_sign` and
@@ -41,10 +43,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import scattering
-from .budget import ALPHA_GUARD, MODEL, within_guard
+from .budget import _GROW, ALPHA_GUARD, MODEL, within_guard
 from .walk import H, coins, over_batches, record
-from .scattering import InvariantPair, ReflectionSeries, ScatteringSystem, invariant_rows
+from .scattering import InvariantPair, ScatteringSystem, invariant_rows
 
 SAME = "same"
 OPPOSITE = "opposite"
@@ -286,9 +287,9 @@ def emulate_measurement(system: ScatteringSystem, t: int,
     x_min, h, v, lo, hi = _runs(system, params, t)
     rho = v[1:, -2 - x_min, 0].copy()
     # square the window in place: a copy of it would double what the run holds
-    a, b = (x[None, :, lo[0]:hi[0] + 1, 0] for x in (h, v))
+    a, b = (x[None, :, lo:hi + 1, 0] for x in (h, v))
     dists = _intensities(a, b, params[:, _LOSS, None])[0]
-    return _measure(rho, model, x_min + int(lo[0]), dists, alpha, mode, shots, seed)
+    return _measure(rho, model, x_min + lo, dists, alpha, mode, shots, seed)
 
 
 def _measure(rho: np.ndarray, model: ApparatusModel, x_min: int, distributions,
@@ -346,15 +347,11 @@ def reconstruct_series(magnitudes: np.ndarray, signs, reference_sign: int) -> np
     return rho
 
 
-def measured_series(rho: np.ndarray) -> ReflectionSeries:
-    """Complex reflection series i * rho of a reconstructed real series."""
-    return ReflectionSeries(1j * np.asarray(rho, dtype=float))
-
-
 def measured_invariants(data: MeasurementData) -> InvariantPair:
-    """Invariant pair from one measurement's signed series."""
-    # looked up at call time, so a wrapper set on `scattering.invariants` is seen
-    return scattering.invariants(measured_series(data.series))
+    """Invariant pair of one measurement's signed series rho_j, r_j = i rho_j,
+    with the series' residual 1 - sum_j rho_j^2."""
+    q0, qpi = invariant_rows(data.series[None])
+    return InvariantPair(float(q0[0]), float(qpi[0]), 1.0 - float(np.sum(data.series ** 2)))
 
 
 @dataclass
@@ -376,34 +373,30 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _distances(observed: np.ndarray, h: np.ndarray, v: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray, loss: np.ndarray, horizon: int) -> np.ndarray:
+def _distances(observed: np.ndarray, first: int, h: np.ndarray, v: np.ndarray,
+               loss: np.ndarray, horizon: int) -> np.ndarray:
     """Summed squared difference of each walker's normalized intensities
     from the observed ones over steps 1 .. horizon, for `walk.record`
-    histories h and v with walker k's window on rows lo[k] .. hi[k].
-    Columns are compared by index over the narrower of the two windows.
-    The walkers of one window are gathered into a C-contiguous (walkers,
-    horizon + 1, columns) block, as a stack of their windows would be, so
-    every sum adds in the order of one walker's window alone."""
-    out = np.empty(lo.size)
-    for i, e in set(zip(lo.tolist(), hi.tolist())):
-        rows = np.flatnonzero((lo == i) & (hi == e))
-        w = min(observed.shape[1], e - i + 1)
-        a, b = (np.ascontiguousarray(x[:horizon + 1, i:i + w, rows].transpose(2, 0, 1))
-                for x in (h, v))
-        d = _normalize(_intensities(a, b, loss[rows])[:, 1:])
-        d -= _normalize(observed[1:horizon + 1, :w].copy())
-        d *= d
-        out[rows] = np.sum(d, axis=(1, 2))
-    return out
+    histories h and v, compared by position: observed column i is the
+    site of history row first + i.  The walkers are gathered into one
+    C-contiguous (walkers, horizon + 1, columns) block, as a stack of their
+    rows would be, so every sum adds in the order of one walker alone."""
+    rows = slice(first, first + observed.shape[1])
+    a, b = (np.ascontiguousarray(x[:horizon + 1, rows].transpose(2, 0, 1)) for x in (h, v))
+    d = _normalize(_intensities(a, b, loss)[:, 1:])
+    d -= _normalize(observed[1:horizon + 1].copy())
+    d *= d
+    return np.sum(d, axis=(1, 2))
 
 
-def _mc_batch(system: ScatteringSystem, t: int, observed: np.ndarray, horizon: int,
-              alpha: float, params: np.ndarray) -> np.ndarray:
-    """(distance, q0, qpi) of each model of one batch, one row per row of params."""
-    x_min, h, v, lo, hi = _runs(system, params, t)
-    q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, alpha)[1])
-    distances = _distances(observed, h, v, lo, hi, params[:, _LOSS, None], horizon)
+def _mc_batch(system: ScatteringSystem, data: MeasurementData, horizon: int,
+              params: np.ndarray) -> np.ndarray:
+    """(distance, q0, qpi) of each model of one batch, one row per row of
+    params, against the intensities of `data` over its first `horizon` steps."""
+    x_min, h, v, _, _ = _runs(system, params, data.t)
+    q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, data.alpha)[1])
+    distances = _distances(data.distributions, data.x_min - x_min, h, v,
+                           params[:, _LOSS, None], horizon)
     return np.column_stack([distances, q0, qpi])
 
 
@@ -420,10 +413,13 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
     """
     if data.t < horizon:
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
+    reach, width = data.t + _GROW, data.distributions.shape[1]  # `_runs` records -1 +- reach
+    if not -1 - reach <= data.x_min <= data.x_min + width <= reach:
+        raise ValueError(f"observed positions [{data.x_min}, {data.x_min + width}) are not "
+                         f"inside the models' record window [{-1 - reach}, {reach})")
     params = ranges.draw(np.random.default_rng(seed), n_sets)
-    distances, q0s, qps = over_batches(
-        lambda block: _mc_batch(system, data.t, data.distributions, horizon, data.alpha, block),
-        params, MODEL.held(data.t)).T
+    distances, q0s, qps = over_batches(lambda block: _mc_batch(system, data, horizon, block),
+                                       params, MODEL.held(data.t)).T
     best = int(np.argmin(distances))
     ok = ~np.isnan(q0s)
     q0_err = float(np.mean(np.abs(q0s[ok] - q0s[best]))) if ok.any() else np.nan

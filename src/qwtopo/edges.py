@@ -24,7 +24,7 @@ real coins keep the launch state |-1, V> in the engine's real structure
 (H real, V imaginary) up to the global phase i, which no intensity sees.
 A batch's P_loc is one sum over the history rows x in [-3, 3] of every
 walker, which hold exact zeros outside a walker's window; `run_interface`
-keeps its walker's window, the one `evolve` ends on.
+keeps the window of its batch of one, the one `evolve` ends on.
 `localization_vs_disorder` steps each distinct right-bulk pattern of all
 its p once, through one `disorder.PatternStudy` call.  Neither study has
 a default: every value comes from the run's config.
@@ -89,8 +89,8 @@ def run_interface(theta_left: float, right: DisorderSpec, t: int,
     mask = config_uniforms(right, [config], right.sites) < right.p
     x_min, h, v, lo, hi = _launch(
         theta_left, pattern_coins(coin_table(right.theta_a, right.theta_b), mask), t)
-    a, b = h[:, lo[0]:hi[0] + 1, 0], v[:, lo[0]:hi[0] + 1, 0]
-    return LocalizationRecord(a * a + b * b, x_min + int(lo[0]))
+    a, b = h[:, lo:hi + 1, 0], v[:, lo:hi + 1, 0]
+    return LocalizationRecord(a * a + b * b, x_min + lo)
 
 
 def _ploc_batch(right: tuple, theta_left: float, t: int) -> np.ndarray:

@@ -33,8 +33,9 @@ studies take once per distinct angle, where they make the angles, and
 gather into (walkers, sites) arrays; the kernel copies them into its
 buffer and runs no trig.  Its loop writes each step's read-out, or the
 step's cone into a history, as it goes: `scattering.sample_rows` reads
-one row's V, and `record` keeps every step of a batch whole, with each
-walker's window edges, so studies reduce whole batches.
+one row's V, and `record` keeps every step of a batch whole, with the
+batch's one window: the union of the windows `evolve` ends on, one per
+walker.  Studies reduce whole batches on it.
 """
 
 from __future__ import annotations
@@ -411,14 +412,14 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
     lo, hi): h and v are the (steps + 1, sites, B) history on x0 +- (steps +
     _GROW) that `real_steps` fills on its cone, [j, i, k] holding H = h and
     V = i v (up to a global phase) of walker k after j steps at position
-    x_min + i.  Walker k's window is the rows lo[k] .. hi[k] of the (B,)
-    arrays lo and hi, exactly the window `evolve` ends on from
-    `WalkerState.localized(x0, coin)`; its other rows hold exact zeros.
-    That window starts at [x0 - 1, x0 + 1] and grows by _GROW sites
-    whenever a shift meets amplitude on its edge: after a step, the right
+    x_min + i.  The batch has one window, the rows lo .. hi: the union of the
+    windows `evolve` ends on from `WalkerState.localized(x0, coin)`, one per
+    walker, and a walker's rows off its own window hold exact zeros.  That
+    window starts at [x0 - 1, x0 + 1] and grows by _GROW sites whenever a
+    shift meets amplitude of any walker on its edge: after a step, the right
     edge hi grew iff H now sits at hi + 1 or V sits at hi, the left edge lo
-    iff V sits at lo - 1.  An edge grows only once the front, moving one
-    site per step, has reached it, so no edge passes x0 +- (steps + _GROW - 1).
+    iff V sits at lo - 1.  An edge grows only once the front, moving one site
+    per step, has reached it, so no edge passes x0 +- (steps + _GROW - 1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -428,12 +429,10 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
     h, v = np.zeros((2, steps + 1, n, walkers))
     (h, v)[coin][0, reach] = 1.0
     real_steps(coin1, coin2, start - x_min, n, reach, coin, steps, history=(h, v))
-    cols = np.arange(walkers)
-    lo = np.full(walkers, x0 - 1 - x_min)  # window edges as rows
-    hi = np.full(walkers, x0 + 1 - x_min)
+    lo, hi = reach - 1, reach + 1  # the window's edges as rows
     for j in range(1, steps + 1):
-        hi += _GROW * ((h[j, hi + 1, cols] != 0) | (v[j, hi, cols] != 0))
-        lo -= _GROW * (v[j, lo - 1, cols] != 0)
+        hi += _GROW * bool(h[j, hi + 1].any() or v[j, hi].any())
+        lo -= _GROW * bool(v[j, lo - 1].any())
     return x_min, h, v, lo, hi
 
 

@@ -3,6 +3,7 @@ reconstruction, hardware imperfections, and the Monte-Carlo error-bar
 fit.  Amplitude-level references come from the scattering module, whose
 own tests pin it against the dense oracle."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +14,12 @@ from qwtopo import (
     ApparatusModel,
     ChainBroken,
     ErrorRanges,
+    ReflectionSeries,
     ScatteringSystem,
     emulate_measurement,
     interfere,
     invariants,
     measured_invariants,
-    measured_series,
     monte_carlo_errorbars,
     reconstruct_series,
     reflection_amplitudes,
@@ -36,14 +37,15 @@ from qwtopo.apparatus import (
     _measure,
     _params,
     _readout,
-    _runs,
     perturbed_angles,
 )
 from qwtopo.budget import ALPHA_GUARD, within_guard
 from qwtopo.scattering import invariant_rows
+from qwtopo.walk import H
 
 from defaults import MC, RANGES
-from references import distances, mixed_windows, walker_windows
+from references import (MIXED_START, distances, evolve_windows, mixed_angles, mixed_windows,
+                        union_window)
 
 PI = np.pi
 
@@ -163,13 +165,6 @@ def test_unreadable_measurement_objects_break_the_chain_too():
 def test_reference_sign_must_be_a_unit():
     with pytest.raises(ValueError, match="reference sign"):
         reconstruct_series(np.array([0.5]), [], reference_sign=0)
-
-
-def test_measured_series_restores_the_imaginary_amplitudes():
-    rho = np.array([0.3, -0.4, 0.0, 0.1])
-    series = measured_series(rho)
-    assert np.array_equal(series.r, 1j * rho)
-    assert np.max(np.abs(series.r.real)) == 0.0
 
 
 # ------------------------------------------------------ emulate_measurement
@@ -323,7 +318,7 @@ def scalar_pair(magnitudes, signs, reference) -> tuple:
     """(q0, qpi) through reconstruct_series and invariants, NaN where the
     chain breaks or the gauge is degenerate."""
     try:
-        pair = invariants(measured_series(reconstruct_series(magnitudes, signs, reference)))
+        pair = invariants(ReflectionSeries(1j * reconstruct_series(magnitudes, signs, reference)))
     except ChainBroken:
         return np.nan, np.nan
     return pair.q0, pair.qpi
@@ -335,10 +330,16 @@ def measure_pair(rho, model, alpha) -> tuple:
     return pair.q0, pair.qpi
 
 
-def readout_rho(run) -> np.ndarray:
-    """The (B, t) read-out series of a `walk.record` result, walker by walker
-    from each one's own window."""
-    return np.array([v[1:, -2 - x_min] for x_min, _, v in walker_windows(run)])
+def model_windows(system, params, t) -> list:
+    """`evolve_windows` of the probe |-1, H> on the system as the hardware of
+    each row of the model array params realizes it: `_runs` walker by walker."""
+    return evolve_windows(0, perturbed_angles(system.theta1, params),
+                          perturbed_angles(system.theta2, params), -1, H, t)
+
+
+def readout_rho(windows) -> np.ndarray:
+    """The (B, t) read-out series, V at x = -2, of `evolve_windows`."""
+    return np.array([b[1:, -2 - x_min] for x_min, _, b in windows])
 
 
 def as_reprs(*columns) -> list:
@@ -355,7 +356,7 @@ def test_batched_readout_matches_the_scalar_chain_bit_for_bit():
         params = wide.draw(rng, 40)
         models = [ApparatusModel(*row) for row in params.tolist()]
         alpha = PI / 4 if case % 2 else rng.uniform(0.05, PI / 2 - 0.05)
-        rho = readout_rho(_runs(system, params, t))
+        rho = readout_rho(model_windows(system, params, t))
         q0, qpi = invariant_rows(_readout(rho, params, alpha)[1])
         want = [scalar_pair(*scalar_readout(row, m, alpha)) for row, m in zip(rho, models)]
         assert as_reprs(q0, qpi) == as_reprs(*zip(*want))
@@ -396,7 +397,7 @@ def test_shots_readout_keeps_the_draw_order_bit_for_bit():
         system = ScatteringSystem.for_steps(*rng.uniform(0, 2 * PI, 2), t)
         model = ApparatusModel(*replace(RANGES, loss_asymmetry=0.05).draw(rng, 1)[0].tolist())
         shots = int(rng.choice([50, 1000, 100_000]))
-        rho = readout_rho(_runs(system, _params([model]), t))[0]
+        rho = readout_rho(model_windows(system, _params([model]), t))[0]
         mags, signs, reference = scalar_readout(rho, model, PI / 4, "shots", shots, case)
         kw = dict(mode="shots", shots=shots, seed=case)
         try:
@@ -423,55 +424,62 @@ def test_shots_readout_keeps_the_draw_order_bit_for_bit():
 # ------------------------------------------- batch reductions, walker by walker
 
 def test_mc_distances_equal_the_per_walker_form_bit_for_bit():
-    """`_distances` gathers each window width's columns from the whole
-    history; the per-walker form stacks every walker's own window.  On
-    batches whose walkers end on windows of different widths and first rows,
-    against observed intensities narrower than some windows and wider than
-    others, they agree as reprs and leave the history as it was."""
+    """`_distances` reads every walker on the observed sites of the whole
+    history; the per-walker form reads each walker's `evolve` window on
+    those sites, zero off it.  On batches whose walkers end on windows of
+    different widths and first rows, against observed windows at each of
+    those windows, at record's window, offset from it, narrower and wider,
+    they agree as reprs and leave the history as it was."""
     rng = np.random.default_rng(33)
     for t in (3, 12, 20):
         run = mixed_windows(t)
-        _, h, v, lo, hi = run
-        widths = hi - lo + 1
-        assert len(set(widths.tolist())) > 1 and len(set(lo.tolist())) > 1
+        x_min, h, v, lo, hi = run
+        windows = evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)
+        assert (lo, hi) == union_window(run, windows)
+        spans = {(first - x_min, a.shape[1]) for first, a, _ in windows}
+        assert len({w for _, w in spans}) > 1 and len({i for i, _ in spans}) > 1
         before = h.copy(), v.copy()
-        loss = rng.uniform(-0.05, 0.05, (lo.size, 1))
-        for width in sorted(set(widths.tolist())) + [widths.min() - 5, widths.max() + 3]:
-            observed = rng.uniform(0, 1, (t + 1, width))
+        loss = rng.uniform(-0.05, 0.05, (len(windows), 1))
+        width = hi - lo + 1
+        for first, w in sorted(spans) + [(lo, width), (lo - 2, width), (lo + 2, width - 5),
+                                         (lo - 1, width + 2), (0, h.shape[1])]:
+            assert 0 <= first and first + w <= h.shape[1]
+            observed = rng.uniform(0, 1, (t + 1, w))
             for horizon in (1, t // 2, t):
-                got = _distances(observed, h, v, lo, hi, loss, horizon)
-                want = distances(observed, walker_windows(run), loss, horizon)
+                got = _distances(observed, first, h, v, loss, horizon)
+                want = distances(observed, x_min + first, windows, loss, horizon)
                 assert as_reprs(got) == as_reprs(want)
         assert np.array_equal(h, before[0]) and np.array_equal(v, before[1])
 
 
 def test_readout_slice_equals_each_walkers_own_window():
-    """rho is one slice of the V history at x = -2; every walker's window
-    holds that site, whatever its width and first row."""
+    """rho is one slice of the V history at x = -2, and it equals V at -2 of
+    every walker's `evolve` window, whatever its width and first row, bit
+    for bit up to the sign of exact zeros."""
     for t in (0, 3, 20):
         run = mixed_windows(t)
         x_min, _, v, _, _ = run
-        assert as_reprs(*v[1:, -2 - x_min]) == as_reprs(*readout_rho(run).T)
+        windows = evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)
+        assert np.array_equal(v[1:, -2 - x_min], readout_rho(windows).T)
 
 
 def test_mc_batch_equals_the_per_walker_forms_in_any_split():
     """Distance, Q0 and Qpi of each model, as reprs, from the whole batch and
-    from every walker's own window, and the same whichever way the models
-    are split into batches."""
+    from every walker's `evolve` window, and the same whichever way the
+    models are split into batches."""
     rng = np.random.default_rng(34)
     system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11)
     data = emulate_measurement(system, 11, ApparatusModel(loss_asymmetry=0.02))
     wide = ErrorRanges(loss_asymmetry=0.1, eom_error=np.radians(10.0),
                        sbc_error=np.radians(10.0), efficiency_span=0.5)
     params = wide.draw(rng, 60)
-    got = _mc_batch(system, 11, data.distributions, 7, PI / 4, params)
-    run = _runs(system, params, 11)
-    q0, qpi = invariant_rows(_readout(readout_rho(run), params, PI / 4)[1])
-    want = distances(data.distributions, walker_windows(run), params[:, _LOSS, None], 7)
+    got = _mc_batch(system, data, 7, params)
+    windows = model_windows(system, params, 11)
+    q0, qpi = invariant_rows(_readout(readout_rho(windows), params, PI / 4)[1])
+    want = distances(data.distributions, data.x_min, windows, params[:, _LOSS, None], 7)
     assert as_reprs(*got.T) == as_reprs(want, q0, qpi)
     for cuts in ([1], [17, 18], [59], list(range(1, 60))):
-        parts = [_mc_batch(system, 11, data.distributions, 7, PI / 4, block)
-                 for block in np.split(params, cuts)]
+        parts = [_mc_batch(system, data, 7, block) for block in np.split(params, cuts)]
         assert as_reprs(*np.concatenate(parts).T) == as_reprs(*got.T)
 
 
@@ -517,6 +525,21 @@ def test_monte_carlo_on_clean_data_finds_a_near_identity_model():
     res = monte_carlo_errorbars(data, system, RANGES, n_sets=120, horizon=MC["horizon"], seed=1)
     assert abs(res.best.loss_asymmetry) < 0.01
     assert res.distance < 1e-5
+
+
+def test_monte_carlo_refuses_observed_positions_off_the_record_window():
+    """At t = 11 the models record the positions [-28, 27); observed
+    intensities on positions past either end are refused, naming both
+    spans, and a window on exactly those positions is fitted."""
+    system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11)
+    data = emulate_measurement(system, 11)
+    for x_min, width in ((-29, 20), (data.x_min, 60), (20, 8)):
+        off = replace(data, x_min=x_min, distributions=np.ones((12, width)))
+        spans = f"[{x_min}, {x_min + width}) are not inside the models' record window [-28, 27)"
+        with pytest.raises(ValueError, match=re.escape(spans)):
+            monte_carlo_errorbars(off, system, RANGES, n_sets=4, horizon=7, seed=0)
+    whole = replace(data, x_min=-28, distributions=np.ones((12, 55)))
+    assert monte_carlo_errorbars(whole, system, RANGES, n_sets=4, horizon=7, seed=0).n_sets == 4
 
 
 def test_monte_carlo_needs_enough_recorded_steps():

@@ -915,6 +915,62 @@ def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, na
     assert files(out) == before
 
 
+def avx512_groups() -> list:
+    """The optional AVX-512 groups numpy's dispatch found on this host: the
+    found dispatch targets beyond its baseline that are AVX-512 or x86-64-v4."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)
+            and f not in umath.__cpu_baseline__ and (f.startswith("AVX512") or f == "X86_V4")]
+
+
+DISPATCH_PROBE = """
+import contextlib, hashlib, io, json, os, sys
+import numpy
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+from qwtopo.cli import entrypoint
+out, configs = sys.argv[1], sys.argv[2:]
+hashes = {}
+for path in configs:
+    name = os.path.basename(path)
+    run_dir = os.path.join(out, name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert entrypoint(["run", "--config", path, "--out", run_dir]) == 0
+    hashes[name] = {f: hashlib.sha256(open(os.path.join(run_dir, f), "rb").read()).hexdigest()
+                    for f in sorted(os.listdir(run_dir)) if f != "manifest.json"}
+found = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if umath.__cpu_features__[f]]
+print(json.dumps({"found": found, "hashes": hashes}))
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: np.power in apparatus._intensities and _readout rounds "
+    "(1 +- loss) ** steps differently without numpy's AVX-512 loops; mc.json's "
+    "qpi_error then reads ...106 where the recorded value is ...107"))
+def test_shipped_hashes_hold_without_avx512_dispatch(tmp_path):
+    """Every shipped config run in a process whose numpy dispatches none of
+    the optional AVX-512 groups it found gives the recorded hashes.  On a
+    host with none of them this is the run above, so it checks nothing new."""
+    groups = avx512_groups()
+    if not groups:
+        pytest.skip("numpy found no optional AVX-512 group on this host, so hiding them "
+                    "changes no dispatch and checks nothing new")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(groups)}
+    paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
+    done = subprocess.run([sys.executable, "-c", DISPATCH_PROBE, str(tmp_path), *paths],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["found"] == []  # numpy dispatches none of the groups in the run
+    assert result["hashes"] == SHIPPED_HASHES
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
 def test_the_manifest_lists_exactly_the_files_a_run_wrote(tmp_path, capsys, name, fmt):

@@ -7,11 +7,11 @@ from qwtopo.disorder import DisorderSpec, coin_table, config_uniforms, pattern_c
 import qwtopo.edges
 from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, LocalizationRecord,
                           _ploc_batch, localization_vs_disorder, run_interface)
-from qwtopo.walk import V, coins
+from qwtopo.walk import H, V, coins
 
 from defaults import P_GRID
 from oracles import dense_interface_p_loc, _binary_pattern
-from references import mixed_windows, p_loc_at, walker_windows
+from references import MIXED_START, evolve_windows, mixed_angles, mixed_windows, p_loc_at
 
 SEED = 20260814
 TH_L, TH_A, TH_B = 0.52 * np.pi, 1.68 * np.pi, 1.36 * np.pi
@@ -186,13 +186,13 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
 
 def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
     """Rows outside a walker's window hold exact zeros, so walkers whose
-    windows differ in width and first row, at t = 0 inside [-3, 3], still sum
-    as each one's own mask does."""
+    `evolve` windows differ in width and first row, at t = 0 inside [-3, 3],
+    still sum as each one's own mask does."""
     for t in (0, 1, 3, 12, 20):
         run = mixed_windows(t)
         monkeypatch.setattr(qwtopo.edges, "record", lambda *args: run)
         want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min), t)
-                for k, (x_min, a, b) in enumerate(walker_windows(run))]
+                for x_min, a, b in evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)]
         assert reprs(_ploc_batch(coins(np.zeros((len(want), 1))), TH_L, t)) == reprs(want)
 
 

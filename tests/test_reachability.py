@@ -32,6 +32,10 @@ DECLARED = {
     "the scalar read-out, which raises where the batched `apparatus._readout` "
     "gives NaN: the tests' pair-by-pair reference for it": [
         ("apparatus.py", "relative_sign"), ("apparatus.py", "reconstruct_series")],
+    "the complex series that `scattering.reflection_amplitudes` returns and "
+    "`scattering.invariants` reads, both names the benchmark wraps; the shipped "
+    "runs read real series by `scattering.invariant_rows`": [
+        ("scattering.py", "ReflectionSeries")],
     "refuses invalid input and does nothing else: exception constructors, and "
     "the maxItems check, whose one user, a free scan's pairs_pi, no shipped "
     "config has": [

@@ -17,7 +17,7 @@ from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          record, split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
-from references import walker_windows, written_rows
+from references import evolve_windows, on_own_window, union_window, written_rows
 
 RT2 = np.sqrt(0.5)
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -276,10 +276,12 @@ def random_field(rng, start, sites):
 
 
 def test_record_matches_evolve_bit_for_bit():
-    """Same window (x_min and width) and the same per-step H and V
-    intensities as evolve, from both launch coins, with coin 1 the
-    identity on every row (the window's own lattice), on some rows or on none.  From x0 the
-    window grows at t = 2, 18 and 34, so t up to 40 covers three growths."""
+    """Each walker's history equals, on the window `evolve` ends on, its H
+    and V amplitudes after every step, and is exact zeros on every other
+    row, from both launch coins, with coin 1 the identity on every row (the
+    window's own lattice), on some rows or on none; record's window is the
+    union of those windows.  From x0 the window grows at t = 2, 18 and 34,
+    so t up to 40 covers three growths."""
     rng = np.random.default_rng(9)
     for case in range(24):
         t = 40 if case % 4 == 0 else int(rng.integers(0, 41))
@@ -293,20 +295,10 @@ def test_record_matches_evolve_bit_for_bit():
             random_field(rng, start, sites)) for k in range(3)]
         th1 = np.array([p.field1.window_angles(start, sites) for p in protocols])
         th2 = np.array([p.field2.window_angles(start, sites) for p in protocols])
-        runs = walker_windows(record(start, coins(th1), coins(th2), x0, coin, t))
-        for proto, (x_min, a, b) in zip(protocols, runs):
-            traj = evolve(WalkerState.localized(x0, coin), proto, t)
-            final = traj[-1]
-            assert x_min == final.x_min
-            assert a.shape == b.shape == (t + 1, final.sites)
-            for j, state in enumerate(traj):
-                h2 = np.zeros(final.sites)
-                v2 = np.zeros(final.sites)
-                off = state.x_min - x_min
-                h2[off:off + state.sites] = np.abs(state.amps[:, H]) ** 2
-                v2[off:off + state.sites] = np.abs(state.amps[:, V]) ** 2
-                assert np.array_equal(a[j] ** 2, h2)
-                assert np.array_equal(b[j] ** 2, v2)
+        run = record(start, coins(th1), coins(th2), x0, coin, t)
+        windows = evolve_windows(start, th1, th2, x0, coin, t)
+        assert on_own_window(run, windows)
+        assert run[3:] == union_window(run, windows)
 
 
 def test_no_coin1_angles_step_as_the_identity_coin1():
@@ -362,7 +354,8 @@ def test_buffer_rows_start_on_cache_lines(walkers, identity):
 def test_a_walker_steps_the_same_alone_and_in_any_batch(walkers):
     """Each walker's `sample_rows` row and `record` history hold, bit for bit,
     those of the same walker stepped alone, whether its batch is padded or
-    not, with coin 1 the identity and on the doubled lattice."""
+    not, with coin 1 the identity and on the doubled lattice.  The batch's
+    window is the union of the walkers' windows alone."""
     rng = np.random.default_rng(walkers)
     t, m = 21, 14
     theta = np.array([[random_field(rng, 0, m).thetas for _ in range(walkers)]
@@ -371,14 +364,17 @@ def test_a_walker_steps_the_same_alone_and_in_any_batch(walkers):
         theta2 = coins(theta[1])
         rows = sample_rows(theta1, theta2, t)
         x_min, h, v, lo, hi = record(-3, theta1, theta2, -1, V, t)
+        edges = []
         for k in range(walkers):
             one1, one2 = (None if pair is None else (pair[0][k:k + 1], pair[1][k:k + 1])
                           for pair in (theta1, theta2))
             assert sample_rows(one1, one2, t)[0].tobytes() == rows[k].tobytes()
             alone = record(-3, one1, one2, -1, V, t)
             assert alone[0] == x_min
-            for got, want in zip(alone[1:], (h, v, lo, hi)):
+            for got, want in zip(alone[1:3], (h, v)):
                 assert got[..., 0].tobytes() == want[..., k].tobytes()
+            edges.append(alone[3:])
+        assert (lo, hi) == (min(e[0] for e in edges), max(e[1] for e in edges))
 
 
 # --- the light-cone engine against a full-window one -----------------------------
@@ -531,9 +527,10 @@ def test_sample_rows_write_positive_zeros_where_the_read_out_is_empty():
 
 @pytest.mark.parametrize("t", CONE_STEPS)
 def test_record_equals_full_window_history(t):
-    """Every step of every walker on its window, bit for bit, from both
+    """Every step of every walker on the whole window, bit for bit, from both
     launch coins, with coin 1 the identity or random; the full window is
-    zero outside each walker's window.  Signs of exact zeros may differ.
+    zero outside the window `evolve` ends on for each walker, and record's
+    window is the union of those.  Signs of exact zeros may differ.
     The launch row is t + 16, so odd and even t launch at both row
     parities.  At t = 201 each batch size runs one of the four coin cases."""
     rng = np.random.default_rng(100 + t)
@@ -546,23 +543,23 @@ def test_record_equals_full_window_history(t):
             m = int(rng.integers(1, 2 * t + 6))
             theta1 = random_angles(rng, walkers, m, identity)
             theta2 = random_angles(rng, walkers, m, False)
-            runs = walker_windows(record(start, coins(theta1), coins(theta2), x0, coin, t))
+            run = record(start, coins(theta1), coins(theta2), x0, coin, t)
+            windows = evolve_windows(start, theta1, theta2, x0, coin, t)
+            assert run[3:] == union_window(run, windows)
             n = 2 * reach + 1
             th1 = on_window(start, theta1, x0 - reach, n)
             th2 = on_window(start, theta2, x0 - reach, n)
             a = np.zeros((walkers, n))
             b = np.zeros((walkers, n))
             (a, b)[coin][:, reach] = 1.0
-            windows = {}  # walkers by window: (first column, width)
-            for k, (x_min, h, _) in enumerate(runs):
-                windows.setdefault((x_min - x0 + reach, h.shape[1]), []).append(k)
+            x_min, h, v = run[:3]
+            outside = np.ones((walkers, n), dtype=bool)  # off each walker's window
+            for k, (first, wa, _) in enumerate(windows):
+                outside[k, first - x_min:first - x_min + wa.shape[1]] = False
             steps = full_window_steps(th1, th2, a, b, t)
             for j, (a, b) in enumerate([(a, b), *steps]):
-                for (i, w), ks in windows.items():
-                    for full, part in ((a, 1), (b, 2)):
-                        assert np.array_equal([runs[k][part][j] for k in ks],
-                                              full[ks, i:i + w])
-                        assert not full[ks, :i].any() and not full[ks, i + w:].any()
+                assert np.array_equal(h[j].T, a) and np.array_equal(v[j].T, b)
+                assert not a[outside].any() and not b[outside].any()
 
 
 @pytest.mark.parametrize("identity", (True, False))
