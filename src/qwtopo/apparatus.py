@@ -43,7 +43,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .budget import _GROW, ALPHA_GUARD, MODEL, within_guard
+from .budget import ALPHA_GUARD, MODEL, record_window, within_guard
 from .walk import H, coins, over_batches, record
 from .scattering import InvariantPair, ScatteringSystem, invariant_rows
 
@@ -55,8 +55,6 @@ INTENSITY_FLOOR = 1e-4
 
 #: Magnitudes at or below this are treated as structurally absent pulses.
 MAGNITUDE_EPS = 1e-12
-
-_TWO_PI = 2.0 * np.pi
 
 
 class AmbiguousSign(ValueError):
@@ -201,7 +199,7 @@ def perturbed_angles(thetas: np.ndarray, params: np.ndarray) -> np.ndarray:
     cancellation of the two stages, not synthesized from scratch.
     """
     off = params[:, _SBC, None] + params[:, _EOM, None]
-    return np.where(thetas != 0.0, thetas + off, 0.0) % _TWO_PI
+    return np.where(thetas != 0.0, thetas + off, 0.0)
 
 
 def _runs(system: ScatteringSystem, params: np.ndarray, t: int) -> tuple:
@@ -413,7 +411,7 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
     """
     if data.t < horizon:
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
-    reach, width = data.t + _GROW, data.distributions.shape[1]  # `_runs` records -1 +- reach
+    reach, width = record_window(data.t) // 2, data.distributions.shape[1]  # `_runs`: -1 +- reach
     if not -1 - reach <= data.x_min <= data.x_min + width <= reach:
         raise ValueError(f"observed positions [{data.x_min}, {data.x_min + width}) are not "
                          f"inside the models' record window [{-1 - reach}, {reach})")

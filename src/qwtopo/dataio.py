@@ -1,18 +1,16 @@
 """Deterministic data files: CSV/JSON tables, kind detection, manifests.
 
 Tables are written from columns (`Columns`), never from Python row
-objects.  Each cell is written as its `str()`, which for a float, numpy's
-float64 included, is its repr, the shortest round-trip form, so a value
-read back compares bit-equal and identical runs yield identical bytes; a
-numpy int or bool is written as its item.  A float64 column is formatted
-once per distinct bit pattern, so 0.0 and -0.0 stay apart, an integer or
-bool column once per distinct value, and any other column value by value.
+objects, by one encoder (`cells`): each cell is written as its `str()`,
+which for a float, numpy's float64 included, is its repr, the shortest
+round-trip form, so a value read back compares bit-equal and identical
+runs yield identical bytes; a numpy int or bool is written as its item.
 Each table kind has a fixed header; replotting recognizes a file purely
 by that header row.  Every JSON file is strict: a float that is NaN or
-infinite is written as null (`json_value`), in tables and in the run's
-other JSON files (`write_json`) alike.  Tables, JSON files and plots are
-all written by `write_text`, the one place the package opens a file for
-writing, so each write that fails raises `IoFailure` naming its file.
+infinite is written as null, in tables and in the run's other JSON files
+(`write_json`) alike.  Tables, JSON files and plots are all written by
+`write_text`, the one place the package opens a file for writing, so
+each write that fails raises `IoFailure` naming its file.
 """
 
 from __future__ import annotations
@@ -80,8 +78,8 @@ def write_table(path: str, header: list[str], table: Columns, fmt: str = "csv") 
     returns the path.
 
     `cells` formats every cell before the file is opened, so a table that
-    cannot be written leaves no file; CSV text is then written in blocks of
-    rows, and JSON is a strict `json.dumps` of the same cells, NaN as null.
+    cannot be written leaves no file; the text is then written in blocks of
+    rows, CSV lines or JSON records of the same cells, NaN as null.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format: {fmt!r}")

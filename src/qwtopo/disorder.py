@@ -23,8 +23,8 @@ the cosine and sine of theta_a and theta_b into the coins the engine
 runs on (`pattern_coins`, which interface walks share), and hands its
 value to every member that has it.  A disorder curve evaluates all its
 p in one call; a transition bisection its two endpoints in one call,
-and it keeps the values it stepped for every later probe.  A bisection
-takes of a spec only the angles and the seed, with its own t and size.
+and it keeps the values it stepped for every later probe.  Both take the
+angles, seed, t and size they read, not a spec with a p they would not.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ import numpy as np
 from .budget import ENSEMBLE, reflection_window
 from .walk import CoinField, coins, over_batches
 from .scattering import rotated_sums, sample_rows
-
-_TWO_PI = 2.0 * np.pi
 
 
 class NoCrossing(ValueError):
@@ -97,14 +95,13 @@ def sample_pattern(spec: DisorderSpec, config: int) -> CoinField:
     """Second coin field of one disorder configuration: theta_b where its
     uniform u < p, theta_a elsewhere, each reduced mod 2*pi."""
     u = config_uniforms(spec, [config], spec.sites)[0]
-    a, b = np.array([spec.theta_a, spec.theta_b]) % _TWO_PI
-    return CoinField(0, np.where(u < spec.p, b, a))
+    return CoinField(0, np.where(u < spec.p, spec.theta_b, spec.theta_a))
 
 
 def coin_table(theta_a: float, theta_b: float) -> np.ndarray:
     """[[cos theta_a, sin theta_a], [cos theta_b, sin theta_b]]: the coins of
     theta_a and theta_b, reduced mod 2*pi, that `pattern_coins` gathers."""
-    return np.column_stack(coins(np.array([theta_a, theta_b]) % _TWO_PI))
+    return np.column_stack(coins(np.array([theta_a, theta_b])))
 
 
 def pattern_coins(table: np.ndarray, masks: np.ndarray) -> tuple:
@@ -203,14 +200,21 @@ def _study(spec: DisorderSpec, t: int) -> PatternStudy:
 
 def ensemble_r0(spec: DisorderSpec, t: int) -> EnsembleResult:
     """Half r(0) for every configuration of the ensemble."""
-    return disorder_curve(spec, t, (spec.p,))[0]
+    return EnsembleResult(spec.p, _study(spec, t).values([ensemble_uniforms(spec, t) < spec.p])[0])
 
 
-def disorder_curve(spec: DisorderSpec, t: int, p_grid) -> list[EnsembleResult]:
+def _ensemble(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int) -> tuple:
+    """The uniforms and the `PatternStudy` of t-step ensembles at any p."""
+    spec = DisorderSpec.for_steps(theta_a, theta_b, 0.0, t, seed, n_configs)
+    return ensemble_uniforms(spec, t), _study(spec, t)
+
+
+def disorder_curve(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int,
+                   p_grid) -> list[EnsembleResult]:
     """Ensemble statistics across a grid of disorder strengths, all p in one
     `PatternStudy` call."""
-    uniforms = ensemble_uniforms(spec, t)
-    values = _study(spec, t).values([uniforms < p for p in p_grid])
+    uniforms, study = _ensemble(theta_a, theta_b, seed, t, n_configs)
+    values = study.values([uniforms < p for p in p_grid])
     return [EnsembleResult(p, v) for p, v in zip(p_grid, values)]
 
 
@@ -220,18 +224,15 @@ def transition_locator(theta_a: float, theta_b: float, seed: int, t: int, n_conf
 
     Bisects [0, 1] on a p grid of the given resolution using the median of
     sign(half r(0)) over n_configs configurations of binary disorder between
-    theta_a and theta_b drawn from `seed`, with the sample sized to the
-    light cone of t steps.  Larger t sharpens the transition, so
-    the bisection estimate converges to the infinite-size critical
-    strength.  Raises NoCrossing when both endpoints share a sign.  The
-    two endpoints are evaluated in one call of one `PatternStudy`, which
+    theta_a and theta_b drawn from `seed` (`_ensemble`).  Larger t sharpens
+    the transition, so the bisection estimate converges to the infinite-size
+    critical strength.  Raises NoCrossing when both endpoints share a sign.
+    The two endpoints are evaluated in one call of one `PatternStudy`, which
     every probe shares, so a pattern is stepped once per bisection.
     """
     if t < 101:
         raise ValueError("transition location needs t >= 101")
-    work = DisorderSpec.for_steps(theta_a, theta_b, 0.0, t, seed, n_configs)
-    uniforms = ensemble_uniforms(work, t)
-    study = _study(work, t)
+    uniforms, study = _ensemble(theta_a, theta_b, seed, t, n_configs)
 
     def median_signs(*ps):
         return [float(np.median(np.sign(v))) for v in study.values([uniforms < p for p in ps])]

@@ -50,8 +50,6 @@ LAUNCH_SITE = -1
 #: Initial polarization of the launched walker.
 LAUNCH_COIN = V
 
-_TWO_PI = 2.0 * np.pi
-
 
 def _joined(left, right: np.ndarray, extent: int) -> np.ndarray:
     """Values on [-extent, right sample end), one row per row of the right
@@ -76,7 +74,7 @@ def _launch(theta_left: float, right: tuple, t: int) -> tuple:
     positions from -(t + 2) on."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    left = coins(np.array([theta_left % _TWO_PI]))
+    left = coins(np.array([theta_left]))
     coin2 = tuple(_joined(edge, bulk, t + 2) for edge, bulk in zip(left, right))
     return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t)
 

@@ -144,8 +144,7 @@ def _run_disorder(cfg, seed, out):
     blk = cfg["disorder"]
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
-    spec = disorder.DisorderSpec.for_steps(theta_a, theta_b, p_grid[0], t, seed, n)
-    curve = disorder.disorder_curve(spec, t, p_grid)
+    curve = disorder.disorder_curve(theta_a, theta_b, seed, t, n, p_grid)
     members = _member_columns(curve)
     rows = members[0].size
     out.table("disorder_runs", members + [np.full(rows, t), np.full(rows, seed)])

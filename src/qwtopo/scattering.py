@@ -210,7 +210,7 @@ def _scan_batch(pairs: np.ndarray, t: int) -> np.ndarray:
     """(B, 3) rows of Q0, Qpi and residual 1 - sum_j rho_j^2 of t-step clean
     samples sized by `ScatteringSystem.for_steps`, one per (theta1, theta2)
     row of pairs; NaN where the gauge is degenerate."""
-    c, s = coins(np.asarray(pairs, dtype=float) % _TWO_PI)  # column 0 coin 1, 1 coin 2
+    c, s = coins(pairs)  # column 0 coin 1, 1 coin 2
     shape = (c.shape[0], t + 2)
     coin1, coin2 = ((np.broadcast_to(c[:, k, None], shape), np.broadcast_to(s[:, k, None], shape))
                     for k in (0, 1))

@@ -279,7 +279,7 @@ def coins(theta):
     identity coins) stays None.  The studies take the cosine and sine of each
     distinct angle once and gather them into their coin arrays: an element
     of either ufunc does not depend on the array around it."""
-    return None if theta is None else (np.cos(theta), np.sin(theta))
+    return None if theta is None else (np.cos(r := theta % _TWO_PI), np.sin(r))
 
 
 def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, steps: int,

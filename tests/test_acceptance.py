@@ -124,9 +124,7 @@ def test_criterion_2_invariants_quantize_on_converged_samples(capfd):
 def test_criterion_3_uniform_invariant_survives_disorder(capfd):
     """theta_A=1.68pi vs theta_B=1.36pi: ensemble mean stays at +1/2
     with small spread across the whole disorder range."""
-    spec = DisorderSpec.for_steps(CASE1["theta_a"], CASE1["theta_b"], 0.0, 11,
-                                  SEED, 50)
-    curve = disorder_curve(spec, 11, P_GRID)
+    curve = disorder_curve(**CASE1, seed=SEED, t=11, n_configs=50, p_grid=P_GRID)
     worst_mean = max(abs(res.mean - 0.5) for res in curve)
     worst_std = max(res.std for res in curve)
     ok = worst_mean < 0.08 and worst_std < 0.05
@@ -140,12 +138,8 @@ def test_criterion_3_uniform_invariant_survives_disorder(capfd):
 def test_criterion_4_distinct_phases_cross_with_wide_spread(capfd):
     """theta_A=0.63pi vs theta_B=1.26pi: mean sweeps monotonically from
     -1/2 to +1/2 and mid-grid spread dwarfs the uniform case's."""
-    spec1 = DisorderSpec.for_steps(CASE1["theta_a"], CASE1["theta_b"], 0.0, 11,
-                                   SEED, 50)
-    spec2 = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11,
-                                   SEED, 50)
-    curve1 = disorder_curve(spec1, 11, P_GRID)
-    curve2 = disorder_curve(spec2, 11, P_GRID)
+    curve1 = disorder_curve(**CASE1, seed=SEED, t=11, n_configs=50, p_grid=P_GRID)
+    curve2 = disorder_curve(**CASE2, seed=SEED, t=11, n_configs=50, p_grid=P_GRID)
     means = [res.mean for res in curve2]
     monotone = all(b - a > -0.03 for a, b in zip(means, means[1:]))
     ends = means[0] < -0.4 and means[-1] > 0.4

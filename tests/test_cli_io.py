@@ -739,8 +739,7 @@ def test_an_integer_p_grid_keeps_the_bytes_of_the_per_row_writer(tmp_path, fmt):
     grid, seed, t, n = [0, 0.5, 1], 2**63 - 1, 7, 3
     angles = {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": t, "n_configs": n, "p_grid": grid}
     theta_a, theta_b = 1.68 * math.pi, 1.36 * math.pi
-    curve = disorder.disorder_curve(
-        disorder.DisorderSpec.for_steps(theta_a, theta_b, grid[0], t, seed, n), t, grid)
+    curve = disorder.disorder_curve(theta_a, theta_b, seed, t, n, grid)
     points = edges.localization_vs_disorder(0.52 * math.pi, theta_a, theta_b, seed, t, grid, n)
     expected = {
         "disorder_runs": [[res.p, k, v, t, seed]
@@ -969,6 +968,40 @@ def test_shipped_hashes_hold_without_avx512_dispatch(tmp_path):
     result = json.loads(done.stdout)
     assert result["found"] == []  # numpy dispatches none of the groups in the run
     assert result["hashes"] == SHIPPED_HASHES
+
+
+def csv_number(cell: str):
+    """A CSV cell's number as a JSON table holds it: an int, a float, or None
+    for nan and the infinities."""
+    try:
+        return int(cell)
+    except ValueError:
+        value = float(cell)
+        return value if math.isfinite(value) else None
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_every_shipped_config_writes_the_same_numbers_in_both_formats(tmp_path, name):
+    """Each table of a `--format json` run holds, record by record under the
+    header's names, the cells of the same table of a CSV run: ints as ints,
+    floats bit for bit (compared by type and repr), and null where the CSV
+    cell is nan or infinite.  Its other JSON files are the CSV run's."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    runs = {fmt: tmp_path / fmt for fmt in ("csv", "json")}
+    for fmt, out in runs.items():
+        assert entrypoint(["run", "--config", os.path.join(CONFIG_DIR, name), "--out", str(out),
+                           "--format", fmt]) == 0
+    tables = sorted(path.stem for path in runs["csv"].glob("*.csv"))
+    assert {f.name for f in runs["json"].glob("*.json")} == \
+        {f"{stem}.json" for stem in tables} | {f.name for f in runs["csv"].glob("*.json")}
+    for stem in tables:
+        header, rows = dataio.read_csv(str(runs["csv"] / f"{stem}.csv"))
+        records = json.loads((runs["json"] / f"{stem}.json").read_text(), parse_constant=refuse)
+        assert [list(record) for record in records] == [header] * len(rows)
+        assert [[(type(v), repr(v)) for v in record.values()] for record in records] == \
+            [[(type(v), repr(v)) for v in map(csv_number, row)] for row in rows]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -145,7 +145,7 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 30)
     disorder.transition_locator(CASE2["theta_a"], CASE2["theta_b"], SEED, t=101, n_configs=30,
                                 resolution=0.05)
-    disorder.disorder_curve(spec, 11, p_grid=(0.3, 0.7))
+    disorder.disorder_curve(spec.theta_a, spec.theta_b, SEED, 11, 30, p_grid=(0.3, 0.7))
     ensemble_r0(replace(spec, p=0.5), 11)
     assert len(probes) >= 8
     grid = [k * 0.05 for k in range(21)]
@@ -182,22 +182,20 @@ def test_clean_endpoints_match_invariant_pipeline():
 
 
 def test_disorder_curve_spans_grid():
-    curve = disorder_curve(case1_spec(0.3), 11, p_grid=(0.0, 0.5, 1.0))
+    curve = disorder_curve(**CASE1, seed=SEED, t=11, n_configs=50, p_grid=(0.0, 0.5, 1.0))
     assert [c.p for c in curve] == [0.0, 0.5, 1.0]
     assert all(c.n_configs == 50 for c in curve)
 
 
 def test_same_phase_ensemble_stays_near_half():
-    curve = disorder_curve(case1_spec(0.0), 11, P_GRID)
+    curve = disorder_curve(**CASE1, seed=SEED, t=11, n_configs=50, p_grid=P_GRID)
     for result in curve:
         assert abs(result.mean - 0.5) < 0.08
         assert result.std < 0.05
 
 
 def test_crossing_ensemble_interpolates_between_phases():
-    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11,
-                                  SEED, 50)
-    curve = disorder_curve(spec, 11, P_GRID)
+    curve = disorder_curve(**CASE2, seed=SEED, t=11, n_configs=50, p_grid=P_GRID)
     means = [c.mean for c in curve]
     assert means[0] < -0.4 and means[-1] > 0.4
     assert all(b - a > -0.03 for a, b in zip(means, means[1:]))
@@ -322,7 +320,7 @@ def test_each_distinct_pattern_of_a_study_is_stepped_exactly_once(monkeypatch, s
         transition_locator(spec.theta_a, spec.theta_b, SEED, t=101, n_configs=40,
                            resolution=0.05)
     else:
-        disorder_curve(spec, 11, P_GRID)
+        disorder_curve(spec.theta_a, spec.theta_b, SEED, 11, 40, P_GRID)
     stepped = [(c.tobytes(), s.tobytes()) for coin2 in calls for c, s in zip(*coin2)]  # x >= 0
     (ca, cb), (sa, sb) = coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi))
     patterns = {(np.where(row, cb, ca).tobytes(), np.where(row, sb, sa).tobytes())
