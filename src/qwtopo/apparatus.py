@@ -44,7 +44,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .budget import ALPHA_GUARD, MODEL, record_window, within_guard
-from .walk import H, coins, over_batches, record
+from .walk import H, Workspace, coins, over_batches, record
 from .scattering import InvariantPair, ScatteringSystem, invariant_rows
 
 SAME = "same"
@@ -202,11 +202,12 @@ def perturbed_angles(thetas: np.ndarray, params: np.ndarray) -> np.ndarray:
     return np.where(thetas != 0.0, thetas + off, 0.0)
 
 
-def _runs(system: ScatteringSystem, params: np.ndarray, t: int) -> tuple:
+def _runs(system: ScatteringSystem, params: np.ndarray, t: int,
+          workspace: Workspace | None = None) -> tuple:
     """`walk.record` of the probe |-1, H> on the system as the hardware of
-    each row of the model array params realizes it."""
+    each row of the model array params realizes it, stepped in `workspace`."""
     return record(0, coins(perturbed_angles(system.theta1, params)),
-                  coins(perturbed_angles(system.theta2, params)), -1, H, t)
+                  coins(perturbed_angles(system.theta2, params)), -1, H, t, workspace=workspace)
 
 
 def _intensities(a: np.ndarray, b: np.ndarray, loss: np.ndarray) -> np.ndarray:
@@ -388,10 +389,11 @@ def _distances(observed: np.ndarray, first: int, h: np.ndarray, v: np.ndarray,
 
 
 def _mc_batch(system: ScatteringSystem, data: MeasurementData, horizon: int,
-              params: np.ndarray) -> np.ndarray:
+              params: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     """(distance, q0, qpi) of each model of one batch, one row per row of
-    params, against the intensities of `data` over its first `horizon` steps."""
-    x_min, h, v, _, _ = _runs(system, params, data.t)
+    params, stepped in `workspace`, against the intensities of `data` over its
+    first `horizon` steps."""
+    x_min, h, v, _, _ = _runs(system, params, data.t, workspace)
     q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, data.alpha)[1])
     distances = _distances(data.distributions, data.x_min - x_min, h, v,
                            params[:, _LOSS, None], horizon)
@@ -416,8 +418,9 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
         raise ValueError(f"observed positions [{data.x_min}, {data.x_min + width}) are not "
                          f"inside the models' record window [{-1 - reach}, {reach})")
     params = ranges.draw(np.random.default_rng(seed), n_sets)
-    distances, q0s, qps = over_batches(lambda block: _mc_batch(system, data, horizon, block),
-                                       params, MODEL.held(data.t)).T
+    distances, q0s, qps = over_batches(
+        lambda block, workspace: _mc_batch(system, data, horizon, block, workspace),
+        params, MODEL.held(data.t)).T
     best = int(np.argmin(distances))
     ok = ~np.isnan(q0s)
     q0_err = float(np.mean(np.abs(q0s[ok] - q0s[best]))) if ok.any() else np.nan

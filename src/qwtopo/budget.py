@@ -16,7 +16,9 @@ _GROW = 16  # slots added when a shift reaches an occupied window edge
 #: float64 elements (1.5 MiB) that one engine batch may hold, which bounds what a
 #: run holds at once; a batch takes as many walkers as fit, one at least.  It
 #: leaves out the engine's column pad (`held`): a batch's buffer may hold up to
-#: 7/64, 11 %, more than the budget counts for it.
+#: 7/64, 11 %, more than the budget counts for it.  A study keeps one
+#: workspace (`walk.Workspace`), for its widest batch, for its lifetime, so
+#: the memory of that batch stays held between the study's calls.
 BATCH_BUDGET = 3 * 2**16
 
 #: Rows of the reflection window holding the probe |-1, H> and the read-out (-2, V).
@@ -43,7 +45,10 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     of its `steps` read-outs.  The coins a study passes in are not counted,
     nor the buffer's column pad: a batch of 64 walkers or more rounds its
     buffer up to a multiple of 8 columns, at most 7 more than it has walkers,
-    so 7/64 of its buffer at most, and a narrower batch none (`walk._buffer`)."""
+    so 7/64 of its buffer at most, and a narrower batch none (`walk._buffer`).
+    A study keeps one workspace (`walk.Workspace`), for its widest batch, for
+    its lifetime: the buffer and read-out or history of that batch, and the
+    coins a pattern study gathers for it, stay held between its calls."""
     rows = sites if identity_coin1 else 2 * sites
     return 9 * ((rows + 3) // 2) + (2 * sites * (steps + 1) if history else steps)
 

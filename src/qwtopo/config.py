@@ -493,10 +493,11 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
         field = "n_configs"
         sims = group = len(block["p_grid"]) * block["n_configs"]
         tr = block.get("transition")
-        if tr is not None:  # the bisection may stop early; its endpoints are one call
+        if tr is not None:  # the bisection may stop early; its first call steps
+            n = tr["n_configs"]  # both endpoints and the first midpoint
             probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
-            extra.append((probes * tr["n_configs"], tr["t"], f"{key}.transition.n_configs",
-                          f"{key}.transition.t", 2 * tr["n_configs"]))
+            extra.append((probes * n, tr["t"], f"{key}.transition.n_configs",
+                          f"{key}.transition.t", n + max(n, 2)))
     elif kind == "edge":  # one call over all p, plus the intensity map
         field = "n_configs"
         group = sum(interface_members(block["n_configs"], block["p_grid"]))

@@ -21,10 +21,13 @@ all.  A member's value depends on its pattern alone, not on its batch,
 so a `PatternStudy` steps each distinct pattern once, its mask gathering
 the cosine and sine of theta_a and theta_b into the coins the engine
 runs on (`pattern_coins`, which interface walks share), and hands its
-value to every member that has it.  A disorder curve evaluates all its
-p in one call; a transition bisection its two endpoints in one call,
-and it keeps the values it stepped for every later probe.  Both take the
-angles, seed, t and size they read, not a spec with a p they would not.
+value to every member that has it.  It keys the members of a call in one
+array pass, their masks packed to bits and sorted, and steps all its
+batches in one `walk.Workspace`, which it keeps for its lifetime.  A
+disorder curve evaluates all its p in one call; a transition bisection
+its two endpoints and its first midpoint in one call, and it keeps the
+values it stepped for every later probe.  Both take the angles, seed, t
+and size they read, not a spec with a p they would not.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import ENSEMBLE, reflection_window
-from .walk import CoinField, coins, over_batches
+from .walk import CoinField, Workspace, coins, over_batches
 from .scattering import rotated_sums, sample_rows
 
 
@@ -104,10 +107,15 @@ def coin_table(theta_a: float, theta_b: float) -> np.ndarray:
     return np.column_stack(coins(np.array([theta_a, theta_b])))
 
 
-def pattern_coins(table: np.ndarray, masks: np.ndarray) -> tuple:
+def pattern_coins(table: np.ndarray, masks: np.ndarray, *,
+                  workspace: Workspace | None = None) -> tuple:
     """The second coins of the (B, sites) boolean patterns `masks`, gathered
-    from the `coin_table` rows of theta_a (False) and theta_b (True)."""
-    table = np.take(table, masks.view(np.uint8), axis=0)  # (B, sites, cos and sin)
+    from the `coin_table` rows of theta_a (False) and theta_b (True) into
+    an array carved from `workspace`, or a fresh one if none is given."""
+    out = (Workspace() if workspace is None else workspace).coins(2 * masks.size)
+    # (B, sites, cos and sin); a "clip" take writes out directly, with no buffer
+    table = np.take(table, masks.view(np.uint8), axis=0, out=out.reshape(*masks.shape, 2),
+                    mode="clip")
     return table[..., 0], table[..., 1]
 
 
@@ -147,34 +155,50 @@ class PatternStudy:
     theta_b where True, theta_a elsewhere.  `values` steps the patterns the
     study has not stepped yet, as `budget.batches` of walkers that each hold
     `per_walker` elements, through `batch`, which maps the second coins of a
-    (B, sites) block of patterns, a pair of `walk.coins` arrays, to one value
-    per row.  The cosine and sine of theta_a and theta_b are taken once, and
-    every pattern's coins are gathered from them.  It keeps every value for
-    the study's later calls.  A member's value depends on its pattern alone,
-    not on its batch, so every member gets the bits that stepping it on its
-    own gives.
+    (B, sites) block of patterns, a pair of `walk.coins` arrays, and the
+    study's `walk.Workspace` to one value per row.  The cosine and sine of
+    theta_a and theta_b are taken once, and every pattern's coins are
+    gathered from them, in the workspace, which every batch of the study's
+    lifetime reuses.  It keeps every value for the study's later calls.  A
+    member's value depends on its pattern alone, not on its batch, so every
+    member gets the bits that stepping it on its own gives.
     """
 
     def __init__(self, theta_a: float, theta_b: float, batch, per_walker: int):
         self.table = coin_table(theta_a, theta_b)
         self.batch, self.per_walker = batch, per_walker
-        self.stepped = {}  # pattern bytes -> value
+        self.workspace = Workspace()
+        self.keys = None  # the sorted keys of the patterns stepped
+        self.stepped = np.empty(0)  # their values, in the same order
 
     def values(self, masks: list) -> list[np.ndarray]:
         """The value of every member of each (members, sites) block of masks,
-        one array per block."""
-        keys = [[row.tobytes() for row in block] for block in masks]
-        new = {}
-        for block, block_keys in zip(masks, keys):
-            for key, row in zip(block_keys, block):
-                if key not in self.stepped and key not in new:
-                    new[key] = row
-        if new:
-            values = over_batches(lambda block: self.batch(pattern_coins(self.table, block)),
-                                  np.array(list(new.values())), self.per_walker)
-            self.stepped.update(zip(new, values.tolist()))
-        return [np.array([self.stepped[key] for key in block_keys], dtype=float)
-                for block_keys in keys]
+        one array per block.  The members of all blocks are keyed in one
+        array pass, each mask row packed to bits as one bytes key: the
+        distinct keys are sorted once and looked up among those the study
+        has stepped with one binary search.  The new patterns are stepped in
+        the order they first occur."""
+        rows = np.concatenate(masks)
+        packed = np.packbits(rows, axis=1)
+        keys, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1])))[:, 0],
+                                         return_index=True, return_inverse=True)
+        known = keys[:0] if self.keys is None else self.keys
+        at = np.searchsorted(known, keys)
+        seen = at < len(known)
+        seen[seen] = known[at[seen]] == keys[seen]
+        value = np.empty(len(keys))
+        value[seen] = self.stepped[at[seen]]
+        fresh = np.flatnonzero(~seen)  # in key order
+        if fresh.size:
+            new = fresh[np.argsort(first[fresh])]
+            value[new] = over_batches(
+                lambda block, workspace: self.batch(
+                    pattern_coins(self.table, block, workspace=workspace), workspace),
+                rows[first[new]], self.per_walker, workspace=self.workspace,
+                gathered=2 * rows.shape[1])
+            self.keys = np.insert(known, at[fresh], keys[fresh])
+            self.stepped = np.insert(self.stepped, at[fresh], value[fresh])
+        return np.split(value[inverse], np.cumsum([len(block) for block in masks[:-1]]))
 
 
 def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
@@ -186,15 +210,16 @@ def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
     return config_uniforms(spec, range(spec.n_configs), sites)
 
 
-def _ensemble_batch(coin2: tuple, t: int) -> np.ndarray:
+def _ensemble_batch(coin2: tuple, t: int, workspace: Workspace | None = None) -> np.ndarray:
     """Half r(0) after t steps of the sample of every row of a (B, sites)
-    block of second coins."""
-    return _halves(sample_rows(None, coin2, t))
+    block of second coins, stepped in `workspace`, or a fresh one."""
+    return _halves(sample_rows(None, coin2, t, workspace=workspace))
 
 
 def _study(spec: DisorderSpec, t: int) -> PatternStudy:
     """The half r(0) values of t-step ensembles of `spec` at any p."""
-    return PatternStudy(spec.theta_a, spec.theta_b, lambda coin2: _ensemble_batch(coin2, t),
+    return PatternStudy(spec.theta_a, spec.theta_b,
+                        lambda coin2, workspace: _ensemble_batch(coin2, t, workspace),
                         ENSEMBLE.held(t))
 
 
@@ -227,8 +252,14 @@ def transition_locator(theta_a: float, theta_b: float, seed: int, t: int, n_conf
     theta_a and theta_b drawn from `seed` (`_ensemble`).  Larger t sharpens
     the transition, so the bisection estimate converges to the infinite-size
     critical strength.  Raises NoCrossing when both endpoints share a sign.
-    The two endpoints are evaluated in one call of one `PatternStudy`, which
-    every probe shares, so a pattern is stepped once per bisection.
+
+    Every probe shares one `PatternStudy`, so a pattern is stepped once per
+    bisection, in one workspace.  The two endpoints and the first midpoint,
+    round(0.5 / resolution) * resolution, are stepped in one call, where
+    that midpoint lies strictly inside (0, 1) and the bisection would probe
+    it; its probe then reuses their values, and the bisection and the
+    result are those of probing it on its own.  On NoCrossing that
+    midpoint's patterns were stepped in vain.
     """
     if t < 101:
         raise ValueError("transition location needs t >= 101")
@@ -238,7 +269,9 @@ def transition_locator(theta_a: float, theta_b: float, seed: int, t: int, n_conf
         return [float(np.median(np.sign(v))) for v in study.values([uniforms < p for p in ps])]
 
     lo, hi = 0.0, 1.0
-    m_lo, m_hi = median_signs(lo, hi)
+    mid = round((0.5 * (lo + hi)) / resolution) * resolution
+    ahead = [mid] if hi - lo > resolution * (1 + 1e-9) and lo < mid < hi else []
+    m_lo, m_hi = median_signs(lo, hi, *ahead)[:2]
     if m_lo == 0 or m_hi == 0 or np.sign(m_lo) == np.sign(m_hi):
         raise NoCrossing(
             f"median sign is {m_lo:+.2f} at p={lo} and {m_hi:+.2f} at p={hi}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import INTERFACE, interface_members
-from .walk import V, coins, record
+from .walk import V, Workspace, coins, record
 from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, coin_table,
                        config_uniforms, pattern_coins)
 
@@ -68,15 +68,16 @@ class LocalizationRecord:
         return np.arange(self.x_min, self.x_min + self.distributions.shape[1])
 
 
-def _launch(theta_left: float, right: tuple, t: int) -> tuple:
+def _launch(theta_left: float, right: tuple, t: int,
+            workspace: Workspace | None = None) -> tuple:
     """`walk.record` of the launch state, one walker per row of the (B, sites)
     right-bulk second coins `right`, behind the left bulk theta_left, on the
-    positions from -(t + 2) on."""
+    positions from -(t + 2) on, stepped in `workspace`, or a fresh one."""
     if t < 0:
         raise ValueError("t must be non-negative")
     left = coins(np.array([theta_left]))
     coin2 = tuple(_joined(edge, bulk, t + 2) for edge, bulk in zip(left, right))
-    return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t)
+    return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t, workspace=workspace)
 
 
 def run_interface(theta_left: float, right: DisorderSpec, t: int,
@@ -91,10 +92,12 @@ def run_interface(theta_left: float, right: DisorderSpec, t: int,
     return LocalizationRecord(a * a + b * b, x_min + lo)
 
 
-def _ploc_batch(right: tuple, theta_left: float, t: int) -> np.ndarray:
-    """P_loc after t steps of each row of the (B, sites) right-bulk coins: one
-    sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the whole batch's history."""
-    x_min, h, v, _, _ = _launch(theta_left, right, t)
+def _ploc_batch(right: tuple, theta_left: float, t: int,
+                workspace: Workspace | None = None) -> np.ndarray:
+    """P_loc after t steps of each row of the (B, sites) right-bulk coins, stepped
+    in `workspace`: one sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the
+    whole batch's history."""
+    x_min, h, v, _, _ = _launch(theta_left, right, t, workspace)
     rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
     return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
 
@@ -110,7 +113,8 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     """
     right = DisorderSpec.for_steps(theta_a, theta_b, 0.0, t, seed, n_configs)
     uniforms = config_uniforms(right, range(n_configs), right.sites)
-    study = PatternStudy(theta_a, theta_b, lambda coin2: _ploc_batch(coin2, theta_left, t),
+    study = PatternStudy(theta_a, theta_b,
+                         lambda coin2, workspace: _ploc_batch(coin2, theta_left, t, workspace),
                          INTERFACE.held(t))
     counts = interface_members(n_configs, p_grid)
     values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import PROBE_ROW, READOUT_ROW, SCAN, reflection_window
-from .walk import H, CoinField, SplitStepProtocol, coins, over_batches, real_steps
+from .walk import (H, CoinField, SplitStepProtocol, Workspace, coins, over_batches, real_steps,
+                   reduced)
 
 #: Unit phase removing the global factor i from every reflection series.
 CANONICAL_ROTATION = -1j
@@ -56,8 +57,7 @@ class ScatteringSystem:
     theta2: np.ndarray
 
     def __post_init__(self):
-        t1 = np.array(self.theta1, dtype=float) % _TWO_PI
-        t2 = np.array(self.theta2, dtype=float) % _TWO_PI
+        t1, t2 = reduced(self.theta1), reduced(self.theta2)
         if t1.shape != t2.shape or t1.ndim != 1:
             raise ValueError("theta1 and theta2 must be 1-d arrays of equal length")
         if t1.size == 0:
@@ -106,7 +106,8 @@ class InvariantPair:
     residual: float
 
 
-def sample_rows(coin1: tuple | None, coin2: tuple, t: int) -> np.ndarray:
+def sample_rows(coin1: tuple | None, coin2: tuple, t: int, *,
+                workspace: Workspace | None = None) -> np.ndarray:
     """Real reflection series of a batch: row k holds rho_1 .. rho_t of
     the sample whose coins on [0, m) are row k of the pairs of (B, m)
     arrays coin1 and coin2 (`walk.coins` of the angles, reduced mod 2*pi),
@@ -124,12 +125,14 @@ def sample_rows(coin1: tuple | None, coin2: tuple, t: int) -> np.ndarray:
     goes.  Where coin 1 is the identity on the whole batch, as in disorder
     ensembles, which pass no coin-1 angles, the engine updates half of
     those sites, the sublattice the probe occupies, and V reaches the
-    read-out only at even steps: rho_j is +0.0 at every odd j.
+    read-out only at even steps: rho_j is +0.0 at every odd j.  The rows are
+    carved from `workspace`, if one is given (`walk.real_steps`).
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     # the sample's first site, x = 0, is row 2 of the window
-    return real_steps(coin1, coin2, 2, reflection_window(t), PROBE_ROW, H, t, READOUT_ROW)
+    return real_steps(coin1, coin2, 2, reflection_window(t), PROBE_ROW, H, t, READOUT_ROW,
+                      workspace=workspace)
 
 
 def reflection_amplitudes(system: ScatteringSystem, t: int) -> ReflectionSeries:
@@ -200,21 +203,21 @@ def line_pairs(parametrization: str, grid) -> np.ndarray:
     "theta1=2*theta2" sweeps theta2 and "theta2=2*theta1" sweeps theta1."""
     grid = np.asarray(grid, dtype=float)
     if parametrization == LINE_GREEN:
-        return np.column_stack([2.0 * grid % _TWO_PI, grid])
+        return np.column_stack([reduced(2.0 * grid), grid])
     if parametrization == LINE_TURQUOISE:
-        return np.column_stack([grid, 2.0 * grid % _TWO_PI])
+        return np.column_stack([grid, reduced(2.0 * grid)])
     raise ValueError(f"unknown scan parametrization: {parametrization!r}")
 
 
-def _scan_batch(pairs: np.ndarray, t: int) -> np.ndarray:
+def _scan_batch(pairs: np.ndarray, t: int, workspace: Workspace) -> np.ndarray:
     """(B, 3) rows of Q0, Qpi and residual 1 - sum_j rho_j^2 of t-step clean
     samples sized by `ScatteringSystem.for_steps`, one per (theta1, theta2)
-    row of pairs; NaN where the gauge is degenerate."""
+    row of pairs, stepped in `workspace`; NaN where the gauge is degenerate."""
     c, s = coins(pairs)  # column 0 coin 1, 1 coin 2
     shape = (c.shape[0], t + 2)
     coin1, coin2 = ((np.broadcast_to(c[:, k, None], shape), np.broadcast_to(s[:, k, None], shape))
                     for k in (0, 1))
-    rho = sample_rows(coin1, coin2, t)
+    rho = sample_rows(coin1, coin2, t, workspace=workspace)
     q0, qpi = invariant_rows(rho)
     residual = np.where(np.isnan(q0), np.nan, 1.0 - np.sum(rho ** 2, axis=1))
     return np.column_stack([q0, qpi, residual])
@@ -222,7 +225,8 @@ def _scan_batch(pairs: np.ndarray, t: int) -> np.ndarray:
 
 def _scan_rows(pairs: np.ndarray, t: int) -> np.ndarray:
     """`_scan_batch` rows of every (theta1, theta2) row of pairs, batch by batch."""
-    return over_batches(lambda batch: _scan_batch(batch, t), pairs, SCAN.held(t))
+    return over_batches(lambda batch, workspace: _scan_batch(batch, t, workspace), pairs,
+                        SCAN.held(t))
 
 
 def scan_line(pairs, t: int) -> ScanResult:

@@ -28,14 +28,22 @@ is the identity, as in every disorder ensemble and interface walk, runs
 on its own window; any other runs on the doubled lattice of the fibre
 loop, where a split step is two such steps (`double_step_equivalent`).
 The cone's sites times steps stay the unit of work that studies budget.
-Coins enter the kernel as their cosines and sines (`coins`), which the
-studies take once per distinct angle, where they make the angles, and
-gather into (walkers, sites) arrays; the kernel copies them into its
-buffer and runs no trig.  Its loop writes each step's read-out, or the
-step's cone into a history, as it goes: `scattering.sample_rows` reads
-one row's V, and `record` keeps every step of a batch whole, with the
-batch's one window: the union of the windows `evolve` ends on, one per
-walker.  Studies reduce whole batches on it.
+Coins enter the kernel as their cosines and sines (`coins`, of the angles
+`reduced` into [0, 2*pi)), which the studies take once per distinct angle,
+where they make the angles, and gather into (walkers, sites) arrays; the
+kernel copies them into its buffer and runs no trig.  Its loop writes each
+step's read-out, or the step's cone into a history, as it goes:
+`scattering.sample_rows` reads one row's V, and `record` keeps every step
+of a batch whole, with the batch's one window: the union of the windows
+`evolve` ends on, one per walker.  Studies reduce whole batches on it.
+
+A study steps all its batches in one `Workspace`, which it keeps for its
+lifetime: the kernel's buffer and read-out, the history of `record` and a
+pattern study's gathered coins are carved from one array, sized for the
+study's widest batch, so that a study allocates them once.  Each call
+zeroes what a fresh array would have to hold, so reuse changes no bit.  A
+call given no workspace gets a fresh one, and arrays that are its caller's
+alone.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .budget import _GROW, batches, cone, record_window
+from .budget import _GROW, batch_walkers, batches, cone, record_window
 
 H = 0
 V = 1
@@ -64,7 +72,7 @@ class CoinField:
     thetas: np.ndarray
 
     def __post_init__(self):
-        th = np.array(self.thetas, dtype=float) % _TWO_PI
+        th = reduced(self.thetas)
         th.setflags(write=False)
         object.__setattr__(self, "start", int(self.start))
         object.__setattr__(self, "thetas", th)
@@ -273,17 +281,79 @@ def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[
     return out
 
 
+def reduced(theta) -> np.ndarray:
+    """The angles theta mod 2*pi, in [0, 2*pi), as float64: `%` alone gives
+    exactly 2*pi for an angle a little below a multiple of 2*pi, such as
+    -1e-20, which is 0 here, so that reducing twice gives what reducing once
+    does.  Every angle the package stores or steps is reduced by this."""
+    r = np.array(theta, dtype=float)
+    np.remainder(r, _TWO_PI, out=r)
+    r[r == _TWO_PI] = 0.0
+    return r
+
+
 def coins(theta):
-    """The coins of the angles theta, reduced mod 2*pi, as the engine takes
+    """The coins of the angles theta, `reduced` mod 2*pi, as the engine takes
     them: the pair (cos theta, sin theta), each of theta's shape; None (the
     identity coins) stays None.  The studies take the cosine and sine of each
     distinct angle once and gather them into their coin arrays: an element
     of either ufunc does not depend on the array around it."""
-    return None if theta is None else (np.cos(r := theta % _TWO_PI), np.sin(r))
+    return None if theta is None else (np.cos(r := reduced(theta)), np.sin(r))
+
+
+class Workspace:
+    """The float64 array one study's engine calls carve their arrays from.
+
+    A batch carves, in this order, the coins `disorder.pattern_coins`
+    gathers, if its study gathers any, the (h, v) history of `record`, if
+    it keeps one, and the kernel's buffer and read-out (`_buffer`), each
+    right after the last sizes of the kinds before it.  `over_batches`
+    sizes the array for the study's widest batch before its first, so the
+    study allocates its batch arrays once and a later call finds their
+    memory paged in.  Holding one block, the largest a study allocates,
+    also keeps glibc's malloc from handing the study's memory back to the
+    system between studies: it trims its heap once the free space at the
+    top exceeds twice the largest block freed so far.
+
+    An array carved from a workspace holds what its call wrote only until
+    the next call with the same workspace.  A caller that passes none gets
+    a fresh one, which grows to the first array it carves and allocates
+    any later one on its own, so the arrays are the caller's alone."""
+
+    __slots__ = ("storage", "_coins", "_history")
+
+    def __init__(self):
+        self.storage, self._coins, self._history = None, 0, 0
+
+    def reserve(self, size: int):
+        """Grow the array to `size` elements, freeing the narrower one first;
+        only between batches, when no array carved from it is in use."""
+        if self.storage is None or self.storage.size < size:
+            self.storage = None
+            self.storage = np.empty(size)
+
+    def coins(self, size: int) -> np.ndarray:
+        self._coins = size
+        return self._carve(0, size)
+
+    def history(self, size: int) -> np.ndarray:
+        self._history = size
+        return self._carve(self._coins, size)
+
+    def engine(self, size: int) -> np.ndarray:
+        return self._carve(self._coins + self._history, size)
+
+    def _carve(self, start: int, size: int) -> np.ndarray:
+        if self.storage is None or self.storage.size < start + size:
+            if start:  # the batch's earlier arrays live in the array: keep it
+                return np.empty(size)
+            self.reserve(size)
+        return self.storage[start:start + size]
 
 
 def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, steps: int,
-               read: int | None = None, history: tuple | None = None):
+               read: int | None = None, history: tuple | None = None, *,
+               workspace: Workspace | None = None):
     """Step a walker batch `steps` split steps on the window rows [0, sites),
     from unit amplitude at row `site` in polarization `coin`.
 
@@ -298,7 +368,9 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     reach row `read` if one is given.
 
     With `read`, returns the (B, steps) read-out: column j - 1 holds V of
-    every walker on row `read` after step j.  With `history` = (h, v),
+    every walker on row `read` after step j.  The buffer and the read-out are
+    carved from `workspace`, or from a fresh `Workspace` if none is given
+    (`_buffer`).  With `history` = (h, v),
     (steps + 1, sites, B) arrays, writes H and V of each step j's cone rows
     into h[j] and v[j] and leaves every other element alone.
 
@@ -321,22 +393,26 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     if doubled:
         site, steps = 2 * site + coin, 2 * steps
         read = None if read is None else 2 * read + 1
-    buf = _buffer(coin1 if doubled else None, coin2, offset, rows, lo, hi)
+    buf, rho = _buffer(coin1 if doubled else None, coin2, offset, rows, lo, hi, workspace,
+                       None if read is None else steps // per)
     buf[4 + 2 * coin + (site + 1) % 2, (site + 1) // 2] = 1.0
-    rho = None if read is None else np.zeros((walkers, steps // per))
     first, last = cone(site, site, rows, steps, read)[:2]
     _kernel(buf, walkers, (site + coin) % 2, per, first, last,
             None if read is None else read + 1, rho, history)
     return rho
 
 
-def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int) -> np.ndarray:
-    """The kernel's buffer for a lattice of `rows` rows: the c, s, H, V and
-    scratch half planes, with the coins of the window rows [lo, hi) placed
-    and the state zero.  Kernel row R = lattice row + 1, a zero guard row
-    with identity coins on each side; the rows R of parity p sit at
-    p * half + R // 2 of a plane.  With coin1 None window row i is kernel
-    row i + 1, else coin 2 of row i is kernel row 2i + 1 and coin 1 2i + 2.
+def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int,
+            workspace: Workspace | None = None, reads: int | None = None) -> tuple:
+    """(buf, rho): the kernel's buffer for a lattice of `rows` rows, the c, s,
+    H, V and scratch half planes, with the coins of the window rows [lo, hi)
+    placed and the state zero, and the zeroed (B, reads) read-out, None for
+    no `reads`.  Both are carved from one array of `workspace`, or of a fresh
+    `Workspace` if none is given, and the scratch plane is left as it was.
+    Kernel row R = lattice row + 1, a zero guard row with identity coins on
+    each side; the rows R of parity p sit at p * half + R // 2 of a plane.
+    With coin1 None window row i is kernel row i + 1, else coin 2 of row i
+    is kernel row 2i + 1 and coin 1 2i + 2.
 
     Column k is walker k.  The buffer starts on a 64-byte cache line, and a
     batch of 64 walkers or more has its columns rounded up to a multiple of
@@ -346,11 +422,15 @@ def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int) -> np.ndarra
     narrower batch is not padded: its rows gain little, and the pad would
     be a large share of what it holds (`budget.held`)."""
     half, walkers = (rows + 3) // 2, coin2[0].shape[0]
-    width = walkers if walkers < 64 else -(-walkers // 8) * 8
-    # one allocation, so no plane is trimmed and refaulted, 8 elements over to align it
-    raw = np.empty(9 * half * width + 8)
+    width = _width(walkers)
+    size, read_out = 9 * half * width, walkers * (reads or 0)
+    # one array, so no plane is trimmed and refaulted, 8 elements over to align it
+    raw = (Workspace() if workspace is None else workspace).engine(size + read_out + 8)
     first = -raw.__array_interface__["data"][0] % 64 // 8
-    buf = raw[first:first + 9 * half * width].reshape(9, half, width)
+    buf = raw[first:first + size].reshape(9, half, width)
+    rho = None
+    if reads is not None:
+        rho = _zeroed(raw[first + size:first + size + read_out]).reshape(walkers, reads)
     buf[0:2] = 1.0
     buf[2:8] = 0.0
     c, s = buf[0:2].reshape(2 * half, width), buf[2:4].reshape(2 * half, width)
@@ -364,7 +444,19 @@ def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int) -> np.ndarra
     for (cv, sv), at, cols in placed:
         count = len(range(cv.shape[1])[cols])
         c[at:at + count, :walkers], s[at:at + count, :walkers] = cv.T[cols], sv.T[cols]
-    return buf
+    return buf, rho
+
+
+def _zeroed(a: np.ndarray) -> np.ndarray:
+    """The contiguous array a, set to +0.0: numpy fills its bytes with memset,
+    about as fast as a fresh np.zeros, and a float64 fill half as fast again."""
+    a.view(np.uint8).fill(0)
+    return a
+
+
+def _width(walkers: int) -> int:
+    """Columns of the buffer of a batch of `walkers` walkers (`_buffer`)."""
+    return walkers if walkers < 64 else -(-walkers // 8) * 8
 
 
 def _kernel(buf, walkers, q, per, first, last, read, rho, history):
@@ -403,7 +495,7 @@ def _rotate(c, s, x, y, x_out, y_out, tmp):
 
 
 def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
-           steps: int) -> tuple:
+           steps: int, *, workspace: Workspace | None = None) -> tuple:
     """Every step of walkers launched at (x0, coin), one per row of coin2.
 
     coin1 and coin2 are the pairs of `coins` of the (B, m) coin angles,
@@ -420,15 +512,20 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
     edge hi grew iff H now sits at hi + 1 or V sits at hi, the left edge lo
     iff V sits at lo - 1.  An edge grows only once the front, moving one site
     per step, has reached it, so no edge passes x0 +- (steps + _GROW - 1).
+    h and v are carved from `workspace`, or a fresh one, which the engine
+    runs in too (`real_steps`), and zeroed.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     reach = steps + _GROW
     x_min, n = x0 - reach, record_window(steps)
     walkers = coin2[0].shape[0]
-    h, v = np.zeros((2, steps + 1, n, walkers))
+    workspace = Workspace() if workspace is None else workspace
+    h, v = _zeroed(workspace.history(2 * (steps + 1) * n * walkers)).reshape(2, steps + 1, n,
+                                                                          walkers)
     (h, v)[coin][0, reach] = 1.0
-    real_steps(coin1, coin2, start - x_min, n, reach, coin, steps, history=(h, v))
+    real_steps(coin1, coin2, start - x_min, n, reach, coin, steps, history=(h, v),
+               workspace=workspace)
     lo, hi = reach - 1, reach + 1  # the window's edges as rows
     for j in range(1, steps + 1):
         hi += _GROW * bool(h[j, hi + 1].any() or v[j, hi].any())
@@ -436,8 +533,19 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
     return x_min, h, v, lo, hi
 
 
-def over_batches(fn, walkers, per_walker: int) -> np.ndarray:
-    """fn of each of the `budget.batches` of the sequence `walkers`, which
-    each hold `per_walker` elements (`budget.held`), one after another in
-    this process, joined along the first axis: one result row per walker."""
-    return np.concatenate([fn(batch) for batch in batches(walkers, per_walker)])
+def over_batches(fn, walkers, per_walker: int, workspace: Workspace | None = None,
+                 gathered: int = 0) -> np.ndarray:
+    """fn(batch, workspace) of each of the `budget.batches` of the sequence
+    `walkers`, which each hold `per_walker` elements (`budget.held`), one
+    after another in this process, joined along the first axis: one result
+    row per walker.  Every batch runs in one `Workspace`: `workspace`, that
+    of a study that makes several such calls, or else a new one, the study's
+    own.  Before the first batch it is sized for the widest: per_walker
+    elements for each column of its buffer, pad columns included, the
+    buffer's alignment, and `gathered` elements per walker that fn gathers
+    into it (a pattern study's coins).  fn's result must not be carved from
+    the workspace."""
+    widest = batch_walkers(len(walkers), per_walker)
+    workspace = Workspace() if workspace is None else workspace
+    workspace.reserve(_width(widest) * per_walker + 8 + widest * gathered)
+    return np.concatenate([fn(batch, workspace) for batch in batches(walkers, per_walker)])

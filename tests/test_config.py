@@ -137,7 +137,8 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     rows, widths, site_steps, widest, walkers = [], [], [], {}, {}
 
     def counting(real_steps):
-        def counted(coin1, coin2, offset, sites, site, coin, steps, read=None, history=None):
+        def counted(coin1, coin2, offset, sites, site, coin, steps, read=None, history=None,
+                    workspace=None):
             batch = coin2[0].shape[0]
             widths.append(sites)
             rows.append(batch)
@@ -146,7 +147,8 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
             for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read):
                 # the sites this step updated, those of its H or V rows
                 site_steps.append(len(set(ra.tolist()) | set(rb.tolist())) * batch)
-            return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history)
+            return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history,
+                              workspace=workspace)
         return counted
 
     for module in (qwtopo.walk, qwtopo.scattering):
@@ -500,6 +502,31 @@ def test_the_largest_intensity_map_is_valid(make):
 SAME_PHASE_TRANSITION = {"experiment": "disorder", "seed": 3, "disorder": {
     "theta_a_pi": 0.63, "theta_b_pi": 0.7, "t": 11, "n_configs": 20,
     "transition": {"t": 101, "n_configs": 20}}}
+
+
+def test_a_one_config_transition_bounds_its_first_call(monkeypatch):
+    """The bisection's first call steps the pattern of each endpoint and the
+    first midpoint's: 3 walkers for one configuration, which `verify`'s widest
+    transition batch still bounds."""
+    cfg = cfgmod.resolve({"experiment": "disorder", "seed": 3, "disorder": {
+        "theta_a_pi": 0.63, "theta_b_pi": 1.26, "t": 11, "n_configs": 1,
+        "transition": {"t": 101, "n_configs": 1, "resolution": 0.25}}})
+    widths = []
+    real_steps = qwtopo.scattering.real_steps
+
+    def counted(coin1, coin2, *args, **kwargs):
+        widths.append(coin2[0].shape[0])
+        return real_steps(coin1, coin2, *args, **kwargs)
+
+    monkeypatch.setattr(qwtopo.scattering, "real_steps", counted)
+    block = cfg["disorder"]
+    try:
+        qwtopo.disorder.transition_locator(block["theta_a_pi"] * np.pi, block["theta_b_pi"] * np.pi,
+                                           cfg["seed"], **block["transition"])
+    except qwtopo.disorder.NoCrossing:
+        pass  # one configuration may keep its sign; the first call is made all the same
+    assert widths[0] == 3
+    assert max(widths) <= dict(cfgmod.estimate(cfg)["batch_walkers"])["disorder.transition.t"]
 
 
 @pytest.mark.parametrize("command", ["verify", "run"])

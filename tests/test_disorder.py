@@ -11,8 +11,9 @@ import pytest
 from qwtopo import budget, disorder, scattering, walk
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import read_csv
-from qwtopo.disorder import (DisorderSpec, NoCrossing, config_uniforms, disorder_curve,
-                             ensemble_r0, sample_pattern, transition_locator)
+from qwtopo.disorder import (DisorderSpec, NoCrossing, coin_table, config_uniforms,
+                             disorder_curve, ensemble_r0, pattern_coins, sample_pattern,
+                             transition_locator)
 from qwtopo.scattering import (ScatteringSystem, fourier_sums, invariants,
                                reflection_amplitudes)
 from qwtopo.walk import coins
@@ -274,7 +275,8 @@ def test_a_study_equals_per_member_stepping_in_any_order_and_split(kind, capacit
     for order in (np.arange(len(masks)), rng.permutation(len(masks))):
         members = masks[order]
         study = disorder.PatternStudy(CASE2["theta_a"], CASE2["theta_b"],
-                                      lambda coin2: disorder._ensemble_batch(coin2, 11),
+                                      lambda coin2, workspace: disorder._ensemble_batch(
+                                          coin2, 11, workspace),
                                       per_walker)
         half = len(members) // 2
         got = study.values([members[:3], members[3:half]])
@@ -330,16 +332,80 @@ def test_each_distinct_pattern_of_a_study_is_stepped_exactly_once(monkeypatch, s
     assert len(masks) > len(patterns)  # members share patterns
 
 
-def test_the_transition_endpoints_run_as_one_batch_of_two_walkers(monkeypatch):
+def test_the_transition_endpoints_and_first_midpoint_run_as_one_first_call(monkeypatch):
+    """The first engine call steps the pattern of p = 0 and that of p = 1, in
+    its first two columns, then the patterns of the first midpoint,
+    round(0.5 / resolution) * resolution, in the order its members first
+    show them; every later call steps at most n_configs walkers."""
     calls = spy_real_steps(monkeypatch, scattering)
     transition_locator(CASE2["theta_a"], CASE2["theta_b"], SEED, t=101, n_configs=40,
                        resolution=0.05)
     first = np.array(calls[0])  # cosines, sines
     table = np.array(coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)))
-    assert first.shape[1] == 2
     assert np.all(first[:, 0] == table[:, :1])
     assert np.all(first[:, 1] == table[:, 1:])
+    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 101, SEED, 40)
+    masks = disorder.ensemble_uniforms(spec, 101) < round(0.5 / 0.05) * 0.05
+    mid = masks[np.sort(np.unique(masks, axis=0, return_index=True)[1])]
+    assert first.shape[1] == 2 + len(mid) > 2
+    assert np.array_equal(first[:, 2:], table[:, mid.astype(int)])
     assert all(c.shape[0] <= 40 for c, _ in calls[1:])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_bench_transition_makes_six_engine_calls(monkeypatch, seed):
+    """The `ensemble` benchmark's bisection, t = 201 over 200 configurations
+    at resolution 1/64: one call for both endpoints and the first midpoint,
+    202 walkers, then one for each of the 5 later probes, at most 200."""
+    calls = spy_real_steps(monkeypatch, scattering)
+    transition_locator(CASE2["theta_a"], CASE2["theta_b"], seed, t=201, n_configs=200,
+                       resolution=1 / 64)
+    assert [c.shape[0] for c, _ in calls[:1]] == [202]
+    assert len(calls) == 6 and all(c.shape[0] <= 200 for c, _ in calls[1:])
+
+
+def test_no_crossing_names_the_median_signs_at_both_endpoints(monkeypatch):
+    """A same-phase pair raises NoCrossing with both endpoint medians; the
+    first midpoint, stepped with them, was stepped in vain."""
+    calls = spy_real_steps(monkeypatch, scattering)
+    with pytest.raises(NoCrossing) as raised:
+        transition_locator(CASE1["theta_a"], CASE1["theta_b"], SEED, t=101, n_configs=20,
+                           resolution=0.1)
+    assert str(raised.value) == "median sign is +1.00 at p=0.0 and +1.00 at p=1.0"
+    assert len(calls) == 1 and calls[0][0].shape[0] == 22
+
+
+def reprs(values) -> list:
+    return [repr(v) for v in np.asarray(values).tolist()]
+
+
+def per_row_keyed(study_batch, table, masks: list) -> list:
+    """The value of every member of each block, each distinct row keyed by
+    its bytes and stepped once on its own, in a dict shared by the blocks."""
+    stepped = {}
+    for row in (row for block in masks for row in block):
+        if row.tobytes() not in stepped:
+            stepped[row.tobytes()] = float(study_batch(pattern_coins(table, row[None]), None)[0])
+    return [[stepped[row.tobytes()] for row in block] for block in masks]
+
+
+def test_values_key_blocks_as_a_per_row_keyed_reference():
+    """Blocks keyed in one array pass give, as reprs, what keying each row by
+    its bytes gives: random blocks with repeated rows of 6 and of 13 sites,
+    whose packed bits end mid-byte, and the all-equal blocks of p = 0 and
+    p = 1, over two calls that share patterns."""
+    rng = np.random.default_rng(3)
+    for sites, t in ((6, 11), (13, 24)):
+        study = disorder._study(DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0,
+                                                       t, SEED, 1), t)
+        u = rng.random((12, sites))[rng.integers(0, 12, 60)]
+        calls = [[u[:25] < 0.0, u[:25] < 0.4, u[:25] < 1.0],
+                 [u[25:] < 0.4, u < 1.0, u[10:40] < 0.7, u[:5] < 0.0]]
+        table = coin_table(CASE2["theta_a"], CASE2["theta_b"])
+        for masks in calls:
+            got = study.values(masks)
+            want = per_row_keyed(study.batch, table, masks)
+            assert [reprs(v) for v in got] == [[repr(v) for v in w] for w in want]
 
 
 @pytest.mark.parametrize("name", ["disorder_crossing.json", "disorder_same_phase.json"])

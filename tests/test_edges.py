@@ -52,9 +52,9 @@ def test_field_covers_both_bulks(monkeypatch):
     seen = []
     record = qwtopo.edges.record
 
-    def spying(start, coin1, coin2, *args):
+    def spying(start, coin1, coin2, *args, **kwargs):
         seen.append((start, coin1, coin2))
-        return record(start, coin1, coin2, *args)
+        return record(start, coin1, coin2, *args, **kwargs)
 
     monkeypatch.setattr(qwtopo.edges, "record", spying)
     run_interface(TH_L, right_bulk(0.5), t=2, config=1)
@@ -190,7 +190,7 @@ def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
     still sum as each one's own mask does."""
     for t in (0, 1, 3, 12, 20):
         run = mixed_windows(t)
-        monkeypatch.setattr(qwtopo.edges, "record", lambda *args: run)
+        monkeypatch.setattr(qwtopo.edges, "record", lambda *args, **kwargs: run)
         want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min), t)
                 for x_min, a, b in evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)]
         assert reprs(_ploc_batch(coins(np.zeros((len(want), 1))), TH_L, t)) == reprs(want)

@@ -14,7 +14,7 @@ from qwtopo.scattering import sample_rows
 from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
                          apply_coin_field, apply_shift_minus, apply_shift_plus,
                          apply_shift_symmetric, coins, double_step_equivalent, evolve,
-                         record, split_step)
+                         record, reduced, split_step)
 
 from oracles import DenseLattice, rotation, dense_trajectory
 from references import evolve_windows, on_own_window, union_window, written_rows
@@ -120,6 +120,38 @@ def test_coin_field_angles_reduce_mod_two_pi():
     field = CoinField(0, np.array([2 * np.pi + 0.4]))
     assert field.theta_at(0) == pytest.approx(0.4)
     assert field.theta_at(5) == 0.0
+
+
+def test_an_angle_just_below_a_multiple_of_two_pi_reduces_to_zero():
+    """-1e-20 % (2 pi) is exactly 2 pi; reduced, it is 0.0, with the identity
+    coin (1.0, 0.0) exactly, wherever the package stores or steps an angle."""
+    assert np.float64(-1e-20) % (2 * np.pi) == 2 * np.pi
+    assert repr(reduced(-1e-20).item()) == "0.0"
+    c, s = coins(np.array([-1e-20]))
+    assert (c.tolist(), s.tolist()) == ([1.0], [0.0])
+    assert CoinField(0, [-1e-20]).thetas.tolist() == [0.0]
+    system = qwtopo.scattering.ScatteringSystem(np.array([-1e-20]), np.array([-1e-20]))
+    assert system.theta1.tolist() == system.theta2.tolist() == [0.0]
+    pairs = qwtopo.scattering.line_pairs(qwtopo.scattering.LINE_GREEN, [-5e-21])
+    assert pairs[0, 0].item() == 0.0
+
+
+def test_reducing_twice_is_reducing_once():
+    """Over random angles and angles within a few ulps of 2 pi k, a reduced
+    angle lies in [0, 2 pi) and reduces to itself, and equals `%` wherever
+    `%` gives less than 2 pi, so no stored or stepped angle moves."""
+    rng = np.random.default_rng(4)
+    k = rng.integers(-5, 6, 500)
+    near = np.concatenate([2 * np.pi * k + rng.integers(-8, 9, 500) * np.spacing(2 * np.pi * k),
+                           rng.uniform(-1e-15, 1e-15, 500), -np.logspace(-300, -15, 100)])
+    assert np.any(near % (2 * np.pi) == 2 * np.pi)
+    for theta in (rng.uniform(-50, 50, 2000), near):
+        once = reduced(theta)
+        assert np.all((0 <= once) & (once < 2 * np.pi))
+        assert once.tobytes() == reduced(once).tobytes()
+        plain = theta % (2 * np.pi)
+        below = plain < 2 * np.pi
+        assert once[below].tobytes() == plain[below].tobytes() and np.all(once[~below] == 0)
 
 
 def test_split_step_free_propagation():
@@ -340,7 +372,7 @@ def test_buffer_rows_start_on_cache_lines(walkers, identity):
     coin2 = coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
     coin1 = None if identity else coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
     rows = 20 if identity else 40
-    buf = qwtopo.walk._buffer(coin1, coin2, 3, rows, 3, 15)
+    buf, _ = qwtopo.walk._buffer(coin1, coin2, 3, rows, 3, 15)
     assert buf.__array_interface__["data"][0] % 64 == 0 and buf.strides[2] == 8
     assert buf.shape[:2] == (9, (rows + 3) // 2)
     if walkers < 64:
@@ -697,10 +729,11 @@ def _counting(real_steps, counted):
     """real_steps, appending the window rows each step updates, those of its
     H or V rows, times the walkers."""
     def counted_steps(coin1, coin2, offset, sites, site, coin, steps, read=None,
-                      history=None):
+                      history=None, workspace=None):
         for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read):
             counted.append(len(set(ra.tolist()) | set(rb.tolist())) * coin2[0].shape[0])
-        return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history)
+        return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history,
+                          workspace=workspace)
     return counted_steps
 
 
