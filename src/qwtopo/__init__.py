@@ -8,9 +8,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "walk": ("H", "V", "CoinField", "SplitStepProtocol", "WalkerState", "apply_coin_field",
-             "apply_shift_minus", "apply_shift_plus", "apply_shift_symmetric",
-             "double_step_equivalent", "evolve", "split_step"),
+    "walk": ("H", "V", "CoinField", "SplitStepProtocol", "WalkerState", "evolve"),
     "scattering": ("InvariantPair", "PhaseDiagram", "ReflectionSeries", "ScanResult",
                    "ScatteringSystem", "invariants", "line_pairs", "phase_diagram",
                    "reflection_amplitudes", "scan_line"),

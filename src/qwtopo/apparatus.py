@@ -15,8 +15,8 @@ All ideal reflection amplitudes are purely imaginary, so the chain
 works with the real series rho_j = Im r_j; the measured complex
 amplitudes are i * rho_j.  Each realized system is propagated once, in
 batches through `walk.record`, whose real V history at the read-out
-site x = -2 is rho_j and whose history on the batch's window gives the
-walk intensities.
+site x = -2 is rho_j and whose history on the batch's last window
+(`walk.windows`) gives the walk intensities.
 
 The read-out runs on a whole batch at once: a (B, t) array of rho
 gives the magnitudes, each present pulse interfered with the previous
@@ -44,7 +44,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .budget import ALPHA_GUARD, MODEL, record_window, within_guard
-from .walk import H, Workspace, coins, over_batches, record
+from .walk import H, Workspace, coins, over_batches, record, windows
 from .scattering import InvariantPair, ScatteringSystem, invariant_rows
 
 SAME = "same"
@@ -283,7 +283,8 @@ def emulate_measurement(system: ScatteringSystem, t: int,
         raise ValueError(f"unknown mode: {mode!r}")
     _check_guard(alpha)
     params = _params([model])
-    x_min, h, v, lo, hi = _runs(system, params, t)
+    x_min, h, v = _runs(system, params, t)
+    lo, hi = windows(h, v)[-1]
     rho = v[1:, -2 - x_min, 0].copy()
     # square the window in place: a copy of it would double what the run holds
     a, b = (x[None, :, lo:hi + 1, 0] for x in (h, v))
@@ -393,7 +394,7 @@ def _mc_batch(system: ScatteringSystem, data: MeasurementData, horizon: int,
     """(distance, q0, qpi) of each model of one batch, one row per row of
     params, stepped in `workspace`, against the intensities of `data` over its
     first `horizon` steps."""
-    x_min, h, v, _, _ = _runs(system, params, data.t, workspace)
+    x_min, h, v = _runs(system, params, data.t, workspace)
     q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, data.alpha)[1])
     distances = _distances(data.distributions, data.x_min - x_min, h, v,
                            params[:, _LOSS, None], horizon)

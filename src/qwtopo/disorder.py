@@ -243,22 +243,32 @@ def disorder_curve(theta_a: float, theta_b: float, seed: int, t: int, n_configs:
     return [EnsembleResult(p, v) for p, v in zip(p_grid, values)]
 
 
+def _midpoint(lo: float, hi: float, resolution: float) -> float | None:
+    """The bisection's probe of the bracket [lo, hi]: its midpoint rounded to
+    the p grid of `resolution`, or None, where the bisection stops, once the
+    bracket is within the resolution or the probe is not strictly inside."""
+    if hi - lo <= resolution * (1 + 1e-9):
+        return None
+    mid = round(0.5 * (lo + hi) / resolution) * resolution
+    return mid if lo < mid < hi else None
+
+
 def transition_locator(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int,
                        resolution: float) -> float:
     """Disorder strength where the ensemble median invariant flips sign.
 
-    Bisects [0, 1] on a p grid of the given resolution using the median of
-    sign(half r(0)) over n_configs configurations of binary disorder between
-    theta_a and theta_b drawn from `seed` (`_ensemble`).  Larger t sharpens
-    the transition, so the bisection estimate converges to the infinite-size
-    critical strength.  Raises NoCrossing when both endpoints share a sign.
+    Bisects [0, 1] on a p grid of the given resolution (`_midpoint`) using
+    the median of sign(half r(0)) over n_configs configurations of binary
+    disorder between theta_a and theta_b drawn from `seed` (`_ensemble`).
+    Larger t sharpens the transition, so the bisection estimate converges to
+    the infinite-size critical strength.  Raises NoCrossing when both
+    endpoints share a sign.
 
     Every probe shares one `PatternStudy`, so a pattern is stepped once per
     bisection, in one workspace.  The two endpoints and the first midpoint,
-    round(0.5 / resolution) * resolution, are stepped in one call, where
-    that midpoint lies strictly inside (0, 1) and the bisection would probe
-    it; its probe then reuses their values, and the bisection and the
-    result are those of probing it on its own.  On NoCrossing that
+    where the bisection probes one, are stepped in one call; its probe then
+    reuses their values, and the bisection and the result are those of
+    probing it on its own.  On NoCrossing that
     midpoint's patterns were stepped in vain.
     """
     if t < 101:
@@ -269,16 +279,12 @@ def transition_locator(theta_a: float, theta_b: float, seed: int, t: int, n_conf
         return [float(np.median(np.sign(v))) for v in study.values([uniforms < p for p in ps])]
 
     lo, hi = 0.0, 1.0
-    mid = round((0.5 * (lo + hi)) / resolution) * resolution
-    ahead = [mid] if hi - lo > resolution * (1 + 1e-9) and lo < mid < hi else []
-    m_lo, m_hi = median_signs(lo, hi, *ahead)[:2]
+    mid = _midpoint(lo, hi, resolution)
+    m_lo, m_hi = median_signs(lo, hi, *([] if mid is None else [mid]))[:2]
     if m_lo == 0 or m_hi == 0 or np.sign(m_lo) == np.sign(m_hi):
         raise NoCrossing(
             f"median sign is {m_lo:+.2f} at p={lo} and {m_hi:+.2f} at p={hi}")
-    while hi - lo > resolution * (1 + 1e-9):
-        mid = round((0.5 * (lo + hi)) / resolution) * resolution
-        if not lo < mid < hi:
-            break
+    while (mid := _midpoint(lo, hi, resolution)) is not None:
         m, = median_signs(mid)
         if m == 0 or np.sign(m) != np.sign(m_lo):
             hi = mid

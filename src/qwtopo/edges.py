@@ -24,7 +24,8 @@ real coins keep the launch state |-1, V> in the engine's real structure
 (H real, V imaginary) up to the global phase i, which no intensity sees.
 A batch's P_loc is one sum over the history rows x in [-3, 3] of every
 walker, which hold exact zeros outside a walker's window; `run_interface`
-keeps the window of its batch of one, the one `evolve` ends on.
+keeps the last of its batch of one's `walk.windows`, the window a
+single-state stepper ends on.
 `localization_vs_disorder` steps each distinct right-bulk pattern of all
 its p once, through one `disorder.PatternStudy` call.  Neither study has
 a default: every value comes from the run's config.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import INTERFACE, interface_members
-from .walk import V, Workspace, coins, record
+from .walk import V, Workspace, coins, record, windows
 from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, coin_table,
                        config_uniforms, pattern_coins)
 
@@ -86,8 +87,9 @@ def run_interface(theta_left: float, right: DisorderSpec, t: int,
     with configuration `config` of the right bulk `right`, and record every
     step's distribution."""
     mask = config_uniforms(right, [config], right.sites) < right.p
-    x_min, h, v, lo, hi = _launch(
+    x_min, h, v = _launch(
         theta_left, pattern_coins(coin_table(right.theta_a, right.theta_b), mask), t)
+    lo, hi = windows(h, v)[-1]
     a, b = h[:, lo:hi + 1, 0], v[:, lo:hi + 1, 0]
     return LocalizationRecord(a * a + b * b, x_min + lo)
 
@@ -97,7 +99,7 @@ def _ploc_batch(right: tuple, theta_left: float, t: int,
     """P_loc after t steps of each row of the (B, sites) right-bulk coins, stepped
     in `workspace`: one sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the
     whole batch's history."""
-    x_min, h, v, _, _ = _launch(theta_left, right, t, workspace)
+    x_min, h, v = _launch(theta_left, right, t, workspace)
     rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
     return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
 

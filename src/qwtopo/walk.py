@@ -6,36 +6,36 @@ V components to the left.  One full step applies, in order: the first coin,
 the polarization-selective right shift, the second coin, and the
 polarization-selective left shift.
 
-Amplitudes are stored on a finite window that always contains the light
-cone of the evolved state, so the truncation is exact: a shift that would
-push amplitude past the window edge grows the window first.
+One engine steps every walker: `real_steps`, on batches.  It needs real coin
+angles: exp(-i sigma_x theta) then maps H = a, V = i b with real a and b to
+the same form, so two real (sites, walkers) arrays carry a batch exactly, up
+to a global phase that covers both |x, H> and |x, V> launches.  One kernel
+steps every batch: the walk whose coin 1 is the identity, which is
+bipartite, so the kernel holds H and V as even-row and odd-row half planes
+in one reused buffer and updates the live sublattice of each step's light
+cone (`budget.cone`).  A walker is a column of that buffer.  The buffer
+starts on a 64-byte cache line, and a batch of 64 walkers or more is padded
+with identity-coin columns to a multiple of 8, so that each row the kernel
+rotates starts on a cache line too; the pad leaves every real walker's
+arithmetic, and so its bits, as they are.  A batch whose coin 1 is the
+identity, as in every disorder ensemble and interface walk, runs on its own
+window; any other runs on the doubled lattice of the fibre loop, where a
+split step is two such steps.  The cone's sites times steps stay the unit
+of work that studies budget.  Coins enter the kernel as their cosines and
+sines (`coins`, of the angles `reduced` into [0, 2*pi)), which the studies
+take once per distinct angle, where they make the angles, and gather into
+(walkers, sites) arrays; the kernel copies them into its buffer and runs no
+trig.  Its loop writes each step's read-out, or the step's cone into a
+history, as it goes: `scattering.sample_rows` reads one row's V, and
+`record` keeps every step of a batch whole.  Studies reduce whole batches.
 
-`WalkerState` and `evolve` step one complex state; they are the public
-single-state API and the reference for `real_steps`, the batched engine
-every study runs on.  The engine needs real coin angles: exp(-i sigma_x
-theta) then maps H = a, V = i b with real a and b to the same form, so
-two real (sites, walkers) arrays carry a batch exactly, up to a global
-phase that covers both |x, H> and |x, V> launches.  One kernel steps
-every batch: the walk whose coin 1 is the identity, which is bipartite,
-so the kernel holds H and V as even-row and odd-row half planes in one
-reused buffer and updates the live sublattice of each step's light cone
-(`budget.cone`).  A walker is a column of that buffer.  The buffer starts
-on a 64-byte cache line, and a batch of 64 walkers or more is padded
-with identity-coin columns to a multiple of 8, so that each row the
-kernel rotates starts on a cache line too; the pad leaves every real
-walker's arithmetic, and so its bits, as they are.  A batch whose coin 1
-is the identity, as in every disorder ensemble and interface walk, runs
-on its own window; any other runs on the doubled lattice of the fibre
-loop, where a split step is two such steps (`double_step_equivalent`).
-The cone's sites times steps stay the unit of work that studies budget.
-Coins enter the kernel as their cosines and sines (`coins`, of the angles
-`reduced` into [0, 2*pi)), which the studies take once per distinct angle,
-where they make the angles, and gather into (walkers, sites) arrays; the
-kernel copies them into its buffer and runs no trig.  Its loop writes each
-step's read-out, or the step's cone into a history, as it goes:
-`scattering.sample_rows` reads one row's V, and `record` keeps every step
-of a batch whole, with the batch's one window: the union of the windows
-`evolve` ends on, one per walker.  Studies reduce whole batches on it.
+A walker's window is the span a single-state stepper would hold it on: it
+starts at [x0 - 1, x0 + 1] and grows by _GROW sites whenever a shift meets
+amplitude on its edge.  `windows` reads each step's window of a batch off
+its `record` history, the union of its walkers' windows; the interface and
+emulation runs keep their last.  `evolve` is a view of one `record` walker:
+the complex states of a `WalkerState.localized` launch, each on its step's
+window.
 
 A study steps all its batches in one `Workspace`, which it keeps for its
 lifetime: the kernel's buffer and read-out, the history of `record` and a
@@ -77,23 +77,9 @@ class CoinField:
         object.__setattr__(self, "start", int(self.start))
         object.__setattr__(self, "thetas", th)
 
-    @classmethod
-    def identity(cls) -> "CoinField":
-        """Field with an empty sample region: identity coin everywhere."""
-        return cls(0, np.zeros(0))
-
-    @classmethod
-    def uniform(cls, theta: float, start: int, sites: int) -> "CoinField":
-        return cls(start, np.full(sites, float(theta)))
-
     @property
     def stop(self) -> int:
         return self.start + len(self.thetas)
-
-    def theta_at(self, x: int) -> float:
-        if self.start <= x < self.stop:
-            return float(self.thetas[x - self.start])
-        return 0.0
 
     def window_angles(self, x_min: int, sites: int) -> np.ndarray:
         """Per-position angles for a window of given extent (zero outside)."""
@@ -111,174 +97,53 @@ class SplitStepProtocol:
     field1: CoinField
     field2: CoinField
 
-    @classmethod
-    def lead_only(cls) -> "SplitStepProtocol":
-        return cls(CoinField.identity(), CoinField.identity())
-
 
 @dataclass
 class WalkerState:
-    """Complex amplitudes over a position window times the (H, V) space.
-
-    amps has shape (sites, 2); row i holds the H and V amplitudes at
-    position x_min + i.  Evolution functions return new states and never
-    mutate their input.
-    """
+    """Complex amplitudes over a position window times the (H, V) space:
+    amps has shape (sites, 2), and row i holds the H and V amplitudes at
+    position x_min + i after `time` steps."""
 
     x_min: int
     amps: np.ndarray
     time: int = 0
 
     @classmethod
-    def localized(cls, x: int = 0, coin: int = H, x_min: int | None = None,
-                  x_max: int | None = None) -> "WalkerState":
-        """Unit amplitude at (x, coin), window defaulting to [x-1, x+1]."""
-        lo = x - 1 if x_min is None else int(x_min)
-        hi = x + 1 if x_max is None else int(x_max)
-        if not lo <= x <= hi:
-            raise ValueError("window does not contain the initial position")
-        amps = np.zeros((hi - lo + 1, 2), dtype=complex)
-        amps[x - lo, coin] = 1.0
-        return cls(lo, amps)
+    def localized(cls, x: int = 0, coin: int = H) -> "WalkerState":
+        """Unit amplitude at (x, coin) on the window [x - 1, x + 1]."""
+        amps = np.zeros((3, 2), dtype=complex)
+        amps[1, coin] = 1.0
+        return cls(x - 1, amps)
 
     @property
     def sites(self) -> int:
         return self.amps.shape[0]
 
-    @property
-    def x_max(self) -> int:
-        return self.x_min + self.sites - 1
-
-    def positions(self) -> np.ndarray:
-        return np.arange(self.x_min, self.x_min + self.sites)
-
-    def amplitude(self, x: int, coin: int) -> complex:
-        if self.x_min <= x <= self.x_max:
-            return complex(self.amps[x - self.x_min, coin])
-        return 0.0 + 0.0j
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    def copy(self) -> "WalkerState":
-        return WalkerState(self.x_min, self.amps.copy(), self.time)
-
-
-def _grown(state: WalkerState, left: int, right: int) -> WalkerState:
-    amps = np.zeros((state.sites + left + right, 2), dtype=complex)
-    amps[left : left + state.sites] = state.amps
-    return WalkerState(state.x_min - left, amps, state.time)
-
-
-def apply_shift_plus(state: WalkerState) -> WalkerState:
-    """Move H components one site to the right; V components stay."""
-    if state.amps[-1, H] != 0:
-        state = _grown(state, 0, _GROW)
-    amps = state.amps.copy()
-    amps[1:, H] = state.amps[:-1, H]
-    amps[0, H] = 0.0
-    return WalkerState(state.x_min, amps, state.time)
-
-
-def apply_shift_minus(state: WalkerState) -> WalkerState:
-    """Move V components one site to the left; H components stay."""
-    if state.amps[0, V] != 0:
-        state = _grown(state, _GROW, 0)
-    amps = state.amps.copy()
-    amps[:-1, V] = state.amps[1:, V]
-    amps[-1, V] = 0.0
-    return WalkerState(state.x_min, amps, state.time)
-
-
-def apply_shift_symmetric(state: WalkerState) -> WalkerState:
-    """Move H right and V left in one pass (the full fibre-loop shift)."""
-    if state.amps[-1, H] != 0:
-        state = _grown(state, 0, _GROW)
-    if state.amps[0, V] != 0:
-        state = _grown(state, _GROW, 0)
-    amps = np.zeros_like(state.amps)
-    amps[1:, H] = state.amps[:-1, H]
-    amps[:-1, V] = state.amps[1:, V]
-    return WalkerState(state.x_min, amps, state.time)
-
-
-def apply_coin_field(state: WalkerState, field: CoinField) -> WalkerState:
-    """Apply the coin rotation exp(-i sigma_x theta), [[cos, -i sin], [-i sin,
-    cos]] in the (H, V) basis, with each window site's own angle theta."""
-    th = field.window_angles(state.x_min, state.sites)
-    c = np.cos(th)
-    s = np.sin(th)
-    h = state.amps[:, H]
-    v = state.amps[:, V]
-    amps = np.empty_like(state.amps)
-    amps[:, H] = c * h - 1j * (s * v)
-    amps[:, V] = c * v - 1j * (s * h)
-    return WalkerState(state.x_min, amps, state.time)
-
-
-def split_step(state: WalkerState, protocol: SplitStepProtocol) -> WalkerState:
-    """One step: coin 1, right shift of H, coin 2, left shift of V."""
-    out = apply_coin_field(state, protocol.field1)
-    out = apply_shift_plus(out)
-    out = apply_coin_field(out, protocol.field2)
-    out = apply_shift_minus(out)
-    out.time = state.time + 1
-    return out
-
-
-def _interleave_field(field: CoinField, parity: int) -> CoinField:
-    """Map a coin field onto the doubled lattice used by the double step.
-
-    Coin-1 angles sit on even doubled positions (parity 0), coin-2 angles
-    on odd ones (parity 1); the other parity carries the identity coin.
-    """
-    if field.thetas.size == 0:
-        return CoinField.identity()
-    th = np.zeros(2 * field.thetas.size - 1)
-    th[::2] = field.thetas
-    return CoinField(2 * field.start - parity, th)
-
-
-def double_step_equivalent(state: WalkerState, protocol: SplitStepProtocol) -> WalkerState:
-    """One step realized as two symmetric-shift roundtrips plus relabelling.
-
-    The state is embedded on a doubled lattice (position x becomes 2x), the
-    sequence coin-1 / shift / coin-2 / shift is applied with coin 1 placed
-    on even and coin 2 on odd doubled positions, and the result is read off
-    the even sublattice, relabelling 2x back to x.
-    """
-    doubled = np.zeros((2 * state.sites - 1, 2), dtype=complex)
-    doubled[::2] = state.amps
-    d = WalkerState(2 * state.x_min, doubled, state.time)
-
-    f1 = _interleave_field(protocol.field1, 0)
-    f2 = _interleave_field(protocol.field2, 1)
-
-    d = apply_coin_field(d, f1)
-    d = apply_shift_symmetric(d)
-    d = apply_coin_field(d, f2)
-    d = apply_shift_symmetric(d)
-
-    # support returns to the even sublattice after the second roundtrip
-    offset = d.x_min % 2
-    odd = d.amps[1 - offset :: 2]
-    if np.any(odd):
-        raise AssertionError("double-step support leaked onto the odd sublattice")
-    even = d.amps[offset::2].copy()
-    out = WalkerState((d.x_min + offset) // 2, even, state.time + 1)
-    return out
-
 
 def evolve(state: WalkerState, protocol: SplitStepProtocol, steps: int) -> list[WalkerState]:
-    """Evolve and return the trajectory [state, after 1 step, ..., after t]."""
+    """The trajectory [state, after 1 step, ..., after `steps`] of a state
+    that `WalkerState.localized(x, coin)` built, each on its step's window.
+
+    One walker's `record`, on the coins of both fields gathered over its
+    window: step j's state is H = h and V = i v of the history on rows
+    `windows(h, v)[j]`, times -i for a V launch, which the engine launches
+    as i |x, V>.  Raises ValueError for any other state."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    out = [state.copy()]
-    cur = state
-    for _ in range(steps):
-        cur = split_step(cur, protocol)
-        out.append(cur)
-    return out
+    x0, n = state.x_min + 1, record_window(steps)
+    launches = [c for c in (H, V)
+                if np.array_equal(state.amps, WalkerState.localized(x0, c).amps)]
+    if not launches:
+        raise ValueError("evolve steps the unit state WalkerState.localized(x, coin) builds")
+    start, coin = x0 - n // 2, launches[0]
+    fields = [coins(field.window_angles(start, n)[None])
+              for field in (protocol.field1, protocol.field2)]
+    x_min, h, v = record(start, *fields, x0, coin, steps)
+    amps = np.stack([h[..., 0], 1j * v[..., 0]], axis=-1)
+    if coin == V:
+        amps *= -1j
+    return [WalkerState(x_min + lo, amps[j, lo:hi + 1], state.time + j)
+            for j, (lo, hi) in enumerate(windows(h, v))]
 
 
 def reduced(theta) -> np.ndarray:
@@ -361,11 +226,11 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     whose column i holds the coin of window row offset + i; every other row
     has the identity coin, and coin1 None is the identity coin 1 on every
     row.  The state is H = a, V = i b, and each step gives the amplitudes of
-    `split_step` bit for bit, up to the sign of exact zeros and, for a V
-    launch, the global phase i.  Amplitude shifted past the window edges is
-    dropped, and the inputs are never modified.  Each step updates the rows
-    of its `cone` from the launch site, cut to the rows that can still
-    reach row `read` if one is given.
+    one split step of the complex state bit for bit, up to the sign of exact
+    zeros and, for a V launch, the global phase i.  Amplitude shifted past
+    the window edges is dropped, and the inputs are never modified.  Each
+    step updates the rows of its `cone` from the launch site, cut to the
+    rows that can still reach row `read` if one is given.
 
     With `read`, returns the (B, steps) read-out: column j - 1 holds V of
     every walker on row `read` after step j.  The buffer and the read-out are
@@ -380,10 +245,9 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     planes and updates only the live one of each pair.  A batch whose coin
     1 is the identity runs on its window's rows.  Any other runs on the
     doubled lattice of 2 * sites rows, where a split step is two kernel
-    steps, as it is two roundtrips of the fibre loop
-    (`double_step_equivalent`): coin 2 of row r and H sit on row 2r, coin 1
-    and V on row 2r + 1, and every second step is read out on the rows
-    halved; at a read cut, H on the cone's first row, which cannot reach V
+    steps, as it is two roundtrips of the fibre loop: coin 2 of row r and H
+    sit on row 2r, coin 1 and V on row 2r + 1, and every second step is read
+    out on the rows halved; at a read cut, H on the cone's first row, which cannot reach V
     on the read row in time, is left out of the history.
     """
     walkers, m = coin2[0].shape
@@ -500,20 +364,13 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
 
     coin1 and coin2 are the pairs of `coins` of the (B, m) coin angles,
     reduced mod 2*pi, of the positions [start, start + m); coins elsewhere,
-    and everywhere for coin1 None, are the identity.  Returns (x_min, h, v,
-    lo, hi): h and v are the (steps + 1, sites, B) history on x0 +- (steps +
-    _GROW) that `real_steps` fills on its cone, [j, i, k] holding H = h and
-    V = i v (up to a global phase) of walker k after j steps at position
-    x_min + i.  The batch has one window, the rows lo .. hi: the union of the
-    windows `evolve` ends on from `WalkerState.localized(x0, coin)`, one per
-    walker, and a walker's rows off its own window hold exact zeros.  That
-    window starts at [x0 - 1, x0 + 1] and grows by _GROW sites whenever a
-    shift meets amplitude of any walker on its edge: after a step, the right
-    edge hi grew iff H now sits at hi + 1 or V sits at hi, the left edge lo
-    iff V sits at lo - 1.  An edge grows only once the front, moving one site
-    per step, has reached it, so no edge passes x0 +- (steps + _GROW - 1).
-    h and v are carved from `workspace`, or a fresh one, which the engine
-    runs in too (`real_steps`), and zeroed.
+    and everywhere for coin1 None, are the identity.  Returns (x_min, h, v):
+    h and v are the (steps + 1, sites, B) history on x0 +- (steps + _GROW)
+    that `real_steps` fills on its cone, [j, i, k] holding H = h and V = i v
+    (up to a global phase) of walker k after j steps at position x_min + i,
+    and exact zeros off the walker's own window (`windows`).  h and v are
+    carved from `workspace`, or a fresh one, which the engine runs in too
+    (`real_steps`), and zeroed.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -526,11 +383,26 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
     (h, v)[coin][0, reach] = 1.0
     real_steps(coin1, coin2, start - x_min, n, reach, coin, steps, history=(h, v),
                workspace=workspace)
-    lo, hi = reach - 1, reach + 1  # the window's edges as rows
-    for j in range(1, steps + 1):
+    return x_min, h, v
+
+
+def windows(h: np.ndarray, v: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi), the first and last row of the window after each step 0 ..
+    steps of a `record` history h, v: the union of its walkers' windows.
+
+    A walker's window starts at [x0 - 1, x0 + 1], the rows around the
+    history's middle, and grows by _GROW sites whenever a shift meets
+    amplitude on its edge: after a step, the right edge hi grew iff H now
+    sits at hi + 1 or V sits at hi, the left edge lo iff V sits at lo - 1.
+    An edge grows only once the front, moving one site per step, has reached
+    it, so no edge passes x0 +- (steps + _GROW - 1), inside the history."""
+    lo, hi = h.shape[1] // 2 - 1, h.shape[1] // 2 + 1
+    out = [(lo, hi)]
+    for j in range(1, h.shape[0]):
         hi += _GROW * bool(h[j, hi + 1].any() or v[j, hi].any())
         lo -= _GROW * bool(v[j, lo - 1].any())
-    return x_min, h, v, lo, hi
+        out.append((lo, hi))
+    return out
 
 
 def over_batches(fn, walkers, per_walker: int, workspace: Workspace | None = None,

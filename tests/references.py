@@ -1,11 +1,11 @@
 """Per-walker forms of the package's batch reductions, the tests' references.
 
 `walk.record` returns a batch as the engine holds it, whole (steps + 1,
-sites, B) histories on the batch's one window, and the studies reduce
-whole batches.  These are the walker-by-walker forms they replaced, kept
-here to check them bit for bit: each walker stepped alone by `walk.evolve`
-on the window it ends on, the Monte-Carlo distances read by position from
-those windows, and P_loc masked from one walker's distributions.
+sites, B) histories on one record window, and the studies reduce whole
+batches.  These are the walker-by-walker forms they replaced, kept here
+to check them bit for bit: each walker stepped alone by `stepping.evolve`
+on the window it ends on, the Monte-Carlo distances read by position
+from those windows, and P_loc masked from one walker's distributions.
 `mixed_windows` builds a batch whose walkers end on windows of different
 widths and first rows, which no shipped run produces; `_distances`'
 positional read is checked on it.  `written_rows` reads the rows each
@@ -20,8 +20,9 @@ import numpy as np
 
 from qwtopo.apparatus import _intensities, _normalize
 from qwtopo.edges import LOC_WINDOW
-from qwtopo.walk import (H, CoinField, SplitStepProtocol, WalkerState, coins, evolve,
-                         real_steps, record)
+from qwtopo.walk import H, coins, real_steps, record
+
+from stepping import CoinField, SplitStepProtocol, WalkerState, evolve
 
 #: The sample start of `mixed_windows`.
 MIXED_START = -3
@@ -43,10 +44,10 @@ def mixed_windows(t: int, walkers: int = 64, seed: int = 0):
 def evolve_windows(start, theta1, theta2, x0, coin, steps) -> list:
     """(x_min, a, b) of each walker of a batch with the (B, m) coin angles
     theta1 (None: the identity) and theta2 on the positions [start, start +
-    m), stepped alone by `walk.evolve` from `WalkerState.localized(x0, coin)`:
-    a and b, of shape (steps + 1, width), are its H = a and V = i b in the
-    engine's real form on the window `evolve` ends on, each step's state
-    placed on its own sites of that window."""
+    m), stepped alone by `stepping.evolve` from `WalkerState.localized(x0,
+    coin)`: a and b, of shape (steps + 1, width), are its H = a and V = i b
+    in the engine's real form on the window `evolve` ends on, each step's
+    state placed on its own sites of that window."""
     out = []
     for k in range(theta2.shape[0]):
         fields = [CoinField.identity() if th is None else CoinField(start, th[k])
@@ -64,7 +65,7 @@ def evolve_windows(start, theta1, theta2, x0, coin, steps) -> list:
 
 def union_window(run, windows) -> tuple:
     """The rows of a `walk.record` result that the union of `evolve_windows`
-    covers: the (lo, hi) that record must return."""
+    covers: the last (lo, hi) that `walk.windows` must return."""
     x_min = run[0]
     return (min(w[0] for w in windows) - x_min,
             max(w[0] + w[1].shape[1] - 1 for w in windows) - x_min)

@@ -12,17 +12,12 @@ import pytest
 from qwtopo import (
     AmbiguousSign,
     ApparatusModel,
-    CoinField,
     DisorderSpec,
     InvariantPair,
     ScatteringSystem,
-    SplitStepProtocol,
-    WalkerState,
     disorder_curve,
-    double_step_equivalent,
     emulate_measurement,
     ensemble_r0,
-    evolve,
     invariants,
     line_pairs,
     localization_vs_disorder,
@@ -31,7 +26,6 @@ from qwtopo import (
     reflection_amplitudes,
     sample_pattern,
     scan_line,
-    split_step,
     transition_locator,
 )
 from qwtopo.edges import run_interface
@@ -41,6 +35,8 @@ from qwtopo.walk import H, V
 from defaults import P_GRID, RANGES
 from references import p_loc_at
 from scanlines import flip_width, sign_flips
+from stepping import (CoinField, SplitStepProtocol, WalkerState, double_step_equivalent,
+                      evolve, split_step)
 
 PI = np.pi
 SEED = 20260814

@@ -41,7 +41,7 @@ from qwtopo.apparatus import (
 )
 from qwtopo.budget import ALPHA_GUARD, within_guard
 from qwtopo.scattering import invariant_rows
-from qwtopo.walk import H
+from qwtopo.walk import H, windows as record_windows
 
 from defaults import MC, RANGES
 from references import (MIXED_START, distances, evolve_windows, mixed_angles, mixed_windows,
@@ -433,7 +433,8 @@ def test_mc_distances_equal_the_per_walker_form_bit_for_bit():
     rng = np.random.default_rng(33)
     for t in (3, 12, 20):
         run = mixed_windows(t)
-        x_min, h, v, lo, hi = run
+        x_min, h, v = run
+        lo, hi = record_windows(h, v)[-1]
         windows = evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)
         assert (lo, hi) == union_window(run, windows)
         spans = {(first - x_min, a.shape[1]) for first, a, _ in windows}
@@ -458,7 +459,7 @@ def test_readout_slice_equals_each_walkers_own_window():
     for bit up to the sign of exact zeros."""
     for t in (0, 3, 20):
         run = mixed_windows(t)
-        x_min, _, v, _, _ = run
+        x_min, _, v = run
         windows = evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)
         assert np.array_equal(v[1:, -2 - x_min], readout_rho(windows).T)
 

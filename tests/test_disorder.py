@@ -221,6 +221,35 @@ def test_transition_locator_validates_arguments():
                            resolution=TRANSITION["resolution"])
 
 
+def _stepwise_bisection(p_crit, resolution):
+    """The brackets and probes of the bisection as its loop ran before it
+    had one midpoint rule: the stop test, then the midpoint, then the
+    strictly-inside test, each written out, against a crossing at p_crit."""
+    lo, hi, probes = 0.0, 1.0, []
+    while hi - lo > resolution * (1 + 1e-9):
+        mid = round((0.5 * (lo + hi)) / resolution) * resolution
+        if not lo < mid < hi:
+            break
+        probes.append((lo, hi, mid))
+        lo, hi = (lo, mid) if mid >= p_crit else (mid, hi)
+    return probes, (lo, hi)
+
+
+@pytest.mark.parametrize("resolution", (1 / 64, 0.025, 0.3, 0.5))
+def test_the_midpoint_rule_stops_where_the_stepwise_loop_stopped(resolution):
+    """On every bracket the old loop probed, `_midpoint` gives its probe, and
+    None on the bracket where it stopped, for crossings all over [0, 1]; the
+    look-ahead probe of the first call is `_midpoint` of [0, 1]."""
+    for p_crit in np.linspace(0.0, 1.0, 97):
+        probes, last = _stepwise_bisection(p_crit, resolution)
+        assert [disorder._midpoint(lo, hi, resolution) for lo, hi, _ in probes] == \
+            [mid for _, _, mid in probes]
+        assert disorder._midpoint(*last, resolution) is None
+    mid = round(0.5 / resolution) * resolution
+    ahead = mid if 1.0 > resolution * (1 + 1e-9) and 0.0 < mid < 1.0 else None
+    assert disorder._midpoint(0.0, 1.0, resolution) == ahead
+
+
 def test_ensemble_rejects_zero_steps():
     with pytest.raises(ValueError):
         ensemble_r0(case1_spec(0.5), 0)

@@ -23,12 +23,10 @@ CONFIG_DIR = os.path.join(ROOT, "configs")
 #: reason -> (file, qualified name) entries; an entry naming a class covers
 #: its methods.
 DECLARED = {
-    "walk.py's single-state stack: the tests' stepping reference for the "
-    "engine, and criterion 8's check of the time-multiplexed double step": [
-        ("walk.py", name) for name in (
-            "CoinField", "SplitStepProtocol", "WalkerState", "_grown", "apply_shift_plus",
-            "apply_shift_minus", "apply_shift_symmetric", "apply_coin_field", "split_step",
-            "_interleave_field", "double_step_equivalent", "evolve")],
+    "what `walk.evolve` reads and returns, which only the benchmark's kernel "
+    "grid calls: the coin fields whose angles it gathers, and the `sites` of "
+    "its states, which the grid counts": [
+        ("walk.py", "CoinField"), ("walk.py", "WalkerState.sites")],
     "the scalar read-out, which raises where the batched `apparatus._readout` "
     "gives NaN: the tests' pair-by-pair reference for it": [
         ("apparatus.py", "relative_sign"), ("apparatus.py", "reconstruct_series")],

@@ -1,4 +1,4 @@
-"""Unit and property tests for the state-vector walk engine."""
+"""Unit and property tests for the walk engine and its single-state reference."""
 
 import json
 import os
@@ -11,13 +11,14 @@ import qwtopo.scattering
 import qwtopo.walk
 from qwtopo.budget import batch_walkers, batches, record_site_steps, reflection_site_steps
 from qwtopo.scattering import sample_rows
-from qwtopo.walk import (H, V, CoinField, SplitStepProtocol, WalkerState,
-                         apply_coin_field, apply_shift_minus, apply_shift_plus,
-                         apply_shift_symmetric, coins, double_step_equivalent, evolve,
-                         record, reduced, split_step)
+from qwtopo.walk import H, V, coins, record, reduced
 
 from oracles import DenseLattice, rotation, dense_trajectory
-from references import evolve_windows, on_own_window, union_window, written_rows
+from references import (MIXED_START, evolve_windows, mixed_angles, mixed_windows, on_own_window,
+                        union_window, written_rows)
+from stepping import (CoinField, SplitStepProtocol, WalkerState, apply_coin_field,
+                      apply_shift_minus, apply_shift_plus, apply_shift_symmetric,
+                      double_step_equivalent, evolve, split_step)
 
 RT2 = np.sqrt(0.5)
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -311,8 +312,8 @@ def test_record_matches_evolve_bit_for_bit():
     """Each walker's history equals, on the window `evolve` ends on, its H
     and V amplitudes after every step, and is exact zeros on every other
     row, from both launch coins, with coin 1 the identity on every row (the
-    window's own lattice), on some rows or on none; record's window is the
-    union of those windows.  From x0 the window grows at t = 2, 18 and 34,
+    window's own lattice), on some rows or on none; the last of its
+    `windows` is the union of those windows.  From x0 the window grows at t = 2, 18 and 34,
     so t up to 40 covers three growths."""
     rng = np.random.default_rng(9)
     for case in range(24):
@@ -330,7 +331,61 @@ def test_record_matches_evolve_bit_for_bit():
         run = record(start, coins(th1), coins(th2), x0, coin, t)
         windows = evolve_windows(start, th1, th2, x0, coin, t)
         assert on_own_window(run, windows)
-        assert run[3:] == union_window(run, windows)
+        assert qwtopo.walk.windows(*run[1:])[-1] == union_window(run, windows)
+
+
+def test_the_package_evolve_equals_the_reference_state_by_state():
+    """`walk.evolve`, one `record` walker, gives the reference's trajectory:
+    at every step the same x_min, sites and time, and amplitudes equal up to
+    the sign of exact zeros, over random protocols with t from 0 to 29, coin
+    1 the identity or not, coins exactly 0, pi/2 or pi or random, fields
+    starting from -6 to 2, and H and V launches from x0 = -4 to 2."""
+    rng = np.random.default_rng(29)
+    for case in range(300):
+        t = int(rng.integers(0, 30))
+        x0, coin = int(rng.integers(-4, 3)), case % 2
+        start, sites = int(rng.integers(-6, 3)), int(rng.integers(1, 2 * t + 7))
+        field1 = (CoinField.identity() if case % 3 == 0 else random_field(rng, start, sites))
+        protocol = SplitStepProtocol(field1, random_field(rng, start, sites))
+        got = qwtopo.walk.evolve(qwtopo.walk.WalkerState.localized(x0, coin), protocol, t)
+        want = evolve(WalkerState.localized(x0, coin), protocol, t)
+        assert len(got) == len(want) == t + 1
+        for a, b in zip(got, want):
+            assert (a.x_min, a.sites, a.time) == (b.x_min, b.sites, b.time)
+            assert np.array_equal(a.amps, b.amps), (case, a.time)
+
+
+def test_the_package_evolve_refuses_any_state_but_a_localized_launch():
+    """A wider window, two nonzero amplitudes, a non-unit amplitude or an
+    amplitude off the middle site raise ValueError, as negative steps do."""
+    protocol = SplitStepProtocol.lead_only()
+    two = WalkerState.localized(0, H)
+    two.amps[1, V] = 1.0
+    half = WalkerState.localized(0, V)
+    half.amps *= 0.5
+    off = WalkerState(-1, np.roll(WalkerState.localized(0, H).amps, 1, axis=0))
+    for state in (WalkerState.localized(0, H, x_min=-3, x_max=3),
+                  WalkerState.localized(0, H, x_min=0, x_max=0), two, half, off):
+        with pytest.raises(ValueError):
+            qwtopo.walk.evolve(state, protocol, 3)
+    with pytest.raises(ValueError):
+        qwtopo.walk.evolve(qwtopo.walk.WalkerState.localized(0, H), protocol, -1)
+
+
+@pytest.mark.parametrize("t", (0, 1, 3, 12, 20, 40))
+def test_windows_are_the_union_of_the_reference_windows_at_every_step(t):
+    """`walk.windows` of `mixed_windows`' batch, whose walkers stop growing
+    at one edge or the other, gives at every step the union of the windows
+    the reference stepper holds its walkers on; from t = 3 on, their last
+    windows differ in width and first row."""
+    x_min, h, v = mixed_windows(t)
+    trajectories = [evolve(WalkerState.localized(-1, H), SplitStepProtocol(
+        CoinField.identity(), CoinField(MIXED_START, angles)), t) for angles in mixed_angles()]
+    want = [(min(s.x_min for s in states) - x_min, max(s.x_max for s in states) - x_min)
+            for states in zip(*trajectories)]
+    assert qwtopo.walk.windows(h, v) == want
+    ends = {(traj[-1].x_min, traj[-1].sites) for traj in trajectories}
+    assert t < 3 or len({x for x, _ in ends}) > 1 and len({n for _, n in ends}) > 1
 
 
 def test_no_coin1_angles_step_as_the_identity_coin1():
@@ -341,10 +396,12 @@ def test_no_coin1_angles_step_as_the_identity_coin1():
     assert np.array_equal(sample_rows(None, coins(theta2), 13),
                           sample_rows(coins(zeros), coins(theta2), 13))
     for coin in (H, V):
-        x_min, h, v, lo, hi = record(-4, None, coins(theta2), -1, coin, 13)
+        x_min, h, v = record(-4, None, coins(theta2), -1, coin, 13)
+        lo, hi = qwtopo.walk.windows(h, v)[-1]
         want = record(-4, coins(zeros), coins(theta2), -1, coin, 13)
         assert x_min == want[0]
-        for got, expected in zip((h, v, lo, hi), want[1:]):
+        for got, expected in zip((h, v, lo, hi),
+                                 (*want[1:], *qwtopo.walk.windows(*want[1:])[-1])):
             assert np.array_equal(got, expected)
 
 
@@ -387,7 +444,7 @@ def test_a_walker_steps_the_same_alone_and_in_any_batch(walkers):
     """Each walker's `sample_rows` row and `record` history hold, bit for bit,
     those of the same walker stepped alone, whether its batch is padded or
     not, with coin 1 the identity and on the doubled lattice.  The batch's
-    window is the union of the walkers' windows alone."""
+    last window is the union of the walkers' windows alone."""
     rng = np.random.default_rng(walkers)
     t, m = 21, 14
     theta = np.array([[random_field(rng, 0, m).thetas for _ in range(walkers)]
@@ -395,7 +452,8 @@ def test_a_walker_steps_the_same_alone_and_in_any_batch(walkers):
     for theta1 in (None, coins(theta[0])):
         theta2 = coins(theta[1])
         rows = sample_rows(theta1, theta2, t)
-        x_min, h, v, lo, hi = record(-3, theta1, theta2, -1, V, t)
+        x_min, h, v = record(-3, theta1, theta2, -1, V, t)
+        lo, hi = qwtopo.walk.windows(h, v)[-1]
         edges = []
         for k in range(walkers):
             one1, one2 = (None if pair is None else (pair[0][k:k + 1], pair[1][k:k + 1])
@@ -405,7 +463,7 @@ def test_a_walker_steps_the_same_alone_and_in_any_batch(walkers):
             assert alone[0] == x_min
             for got, want in zip(alone[1:3], (h, v)):
                 assert got[..., 0].tobytes() == want[..., k].tobytes()
-            edges.append(alone[3:])
+            edges.append(qwtopo.walk.windows(*alone[1:])[-1])
         assert (lo, hi) == (min(e[0] for e in edges), max(e[1] for e in edges))
 
 
@@ -561,8 +619,8 @@ def test_sample_rows_write_positive_zeros_where_the_read_out_is_empty():
 def test_record_equals_full_window_history(t):
     """Every step of every walker on the whole window, bit for bit, from both
     launch coins, with coin 1 the identity or random; the full window is
-    zero outside the window `evolve` ends on for each walker, and record's
-    window is the union of those.  Signs of exact zeros may differ.
+    zero outside the window `evolve` ends on for each walker, and the last
+    of record's `windows` is the union of those.  Signs of exact zeros may differ.
     The launch row is t + 16, so odd and even t launch at both row
     parities.  At t = 201 each batch size runs one of the four coin cases."""
     rng = np.random.default_rng(100 + t)
@@ -577,7 +635,7 @@ def test_record_equals_full_window_history(t):
             theta2 = random_angles(rng, walkers, m, False)
             run = record(start, coins(theta1), coins(theta2), x0, coin, t)
             windows = evolve_windows(start, theta1, theta2, x0, coin, t)
-            assert run[3:] == union_window(run, windows)
+            assert qwtopo.walk.windows(*run[1:])[-1] == union_window(run, windows)
             n = 2 * reach + 1
             th1 = on_window(start, theta1, x0 - reach, n)
             th2 = on_window(start, theta2, x0 - reach, n)
