@@ -71,8 +71,7 @@ def entrypoint(argv=None) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = config.load(args.config)
-    config.validate(cfg)
-    est = config.estimate(cfg)
+    _, est = config.validate(cfg)
     print(f"ok: {cfg['experiment']} config is valid")
     print(f"estimated simulations: {est['simulations']}")
     print(f"estimated window: {est['window_sites']} sites")
@@ -90,19 +89,17 @@ def _cmd_verify(args) -> int:
 def _cmd_run(args) -> int:
     cfg = config.load(args.config)
     # a --seed override obeys the config's seed rule; the manifest hashes cfg as written
-    config.validate(cfg if args.seed is None else {**cfg, "seed": args.seed})
+    resolved, _ = config.validate(cfg if args.seed is None else {**cfg, "seed": args.seed})
     for note in config.config_warnings(cfg):
         print(f"warning: {note}", file=sys.stderr)
-    resolved = config.resolve(cfg)
-    seed = args.seed if args.seed is not None else int(resolved["seed"])
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {args.out}: {exc}") from exc
     from . import runners
     out = runners.Outputs(args.out, args.format)
-    runners.RUNNERS[cfg["experiment"]](resolved, seed, out)
-    manifest = RunManifest(__version__, seed, config_hash(cfg),
+    runners.RUNNERS[cfg["experiment"]](resolved, resolved["seed"], out)
+    manifest = RunManifest(__version__, resolved["seed"], config_hash(cfg),
                            datetime.now(timezone.utc).isoformat())
     for path in out.paths:
         manifest.add(path)

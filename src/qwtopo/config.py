@@ -2,13 +2,16 @@
 
 A configuration is one JSON object with an "experiment" kind, an
 optional master "seed", and exactly one kind-specific block.  All
-angles are given in units of pi with a "_pi" key suffix; values of
-magnitude 2 or more are accepted but flagged as mod-2 reductions by
-`config_warnings`.
+angles are given in units of pi with a "_pi" key suffix, within +-2**20,
+where v +- 0.5 is exact and 2 pi v finite; values of magnitude 2 or more
+are flagged as mod-2 reductions by `config_warnings`.  `load` refuses as
+invalid JSON a file nested deeper than the decoder recurses.
 
 Optional keys take their defaults from `SCHEMA` alone, filled in by
 `resolve`, whose output is all that the runners and `estimate` read; the
-engine functions the runners call restate none of them.
+engine functions the runners call restate none of them.  `validate`
+resolves a config once and returns it with its estimate, for `verify`
+and `run` to read.
 `validate` checks a config against `SCHEMA` with `schema_errors`, a walker
 over the JSON Schema keywords `SCHEMA` uses and no others: `type` (object,
 array, integer or number; a bool is neither number nor integer, and 5.0 is
@@ -34,22 +37,12 @@ from .budget import (ALPHA_GUARD, ENSEMBLE, INTERFACE, MODEL, SCAN, batch_capaci
                      batch_walkers, interface_members, record_window, within_guard)
 from .dataio import IoFailure
 
-EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate",
-               "mc-errorbars")
-
-#: JSON key of each kind's block.
-BLOCK_KEY = {
-    "scan": "scan",
-    "phase-diagram": "phase_diagram",
-    "disorder": "disorder",
-    "edge": "edge",
-    "emulate": "emulate",
-    "mc-errorbars": "mc_errorbars",
-}
-
-#: How the run of each kind steps its walkers.
+#: How the run of each experiment kind steps its walkers: the one list of kinds.
 STUDY = {"scan": SCAN, "phase-diagram": SCAN, "disorder": ENSEMBLE, "edge": INTERFACE,
          "emulate": MODEL, "mc-errorbars": MODEL}
+EXPERIMENTS = tuple(STUDY)
+#: JSON key of each kind's block.
+BLOCK_KEY = {kind: kind.replace("-", "_") for kind in STUDY}
 
 
 #: Largest predicted light-cone site-steps (`estimate`) that `validate`, and so
@@ -77,7 +70,7 @@ class ConfigInvalid(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-_ANGLE = {"type": "number"}
+_ANGLE = {"type": "number", "minimum": -2**20, "maximum": 2**20}
 _COUNT = {"type": "integer", "minimum": 1}
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
 _P_GRID = {"type": "array", "items": _PROB, "minItems": 1,
@@ -310,25 +303,30 @@ def schema_errors(value, schema: dict = SCHEMA, path: tuple = ()):
             yield from check(value, arg, schema, path)
 
 
-def _members(node):
-    """(key, value) of a JSON object's members or an array's items."""
-    return node.items() if isinstance(node, dict) else enumerate(node) \
-        if isinstance(node, list) else ()
-
-
-def _reject_non_finite(node, path: str) -> None:
-    for key, value in _members(node):
-        _reject_non_finite(value, f"{path}.{key}" if path else str(key))
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigInvalid(path, f"{node} is not a finite number")
+def _numbers(cfg: dict):
+    """(dotted path, value, under a key that ends in _pi) of every number in
+    a parsed config, in document order, over a stack of member iterators."""
+    stack = [("", iter(cfg.items()), False)]
+    while stack:
+        path, members, angle = stack[-1]
+        for key, value in members:
+            sub, inside = f"{path}.{key}" if path else key, angle or str(key).endswith("_pi")
+            if isinstance(value, (int, float)):
+                yield sub, value, inside
+            elif isinstance(value, (dict, list)):
+                stack.append((sub, iter(value.items() if isinstance(value, dict)
+                                        else enumerate(value)), inside))
+                break  # the member's own members first
+        else:
+            stack.pop()
 
 
 def load(path: str) -> dict:
     """Parse a configuration file.
 
-    Only the JSON syntax is checked here, plus one rule the schema cannot
-    state: every number must be finite (json accepts NaN, Infinity and
-    overflowing literals such as 1e999).
+    Only the JSON syntax is checked here, nesting past the decoder's depth
+    included, plus one rule the schema cannot state: every number must be
+    finite (json accepts NaN, Infinity and overflowing literals such as 1e999).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -337,28 +335,34 @@ def load(path: str) -> dict:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigInvalid("", f"not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigInvalid("", "top level must be an object")
-    _reject_non_finite(cfg, "")
+    for field, value, _ in _numbers(cfg):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigInvalid(field, f"{value} is not a finite number")
     return cfg
 
 
-def validate(cfg: dict) -> None:
-    """Raise ConfigInvalid (with a dotted field path) on any violation."""
-    errors = sorted(schema_errors(cfg), key=lambda e: (-len(e[0]), e[1]))
-    if errors:
-        path, message = errors[0]
-        raise ConfigInvalid(".".join(map(str, path)), message)
+def validate(cfg: dict) -> tuple[dict, dict]:
+    """`(resolve(cfg), estimate(cfg))` of a loaded config, resolved once, or
+    ConfigInvalid with a dotted field path on any violation: of `SCHEMA`,
+    which bounds every *_pi angle to +-2**20, or of the rules below.  A value
+    nested too deeply to word a message about has the empty path."""
+    try:
+        error = min(schema_errors(cfg), key=lambda e: (-len(e[0]), e[1]), default=None)
+    except RecursionError as exc:  # a message's repr of a value nested to the decoder's limit
+        raise ConfigInvalid("", f"nested too deeply to report: {exc}") from exc
+    if error:
+        raise ConfigInvalid(".".join(map(str, error[0])), error[1])
     kind = cfg["experiment"]
     block = BLOCK_KEY[kind]
     if block not in cfg:
         raise ConfigInvalid(block, f"experiment {kind!r} needs a {block!r} block")
-    for other in set(BLOCK_KEY.values()) - {block}:
-        if other in cfg:
-            raise ConfigInvalid(other,
-                                f"block does not belong to experiment {kind!r}")
+    stray = [key for key in BLOCK_KEY.values() if key != block and key in cfg]
+    if stray:
+        raise ConfigInvalid(stray[0], f"block does not belong to experiment {kind!r}")
     blk = cfg[block]
     ignored, why = set(), ""
     if kind == "scan":
@@ -376,7 +380,9 @@ def validate(cfg: dict) -> None:
     unused = sorted(ignored & blk.keys())
     if unused:
         raise ConfigInvalid(f"{block}.{unused[0]}", f"run would ignore this key: {why}")
-    if kind == "emulate" and "alpha_pi" in blk and within_guard(blk["alpha_pi"] * math.pi):
+    resolved = resolve(cfg)
+    blk = resolved[block]  # defaults filled in from here on
+    if kind == "emulate" and within_guard(blk["alpha_pi"] * math.pi):
         raise ConfigInvalid("emulate.alpha_pi",
                             f"{blk['alpha_pi']}*pi is within {math.degrees(ALPHA_GUARD):.0f} "
                             "degrees of a multiple of pi/2, where interference reads no sign")
@@ -388,9 +394,8 @@ def validate(cfg: dict) -> None:
                                 f"theta_b_pi = {blk['theta_b_pi']} give {signs[0]:+d} and "
                                 f"{signs[1]:+d}: sign Q0 = -sign(sin theta)")
     if kind in ("emulate", "mc-errorbars"):
-        resolved = resolve(cfg)[block]
         # `apparatus.perturbed_angles` keeps 0 mod 2 pi exact and adds this to every other angle
-        model = resolved["model" if kind == "emulate" else "truth_model"]
+        model = blk["model" if kind == "emulate" else "truth_model"]
         offset = math.radians(model["sbc_error_deg"]) + math.radians(model["eom_error_deg"])
         half_turns = [blk["theta1_pi"] % 2.0, blk["theta2_pi"] % 2.0]  # exact, as in q0_sign
         coin1, coin2 = (h == 0.0 or h == 1.0 and offset == 0.0 for h in half_turns)
@@ -400,15 +405,15 @@ def validate(cfg: dict) -> None:
                                 "and coin 1 too or t = 2, where r_2 ~ sin theta2 is all")
         # every Poisson mean is at most shots * (1 + max(loss, 0))**t, as eff <= 1 and
         # sum rho_j**2 <= 1; logs, since shots is any JSON integer and t is not yet bounded
-        if kind == "emulate" and resolved["mode"] == "shots" and math.log(resolved["shots"]) \
+        if kind == "emulate" and blk["mode"] == "shots" and math.log(blk["shots"]) \
                 + blk["t"] * math.log1p(max(model["loss_asymmetry"], 0.0)) > math.log(LAM_MAX):
-            raise ConfigInvalid("emulate.shots", f"{resolved['shots']} shots times the V-path "
+            raise ConfigInvalid("emulate.shots", f"{blk['shots']} shots times the V-path "
                                 "gain (1 + max(loss_asymmetry, 0))**t may ask a Poisson draw "
                                 f"for a mean above {LAM_MAX:.4g}, the largest numpy draws")
-    if kind == "mc-errorbars" and blk.get("horizon", 0) > blk["t"]:
+    if kind == "mc-errorbars" and blk["horizon"] > blk["t"]:
         raise ConfigInvalid("mc_errorbars.horizon", f"{blk['horizon']} is more than "
                             f"t = {blk['t']}, the recorded steps the fit compares")
-    est = estimate(cfg)
+    est = _estimate(resolved)
     if est["site_steps"] > MAX_SITE_STEPS:
         raise ConfigInvalid(est["cost_field"],
                             f"run would step at least {est['site_steps']} light-cone "
@@ -419,6 +424,7 @@ def validate(cfg: dict) -> None:
     if est["table_rows"] > MAX_CELLS:
         raise ConfigInvalid(est["table_field"], f"run would tabulate "
                             f"{est['table_rows']} rows, more than MAX_CELLS = {MAX_CELLS}")
+    return resolved, est
 
 
 def q0_sign(theta_pi: float) -> int:
@@ -452,22 +458,11 @@ def resolve(cfg: dict) -> dict:
     return out
 
 
-def _walk_angles(node, path, angle=False):
-    """(dotted path, value) of every number under a key that ends in _pi."""
-    for key, value in _members(node):
-        sub = f"{path}.{key}" if path else key
-        inside = angle or str(key).endswith("_pi")
-        if inside and isinstance(value, (int, float)):
-            yield sub, value
-        else:
-            yield from _walk_angles(value, sub, inside)
-
-
 def config_warnings(cfg: dict) -> list[str]:
     """Non-fatal notes, currently mod-2 reductions of angle values."""
     out = []
-    for path, value in _walk_angles(cfg, ""):
-        if abs(value) >= 2.0:
+    for path, value, angle in _numbers(cfg):
+        if angle and abs(value) >= 2.0:
             out.append(f"{path}: angle {value}*pi is reduced to "
                        f"{math.fmod(value, 2.0)}*pi (mod 2)")
     return out
@@ -482,10 +477,8 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
     block = cfg[key]
     extra = []
     if kind == "scan":
-        free = block["parametrization"] == "free"
-        field, sims = ("pairs_pi", len(block["pairs_pi"])) if free \
-            else ("count", block["count"])
-        group = sims
+        field = "pairs_pi" if block["parametrization"] == "free" else "count"
+        sims = group = len(block[field]) if field == "pairs_pi" else block[field]
     elif kind == "phase-diagram":
         field, sims = "resolution", block["resolution"] ** 2
         group = sims
@@ -532,7 +525,8 @@ def _tables(cfg: dict) -> list[tuple[int, str]]:
 
 
 def estimate(cfg: dict) -> dict:
-    """Dry-run cost of a validated config, in the engine's units.
+    """Dry-run cost of a validated config, in the engine's units: the
+    estimate `validate` returns, of the config as `resolve` fills it in.
 
     "simulations" counts the walkers `run` steps through `walk.real_steps`,
     "window_sites" is the widest window it steps them on, and "site_steps"
@@ -555,7 +549,11 @@ def estimate(cfg: dict) -> dict:
     MAX_SITE_STEPS guard checks, so a config that passes it passes whatever
     patterns its seed draws.
     """
-    cfg = resolve(cfg)
+    return _estimate(resolve(cfg))
+
+
+def _estimate(cfg: dict) -> dict:
+    """`estimate` of a resolved config."""
     study = STUDY[cfg["experiment"]]
     stages = _stages(cfg)
     per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else study.site_steps(t)

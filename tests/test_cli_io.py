@@ -786,6 +786,46 @@ def test_non_finite_numbers_exit_with_code_two(tmp_path, capsys, command, text, 
     assert "is valid" not in captured.out
 
 
+def _nested(where: str, depth: int) -> str:
+    """A config whose `scan` value, or a free scan's `pairs_pi`, is an
+    empty array nested `depth` deep."""
+    arrays = "[" * depth + "]" * depth
+    if where == "scan":
+        return '{"experiment": "scan", "scan": ' + arrays + "}"
+    return '{"experiment": "scan", "scan": {"parametrization": "free", "t": 5, ' \
+        '"pairs_pi": ' + arrays + "}}"
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("where", ["scan", "pairs_pi"])
+def test_deep_nesting_exits_with_code_two_on_both_sides_of_the_decoders_limit(
+        tmp_path, capsys, command, where):
+    """json's decoder raises RecursionError past a depth that depends on the
+    stack it is called from, and a schema message's repr of a value nested
+    just short of it recurses deeper still: both exit 2, writing nothing."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+
+    def attempt(depth):
+        path.write_text(_nested(where, depth))
+        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run"
+                                                   else [])
+        code = entrypoint(argv)
+        captured = capsys.readouterr()
+        assert code == 2, (depth, captured.err)
+        assert captured.err.startswith("ConfigInvalid"), (depth, captured.err)
+        assert "is valid" not in captured.out
+        assert not out.exists()
+        return captured.err.startswith("ConfigInvalid: not valid JSON: ")
+
+    low, high = 1, 100_000  # the first depth the decoder refuses, found by bisection
+    assert not attempt(low) and attempt(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if attempt(mid) else (mid, high)
+    for depth in range(high - 12, high + 3):
+        assert attempt(depth) == (depth >= high)
+
+
 EMULATE = {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": 5}
 
 

@@ -241,6 +241,35 @@ def test_the_estimate_of_each_shipped_config_is_pinned(name):
     assert json.loads(json.dumps(est)) == SHIPPED_ESTIMATES[name.removesuffix(".json")]
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_validate_returns_the_resolved_config_and_its_estimate(name):
+    cfg = cfgmod.load(os.path.join(CONFIG_DIR, name))
+    assert cfgmod.validate(cfg) == (cfgmod.resolve(cfg), cfgmod.estimate(cfg))
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_verify_and_run_resolve_and_estimate_a_config_once(tmp_path, monkeypatch, command,
+                                                           name):
+    calls = {"resolve": 0, "_estimate": 0}
+
+    def counting(attr):
+        inner = getattr(cfgmod, attr)
+
+        def counted(cfg):
+            calls[attr] += 1
+            return inner(cfg)
+        return counted
+
+    for attr in calls:
+        monkeypatch.setattr(cfgmod, attr, counting(attr))
+    argv = [command, "--config", os.path.join(CONFIG_DIR, name)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert entrypoint(argv) == 0
+    assert calls == {"resolve": 1, "_estimate": 1}
+
+
 def test_manifest_hashes_the_config_as_written(tmp_path):
     cfg = {"experiment": "disorder",
            "disorder": {"theta_a_pi": 1.68, "theta_b_pi": 1.36, "t": 5, "p": 0.5,
@@ -287,6 +316,41 @@ def test_configs_over_the_site_step_budget_exit_with_code_two(tmp_path, capsys,
     cfg = OVERSIZED[field]
     assert cfgmod.estimate(cfg)["site_steps"] > cfgmod.MAX_SITE_STEPS
     _rejected(tmp_path, capsys, command, cfg, field, "MAX_SITE_STEPS")
+
+
+#: Angles past the +-2**20 bound, where `run` once failed or wrote NaN.
+WIDE_ANGLES = {
+    "emulate.alpha_pi": {"experiment": "emulate",
+                         "emulate": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": 11,
+                                     "alpha_pi": 1e308}},
+    "disorder.theta_a_pi": {"experiment": "disorder",
+                            "disorder": {"theta_a_pi": 1e308, "theta_b_pi": 1.36, "t": 5,
+                                         "p": 0.5, "n_configs": 2}},
+    "scan.pairs_pi.0.0": {"experiment": "scan",
+                          "scan": {"parametrization": "free", "pairs_pi": [[1e17, 0.5]],
+                                   "t": 5}},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("field", sorted(WIDE_ANGLES))
+def test_an_angle_past_the_bound_exits_with_code_two(tmp_path, capsys, command, field):
+    _rejected(tmp_path, capsys, command, WIDE_ANGLES[field], field,
+              f"is greater than the maximum of {2**20}")
+
+
+@pytest.mark.parametrize("bound", [2**20, -2**20])
+def test_angles_at_the_bound_run_with_a_reduction_warning(tmp_path, capsys, bound):
+    cfg = {"experiment": "scan",
+           "scan": {"parametrization": "free", "pairs_pi": [[bound, 0.5]], "t": 5}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert entrypoint(["verify", "--config", str(path)]) == 0
+    assert entrypoint(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    warning = f"scan.pairs_pi.0.0: angle {bound}*pi is reduced to {math.fmod(bound, 2.0)}*pi"
+    captured = capsys.readouterr()
+    assert captured.out.count(warning) == captured.err.count(warning) == 1
+    assert (tmp_path / "out" / "scan.csv").read_text().count("nan") == 0
 
 
 #: Steps enough that the cone arrays alone would need gigabytes.

@@ -9,7 +9,10 @@ exit 3: shots too few to read every sign, angles within rounding of a
 silent lead, and shot budgets past numpy's largest Poisson mean.  The
 `scan`, `phase-diagram`, `disorder` (transitions included) and `edge`
 draws run with `--format json`, so their tables are JSON too, and they
-reach cells with no sign to read, which a table writes as null.
+reach cells with no sign to read, which a table writes as null.  Each
+property also runs a stream of its own in which angles are often drawn
+log-uniform in magnitude up to 1e308: past the schema's +-2**20 bound
+`verify` refuses them, and within it `run` completes them.
 """
 
 import contextlib
@@ -23,6 +26,8 @@ from qwtopo import config
 from qwtopo.cli import entrypoint
 
 CONFIGS = 240
+#: Configs of each wide-angle stream.
+WIDE_CONFIGS = 60
 
 
 def _strict(token):
@@ -34,6 +39,14 @@ def _angle(rng) -> float:
     if rng.random() < 0.5:
         return float(rng.uniform(-2.0, 4.0))
     return int(rng.choice([0, 1, -1, 2])) + float(rng.choice([0.0, 1e-9, -1e-9, 1e-6, -1e-6]))
+
+
+def _wide_angle(rng) -> float:
+    """Half the time `_angle`, else log-uniform in magnitude on [2, 1e308],
+    with a random sign."""
+    if rng.random() < 0.5:
+        return _angle(rng)
+    return float(rng.choice([-1.0, 1.0]) * 2.0 * 5e307 ** rng.random())
 
 
 def _block(properties: dict, rng) -> dict:
@@ -51,16 +64,17 @@ def _block(properties: dict, rng) -> dict:
     return out
 
 
-def _draw(rng) -> dict:
+def _draw(rng, angle=_angle) -> dict:
     props = config.SCHEMA["properties"]
     kind = "emulate" if rng.random() < 0.6 else "mc-errorbars"
     # log-uniform on [2, 120]: an emulate's intensity map grows as t**2
     t = int(np.rint(2.0 * 60.0 ** rng.random()))
-    block = {"theta1_pi": _angle(rng), "theta2_pi": _angle(rng), "t": t}
+    block = {"theta1_pi": angle(rng), "theta2_pi": angle(rng), "t": t}
     if kind == "emulate":
         block["model"] = _block(props["emulate"]["properties"]["model"]["properties"], rng)
         if rng.random() < 0.2:
-            block["alpha_pi"] = float(rng.uniform(-1.0, 1.0))
+            block["alpha_pi"] = float(rng.uniform(-1.0, 1.0)) if angle is _angle \
+                else angle(rng)
         if rng.random() < 0.6:
             block["mode"] = "shots"
             block["shots"] = int(10 ** rng.uniform(0.0, 21.0))
@@ -74,31 +88,49 @@ def _draw(rng) -> dict:
             config.BLOCK_KEY[kind]: block}
 
 
-def test_verify_accepting_a_measurement_config_means_run_completes_it(tmp_path):
-    rng = np.random.default_rng(7)
+def _verify_then_run(tmp_path, cfg, out, *options) -> int:
+    """Write `cfg`, verify it and, where `verify` exits 0, run it into `out`:
+    the exit code of `verify`, which must be 0 or 2, with `run` exiting 0 after a 0."""
     path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        verified = entrypoint(["verify", "--config", path])
+        ran = entrypoint(["run", "--config", path, "--out", out, *options]) \
+            if verified == 0 else None
+    assert verified in (0, 2), (cfg, err.getvalue())
+    if verified == 0:
+        assert ran == 0, (cfg, err.getvalue())
+    return verified
+
+
+def _measurement_runs(tmp_path, rng, draws, angle) -> tuple[int, int]:
+    """(refused, unsigned) of `draws` measurement configs verified then run."""
     refused = unsigned = 0
-    for case in range(CONFIGS):
-        cfg = _draw(rng)
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
+    for case in range(draws):
+        cfg = _draw(rng, angle)
         out = str(tmp_path / f"run{case}")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            verified = entrypoint(["verify", "--config", path])
-            ran = entrypoint(["run", "--config", path, "--out", out]) if verified == 0 else None
-        assert verified in (0, 2), (cfg, err.getvalue())
+        verified = _verify_then_run(tmp_path, cfg, out)
         refused += verified == 2
         if verified:
             continue
-        assert ran == 0, (cfg, err.getvalue())
         for name in sorted(os.listdir(out)):
             if name.endswith(".json"):
                 with open(os.path.join(out, name)) as fh:
                     doc = json.loads(fh.read(), parse_constant=_strict)
                 unsigned += name in ("emulate.json", "mc.json") and doc["q0"] is None
+    return refused, unsigned
+
+
+def test_verify_accepting_a_measurement_config_means_run_completes_it(tmp_path):
+    refused, unsigned = _measurement_runs(tmp_path, np.random.default_rng(7), CONFIGS, _angle)
     # the draws reach refusals and runs with no readable sign alike
     assert refused >= 10 and unsigned >= 10, (refused, unsigned)
+    (tmp_path / "wide").mkdir()
+    refused, _ = _measurement_runs(tmp_path / "wide", np.random.default_rng(17),
+                                   WIDE_CONFIGS, _wide_angle)
+    assert refused >= 10 and WIDE_CONFIGS - refused >= 5, refused  # refusals and runs alike
 
 
 TABLE_CONFIGS = 160
@@ -109,7 +141,7 @@ def _p_grid(rng) -> list:
                   float(rng.uniform(0, 1)) for _ in range(int(rng.integers(1, 5))))
 
 
-def _draw_table_kind(rng, kind: str) -> dict:
+def _draw_table_kind(rng, kind: str, angle=_angle) -> dict:
     """A `scan`, `phase-diagram`, `disorder` or `edge` config, small enough
     to run in milliseconds, a disorder transition in a fraction of a second."""
     t = int(rng.integers(1, 41))
@@ -117,25 +149,25 @@ def _draw_table_kind(rng, kind: str) -> dict:
         line = str(rng.choice(["theta1=2*theta2", "theta2=2*theta1", "free"]))
         block = {"parametrization": line, "t": t}
         if line == "free":
-            block["pairs_pi"] = [[_angle(rng), _angle(rng)]
+            block["pairs_pi"] = [[angle(rng), angle(rng)]
                                  for _ in range(int(rng.integers(1, 9)))]
         else:
-            block.update(start_pi=_angle(rng), stop_pi=_angle(rng),
+            block.update(start_pi=angle(rng), stop_pi=angle(rng),
                          count=int(rng.integers(2, 30)))
     elif kind == "phase-diagram":
         block = {"resolution": int(rng.integers(8, 25)), "t": t}
         if rng.random() < 0.5:
             block["tolerance"] = float(rng.uniform(0.0, 0.5)) or 0.5
     elif kind == "disorder":
-        block = {"theta_a_pi": _angle(rng), "theta_b_pi": _angle(rng), "t": t,
+        block = {"theta_a_pi": angle(rng), "theta_b_pi": angle(rng), "t": t,
                  "n_configs": int(rng.integers(1, 30)), "p_grid": _p_grid(rng)}
         if rng.random() < 0.4:
             block["transition"] = {"t": int(rng.integers(101, 122)),
                                    "n_configs": int(rng.integers(1, 25)),
                                    "resolution": float(rng.uniform(0.05, 0.5))}
     else:
-        block = {"theta_left_pi": _angle(rng), "theta_a_pi": _angle(rng),
-                 "theta_b_pi": _angle(rng), "t": int(rng.integers(1, 21)),
+        block = {"theta_left_pi": angle(rng), "theta_a_pi": angle(rng),
+                 "theta_b_pi": angle(rng), "t": int(rng.integers(1, 21)),
                  "n_configs": int(rng.integers(1, 20)), "p_grid": _p_grid(rng)}
     return {"experiment": kind, "seed": int(rng.integers(0, 2**31)),
             config.BLOCK_KEY[kind]: block}
@@ -149,27 +181,18 @@ def _nulls(doc) -> int:
     return doc is None
 
 
-def test_verify_accepting_a_table_config_means_run_writes_strict_json(tmp_path):
-    rng = np.random.default_rng(11)
-    path = str(tmp_path / "cfg.json")
+def _table_runs(tmp_path, rng, draws, angle) -> tuple[dict, int, int]:
+    """(runs of each kind, transitions, null cells) of `draws` table configs,
+    the kinds in turn, verified then run with JSON tables."""
     kinds = ("scan", "phase-diagram", "disorder", "edge")
     ran, nulls = dict.fromkeys(kinds, 0), 0
     transitions = 0
-    for case in range(TABLE_CONFIGS):
+    for case in range(draws):
         kind = kinds[case % len(kinds)]
-        cfg = _draw_table_kind(rng, kind)
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
+        cfg = _draw_table_kind(rng, kind, angle)
         out = str(tmp_path / f"run{case}")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            verified = entrypoint(["verify", "--config", path])
-            code = entrypoint(["run", "--config", path, "--out", out, "--format", "json"]) \
-                if verified == 0 else None
-        assert verified in (0, 2), (cfg, err.getvalue())
-        if verified:
+        if _verify_then_run(tmp_path, cfg, out, "--format", "json"):
             continue
-        assert code == 0, (cfg, err.getvalue())
         ran[kind] += 1
         transitions += "transition.json" in os.listdir(out)
         tables = [name for name in sorted(os.listdir(out)) if name.endswith(".json")]
@@ -177,5 +200,17 @@ def test_verify_accepting_a_table_config_means_run_writes_strict_json(tmp_path):
         for name in tables:
             with open(os.path.join(out, name)) as fh:
                 nulls += _nulls(json.loads(fh.read(), parse_constant=_strict))
+    return ran, transitions, nulls
+
+
+def test_verify_accepting_a_table_config_means_run_writes_strict_json(tmp_path):
+    ran, transitions, nulls = _table_runs(tmp_path, np.random.default_rng(11), TABLE_CONFIGS,
+                                          _angle)
     # every kind runs, a transition among them, and some cell has no sign to read
     assert min(ran.values()) >= 20 and transitions >= 3 and nulls >= 1, (ran, transitions, nulls)
+    (tmp_path / "wide").mkdir()
+    ran, _, _ = _table_runs(tmp_path / "wide", np.random.default_rng(13), WIDE_CONFIGS,
+                            _wide_angle)
+    # refusals, and runs of kinds that have angles: a phase diagram has none
+    assert WIDE_CONFIGS - sum(ran.values()) >= 10 and \
+        sum(ran.values()) - ran["phase-diagram"] >= 5, ran

@@ -42,9 +42,11 @@ DECLARED = {
 }
 
 #: The fourth group, names the benchmark calls or wraps: `bench/tracer.py`
-#: wraps its TARGETS by name (read from the file), and `bench/run.py`'s kernel
-#: grid calls these, so deleting one breaks `bench/run.py --trace 1`.
-KERNEL_GRID = [("disorder.py", "DisorderSpec.for_steps"), ("disorder.py", "ensemble_r0"),
+#: wraps its TARGETS by name (read from the file), and `bench/run.py` calls
+#: these, in its kernel grid and, for `config.estimate_ratio`, `config.estimate`
+#: of each raw config, so deleting one breaks `bench/run.py --trace 1`.
+BENCH_CALLS = [("config.py", "estimate"),
+               ("disorder.py", "DisorderSpec.for_steps"), ("disorder.py", "ensemble_r0"),
                ("scattering.py", "ScatteringSystem.for_steps"),
                ("scattering.py", "ScatteringSystem.protocol"),
                ("walk.py", "WalkerState.localized"), ("walk.py", "evolve")]
@@ -95,8 +97,8 @@ def defined() -> set:
 
 
 def benchmark_names(monkeypatch) -> list:
-    """The names `bench/tracer.py` wraps, read from its TARGETS, and the
-    kernel grid's."""
+    """The names `bench/tracer.py` wraps, read from its TARGETS, and those
+    `bench/run.py` calls."""
     spec = importlib.util.spec_from_file_location("tracer", os.path.join(ROOT, "bench",
                                                                          "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
@@ -104,7 +106,7 @@ def benchmark_names(monkeypatch) -> list:
     spec.loader.exec_module(tracer)
     traced = [(module.rpartition(".")[2] + ".py", attr)
               for _, module, attr, _ in tracer.TARGETS]
-    return traced + KERNEL_GRID
+    return traced + BENCH_CALLS
 
 
 def covers(entry, name) -> bool:
