@@ -14,8 +14,8 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, config
-from .dataio import (Columns, IoFailure, RunManifest, UnknownDataKind, config_hash,
-                     detect_kind, read_csv, write_text)
+from .dataio import (IoFailure, RunManifest, UnknownDataKind, config_hash, detect_kind,
+                     read_csv, write_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,10 +140,10 @@ def _cmd_replot(args) -> int:
     return 0
 
 
-def _columns(header: list[str], rows: list[list[str]]) -> Columns:
-    """The float columns of a table, refused unless each of its data rows,
-    one at least, is as wide as the header and holds numbers that `float`
-    reads; `runners.plot_table` refuses the cells it cannot plot."""
+def _columns(header: list[str], rows: list[list[str]]):
+    """A table's float columns, a row of the returned array each, refused unless
+    each data row, one at least, is as wide as the header and holds numbers
+    that `float` reads; `runners.plot_table` refuses the cells it cannot plot."""
     import numpy as np  # loaded with `runners`, which replot needs anyway
 
     bad = next((i for i, row in enumerate(rows, 1) if len(row) != len(header)), 0)
@@ -159,7 +159,7 @@ def _columns(header: list[str], rows: list[list[str]]) -> Columns:
             except ValueError:
                 raise UnknownDataKind(f"data row {i} holds a non-number") from None
         raise
-    return Columns(*table.T)
+    return table.T
 
 
 if __name__ == "__main__":

@@ -463,8 +463,7 @@ def config_warnings(cfg: dict) -> list[str]:
     out = []
     for path, value, angle in _numbers(cfg):
         if angle and abs(value) >= 2.0:
-            out.append(f"{path}: angle {value}*pi is reduced to "
-                       f"{math.fmod(value, 2.0)}*pi (mod 2)")
+            out.append(f"{path}: angle {value}*pi is reduced to {value % 2.0}*pi (mod 2)")
     return out
 
 

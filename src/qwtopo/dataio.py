@@ -52,7 +52,7 @@ TABLE_KINDS = {
 class Columns:
     """A table as its columns: equal-length sequences in header order.
 
-    len() is the number of data rows, as it is for a list of rows.
+    len() is the number of data rows, which the benchmark's tracer counts.
     """
 
     def __init__(self, *columns):

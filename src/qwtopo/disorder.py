@@ -7,8 +7,9 @@ which every other half-step is a pure lead pass.
 
 Patterns are pure functions of (master seed, config index, site): the
 per-site uniforms come from a counter-based generator keyed by seed and
-config, so a pattern is reproducible bit-for-bit, independent of window
-size, execution order, and of which other configurations were drawn.
+config (`config_uniforms`), so a pattern is reproducible bit-for-bit,
+independent of window size, execution order, and of which other
+configurations were drawn.
 The same uniforms are thresholded for every p, which couples the
 ensembles across disorder strengths and makes transition curves smooth
 in p at fixed seed.  A study draws its (configs, sites) block of
@@ -26,8 +27,8 @@ array pass, their masks packed to bits and sorted, and steps all its
 batches in one `walk.Workspace`, which it keeps for its lifetime.  A
 disorder curve evaluates all its p in one call; a transition bisection
 its two endpoints and its first midpoint in one call, and it keeps the
-values it stepped for every later probe.  Both take the angles, seed, t
-and size they read, not a spec with a p they would not.
+values it stepped for every later probe.  Both take the values they read;
+only `sample_pattern` and `ensemble_r0` read a `DisorderSpec`.
 """
 
 from __future__ import annotations
@@ -71,21 +72,22 @@ class DisorderSpec:
         return cls(theta_a, theta_b, p, t + 2, seed, n_configs)
 
 
-def config_uniforms(spec: DisorderSpec, configs, sites: int) -> np.ndarray:
+def config_uniforms(seed: int, configs, sites: int) -> np.ndarray:
     """(len(configs), sites) block whose row k is the uniform stream of
     configuration configs[k]: the first `sites` doubles that
     `np.random.Generator(np.random.Philox(key=[seed, config]))` draws, with
-    the seed reduced mod 2**64.  Extending `sites` keeps the existing prefix
-    unchanged.  One Philox is re-keyed through its state for every stream,
+    the seed reduced mod 2**64; an index outside [0, 2**64), which the key
+    would alias to another stream, is refused.  Extending `sites` keeps the
+    prefix.  One Philox is re-keyed through its state for every stream,
     with the key converted as its constructor converts it."""
     configs = list(configs)
     for config in configs:
-        if not 0 <= config < spec.n_configs:
-            raise ValueError(f"config index {config} outside [0, {spec.n_configs})")
+        if not 0 <= config < 2**64:
+            raise ValueError(f"config index {config} outside [0, 2**64)")
     bits = np.random.Philox(0)
     draw = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty buffer, as in every new Philox
-    seed = spec.seed & (2**64 - 1)
+    seed = seed & (2**64 - 1)
     out = np.empty((len(configs), sites))
     for row, config in zip(out, configs):
         state["state"]["key"] = np.asarray([seed, config]).astype(np.uint64)
@@ -97,7 +99,9 @@ def config_uniforms(spec: DisorderSpec, configs, sites: int) -> np.ndarray:
 def sample_pattern(spec: DisorderSpec, config: int) -> CoinField:
     """Second coin field of one disorder configuration: theta_b where its
     uniform u < p, theta_a elsewhere, each reduced mod 2*pi."""
-    u = config_uniforms(spec, [config], spec.sites)[0]
+    if not 0 <= config < spec.n_configs:
+        raise ValueError(f"config index {config} outside [0, {spec.n_configs})")
+    u = config_uniforms(spec.seed, [config], spec.sites)[0]
     return CoinField(0, np.where(u < spec.p, spec.theta_b, spec.theta_a))
 
 
@@ -201,37 +205,27 @@ class PatternStudy:
         return np.split(value[inverse], np.cumsum([len(block) for block in masks[:-1]]))
 
 
-def ensemble_uniforms(spec: DisorderSpec, t: int) -> np.ndarray:
-    """The uniforms a t-step ensemble of `spec` thresholds, one row per
-    configuration: the prefix of each stream that `sample_rows` steps."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    sites = min(spec.sites, reflection_window(t) - 2)
-    return config_uniforms(spec, range(spec.n_configs), sites)
-
-
 def _ensemble_batch(coin2: tuple, t: int, workspace: Workspace | None = None) -> np.ndarray:
     """Half r(0) after t steps of the sample of every row of a (B, sites)
     block of second coins, stepped in `workspace`, or a fresh one."""
     return _halves(sample_rows(None, coin2, t, workspace=workspace))
 
 
-def _study(spec: DisorderSpec, t: int) -> PatternStudy:
-    """The half r(0) values of t-step ensembles of `spec` at any p."""
-    return PatternStudy(spec.theta_a, spec.theta_b,
-                        lambda coin2, workspace: _ensemble_batch(coin2, t, workspace),
-                        ENSEMBLE.held(t))
+def _ensemble(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int) -> tuple:
+    """The uniforms of n_configs configurations on the sites `sample_rows`
+    steps, and the `PatternStudy` of their half r(0) after t steps at any p."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    study = PatternStudy(theta_a, theta_b,
+                         lambda coin2, workspace: _ensemble_batch(coin2, t, workspace),
+                         ENSEMBLE.held(t))
+    return config_uniforms(seed, range(n_configs), reflection_window(t) - 2), study
 
 
 def ensemble_r0(spec: DisorderSpec, t: int) -> EnsembleResult:
-    """Half r(0) for every configuration of the ensemble."""
-    return EnsembleResult(spec.p, _study(spec, t).values([ensemble_uniforms(spec, t) < spec.p])[0])
-
-
-def _ensemble(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int) -> tuple:
-    """The uniforms and the `PatternStudy` of t-step ensembles at any p."""
-    spec = DisorderSpec.for_steps(theta_a, theta_b, 0.0, t, seed, n_configs)
-    return ensemble_uniforms(spec, t), _study(spec, t)
+    """Half r(0) for every configuration of the ensemble, on at most `spec.sites` sites."""
+    uniforms, study = _ensemble(spec.theta_a, spec.theta_b, spec.seed, t, spec.n_configs)
+    return EnsembleResult(spec.p, study.values([uniforms[:, :spec.sites] < spec.p])[0])
 
 
 def disorder_curve(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int,

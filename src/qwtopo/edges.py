@@ -1,13 +1,14 @@
 """Interfaces between topologically distinct bulks and walker localization.
 
 An interface joins a uniform left bulk (second coin angle theta_left for
-x < 0) to a binary-disordered right bulk (x >= 0), whose law is a
-`disorder.DisorderSpec`, with the first coin field the identity
-everywhere.  A walker launched on the boundary site of the left bulk
-stays pinned when the two bulks carry different invariants, for every
-disorder configuration; with equal invariants it spreads ballistically
-into the usual double-lobe profile.  Localization is quantified as the
-probability mass within [-3, 3].
+x < 0) to a binary-disordered right bulk (x >= 0): theta_b where its
+uniform u < p (`disorder.config_uniforms` of the seed, on the t + 2
+sites a t-step walker reaches), theta_a elsewhere; the first coin field
+is the identity everywhere.  A walker launched on the boundary site of
+the left bulk stays pinned when the two bulks carry different
+invariants, for every disorder configuration; with equal invariants it
+spreads ballistically into the usual double-lobe profile.  Localization
+is quantified as the probability mass within [-3, 3].
 
 The launch state matters: the bound mode's weight sits on the left side
 of the interface bond, so a walker started at x=-1 overlaps it strongly
@@ -39,8 +40,7 @@ import numpy as np
 
 from .budget import INTERFACE, interface_members
 from .walk import V, Workspace, coins, record, windows
-from .disorder import (DisorderSpec, EnsembleResult, PatternStudy, coin_table,
-                       config_uniforms, pattern_coins)
+from .disorder import EnsembleResult, PatternStudy, coin_table, config_uniforms, pattern_coins
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
 LOC_WINDOW = 3
@@ -81,14 +81,14 @@ def _launch(theta_left: float, right: tuple, t: int,
     return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t, workspace=workspace)
 
 
-def run_interface(theta_left: float, right: DisorderSpec, t: int,
-                  config: int) -> LocalizationRecord:
+def run_interface(theta_left: float, theta_a: float, theta_b: float, seed: int, t: int,
+                  p: float, config: int) -> LocalizationRecord:
     """Evolve the launch state at the interface of the left bulk theta_left
-    with configuration `config` of the right bulk `right`, and record every
-    step's distribution."""
-    mask = config_uniforms(right, [config], right.sites) < right.p
-    x_min, h, v = _launch(
-        theta_left, pattern_coins(coin_table(right.theta_a, right.theta_b), mask), t)
+    with configuration `config` of the right bulk of theta_a and theta_b at
+    disorder strength p drawn from `seed`, and record every step's
+    distribution."""
+    mask = config_uniforms(seed, [config], t + 2) < p
+    x_min, h, v = _launch(theta_left, pattern_coins(coin_table(theta_a, theta_b), mask), t)
     lo, hi = windows(h, v)[-1]
     a, b = h[:, lo:hi + 1, 0], v[:, lo:hi + 1, 0]
     return LocalizationRecord(a * a + b * b, x_min + lo)
@@ -113,8 +113,7 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     and p = 1 are deterministic (every configuration identical), so they
     keep one configuration each, with zero variance.
     """
-    right = DisorderSpec.for_steps(theta_a, theta_b, 0.0, t, seed, n_configs)
-    uniforms = config_uniforms(right, range(n_configs), right.sites)
+    uniforms = config_uniforms(seed, range(n_configs), t + 2)
     study = PatternStudy(theta_a, theta_b,
                          lambda coin2, workspace: _ploc_batch(coin2, theta_left, t, workspace),
                          INTERFACE.held(t))

@@ -49,11 +49,11 @@ def _intensity_matrix(steps, positions, values) -> tuple[np.ndarray, int, int]:
     return matrix, s0, p0
 
 
-def plot_table(kind: str, table: dataio.Columns) -> str:
+def plot_table(kind: str, columns) -> str:
     """The SVG text of a `kind` table's plot, drawn from the columns `run` wrote;
     an intensity table that indexes no matrix is refused (`_intensity_matrix`)."""
     # arrays from `run` and from `replot`'s CSV cells
-    cols = [np.asarray(c, dtype=float) for c in table.columns]
+    cols = [np.asarray(c, dtype=float) for c in columns]
     if kind == "scan":
         th1, th2, q0, qpi = cols[0], cols[1], cols[2], cols[3]
         xs = th1 if np.ptp(th1) >= np.ptp(th2) else th2
@@ -84,11 +84,11 @@ class Outputs:
         """<name or kind>.<fmt> of a `kind` table and, for CSV under the kind's
         own name, the plot <kind>.svg that replot redraws."""
         name = name or kind
-        table = dataio.Columns(*columns)
         self.paths.append(dataio.write_table(os.path.join(self.outdir, name),
-                                             dataio.TABLE_KINDS[kind], table, self.fmt))
+                                             dataio.TABLE_KINDS[kind], dataio.Columns(*columns),
+                                             self.fmt))
         if self.fmt == "csv" and name == kind:
-            self.svg(kind, plot_table(kind, table))
+            self.svg(kind, plot_table(kind, columns))
 
     def json(self, name: str, payload: dict):
         self.paths.append(dataio.write_json(os.path.join(self.outdir, name + ".json"), payload))
@@ -166,9 +166,7 @@ def _run_edge(cfg, seed, out):
     points = edges.localization_vs_disorder(theta_left, theta_a, theta_b, seed, t, p_grid, n)
     members = _member_columns(points)
     out.table("edge", members + [np.full(members[0].size, t)])
-    show_p = max(p_grid)
-    right = disorder.DisorderSpec.for_steps(theta_a, theta_b, show_p, t, seed, n)
-    record = edges.run_interface(theta_left, right, t, config=0)
+    record = edges.run_interface(theta_left, theta_a, theta_b, seed, t, max(p_grid), config=0)
     out.table("intensity", _intensity_columns(record.positions(), record.distributions))
 
 

@@ -25,9 +25,12 @@ of work that studies budget.  Coins enter the kernel as their cosines and
 sines (`coins`, of the angles `reduced` into [0, 2*pi)), which the studies
 take once per distinct angle, where they make the angles, and gather into
 (walkers, sites) arrays; the kernel copies them into its buffer and runs no
-trig.  Its loop writes each step's read-out, or the step's cone into a
-history, as it goes: `scattering.sample_rows` reads one row's V, and
-`record` keeps every step of a batch whole.  Studies reduce whole batches.
+trig.  Its arithmetic rule: each `np.multiply`, `np.add` and `np.subtract`
+on float64 reals is rounded separately, with no fused or complex multiply,
+so every SIMD level numpy dispatches gives the same bits.  Its loop writes
+each step's read-out, or the step's cone into a history, as it goes:
+`scattering.sample_rows` reads one row's V, and `record` keeps every step
+of a batch whole.  Studies reduce whole batches.
 
 A walker's window is the span a single-state stepper would hold it on: it
 starts at [x0 - 1, x0 + 1] and grows by _GROW sites whenever a shift meets

@@ -1,0 +1,150 @@
+"""The checks of a runtime-only install: the package alone, numpy its only
+dependency, with no pytest, no jsonschema and none of the tests' helpers.
+
+Run it from any directory, on an installed package (`pip install .`) or
+with the package's `src` on PYTHONPATH:
+
+    python tests/runtime_checks.py
+
+It keeps its own directory off `sys.path`, so no helper of the tests, the
+single-state stepper `stepping` among them, can be imported.  A numpy
+RuntimeWarning (an invalid cast, a division by zero) fails every check.
+In a temporary directory it checks, in order:
+
+1. `walk.evolve` steps the benchmark's kernel-grid walker on the package's
+   own engine.
+2. `verify` and `run` of every shipped config, each a fresh
+   `python -m qwtopo` process, succeed, and each run's manifest lists the
+   files and hashes that `tests/shipped_hashes.json` records.
+3. Every shipped config run twice in this one interpreter gives the
+   recorded hashes in both rounds: no study's state leaks into the next.
+4. `replot` of every run of check 2 that wrote CSV tables rewrites the
+   bytes `run` wrote, so every manifest hash still holds.
+5. A `--format json` run of every shipped config writes strict JSON only:
+   no NaN or Infinity token, a cell with no value is null.
+
+It prints one line per check that holds and exits 0, or exits 1 with a
+message naming the first check that fails.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:] = [p for p in sys.path if os.path.abspath(p or os.curdir) != HERE]
+
+CONFIGS = sorted(os.path.join(HERE, "..", "configs", name)
+                 for name in os.listdir(os.path.join(HERE, "..", "configs")))
+with open(os.path.join(HERE, "shipped_hashes.json"), encoding="utf-8") as _fh:
+    #: name of a shipped config -> {output file: sha256}, manifest excluded.
+    RECORDED = json.load(_fh)
+
+
+def qwtopo(*args: str):
+    """`python -m qwtopo args` in a fresh process; exits on a non-zero code."""
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qwtopo", *args],
+                          capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"qwtopo {' '.join(args)} exited {done.returncode}: {done.stderr.strip()}")
+
+
+def manifest_outputs(out: str) -> dict:
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)["outputs"]
+
+
+def check_evolve():
+    from qwtopo import walk
+    from qwtopo.scattering import ScatteringSystem
+    protocol = ScatteringSystem.for_steps(0.63 * math.pi, 1.26 * math.pi, 11).protocol()
+    states = walk.evolve(walk.WalkerState.localized(-1, walk.H), protocol, 11)
+    if "stepping" in sys.modules or importlib.util.find_spec("stepping") is not None:
+        sys.exit("the tests' single-state stepper is importable")
+    if len(states) != 12:
+        sys.exit(f"walk.evolve gave {len(states)} states, not 12")
+
+
+def check_runs(top: str):
+    for cfg in CONFIGS:
+        name = os.path.basename(cfg)
+        out = os.path.join(top, "out", name.removesuffix(".json"))
+        qwtopo("verify", "--config", cfg)
+        qwtopo("run", "--config", cfg, "--out", out)
+        if (got := manifest_outputs(out)) != RECORDED[name]:
+            sys.exit(f"{name}: outputs {got} are not the recorded {RECORDED[name]}")
+
+
+def check_twice(top: str):
+    from qwtopo.cli import entrypoint
+    for round_ in (1, 2):
+        for cfg in CONFIGS:
+            name = os.path.basename(cfg)
+            out = os.path.join(top, "twice", str(round_), name.removesuffix(".json"))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = entrypoint(["run", "--config", cfg, "--out", out])
+            got = manifest_outputs(out) if code == 0 else None
+            if got != RECORDED[name]:
+                sys.exit(f"round {round_}, {name}: exit {code}, outputs {got} are not "
+                         f"the recorded {RECORDED[name]}")
+
+
+def check_replot(top: str):
+    runs = os.path.join(top, "out")
+    for out in sorted(os.path.join(runs, name) for name in os.listdir(runs)):
+        if any(name.endswith(".csv") for name in os.listdir(out)):
+            qwtopo("replot", "--out", out)
+        want = manifest_outputs(out)
+        got = {}
+        for name in want:
+            with open(os.path.join(out, name), "rb") as fh:
+                got[name] = hashlib.sha256(fh.read()).hexdigest()
+        if got != want:
+            sys.exit(f"{out}: hashes {got} are not the manifest {want}")
+
+
+def refuse(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def check_json(top: str):
+    for cfg in CONFIGS:
+        out = os.path.join(top, "json", os.path.basename(cfg).removesuffix(".json"))
+        qwtopo("run", "--config", cfg, "--out", out, "--format", "json")
+        for name in sorted(os.listdir(out)):
+            if name.endswith(".json"):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    try:
+                        json.loads(fh.read(), parse_constant=refuse)
+                    except ValueError as exc:
+                        sys.exit(f"{out}/{name}: {exc}")
+
+
+CHECKS = (
+    ("walk.evolve steps on the package alone", lambda top: check_evolve()),
+    ("every shipped config verifies and runs to its recorded hashes", check_runs),
+    ("every shipped config run twice in one interpreter gives its recorded hashes",
+     check_twice),
+    ("replot rewrites no byte of any run", check_replot),
+    ("every JSON file of a --format json run is strict", check_json),
+)
+
+
+def main():
+    warnings.simplefilter("error", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as top:
+        for title, check in CHECKS:
+            check(top)
+            print(f"ok: {title}")
+
+
+if __name__ == "__main__":
+    main()

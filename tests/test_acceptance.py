@@ -166,8 +166,7 @@ def test_criterion_6_interface_mode_outlives_disorder(capfd):
     points = localization_vs_disorder(0.52 * PI, CASE1["theta_a"],
                                       CASE1["theta_b"], SEED, 13,
                                       P_GRID, 50)
-    clean = DisorderSpec.for_steps(CASE1["theta_b"], CASE1["theta_b"], 0.0, 13, 0, 1)
-    reference = run_interface(CASE1["theta_a"], clean, 13, 0)
+    reference = run_interface(CASE1["theta_a"], CASE1["theta_b"], CASE1["theta_b"], 0, 13, 0.0, 0)
     ref_ploc = p_loc_at(reference, 13)
     means = np.array([pt.mean for pt in points])
     contrast = means.min() / ref_ploc

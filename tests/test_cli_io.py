@@ -17,7 +17,7 @@ import pytest
 
 from qwtopo import ConfigInvalid, IoFailure, RunManifest, UnknownDataKind
 from qwtopo import config as cfgmod
-from qwtopo import cells, dataio, disorder, edges, runners, scattering, svgplot
+from qwtopo import cells, dataio, disorder, edges, runners, scattering, svgplot, walk
 from qwtopo.cli import entrypoint
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -427,13 +427,16 @@ def test_free_scan_requires_explicit_pairs():
 
 
 def test_angle_warnings_flag_mod_two_reduction():
+    """A warning names the reduction into [0, 2) that the walk applies, for a
+    negative angle too: -2.0 reads 0.0, not -0.0, and -2.5 reads 1.5."""
     cfg = {"experiment": "scan",
            "scan": {"parametrization": "free", "t": 5,
-                    "pairs_pi": [[3.1, 0.4], [0.2, -2.0]]}}
+                    "pairs_pi": [[3.1, 0.4], [0.2, -2.0], [-2.5, 0.1]]}}
     cfgmod.validate(cfg)
     warnings = cfgmod.config_warnings(cfg)
     assert any("3.1*pi" in w and "1.1*pi" in w for w in warnings)
-    assert any("-2.0*pi" in w for w in warnings)
+    assert "scan.pairs_pi.1.1: angle -2.0*pi is reduced to 0.0*pi (mod 2)" in warnings
+    assert "scan.pairs_pi.2.0: angle -2.5*pi is reduced to 1.5*pi (mod 2)" in warnings
     assert cfgmod.config_warnings(scan_config()) == []
 
 
@@ -935,10 +938,9 @@ with open(os.path.join(os.path.dirname(__file__), "shipped_hashes.json")) as _fh
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
-def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, name):
+def test_shipped_runs_keep_their_recorded_hashes_through_replot(tmp_path, name):
     """A run's outputs carry their recorded hashes, and replot rewrites no
-    file of the run, phase_diagram.svg included.  Every run is one process,
-    so the one run stands for any thread count of the name."""
+    file of the run, phase_diagram.svg included."""
     def files(out):
         return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
@@ -954,15 +956,88 @@ def test_shipped_configs_give_identical_outputs_at_any_thread_count(tmp_path, na
     assert files(out) == before
 
 
-def avx512_groups() -> list:
-    """The optional AVX-512 groups numpy's dispatch found on this host: the
-    found dispatch targets beyond its baseline that are AVX-512 or x86-64-v4."""
+def test_the_runtime_checks_pass_from_a_temporary_directory(tmp_path):
+    """`tests/runtime_checks.py`, the checks of a runtime-only install, run
+    as the CI job runs them: a fresh process outside the repository, with
+    the package's source alone on PYTHONPATH."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.path.join(here, "..", "src")}
+    done = subprocess.run([sys.executable, os.path.join(here, "runtime_checks.py")],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=600, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("ok: ") == 5
+
+
+def above_baseline() -> list:
+    """The optional dispatch groups numpy found on this host beyond its SIMD
+    baseline."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
-    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)
-            and f not in umath.__cpu_baseline__ and (f.startswith("AVX512") or f == "X86_V4")]
+    return [f for f in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
+
+
+def engine_digest() -> str:
+    """sha256 of `sample_rows` and of `record`'s H and V launches, coin 1 the
+    identity (the bipartite lattice) and not (the doubled lattice), for
+    batches of 5 and of 70 walkers, the latter padded.  The coins are made
+    without trig: c uniform in [-1, 1] from a seeded rng, s = sqrt(1 - c**2)."""
+    rng = np.random.default_rng(41)
+
+    def pair(walkers, sites):
+        c = rng.uniform(-1.0, 1.0, (walkers, sites))
+        return c, np.sqrt(1.0 - c * c)
+
+    digest = hashlib.sha256()
+    for t, walkers in ((11, 70), (40, 5), (40, 70)):
+        coin2 = pair(walkers, t + 2)
+        for coin1 in (None, pair(walkers, t + 2)):
+            digest.update(scattering.sample_rows(coin1, coin2, t).tobytes())
+            for launch in (walk.H, walk.V):
+                x_min, h, v = walk.record(-3, coin1, coin2, -1, launch, t)
+                digest.update(np.ascontiguousarray(h).tobytes())
+                digest.update(np.ascontiguousarray(v).tobytes())
+    return digest.hexdigest()
+
+
+PIN_PROBE = """
+import json, os, sys
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+from test_cli_io import engine_digest
+hidden = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+print(json.dumps({"found": [f for f in hidden if umath.__cpu_features__[f]],
+                  "digest": engine_digest()}))
+"""
+
+
+def test_the_engine_gives_the_same_bits_at_numpy_s_baseline_dispatch():
+    """The arithmetic rule of `walk`'s docstring, pinned: a process whose
+    numpy dispatches no SIMD group above its baseline, every found one
+    hidden by NPY_DISABLE_CPU_FEATURES, steps the bits this process steps
+    with every group it found."""
+    groups = above_baseline()
+    if not groups:
+        pytest.skip("numpy found no group above its baseline, so hiding them "
+                    "changes no dispatch")
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, "..", "src"), here])
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(groups)}
+    done = subprocess.run([sys.executable, "-c", PIN_PROBE], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["found"] == []  # numpy dispatches none of the groups in the probe
+    assert result["digest"] == engine_digest()
+
+
+def avx512_groups() -> list:
+    """The found groups beyond numpy's baseline that are AVX-512 or x86-64-v4."""
+    return [f for f in above_baseline() if f.startswith("AVX512") or f == "X86_V4"]
 
 
 DISPATCH_PROBE = """

@@ -36,7 +36,7 @@ from qwtopo import apparatus
 from qwtopo.apparatus import ApparatusModel, emulate_measurement
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import config_hash
-from qwtopo.disorder import DisorderSpec, config_uniforms
+from qwtopo.disorder import config_uniforms
 from qwtopo.budget import record_site_steps, reflection_site_steps, reflection_window
 from qwtopo.scattering import ScatteringSystem
 from qwtopo.walk import coins
@@ -84,8 +84,6 @@ ENTRY_POINTS = {
     "scan_line": qwtopo.scattering.scan_line,
     "disorder_curve": qwtopo.disorder.disorder_curve,
     "transition_locator": qwtopo.disorder.transition_locator,
-    "DisorderSpec": qwtopo.disorder.DisorderSpec,
-    "DisorderSpec.for_steps": qwtopo.disorder.DisorderSpec.for_steps,
     "localization_vs_disorder": qwtopo.edges.localization_vs_disorder,
     "run_interface": qwtopo.edges.run_interface,
     "monte_carlo_errorbars": apparatus.monte_carlo_errorbars,
@@ -209,7 +207,7 @@ def distinct_patterns(cfg, out) -> dict:
     blk = resolved[cfgmod.BLOCK_KEY[kind]]
 
     def distinct(t, n, sites, members):
-        uniforms = config_uniforms(DisorderSpec(0.0, 0.0, 0.0, sites, seed, n), range(n), sites)
+        uniforms = config_uniforms(seed, range(n), sites)
         return len({row.tobytes() for m, p in members for row in uniforms[:m] < p})
 
     t, n = blk["t"], blk["n_configs"]
@@ -347,7 +345,7 @@ def test_angles_at_the_bound_run_with_a_reduction_warning(tmp_path, capsys, boun
     path.write_text(json.dumps(cfg))
     assert entrypoint(["verify", "--config", str(path)]) == 0
     assert entrypoint(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    warning = f"scan.pairs_pi.0.0: angle {bound}*pi is reduced to {math.fmod(bound, 2.0)}*pi"
+    warning = f"scan.pairs_pi.0.0: angle {bound}*pi is reduced to 0.0*pi (mod 2)"
     captured = capsys.readouterr()
     assert captured.out.count(warning) == captured.err.count(warning) == 1
     assert (tmp_path / "out" / "scan.csv").read_text().count("nan") == 0

@@ -55,8 +55,7 @@ def test_default_grid_matches_study_density():
 
 def site_uniforms(seed: int, config: int, sites: int) -> np.ndarray:
     """The uniform stream of one configuration."""
-    return config_uniforms(DisorderSpec(0.0, 1.0, 0.5, sites, seed, config + 1), [config],
-                           sites)[0]
+    return config_uniforms(seed, [config], sites)[0]
 
 
 def test_uniforms_are_reproducible_and_prefix_stable():
@@ -129,20 +128,20 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     share one `PatternStudy`.  The p of each block of masks is the grid p
     whose threshold of the drawn uniforms gives that block."""
     probes, steps = [], {}  # steps: study -> its t
-    values, study_of = disorder.PatternStudy.values, disorder._study
+    values, ensemble_of = disorder.PatternStudy.values, disorder._ensemble
 
     def recording(study, masks):
         result = values(study, masks)
         probes.extend((block, got, steps[study]) for block, got in zip(masks, result))
         return result
 
-    def tagged(spec, t):
-        study = study_of(spec, t)
+    def tagged(theta_a, theta_b, seed, t, n_configs):
+        uniforms, study = ensemble_of(theta_a, theta_b, seed, t, n_configs)
         steps[study] = t
-        return study
+        return uniforms, study
 
     monkeypatch.setattr(disorder.PatternStudy, "values", recording)
-    monkeypatch.setattr(disorder, "_study", tagged)
+    monkeypatch.setattr(disorder, "_ensemble", tagged)
     spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 11, SEED, 30)
     disorder.transition_locator(CASE2["theta_a"], CASE2["theta_b"], SEED, t=101, n_configs=30,
                                 resolution=0.05)
@@ -152,8 +151,7 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     grid = [k * 0.05 for k in range(21)]
     found = set()
     for block, result, t in probes:
-        uniforms = disorder.ensemble_uniforms(DisorderSpec.for_steps(
-            CASE2["theta_a"], CASE2["theta_b"], 0.0, t, SEED, 30), t)
+        uniforms = config_uniforms(SEED, range(30), budget.reflection_window(t) - 2)
         p = next(p for p in grid if np.array_equal(block, uniforms < p))
         found.add((t, p))
         probe = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], p, t, SEED, 30)
@@ -264,12 +262,10 @@ def test_config_uniforms_equal_a_fresh_generator_for_every_stream():
     configs = [0, 1, 7, 199, 2**31, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1]
     with np.errstate(invalid="ignore"):  # numpy's own key conversion warns there
         for seed in seeds:
-            spec = DisorderSpec(0.0, 1.0, 0.5, 10, seed, n_configs=2**64)
-            got = config_uniforms(spec, configs, 40)
+            got = config_uniforms(seed, configs, 40)
             for row, config in zip(got, configs):
                 assert np.array_equal(row, fresh_uniforms(seed, config, 40))
-    spec = DisorderSpec(0.0, 1.0, 0.5, 10, SEED, n_configs=200)
-    assert np.array_equal(config_uniforms(spec, range(200), 33),
+    assert np.array_equal(config_uniforms(SEED, range(200), 33),
                           [fresh_uniforms(SEED, k, 33) for k in range(200)])
 
 
@@ -373,8 +369,8 @@ def test_the_transition_endpoints_and_first_midpoint_run_as_one_first_call(monke
     table = np.array(coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)))
     assert np.all(first[:, 0] == table[:, :1])
     assert np.all(first[:, 1] == table[:, 1:])
-    spec = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0, 101, SEED, 40)
-    masks = disorder.ensemble_uniforms(spec, 101) < round(0.5 / 0.05) * 0.05
+    uniforms = config_uniforms(SEED, range(40), budget.reflection_window(101) - 2)
+    masks = uniforms < round(0.5 / 0.05) * 0.05
     mid = masks[np.sort(np.unique(masks, axis=0, return_index=True)[1])]
     assert first.shape[1] == 2 + len(mid) > 2
     assert np.array_equal(first[:, 2:], table[:, mid.astype(int)])
@@ -425,8 +421,7 @@ def test_values_key_blocks_as_a_per_row_keyed_reference():
     p = 1, over two calls that share patterns."""
     rng = np.random.default_rng(3)
     for sites, t in ((6, 11), (13, 24)):
-        study = disorder._study(DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], 0.0,
-                                                       t, SEED, 1), t)
+        study = disorder._ensemble(CASE2["theta_a"], CASE2["theta_b"], SEED, t, 1)[1]
         u = rng.random((12, sites))[rng.integers(0, 12, 60)]
         calls = [[u[:25] < 0.0, u[:25] < 0.4, u[:25] < 1.0],
                  [u[25:] < 0.4, u < 1.0, u[10:40] < 0.7, u[:5] < 0.0]]

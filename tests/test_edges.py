@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qwtopo.disorder import DisorderSpec, coin_table, config_uniforms, pattern_coins
+from qwtopo.disorder import coin_table, config_uniforms, pattern_coins
 import qwtopo.edges
-from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, LocalizationRecord,
+from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, LocalizationRecord, _launch,
                           _ploc_batch, localization_vs_disorder, run_interface)
 from qwtopo.walk import H, V, coins
 
@@ -24,20 +24,14 @@ PLOC_P05_FIRST3 = [0.937843097026395, 0.9605426150668745, 0.9729287562826263]
 PLOC_REFERENCE = 0.26613482314967135
 
 
-def right_bulk(p: float, n_configs: int = 50) -> DisorderSpec:
-    """The study's right bulk, sized to a 13-step run."""
-    return DisorderSpec.for_steps(TH_A, TH_B, p, 13, SEED, n_configs)
-
-
 def run(p: float, t: int = 13, config: int = 0):
-    return run_interface(TH_L, right_bulk(p), t, config)
+    return run_interface(TH_L, TH_A, TH_B, SEED, t, p, config)
 
 
 def reference(t: int = 13):
     """The study's no-edge-state reference: a clean interface between the
     left bulk TH_A and the right bulk TH_B, drawn from the same phase."""
-    clean = DisorderSpec.for_steps(TH_B, TH_B, 0.0, t, 0, 1)
-    return run_interface(TH_A, clean, t, 0)
+    return run_interface(TH_A, TH_B, TH_B, 0, t, 0.0, 0)
 
 
 def test_launch_convention_is_pinned():
@@ -48,7 +42,7 @@ def test_launch_convention_is_pinned():
 
 def test_field_covers_both_bulks(monkeypatch):
     """`walk.record` receives the coins of theta_left on x = -(t + 2) .. -1,
-    then those of the right bulk's pattern, bit for bit."""
+    then those of the right bulk's pattern on x = 0 .. t + 1, bit for bit."""
     seen = []
     record = qwtopo.edges.record
 
@@ -57,13 +51,33 @@ def test_field_covers_both_bulks(monkeypatch):
         return record(start, coin1, coin2, *args, **kwargs)
 
     monkeypatch.setattr(qwtopo.edges, "record", spying)
-    run_interface(TH_L, right_bulk(0.5), t=2, config=1)
+    run_interface(TH_L, TH_A, TH_B, SEED, t=2, p=0.5, config=1)
     (start, coin1, coin2), = seen
-    pattern = _binary_pattern(SEED, 1, 15, 0.5, TH_A, TH_B)
-    assert 0 < np.sum(pattern == TH_B) < 15
-    field = np.concatenate([np.full(4, TH_L), pattern]) % (2 * np.pi)  # x = -4 .. 14
+    pattern = _binary_pattern(SEED, 1, 4, 0.5, TH_A, TH_B)
+    assert 0 < np.sum(pattern == TH_B) < 4
+    field = np.concatenate([np.full(4, TH_L), pattern]) % (2 * np.pi)  # x = -4 .. 3
     assert start == -4 and coin1 is None
     assert all(np.array_equal(got, want[None]) for got, want in zip(coin2, coins(field)))
+
+
+@pytest.mark.parametrize("config, p", [(1, 0.5), (7, 0.3), (49, 0.8)])
+def test_run_interface_walks_the_right_bulk_of_its_configuration(config, p):
+    """Configuration k != 0 at any p walks the right bulk
+    np.where(u[:t + 2] < p, theta_b, theta_a), u the uniforms of
+    Philox(key=[seed, k]), the draw `bench/gate.py` documents: its
+    distributions are, bit for bit, those of `edges._launch` stepped on that
+    bulk, which is zero outside the record's window."""
+    t = 13
+    u = np.random.Generator(np.random.Philox(key=[SEED, config])).random(40)
+    bulk = np.where(u[:t + 2] < p, TH_B, TH_A)
+    assert 0 < np.sum(bulk == TH_B) < t + 2
+    x_min, h, v = _launch(TH_L, coins(bulk[None]), t)
+    full = h[..., 0] ** 2 + v[..., 0] ** 2
+    got = run_interface(TH_L, TH_A, TH_B, SEED, t, p, config)
+    lo = got.x_min - x_min
+    hi = lo + got.distributions.shape[1]
+    assert np.array_equal(full[:, lo:hi], got.distributions)
+    assert not full[:, :lo].any() and not full[:, hi:].any()
 
 
 def test_zero_steps_keeps_walker_in_window():
@@ -172,11 +186,9 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
     """One sum over the rows x in [-3, 3] of the whole batch gives, as reprs,
     the P_loc that masking each configuration's own distributions gives,
     whichever way the configurations are split into batches."""
-    spec = right_bulk(0.5, 30)
-    right = pattern_coins(coin_table(TH_A, TH_B),
-                          config_uniforms(spec, range(30), spec.sites) < spec.p)
+    right = pattern_coins(coin_table(TH_A, TH_B), config_uniforms(SEED, range(30), 15) < 0.5)
     got = _ploc_batch(right, TH_L, 13)
-    want = [p_loc_at(run_interface(TH_L, spec, 13, k), 13) for k in range(30)]
+    want = [p_loc_at(run_interface(TH_L, TH_A, TH_B, SEED, 13, 0.5, k), 13) for k in range(30)]
     assert reprs(got) == reprs(want)
     for cuts in ([1], [11, 12], [29], list(range(1, 30))):
         parts = [_ploc_batch(block, TH_L, 13)
@@ -213,7 +225,7 @@ def test_the_localization_study_steps_each_distinct_pattern_once(monkeypatch):
     points = localization_vs_disorder(TH_L, TH_A, TH_B, SEED, t=t, p_grid=P_GRID,
                                       n_configs=50)
     assert [pt.n_configs for pt in points] == [1] + [50] * 9 + [1]
-    uniforms = config_uniforms(right_bulk(0.0), range(50), 15)
+    uniforms = config_uniforms(SEED, range(50), 15)
     (ca, cb), (sa, sb) = coins(np.array([TH_A, TH_B]) % (2 * np.pi))
     patterns = {(np.where(row, cb, ca).tobytes(), np.where(row, sb, sa).tobytes())
                 for pt in points for row in uniforms[:pt.n_configs] < pt.p}

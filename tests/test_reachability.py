@@ -34,11 +34,12 @@ DECLARED = {
     "`scattering.invariants` reads, both names the benchmark wraps; the shipped "
     "runs read real series by `scattering.invariant_rows`": [
         ("scattering.py", "ReflectionSeries")],
-    "refuses invalid input and does nothing else: exception constructors, and "
-    "the maxItems check, whose one user, a free scan's pairs_pi, no shipped "
-    "config has": [
+    "refuses invalid input and does nothing else: exception constructors, the "
+    "maxItems check, whose one user, a free scan's pairs_pi, no shipped config "
+    "has, and the checks of a `DisorderSpec`, which only the benchmark and the "
+    "tests build": [
         ("config.py", "ConfigInvalid.__init__"), ("apparatus.py", "ChainBroken.__init__"),
-        ("config.py", "_max_items")],
+        ("config.py", "_max_items"), ("disorder.py", "DisorderSpec.__post_init__")],
 }
 
 #: The fourth group, names the benchmark calls or wraps: `bench/tracer.py`

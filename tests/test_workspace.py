@@ -41,7 +41,7 @@ def test_an_ensemble_study_whose_batches_shrink_and_grow_gives_fresh_bits():
     bits of a fresh `sample_rows` call of its block."""
     t, rng = 201, np.random.default_rng(5)
     sites = budget.reflection_window(t) - 2
-    study = disorder._study(disorder.DisorderSpec.for_steps(TH_A, TH_B, 0.0, t, 1, 1), t)
+    study = disorder._ensemble(TH_A, TH_B, 1, t, 1)[1]
     table = coin_table(TH_A, TH_B)
     for block in blocks(rng, (200, 200, 125, 200), sites):
         got, = study.values([block])
@@ -74,7 +74,7 @@ def test_a_second_same_width_call_allocates_no_batch_array():
     the kernel's buffer and read-out nor the coins are allocated again."""
     t, rng = 201, np.random.default_rng(7)
     sites = budget.reflection_window(t) - 2
-    study = disorder._study(disorder.DisorderSpec.for_steps(TH_A, TH_B, 0.0, t, 1, 1), t)
+    study = disorder._ensemble(TH_A, TH_B, 1, t, 1)[1]
     first, second = blocks(rng, (200, 200), sites)
     study.values([first])
     storage = study.workspace.storage
