@@ -13,10 +13,11 @@ offset on switched, i.e. nonzero, angles).
 
 All ideal reflection amplitudes are purely imaginary, so the chain
 works with the real series rho_j = Im r_j; the measured complex
-amplitudes are i * rho_j.  Each realized system is propagated once, in
-batches through `walk.record`, whose real V history at the read-out
-site x = -2 is rho_j and whose history on the batch's last window
-(`walk.windows`) gives the walk intensities.
+amplitudes are i * rho_j.  Each realized system is propagated once: an
+emulation through `walk.record`, whose real V history at the read-out
+site x = -2 is rho_j and whose history on its last window
+(`walk.windows`) gives the walk intensities, and the fit's models in
+batches through `walk.record_cut`, which keeps only what the fit reads.
 
 The read-out runs on a whole batch at once: a (B, t) array of rho
 gives the magnitudes, each present pulse interfered with the previous
@@ -25,9 +26,11 @@ and the sign chain as a cumulative product over time from the reference
 pulse.  Wherever a sign cannot be read, the result is NaN and no run
 stops: a row with an unreadable pair is NaN, and so are (Q0, Qpi) of a
 row whose |r(0)| is below 1e-6.  The Monte-Carlo fit runs it on batches
-of models, each batch a (B, 5) array of model parameters, and reads rho
-and the intensities' distances from the batch's whole histories: the
-fit compares model and observed intensities by position, each observed
+of models, each batch a (B, 5) array of model parameters.  It reads rho
+from the engine's read-out of V at x = -2, and the intensities' distances
+from the batch's history of steps 0 .. horizon on the observed positions
+that the probe's cone -1 +- horizon reaches, zero on the others: the fit
+compares model and observed intensities by position, each observed
 column with the history row of its own site.
 `emulate_measurement` runs it with B = 1 and keeps the signed series as
 it is, which `measured_invariants` reads; its defaults, which no config
@@ -43,8 +46,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .budget import ALPHA_GUARD, MODEL, record_window, within_guard
-from .walk import H, Workspace, coins, over_batches, record, windows
+from .budget import ALPHA_GUARD, fit_held, record_window, within_guard
+from .walk import H, Workspace, coins, over_batches, record, record_cut, windows
 from .scattering import InvariantPair, ScatteringSystem, invariant_rows
 
 SAME = "same"
@@ -202,23 +205,24 @@ def perturbed_angles(thetas: np.ndarray, params: np.ndarray) -> np.ndarray:
     return np.where(thetas != 0.0, thetas + off, 0.0)
 
 
-def _runs(system: ScatteringSystem, params: np.ndarray, t: int,
-          workspace: Workspace | None = None) -> tuple:
-    """`walk.record` of the probe |-1, H> on the system as the hardware of
-    each row of the model array params realizes it, stepped in `workspace`."""
-    return record(0, coins(perturbed_angles(system.theta1, params)),
-                  coins(perturbed_angles(system.theta2, params)), -1, H, t, workspace=workspace)
+def _model_coins(system: ScatteringSystem, params: np.ndarray) -> tuple:
+    """The (coin1, coin2) pairs of `walk.coins` of the system on [0, m) as the
+    hardware of each row of the model array params realizes it."""
+    return (coins(perturbed_angles(system.theta1, params)),
+            coins(perturbed_angles(system.theta2, params)))
 
 
 def _intensities(a: np.ndarray, b: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """Per-step position intensities of (B, t+1, width) probe runs, with
-    each row's (B, 1) loss asymmetry applied.  Overwrites a and b."""
-    steps = np.arange(a.shape[1])[:, None]
+    """Per-step position intensities of (t+1, sites, B) probe histories, with
+    each walker's loss asymmetry, row k of the (B, 1) loss, applied.
+    Overwrites a and b, one step at a time, so that numpy's buffer for the
+    broadcast factor stays one step's size."""
+    steps = np.arange(a.shape[0])[:, None]
     loss = loss[:, :, None]
-    a *= a
-    a *= (1.0 - loss) ** steps
-    b *= b
-    b *= (1.0 + loss) ** steps
+    for x, factor in ((a, (1.0 - loss) ** steps), (b, (1.0 + loss) ** steps)):
+        x *= x
+        for row, f in zip(x, factor[:, :, 0].T):
+            row *= f
     a += b
     return a
 
@@ -283,12 +287,11 @@ def emulate_measurement(system: ScatteringSystem, t: int,
         raise ValueError(f"unknown mode: {mode!r}")
     _check_guard(alpha)
     params = _params([model])
-    x_min, h, v = _runs(system, params, t)
+    x_min, h, v = record(0, *_model_coins(system, params), -1, H, t)  # the probe |-1, H>
     lo, hi = windows(h, v)[-1]
     rho = v[1:, -2 - x_min, 0].copy()
     # square the window in place: a copy of it would double what the run holds
-    a, b = (x[None, :, lo:hi + 1, 0] for x in (h, v))
-    dists = _intensities(a, b, params[:, _LOSS, None])[0]
+    dists = _intensities(h[:, lo:hi + 1], v[:, lo:hi + 1], params[:, _LOSS, None])[..., 0]
     return _measure(rho, model, x_min + lo, dists, alpha, mode, shots, seed)
 
 
@@ -373,31 +376,53 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _distances(observed: np.ndarray, first: int, h: np.ndarray, v: np.ndarray,
-               loss: np.ndarray, horizon: int) -> np.ndarray:
+def _distances(observed: np.ndarray, at: int, h: np.ndarray, v: np.ndarray, loss: np.ndarray,
+               workspace: Workspace | None = None) -> np.ndarray:
     """Summed squared difference of each walker's normalized intensities
-    from the observed ones over steps 1 .. horizon, for `walk.record`
-    histories h and v, compared by position: observed column i is the
-    site of history row first + i.  The walkers are gathered into one
-    C-contiguous (walkers, horizon + 1, columns) block, as a stack of their
-    rows would be, so every sum adds in the order of one walker alone."""
-    rows = slice(first, first + observed.shape[1])
-    a, b = (np.ascontiguousarray(x[:horizon + 1, rows].transpose(2, 0, 1)) for x in (h, v))
-    d = _normalize(_intensities(a, b, loss)[:, 1:])
-    d -= _normalize(observed[1:horizon + 1].copy())
-    d *= d
-    return np.sum(d, axis=(1, 2))
+    from the observed ones over steps 1 .. horizon, for the walkers' (horizon
+    + 1, rows, B) history h and v on the observed columns [at, at + rows),
+    zero on every other column, compared by position.  The intensities
+    overwrite h and v.  Each chunk of walkers is gathered into one
+    C-contiguous (walkers, horizon, columns) block, zero off those rows, as a
+    stack of its walkers' rows would be, so every sum adds in the order of
+    one walker alone.  A block holds no more elements than the batch's
+    history rows of steps 1 .. horizon, one walker's at least, and is carved
+    from `workspace`'s engine arrays, or a fresh one's."""
+    kept, rows, walkers = h.shape
+    model = _intensities(h, v, loss)[1:]
+    columns = observed.shape[1]
+    target = _normalize(observed[1:kept].copy())
+    chunk = max(1, walkers * rows // max(columns, 1))
+    workspace = Workspace() if workspace is None else workspace
+    out = np.empty(walkers)
+    for k in range(0, walkers, chunk):
+        part = model[..., k:k + chunk].transpose(2, 0, 1)
+        d = workspace.engine(part.shape[0] * (kept - 1) * columns)
+        d.fill(0.0)
+        d = d.reshape(part.shape[0], kept - 1, columns)
+        d[:, :, at:at + rows] = part
+        _normalize(d)
+        d -= target
+        d *= d
+        out[k:k + chunk] = np.sum(d, axis=(1, 2))
+    return out
 
 
 def _mc_batch(system: ScatteringSystem, data: MeasurementData, horizon: int,
               params: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     """(distance, q0, qpi) of each model of one batch, one row per row of
     params, stepped in `workspace`, against the intensities of `data` over its
-    first `horizon` steps."""
-    x_min, h, v = _runs(system, params, data.t, workspace)
-    q0, qpi = invariant_rows(_readout(v[1:, -2 - x_min].T, params, data.alpha)[1])
-    distances = _distances(data.distributions, data.x_min - x_min, h, v,
-                           params[:, _LOSS, None], horizon)
+    first `horizon` steps, which a model's reach only on the probe's cone
+    -1 +- horizon."""
+    first = max(data.x_min, -1 - horizon)
+    rows = max(min(data.x_min + data.distributions.shape[1], horizon) - first, 0)
+    workspace = Workspace() if workspace is None else workspace
+    rho, h, v = record_cut(0, *_model_coins(system, params), -1, H, data.t, first, rows, horizon,
+                           -2, workspace=workspace)
+    q0, qpi = invariant_rows(_readout(rho, params, data.alpha)[1])
+    del rho  # carved from the engine arrays, where `_distances` carves its blocks
+    distances = _distances(data.distributions, first - data.x_min, h, v, params[:, _LOSS, None],
+                           workspace)
     return np.column_stack([distances, q0, qpi])
 
 
@@ -414,14 +439,14 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
     """
     if data.t < horizon:
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
-    reach, width = record_window(data.t) // 2, data.distributions.shape[1]  # `_runs`: -1 +- reach
+    reach, width = record_window(data.t) // 2, data.distributions.shape[1]  # a model: -1 +- reach
     if not -1 - reach <= data.x_min <= data.x_min + width <= reach:
         raise ValueError(f"observed positions [{data.x_min}, {data.x_min + width}) are not "
                          f"inside the models' record window [{-1 - reach}, {reach})")
     params = ranges.draw(np.random.default_rng(seed), n_sets)
     distances, q0s, qps = over_batches(
         lambda block, workspace: _mc_batch(system, data, horizon, block, workspace),
-        params, MODEL.held(data.t)).T
+        params, fit_held(data.t, horizon)).T
     best = int(np.argmin(distances))
     ok = ~np.isnan(q0s)
     q0_err = float(np.mean(np.abs(q0s[ok] - q0s[best]))) if ok.any() else np.nan

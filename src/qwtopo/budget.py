@@ -2,14 +2,14 @@
 
 Pure Python, so that `config.estimate`, and `qwtopo verify` with it, runs
 without numpy or the engine: `walk.real_steps` steps the rows of `cone`,
-and each kind of `Study` splits its walkers into `batches` by `Study.held`.
+and each kind of `Study` splits its walkers into `batches` by `Study.held`,
+or by the cut histories' `ploc_held` and `fit_held`.
 It holds no run value, such as a p grid: those come from the config alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _GROW = 16  # slots added when a shift reaches an occupied window edge
 
@@ -23,6 +23,9 @@ BATCH_BUDGET = 3 * 2**16
 
 #: Rows of the reflection window holding the probe |-1, H> and the read-out (-2, V).
 PROBE_ROW, READOUT_ROW = 1, 0
+
+#: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
+LOC_WINDOW = 3
 
 #: Mixing angles within this distance of a multiple of pi/2 are rejected.
 ALPHA_GUARD = math.radians(2.0)
@@ -42,15 +45,29 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     (`identity_coin1`, passed as no coin-1 angles) and twice its rows
     otherwise, which holds the coins, the state and the launch amplitude;
     then, with `history`, the H and V history of `record`, else the rho row
-    of its `steps` read-outs.  The coins a study passes in are not counted,
-    nor the buffer's column pad: a batch of 64 walkers or more rounds its
-    buffer up to a multiple of 8 columns, at most 7 more than it has walkers,
-    so 7/64 of its buffer at most, and a narrower batch none (`walk._buffer`).
+    of its `steps` read-outs (`ploc_held` and `fit_held` keep a cut
+    history).  The coins a study passes in are not counted, nor the
+    buffer's column pad: a batch of 64 walkers or more rounds its buffer up
+    to a multiple of 8 columns, at most 7 more than it has walkers, so 7/64
+    of its buffer at most, and a narrower batch none (`walk._buffer`).
     A study keeps one workspace (`walk.Workspace`), for its widest batch, for
     its lifetime: the buffer and read-out or history of that batch, and the
     coins a pattern study gathers for it, stay held between its calls."""
     rows = sites if identity_coin1 else 2 * sites
     return 9 * ((rows + 3) // 2) + (2 * sites * (steps + 1) if history else steps)
+
+
+def ploc_held(t: int) -> int:
+    """`held` by a walker of `edges._ploc_batch`: its buffer, and its history
+    of steps 0 .. t on the rows that P_loc sums."""
+    return held(record_window(t), 0, identity_coin1=True) + 2 * (t + 1) * (2 * LOC_WINDOW + 1)
+
+
+def fit_held(t: int, horizon: int) -> int:
+    """`held` by a model of `apparatus._mc_batch`: its buffer and read-out,
+    its history of steps 0 .. horizon on the 2 horizon + 1 rows of the
+    probe's cone, and half as much again for `_distances`' blocks."""
+    return held(record_window(t), t) + (3 * horizon + 2) * (2 * horizon + 1)
 
 
 def batch_capacity(per_walker: int) -> int:
@@ -125,17 +142,19 @@ def record_site_steps(steps: int) -> int:
     return cone(steps + _GROW, steps + _GROW, record_window(steps), steps)[2]
 
 
-@dataclass(frozen=True)
 class Study:
-    """How one kind of study steps its walkers: with `history` by `walk.record`,
-    keeping whole walks, on the `record_window`, else by `scattering.sample_rows`
-    on the `reflection_window`; with `identity_coin1` on that window's rows,
-    else on the doubled lattice; with `distinct` each distinct pattern once
-    (`disorder.PatternStudy`)."""
+    """How one kind of study steps its walkers: with `history` on the
+    `record_window`, a whole walk by `walk.record` (`held`) and batches by
+    `walk.record_cut`, else by `scattering.sample_rows` on the
+    `reflection_window`; with `identity_coin1` on that window's rows, else
+    on the doubled lattice; with `distinct` each distinct pattern once
+    (`disorder.PatternStudy`).  A plain class: building a dataclass would
+    add about 0.4 ms to every `verify`."""
 
-    history: bool
-    identity_coin1: bool
-    distinct: bool
+    __slots__ = ("history", "identity_coin1", "distinct")
+
+    def __init__(self, history: bool, identity_coin1: bool, distinct: bool):
+        self.history, self.identity_coin1, self.distinct = history, identity_coin1, distinct
 
     def window(self, t: int) -> int:
         return (record_window if self.history else reflection_window)(t)

@@ -34,7 +34,8 @@ import math
 import operator
 
 from .budget import (ALPHA_GUARD, ENSEMBLE, INTERFACE, MODEL, SCAN, batch_capacity,
-                     batch_walkers, interface_members, record_window, within_guard)
+                     batch_walkers, fit_held, interface_members, ploc_held, record_window,
+                     within_guard)
 from .dataio import IoFailure
 
 #: How the run of each experiment kind steps its walkers: the one list of kinds.
@@ -51,7 +52,7 @@ BLOCK_KEY = {kind: kind.replace("-", "_") for kind in STUDY}
 MAX_SITE_STEPS = 5 * 10**8
 #: Most float64 elements one walker may hold in the engine (`budget.held`), 1 GiB:
 #: `walk.record`'s history grows as t * t, so an mc-errorbars run, which keeps
-#: one whole walk and writes no table, stops at t = 5 781.
+#: one whole walk and writes no table, stops at t = 5 781 (4 727 if horizon = t).
 MAX_HELD = 2**27
 #: Most rows of any table a run writes, which bounds its heatmap's cells too: a
 #: phase diagram of this many cells needs about 1.3 GB of tables and SVG, and
@@ -467,13 +468,15 @@ def config_warnings(cfg: dict) -> list[str]:
     return out
 
 
-def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
-    """(walkers, steps, walkers field, steps field, group) of each stepping
-    stage of a resolved config: the fields are dotted paths, and group is
-    the most walkers that one `budget.batches` call splits."""
+def _stages(cfg: dict) -> list[tuple[int, int, str, str, int, int]]:
+    """(walkers, steps, walkers field, steps field, group, held) of each
+    stepping stage of a resolved config: the fields are dotted paths, group
+    is the most walkers that one `budget.batches` call splits, each `held`."""
     kind = cfg["experiment"]
     key = BLOCK_KEY[kind]
     block = cfg[key]
+    t = block["t"]
+    held = STUDY[kind].held(t)
     extra = []
     if kind == "scan":
         field = "pairs_pi" if block["parametrization"] == "free" else "count"
@@ -489,16 +492,17 @@ def _stages(cfg: dict) -> list[tuple[int, int, str, str, int]]:
             n = tr["n_configs"]  # both endpoints and the first midpoint
             probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
             extra.append((probes * n, tr["t"], f"{key}.transition.n_configs",
-                          f"{key}.transition.t", n + max(n, 2)))
+                          f"{key}.transition.t", n + max(n, 2), ENSEMBLE.held(tr["t"])))
     elif kind == "edge":  # one call over all p, plus the intensity map
-        field = "n_configs"
+        field, held = "n_configs", ploc_held(t)
         group = sum(interface_members(block["n_configs"], block["p_grid"]))
         sims = group + 1
     elif kind == "emulate":  # one walker: its steps are all of its cost
         field, sims, group = "t", 1, 1
     else:  # one walker per apparatus model, plus the emulated data
         field, sims, group = "n_sets", block["n_sets"] + 1, block["n_sets"]
-    return [(sims, block["t"], f"{key}.{field}", f"{key}.t", group)] + extra
+        held = fit_held(t, block["horizon"])
+    return [(sims, t, f"{key}.{field}", f"{key}.t", group, held)] + extra
 
 
 def _tables(cfg: dict) -> list[tuple[int, str]]:
@@ -509,7 +513,7 @@ def _tables(cfg: dict) -> list[tuple[int, str]]:
     key = BLOCK_KEY[kind]
     block = cfg[key]
     if kind in ("scan", "phase-diagram"):  # a row per walker
-        walkers, _, field, _, _ = _stages(cfg)[0]
+        walkers, _, field, *_ = _stages(cfg)[0]
         return [(walkers, field)]
     tables = []
     if kind in ("disorder", "edge"):  # a row per configuration at each p
@@ -559,8 +563,8 @@ def _estimate(cfg: dict) -> dict:
            for w, t, *_ in stages]
     cost = [stage[0] * sites for stage, sites in zip(stages, per)]
     i = cost.index(max(cost))
-    walkers, _, walkers_field, steps_field, _ = stages[i]
-    holds = [study.held(t) for _, t, *_ in stages]
+    walkers, _, walkers_field, steps_field, *_ = stages[i]
+    holds = [max(held, study.held(t)) for _, t, *_, held in stages]
     j = holds.index(max(holds))
     rows, rows_field = max(_tables(cfg), key=lambda table: table[0], default=(0, ""))
     widest = (lambda group, h: min(group, batch_capacity(h))) if study.distinct \
@@ -570,8 +574,8 @@ def _estimate(cfg: dict) -> dict:
             "window_sites": study.window(max(stage[1] for stage in stages)),
             "site_steps": sum(cost),
             "cost_field": walkers_field if walkers >= per[i] else steps_field,
-            "batch_walkers": [(field, widest(group, h))
-                              for (_, _, _, field, group), h in zip(stages, holds)],
+            "batch_walkers": [(field, widest(group, held))
+                              for _, _, _, field, group, held in stages],
             "held": holds[j],
             "held_field": stages[j][3],
             "table_rows": rows,

@@ -17,16 +17,17 @@ the boundary coin converts toward H before the amplitude crosses the
 bond) maximizes the bound/ballistic contrast.  LAUNCH_SITE and
 LAUNCH_COIN pin the convention.
 
-Walkers run in batches through `walk.record`, with no coin-1 angles, so
-the engine steps the occupied sublattice.  The right bulk's coins are
-gathered through each pattern's mask from those of theta_a and theta_b
-(`disorder.pattern_coins`), as every disorder study gathers them.  The
-real coins keep the launch state |-1, V> in the engine's real structure
-(H real, V imaginary) up to the global phase i, which no intensity sees.
-A batch's P_loc is one sum over the history rows x in [-3, 3] of every
-walker, which hold exact zeros outside a walker's window; `run_interface`
-keeps the last of its batch of one's `walk.windows`, the window a
-single-state stepper ends on.
+Walkers run with no coin-1 angles, so the engine steps the occupied
+sublattice.  The right bulk's coins are gathered through each pattern's
+mask from those of theta_a and theta_b (`disorder.pattern_coins`), as
+every disorder study gathers them.  The real coins keep the launch state
+|-1, V> in the engine's real structure (H real, V imaginary) up to the
+global phase i, which no intensity sees.  A P_loc batch runs through
+`walk.record_cut`, which keeps only the rows x in [-3, 3] that P_loc sums,
+up to step t, and exact zeros outside a walker's window; its P_loc is one
+sum over those rows of every walker.  `run_interface` records its one
+walker's whole walk through `walk.record` and keeps the last of its
+`walk.windows`, the window a single-state stepper ends on.
 `localization_vs_disorder` steps each distinct right-bulk pattern of all
 its p once, through one `disorder.PatternStudy` call.  Neither study has
 a default: every value comes from the run's config.
@@ -38,12 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import INTERFACE, interface_members
-from .walk import V, Workspace, coins, record, windows
+from .budget import LOC_WINDOW, interface_members, ploc_held
+from .walk import V, Workspace, coins, record, record_cut, windows
 from .disorder import EnsembleResult, PatternStudy, coin_table, config_uniforms, pattern_coins
-
-#: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
-LOC_WINDOW = 3
 
 #: The walker starts here, on the left bulk's boundary site.
 LAUNCH_SITE = -1
@@ -69,16 +67,21 @@ class LocalizationRecord:
         return np.arange(self.x_min, self.x_min + self.distributions.shape[1])
 
 
-def _launch(theta_left: float, right: tuple, t: int,
-            workspace: Workspace | None = None) -> tuple:
-    """`walk.record` of the launch state, one walker per row of the (B, sites)
-    right-bulk second coins `right`, behind the left bulk theta_left, on the
-    positions from -(t + 2) on, stepped in `workspace`, or a fresh one."""
+def _interface_coins(theta_left: float, right: tuple, t: int) -> tuple:
+    """The second coins on the positions from -(t + 2) on, one row per row of
+    the (B, sites) right-bulk second coins `right`, behind the left bulk
+    theta_left."""
     if t < 0:
         raise ValueError("t must be non-negative")
     left = coins(np.array([theta_left]))
-    coin2 = tuple(_joined(edge, bulk, t + 2) for edge, bulk in zip(left, right))
-    return record(-(t + 2), None, coin2, LAUNCH_SITE, LAUNCH_COIN, t, workspace=workspace)
+    return tuple(_joined(edge, bulk, t + 2) for edge, bulk in zip(left, right))
+
+
+def _launch(theta_left: float, right: tuple, t: int) -> tuple:
+    """`walk.record` of the launch state, one walker per row of the (B, sites)
+    right-bulk second coins `right`, behind the left bulk theta_left."""
+    return record(-(t + 2), None, _interface_coins(theta_left, right, t), LAUNCH_SITE,
+                  LAUNCH_COIN, t)
 
 
 def run_interface(theta_left: float, theta_a: float, theta_b: float, seed: int, t: int,
@@ -98,10 +101,10 @@ def _ploc_batch(right: tuple, theta_left: float, t: int,
                 workspace: Workspace | None = None) -> np.ndarray:
     """P_loc after t steps of each row of the (B, sites) right-bulk coins, stepped
     in `workspace`: one sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the
-    whole batch's history."""
-    x_min, h, v = _launch(theta_left, right, t, workspace)
-    rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW - x_min + 1)
-    return np.sum(h[t, rows] ** 2 + v[t, rows] ** 2, axis=0)
+    whole batch's history, the only rows `walk.record_cut` keeps of it."""
+    _, h, v = record_cut(-(t + 2), None, _interface_coins(theta_left, right, t), LAUNCH_SITE,
+                         LAUNCH_COIN, t, -LOC_WINDOW, 2 * LOC_WINDOW + 1, t, workspace=workspace)
+    return np.sum(h[t] ** 2 + v[t] ** 2, axis=0)
 
 
 def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
@@ -116,7 +119,7 @@ def localization_vs_disorder(theta_left: float, theta_a: float, theta_b: float,
     uniforms = config_uniforms(seed, range(n_configs), t + 2)
     study = PatternStudy(theta_a, theta_b,
                          lambda coin2, workspace: _ploc_batch(coin2, theta_left, t, workspace),
-                         INTERFACE.held(t))
+                         ploc_held(t))
     counts = interface_members(n_configs, p_grid)
     values = study.values([uniforms[:n] < p for n, p in zip(counts, p_grid)])
     return [EnsembleResult(p, v) for p, v in zip(p_grid, values)]

@@ -28,9 +28,13 @@ take once per distinct angle, where they make the angles, and gather into
 trig.  Its arithmetic rule: each `np.multiply`, `np.add` and `np.subtract`
 on float64 reals is rounded separately, with no fused or complex multiply,
 so every SIMD level numpy dispatches gives the same bits.  Its loop writes
-each step's read-out, or the step's cone into a history, as it goes:
-`scattering.sample_rows` reads one row's V, and `record` keeps every step
-of a batch whole.  Studies reduce whole batches.
+each step's read-out, and the step's cone into a history, as it goes, and a
+caller asks only for what it reads: `scattering.sample_rows` reads one
+row's V; `record_cut` keeps the history of the first steps on a range of
+rows, the P_loc rows or the positions a Monte-Carlo fit compares, beside a
+read-out; `record` keeps every step of a batch whole, the case of
+`record_cut` over the whole window.  A batch with a history steps its
+uncut cone.  Studies reduce whole batches.
 
 A walker's window is the span a single-state stepper would hold it on: it
 starts at [x0 - 1, x0 + 1] and grows by _GROW sites whenever a shift meets
@@ -41,8 +45,8 @@ the complex states of a `WalkerState.localized` launch, each on its step's
 window.
 
 A study steps all its batches in one `Workspace`, which it keeps for its
-lifetime: the kernel's buffer and read-out, the history of `record` and a
-pattern study's gathered coins are carved from one array, sized for the
+lifetime: the kernel's buffer and read-out, the history of `record_cut` and
+a pattern study's gathered coins are carved from one array, sized for the
 study's widest batch, so that a study allocates them once.  Each call
 zeroes what a fresh array would have to hold, so reuse changes no bit.  A
 call given no workspace gets a fresh one, and arrays that are its caller's
@@ -173,9 +177,10 @@ class Workspace:
     """The float64 array one study's engine calls carve their arrays from.
 
     A batch carves, in this order, the coins `disorder.pattern_coins`
-    gathers, if its study gathers any, the (h, v) history of `record`, if
-    it keeps one, and the kernel's buffer and read-out (`_buffer`), each
-    right after the last sizes of the kinds before it.  `over_batches`
+    gathers, if its study gathers any, the (h, v) history of `record_cut`,
+    if it keeps one, and the kernel's buffer and read-out (`_buffer`), each
+    right after the last sizes of the kinds before it; once the engine is
+    done, `apparatus._distances` carves its blocks where the engine's were.  `over_batches`
     sizes the array for the study's widest batch before its first, so the
     study allocates its batch arrays once and a later call finds their
     memory paged in.  Holding one block, the largest a study allocates,
@@ -233,14 +238,17 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     zeros and, for a V launch, the global phase i.  Amplitude shifted past
     the window edges is dropped, and the inputs are never modified.  Each
     step updates the rows of its `cone` from the launch site, cut to the
-    rows that can still reach row `read` if one is given.
+    rows that can still reach row `read` if one is given and no history is.
 
     With `read`, returns the (B, steps) read-out: column j - 1 holds V of
     every walker on row `read` after step j.  The buffer and the read-out are
     carved from `workspace`, or from a fresh `Workspace` if none is given
-    (`_buffer`).  With `history` = (h, v),
-    (steps + 1, sites, B) arrays, writes H and V of each step j's cone rows
-    into h[j] and v[j] and leaves every other element alone.
+    (`_buffer`).  With `history` = (first, h, v), h and v (k + 1, rows, B)
+    arrays with k <= steps, the cut history of the window rows [first, first
+    + rows) over steps 0 .. k: writes H and V of each step j = 1 .. k's cone
+    rows among them into h[j] and v[j] and leaves every other element alone.
+    Rows off the window are never written, so a range may reach past either
+    edge, or be empty.
 
     One kernel steps every batch: the walk with coin 1 the identity, which
     is bipartite (coin 2 maps the pair (H at row i, V at row i + 1) onto (H
@@ -250,8 +258,7 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     doubled lattice of 2 * sites rows, where a split step is two kernel
     steps, as it is two roundtrips of the fibre loop: coin 2 of row r and H
     sit on row 2r, coin 1 and V on row 2r + 1, and every second step is read
-    out on the rows halved; at a read cut, H on the cone's first row, which cannot reach V
-    on the read row in time, is left out of the history.
+    out on the rows halved.
     """
     walkers, m = coin2[0].shape
     lo, hi = max(offset, 0), max(min(offset + m, sites), offset, 0)  # the coin rows in the window
@@ -263,7 +270,7 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     buf, rho = _buffer(coin1 if doubled else None, coin2, offset, rows, lo, hi, workspace,
                        None if read is None else steps // per)
     buf[4 + 2 * coin + (site + 1) % 2, (site + 1) // 2] = 1.0
-    first, last = cone(site, site, rows, steps, read)[:2]
+    first, last = cone(site, site, rows, steps, read if history is None else None)[:2]
     _kernel(buf, walkers, (site + coin) % 2, per, first, last,
             None if read is None else read + 1, rho, history)
     return rho
@@ -333,6 +340,7 @@ def _kernel(buf, walkers, q, per, first, last, read, rho, history):
     half, width = buf.shape[1:]
     c, s, h, v = (buf[p:p + 2].reshape(2 * half, width) for p in (0, 2, 4, 6))
     at_read = None if read is None else read % 2 * half + read // 2
+    kept = None if history is None else history[1].shape[0] - 1  # the last step kept
     for k, lo, hi in zip(range(1, len(first) + 1), first, last):
         # rotate, for every R = 2m + q in [lo + 1, hi + 2], the pair (H at R - 1, V at R)
         # by the coin of R into (H at R, V at R - 1): H of parity 1 - q, V of parity q
@@ -343,15 +351,25 @@ def _kernel(buf, walkers, q, per, first, last, read, rho, history):
         if k % per == 0:
             if rho is not None and lo < read <= hi + 1 and (read + q) % 2:
                 rho[:, k // per - 1] = v[at_read, :walkers]  # V on the read row, written this step
-            if history is not None:
-                mh, mv = (hi + 1 - q) // 2, (lo + 3 - q) // 2  # the last H, first V in the cone
-                # H on the window rows 2m + q - 1, V on 2m + q - 2, halved on the doubled lattice
-                j = k // per
-                history[0][j, (2 * m0 + q - 1) // per:(2 * mh + q - 1) // per + 1:2 // per] = \
-                    h[at + m0:at + mh + 1, :walkers]
-                history[1][j, (2 * mv + q - 2) // per:(2 * m1 + q - 4) // per + 1:2 // per] = \
-                    v[before + mv:before + m1, :walkers]
+            if history is not None and k // per <= kept:
+                # H of m in [m0, the last H in the cone] on the window rows 2m + q - 1, V of
+                # m in [the first V, m1) on 2m + q - 2, halved on the doubled lattice
+                _keep(history[0], history[1][k // per], h, at, m0, (hi + 3 - q) // 2,
+                      (q - 1) // per, per, walkers)
+                _keep(history[0], history[2][k // per], v, before, (lo + 3 - q) // 2, m1,
+                      (q - 2) // per, per, walkers)
         q = 1 - q
+
+
+def _keep(first, out, plane, at, m0, m1, base, per, walkers):
+    """out[i] = plane[at + m] for the m in [m0, m1) whose window row m * (2 //
+    per) + base is first + i, one of out's rows."""
+    step = 2 // per
+    m0 = max(m0, -((base - first) // step))
+    m1 = min(m1, (first + out.shape[0] - 1 - base) // step + 1)
+    if m0 < m1:
+        out[m0 * step + base - first:(m1 - 1) * step + base - first + 1:step] = \
+            plane[at + m0:at + m1, :walkers]
 
 
 def _rotate(c, s, x, y, x_out, y_out, tmp):
@@ -371,22 +389,43 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
     h and v are the (steps + 1, sites, B) history on x0 +- (steps + _GROW)
     that `real_steps` fills on its cone, [j, i, k] holding H = h and V = i v
     (up to a global phase) of walker k after j steps at position x_min + i,
-    and exact zeros off the walker's own window (`windows`).  h and v are
-    carved from `workspace`, or a fresh one, which the engine runs in too
-    (`real_steps`), and zeroed.
+    and exact zeros off the walker's own window (`windows`): the cut history
+    of `record_cut` over the whole window and every step.
+    """
+    x_min = x0 - steps - _GROW
+    _, h, v = record_cut(start, coin1, coin2, x0, coin, steps, x_min, record_window(steps), steps,
+                         workspace=workspace)
+    return x_min, h, v
+
+
+def record_cut(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int, steps: int,
+               first: int, rows: int, kept: int, read: int | None = None, *,
+               workspace: Workspace | None = None) -> tuple:
+    """(rho, h, v): the walkers of `record`, stepped on its window and cone,
+    with their history cut to what a study reads.
+
+    h and v are the (kept + 1, rows, B) history of steps 0 .. kept on the
+    positions [first, first + rows): bit for bit that slice of `record`'s
+    history, and exact zeros at positions off its window.  With `read`, rho
+    is the (B, steps) read-out of V at position `read` after steps 1 ..
+    steps (`real_steps`), else None.  h and v are carved from `workspace`,
+    or a fresh one, which the engine runs in too, and zeroed.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    if not 0 <= kept <= steps or rows < 0:
+        raise ValueError(f"cannot keep steps 0 .. {kept} of {steps} on {rows} rows")
     reach = steps + _GROW
-    x_min, n = x0 - reach, record_window(steps)
-    walkers = coin2[0].shape[0]
+    x_min, walkers = x0 - reach, coin2[0].shape[0]
     workspace = Workspace() if workspace is None else workspace
-    h, v = _zeroed(workspace.history(2 * (steps + 1) * n * walkers)).reshape(2, steps + 1, n,
-                                                                          walkers)
-    (h, v)[coin][0, reach] = 1.0
-    real_steps(coin1, coin2, start - x_min, n, reach, coin, steps, history=(h, v),
-               workspace=workspace)
-    return x_min, h, v
+    h, v = _zeroed(workspace.history(2 * (kept + 1) * rows * walkers)).reshape(2, kept + 1, rows,
+                                                                             walkers)
+    if 0 <= x0 - first < rows:
+        (h, v)[coin][0, x0 - first] = 1.0
+    rho = real_steps(coin1, coin2, start - x_min, record_window(steps), reach, coin, steps,
+                     None if read is None else read - x_min, (first - x_min, h, v),
+                     workspace=workspace)
+    return rho, h, v
 
 
 def windows(h: np.ndarray, v: np.ndarray) -> list[tuple[int, int]]:

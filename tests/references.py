@@ -1,23 +1,26 @@
 """Per-walker forms of the package's batch reductions, the tests' references.
 
 `walk.record` returns a batch as the engine holds it, whole (steps + 1,
-sites, B) histories on one record window, and the studies reduce whole
-batches.  These are the walker-by-walker forms they replaced, kept here
-to check them bit for bit: each walker stepped alone by `stepping.evolve`
-on the window it ends on, the Monte-Carlo distances read by position
-from those windows, and P_loc masked from one walker's distributions.
-`mixed_windows` builds a batch whose walkers end on windows of different
-widths and first rows, which no shipped run produces; `_distances`'
-positional read is checked on it.  `written_rows` reads the rows each
-step of an engine call writes.  `scalar_invariants` reads the invariants
+sites, B) histories on one record window, `walk.record_cut` the rows of
+them that a study reads, and the studies reduce whole batches.  These are
+the walker-by-walker forms they replaced, kept here to check them bit for
+bit: each walker stepped alone by `stepping.evolve` on the window it ends
+on, the Monte-Carlo distances read by position from those windows, and
+P_loc masked from one walker's distributions.  `mixed_windows` builds a
+batch whose walkers end on windows of different widths and first rows,
+which no shipped run produces; `_distances`' positional read is checked on
+it.  `kernel_history` shows the rows each step of an engine call writes,
+and `written_rows` reads them.  `scalar_invariants` reads the invariants
 of one complex series with complex scalars, the reference for the
 package's one array reader, `scattering.invariant_rows`.
 """
 
+import contextlib
 import math
 
 import numpy as np
 
+import qwtopo.walk
 from qwtopo.apparatus import _intensities, _normalize
 from qwtopo.edges import LOC_WINDOW
 from qwtopo.walk import H, coins, real_steps, record
@@ -93,27 +96,45 @@ def distances(observed, first_x, windows, loss, horizon) -> np.ndarray:
     column i is the site first_x + i.  Each walker of `evolve_windows` is
     read on those sites, zero off its window, and the walkers are stacked."""
     width = observed.shape[1]
-    a, b = np.zeros((2, len(windows), horizon + 1, width))
+    a, b = np.zeros((2, horizon + 1, width, len(windows)))
     for k, (x_min, wa, wb) in enumerate(windows):
         lo, hi = max(x_min, first_x), min(x_min + wa.shape[1], first_x + width)
         if hi > lo:
-            a[k, :, lo - first_x:hi - first_x] = wa[:horizon + 1, lo - x_min:hi - x_min]
-            b[k, :, lo - first_x:hi - first_x] = wb[:horizon + 1, lo - x_min:hi - x_min]
-    d = _normalize(_intensities(a, b, loss)[:, 1:])
+            a[:, lo - first_x:hi - first_x, k] = wa[:horizon + 1, lo - x_min:hi - x_min]
+            b[:, lo - first_x:hi - first_x, k] = wb[:horizon + 1, lo - x_min:hi - x_min]
+    d = _normalize(_intensities(a, b, loss)[1:].transpose(2, 0, 1).copy())
     d -= _normalize(observed[1:horizon + 1].copy())
     d *= d
     return np.sum(d, axis=(1, 2))
 
 
-def written_rows(coin1, coin2, offset, sites, site, coin, steps, read=None) -> list:
+@contextlib.contextmanager
+def kernel_history(h, v):
+    """Within the block, the kernel of every `walk.real_steps` call writes
+    each step into the (steps + 1, sites, B) history (0, h, v) of the whole
+    window, whether the call keeps a history or not: the rows of the cone
+    the call steps, cut to its read row where it keeps no history."""
+    kernel = qwtopo.walk._kernel
+    qwtopo.walk._kernel = lambda *args: kernel(*args[:-1], (0, h, v))
+    try:
+        yield
+    finally:
+        qwtopo.walk._kernel = kernel
+
+
+def written_rows(coin1, coin2, offset, sites, site, coin, steps, read=None,
+                 history=None) -> list:
     """The window rows of H and of V that each step of a `walk.real_steps`
-    call writes into a history, one pair of index arrays per step: the call
-    rerun on one walker into a NaN-filled history.  That walker has coin-1
-    angles if any walker of the batch has, so it runs on the batch's lattice."""
+    call writes, one pair of index arrays per step: the call rerun on one
+    walker, with a history if it has one, its kernel writing into a
+    NaN-filled history (`kernel_history`).  That walker has coin-1 angles if
+    any walker of the batch has, so it runs on the batch's lattice."""
     k = 0 if coin1 is None else int(np.argmax(np.any(coin1[1] != 0, axis=1)))
     h, v = np.full((2, steps + 1, sites, 1), np.nan)
-    real_steps(None if coin1 is None else tuple(x[k:k + 1] for x in coin1),
-               tuple(x[k:k + 1] for x in coin2), offset, sites, site, coin, steps, read, (h, v))
+    with kernel_history(h, v):
+        real_steps(None if coin1 is None else tuple(x[k:k + 1] for x in coin1),
+                   tuple(x[k:k + 1] for x in coin2), offset, sites, site, coin, steps, read,
+                   None if history is None else (0, h, v))
     return [(np.flatnonzero(~np.isnan(a[:, 0])), np.flatnonzero(~np.isnan(b[:, 0])))
             for a, b in zip(h[1:], v[1:])]
 

@@ -13,14 +13,17 @@ In a temporary directory it checks, in order:
 
 1. `walk.evolve` steps the benchmark's kernel-grid walker on the package's
    own engine.
-2. `verify` and `run` of every shipped config, each a fresh
+2. `verify` of every shipped config, a fresh `python -m qwtopo` process,
+   prints the simulations, window, site-steps and walkers per batch that
+   `tests/shipped_estimates.json` records.
+3. `verify` and `run` of every shipped config, each a fresh
    `python -m qwtopo` process, succeed, and each run's manifest lists the
    files and hashes that `tests/shipped_hashes.json` records.
-3. Every shipped config run twice in this one interpreter gives the
+4. Every shipped config run twice in this one interpreter gives the
    recorded hashes in both rounds: no study's state leaks into the next.
-4. `replot` of every run of check 2 that wrote CSV tables rewrites the
+5. `replot` of every run of check 3 that wrote CSV tables rewrites the
    bytes `run` wrote, so every manifest hash still holds.
-5. A `--format json` run of every shipped config writes strict JSON only:
+6. A `--format json` run of every shipped config writes strict JSON only:
    no NaN or Infinity token, a cell with no value is null.
 
 It prints one line per check that holds and exits 0, or exits 1 with a
@@ -47,14 +50,19 @@ CONFIGS = sorted(os.path.join(HERE, "..", "configs", name)
 with open(os.path.join(HERE, "shipped_hashes.json"), encoding="utf-8") as _fh:
     #: name of a shipped config -> {output file: sha256}, manifest excluded.
     RECORDED = json.load(_fh)
+with open(os.path.join(HERE, "shipped_estimates.json"), encoding="utf-8") as _fh:
+    #: name of a shipped config, without ".json" -> its `config.estimate`.
+    ESTIMATES = json.load(_fh)
 
 
-def qwtopo(*args: str):
-    """`python -m qwtopo args` in a fresh process; exits on a non-zero code."""
+def qwtopo(*args: str) -> str:
+    """`python -m qwtopo args` in a fresh process; exits on a non-zero code,
+    else returns what it printed."""
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qwtopo", *args],
                           capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"qwtopo {' '.join(args)} exited {done.returncode}: {done.stderr.strip()}")
+    return done.stdout
 
 
 def manifest_outputs(out: str) -> dict:
@@ -71,6 +79,20 @@ def check_evolve():
         sys.exit("the tests' single-state stepper is importable")
     if len(states) != 12:
         sys.exit(f"walk.evolve gave {len(states)} states, not 12")
+
+
+def check_estimates():
+    for cfg in CONFIGS:
+        name = os.path.basename(cfg)
+        est = ESTIMATES[name.removesuffix(".json")]
+        printed = qwtopo("verify", "--config", cfg).splitlines()
+        want = [f"estimated simulations: {est['simulations']}",
+                f"estimated window: {est['window_sites']} sites",
+                f"estimated site-steps: {est['site_steps']}",
+                "estimated walkers per batch: " + ", ".join(
+                    f"{walkers} at {field}" for field, walkers in est["batch_walkers"])]
+        if missing := [line for line in want if line not in printed]:
+            sys.exit(f"{name}: verify printed no {missing}, but {printed}")
 
 
 def check_runs(top: str):
@@ -130,6 +152,8 @@ def check_json(top: str):
 
 CHECKS = (
     ("walk.evolve steps on the package alone", lambda top: check_evolve()),
+    ("verify of every shipped config prints its recorded estimates",
+     lambda top: check_estimates()),
     ("every shipped config verifies and runs to its recorded hashes", check_runs),
     ("every shipped config run twice in one interpreter gives its recorded hashes",
      check_twice),

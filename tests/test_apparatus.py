@@ -424,12 +424,14 @@ def test_shots_readout_keeps_the_draw_order_bit_for_bit():
 # ------------------------------------------- batch reductions, walker by walker
 
 def test_mc_distances_equal_the_per_walker_form_bit_for_bit():
-    """`_distances` reads every walker on the observed sites of the whole
-    history; the per-walker form reads each walker's `evolve` window on
-    those sites, zero off it.  On batches whose walkers end on windows of
-    different widths and first rows, against observed windows at each of
-    those windows, at record's window, offset from it, narrower and wider,
-    they agree as reprs and leave the history as it was."""
+    """`_distances` reads every walker on a cut of the whole history, the
+    observed sites or those of them in the probe's cone -1 +- horizon, as
+    `_mc_batch` cuts it, and overwrites the cut; the per-walker form reads
+    each walker's `evolve` window on those sites, zero off it.  On batches
+    whose walkers end on windows of different widths and first rows,
+    against observed windows at each of those windows, at record's window,
+    offset from it, narrower and wider, they agree as reprs and leave the
+    history as it was."""
     rng = np.random.default_rng(33)
     for t in (3, 12, 20):
         run = mixed_windows(t)
@@ -447,9 +449,13 @@ def test_mc_distances_equal_the_per_walker_form_bit_for_bit():
             assert 0 <= first and first + w <= h.shape[1]
             observed = rng.uniform(0, 1, (t + 1, w))
             for horizon in (1, t // 2, t):
-                got = _distances(observed, first, h, v, loss, horizon)
                 want = distances(observed, x_min + first, windows, loss, horizon)
-                assert as_reprs(got) == as_reprs(want)
+                cone = max(first, -1 - horizon - x_min)
+                for lo_cut, hi_cut in ((first, first + w),
+                                       (cone, max(min(first + w, horizon - x_min), cone))):
+                    cut = (x[:horizon + 1, lo_cut:hi_cut].copy() for x in (h, v))
+                    got = _distances(observed, lo_cut - first, *cut, loss)
+                    assert as_reprs(got) == as_reprs(want)
         assert np.array_equal(h, before[0]) and np.array_equal(v, before[1])
 
 

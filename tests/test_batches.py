@@ -16,6 +16,7 @@ import qwtopo.scattering
 import qwtopo.walk
 from qwtopo import (ApparatusModel, ScatteringSystem, emulate_measurement,
                     monte_carlo_errorbars)
+from qwtopo.apparatus import _mc_batch
 from qwtopo.disorder import DisorderSpec, ensemble_r0, transition_locator
 from qwtopo.edges import localization_vs_disorder
 from qwtopo.scattering import phase_diagram, scan_line
@@ -108,6 +109,28 @@ def test_held_counts_what_the_engine_allocates(t):
             finally:
                 tracemalloc.stop()
             assert 0.95 <= peak / 8 / 64 / held <= 1.1, (identity, held)
+
+
+@pytest.mark.parametrize("t, horizon, models", ((11, 7, 64), (400, 400, 8)))
+def test_a_fit_batch_holds_what_fit_held_counts(t, horizon, models):
+    """A traced Monte-Carlo fit batch of `models` models allocates
+    `budget.fit_held` float64 elements per model, within 10 %, on the data
+    its run emulates: the engine's buffer and read-out, the history cut to
+    the probe's cone over steps 0 .. horizon, and the blocks `_distances`
+    compares.  At t = 400 and horizon 400, one more copy of a model's
+    history on the observed window would add more than half; 8 models keep
+    the traced batch near 60 MB."""
+    system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, t)
+    data = emulate_measurement(system, t, ApparatusModel(loss_asymmetry=0.02))
+    params = RANGES.draw(np.random.default_rng(1), models)
+    _mc_batch(system, data, 1, params[:1])  # imports and caches outside the peak
+    tracemalloc.start()
+    try:
+        _mc_batch(system, data, horizon, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.95 <= peak / 8 / models / qwtopo.budget.fit_held(t, horizon) <= 1.1
 
 
 def test_the_column_pad_is_all_the_budget_leaves_out():

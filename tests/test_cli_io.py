@@ -965,7 +965,7 @@ def test_the_runtime_checks_pass_from_a_temporary_directory(tmp_path):
     done = subprocess.run([sys.executable, os.path.join(here, "runtime_checks.py")],
                           cwd=tmp_path, capture_output=True, text=True, timeout=600, env=env)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("ok: ") == 5
+    assert done.stdout.count("ok: ") == 6
 
 
 def above_baseline() -> list:

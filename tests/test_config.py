@@ -142,7 +142,8 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
             rows.append(batch)
             widest[steps] = max(widest.get(steps, 0), batch)
             walkers[steps] = walkers.get(steps, 0) + batch
-            for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read):
+            for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read,
+                                       history):
                 # the sites this step updated, those of its H or V rows
                 site_steps.append(len(set(ra.tolist()) | set(rb.tolist())) * batch)
             return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history,
@@ -454,6 +455,21 @@ def test_the_longest_emulation_under_the_held_cap_is_valid():
            "mc_errorbars": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t, "n_sets": 1}}
     cfgmod.validate(cfg)
     cfg["mc_errorbars"]["t"] = t + 1
+    with pytest.raises(cfgmod.ConfigInvalid, match="MAX_HELD"):
+        cfgmod.validate(cfg)
+
+
+def test_a_fit_with_a_horizon_of_t_is_held_to_what_a_model_holds():
+    """With a horizon of t, one fit model holds its history of the first
+    horizon steps and its share of the compared intensities
+    (`budget.fit_held`), more than the emulated walk, so the held cap
+    bounds t below the emulation's 5 781."""
+    t = 4727
+    cfg = {"experiment": "mc-errorbars",
+           "mc_errorbars": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t, "horizon": t,
+                            "n_sets": 1}}
+    assert cfgmod.validate(cfg)[1]["held"] == qwtopo.budget.fit_held(t, t)
+    cfg["mc_errorbars"].update(t=t + 1, horizon=t + 1)
     with pytest.raises(cfgmod.ConfigInvalid, match="MAX_HELD"):
         cfgmod.validate(cfg)
 

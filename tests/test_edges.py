@@ -199,10 +199,13 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
 def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
     """Rows outside a walker's window hold exact zeros, so walkers whose
     `evolve` windows differ in width and first row, at t = 0 inside [-3, 3],
-    still sum as each one's own mask does."""
+    still sum as each one's own mask does: the batch's history cut to the
+    rows [-LOC_WINDOW, LOC_WINDOW], as `walk.record_cut` keeps it."""
     for t in (0, 1, 3, 12, 20):
-        run = mixed_windows(t)
-        monkeypatch.setattr(qwtopo.edges, "record", lambda *args, **kwargs: run)
+        x_min, h, v = mixed_windows(t)
+        rows = slice(-LOC_WINDOW - x_min, LOC_WINDOW + 1 - x_min)
+        cut = None, h[:, rows], v[:, rows]
+        monkeypatch.setattr(qwtopo.edges, "record_cut", lambda *args, **kwargs: cut)
         want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min), t)
                 for x_min, a, b in evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)]
         assert reprs(_ploc_batch(coins(np.zeros((len(want), 1))), TH_L, t)) == reprs(want)

@@ -11,11 +11,11 @@ import qwtopo.scattering
 import qwtopo.walk
 from qwtopo.budget import batch_walkers, batches, record_site_steps, reflection_site_steps
 from qwtopo.scattering import sample_rows
-from qwtopo.walk import H, V, coins, record, reduced
+from qwtopo.walk import H, V, coins, record, record_cut, reduced
 
 from oracles import DenseLattice, rotation, dense_trajectory
-from references import (MIXED_START, evolve_windows, mixed_angles, mixed_windows, on_own_window,
-                        union_window, written_rows)
+from references import (MIXED_START, evolve_windows, kernel_history, mixed_angles, mixed_windows,
+                        on_own_window, union_window, written_rows)
 from stepping import (CoinField, SplitStepProtocol, WalkerState, apply_coin_field,
                       apply_shift_minus, apply_shift_plus, apply_shift_symmetric,
                       double_step_equivalent, evolve, split_step)
@@ -681,8 +681,8 @@ def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coi
               for th in (theta1, theta2)]
     for offset, th1, th2 in ((0, theta1, theta2), (-2, *padded)):
         h, v = np.full((2, t + 1, n, walkers), np.nan)
-        rho = qwtopo.walk.real_steps(coins(th1), coins(th2), offset, n, site, coin, t, read,
-                                     (h, v))
+        with kernel_history(h, v):
+            rho = qwtopo.walk.real_steps(coins(th1), coins(th2), offset, n, site, coin, t, read)
         assert np.isnan(h[0]).all() and np.isnan(v[0]).all()
         for j, (lo, hi, (a, b)) in enumerate(zip(first, last, full), 1):
             ra, rb = (np.flatnonzero(~np.isnan(x[j, :, 0])) for x in (h, v))
@@ -704,6 +704,45 @@ def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coi
             assert not identity or not ra.size or not rb.size or (ra[0] - rb[0]) % 2 == 1
 
 
+@pytest.mark.parametrize("identity", (True, False))
+@pytest.mark.parametrize("with_read", (False, True))
+def test_a_cut_history_is_the_slice_of_the_whole_one(identity, with_read):
+    """Over random t <= 40, kept steps k <= t and position ranges, among them
+    ranges reaching past either edge of `record`'s window, empty ranges and
+    ranges that start off its first row, `record_cut` keeps bit for bit the
+    slice of `record`'s whole history, zeros off its window, with coin 1
+    None and on the doubled lattice; with `read`, its read-out is the V row
+    of the read position in the whole history, v[1:, read]."""
+    rng = np.random.default_rng(40 + 2 * identity + with_read)
+    for _ in range(12):
+        t = int(rng.integers(0, 41))
+        kept = int(rng.integers(0, t + 1))
+        walkers, x0, coin = int(rng.integers(1, 6)), int(rng.integers(-3, 4)), int(rng.integers(2))
+        start = x0 - int(rng.integers(0, t + 2))
+        sites = int(rng.integers(1, 2 * t + 4))
+        theta1 = None if identity else coins(rng.uniform(0, 2 * np.pi, (walkers, sites)))
+        theta2 = coins(rng.uniform(0, 2 * np.pi, (walkers, sites)))
+        x_min, h, v = record(start, theta1, theta2, x0, coin, t)
+        n = h.shape[1]
+        # the whole history with n zero rows on either side, so that row x is x_min + n
+        padded = [np.pad(x, ((0, 0), (n, n), (0, 0))) for x in (h, v)]
+        ranges = [(x_min + int(rng.integers(-n, n)), int(rng.integers(0, n + 1))),
+                  (x_min - 3, n + 6), (x_min + n - 2, 5), (x0 + int(rng.integers(-2, 3)), 0),
+                  (x0 - kept, 2 * kept + 1)]
+        for first, rows in ranges:
+            read = x_min + int(rng.integers(0, n)) if with_read else None
+            rho, cut_h, cut_v = record_cut(start, theta1, theta2, x0, coin, t, first, rows, kept,
+                                           read)
+            lo = first - x_min + n
+            for cut, whole in zip((cut_h, cut_v), padded):
+                want = np.ascontiguousarray(whole[:kept + 1, lo:lo + rows])
+                assert cut.shape == want.shape and cut.tobytes() == want.tobytes()
+            if with_read:
+                assert rho.tobytes() == np.ascontiguousarray(v[1:, read - x_min].T).tobytes()
+            else:
+                assert rho is None
+
+
 def test_cone_of_an_unreachable_read_is_empty():
     """Row 5 of a 7-row window is out of reach from row 1 in 2 steps: both
     steps are empty, with last = first - 1, and the total is 0, on either
@@ -712,8 +751,9 @@ def test_cone_of_an_unreachable_read_is_empty():
     assert first == [4, 5] and last == [3, 4] and total == 0
     for theta1 in (np.zeros((3, 7)), np.full((3, 7), 0.4)):
         h, v = np.full((2, 3, 7, 3), np.nan)
-        rho = qwtopo.walk.real_steps(coins(theta1), coins(np.full((3, 7), 1.1)), 0, 7, 1, H, 2,
-                                     5, (h, v))
+        with kernel_history(h, v):
+            rho = qwtopo.walk.real_steps(coins(theta1), coins(np.full((3, 7), 1.1)), 0, 7, 1, H,
+                                         2, 5)
         assert np.isnan(h[1:]).all() and np.isnan(v[1:]).all()
         assert rho.shape == (3, 2) and not rho.any()
 
@@ -788,7 +828,8 @@ def _counting(real_steps, counted):
     H or V rows, times the walkers."""
     def counted_steps(coin1, coin2, offset, sites, site, coin, steps, read=None,
                       history=None, workspace=None):
-        for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read):
+        for ra, rb in written_rows(coin1, coin2, offset, sites, site, coin, steps, read,
+                                   history):
             counted.append(len(set(ra.tolist()) | set(rb.tolist())) * coin2[0].shape[0])
         return real_steps(coin1, coin2, offset, sites, site, coin, steps, read, history,
                           workspace=workspace)

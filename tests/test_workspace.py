@@ -1,11 +1,11 @@
 """One workspace per study: reused engine memory never changes a result.
 
-A `walk.Workspace` holds the engine's buffer and read-out, `record`'s
-history and a pattern study's gathered coins, sized for the study's widest
-batch, and every engine call of the study carves them from it.  These tests check that reuse
-leaves every bit as a fresh call gives it, that a reused call allocates none
-of those arrays again, and that arrays handed out without a workspace are
-the caller's alone.
+A `walk.Workspace` holds the engine's buffer and read-out, the history of
+`record_cut` and a pattern study's gathered coins, sized for the study's
+widest batch, and every engine call of the study carves them from it.
+These tests check that reuse leaves every bit as a fresh call gives it,
+that a reused call allocates none of those arrays again, and that arrays
+handed out without a workspace are the caller's alone.
 """
 
 import hashlib
@@ -51,14 +51,14 @@ def test_an_ensemble_study_whose_batches_shrink_and_grow_gives_fresh_bits():
 
 
 def test_an_interface_study_whose_batches_shrink_and_grow_gives_fresh_bits():
-    """The same for a t = 13 `record` study: P_loc of every member has the
-    bits of a fresh `record` call of its block."""
+    """The same for a t = 13 `record_cut` study: P_loc of every member has
+    the bits of a fresh `record_cut` call of its block."""
     t, rng = 13, np.random.default_rng(6)
     theta_left = 0.52 * PI
     study = PatternStudy(TH_A, TH_B,
                          lambda coin2, workspace: edges._ploc_batch(coin2, theta_left, t,
                                                                     workspace),
-                         budget.INTERFACE.held(t))
+                         budget.ploc_held(t))
     table = coin_table(TH_A, TH_B)
     for block in blocks(rng, (40, 40, 25, 40), t + 2):
         got, = study.values([block])
