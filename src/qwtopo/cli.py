@@ -1,9 +1,17 @@
 """Command line front end: run experiments, verify configs, redraw plots.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for runtime
-failures (I/O, unrecognized data, numerical dead ends).  Only `run` and
-`replot` load `runners`, so `verify` and every exit 2 load no numpy.
-`run` writes the manifest of the files its runner's `runners.Outputs` lists.
+failures (I/O, unrecognized data, numerical dead ends).  `run` writes the
+manifest of the files its runner's `runners.Outputs` lists.
+
+`verify` and every exit 2 load only what checking a config needs: this
+module, `config`, the cost model `budget` and `dataio`, and of the
+standard library `argparse`, `json` and `copy`; no numpy, and none of
+`dataclasses`, `hashlib`, `csv` or `datetime`.  A module that only `run`
+or `replot` uses is imported inside them (`runners`, and with it numpy
+and the engine; `datetime`), or inside the `dataio` function that needs
+it (`hashlib`, `csv`).  What every command uses, `argparse` and `json`
+among it, stays at the top.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from datetime import datetime, timezone
 
 from . import __version__, config
 from .dataio import (IoFailure, RunManifest, UnknownDataKind, config_hash, detect_kind,
@@ -96,6 +103,8 @@ def _cmd_run(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {args.out}: {exc}") from exc
+    from datetime import datetime, timezone
+
     from . import runners
     out = runners.Outputs(args.out, args.format)
     runners.RUNNERS[cfg["experiment"]](resolved, resolved["seed"], out)

@@ -11,16 +11,16 @@ infinite is written as null, in tables and in the run's other JSON files
 (`write_json`) alike.  Tables, JSON files and plots are all written by
 `write_text`, the one place the package opens a file for writing, so
 each write that fails raises `IoFailure` naming its file.
+
+`hashlib` and `csv` load on first use, inside the functions that hash and
+read, so `verify`, which does neither, loads neither.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "IoFailure", "UnknownDataKind", "TABLE_KINDS", "Columns", "write_text", "write_table",
@@ -102,6 +102,8 @@ def write_json(path: str, payload: dict) -> str:
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    import csv
+
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -120,6 +122,8 @@ def detect_kind(header: list[str]) -> str:
 
 
 def sha256_file(path: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
@@ -132,24 +136,26 @@ def sha256_file(path: str) -> str:
 
 def config_hash(config: dict) -> str:
     """Stable hash of a configuration mapping."""
+    import hashlib
+
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-@dataclass
 class RunManifest:
     """What a run produced; data hashes exclude the timestamp field."""
 
-    version: str
-    seed: int
-    config_sha256: str
-    created: str
-    outputs: dict = field(default_factory=dict)  # file name -> sha256
+    def __init__(self, version: str, seed: int, config_sha256: str, created: str,
+                 outputs: dict | None = None):
+        self.version = version
+        self.seed = seed
+        self.config_sha256 = config_sha256
+        self.created = created
+        self.outputs = {} if outputs is None else outputs  # file name -> sha256
 
     def add(self, path: str):
         self.outputs[os.path.basename(path)] = sha256_file(path)
 
     def write(self, path: str) -> str:
         """Every field as JSON, keys sorted, outputs included."""
-        return write_json(path, asdict(self))
-
+        return write_json(path, vars(self))

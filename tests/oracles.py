@@ -5,12 +5,14 @@ indexed (site, coin) basis and plain matrix-vector products.  That is
 a deliberately different construction from the vectorized package
 code, so agreement between the two is meaningful evidence.
 
-It also holds three exact references that need no sampling: the closed-form
+It also holds four exact references that need no sampling: the closed-form
 phase labels of the clean walk (`closed_form_phase`, `gap_line_distance`),
 the clean walk's reflection series solved order by order from its
-algebraic equation, with no lattice (`clean_series`), and the exact
+algebraic equation, with no lattice (`clean_series`), the exact
 small-window disorder statistics, enumerated over every binary pattern a
-short reflection run can see (`pattern_half_r0`, `exact_disorder_stats`).
+short reflection run can see (`pattern_half_r0`, `exact_disorder_stats`),
+and the float-free reflection series of clean walks whose coins have
+rational cosine and sine, stepped in integers (`exact_series`).
 
 Run as a script to print the golden values that the test suite pins:
 
@@ -18,6 +20,7 @@ Run as a script to print the golden values that the test suite pins:
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -211,6 +214,49 @@ def clean_series(theta1, theta2, t):
             + s1 * square(k - 1) + s2 * square(k - 2)
     rho = np.zeros((s1.size, t))
     rho[:, 1:] = S
+    return rho
+
+
+def exact_series(c1, c2, t):
+    """rho_1 .. rho_t, with r_j = i rho_j, of the clean walk whose coins have
+    the rational (cos, sin) pairs c1 and c2, such as (3/5, 4/5) or
+    (5/13, 12/13), as exact Fractions: no float and no numpy in the
+    arithmetic.
+
+    The state is H = a and V = i b with a and b real, so a coin maps (a, b)
+    to (c a + s b, c b - s a).  With c = p / q and s = r / q in lowest terms,
+    each amplitude after j steps is an integer over
+    (q1 q2)^j: the lead's identity coins multiply by q, the sample's coins
+    rotate by (p, r).  The window [-2, t + 1] is exact: H left of -1 stays
+    zero, V left of -2 never returns, and nothing past t + 1 can return to
+    the read-out (-2, V) by step t.
+    """
+    def ints(pair):
+        c, s = map(Fraction, pair)
+        if c * c + s * s != 1:
+            raise ValueError(f"({c}, {s}) is no rotation")
+        q = c.denominator  # c^2 + s^2 = 1 in lowest terms: s has the same denominator
+        return int(c * q), int(s * q), q
+
+    sites = t + 4  # positions -2 .. t + 1; position x sits at index x + 2
+    a, b = [0] * sites, [0] * sites
+    a[1] = 1  # the probe |-1, H>
+    coins, scale, rho = (ints(c1), ints(c2)), 1, []
+
+    def rotate(p, r, q):
+        for i in range(sites):
+            if i < 2:  # the lead's identity coins
+                a[i], b[i] = q * a[i], q * b[i]
+            else:
+                a[i], b[i] = p * a[i] + r * b[i], p * b[i] - r * a[i]
+
+    for _ in range(t):
+        rotate(*coins[0])
+        a[1:], a[0] = a[:-1], 0  # H one site right
+        rotate(*coins[1])
+        b[:-1], b[-1] = b[1:], 0  # V one site left
+        scale *= coins[0][2] * coins[1][2]
+        rho.append(Fraction(b[0], scale))
     return rho
 
 

@@ -25,6 +25,10 @@ In a temporary directory it checks, in order:
    bytes `run` wrote, so every manifest hash still holds.
 6. A `--format json` run of every shipped config writes strict JSON only:
    no NaN or Infinity token, a cell with no value is null.
+7. `verify` of a shipped config, a fresh `python -m qwtopo` process run
+   through `runpy`, adds none of numpy, `dataclasses`, `inspect`,
+   `hashlib`, `csv` or `datetime` to the modules the interpreter started
+   with: only `run` and `replot` load them.
 
 It prints one line per check that holds and exits 0, or exits 1 with a
 message naming the first check that fails.
@@ -150,6 +154,31 @@ def check_json(top: str):
                         sys.exit(f"{out}/{name}: {exc}")
 
 
+#: The modules that only `run` and `replot` use.
+RUN_ONLY = ("numpy", "dataclasses", "inspect", "hashlib", "csv", "datetime")
+
+#: `python -m qwtopo ARGS...` through `runpy`, printing the exit code and the
+#: modules of RUN_ONLY it added to those the interpreter started with.
+VERIFY_PROBE = f"""
+import runpy, sys
+started = set(sys.modules)
+sys.argv = ["qwtopo", *sys.argv[1:]]
+try:
+    runpy.run_module("qwtopo", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, [m for m in {RUN_ONLY!r} if m in sys.modules and m not in started])
+"""
+
+
+def check_verify_modules():
+    cfg = os.path.join(HERE, "..", "configs", "edge_localization.json")
+    done = subprocess.run([sys.executable, "-c", VERIFY_PROBE, "verify", "--config", cfg],
+                          capture_output=True, text=True)
+    last = done.stdout.splitlines()[-1:]
+    if last != ["0 []"]:
+        sys.exit(f"verify ended with {last}, not ['0 []']: {done.stderr.strip()}")
+
+
 CHECKS = (
     ("walk.evolve steps on the package alone", lambda top: check_evolve()),
     ("verify of every shipped config prints its recorded estimates",
@@ -159,6 +188,8 @@ CHECKS = (
      check_twice),
     ("replot rewrites no byte of any run", check_replot),
     ("every JSON file of a --format json run is strict", check_json),
+    ("verify loads no module that only run and replot use",
+     lambda top: check_verify_modules()),
 )
 
 

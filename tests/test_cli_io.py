@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -352,6 +353,25 @@ def test_manifest_bytes_are_its_fields_dumped_with_sorted_keys(tmp_path):
     assert open(out, encoding="utf-8", newline="").read() == want
 
 
+def test_a_run_manifest_holds_its_time_config_hash_and_output_hashes(tmp_path):
+    """A `python -m qwtopo run` of a shipped config, in a fresh process that
+    loads `datetime` and `hashlib` only inside `run`, writes a manifest whose
+    `created` is an ISO time in UTC, whose `config_sha256` hashes the config
+    as written, and whose `outputs` hash each file the run listed."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.path.join(CONFIG_DIR, "scan_line_t5.json")
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-m", "qwtopo", "run", "--config", path, "--out", str(out)],
+                   capture_output=True, text=True, check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert datetime.fromisoformat(manifest["created"]).utcoffset() == timedelta(0)
+    assert manifest["config_sha256"] == dataio.config_hash(cfgmod.load(path))
+    assert manifest["outputs"]
+    assert manifest["outputs"] == {name: dataio.sha256_file(str(out / name))
+                                   for name in manifest["outputs"]}
+
+
 def test_run_json_files_are_strict_with_null_for_non_finite_values(tmp_path):
     """`write_json` nulls NaN and infinite floats, as table cells are, and
     otherwise writes the keys sorted, one space of indent, and a newline."""
@@ -463,27 +483,41 @@ def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+#: The modules that only `run` and `replot` use: `verify` and an exit 2 load none.
+RUN_ONLY = ("numpy", "dataclasses", "inspect", "hashlib", "csv", "datetime")
+
 VERIFY_PROBE = """
 import contextlib, io, sys
+started = set(sys.modules)  # a site .pth may load standard modules at start-up
+watched = sys.argv[1].split(",")
+def added():
+    return [m for m in watched if m in sys.modules and m not in started]
 from qwtopo.cli import entrypoint
-out, commands = sys.argv[1], [["verify", "--config", path] for path in sys.argv[2:]]
+print(added())
+out, commands = sys.argv[2], [["verify", "--config", path] for path in sys.argv[3:]]
 commands.append(["run", "--config", sys.argv[-1], "--out", out])
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [entrypoint(argv) for argv in commands]
-print(codes, "numpy" in sys.modules)
+def codes(commands):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return [entrypoint(argv) for argv in commands]
+print(codes(commands[:-2]), added())
+print(codes(commands[-2:]), added())
 """
 
 
 def test_verify_and_config_errors_load_no_numpy(tmp_path):
     """`verify` of every shipped config, and the exit 2 of a malformed one
-    under `verify` and `run`, check and estimate the config without numpy."""
+    under `verify` and `run`, check and estimate the config without numpy
+    or any other module that only a run uses: none is added to the modules
+    the interpreter started with, after `import qwtopo.cli`, after the
+    verifies or after the exits 2.  Checked by module presence, not by time."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
     paths.append(write_config(tmp_path, disorder_config(t=0)))
-    out = subprocess.run([sys.executable, "-c", VERIFY_PROBE, str(tmp_path / "out"), *paths],
+    out = subprocess.run([sys.executable, "-c", VERIFY_PROBE, ",".join(RUN_ONLY),
+                          str(tmp_path / "out"), *paths],
                          capture_output=True, text=True, check=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == f"{[0] * (len(paths) - 1) + [2, 2]} False"
+    assert out.stdout.splitlines() == ["[]", f"{[0] * (len(paths) - 1)} []", "[2, 2] []"]
     assert not (tmp_path / "out").exists()
 
 
@@ -965,7 +999,7 @@ def test_the_runtime_checks_pass_from_a_temporary_directory(tmp_path):
     done = subprocess.run([sys.executable, os.path.join(here, "runtime_checks.py")],
                           cwd=tmp_path, capture_output=True, text=True, timeout=600, env=env)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("ok: ") == 6
+    assert done.stdout.count("ok: ") == 7
 
 
 def above_baseline() -> list:

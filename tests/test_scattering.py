@@ -7,6 +7,7 @@ Golden numbers were produced by the dense-matrix oracle in oracles.py
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qwtopo.scattering import (LINE_GREEN, LINE_TURQUOISE, ReflectionSeries, Sca
                                _scan_rows)
 
 from oracles import (clean_series, closed_form_phase, dense_invariants, dense_reflection,
+                     exact_series,
                      gap_line_distance)
 from references import scalar_invariants
 from scanlines import flip_width, sign_flips
@@ -497,3 +499,72 @@ def test_the_64_by_64_diagram_matches_the_clean_series_oracle_cell_by_cell():
         assert np.array_equal(np.isnan(got.ravel()), np.isnan(expected))
         assert np.nanmax(np.abs(got.ravel() - expected)) < 1e-12
     assert np.array_equal(pd.labels.ravel(), phase_labels(*want[:2], 0.05))
+
+
+# --- the float-free oracle: Pythagorean coins in integers ---------------------
+
+#: Rational coins (cos, sin): (3/5, 4/5), (5/13, 12/13) and their kin.
+PYTHAGOREAN = [(Fraction(p, q), Fraction(r, q))
+               for p, r, q in ((3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25),
+                               (20, 21, 29))]
+
+#: The engine's error bound per step, in units of eps.  One rotation (x, y) ->
+#: (c x + s y, c y - s x) in floating point, its coin (c, s) rounded to the
+#: nearest floats, gives x' = (c (1 + a) x (1 + d1) + s (1 + b) y (1 + d2)) (1 + d3)
+#: with each |a|, |b|, |d| <= u = eps / 2, so to first order x' errs by at most
+#: 3 u (|c x| + |s y|), and y' likewise.  Over the pair the error's 2-norm is
+#: at most 3 u sqrt((|c x| + |s y|)^2 + (|c y| + |s x|)^2)
+#: = 3 u sqrt(1 + 4 |c s x y| / (x^2 + y^2)) |(x, y)| <= 3 sqrt(2) u |(x, y)|, and
+#: summed over the sites 3 sqrt(2) u times the state's norm, 1.  A split step
+#: rotates twice, 3 sqrt(2) eps, and the walk is unitary, so an error made at
+#: one step is carried, not grown: rho_j errs by at most K j eps.  The terms of
+#: order u^2 are below 1e-30 per step and are covered by the factor 1 + 1e-9.
+EXACT_K = 3 * math.sqrt(2) * (1 + 1e-9)
+
+
+def pythagorean_walks(seed, count):
+    """count (c1, c2, t) walks of random Pythagorean coins with random signs,
+    the first two at t = 101 and the rest at random t <= 101; every second c1
+    is the identity, which the engine steps on its undoubled lattice."""
+    rng = np.random.default_rng(seed)
+    walks = []
+    for k in range(count):
+        c1, c2 = (PYTHAGOREAN[i] for i in rng.integers(len(PYTHAGOREAN), size=2))
+        c1, c2 = ((c * sign_c, s * sign_s) for (c, s), (sign_c, sign_s)
+                  in zip((c1, c2), rng.choice((-1, 1), size=(2, 2))))
+        walks.append(((Fraction(1), Fraction(0)) if k % 2 else c1, c2,
+                      101 if k < 2 else int(rng.integers(1, 102))))
+    return walks
+
+
+def rounded_coin_series(c1, c2, t):
+    """`sample_rows` of the clean walk with the coins c1 and c2 rounded to floats."""
+    whole = [tuple(np.full((1, t + 2), float(v)) for v in pair) for pair in (c1, c2)]
+    return sample_rows(None if c1 == (1, 0) else whole[0], whole[1], t)[0]
+
+
+def test_the_exact_series_is_the_dense_oracle_on_pythagorean_coins():
+    """The integer stepper and the dense-matrix oracle walk one walk."""
+    for c1, c2, t in [(PYTHAGOREAN[0], PYTHAGOREAN[2], 16), ((1, 0), PYTHAGOREAN[3], 15)]:
+        angles = [np.full(t + 2, math.atan2(s, c)) for c, s in (c1, c2)]
+        want = dense_reflection(*angles, t).imag
+        assert np.max(np.abs(np.array(exact_series(c1, c2, t), dtype=float) - want)) < 1e-14
+
+
+def test_the_engine_errs_by_at_most_k_j_eps_on_pythagorean_coins():
+    """`sample_rows` against the exact rationals: |rho_j - exact_j| <= K j eps,
+    K derived from one rotation's rounding (EXACT_K), for random Pythagorean
+    coins at t <= 101.  The engine's residual 1 - sum_j rho_j^2 is the exact
+    one within what those errors and its own sum can move it."""
+    eps = np.finfo(float).eps
+    for c1, c2, t in pythagorean_walks(6, 12):
+        exact = exact_series(c1, c2, t)
+        got = rounded_coin_series(c1, c2, t)
+        err = [float(abs(Fraction(float(x)) - e)) for x, e in zip(got, exact)]
+        bound = [EXACT_K * j * eps for j in range(1, t + 1)]
+        assert all(e <= b for e, b in zip(err, bound)), (c1, c2, t)
+        weight = sum(e * e for e in exact)
+        assert 0 <= weight <= 1
+        residual = 1.0 - np.sum(got ** 2)
+        moved = sum(b * (2 * abs(float(e)) + b) for b, e in zip(bound, exact)) + (t + 2) * eps / 2
+        assert abs(Fraction(float(residual)) - (1 - weight)) <= moved, (c1, c2, t)
