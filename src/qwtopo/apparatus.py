@@ -46,7 +46,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .budget import ALPHA_GUARD, fit_held, record_window, within_guard
+from .budget import ALPHA_GUARD, fit_held, readout_held, record_window, within_guard
 from .walk import H, Workspace, coins, over_batches, record, record_cut, windows
 from .scattering import InvariantPair, ScatteringSystem, invariant_rows
 
@@ -150,24 +150,45 @@ def interfere(r1, r2, alpha: float):
     I_{H/V} = (r1^2 sin^2 a -+ 2 r1 r2 sin a cos a + r2^2 cos^2 a) / 2,
     so I_H + I_V = (r1^2 sin^2 a + r2^2 cos^2 a), which at the working
     point a = pi/4 is (r1^2 + r2^2) / 2 exactly.  Works elementwise on
-    arrays of pulse pairs.
+    arrays of pulse pairs, and holds at most three arrays of their shape at
+    once, its two results among them.
     """
     s, c = np.sin(alpha), np.cos(alpha)
-    base = r1 * r1 * s * s + r2 * r2 * c * c
-    cross = 2.0 * r1 * r2 * s * c
-    return 0.5 * (base - cross), 0.5 * (base + cross)
+    base = np.multiply(r1, r1)  # r1 r1 s s + r2 r2 c c, each product in that order
+    base *= s
+    base *= s
+    part = np.multiply(r2, r2)
+    part *= c
+    part *= c
+    base += part
+    del part  # freed before the cross term is made
+    cross = np.multiply(2.0, r1)  # 2 r1 r2 s c
+    cross *= r2
+    cross *= s
+    cross *= c
+    i_h = base - cross
+    i_h *= 0.5
+    base += cross
+    base *= 0.5
+    return i_h, base
 
 
 def _below_floor(i_h, i_v):
     """|Delta I| is zero or below INTENSITY_FLOOR times the pair's total
     intensity (elementwise on arrays)."""
-    delta = i_h - i_v
-    return (delta == 0.0) | (np.abs(delta) < INTENSITY_FLOOR * (i_h + i_v))
+    delta = np.asarray(i_h - i_v)
+    zero = delta == 0.0
+    floor = i_h + i_v
+    floor *= INTENSITY_FLOOR
+    return zero | (np.abs(delta, out=delta) < floor)
 
 
 def _same(i_h, i_v, alpha: float):
-    """sign(r1 r2) > 0, read as -sign(Delta I / (sin alpha cos alpha))."""
-    return -(i_h - i_v) * (np.sin(alpha) * np.cos(alpha)) > 0
+    """sign(r1 r2) > 0, read as -sign(Delta I / (sin alpha cos alpha)): Delta I
+    sin alpha cos alpha < 0, since negating a product is exact."""
+    delta = i_h - i_v
+    delta *= np.sin(alpha) * np.cos(alpha)
+    return delta < 0
 
 
 def _check_guard(alpha: float) -> None:
@@ -207,9 +228,14 @@ def perturbed_angles(thetas: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 def _model_coins(system: ScatteringSystem, params: np.ndarray) -> tuple:
     """The (coin1, coin2) pairs of `walk.coins` of the system on [0, m) as the
-    hardware of each row of the model array params realizes it."""
-    return (coins(perturbed_angles(system.theta1, params)),
-            coins(perturbed_angles(system.theta2, params)))
+    hardware of each row of the model array params realizes it: the coins of
+    each distinct site angle of a field, perturbed by each model, gathered to
+    that angle's sites."""
+    fields = []
+    for thetas in (system.theta1, system.theta2):
+        distinct, sites = np.unique(thetas, return_inverse=True)
+        fields.append(tuple(part[:, sites] for part in coins(perturbed_angles(distinct, params))))
+    return tuple(fields)
 
 
 def _intensities(a: np.ndarray, b: np.ndarray, loss: np.ndarray) -> np.ndarray:
@@ -240,34 +266,50 @@ def _readout(rho: np.ndarray, params: np.ndarray, alpha: float, mode: str = "exa
     row with a pair whose |Delta I| is below the floor is NaN.  In "shots"
     mode Poisson counts with `shots` photons per unit intensity are drawn
     from rng: every magnitude first, then each pair's (i_h, i_v) in turn,
-    row after row.
+    row after row.  It works in place where it can: beside rho it holds at
+    most its magnitudes, five arrays of pulse pairs, at most one pair per
+    step, and boolean masks at once (`budget.READOUT_ARRAYS`).
     """
     steps = np.arange(rho.shape[1])
+    eff_v = params[:, _EFF_V, None]
     gain = (1.0 + params[:, _LOSS, None]) ** (steps + 1)
-    intensities = params[:, _EFF_V, None] * gain * rho ** 2  # V-path loss
+    magnitudes = eff_v * gain  # the intensities eff_v gain rho^2 on the lossy V path
+    amps = np.square(rho)
+    magnitudes *= amps
     if mode == "shots":
-        intensities = rng.poisson(intensities * shots) / shots
-    magnitudes = np.sqrt(intensities / params[:, _EFF_V, None])
+        magnitudes = rng.poisson(magnitudes * shots) / shots
+    magnitudes /= eff_v
+    np.sqrt(magnitudes, out=magnitudes)
     present = magnitudes > MAGNITUDE_EPS
-    amps = rho * np.sqrt(gain)  # sqrt(gain) > 0 keeps the sign of rho
+    np.multiply(rho, np.sqrt(gain, out=gain), out=amps)  # sqrt(gain) > 0 keeps the sign of rho
+    del gain
+    negative = present & (amps < 0)  # until the first present pulse
     # the last present step before each step, -1 before the first: a running maximum
-    previous = np.roll(np.maximum.accumulate(np.where(present, steps, -1), axis=1), 1, axis=1)
-    previous[:, :1] = -1
+    previous = np.full(rho.shape, -1)
+    np.maximum.accumulate(np.where(present[:, :-1], steps[:-1], -1), axis=1, out=previous[:, 1:])
+    negative &= previous < 0
     paired = present & (previous >= 0)
-    rows = np.nonzero(paired)[0]
-    i_h, i_v = interfere(amps[rows, previous[paired]], amps[paired], alpha)
-    i_h = i_h * params[rows, _EFF_H]
-    i_v = i_v * params[rows, _EFF_V]
+    first = amps[np.repeat(np.arange(len(rho)), np.count_nonzero(paired, axis=1)),
+                 previous[paired]]
+    del previous
+    second = amps[paired]
+    del amps
+    i_h, i_v = interfere(first, second, alpha)
+    del first, second
+    i_h *= np.broadcast_to(params[:, _EFF_H, None], rho.shape)[paired]
+    i_v *= np.broadcast_to(eff_v, rho.shape)[paired]
     if mode == "shots":
         i_h, i_v = (rng.poisson(np.stack([i_h, i_v], axis=1) * shots) / shots).T
-    negative = present & (previous < 0) & (amps < 0)
-    relations = np.where(negative, -1.0, 1.0)
-    relations[paired] = np.where(_below_floor(i_h, i_v), np.nan,
-                                 np.where(_same(i_h, i_v, alpha), 1.0, -1.0))
-    signs = np.cumprod(relations, axis=1)  # a NaN runs on to the end of its row
-    series = np.where(present, signs * magnitudes, 0.0)
-    series[np.isnan(signs[:, -1:]).any(axis=1)] = np.nan  # a slice: empty at t = 0
-    return magnitudes, series, np.where(negative.any(axis=1), -1, 1)
+    below, same = _below_floor(i_h, i_v), _same(i_h, i_v, alpha)
+    del i_h, i_v
+    signs = np.where(negative, -1.0, 1.0)  # the relation of each pulse to the one before
+    signs[paired] = np.where(below, np.nan, np.where(same, 1.0, -1.0))
+    np.cumprod(signs, axis=1, out=signs)  # a NaN runs on to the end of its row
+    broken = np.isnan(signs[:, -1:]).any(axis=1)  # a slice: empty at t = 0
+    signs *= magnitudes
+    signs[~present] = 0.0
+    signs[broken] = np.nan
+    return magnitudes, signs, np.where(negative.any(axis=1), -1, 1)
 
 
 def emulate_measurement(system: ScatteringSystem, t: int,
@@ -446,7 +488,7 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
     params = ranges.draw(np.random.default_rng(seed), n_sets)
     distances, q0s, qps = over_batches(
         lambda block, workspace: _mc_batch(system, data, horizon, block, workspace),
-        params, fit_held(data.t, horizon)).T
+        params, fit_held(data.t, horizon), beside=readout_held(data.t)).T
     best = int(np.argmin(distances))
     ok = ~np.isnan(q0s)
     q0_err = float(np.mean(np.abs(q0s[ok] - q0s[best]))) if ok.any() else np.nan

@@ -44,8 +44,9 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     lattice `real_steps` runs on, the window with coin 1 the identity
     (`identity_coin1`, passed as no coin-1 angles) and twice its rows
     otherwise, which holds the coins, the state and the launch amplitude;
-    then, with `history`, the H and V history of `record`, else the rho row
-    of its `steps` read-outs (`ploc_held` and `fit_held` keep a cut
+    then, with `history`, the H and V history of `record` on its
+    `record_window`, while the engine steps the `cone_window`, else the rho
+    row of its `steps` read-outs (`ploc_held` and `fit_held` keep a cut
     history).  The coins a study passes in are not counted, nor the
     buffer's column pad: a batch of 64 walkers or more rounds its buffer up
     to a multiple of 8 columns, at most 7 more than it has walkers, so 7/64
@@ -54,20 +55,40 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     its lifetime: the buffer and read-out or history of that batch, and the
     coins a pattern study gathers for it, stay held between its calls."""
     rows = sites if identity_coin1 else 2 * sites
-    return 9 * ((rows + 3) // 2) + (2 * sites * (steps + 1) if history else steps)
+    kept = 2 * record_window(steps) * (steps + 1) if history else steps
+    return 9 * ((rows + 3) // 2) + kept
 
 
 def ploc_held(t: int) -> int:
-    """`held` by a walker of `edges._ploc_batch`: its buffer, and its history
-    of steps 0 .. t on the rows that P_loc sums."""
-    return held(record_window(t), 0, identity_coin1=True) + 2 * (t + 1) * (2 * LOC_WINDOW + 1)
+    """`held` by a walker of `edges._ploc_batch`: its buffer on the
+    `cone_window`, and its history of steps 0 .. t on the rows that P_loc sums."""
+    return held(cone_window(t), 0, identity_coin1=True) + 2 * (t + 1) * (2 * LOC_WINDOW + 1)
+
+
+#: (models, t) float64 arrays that reading a fit batch's series holds at once,
+#: beside its workspace: `apparatus._readout` holds its magnitudes and five
+#: arrays of pulse pairs, at most one pair per step, and a few boolean masks
+#: (6.0-6.6 rows of t per model, traced at t = 11 to 200), then the signed
+#: series and `scattering.invariant_rows`' complex arrays (7.0-7.5).
+READOUT_ARRAYS = 8
 
 
 def fit_held(t: int, horizon: int) -> int:
-    """`held` by a model of `apparatus._mc_batch`: its buffer and read-out,
-    its history of steps 0 .. horizon on the 2 horizon + 1 rows of the
-    probe's cone, and half as much again for `_distances`' blocks."""
-    return held(record_window(t), t) + (3 * horizon + 2) * (2 * horizon + 1)
+    """`held` by a model of `apparatus._mc_batch`: in its workspace, its history
+    of steps 0 .. horizon on the 2 horizon + 1 rows of the probe's cone, and
+    either the buffer and read-out on the `cone_window` or, once the engine is
+    done, `_distances`' blocks, half as much as that history, where the buffer
+    was; beside it, `readout_held`, the arrays of the read-out.  numpy's
+    buffer for a broadcasting operation, at most 8192 elements a batch, is
+    left out, as the buffer's column pad is."""
+    cut = 2 * (horizon + 1) * (2 * horizon + 1)
+    return cut + max(held(cone_window(t), t), horizon * (2 * horizon + 1)) + readout_held(t)
+
+
+def readout_held(t: int) -> int:
+    """float64 elements that reading the series of t steps of a fit batch
+    allocates per model, beside its workspace: READOUT_ARRAYS rows of t."""
+    return READOUT_ARRAYS * t
 
 
 def batch_capacity(per_walker: int) -> int:
@@ -133,18 +154,25 @@ def reflection_site_steps(t: int) -> int:
 
 
 def record_window(steps: int) -> int:
-    """Sites of the window x0 +- (steps + _GROW) that `record` steps."""
+    """Sites of the window x0 +- (steps + _GROW) of a `record` history."""
     return 2 * (steps + _GROW) + 1
+
+
+def cone_window(steps: int) -> int:
+    """Sites of the window x0 - steps .. x0 + steps + 1 that `walk.record_cut`
+    steps: the light cone, and the site right of it, whose coin the last step
+    of a V launch reads, so that every exact zero keeps its sign."""
+    return 2 * steps + 2
 
 
 def record_site_steps(steps: int) -> int:
     """Sites one walker's `record` updates: its cone, 2j + 1 at step j."""
-    return cone(steps + _GROW, steps + _GROW, record_window(steps), steps)[2]
+    return cone(steps, steps, cone_window(steps), steps)[2]
 
 
 class Study:
     """How one kind of study steps its walkers: with `history` on the
-    `record_window`, a whole walk by `walk.record` (`held`) and batches by
+    `cone_window`, a whole walk by `walk.record` (`held`) and batches by
     `walk.record_cut`, else by `scattering.sample_rows` on the
     `reflection_window`; with `identity_coin1` on that window's rows, else
     on the doubled lattice; with `distinct` each distinct pattern once
@@ -157,7 +185,7 @@ class Study:
         self.history, self.identity_coin1, self.distinct = history, identity_coin1, distinct
 
     def window(self, t: int) -> int:
-        return (record_window if self.history else reflection_window)(t)
+        return (cone_window if self.history else reflection_window)(t)
 
     def site_steps(self, t: int) -> int:
         return (record_site_steps if self.history else reflection_site_steps)(t)

@@ -52,7 +52,7 @@ BLOCK_KEY = {kind: kind.replace("-", "_") for kind in STUDY}
 MAX_SITE_STEPS = 5 * 10**8
 #: Most float64 elements one walker may hold in the engine (`budget.held`), 1 GiB:
 #: `walk.record`'s history grows as t * t, so an mc-errorbars run, which keeps
-#: one whole walk and writes no table, stops at t = 5 781 (4 727 if horizon = t).
+#: one whole walk and writes no table, stops at t = 5 781 (4 728 if horizon = t).
 MAX_HELD = 2**27
 #: Most rows of any table a run writes, which bounds its heatmap's cells too: a
 #: phase diagram of this many cells needs about 1.3 GB of tables and SVG, and

@@ -34,15 +34,21 @@ row's V; `record_cut` keeps the history of the first steps on a range of
 rows, the P_loc rows or the positions a Monte-Carlo fit compares, beside a
 read-out; `record` keeps every step of a batch whole, the case of
 `record_cut` over the whole window.  A batch with a history steps its
-uncut cone.  Studies reduce whole batches.
+uncut cone, and `record_cut` steps it in a buffer of the cone alone,
+x0 - steps .. x0 + steps + 1 (`budget.cone_window`) and the read row:
+amplitude never leaves x0 +- steps, and the last step of a V launch reads
+the coin of x0 + steps + 1, so every value of the history, and the sign
+of every exact zero, is what a wider window gives.  Studies reduce whole
+batches.
 
 A walker's window is the span a single-state stepper would hold it on: it
 starts at [x0 - 1, x0 + 1] and grows by _GROW sites whenever a shift meets
-amplitude on its edge.  `windows` reads each step's window of a batch off
-its `record` history, the union of its walkers' windows; the interface and
-emulation runs keep their last.  `evolve` is a view of one `record` walker:
-the complex states of a `WalkerState.localized` launch, each on its step's
-window.
+amplitude on its edge.  `record`'s history keeps the window x0 +- (steps +
+_GROW) that such a window can grow to, zero off the cone, and `windows`
+reads each step's window of a batch off it, the union of its walkers'
+windows; the interface and emulation runs keep their last.  `evolve` is a
+view of one `record` walker: the complex states of a
+`WalkerState.localized` launch, each on its step's window.
 
 A study steps all its batches in one `Workspace`, which it keeps for its
 lifetime: the kernel's buffer and read-out, the history of `record_cut` and
@@ -386,11 +392,11 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
     coin1 and coin2 are the pairs of `coins` of the (B, m) coin angles,
     reduced mod 2*pi, of the positions [start, start + m); coins elsewhere,
     and everywhere for coin1 None, are the identity.  Returns (x_min, h, v):
-    h and v are the (steps + 1, sites, B) history on x0 +- (steps + _GROW)
-    that `real_steps` fills on its cone, [j, i, k] holding H = h and V = i v
-    (up to a global phase) of walker k after j steps at position x_min + i,
-    and exact zeros off the walker's own window (`windows`): the cut history
-    of `record_cut` over the whole window and every step.
+    h and v are the (steps + 1, sites, B) history on x0 +- (steps + _GROW),
+    the `windows` a single-state stepper can grow to, [j, i, k] holding H =
+    h and V = i v (up to a global phase) of walker k after j steps at
+    position x_min + i, and exact zeros off the walker's own window: the cut
+    history of `record_cut` over the whole window and every step.
     """
     x_min = x0 - steps - _GROW
     _, h, v = record_cut(start, coin1, coin2, x0, coin, steps, x_min, record_window(steps), steps,
@@ -401,8 +407,8 @@ def record(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int,
 def record_cut(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int, steps: int,
                first: int, rows: int, kept: int, read: int | None = None, *,
                workspace: Workspace | None = None) -> tuple:
-    """(rho, h, v): the walkers of `record`, stepped on its window and cone,
-    with their history cut to what a study reads.
+    """(rho, h, v): the walkers of `record`, with their history cut to what a
+    study reads.
 
     h and v are the (kept + 1, rows, B) history of steps 0 .. kept on the
     positions [first, first + rows): bit for bit that slice of `record`'s
@@ -410,20 +416,31 @@ def record_cut(start: int, coin1: tuple | None, coin2: tuple, x0: int, coin: int
     is the (B, steps) read-out of V at position `read` after steps 1 ..
     steps (`real_steps`), else None.  h and v are carved from `workspace`,
     or a fresh one, which the engine runs in too, and zeroed.
+
+    The engine steps the positions x0 - steps .. x0 + steps + 1, widened to
+    `read`, in a buffer of their rows alone (`budget.cone_window`): the
+    walkers' light cone, and the position whose coin the last step of a V
+    launch reads.  Its values are those of any wider window, exact zeros
+    and their signs included, except where coin 1 is the identity on every
+    position stepped but not on the positions beyond: then the batch runs
+    on its own lattice, where a window reaching such a position would run
+    on the doubled one, and a zero may differ in sign.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if not 0 <= kept <= steps or rows < 0:
         raise ValueError(f"cannot keep steps 0 .. {kept} of {steps} on {rows} rows")
-    reach = steps + _GROW
-    x_min, walkers = x0 - reach, coin2[0].shape[0]
+    lo, hi = x0 - steps, x0 + steps + 1  # the engine's window: the cone, and the read row
+    if read is not None:
+        lo, hi = min(lo, read), max(hi, read)
+    walkers = coin2[0].shape[0]
     workspace = Workspace() if workspace is None else workspace
     h, v = _zeroed(workspace.history(2 * (kept + 1) * rows * walkers)).reshape(2, kept + 1, rows,
                                                                              walkers)
     if 0 <= x0 - first < rows:
         (h, v)[coin][0, x0 - first] = 1.0
-    rho = real_steps(coin1, coin2, start - x_min, record_window(steps), reach, coin, steps,
-                     None if read is None else read - x_min, (first - x_min, h, v),
+    rho = real_steps(coin1, coin2, start - lo, hi - lo + 1, x0 - lo, coin, steps,
+                     None if read is None else read - lo, (first - lo, h, v),
                      workspace=workspace)
     return rho, h, v
 
@@ -448,18 +465,19 @@ def windows(h: np.ndarray, v: np.ndarray) -> list[tuple[int, int]]:
 
 
 def over_batches(fn, walkers, per_walker: int, workspace: Workspace | None = None,
-                 gathered: int = 0) -> np.ndarray:
+                 gathered: int = 0, beside: int = 0) -> np.ndarray:
     """fn(batch, workspace) of each of the `budget.batches` of the sequence
     `walkers`, which each hold `per_walker` elements (`budget.held`), one
     after another in this process, joined along the first axis: one result
     row per walker.  Every batch runs in one `Workspace`: `workspace`, that
     of a study that makes several such calls, or else a new one, the study's
     own.  Before the first batch it is sized for the widest: per_walker
-    elements for each column of its buffer, pad columns included, the
-    buffer's alignment, and `gathered` elements per walker that fn gathers
-    into it (a pattern study's coins).  fn's result must not be carved from
-    the workspace."""
+    elements for each column of its buffer, pad columns included, less the
+    `beside` of them that fn allocates outside the workspace, the buffer's
+    alignment, and `gathered` elements per walker that fn gathers into it (a
+    pattern study's coins).  fn's result must not be carved from the
+    workspace."""
     widest = batch_walkers(len(walkers), per_walker)
     workspace = Workspace() if workspace is None else workspace
-    workspace.reserve(_width(widest) * per_walker + 8 + widest * gathered)
+    workspace.reserve(_width(widest) * (per_walker - beside) + 8 + widest * gathered)
     return np.concatenate([fn(batch, workspace) for batch in batches(walkers, per_walker)])

@@ -9,10 +9,12 @@ on, the Monte-Carlo distances read by position from those windows, and
 P_loc masked from one walker's distributions.  `mixed_windows` builds a
 batch whose walkers end on windows of different widths and first rows,
 which no shipped run produces; `_distances`' positional read is checked on
-it.  `kernel_history` shows the rows each step of an engine call writes,
-and `written_rows` reads them.  `scalar_invariants` reads the invariants
-of one complex series with complex scalars, the reference for the
-package's one array reader, `scattering.invariant_rows`.
+it.  `grown_record_cut` steps `walk.record_cut`'s walkers on the grown
+window of `record`'s history rather than on their cone.  `kernel_history`
+shows the rows each step of an engine call writes, and `written_rows`
+reads them.  `scalar_invariants` reads the invariants of one complex
+series with complex scalars, the reference for the package's one array
+reader, `scattering.invariant_rows`.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ import numpy as np
 
 import qwtopo.walk
 from qwtopo.apparatus import _intensities, _normalize
+from qwtopo.budget import _GROW, record_window
 from qwtopo.edges import LOC_WINDOW
 from qwtopo.walk import H, coins, real_steps, record
 
@@ -106,6 +109,20 @@ def distances(observed, first_x, windows, loss, horizon) -> np.ndarray:
     d -= _normalize(observed[1:horizon + 1].copy())
     d *= d
     return np.sum(d, axis=(1, 2))
+
+
+def grown_record_cut(start, coin1, coin2, x0, coin, steps, first, rows, kept, read=None):
+    """(rho, h, v) of `walk.record_cut`, its walkers stepped by the same kernel
+    on the grown window x0 +- (steps + _GROW) of `record`'s history, where a
+    walker's window can grow to, instead of on their cone."""
+    reach = steps + _GROW
+    x_min = x0 - reach
+    h, v = np.zeros((2, kept + 1, rows, coin2[0].shape[0]))
+    if 0 <= x0 - first < rows:
+        (h, v)[coin][0, x0 - first] = 1.0
+    rho = real_steps(coin1, coin2, start - x_min, record_window(steps), reach, coin, steps,
+                     None if read is None else read - x_min, (first - x_min, h, v))
+    return rho, h, v
 
 
 @contextlib.contextmanager

@@ -35,13 +35,14 @@ from qwtopo.apparatus import (
     _distances,
     _mc_batch,
     _measure,
+    _model_coins,
     _params,
     _readout,
     perturbed_angles,
 )
 from qwtopo.budget import ALPHA_GUARD, within_guard
 from qwtopo.scattering import invariant_rows
-from qwtopo.walk import H, windows as record_windows
+from qwtopo.walk import H, coins, windows as record_windows
 
 from defaults import MC, RANGES
 from references import (MIXED_START, distances, evolve_windows, mixed_angles, mixed_windows,
@@ -239,6 +240,27 @@ def test_coin_stage_offsets_leave_identity_coins_exact():
     assert not np.any(theta1)  # all zeros stay zeros
     assert np.allclose(theta2[0], system.theta2 + 0.006, atol=1e-15)
     assert np.array_equal(theta2[1], system.theta2)
+
+
+def test_model_coins_per_distinct_angle_are_the_coins_of_each_site():
+    """`_model_coins` takes each model's coins once per distinct site angle of
+    a field and gathers them to its sites: bit for bit the coins of every
+    site's perturbed angle, on a clean sample, whose fields hold one angle
+    each, and on a non-uniform one with zero angles, which stay the exact
+    identity coin, and angles just below 2 pi that the offsets carry past it."""
+    rng = np.random.default_rng(35)
+    wide = ErrorRanges(loss_asymmetry=0.1, eom_error=np.radians(10.0),
+                       sbc_error=np.radians(10.0), efficiency_span=0.5)
+    params = wide.draw(rng, 9)
+    mixed = ScatteringSystem(rng.choice([0.0, 0.3 * PI, 2 * PI - 0.01], 17),
+                             rng.choice([0.0, 1.1 * PI, 0.7 * PI, 2 * PI - 1e-3], 17))
+    assert not mixed.theta1.all() and not mixed.theta2.all()
+    for system in (ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, 11), mixed):
+        for got, thetas in zip(_model_coins(system, params), (system.theta1, system.theta2)):
+            want = coins(perturbed_angles(thetas, params))
+            for a, b in zip(got, want):
+                assert a.shape == b.shape == (9, thetas.size) and a.tobytes() == b.tobytes()
+            assert np.all(got[0][:, thetas == 0.0] == 1.0) and not got[1][:, thetas == 0.0].any()
 
 
 def test_three_percent_loss_biases_invariants_by_well_under_a_tenth():

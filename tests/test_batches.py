@@ -95,12 +95,12 @@ def test_held_counts_what_the_engine_allocates(t):
     each with coin 1 the identity, passed as no coin-1 angles (the window's
     rows), and random (the doubled lattice).  The coins are made before."""
     theta = qwtopo.walk.coins(np.random.default_rng(2).uniform(0, 2 * PI, (64, t + 2)))
-    reflection, history = qwtopo.budget.reflection_window(t), qwtopo.budget.record_window(t)
+    reflection, cone = qwtopo.budget.reflection_window(t), qwtopo.budget.cone_window(t)
     for theta1, identity in ((None, True), (theta, False)):
         runs = ((lambda: qwtopo.scattering.sample_rows(theta1, theta, t),
                  qwtopo.budget.held(reflection, t, identity_coin1=identity)),
                 (lambda: qwtopo.walk.record(0, theta1, theta, -1, qwtopo.walk.H, t),
-                 qwtopo.budget.held(history, t, history=True, identity_coin1=identity)))
+                 qwtopo.budget.held(cone, t, history=True, identity_coin1=identity)))
         for run, held in runs:
             tracemalloc.start()
             try:
@@ -112,25 +112,37 @@ def test_held_counts_what_the_engine_allocates(t):
 
 
 @pytest.mark.parametrize("t, horizon, models", ((11, 7, 64), (400, 400, 8)))
-def test_a_fit_batch_holds_what_fit_held_counts(t, horizon, models):
+def test_a_fit_batch_holds_what_fit_held_counts(monkeypatch, t, horizon, models):
     """A traced Monte-Carlo fit batch of `models` models allocates
     `budget.fit_held` float64 elements per model, within 10 %, on the data
     its run emulates: the engine's buffer and read-out, the history cut to
-    the probe's cone over steps 0 .. horizon, and the blocks `_distances`
-    compares.  At t = 400 and horizon 400, one more copy of a model's
-    history on the observed window would add more than half; 8 models keep
-    the traced batch near 60 MB."""
+    the probe's cone over steps 0 .. horizon, the blocks `_distances`
+    compares, and beside them the read-out's arrays (`budget.readout_held`).
+    So does the batch `walk.over_batches` runs in the workspace it sizes,
+    the way `monte_carlo_errorbars` runs it, with the budget raised where
+    one model would exceed it, so that one batch holds every model.  At t =
+    400 and horizon 400, one more copy of a model's history on the observed
+    window would add more than half; 8 models keep the traced batch near 60
+    MB."""
     system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, t)
     data = emulate_measurement(system, t, ApparatusModel(loss_asymmetry=0.02))
     params = RANGES.draw(np.random.default_rng(1), models)
+    held = qwtopo.budget.fit_held(t, horizon)
+    monkeypatch.setattr(qwtopo.budget, "BATCH_BUDGET",
+                        max(qwtopo.budget.BATCH_BUDGET, models * held))
     _mc_batch(system, data, 1, params[:1])  # imports and caches outside the peak
-    tracemalloc.start()
-    try:
-        _mc_batch(system, data, horizon, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.95 <= peak / 8 / models / qwtopo.budget.fit_held(t, horizon) <= 1.1
+    runs = (lambda: _mc_batch(system, data, horizon, params),
+            lambda: qwtopo.walk.over_batches(
+                lambda block, workspace: _mc_batch(system, data, horizon, block, workspace),
+                params, held, beside=qwtopo.budget.readout_held(t)))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.95 <= peak / 8 / models / held <= 1.1
 
 
 def test_the_column_pad_is_all_the_budget_leaves_out():

@@ -464,7 +464,7 @@ def test_a_fit_with_a_horizon_of_t_is_held_to_what_a_model_holds():
     horizon steps and its share of the compared intensities
     (`budget.fit_held`), more than the emulated walk, so the held cap
     bounds t below the emulation's 5 781."""
-    t = 4727
+    t = 4728
     cfg = {"experiment": "mc-errorbars",
            "mc_errorbars": {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": t, "horizon": t,
                             "n_sets": 1}}

@@ -14,8 +14,8 @@ from qwtopo.scattering import sample_rows
 from qwtopo.walk import H, V, coins, record, record_cut, reduced
 
 from oracles import DenseLattice, rotation, dense_trajectory
-from references import (MIXED_START, evolve_windows, kernel_history, mixed_angles, mixed_windows,
-                        on_own_window, union_window, written_rows)
+from references import (MIXED_START, evolve_windows, grown_record_cut, kernel_history,
+                        mixed_angles, mixed_windows, on_own_window, union_window, written_rows)
 from stepping import (CoinField, SplitStepProtocol, WalkerState, apply_coin_field,
                       apply_shift_minus, apply_shift_plus, apply_shift_symmetric,
                       double_step_equivalent, evolve, split_step)
@@ -741,6 +741,71 @@ def test_a_cut_history_is_the_slice_of_the_whole_one(identity, with_read):
                 assert rho.tobytes() == np.ascontiguousarray(v[1:, read - x_min].T).tobytes()
             else:
                 assert rho is None
+
+
+def _cone_rows(t, x0, read):
+    """The positions `record_cut` steps: the cone x0 - t .. x0 + t + 1 and the read row."""
+    return (x0 - t, x0 + t + 1) if read is None else (min(x0 - t, read), max(x0 + t + 1, read))
+
+
+@pytest.mark.parametrize("identity", (True, False))
+@pytest.mark.parametrize("coin", (H, V))
+def test_the_cone_gives_the_bits_of_the_grown_window(identity, coin):
+    """`record_cut` steps its walkers on the positions of their light cone, x0
+    - t .. x0 + t + 1, and the read row, not on the grown window x0 +- (t +
+    _GROW) of `record`'s history.  Over random t <= 40, t = 0 and 1 among
+    them, read rows inside and outside the cone, and cut ranges that are
+    empty or reach past either edge of the grown window, its read-out and cut
+    history, and `record`'s whole history, are bit for bit, exact zeros and
+    their signs included, those of the same kernel on the grown window
+    (`references.grown_record_cut`), with coin 1 None, and with random coin-1
+    angles on rows among those the cone steps, on the doubled lattice."""
+    rng = np.random.default_rng(50 + 2 * identity + coin)
+    reads = set()
+    for t in (0, 1, *rng.integers(2, 41, 10).tolist()):
+        reach = t + qwtopo.budget._GROW
+        x_min, n = -reach + int(rng.integers(-3, 4)), 2 * reach + 1
+        x0 = x_min + reach
+        kept = int(rng.integers(0, t + 1))
+        for read in (None, *(x0 + rng.integers(-reach, reach + 1, 3)).tolist()):
+            lo, hi = _cone_rows(t, x0, read)
+            reads.add(None if read is None else lo == x0 - t and hi == x0 + t + 1)
+            start = int(rng.integers(x_min - 3, hi + 1))
+            sites = int(rng.integers(max(1, lo - start + 1), n + 6))  # reaching row lo or beyond
+            walkers = int(rng.integers(1, 5))
+            theta1 = None if identity else coins(rng.uniform(0, 2 * np.pi, (walkers, sites)))
+            theta2 = coins(rng.uniform(0, 2 * np.pi, (walkers, sites)))
+            ranges = [(x_min + int(rng.integers(-n, n)), int(rng.integers(0, n + 1))),
+                      (x_min - 3, n + 6), (x_min + n - 2, 5), (x0 + int(rng.integers(-2, 3)), 0),
+                      (x0 - kept, 2 * kept + 1)]
+            for first, rows in ranges:
+                args = (start, theta1, theta2, x0, coin, t, first, rows, kept, read)
+                got, want = record_cut(*args), grown_record_cut(*args)
+                assert (got[0] is None) == (read is None)
+                for a, b in zip(got, want):
+                    if a is not None:
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            if read is None:
+                got = record(start, theta1, theta2, x0, coin, t)
+                want = grown_record_cut(start, theta1, theta2, x0, coin, t, x_min, n, t)[1:]
+                assert got[0] == x_min
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1:], want))
+    assert reads == {None, True, False}
+
+
+def test_the_cone_may_run_one_lattice_where_the_grown_window_ran_two():
+    """Where coin 1 is the identity on every row the cone steps but not on
+    some row of the grown window, the cone runs the one lattice and the grown
+    window ran the doubled one: their histories and read-outs agree in every
+    value, exact zeros among them, and may differ only in a zero's sign."""
+    rng = np.random.default_rng(59)
+    for t, coin in ((3, H), (8, V), (13, H)):
+        start, theta1 = -t - 16, np.zeros((2, 2 * t + 40))
+        theta1[:, t + 5 - start] = 0.7  # at x = t + 5: past the cone of x0 = 0, in its grown window
+        theta2 = coins(rng.uniform(0, 2 * np.pi, (2, 2 * t + 40)))
+        args = (start, coins(theta1), theta2, 0, coin, t, -t - 16, 2 * t + 33, t, -2)
+        for a, b in zip(record_cut(*args), grown_record_cut(*args)):
+            assert np.array_equal(a, b) and np.array_equal(a == 0, b == 0)
 
 
 def test_cone_of_an_unreachable_read_is_empty():
