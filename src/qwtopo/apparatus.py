@@ -46,7 +46,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .budget import ALPHA_GUARD, fit_held, readout_held, record_window, within_guard
+from .budget import (ALPHA_GUARD, PROBE_SITE, READOUT_SITE, fit_held, readout_held,
+                     record_window, within_guard)
 from .walk import H, Workspace, coins, over_batches, record, record_cut, windows
 from .scattering import InvariantPair, ScatteringSystem, invariant_rows
 
@@ -150,45 +151,25 @@ def interfere(r1, r2, alpha: float):
     I_{H/V} = (r1^2 sin^2 a -+ 2 r1 r2 sin a cos a + r2^2 cos^2 a) / 2,
     so I_H + I_V = (r1^2 sin^2 a + r2^2 cos^2 a), which at the working
     point a = pi/4 is (r1^2 + r2^2) / 2 exactly.  Works elementwise on
-    arrays of pulse pairs, and holds at most three arrays of their shape at
-    once, its two results among them.
+    arrays of pulse pairs.
     """
     s, c = np.sin(alpha), np.cos(alpha)
-    base = np.multiply(r1, r1)  # r1 r1 s s + r2 r2 c c, each product in that order
-    base *= s
-    base *= s
-    part = np.multiply(r2, r2)
-    part *= c
-    part *= c
-    base += part
-    del part  # freed before the cross term is made
-    cross = np.multiply(2.0, r1)  # 2 r1 r2 s c
-    cross *= r2
-    cross *= s
-    cross *= c
-    i_h = base - cross
-    i_h *= 0.5
-    base += cross
-    base *= 0.5
-    return i_h, base
+    base = r1 * r1 * s * s + r2 * r2 * c * c
+    cross = 2.0 * r1 * r2 * s * c
+    return 0.5 * (base - cross), 0.5 * (base + cross)
 
 
 def _below_floor(i_h, i_v):
     """|Delta I| is zero or below INTENSITY_FLOOR times the pair's total
     intensity (elementwise on arrays)."""
-    delta = np.asarray(i_h - i_v)
-    zero = delta == 0.0
-    floor = i_h + i_v
-    floor *= INTENSITY_FLOOR
-    return zero | (np.abs(delta, out=delta) < floor)
+    delta = i_h - i_v
+    return (delta == 0.0) | (np.abs(delta) < INTENSITY_FLOOR * (i_h + i_v))
 
 
 def _same(i_h, i_v, alpha: float):
     """sign(r1 r2) > 0, read as -sign(Delta I / (sin alpha cos alpha)): Delta I
     sin alpha cos alpha < 0, since negating a product is exact."""
-    delta = i_h - i_v
-    delta *= np.sin(alpha) * np.cos(alpha)
-    return delta < 0
+    return (i_h - i_v) * (np.sin(alpha) * np.cos(alpha)) < 0
 
 
 def _check_guard(alpha: float) -> None:
@@ -266,9 +247,9 @@ def _readout(rho: np.ndarray, params: np.ndarray, alpha: float, mode: str = "exa
     row with a pair whose |Delta I| is below the floor is NaN.  In "shots"
     mode Poisson counts with `shots` photons per unit intensity are drawn
     from rng: every magnitude first, then each pair's (i_h, i_v) in turn,
-    row after row.  It works in place where it can: beside rho it holds at
-    most its magnitudes, five arrays of pulse pairs, at most one pair per
-    step, and boolean masks at once (`budget.READOUT_ARRAYS`).
+    row after row.  Beside rho it holds its magnitudes, seven arrays of pulse
+    pairs (one per step at most) as `interfere` forms its results, and masks:
+    7.2-8.5 rows of t per model traced at t = 11 to 400 (`budget.READOUT_ARRAYS`).
     """
     steps = np.arange(rho.shape[1])
     eff_v = params[:, _EFF_V, None]
@@ -329,9 +310,9 @@ def emulate_measurement(system: ScatteringSystem, t: int,
         raise ValueError(f"unknown mode: {mode!r}")
     _check_guard(alpha)
     params = _params([model])
-    x_min, h, v = record(0, *_model_coins(system, params), -1, H, t)  # the probe |-1, H>
+    x_min, h, v = record(0, *_model_coins(system, params), PROBE_SITE, H, t)
     lo, hi = windows(h, v)[-1]
-    rho = v[1:, -2 - x_min, 0].copy()
+    rho = v[1:, READOUT_SITE - x_min, 0].copy()
     # square the window in place: a copy of it would double what the run holds
     dists = _intensities(h[:, lo:hi + 1], v[:, lo:hi + 1], params[:, _LOSS, None])[..., 0]
     return _measure(rho, model, x_min + lo, dists, alpha, mode, shots, seed)
@@ -456,11 +437,11 @@ def _mc_batch(system: ScatteringSystem, data: MeasurementData, horizon: int,
     params, stepped in `workspace`, against the intensities of `data` over its
     first `horizon` steps, which a model's reach only on the probe's cone
     -1 +- horizon."""
-    first = max(data.x_min, -1 - horizon)
-    rows = max(min(data.x_min + data.distributions.shape[1], horizon) - first, 0)
+    first = max(data.x_min, PROBE_SITE - horizon)
+    rows = max(min(data.x_min + data.distributions.shape[1], PROBE_SITE + horizon + 1) - first, 0)
     workspace = Workspace() if workspace is None else workspace
-    rho, h, v = record_cut(0, *_model_coins(system, params), -1, H, data.t, first, rows, horizon,
-                           -2, workspace=workspace)
+    rho, h, v = record_cut(0, *_model_coins(system, params), PROBE_SITE, H, data.t, first, rows,
+                           horizon, READOUT_SITE, workspace=workspace)
     q0, qpi = invariant_rows(_readout(rho, params, data.alpha)[1])
     del rho  # carved from the engine arrays, where `_distances` carves its blocks
     distances = _distances(data.distributions, first - data.x_min, h, v, params[:, _LOSS, None],
@@ -481,10 +462,11 @@ def monte_carlo_errorbars(data: MeasurementData, system: ScatteringSystem,
     """
     if data.t < horizon:
         raise ValueError(f"need at least {horizon} recorded steps, got {data.t}")
-    reach, width = record_window(data.t) // 2, data.distributions.shape[1]  # a model: -1 +- reach
-    if not -1 - reach <= data.x_min <= data.x_min + width <= reach:
+    reach, width = record_window(data.t) // 2, data.distributions.shape[1]  # probe +- reach
+    lo, hi = PROBE_SITE - reach, PROBE_SITE + reach + 1
+    if not lo <= data.x_min <= data.x_min + width <= hi:
         raise ValueError(f"observed positions [{data.x_min}, {data.x_min + width}) are not "
-                         f"inside the models' record window [{-1 - reach}, {reach})")
+                         f"inside the models' record window [{lo}, {hi})")
     params = ranges.draw(np.random.default_rng(seed), n_sets)
     distances, q0s, qps = over_batches(
         lambda block, workspace: _mc_batch(system, data, horizon, block, workspace),

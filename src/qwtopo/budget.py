@@ -21,8 +21,11 @@ _GROW = 16  # slots added when a shift reaches an occupied window edge
 #: the memory of that batch stays held between the study's calls.
 BATCH_BUDGET = 3 * 2**16
 
-#: Rows of the reflection window holding the probe |-1, H> and the read-out (-2, V).
-PROBE_ROW, READOUT_ROW = 1, 0
+#: Positions of the probe |x = -1, H> and the read-out (x = -2, V), on the lead.
+PROBE_SITE, READOUT_SITE = -1, -2
+
+#: Rows of the reflection window, which starts at the read-out, holding them.
+PROBE_ROW, READOUT_ROW = PROBE_SITE - READOUT_SITE, 0
 
 #: P_loc counts positions -LOC_WINDOW .. +LOC_WINDOW.
 LOC_WINDOW = 3
@@ -66,11 +69,11 @@ def ploc_held(t: int) -> int:
 
 
 #: (models, t) float64 arrays that reading a fit batch's series holds at once,
-#: beside its workspace: `apparatus._readout` holds its magnitudes and five
-#: arrays of pulse pairs, at most one pair per step, and a few boolean masks
-#: (6.0-6.6 rows of t per model, traced at t = 11 to 200), then the signed
-#: series and `scattering.invariant_rows`' complex arrays (7.0-7.5).
-READOUT_ARRAYS = 8
+#: beside its workspace: `apparatus._readout`'s magnitudes, up to seven arrays of
+#: pulse pairs, one pair per step at most, while `interfere` forms its results,
+#: and boolean masks (7.2-8.5 rows of t per model, traced at t = 11 to 400), then
+#: the signed series and `scattering.invariant_rows`' complex arrays (6.3-7.6).
+READOUT_ARRAYS = 9
 
 
 def fit_held(t: int, horizon: int) -> int:
@@ -144,8 +147,8 @@ def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
 
 
 def reflection_window(t: int) -> int:
-    """Sites of the window [-2, t // 2] that `sample_rows` steps."""
-    return t // 2 + 3
+    """Sites of the window [READOUT_SITE, t // 2] that `sample_rows` steps."""
+    return t // 2 + 1 - READOUT_SITE
 
 
 def reflection_site_steps(t: int) -> int:

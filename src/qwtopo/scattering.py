@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import PROBE_ROW, READOUT_ROW, SCAN, reflection_window
+from .budget import PROBE_ROW, READOUT_ROW, READOUT_SITE, SCAN, reflection_window
 from .walk import (H, CoinField, SplitStepProtocol, Workspace, coins, over_batches, real_steps,
                    reduced)
 
@@ -130,9 +130,9 @@ def sample_rows(coin1: tuple | None, coin2: tuple, t: int, *,
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    # the sample's first site, x = 0, is row 2 of the window
-    return real_steps(coin1, coin2, 2, reflection_window(t), PROBE_ROW, H, t, READOUT_ROW,
-                      workspace=workspace)
+    # the sample's first site, x = 0, is row -READOUT_SITE of the window
+    return real_steps(coin1, coin2, -READOUT_SITE, reflection_window(t), PROBE_ROW, H, t,
+                      READOUT_ROW, workspace=workspace)
 
 
 def reflection_amplitudes(system: ScatteringSystem, t: int) -> ReflectionSeries:
@@ -244,9 +244,9 @@ BOUNDARY_LABEL = "boundary"
 
 @dataclass
 class PhaseDiagram:
-    theta1: np.ndarray  # cell-center angles, axis 0
-    theta2: np.ndarray  # cell-center angles, axis 1
-    q0: np.ndarray
+    theta1: np.ndarray  # (resolution,) cell-center angles, axis 0
+    theta2: np.ndarray  # (resolution,) cell-center angles, axis 1
+    q0: np.ndarray  # (resolution, resolution), as are the rest
     qpi: np.ndarray
     residual: np.ndarray
     labels: np.ndarray  # strings from PHASE_LABELS or BOUNDARY_LABEL

@@ -32,12 +32,14 @@ from qwtopo.apparatus import (
     SAME,
     SignMeasurement,
     _LOSS,
+    _below_floor,
     _distances,
     _mc_batch,
     _measure,
     _model_coins,
     _params,
     _readout,
+    _same,
     perturbed_angles,
 )
 from qwtopo.budget import ALPHA_GUARD, within_guard
@@ -84,6 +86,72 @@ def test_interference_conserves_energy():
     # at the working point the split is even in the pulse energies
     i_h, i_v = interfere(0.3, -0.8, PI / 4)
     assert i_h + i_v == pytest.approx(0.5 * (0.09 + 0.64), abs=1e-12)
+
+
+def _formula_readout(r1, r2, alpha):
+    """(i_h, i_v, below, same) of one pulse pair in Python floats, each
+    multiply, add and subtract rounded on its own in the order the read-out
+    states: `interfere`, then `_below_floor` and `_same` of its intensities."""
+    s, c = float(np.sin(alpha)), float(np.cos(alpha))
+    base = r1 * r1 * s * s + r2 * r2 * c * c
+    cross = 2.0 * r1 * r2 * s * c
+    i_h, i_v = 0.5 * (base - cross), 0.5 * (base + cross)
+    return (i_h, i_v, *_formula_sign_test(i_h, i_v, alpha))
+
+
+def _formula_sign_test(i_h, i_v, alpha):
+    """(below, same) of a pair's intensities in Python floats."""
+    delta = i_h - i_v
+    below = delta == 0.0 or abs(delta) < INTENSITY_FLOOR * (i_h + i_v)
+    return below, delta * (float(np.sin(alpha)) * float(np.cos(alpha))) < 0
+
+
+def test_the_readout_arithmetic_is_its_formula_in_python_floats_bit_for_bit():
+    """`interfere`, `_below_floor` and `_same` equal their formulas evaluated
+    in Python floats, bit for bit, on arrays and on scalars: numpy rounds each
+    float64 multiply, add and subtract on its own at every SIMD level, as
+    Python does, so this holds on any host, where a recorded hash of the
+    read-out would pin one.  Pulses include zeros, -0.0 and subnormals, the
+    intensity pairs a pair at the floor and its neighbours and contrasts that
+    underflow, and alpha lies in all four quadrants and below zero."""
+    rng = np.random.default_rng(35)
+    pulses = [0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310, *rng.uniform(-1, 1, 24).tolist()]
+    pairs = [(a, b) for a in pulses for b in pulses]
+    alphas = [PI / 4, -PI / 4, *(k * PI / 2 + rng.uniform(0.05, PI / 2 - 0.05)
+                                 for k in (0, 1, 2, 3, -1, -3))]
+    # a pair whose |Delta I| is INTENSITY_FLOOR times its total exactly, the
+    # pair with one ulp of i_h less and more, pairs without contrast, and
+    # contrasts whose product with sin alpha cos alpha underflows
+    tie = (0.4698159184369795, 0.46972196464867094)
+    floor = [tie, *((float(np.nextafter(tie[0], side)), tie[1]) for side in (0.0, 1.0))]
+    floor += [(0.50005, 0.49995), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.3, 0.3),
+              (2e-320, 1e-320), (0.0, 5e-324), (5e-324, 0.0)]
+
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    r1, r2 = (np.array(column) for column in zip(*pairs))
+    i_h, i_v = (np.array(column) for column in zip(*floor))
+    for alpha in alphas:
+        want = [_formula_readout(a, b, alpha) for a, b in pairs]
+        got = interfere(r1, r2, alpha)
+        assert bits(got[0]) == bits([w[0] for w in want])
+        assert bits(got[1]) == bits([w[1] for w in want])
+        assert _below_floor(*got).tolist() == [w[2] for w in want]
+        assert _same(*got, alpha).tolist() == [w[3] for w in want]
+        want = [_formula_sign_test(h, v, alpha) for h, v in floor]
+        assert _below_floor(i_h, i_v).tolist() == [w[0] for w in want]
+        assert _same(i_h, i_v, alpha).tolist() == [w[1] for w in want]
+        for a, b in pairs[::7]:
+            h, v = interfere(a, b, alpha)
+            w = _formula_readout(a, b, alpha)
+            assert bits([h, v]) == bits(w[:2])
+            assert (bool(_below_floor(h, v)), bool(_same(h, v, alpha))) == w[2:]
+        for (h, v), w in zip(floor, want):
+            assert (bool(_below_floor(h, v)), bool(_same(h, v, alpha))) == w
+    # the tie is not below the floor, and one ulp less of i_h is
+    assert abs(tie[0] - tie[1]) == INTENSITY_FLOOR * (tie[0] + tie[1])
+    assert not _below_floor(*tie) and _below_floor(*floor[1]) and not _below_floor(*floor[2])
 
 
 # ------------------------------------------------------------- relative sign

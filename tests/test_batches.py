@@ -16,10 +16,10 @@ import qwtopo.scattering
 import qwtopo.walk
 from qwtopo import (ApparatusModel, ScatteringSystem, emulate_measurement,
                     monte_carlo_errorbars)
-from qwtopo.apparatus import _mc_batch
+from qwtopo.apparatus import _mc_batch, _model_coins, _readout
 from qwtopo.disorder import DisorderSpec, ensemble_r0, transition_locator
 from qwtopo.edges import localization_vs_disorder
-from qwtopo.scattering import phase_diagram, scan_line
+from qwtopo.scattering import invariant_rows, phase_diagram, scan_line
 
 from defaults import DIAGRAM, RANGES
 
@@ -68,6 +68,15 @@ def _widest(module, widths):
     return counted
 
 
+def _traced(run):
+    """(result, peak bytes) of run() under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_batching_never_changes_a_result(monkeypatch):
     results, widths = {}, {}
     for name, budget in BUDGETS.items():
@@ -102,13 +111,7 @@ def test_held_counts_what_the_engine_allocates(t):
                 (lambda: qwtopo.walk.record(0, theta1, theta, -1, qwtopo.walk.H, t),
                  qwtopo.budget.held(cone, t, history=True, identity_coin1=identity)))
         for run, held in runs:
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert 0.95 <= peak / 8 / 64 / held <= 1.1, (identity, held)
+            assert 0.95 <= _traced(run)[1] / 8 / 64 / held <= 1.1, (identity, held)
 
 
 @pytest.mark.parametrize("t, horizon, models", ((11, 7, 64), (400, 400, 8)))
@@ -136,13 +139,28 @@ def test_a_fit_batch_holds_what_fit_held_counts(monkeypatch, t, horizon, models)
                 lambda block, workspace: _mc_batch(system, data, horizon, block, workspace),
                 params, held, beside=qwtopo.budget.readout_held(t)))
     for run in runs:
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.95 <= peak / 8 / models / held <= 1.1
+        assert 0.95 <= _traced(run)[1] / 8 / models / held <= 1.1
+
+
+def test_reading_a_fit_batch_holds_at_most_readout_arrays_rows():
+    """`apparatus._readout`, beside the series it reads, and
+    `scattering.invariant_rows`, with the signed series it reads, each peak
+    at no more than `budget.READOUT_ARRAYS` (models, t) float64 arrays, the
+    rows `budget.readout_held` counts beside a fit batch's workspace.  Traced
+    on the series of the fit's models at t = 11 with a shipped batch of 334
+    models, at t = 60 and 200 with 64 and at t = 400 with 8: arrays of 25 KB
+    or more, so the interpreter's few KB of noise stay under a tenth of one.
+    The count is the widest peak rounded up, not a looser bound."""
+    peaks = []
+    for t, models in ((11, 334), (60, 64), (200, 64), (400, 8)):
+        system = ScatteringSystem.for_steps(0.47 * PI, 1.21 * PI, t)
+        params = RANGES.draw(np.random.default_rng(t), models)
+        rho = qwtopo.scattering.sample_rows(*_model_coins(system, params), t)
+        _readout(rho[:1], params[:1], PI / 4)  # imports and caches outside the peak
+        series, readout = _traced(lambda: _readout(rho, params, PI / 4)[1])
+        reader = _traced(lambda: invariant_rows(series))[1] + series.nbytes
+        peaks += [readout / series.nbytes, reader / series.nbytes]
+    assert max(peaks) <= qwtopo.budget.READOUT_ARRAYS < max(peaks) + 1, peaks
 
 
 def test_the_column_pad_is_all_the_budget_leaves_out():
@@ -159,11 +177,6 @@ def test_the_column_pad_is_all_the_budget_leaves_out():
     peaks = {}
     for walkers in (63, 64, 65):
         theta = qwtopo.walk.coins(np.random.default_rng(2).uniform(0, 2 * PI, (walkers, t + 2)))
-        tracemalloc.start()
-        try:
-            qwtopo.scattering.sample_rows(None, theta, t)
-            peaks[walkers] = tracemalloc.get_traced_memory()[1] / 8
-        finally:
-            tracemalloc.stop()
+        peaks[walkers] = _traced(lambda: qwtopo.scattering.sample_rows(None, theta, t))[1] / 8
     assert abs(peaks[64] - peaks[63] - held) <= 128
     assert abs(peaks[65] - peaks[64] - held - 7 * column) <= 128

@@ -11,6 +11,7 @@ run loads while the tracer is installed, and that binds a traced function
 at load time, would keep the wrapper.
 """
 
+import functools
 import importlib.util
 import os
 import sys
@@ -18,8 +19,9 @@ import sys
 import pytest
 
 import qwtopo.cli
-from qwtopo import config, dataio, disorder, walk
-from qwtopo.scattering import ScatteringSystem
+from qwtopo import config, dataio, walk
+
+from bench_calls import BENCH_CALLS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIGS = ("scan_line_t5", "emulate_lossy", "disorder_same_phase")
@@ -69,15 +71,14 @@ def test_a_traced_run_completes_and_yields_layer_metrics(tmp_path, monkeypatch):
     assert wrapped == []
 
 
-@pytest.mark.parametrize("owner, name", [
-    (disorder.DisorderSpec, "for_steps"),
-    (disorder, "ensemble_r0"),
-    (ScatteringSystem, "for_steps"),
-    (ScatteringSystem, "protocol"),
-    (walk.WalkerState, "localized"),
-    (walk, "evolve"),
-    (walk, "H"),
-    (config, "estimate"),
-])
+def _owner(file, qualname):
+    """(object, attribute) of a `BENCH_CALLS` entry: its module or class, and
+    the name looked up on it."""
+    *path, name = qualname.split(".")
+    return functools.reduce(getattr, path, importlib.import_module("qwtopo." + file[:-3])), name
+
+
+@pytest.mark.parametrize("owner, name", [*(_owner(*entry) for entry in BENCH_CALLS),
+                                         (walk, "H")])  # the launch polarization run.py passes
 def test_the_names_the_benchmark_calls_exist(owner, name):
     assert getattr(owner, name, None) is not None

@@ -16,6 +16,8 @@ import os
 import subprocess
 import sys
 
+from bench_calls import BENCH_CALLS
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PACKAGE = os.path.realpath(os.path.join(ROOT, "src", "qwtopo"))
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -43,14 +45,9 @@ DECLARED = {
 }
 
 #: The fourth group, names the benchmark calls or wraps: `bench/tracer.py`
-#: wraps its TARGETS by name (read from the file), and `bench/run.py` calls
-#: these, in its kernel grid and, for `config.estimate_ratio`, `config.estimate`
-#: of each raw config, so deleting one breaks `bench/run.py --trace 1`.
-BENCH_CALLS = [("config.py", "estimate"),
-               ("disorder.py", "DisorderSpec.for_steps"), ("disorder.py", "ensemble_r0"),
-               ("scattering.py", "ScatteringSystem.for_steps"),
-               ("scattering.py", "ScatteringSystem.protocol"),
-               ("walk.py", "WalkerState.localized"), ("walk.py", "evolve")]
+#: wraps its TARGETS by name (read from the file), and `bench/run.py` and
+#: `bench/gate.py` call `bench_calls.BENCH_CALLS`, so deleting one breaks
+#: `bench/run.py --trace 1`.
 
 TRACE = r"""
 import contextlib, io, json, os, sys

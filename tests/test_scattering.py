@@ -522,10 +522,10 @@ PYTHAGOREAN = [(Fraction(p, q), Fraction(r, q))
 EXACT_K = 3 * math.sqrt(2) * (1 + 1e-9)
 
 
-def pythagorean_walks(seed, count):
+def pythagorean_walks(seed, count, longest=101):
     """count (c1, c2, t) walks of random Pythagorean coins with random signs,
-    the first two at t = 101 and the rest at random t <= 101; every second c1
-    is the identity, which the engine steps on its undoubled lattice."""
+    the first two at t = longest and the rest at random t <= longest; every
+    second c1 is the identity, which the engine steps on its undoubled lattice."""
     rng = np.random.default_rng(seed)
     walks = []
     for k in range(count):
@@ -533,7 +533,7 @@ def pythagorean_walks(seed, count):
         c1, c2 = ((c * sign_c, s * sign_s) for (c, s), (sign_c, sign_s)
                   in zip((c1, c2), rng.choice((-1, 1), size=(2, 2))))
         walks.append(((Fraction(1), Fraction(0)) if k % 2 else c1, c2,
-                      101 if k < 2 else int(rng.integers(1, 102))))
+                      longest if k < 2 else int(rng.integers(1, longest + 1))))
     return walks
 
 
@@ -568,3 +568,22 @@ def test_the_engine_errs_by_at_most_k_j_eps_on_pythagorean_coins():
         residual = 1.0 - np.sum(got ** 2)
         moved = sum(b * (2 * abs(float(e)) + b) for b, e in zip(bound, exact)) + (t + 2) * eps / 2
         assert abs(Fraction(float(residual)) - (1 - weight)) <= moved, (c1, c2, t)
+
+
+def test_the_coin_sign_maps_hold_exactly_on_pythagorean_coins():
+    """theta1 -> theta1 + pi and theta1 -> -theta1, which map coin 1's (c, s)
+    to (-c, -s) and (c, -s), map rho_j to (-1)^j rho_j, and the same maps of
+    theta2 map it to -(-1)^j rho_j: exactly, in the rationals of
+    `exact_series`, for 40 walks of random signed Pythagorean coins at t <= 40.
+    A phase diagram's symmetries rest on these maps."""
+    def maps(pair):
+        c, s = pair
+        return (-c, -s), (c, -s)
+
+    for c1, c2, t in pythagorean_walks(35, 40, longest=40):
+        rho = exact_series(c1, c2, t)
+        alternating = [(-1) ** j * x for j, x in enumerate(rho, start=1)]
+        for mapped in maps(c1):
+            assert exact_series(mapped, c2, t) == alternating, (c1, c2, t)
+        for mapped in maps(c2):
+            assert exact_series(c1, mapped, t) == [-x for x in alternating], (c1, c2, t)
