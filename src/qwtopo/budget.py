@@ -146,9 +146,15 @@ def cone(lo: int, hi: int, sites: int, steps: int, read: int | None = None):
     return first, last, sum(last) - sum(first) + steps
 
 
+def sample_width(t: int) -> int:
+    """Sites x = 0 .. t // 2 of a sample, whose coins a t-step reflection reads."""
+    return t // 2 + 1
+
+
 def reflection_window(t: int) -> int:
-    """Sites of the window [READOUT_SITE, t // 2] that `sample_rows` steps."""
-    return t // 2 + 1 - READOUT_SITE
+    """Sites of the window [READOUT_SITE, t // 2] that `sample_rows` steps:
+    the lead's, then the sample's."""
+    return sample_width(t) - READOUT_SITE
 
 
 def reflection_site_steps(t: int) -> int:

@@ -8,10 +8,10 @@ manifest of the files its runner's `runners.Outputs` lists.
 module, `config`, the cost model `budget` and `dataio`, and of the
 standard library `argparse`, `json` and `copy`; no numpy, and none of
 `dataclasses`, `hashlib`, `csv` or `datetime`.  A module that only `run`
-or `replot` uses is imported inside them (`runners`, and with it numpy
-and the engine; `datetime`), or inside the `dataio` function that needs
-it (`hashlib`, `csv`).  What every command uses, `argparse` and `json`
-among it, stays at the top.
+or `replot` uses is imported inside them (`runners`, and with it numpy,
+then the engine modules of the run's kind; `datetime`), or inside the
+`dataio` function that needs it (`hashlib`, `csv`).  What every command
+uses, `argparse` and `json` among it, stays at the top.
 """
 
 from __future__ import annotations

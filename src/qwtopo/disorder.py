@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import ENSEMBLE, reflection_window
+from .budget import ENSEMBLE, sample_width
 from .walk import CoinField, Workspace, coins, over_batches
 from .scattering import rotated_sums, sample_rows
 
@@ -219,7 +219,7 @@ def _ensemble(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int)
     study = PatternStudy(theta_a, theta_b,
                          lambda coin2, workspace: _ensemble_batch(coin2, t, workspace),
                          ENSEMBLE.held(t))
-    return config_uniforms(seed, range(n_configs), reflection_window(t) - 2), study
+    return config_uniforms(seed, range(n_configs), sample_width(t)), study
 
 
 def ensemble_r0(spec: DisorderSpec, t: int) -> EnsembleResult:

@@ -1,8 +1,10 @@
 """The experiment runners of `qwtopo run` and the plots `replot` redraws.
 
 A runner reads a config resolved by `config.resolve` and names its files to
-an `Outputs`.  Runners look package functions up on their modules at each
-call, so no wrapper set there stays bound here.
+an `Outputs`.  Each runner imports the engine modules of its kind when it
+runs, so a run loads only those: a scan or a phase diagram loads no
+`apparatus`, `disorder` or `edges`.  Runners look package functions up on
+their modules at each call, so no wrapper set there stays bound here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import os
 
 import numpy as np
 
-from . import apparatus, dataio, disorder, edges, scattering, svgplot
+from . import dataio, svgplot
 
 PHASE_LEVELS = {"--": 0.0, "-+": 1.0, "boundary": 2.0, "+-": 3.0, "++": 4.0}
 
@@ -114,6 +116,8 @@ def _member_columns(results) -> list:
 
 
 def _run_scan(cfg, seed, out):
+    from . import scattering
+
     blk = cfg["scan"]
     t = blk["t"]
     if blk["parametrization"] == "free":
@@ -128,6 +132,8 @@ def _run_scan(cfg, seed, out):
 
 
 def _run_phase_diagram(cfg, seed, out):
+    from . import scattering
+
     blk = cfg["phase_diagram"]
     pd = scattering.phase_diagram(blk["resolution"], blk["t"], blk["tolerance"])
     n = pd.theta2.size
@@ -141,6 +147,8 @@ def _run_phase_diagram(cfg, seed, out):
 
 
 def _run_disorder(cfg, seed, out):
+    from . import disorder
+
     blk = cfg["disorder"]
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
     t, n, p_grid = blk["t"], blk["n_configs"], blk["p_grid"]
@@ -159,6 +167,8 @@ def _run_disorder(cfg, seed, out):
 
 
 def _run_edge(cfg, seed, out):
+    from . import edges
+
     blk = cfg["edge"]
     theta_left = blk["theta_left_pi"] * math.pi
     theta_a, theta_b = blk["theta_a_pi"] * math.pi, blk["theta_b_pi"] * math.pi
@@ -184,6 +194,8 @@ def _radians(blk: dict) -> dict:
 
 
 def _run_emulate(cfg, seed, out):
+    from . import apparatus, scattering
+
     blk = cfg["emulate"]
     system = scattering.ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,
                                                    blk["theta2_pi"] * math.pi, blk["t"])
@@ -201,6 +213,8 @@ def _run_emulate(cfg, seed, out):
 
 
 def _run_mc_errorbars(cfg, seed, out):
+    from . import apparatus, scattering
+
     blk = cfg["mc_errorbars"]
     t = blk["t"]
     system = scattering.ScatteringSystem.for_steps(blk["theta1_pi"] * math.pi,

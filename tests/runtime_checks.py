@@ -29,6 +29,8 @@ In a temporary directory it checks, in order:
    through `runpy`, adds none of numpy, `dataclasses`, `inspect`,
    `hashlib`, `csv` or `datetime` to the modules the interpreter started
    with: only `run` and `replot` load them.
+8. `run` of every shipped config, a fresh process, loads the package
+   modules that `tests/shipped_modules.json` records: only its kind's.
 
 It prints one line per check that holds and exits 0, or exits 1 with a
 message naming the first check that fails.
@@ -57,6 +59,9 @@ with open(os.path.join(HERE, "shipped_hashes.json"), encoding="utf-8") as _fh:
 with open(os.path.join(HERE, "shipped_estimates.json"), encoding="utf-8") as _fh:
     #: name of a shipped config, without ".json" -> its `config.estimate`.
     ESTIMATES = json.load(_fh)
+with open(os.path.join(HERE, "shipped_modules.json"), encoding="utf-8") as _fh:
+    #: name of a shipped config -> the package modules its `run` loads.
+    MODULES = json.load(_fh)
 
 
 def qwtopo(*args: str) -> str:
@@ -179,6 +184,28 @@ def check_verify_modules():
         sys.exit(f"verify ended with {last}, not ['0 []']: {done.stderr.strip()}")
 
 
+#: `entrypoint(ARGS...)`, printing its exit code and the package modules
+#: then loaded, without the package's prefix.
+MODULES_PROBE = """
+import contextlib, io, sys
+from qwtopo.cli import entrypoint
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entrypoint(sys.argv[1:])
+print(code, sorted(m.removeprefix("qwtopo.") for m in sys.modules if m.startswith("qwtopo.")))
+"""
+
+
+def check_run_modules(top: str):
+    for cfg in CONFIGS:
+        name = os.path.basename(cfg)
+        out = os.path.join(top, "modules", name.removesuffix(".json"))
+        done = subprocess.run([sys.executable, "-c", MODULES_PROBE, "run", "--config", cfg,
+                               "--out", out], capture_output=True, text=True)
+        if done.stdout.splitlines() != [f"0 {MODULES[name]}"]:
+            sys.exit(f"{name}: run printed {done.stdout.splitlines()}, not the modules "
+                     f"{MODULES[name]}: {done.stderr.strip()}")
+
+
 CHECKS = (
     ("walk.evolve steps on the package alone", lambda top: check_evolve()),
     ("verify of every shipped config prints its recorded estimates",
@@ -190,6 +217,7 @@ CHECKS = (
     ("every JSON file of a --format json run is strict", check_json),
     ("verify loads no module that only run and replot use",
      lambda top: check_verify_modules()),
+    ("a run of every shipped config loads only its kind's modules", check_run_modules),
 )
 
 

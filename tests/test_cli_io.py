@@ -161,24 +161,61 @@ def test_write_table_gives_the_bytes_of_a_per_value_reference(tmp_path):
     assert_reference_bytes(tmp_path, [f"c{k}" for k in range(len(columns))], columns)
 
 
-def test_a_float_column_keeps_signed_zeros_nan_and_repeats_apart(tmp_path, monkeypatch):
-    """0.0 and -0.0 compare equal, and NaNs of any sign or payload compare
-    unequal, but each distinct bit pattern is formatted on its own: every
-    cell is written as its own str().  Lines are written 5 rows at a time,
-    so the last block is a partial one."""
-    monkeypatch.setattr(cells, "BLOCK", 5)
+def shared_patterns_table() -> tuple[list, list]:
+    """Header and columns of a table whose float64 columns hold the same bit
+    patterns in other orders: 0.0 and -0.0, NaNs of both signs and several
+    payloads, subnormals and repeats, in a native array, a big-endian array
+    beside it and a list; and int64 columns, one of them big-endian, that
+    share their values, and a bool column.  Two JSON names hold a '%'."""
     nan_bits = np.array([0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001],
                         dtype=np.int64).view(np.float64)
     cycle = [0.0, -0.0, nan_bits[0], 0.1, 0.0, 1e16, -0.0, nan_bits[1], 0.1, -0.0,
              nan_bits[2], 5e-324, -5e-324, 0.0]
     column = np.array(cycle * 3)
     other = np.arange(column.size) % 4 - 2
-    assert_reference_bytes(tmp_path, ["a", "b"], [column, other])
-    lines = open(dataio.write_table(str(tmp_path / "t"), ["a", "b"],
-                                    dataio.Columns(column, other), "csv")).read().splitlines()
+    columns = [column, column[::-1].astype(">f8"), list(np.roll(column, 5)), other,
+               (other * 3 % 5).astype(">i8"), other > 0]
+    return ["a", "b%s", "c%", "d", "e", "f"], columns
+
+
+def test_a_float_column_keeps_signed_zeros_nan_and_repeats_apart(tmp_path, monkeypatch):
+    """0.0 and -0.0 compare equal, and NaNs of any sign or payload compare
+    unequal, but each distinct bit pattern is formatted on its own: every
+    cell is written as its own str(), also where other columns, a big-endian
+    one among them, share the patterns, in CSV and in JSON.  The big-endian
+    columns are also written with no native one beside them.  Lines are
+    written 5 rows at a time, so the last block is a partial one."""
+    monkeypatch.setattr(cells, "BLOCK", 5)
+    header, columns = shared_patterns_table()
+    assert_reference_bytes(tmp_path, header, columns)
+    assert_reference_bytes(tmp_path, ["b", "e"], [columns[1], columns[4]])
+    lines = open(dataio.write_table(str(tmp_path / "t"), header, dataio.Columns(*columns),
+                                    "csv")).read().splitlines()
     assert [line.split(",")[0] for line in lines[1:15]] == [
         "0.0", "-0.0", "nan", "0.1", "0.0", "1e+16", "-0.0", "nan", "0.1", "-0.0", "nan",
         "5e-324", "-5e-324", "0.0"]
+
+
+def test_a_table_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    """str() runs once per distinct float64 bit pattern of the whole table,
+    whichever columns hold it, plus once per distinct value of each integer
+    and bool dtype, and once per header name and cell of a list column."""
+    calls = []
+
+    def counting_str(value):
+        calls.append(value)
+        return str(value)
+
+    monkeypatch.setattr(cells, "str", counting_str, raising=False)
+    header, columns = shared_patterns_table()
+    floats = np.concatenate(columns[:2])  # the list's cells are formatted one by one
+    distinct = (np.unique(floats.view(np.int64)).size
+                + np.unique(np.concatenate(columns[3:5])).size + np.unique(columns[5]).size)
+    assert distinct == 9 + 7 + 2  # float patterns, integers, bools
+    for fmt, extra in (("csv", len(header) + len(columns[2])), ("json", len(columns[2]))):
+        calls.clear()
+        dataio.write_table(str(tmp_path / "t"), header, dataio.Columns(*columns), fmt)
+        assert len(calls) == distinct + extra, fmt
 
 
 #: The CSV writer's traced peak over the bytes it writes.  Its cells are
@@ -519,6 +556,43 @@ def test_verify_and_config_errors_load_no_numpy(tmp_path):
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.splitlines() == ["[]", f"{[0] * (len(paths) - 1)} []", "[2, 2] []"]
     assert not (tmp_path / "out").exists()
+
+
+with open(os.path.join(os.path.dirname(__file__), "shipped_modules.json")) as _fh:
+    #: The package modules a `run` of each shipped config loads.
+    SHIPPED_MODULES = json.load(_fh)
+
+#: `entrypoint(ARGS...)` in a fresh process, printing its exit code and the
+#: package modules then loaded, without the package's prefix.
+MODULES_PROBE = """
+import contextlib, io, sys
+from qwtopo.cli import entrypoint
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entrypoint(sys.argv[1:])
+print(code, sorted(m.removeprefix("qwtopo.") for m in sys.modules if m.startswith("qwtopo.")))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_a_run_loads_only_the_modules_of_its_kind(tmp_path, name):
+    """A `run` of each shipped config, in a fresh process, loads the package
+    modules `tests/shipped_modules.json` records, no more: a scan or a phase
+    diagram loads no `apparatus`, `disorder` or `edges`, a disorder study no
+    `apparatus` or `edges`, and an apparatus study no `disorder` or `edges`.
+    Checked by module presence, not by time."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    cfg = os.path.join(CONFIG_DIR, name)
+    out = subprocess.run([sys.executable, "-c", MODULES_PROBE, "run", "--config", cfg,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == [f"0 {SHIPPED_MODULES[name]}"]
+    experiment = cfgmod.load(cfg)["experiment"]
+    unused = {"scan": {"apparatus", "disorder", "edges"},
+              "phase-diagram": {"apparatus", "disorder", "edges"},
+              "disorder": {"apparatus", "edges"}, "edge": {"apparatus"},
+              "emulate": {"disorder", "edges"}, "mc-errorbars": {"disorder", "edges"}}
+    assert not unused[experiment] & set(SHIPPED_MODULES[name])
 
 
 @pytest.mark.parametrize("module", ["qwtopo", "qwtopo.cli"])
@@ -999,7 +1073,7 @@ def test_the_runtime_checks_pass_from_a_temporary_directory(tmp_path):
     done = subprocess.run([sys.executable, os.path.join(here, "runtime_checks.py")],
                           cwd=tmp_path, capture_output=True, text=True, timeout=600, env=env)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("ok: ") == 7
+    assert done.stdout.count("ok: ") == 8
 
 
 def above_baseline() -> list:

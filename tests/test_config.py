@@ -37,7 +37,7 @@ from qwtopo.apparatus import ApparatusModel, emulate_measurement
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import config_hash
 from qwtopo.disorder import config_uniforms
-from qwtopo.budget import record_site_steps, reflection_site_steps, reflection_window
+from qwtopo.budget import record_site_steps, reflection_site_steps, sample_width
 from qwtopo.scattering import ScatteringSystem
 from qwtopo.walk import coins
 
@@ -215,12 +215,12 @@ def distinct_patterns(cfg, out) -> dict:
     if kind == "edge":
         members = [(1 if p in (0.0, 1.0) else n, p) for p in blk["p_grid"]]
         return {t: distinct(t, n, t + 2, members) + 1}
-    counts = {t: distinct(t, n, reflection_window(t) - 2, [(n, p) for p in blk["p_grid"]])}
+    counts = {t: distinct(t, n, sample_width(t), [(n, p) for p in blk["p_grid"]])}
     if "transition" in blk:
         tr = blk["transition"]
         p_crit = json.loads((out / "transition.json").read_text())["p_crit"]
         probes = bisection_probes(p_crit, tr["resolution"])
-        found = distinct(tr["t"], tr["n_configs"], reflection_window(tr["t"]) - 2,
+        found = distinct(tr["t"], tr["n_configs"], sample_width(tr["t"]),
                          [(tr["n_configs"], p) for p in probes])
         counts[tr["t"]] = counts.get(tr["t"], 0) + found
     return counts

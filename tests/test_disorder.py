@@ -151,7 +151,7 @@ def test_ensemble_values_equal_per_config_runs_bit_for_bit(monkeypatch):
     grid = [k * 0.05 for k in range(21)]
     found = set()
     for block, result, t in probes:
-        uniforms = config_uniforms(SEED, range(30), budget.reflection_window(t) - 2)
+        uniforms = config_uniforms(SEED, range(30), budget.sample_width(t))
         p = next(p for p in grid if np.array_equal(block, uniforms < p))
         found.add((t, p))
         probe = DisorderSpec.for_steps(CASE2["theta_a"], CASE2["theta_b"], p, t, SEED, 30)
@@ -369,7 +369,7 @@ def test_the_transition_endpoints_and_first_midpoint_run_as_one_first_call(monke
     table = np.array(coins(np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)))
     assert np.all(first[:, 0] == table[:, :1])
     assert np.all(first[:, 1] == table[:, 1:])
-    uniforms = config_uniforms(SEED, range(40), budget.reflection_window(101) - 2)
+    uniforms = config_uniforms(SEED, range(40), budget.sample_width(101))
     masks = uniforms < round(0.5 / 0.05) * 0.05
     mid = masks[np.sort(np.unique(masks, axis=0, return_index=True)[1])]
     assert first.shape[1] == 2 + len(mid) > 2

@@ -553,7 +553,7 @@ def test_sample_rows_of_coin_tables_equal_full_window_rows(walkers, t):
     assert np.array_equal(sample_rows(coin1, coin2, t), full_window_rows(
         np.repeat(pairs[:, :1], m, axis=1), np.repeat(pairs[:, 1:], m, axis=1), t))
     a, b = np.array([0.63, 1.26]) * np.pi
-    masks = rng.random((walkers, t // 2 + 1)) < 0.6
+    masks = rng.random((walkers, qwtopo.budget.sample_width(t))) < 0.6
     (ca, cb), (sa, sb) = coins(np.array([a, b]))
     rho = sample_rows(None, (np.where(masks, cb, ca), np.where(masks, sb, sa)), t)
     assert np.array_equal(rho, full_window_rows(np.zeros(masks.shape),

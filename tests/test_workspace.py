@@ -40,7 +40,7 @@ def test_an_ensemble_study_whose_batches_shrink_and_grow_gives_fresh_bits():
     200 walkers, all in its one workspace; each member's half r(0) has the
     bits of a fresh `sample_rows` call of its block."""
     t, rng = 201, np.random.default_rng(5)
-    sites = budget.reflection_window(t) - 2
+    sites = budget.sample_width(t)
     study = disorder._ensemble(TH_A, TH_B, 1, t, 1)[1]
     table = coin_table(TH_A, TH_B)
     for block in blocks(rng, (200, 200, 125, 200), sites):
@@ -73,7 +73,7 @@ def test_a_second_same_width_call_allocates_no_batch_array():
     smallest array the workspace holds, the gathered coins, more: neither
     the kernel's buffer and read-out nor the coins are allocated again."""
     t, rng = 201, np.random.default_rng(7)
-    sites = budget.reflection_window(t) - 2
+    sites = budget.sample_width(t)
     study = disorder._ensemble(TH_A, TH_B, 1, t, 1)[1]
     first, second = blocks(rng, (200, 200), sites)
     study.values([first])
