@@ -40,8 +40,6 @@ time to sign data given as a list of pairs, and raise where the batch
 gives NaN.
 """
 
-from __future__ import annotations
-
 from dataclasses import astuple, dataclass
 
 import numpy as np

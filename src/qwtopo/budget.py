@@ -7,8 +7,6 @@ or by the cut histories' `ploc_held` and `fit_held`.
 It holds no run value, such as a p grid: those come from the config alone.
 """
 
-from __future__ import annotations
-
 import math
 
 _GROW = 16  # slots added when a shift reaches an occupied window edge

@@ -9,8 +9,6 @@ column's strings back.  Any other column is formatted value by value.  JSON
 spells the same strings as JSON does and puts each row's in one record's frame.
 """
 
-from __future__ import annotations
-
 import json
 
 import numpy as np

@@ -5,24 +5,19 @@ failures (I/O, unrecognized data, numerical dead ends).  `run` writes the
 manifest of the files its runner's `runners.Outputs` lists.
 
 `verify` and every exit 2 load only what checking a config needs: this
-module, `config`, the cost model `budget` and `dataio`, and of the
-standard library `argparse`, `json` and `copy`; no numpy, and none of
-`dataclasses`, `hashlib`, `csv` or `datetime`.  A module that only `run`
-or `replot` uses is imported inside them (`runners`, and with it numpy,
-then the engine modules of the run's kind; `datetime`), or inside the
-`dataio` function that needs it (`hashlib`, `csv`).  What every command
-uses, `argparse` and `json` among it, stays at the top.
+module, `config` and the cost model `budget`, and of the standard library
+`argparse` and `json`; no numpy, `dataio`, `copy`, `dataclasses`,
+`hashlib`, `csv` or `datetime`.  `run` imports `dataio` once it has
+checked its config, then `runners`, with numpy and the engine modules of
+the run's kind, and `datetime`; `replot` imports `runners` and `dataio`.
+What every command uses, `argparse` and `json` among it, stays at the top.
 """
-
-from __future__ import annotations
 
 import argparse
 import os
 import sys
 
 from . import __version__, config
-from .dataio import (IoFailure, RunManifest, UnknownDataKind, config_hash, detect_kind,
-                     read_csv, write_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +94,8 @@ def _cmd_run(args) -> int:
     resolved, _ = config.validate(cfg if args.seed is None else {**cfg, "seed": args.seed})
     for note in config.config_warnings(cfg):
         print(f"warning: {note}", file=sys.stderr)
+    from .dataio import IoFailure, RunManifest, config_hash
+
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -118,57 +115,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replot(args) -> int:
-    """Redraw <kind>.svg from each <kind>.csv, as `run` drew it.
-
-    A recognized table under another name, such as phase_diagram.csv, is
-    left alone: its plot needs more than the table holds.
-    """
+    """Redraw <kind>.svg from each <kind>.csv, as `run` drew it (`runners.replot`)."""
     from . import runners
-    names = sorted(os.listdir(args.out)) if os.path.isdir(args.out) else []
-    tables = drawn = 0
-    for name in names:
-        if not name.endswith(".csv"):
-            continue
-        path = os.path.join(args.out, name)
-        header, rows = read_csv(path)
-        try:
-            kind = detect_kind(header)
-        except UnknownDataKind:
-            continue
-        tables += 1
-        if name == f"{kind}.csv":
-            try:
-                text = runners.plot_table(kind, _columns(header, rows))
-            except UnknownDataKind as exc:  # the refusals name the row, this the file
-                raise UnknownDataKind(f"{path}: {exc}") from None
-            write_text(os.path.join(args.out, f"{kind}.svg"), [text])
-            drawn += 1
+    from .dataio import UnknownDataKind
+
+    tables, drawn = runners.replot(args.out)
     if tables == 0:
         raise UnknownDataKind(f"no recognized tables in {args.out}")
     print(f"redrew {drawn} plots in {args.out}")
     return 0
-
-
-def _columns(header: list[str], rows: list[list[str]]):
-    """A table's float columns, a row of the returned array each, refused unless
-    each data row, one at least, is as wide as the header and holds numbers
-    that `float` reads; `runners.plot_table` refuses the cells it cannot plot."""
-    import numpy as np  # loaded with `runners`, which replot needs anyway
-
-    bad = next((i for i, row in enumerate(rows, 1) if len(row) != len(header)), 0)
-    if bad or not rows:
-        raise UnknownDataKind(f"data row {bad} holds {len(rows[bad - 1])} cells, its header "
-                              f"{len(header)}" if bad else "the table holds no data rows")
-    try:
-        table = np.array(rows, dtype=float)  # each cell read as float() reads it
-    except ValueError:
-        for i, row in enumerate(rows, 1):
-            try:
-                list(map(float, row))
-            except ValueError:
-                raise UnknownDataKind(f"data row {i} holds a non-number") from None
-        raise
-    return table.T
 
 
 if __name__ == "__main__":

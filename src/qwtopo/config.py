@@ -26,9 +26,6 @@ bulks lie in one phase, and a config whose predicted cost exceeds
 `MAX_CELLS`.
 """
 
-from __future__ import annotations
-
-import copy
 import json
 import math
 import operator
@@ -36,7 +33,6 @@ import operator
 from .budget import (ALPHA_GUARD, ENSEMBLE, INTERFACE, MODEL, SCAN, batch_capacity,
                      batch_walkers, fit_held, interface_members, ploc_held, record_window,
                      within_guard)
-from .dataio import IoFailure
 
 #: How the run of each experiment kind steps its walkers: the one list of kinds.
 STUDY = {"scan": SCAN, "phase-diagram": SCAN, "disorder": ENSEMBLE, "edge": INTERFACE,
@@ -333,6 +329,8 @@ def load(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
+        from .dataio import IoFailure  # the one use of `dataio` in checking a config
+
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -437,10 +435,17 @@ def q0_sign(theta_pi: float) -> int:
     return 0 if half_turns in (0.0, 1.0) else -1 if half_turns < 1.0 else 1
 
 
+def _copied(value):
+    """A copy of a JSON value: each of its objects and arrays new, its scalars shared."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    return [_copied(item) for item in value] if isinstance(value, list) else value
+
+
 def _fill(node: dict, schema: dict) -> None:
     for key, sub in schema.get("properties", {}).items():
         if key not in node and "default" in sub:
-            node[key] = copy.deepcopy(sub["default"])
+            node[key] = _copied(sub["default"])
         if isinstance(node.get(key), dict):
             _fill(node[key], sub)
 
@@ -451,7 +456,7 @@ def resolve(cfg: dict) -> dict:
     A lone disorder `p` becomes `p_grid: [p]`.  The runners and `estimate`
     read only resolved configs; `config_hash` hashes the config as written.
     """
-    out = copy.deepcopy(cfg)
+    out = _copied(cfg)
     disorder = out.get("disorder", {})
     if "p" in disorder:
         disorder["p_grid"] = [disorder.pop("p")]

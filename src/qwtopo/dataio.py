@@ -12,11 +12,10 @@ infinite is written as null, in tables and in the run's other JSON files
 `write_text`, the one place the package opens a file for writing, so
 each write that fails raises `IoFailure` naming its file.
 
-`hashlib` and `csv` load on first use, inside the functions that hash and
-read, so `verify`, which does neither, loads neither.
+`verify` and every exit 2 load none of it: `cli` imports it once `run` has
+checked its config and in `replot`, `config.load` only to raise `IoFailure`,
+and it imports `hashlib` and `csv` inside the functions that hash and read.
 """
-
-from __future__ import annotations
 
 import json
 import math

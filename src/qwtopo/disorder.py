@@ -31,8 +31,6 @@ values it stepped for every later probe.  Both take the values they read;
 only `sample_pattern` and `ensemble_r0` read a `DisorderSpec`.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

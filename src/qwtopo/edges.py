@@ -33,8 +33,6 @@ its p once, through one `disorder.PatternStudy` call.  Neither study has
 a default: every value comes from the run's config.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -7,8 +7,6 @@ runs, so a run loads only those: a scan or a phase diagram loads no
 their modules at each call, so no wrapper set there stays bound here.
 """
 
-from __future__ import annotations
-
 import math
 import os
 
@@ -73,6 +71,56 @@ def plot_table(kind: str, columns) -> str:
     xs, means, stds = cols[:3] if kind == "disorder_summary" \
         else _group_stats(cols[0], cols[2])
     return svgplot.errorbar_plot(xs, means, stds, title=title, xlabel="p", ylabel=ylabel)
+
+
+def _columns(header: list[str], rows: list[list[str]]) -> np.ndarray:
+    """A table's float columns, a row of the returned array each, refused unless
+    each data row, one at least, is as wide as the header and holds numbers
+    that `float` reads; `plot_table` refuses the cells it cannot plot."""
+    bad = next((i for i, row in enumerate(rows, 1) if len(row) != len(header)), 0)
+    if bad or not rows:
+        raise dataio.UnknownDataKind(f"data row {bad} holds {len(rows[bad - 1])} cells, its "
+                                     f"header {len(header)}" if bad
+                                     else "the table holds no data rows")
+    try:
+        table = np.array(rows, dtype=float)  # each cell read as float() reads it
+    except ValueError:
+        for i, row in enumerate(rows, 1):
+            try:
+                list(map(float, row))
+            except ValueError:
+                raise dataio.UnknownDataKind(f"data row {i} holds a non-number") from None
+        raise
+    return table.T
+
+
+def replot(out_dir: str) -> tuple[int, int]:
+    """Redraw <kind>.svg from each <kind>.csv in `out_dir`, as `run` drew it;
+    returns the number of tables recognized and of plots drawn.
+
+    A recognized table under another name, such as phase_diagram.csv, is
+    left alone: its plot needs more than the table holds.
+    """
+    names = sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []
+    tables = drawn = 0
+    for name in names:
+        if not name.endswith(".csv"):
+            continue
+        path = os.path.join(out_dir, name)
+        header, rows = dataio.read_csv(path)
+        try:
+            kind = dataio.detect_kind(header)
+        except dataio.UnknownDataKind:
+            continue
+        tables += 1
+        if name == f"{kind}.csv":
+            try:
+                text = plot_table(kind, _columns(header, rows))
+            except dataio.UnknownDataKind as exc:  # the refusals name the row, this the file
+                raise dataio.UnknownDataKind(f"{path}: {exc}") from None
+            dataio.write_text(os.path.join(out_dir, f"{kind}.svg"), [text])
+            drawn += 1
+    return tables, drawn
 
 
 class Outputs:

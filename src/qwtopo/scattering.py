@@ -26,8 +26,6 @@ x = -2: amplitude left of it never returns, so the window starts there.
 `scan_line` steps the angle pairs it is given, a line's from `line_pairs`.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -6,8 +6,6 @@ precision, colors come from a fixed palette, and nothing depends on
 wall-clock state or external plotting libraries.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")

@@ -59,8 +59,6 @@ call given no workspace gets a fresh one, and arrays that are its caller's
 alone.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 import numpy as np
 

@@ -12,7 +12,8 @@ algebraic equation, with no lattice (`clean_series`), the exact
 small-window disorder statistics, enumerated over every binary pattern a
 short reflection run can see (`pattern_half_r0`, `exact_disorder_stats`),
 and the float-free reflection series of clean walks whose coins have
-rational cosine and sine, stepped in integers (`exact_series`).
+rational cosine and sine, stepped in integers (`exact_series`), with the
+derived bound `EXACT_K` on how far the engine's floats stray from it.
 
 Run as a script to print the golden values that the test suite pins:
 
@@ -20,6 +21,7 @@ Run as a script to print the golden values that the test suite pins:
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +260,20 @@ def exact_series(c1, c2, t):
         scale *= coins[0][2] * coins[1][2]
         rho.append(Fraction(b[0], scale))
     return rho
+
+
+#: The engine's error bound per step, in units of eps.  One rotation (x, y) ->
+#: (c x + s y, c y - s x) in floating point, its coin (c, s) rounded to the
+#: nearest floats, gives x' = (c (1 + a) x (1 + d1) + s (1 + b) y (1 + d2)) (1 + d3)
+#: with each |a|, |b|, |d| <= u = eps / 2, so to first order x' errs by at most
+#: 3 u (|c x| + |s y|), and y' likewise.  Over the pair the error's 2-norm is
+#: at most 3 u sqrt((|c x| + |s y|)^2 + (|c y| + |s x|)^2)
+#: = 3 u sqrt(1 + 4 |c s x y| / (x^2 + y^2)) |(x, y)| <= 3 sqrt(2) u |(x, y)|, and
+#: summed over the sites 3 sqrt(2) u times the state's norm, 1.  A split step
+#: rotates twice, 3 sqrt(2) eps, and the walk is unitary, so an error made at
+#: one step is carried, not grown: rho_j errs by at most K j eps.  The terms of
+#: order u^2 are below 1e-30 per step and are covered by the factor 1 + 1e-9.
+EXACT_K = 3 * math.sqrt(2) * (1 + 1e-9)
 
 
 def pattern_half_r0(theta_a, theta_b, t=11, sites=6):

@@ -27,8 +27,9 @@ In a temporary directory it checks, in order:
    no NaN or Infinity token, a cell with no value is null.
 7. `verify` of a shipped config, a fresh `python -m qwtopo` process run
    through `runpy`, adds none of numpy, `dataclasses`, `inspect`,
-   `hashlib`, `csv` or `datetime` to the modules the interpreter started
-   with: only `run` and `replot` load them.
+   `hashlib`, `csv`, `datetime`, `qwtopo.dataio`, `copy` or `__future__`
+   to the modules the interpreter started with: only `run` and `replot`
+   load them.
 8. `run` of every shipped config, a fresh process, loads the package
    modules that `tests/shipped_modules.json` records: only its kind's.
 
@@ -160,7 +161,8 @@ def check_json(top: str):
 
 
 #: The modules that only `run` and `replot` use.
-RUN_ONLY = ("numpy", "dataclasses", "inspect", "hashlib", "csv", "datetime")
+RUN_ONLY = ("numpy", "dataclasses", "inspect", "hashlib", "csv", "datetime", "qwtopo.dataio",
+            "copy", "__future__")
 
 #: `python -m qwtopo ARGS...` through `runpy`, printing the exit code and the
 #: modules of RUN_ONLY it added to those the interpreter started with.

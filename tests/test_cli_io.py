@@ -1,6 +1,7 @@
 """Config validation, table IO, manifests, plotting, and the command
 line wiring, exercised end to end inside temporary directories."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -521,7 +522,8 @@ def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
 
 
 #: The modules that only `run` and `replot` use: `verify` and an exit 2 load none.
-RUN_ONLY = ("numpy", "dataclasses", "inspect", "hashlib", "csv", "datetime")
+RUN_ONLY = ("numpy", "dataclasses", "inspect", "hashlib", "csv", "datetime", "qwtopo.dataio",
+            "copy", "__future__")
 
 VERIFY_PROBE = """
 import contextlib, io, sys
@@ -556,6 +558,36 @@ def test_verify_and_config_errors_load_no_numpy(tmp_path):
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.splitlines() == ["[]", f"{[0] * (len(paths) - 1)} []", "[2, 2] []"]
     assert not (tmp_path / "out").exists()
+
+
+def test_the_runtime_checks_watch_the_modules_this_suite_watches():
+    """`tests/runtime_checks.py`, which the runtime-only CI job runs, checks
+    `verify` against the same `RUN_ONLY` as this suite, read from its source:
+    importing it would take the tests' directory off `sys.path`."""
+    path = os.path.join(os.path.dirname(__file__), "runtime_checks.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assigned = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["RUN_ONLY"]]
+    assert len(assigned) == 1
+    assert ast.literal_eval(assigned[0]) == RUN_ONLY
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_verify_of_an_unreadable_config_exits_three_naming_its_path(tmp_path, missing):
+    """A config that cannot be read, a missing file or a directory, exits 3
+    under `verify` with the `IoFailure` that names its path, in a fresh
+    process: `config.load` imports `dataio` only to raise it."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = tmp_path / "nope.json"
+    if not missing:
+        path.mkdir()
+    done = subprocess.run([sys.executable, "-m", "qwtopo", "verify", "--config", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"IoFailure: cannot read {path}: ")
 
 
 with open(os.path.join(os.path.dirname(__file__), "shipped_modules.json")) as _fh:

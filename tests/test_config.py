@@ -897,15 +897,47 @@ def mutate(cfg, rng):
     return cfg
 
 
-def test_walker_matches_jsonschema_on_seeded_mutations():
+def fuzz_corpus():
+    """The seeded mutations of `BASES` that the walker and `resolve` are checked on."""
     rng = random.Random(20261018)
-    reported = set()
     for _ in range(20_000):
-        reported |= assert_parity(mutate(copy.deepcopy(rng.choice(BASES)), rng))
+        yield mutate(copy.deepcopy(rng.choice(BASES)), rng)
+
+
+def test_walker_matches_jsonschema_on_seeded_mutations():
+    reported = set()
+    for cfg in fuzz_corpus():
+        reported |= assert_parity(cfg)
     for base in BASES:
         assert assert_parity(base) == set()
     # every keyword that reports a violation itself was reached
     assert reported == set(cfgmod.KEYWORDS) - {"items", "properties"}
+
+
+def _resolved(cfg):
+    """`resolve(cfg)`, or TypeError where a mutation it is not meant for, such
+    as a block that is no object, stops it."""
+    try:
+        return cfgmod.resolve(cfg)
+    except TypeError:
+        return TypeError
+
+
+def test_resolve_copies_as_deepcopy_did_and_shares_no_container(monkeypatch):
+    """`resolve` copies a config, and each default it fills in, with
+    `config._copied`: for every shipped and benchmark config and the fuzz
+    corpus it gives what `copy.deepcopy` gives, and its result shares no dict
+    or list with the config or with `SCHEMA`, its defaults among them."""
+    configs = BASES + list(fuzz_corpus())
+    got = [_resolved(cfg) for cfg in configs]
+    monkeypatch.setattr(cfgmod, "_copied", copy.deepcopy)
+    assert got == [_resolved(cfg) for cfg in configs]
+    schema = {id(node) for node in _containers(cfgmod.SCHEMA)}
+    resolved = [(cfg, out) for cfg, out in zip(configs, got) if isinstance(out, dict)]
+    assert len(resolved) > len(configs) // 2
+    for cfg, out in resolved:
+        written = {id(node) for node in _containers(cfg)}
+        assert not {id(node) for node in _containers(out)} & (schema | written), cfg
 
 
 def _with(base, path, value):

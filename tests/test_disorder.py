@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qwtopo import budget, disorder, scattering, walk
+from qwtopo import config as cfgmod
 from qwtopo.cli import entrypoint
 from qwtopo.dataio import read_csv
 from qwtopo.disorder import (DisorderSpec, NoCrossing, coin_table, config_uniforms,
@@ -19,7 +20,8 @@ from qwtopo.scattering import (ScatteringSystem, fourier_sums, invariants,
 from qwtopo.walk import coins
 
 from defaults import P_GRID, TRANSITION
-from oracles import _binary_pattern, dense_reflection, exact_disorder_stats, pattern_half_r0
+from oracles import (EXACT_K, _binary_pattern, dense_reflection, exact_disorder_stats,
+                     pattern_half_r0)
 
 SEED = 20260814
 CASE1 = dict(theta_a=1.68 * np.pi, theta_b=1.36 * np.pi)
@@ -453,3 +455,65 @@ def test_a_shipped_curve_lies_within_four_standard_errors_of_the_exact_one(tmp_p
         for sampled, (exact, variance) in zip((mean, above), exact_disorder_stats(patterns, p)):
             bound = 4 * math.sqrt(variance / n) if variance > 0 else 1e-9
             assert abs(sampled - exact) <= bound, (p, sampled, exact, variance)
+
+
+def half_r0_rounding_bound(t: int) -> float:
+    """The most that rounding can move a t-step ensemble member's half r(0)
+    from that of exact arithmetic on the coins the engine stores.
+
+    Each rho_j errs by at most EXACT_K j eps (`oracles.EXACT_K`): the bound's
+    derivation is site by site, so it holds for a disordered coin field as
+    for a clean one, and with the stored coins counted as exact it has their
+    rounding to spare.  Stored coins give c^2 + s^2 = 1 within 2 eps, so over
+    t steps the exact walk's norm, the read-out weight sum rho_j^2 and any
+    carried error grow by a factor (1 + eps)^t at most, inside the factor
+    1 + 1e-9 of EXACT_K.  `disorder._halves` takes the real part of -i times
+    numpy's complex sum of i rho_j, which is the float sum of the rho_j
+    exactly (the real parts it adds are zeros), and halves it exactly.  Any
+    order of summing t floats errs by at most gamma_{t-1} sum_j |rho_j|, with
+    gamma_n = n u / (1 - n u) and u = eps / 2, and sum_j |rho_j| is at most
+    sqrt(t) times the 2-norm of the float series, at most 1 + 1e-9 by the
+    above.  Half of the two bounds is the bound."""
+    eps = np.finfo(float).eps
+    u = eps / 2
+    stepped = sum(EXACT_K * j * eps for j in range(1, t + 1))
+    gamma = (t - 1) * u / (1 - (t - 1) * u)
+    return (stepped + gamma * math.sqrt(t) * (1 + 1e-9)) / 2
+
+
+def test_every_member_of_the_shipped_transition_clears_the_rounding_bound(monkeypatch):
+    """Every member of every probe of the shipped `disorder_crossing`
+    transition has |half r(0)| above `half_r0_rounding_bound(t)`, about
+    1e-11 at t = 201, so each member's sign, each probe's median and p_crit
+    are those of exact arithmetic on the coins the engine stores.  The
+    members are recounted from the values `PatternStudy.values` gives the
+    bisection at each probe, and the bisection replayed on their median signs
+    ends on p_crit.  The smallest |half r(0)| over the probes was 5.8e-3."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "disorder_crossing.json")
+    cfg = cfgmod.resolve(cfgmod.load(path))
+    blk = cfg["disorder"]
+    tr = blk["transition"]
+    calls = []
+    values = disorder.PatternStudy.values
+
+    def recorded(self, masks):
+        calls.append(values(self, masks))
+        return calls[-1]
+
+    monkeypatch.setattr(disorder.PatternStudy, "values", recorded)
+    p_crit = transition_locator(blk["theta_a_pi"] * np.pi, blk["theta_b_pi"] * np.pi,
+                                cfg["seed"], **tr)
+    # p = 0, p = 1 and the first midpoint in one call, then each midpoint in turn
+    endpoints, probes = calls[0][:2], [v for call in calls[1:] for v in call]
+    assert len(calls[0]) == 3 and np.array_equal(calls[0][2], probes[0])
+    assert all(v.shape == (tr["n_configs"],) for v in endpoints + probes)
+    first = np.sign(np.median(np.sign(endpoints[0])))
+    lo, hi = 0.0, 1.0
+    for members in probes:
+        mid = disorder._midpoint(lo, hi, tr["resolution"])
+        lo, hi = (mid, hi) if np.sign(np.median(np.sign(members))) == first else (lo, mid)
+    assert disorder._midpoint(lo, hi, tr["resolution"]) is None
+    assert 0.5 * (lo + hi) == p_crit
+    bound = half_r0_rounding_bound(tr["t"])
+    assert 0 < bound < 1e-10
+    assert min(float(np.min(np.abs(v))) for v in endpoints + probes) > bound

@@ -22,9 +22,8 @@ from qwtopo.scattering import (LINE_GREEN, LINE_TURQUOISE, ReflectionSeries, Sca
                                phase_labels, reflection_amplitudes, sample_rows, scan_line,
                                _scan_rows)
 
-from oracles import (clean_series, closed_form_phase, dense_invariants, dense_reflection,
-                     exact_series,
-                     gap_line_distance)
+from oracles import (EXACT_K, clean_series, closed_form_phase, dense_invariants,
+                     dense_reflection, exact_series, gap_line_distance)
 from references import scalar_invariants
 from scanlines import flip_width, sign_flips
 
@@ -507,20 +506,6 @@ def test_the_64_by_64_diagram_matches_the_clean_series_oracle_cell_by_cell():
 PYTHAGOREAN = [(Fraction(p, q), Fraction(r, q))
                for p, r, q in ((3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25),
                                (20, 21, 29))]
-
-#: The engine's error bound per step, in units of eps.  One rotation (x, y) ->
-#: (c x + s y, c y - s x) in floating point, its coin (c, s) rounded to the
-#: nearest floats, gives x' = (c (1 + a) x (1 + d1) + s (1 + b) y (1 + d2)) (1 + d3)
-#: with each |a|, |b|, |d| <= u = eps / 2, so to first order x' errs by at most
-#: 3 u (|c x| + |s y|), and y' likewise.  Over the pair the error's 2-norm is
-#: at most 3 u sqrt((|c x| + |s y|)^2 + (|c y| + |s x|)^2)
-#: = 3 u sqrt(1 + 4 |c s x y| / (x^2 + y^2)) |(x, y)| <= 3 sqrt(2) u |(x, y)|, and
-#: summed over the sites 3 sqrt(2) u times the state's norm, 1.  A split step
-#: rotates twice, 3 sqrt(2) eps, and the walk is unitary, so an error made at
-#: one step is carried, not grown: rho_j errs by at most K j eps.  The terms of
-#: order u^2 are below 1e-30 per step and are covered by the factor 1 + 1e-9.
-EXACT_K = 3 * math.sqrt(2) * (1 + 1e-9)
-
 
 def pythagorean_walks(seed, count, longest=101):
     """count (c1, c2, t) walks of random Pythagorean coins with random signs,
