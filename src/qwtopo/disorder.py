@@ -77,7 +77,9 @@ def config_uniforms(seed: int, configs, sites: int) -> np.ndarray:
     the seed reduced mod 2**64; an index outside [0, 2**64), which the key
     would alias to another stream, is refused.  Extending `sites` keeps the
     prefix.  One Philox is re-keyed through its state for every stream,
-    with the key converted as its constructor converts it."""
+    from the rows of one array of keys, each converted as its constructor
+    converts it: exactly, unless [seed, config] lies on both sides of 2**63,
+    which numpy converts through float64."""
     configs = list(configs)
     for config in configs:
         if not 0 <= config < 2**64:
@@ -86,9 +88,13 @@ def config_uniforms(seed: int, configs, sites: int) -> np.ndarray:
     draw = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty buffer, as in every new Philox
     seed = seed & (2**64 - 1)
+    keys = np.empty((len(configs), 2), dtype=np.uint64)
+    keys[:, 0], keys[:, 1] = seed, configs
+    for k in np.flatnonzero(keys[:, 1] >> 63 != seed >> 63):
+        keys[k] = np.asarray([seed, configs[k]]).astype(np.uint64)
     out = np.empty((len(configs), sites))
-    for row, config in zip(out, configs):
-        state["state"]["key"] = np.asarray([seed, config]).astype(np.uint64)
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
         bits.state = state
         draw.random(out=row)
     return out

@@ -12,9 +12,11 @@ which no shipped run produces; `_distances`' positional read is checked on
 it.  `grown_record_cut` steps `walk.record_cut`'s walkers on the grown
 window of `record`'s history rather than on their cone.  `kernel_history`
 shows the rows each step of an engine call writes, and `written_rows`
-reads them.  `scalar_invariants` reads the invariants of one complex
-series with complex scalars, the reference for the package's one array
-reader, `scattering.invariant_rows`.
+reads them.  `seed_kernel` is the engine's kernel loop in its plain form,
+one `_rotate` call per step, against which `walk._kernel` is pinned bit
+for bit.  `scalar_invariants` reads the invariants of one complex series
+with complex scalars, the reference for the package's one array reader,
+`scattering.invariant_rows`.
 """
 
 import contextlib
@@ -137,6 +139,38 @@ def kernel_history(h, v):
         yield
     finally:
         qwtopo.walk._kernel = kernel
+
+
+def seed_kernel(buf, walkers, q, per, first, last, read, rho, history):
+    """`walk._kernel` in its plain form: each step works out its rows from q
+    and the bounds, makes one `_rotate` call on seven views, and checks
+    whether it is a kept step of `per`."""
+    half, width = buf.shape[1:]
+    c, s, h, v = (buf[p:p + 2].reshape(2 * half, width) for p in (0, 2, 4, 6))
+    at_read = None if read is None else read % 2 * half + read // 2
+    kept = None if history is None else history[1].shape[0] - 1  # the last step kept
+    for k, lo, hi in zip(range(1, len(first) + 1), first, last):
+        # rotate, for every R = 2m + q in [lo + 1, hi + 2], the pair (H at R - 1, V at R)
+        # by the coin of R into (H at R, V at R - 1): H of parity 1 - q, V of parity q
+        m0, m1 = (lo + 2 - q) // 2, (hi + 4 - q) // 2  # m in [m0, m1)
+        at, before = q * half, (1 - q) * half + q - 1  # R at row at + m, R - 1 at before + m
+        i, o = slice(at + m0, at + m1), slice(before + m0, before + m1)
+        _rotate(c[i], s[i], h[o], v[i], h[i], v[o], buf[8, m0:m1])
+        if k % per == 0:
+            if rho is not None and lo < read <= hi + 1 and (read + q) % 2:
+                rho[:, k // per - 1] = v[at_read, :walkers]  # V on the read row, written this step
+            if history is not None and k // per <= kept:
+                qwtopo.walk._keep(history[0], history[1][k // per], h, at, m0,
+                                  (hi + 3 - q) // 2, (q - 1) // per, per, walkers)
+                qwtopo.walk._keep(history[0], history[2][k // per], v, before,
+                                  (lo + 3 - q) // 2, m1, (q - 2) // per, per, walkers)
+        q = 1 - q
+
+
+def _rotate(c, s, x, y, x_out, y_out, tmp):
+    """x_out = c x + s y, then y_out = c y - s x, through the buffer tmp."""
+    np.add(np.multiply(c, x, x_out), np.multiply(s, y, tmp), x_out)
+    np.subtract(np.multiply(c, y, y_out), np.multiply(s, x, tmp), y_out)
 
 
 def written_rows(coin1, coin2, offset, sites, site, coin, steps, read=None,

@@ -1,5 +1,6 @@
 """Unit and property tests for the walk engine and its single-state reference."""
 
+import itertools
 import json
 import os
 
@@ -15,7 +16,8 @@ from qwtopo.walk import H, V, coins, record, record_cut, reduced
 
 from oracles import DenseLattice, rotation, dense_trajectory
 from references import (MIXED_START, evolve_windows, grown_record_cut, kernel_history,
-                        mixed_angles, mixed_windows, on_own_window, union_window, written_rows)
+                        mixed_angles, mixed_windows, on_own_window, seed_kernel, union_window,
+                        written_rows)
 from stepping import (CoinField, SplitStepProtocol, WalkerState, apply_coin_field,
                       apply_shift_minus, apply_shift_plus, apply_shift_symmetric,
                       double_step_equivalent, evolve, split_step)
@@ -702,6 +704,33 @@ def test_real_steps_equal_full_window_steps_from_either_row_parity(identity, coi
             step = 2 if identity else 1
             assert all(np.all(np.diff(rows) == step) for rows in (ra, rb))
             assert not identity or not ra.size or not rb.size or (ra[0] - rb[0]) % 2 == 1
+
+
+@pytest.mark.parametrize("walkers", (1, 7, 63, 64, 65, 200))
+def test_real_steps_equal_the_seed_kernel_bit_for_bit(monkeypatch, walkers):
+    """`real_steps` writes into its read-out and cut history the bytes, so
+    also the sign of every zero, that it writes with the plain kernel loop
+    `references.seed_kernel`: with coin 1 the identity and on the doubled
+    lattice, launches on rows of both parities from both coins, read rows of
+    both parities or none, and no history, one of the first steps on rows
+    inside the window and one of every step reaching past both of its
+    edges, which the cone reaches.  Special angles make exact zeros."""
+    rng = np.random.default_rng(walkers)
+    n, t, kernels = 15, 11, (qwtopo.walk._kernel, seed_kernel)
+    cuts = (None, (4, 5, 6), (-3, n + 6, t))  # (first row, rows, last step kept)
+    for identity in (True, False):
+        theta1, theta2 = (random_angles(rng, walkers, n + 2, False) for _ in range(2))
+        coin1, coin2 = None if identity else coins(theta1), coins(theta2)
+        for site, coin, read, cut in itertools.product((6, 7), (H, V), (None, 2, 3), cuts):
+            runs = []
+            for kernel in kernels:
+                monkeypatch.setattr(qwtopo.walk, "_kernel", kernel)
+                history = None
+                if cut is not None:
+                    history = (cut[0], *np.full((2, cut[2] + 1, cut[1], walkers), np.nan))
+                rho = qwtopo.walk.real_steps(coin1, coin2, -1, n, site, coin, t, read, history)
+                runs.append([x.tobytes() for x in (rho, *(history or ())[1:]) if x is not None])
+            assert runs[0] == runs[1], (identity, site, coin, read, cut)
 
 
 @pytest.mark.parametrize("identity", (True, False))
