@@ -2,9 +2,11 @@
 
 Pure Python, so that `config.estimate`, and `qwtopo verify` with it, runs
 without numpy or the engine: `walk.real_steps` steps the rows of `cone`,
-and each kind of `Study` splits its walkers into `batches` by `Study.held`,
-or by the cut histories' `ploc_held` and `fit_held`.
-It holds no run value, such as a p grid: those come from the config alone.
+and each study splits its walkers into `batches` by the one function that
+sizes them, which `config`'s plan calls too: `scan_held`, `ensemble_held`,
+`ploc_held` or `fit_held`; `record_held` sizes an edge or apparatus run's
+one whole walk.  It holds no run value, such as a p grid: those come from
+the config alone.
 """
 
 import math
@@ -58,6 +60,24 @@ def held(sites: int, steps: int, history: bool = False, identity_coin1: bool = F
     rows = sites if identity_coin1 else 2 * sites
     kept = 2 * record_window(steps) * (steps + 1) if history else steps
     return 9 * ((rows + 3) // 2) + kept
+
+
+def scan_held(t: int) -> int:
+    """`held` by a walker of `scattering._scan_rows`: a clean sample, both
+    coins stepped, on the `reflection_window`."""
+    return held(reflection_window(t), t)
+
+
+def ensemble_held(t: int) -> int:
+    """`held` by a walker of `disorder._ensemble`: a disordered sample, coin 1
+    the identity, on the `reflection_window`."""
+    return held(reflection_window(t), t, identity_coin1=True)
+
+
+def record_held(t: int, identity_coin1: bool = False) -> int:
+    """`held` by the one whole walk whose history `walk.record` keeps: an edge
+    run's intensity map, coin 1 the identity, or an apparatus run's data."""
+    return held(cone_window(t), t, history=True, identity_coin1=identity_coin1)
 
 
 def ploc_held(t: int) -> int:
@@ -175,36 +195,6 @@ def cone_window(steps: int) -> int:
 def record_site_steps(steps: int) -> int:
     """Sites one walker's `record` updates: its cone, 2j + 1 at step j."""
     return cone(steps, steps, cone_window(steps), steps)[2]
-
-
-class Study:
-    """How one kind of study steps its walkers: with `history` on the
-    `cone_window`, a whole walk by `walk.record` (`held`) and batches by
-    `walk.record_cut`, else by `scattering.sample_rows` on the
-    `reflection_window`; with `identity_coin1` on that window's rows, else
-    on the doubled lattice; with `distinct` each distinct pattern once
-    (`disorder.PatternStudy`).  A plain class: building a dataclass would
-    add about 0.4 ms to every `verify`."""
-
-    __slots__ = ("history", "identity_coin1", "distinct")
-
-    def __init__(self, history: bool, identity_coin1: bool, distinct: bool):
-        self.history, self.identity_coin1, self.distinct = history, identity_coin1, distinct
-
-    def window(self, t: int) -> int:
-        return (cone_window if self.history else reflection_window)(t)
-
-    def site_steps(self, t: int) -> int:
-        return (record_site_steps if self.history else reflection_site_steps)(t)
-
-    def held(self, t: int) -> int:
-        return held(self.window(t), t, self.history, self.identity_coin1)
-
-
-SCAN = Study(history=False, identity_coin1=False, distinct=False)  # scans, phase diagrams
-ENSEMBLE = Study(history=False, identity_coin1=True, distinct=True)  # disorder, transitions
-INTERFACE = Study(history=True, identity_coin1=True, distinct=True)  # edge walks
-MODEL = Study(history=True, identity_coin1=False, distinct=False)  # apparatus models
 
 
 def interface_members(n_configs: int, p_grid) -> list[int]:

@@ -5,7 +5,8 @@ optional master "seed", and exactly one kind-specific block.  All
 angles are given in units of pi with a "_pi" key suffix, within +-2**20,
 where v +- 0.5 is exact and 2 pi v finite; values of magnitude 2 or more
 are flagged as mod-2 reductions by `config_warnings`.  `load` refuses as
-invalid JSON a file nested deeper than the decoder recurses.
+invalid JSON a file that is not UTF-8 or is nested deeper than the decoder
+recurses.
 
 Optional keys take their defaults from `SCHEMA` alone, filled in by
 `resolve`, whose output is all that the runners and `estimate` read; the
@@ -30,16 +31,20 @@ import json
 import math
 import operator
 
-from .budget import (ALPHA_GUARD, ENSEMBLE, INTERFACE, MODEL, SCAN, batch_capacity,
-                     batch_walkers, fit_held, interface_members, ploc_held, record_window,
+from .budget import (ALPHA_GUARD, batch_capacity, batch_walkers, cone_window, ensemble_held,
+                     fit_held, interface_members, ploc_held, record_held, record_site_steps,
+                     record_window, reflection_site_steps, reflection_window, scan_held,
                      within_guard)
 
-#: How the run of each experiment kind steps its walkers: the one list of kinds.
-STUDY = {"scan": SCAN, "phase-diagram": SCAN, "disorder": ENSEMBLE, "edge": INTERFACE,
-         "emulate": MODEL, "mc-errorbars": MODEL}
-EXPERIMENTS = tuple(STUDY)
+#: The experiment kinds, each planned by `_plan`.
+EXPERIMENTS = ("scan", "phase-diagram", "disorder", "edge", "emulate", "mc-errorbars")
 #: JSON key of each kind's block.
-BLOCK_KEY = {kind: kind.replace("-", "_") for kind in STUDY}
+BLOCK_KEY = {kind: kind.replace("-", "_") for kind in EXPERIMENTS}
+#: The engine paths of a `_plan` stage, each its (window, site-steps per walker) of
+#: t steps: `scattering.sample_rows` on the reflection window, `walk.record_cut`
+#: and `record` on the cone.
+_REFLECTION = (reflection_window, reflection_site_steps)
+_CONE = (cone_window, record_site_steps)
 
 
 #: Largest predicted light-cone site-steps (`estimate`) that `validate`, and so
@@ -321,20 +326,19 @@ def _numbers(cfg: dict):
 def load(path: str) -> dict:
     """Parse a configuration file.
 
-    Only the JSON syntax is checked here, nesting past the decoder's depth
-    included, plus one rule the schema cannot state: every number must be
-    finite (json accepts NaN, Infinity and overflowing literals such as 1e999).
+    Only the JSON syntax is checked here, UTF-8 and nesting past the
+    decoder's depth included, plus one rule the schema cannot state: every
+    number must be finite (json accepts NaN, Infinity and overflowing
+    literals such as 1e999).
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            cfg = json.loads(fh.read())
     except OSError as exc:
         from .dataio import IoFailure  # the one use of `dataio` in checking a config
 
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigInvalid("", f"not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigInvalid("", "top level must be an object")
@@ -473,63 +477,54 @@ def config_warnings(cfg: dict) -> list[str]:
     return out
 
 
-def _stages(cfg: dict) -> list[tuple[int, int, str, str, int, int]]:
-    """(walkers, steps, walkers field, steps field, group, held) of each
-    stepping stage of a resolved config: the fields are dotted paths, group
-    is the most walkers that one `budget.batches` call splits, each `held`."""
+def _plan(cfg: dict) -> tuple[bool, list, list]:
+    """(exact, stages, tables) of a resolved config's run, all that `_estimate`
+    reads.  A stage is (walkers, steps, walkers field, steps field, group,
+    held, path, whole): the fields are dotted paths, group is the most walkers
+    that one `budget.batches` call splits, each holding `held`, path is the
+    engine path of `_REFLECTION` or `_CONE` that steps them, and whole is what
+    the one whole walk of an edge or apparatus run holds, else 0.  A table is
+    (rows, field): its rows, at most (t + 1) x `budget.record_window(t)` for
+    an intensity map, whose window can end narrower, and the field that drives
+    them.  exact is False where the run steps each distinct pattern once."""
     kind = cfg["experiment"]
     key = BLOCK_KEY[kind]
     block = cfg[key]
-    t = block["t"]
-    held = STUDY[kind].held(t)
-    extra = []
-    if kind == "scan":
-        field = "pairs_pi" if block["parametrization"] == "free" else "count"
-        sims = group = len(block[field]) if field == "pairs_pi" else block[field]
-    elif kind == "phase-diagram":
-        field, sims = "resolution", block["resolution"] ** 2
-        group = sims
-    elif kind == "disorder":  # the whole curve in one call
-        field = "n_configs"
-        sims = group = len(block["p_grid"]) * block["n_configs"]
+    t, steps = block["t"], f"{key}.t"
+    if kind in ("scan", "phase-diagram"):  # a walker and a table row per point
+        if kind == "phase-diagram":
+            field, n = "resolution", block["resolution"] ** 2
+        else:
+            field = "pairs_pi" if block["parametrization"] == "free" else "count"
+            n = len(block[field]) if field == "pairs_pi" else block[field]
+        return True, [(n, t, f"{key}.{field}", steps, n, scan_held(t), _REFLECTION, 0)], \
+            [(n, f"{key}.{field}")]
+    if kind == "disorder":  # the whole curve in one call; a row per configuration at each p
+        n, rows = block["n_configs"], len(block["p_grid"]) * block["n_configs"]
+        stages = [(rows, t, f"{key}.n_configs", steps, rows, ensemble_held(t), _REFLECTION, 0)]
         tr = block.get("transition")
         if tr is not None:  # the bisection may stop early; its first call steps
-            n = tr["n_configs"]  # both endpoints and the first midpoint
+            m = tr["n_configs"]  # both endpoints and the first midpoint
             probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
-            extra.append((probes * n, tr["t"], f"{key}.transition.n_configs",
-                          f"{key}.transition.t", n + max(n, 2), ENSEMBLE.held(tr["t"])))
-    elif kind == "edge":  # one call over all p, plus the intensity map
-        field, held = "n_configs", ploc_held(t)
-        group = sum(interface_members(block["n_configs"], block["p_grid"]))
-        sims = group + 1
-    elif kind == "emulate":  # one walker: its steps are all of its cost
-        field, sims, group = "t", 1, 1
-    else:  # one walker per apparatus model, plus the emulated data
-        field, sims, group = "n_sets", block["n_sets"] + 1, block["n_sets"]
-        held = fit_held(t, block["horizon"])
-    return [(sims, t, f"{key}.{field}", f"{key}.t", group, held)] + extra
-
-
-def _tables(cfg: dict) -> list[tuple[int, str]]:
-    """(rows, field) of each table a resolved config's run writes: its rows,
-    at most (t + 1) x `budget.record_window(t)` for an intensity map, whose
-    window can end narrower, and the dotted path of the field that drives them."""
-    kind = cfg["experiment"]
-    key = BLOCK_KEY[kind]
-    block = cfg[key]
-    if kind in ("scan", "phase-diagram"):  # a row per walker
-        walkers, _, field, *_ = _stages(cfg)[0]
-        return [(walkers, field)]
-    tables = []
-    if kind in ("disorder", "edge"):  # a row per configuration at each p
-        n, grid = block["n_configs"], block["p_grid"]
-        counts = interface_members(n, grid) if kind == "edge" else [n] * len(grid)
+            stages.append((probes * m, tr["t"], f"{key}.transition.n_configs",
+                           f"{key}.transition.t", m + max(m, 2), ensemble_held(tr["t"]),
+                           _REFLECTION, 0))
+        factor = "n_configs" if n >= len(block["p_grid"]) else "p_grid"
+        return False, stages, [(rows, f"{key}.{factor}")]
+    intensities = ((t + 1) * record_window(t), steps)  # a row per step and site
+    if kind == "edge":  # one call over all p, a row per member, plus the intensity map
+        counts = interface_members(block["n_configs"], block["p_grid"])
         factor = "n_configs" if max(counts) >= len(counts) else "p_grid"
-        tables.append((sum(counts), f"{key}.{factor}"))
-    if kind in ("edge", "emulate"):  # the intensity map: a row per step and site
-        t = block["t"]
-        tables.append(((t + 1) * record_window(t), f"{key}.t"))
-    return tables  # mc-errorbars writes no table
+        return False, [(sum(counts) + 1, t, f"{key}.n_configs", steps, sum(counts),
+                        ploc_held(t), _CONE, record_held(t, identity_coin1=True))], \
+            [(sum(counts), f"{key}.{factor}"), intensities]
+    if kind == "emulate":  # one walker: its steps are all of its cost
+        return True, [(1, t, steps, steps, 1, record_held(t), _CONE, record_held(t))], \
+            [intensities]
+    # one walker per apparatus model, plus the emulated data; no table
+    n = block["n_sets"]
+    return True, [(n + 1, t, f"{key}.n_sets", steps, n, fit_held(t, block["horizon"]), _CONE,
+                   record_held(t))], []
 
 
 def estimate(cfg: dict) -> dict:
@@ -547,7 +542,8 @@ def estimate(cfg: dict) -> dict:
     (`budget.held`) one walker holds, in the stage whose steps field is "held_field".
     "table_rows" bounds the rows of the largest table the run writes, 0 for
     none, and "table_field" names the field that drives them.  Every count
-    follows the `STUDY` that runs the config's kind.
+    is read from the `_plan` of the config's kind, which states each stage's
+    walkers, steps, batches, engine path and whole walk, and each table's rows.
 
     Disorder and edge studies step each distinct disorder pattern once
     (`disorder.PatternStudy`), and a disorder `transition` may stop early, so
@@ -561,26 +557,24 @@ def estimate(cfg: dict) -> dict:
 
 
 def _estimate(cfg: dict) -> dict:
-    """`estimate` of a resolved config."""
-    study = STUDY[cfg["experiment"]]
-    stages = _stages(cfg)
-    per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else study.site_steps(t)
-           for w, t, *_ in stages]
+    """`estimate` of a resolved config, read from its `_plan` alone."""
+    exact, stages, tables = _plan(cfg)
+    per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else path[1](t)
+           for w, t, *_, path, _ in stages]
     cost = [stage[0] * sites for stage, sites in zip(stages, per)]
     i = cost.index(max(cost))
     walkers, _, walkers_field, steps_field, *_ = stages[i]
-    holds = [max(held, study.held(t)) for _, t, *_, held in stages]
+    holds = [max(held, whole) for *_, held, _, whole in stages]
     j = holds.index(max(holds))
-    rows, rows_field = max(_tables(cfg), key=lambda table: table[0], default=(0, ""))
-    widest = (lambda group, h: min(group, batch_capacity(h))) if study.distinct \
-        else batch_walkers
-    return {"exact": not study.distinct,
+    rows, rows_field = max(tables, key=lambda table: table[0], default=(0, ""))
+    widest = batch_walkers if exact else lambda group, h: min(group, batch_capacity(h))
+    return {"exact": exact,
             "simulations": sum(stage[0] for stage in stages),
-            "window_sites": study.window(max(stage[1] for stage in stages)),
+            "window_sites": max(path[0](t) for _, t, *_, path, _ in stages),
             "site_steps": sum(cost),
             "cost_field": walkers_field if walkers >= per[i] else steps_field,
             "batch_walkers": [(field, widest(group, held))
-                              for _, _, _, field, group, held in stages],
+                              for _, _, _, field, group, held, *_ in stages],
             "held": holds[j],
             "held_field": stages[j][3],
             "table_rows": rows,

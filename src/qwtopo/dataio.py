@@ -108,6 +108,8 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnknownDataKind(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise UnknownDataKind(f"{path} is empty")
     return rows[0], rows[1:]

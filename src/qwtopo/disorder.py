@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import ENSEMBLE, sample_width
+from .budget import ensemble_held, sample_width
 from .walk import CoinField, Workspace, coins, over_batches
 from .scattering import rotated_sums, sample_rows
 
@@ -222,7 +222,7 @@ def _ensemble(theta_a: float, theta_b: float, seed: int, t: int, n_configs: int)
         raise ValueError("t must be at least 1")
     study = PatternStudy(theta_a, theta_b,
                          lambda coin2, workspace: _ensemble_batch(coin2, t, workspace),
-                         ENSEMBLE.held(t))
+                         ensemble_held(t))
     return config_uniforms(seed, range(n_configs), sample_width(t)), study
 
 

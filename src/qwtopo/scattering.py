@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import PROBE_ROW, READOUT_ROW, READOUT_SITE, SCAN, reflection_window
+from .budget import PROBE_ROW, READOUT_ROW, READOUT_SITE, reflection_window, scan_held
 from .walk import (H, CoinField, SplitStepProtocol, Workspace, coins, over_batches, real_steps,
                    reduced)
 
@@ -224,7 +224,7 @@ def _scan_batch(pairs: np.ndarray, t: int, workspace: Workspace) -> np.ndarray:
 def _scan_rows(pairs: np.ndarray, t: int) -> np.ndarray:
     """`_scan_batch` rows of every (theta1, theta2) row of pairs, batch by batch."""
     return over_batches(lambda batch, workspace: _scan_batch(batch, t, workspace), pairs,
-                        SCAN.held(t))
+                        scan_held(t))
 
 
 def scan_line(pairs, t: int) -> ScanResult:

@@ -16,7 +16,9 @@ reads them.  `seed_kernel` is the engine's kernel loop in its plain form,
 one `_rotate` call per step, against which `walk._kernel` is pinned bit
 for bit.  `scalar_invariants` reads the invariants of one complex series
 with complex scalars, the reference for the package's one array reader,
-`scattering.invariant_rows`.
+`scattering.invariant_rows`.  `parent_estimate` is the cost model that
+`config._plan` replaced, a `Study` of flags per kind with separate stage
+and table dispatches, against which `config.estimate` is pinned.
 """
 
 import contextlib
@@ -26,7 +28,10 @@ import numpy as np
 
 import qwtopo.walk
 from qwtopo.apparatus import _intensities, _normalize
-from qwtopo.budget import _GROW, record_window
+from qwtopo.budget import (_GROW, batch_capacity, batch_walkers, cone_window, fit_held, held,
+                           interface_members, ploc_held, record_site_steps, record_window,
+                           reflection_site_steps, reflection_window)
+from qwtopo.config import BLOCK_KEY, MAX_SITE_STEPS
 from qwtopo.edges import LOC_WINDOW
 from qwtopo.walk import H, coins, real_steps, record
 
@@ -210,3 +215,115 @@ def scalar_invariants(r) -> tuple:
         return math.nan, math.nan
     vpi = -1j * complex(np.sum(signs * r))
     return v0.real / 2.0, vpi.real / 2.0
+
+
+class Study:
+    """How one kind of study steps its walkers: with `history` on the
+    `cone_window`, a whole walk by `walk.record` (`held`) and batches by
+    `walk.record_cut`, else by `scattering.sample_rows` on the
+    `reflection_window`; with `identity_coin1` on that window's rows, else
+    on the doubled lattice; with `distinct` each distinct pattern once."""
+
+    def __init__(self, history: bool, identity_coin1: bool, distinct: bool):
+        self.history, self.identity_coin1, self.distinct = history, identity_coin1, distinct
+
+    def window(self, t: int) -> int:
+        return (cone_window if self.history else reflection_window)(t)
+
+    def site_steps(self, t: int) -> int:
+        return (record_site_steps if self.history else reflection_site_steps)(t)
+
+    def held(self, t: int) -> int:
+        return held(self.window(t), t, self.history, self.identity_coin1)
+
+
+SCAN = Study(history=False, identity_coin1=False, distinct=False)  # scans, phase diagrams
+ENSEMBLE = Study(history=False, identity_coin1=True, distinct=True)  # disorder, transitions
+INTERFACE = Study(history=True, identity_coin1=True, distinct=True)  # edge walks
+MODEL = Study(history=True, identity_coin1=False, distinct=False)  # apparatus models
+
+STUDY = {"scan": SCAN, "phase-diagram": SCAN, "disorder": ENSEMBLE, "edge": INTERFACE,
+         "emulate": MODEL, "mc-errorbars": MODEL}
+
+
+def _stages(cfg: dict) -> list[tuple[int, int, str, str, int, int]]:
+    """(walkers, steps, walkers field, steps field, group, held) of each
+    stepping stage of a resolved config."""
+    kind = cfg["experiment"]
+    key = BLOCK_KEY[kind]
+    block = cfg[key]
+    t = block["t"]
+    held = STUDY[kind].held(t)
+    extra = []
+    if kind == "scan":
+        field = "pairs_pi" if block["parametrization"] == "free" else "count"
+        sims = group = len(block[field]) if field == "pairs_pi" else block[field]
+    elif kind == "phase-diagram":
+        field, sims = "resolution", block["resolution"] ** 2
+        group = sims
+    elif kind == "disorder":
+        field = "n_configs"
+        sims = group = len(block["p_grid"]) * block["n_configs"]
+        tr = block.get("transition")
+        if tr is not None:
+            n = tr["n_configs"]
+            probes = 2 + math.ceil(math.log2(1.0 / tr["resolution"]))
+            extra.append((probes * n, tr["t"], f"{key}.transition.n_configs",
+                          f"{key}.transition.t", n + max(n, 2), ENSEMBLE.held(tr["t"])))
+    elif kind == "edge":
+        field, held = "n_configs", ploc_held(t)
+        group = sum(interface_members(block["n_configs"], block["p_grid"]))
+        sims = group + 1
+    elif kind == "emulate":
+        field, sims, group = "t", 1, 1
+    else:
+        field, sims, group = "n_sets", block["n_sets"] + 1, block["n_sets"]
+        held = fit_held(t, block["horizon"])
+    return [(sims, t, f"{key}.{field}", f"{key}.t", group, held)] + extra
+
+
+def _tables(cfg: dict) -> list[tuple[int, str]]:
+    """(rows, field) of each table a resolved config's run writes."""
+    kind = cfg["experiment"]
+    key = BLOCK_KEY[kind]
+    block = cfg[key]
+    if kind in ("scan", "phase-diagram"):
+        walkers, _, field, *_ = _stages(cfg)[0]
+        return [(walkers, field)]
+    tables = []
+    if kind in ("disorder", "edge"):
+        n, grid = block["n_configs"], block["p_grid"]
+        counts = interface_members(n, grid) if kind == "edge" else [n] * len(grid)
+        factor = "n_configs" if max(counts) >= len(counts) else "p_grid"
+        tables.append((sum(counts), f"{key}.{factor}"))
+    if kind in ("edge", "emulate"):
+        t = block["t"]
+        tables.append(((t + 1) * record_window(t), f"{key}.t"))
+    return tables
+
+
+def parent_estimate(cfg: dict) -> dict:
+    """`config.estimate` of a resolved config as the `Study` model made it."""
+    study = STUDY[cfg["experiment"]]
+    stages = _stages(cfg)
+    per = [t * t // 4 if w * (t * t // 4) > MAX_SITE_STEPS else study.site_steps(t)
+           for w, t, *_ in stages]
+    cost = [stage[0] * sites for stage, sites in zip(stages, per)]
+    i = cost.index(max(cost))
+    walkers, _, walkers_field, steps_field, *_ = stages[i]
+    holds = [max(held, study.held(t)) for _, t, *_, held in stages]
+    j = holds.index(max(holds))
+    rows, rows_field = max(_tables(cfg), key=lambda table: table[0], default=(0, ""))
+    widest = (lambda group, h: min(group, batch_capacity(h))) if study.distinct \
+        else batch_walkers
+    return {"exact": not study.distinct,
+            "simulations": sum(stage[0] for stage in stages),
+            "window_sites": study.window(max(stage[1] for stage in stages)),
+            "site_steps": sum(cost),
+            "cost_field": walkers_field if walkers >= per[i] else steps_field,
+            "batch_walkers": [(field, widest(group, held))
+                              for _, _, _, field, group, held in stages],
+            "held": holds[j],
+            "held_field": stages[j][3],
+            "table_rows": rows,
+            "table_field": rows_field}

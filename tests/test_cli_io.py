@@ -771,6 +771,17 @@ def test_replot_refuses_a_cell_it_cannot_plot(tmp_path, capsys, name, lines, mes
     assert not list(tmp_path.glob("*.svg"))
 
 
+def test_replot_refuses_a_table_that_is_not_utf8(tmp_path, capsys):
+    """A byte that UTF-8 cannot decode: exit 3 naming the file, as for an
+    empty one, and no plot is drawn."""
+    (tmp_path / "edge.csv").write_bytes(b"p,config,P_loc,t\n0.5,0,0.25,9\xff\n")
+    assert entrypoint(["replot", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("UnknownDataKind: ") and str(tmp_path / "edge.csv") in err
+    assert "not UTF-8" in err
+    assert not list(tmp_path.glob("*.svg"))
+
+
 def test_replot_draws_a_scan_with_nan_cells(tmp_path):
     """A scan point whose gauge is degenerate is written as nan, and replot
     reads it as run drew it."""
@@ -967,6 +978,23 @@ def test_deep_nesting_exits_with_code_two_on_both_sides_of_the_decoders_limit(
         low, high = (low, mid) if attempt(mid) else (mid, high)
     for depth in range(high - 12, high + 3):
         assert attempt(depth) == (depth >= high)
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("text", [b'{"experiment": "scan"\xff}', "\ufeff{}".encode(),
+                                  '{"experiment": "sc\xe1n"}'.encode("latin-1")],
+                         ids=["byte-ff", "utf8-bom", "latin-1"])
+def test_a_config_that_is_not_utf8_json_exits_with_code_two(tmp_path, capsys, command, text):
+    """Bytes that UTF-8 cannot decode are invalid JSON, as a UTF-8 byte order
+    mark is: exit 2, writing nothing.  No other encoding is read."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_bytes(text)
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert entrypoint(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ConfigInvalid: not valid JSON: ")
+    assert "is valid" not in captured.out
+    assert not out.exists()
 
 
 EMULATE = {"theta1_pi": 0.47, "theta2_pi": 1.21, "t": 5}

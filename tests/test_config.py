@@ -41,7 +41,8 @@ from qwtopo.budget import record_site_steps, reflection_site_steps, sample_width
 from qwtopo.scattering import ScatteringSystem
 from qwtopo.walk import coins
 
-from references import written_rows
+from references import parent_estimate, written_rows
+from test_fuzz import _draw, _draw_table_kind
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -133,11 +134,14 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
                                                         capsys, name):
     path = os.path.join(CONFIG_DIR, name)
     rows, widths, site_steps, widest, walkers = [], [], [], {}, {}
+    batching, sized = [], set()  # the per_walker of each open over_batches call; (steps, it)
 
     def counting(real_steps):
         def counted(coin1, coin2, offset, sites, site, coin, steps, read=None, history=None,
                     workspace=None):
             batch = coin2[0].shape[0]
+            if batching:
+                sized.add((steps, batching[-1]))
             widths.append(sites)
             rows.append(batch)
             widest[steps] = max(widest.get(steps, 0), batch)
@@ -150,8 +154,19 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
                               workspace=workspace)
         return counted
 
+    def recording(over_batches):
+        def recorded(fn, items, per_walker, *args, **kwargs):
+            batching.append(per_walker)
+            try:
+                return over_batches(fn, items, per_walker, *args, **kwargs)
+            finally:
+                batching.pop()
+        return recorded
+
     for module in (qwtopo.walk, qwtopo.scattering):
         monkeypatch.setattr(module, "real_steps", counting(module.real_steps))
+    for module in (qwtopo.scattering, qwtopo.disorder, qwtopo.apparatus):
+        monkeypatch.setattr(module, "over_batches", recording(module.over_batches))
     out = tmp_path / "out"
     assert entrypoint(["run", "--config", path, "--out", str(out)]) == 0
     assert entrypoint(["verify", "--config", path]) == 0
@@ -169,6 +184,10 @@ def test_verify_quotes_the_walkers_and_window_run_steps(tmp_path, monkeypatch,
     assert est["site_steps"] <= cfgmod.MAX_SITE_STEPS
     assert est["exact"] == (cfg["experiment"] not in ("disorder", "edge"))
     assert ("upper bounds" in printed) == (not est["exact"])
+    # every batched call is sized by the held of the plan's stage of its steps
+    plan = {stage[1]: stage[5] for stage in cfgmod._plan(cfgmod.resolve(cfg))[1]}
+    assert sized == {(steps, plan[steps]) for steps, _ in sized}
+    assert bool(sized) == (cfg["experiment"] != "emulate")
     if est["exact"]:
         assert widest == batch  # the widest batch of each stage, keyed by its steps
         assert sum(rows) == est["simulations"]
@@ -244,6 +263,88 @@ def test_the_estimate_of_each_shipped_config_is_pinned(name):
 def test_validate_returns_the_resolved_config_and_its_estimate(name):
     cfg = cfgmod.load(os.path.join(CONFIG_DIR, name))
     assert cfgmod.validate(cfg) == (cfgmod.resolve(cfg), cfgmod.estimate(cfg))
+
+
+def _valid(cfg) -> bool:
+    try:
+        cfgmod.validate(cfg)
+    except cfgmod.ConfigInvalid:
+        return False
+    return True
+
+
+def test_the_plan_gives_the_estimates_of_the_study_model():
+    """`config.estimate`, read from one `_plan` per kind, equals the `Study`
+    model it replaced (`references.parent_estimate`) on every shipped and
+    benchmark config and every config of the schema fuzz that validates."""
+    checked = 0
+    for cfg in [*BASES, *fuzz_corpus()]:
+        if _valid(cfg):
+            assert cfgmod.estimate(cfg) == parent_estimate(cfgmod.resolve(cfg)), cfg
+            checked += 1
+    assert checked > len(BASES) + 1000
+
+
+#: The estimate counts that `validate` caps, each with its cap.
+GUARDS = {"site_steps": "MAX_SITE_STEPS", "held": "MAX_HELD", "table_rows": "MAX_CELLS"}
+
+
+def _with_steps(cfg, field, t):
+    """A copy of a resolved config with the dotted steps field set to t."""
+    out = copy.deepcopy(cfg)
+    *path, last = field.split(".")
+    node = out
+    for key in path:
+        node = node[key]
+    node[last] = t
+    return out
+
+
+def _over(cfg) -> list:
+    est = parent_estimate(cfg)
+    return [key for key, cap in GUARDS.items() if est[key] > getattr(cfgmod, cap)]
+
+
+def _at_the_guard(cfg) -> tuple[list, list]:
+    """(copies, guards): copies of a resolved config with the steps field of
+    its last stage set to the two t below and the two from the first t at
+    which `validate` would refuse it for its cost, and the caps that first
+    refused t exceeds."""
+    field = parent_estimate(cfg)["batch_walkers"][-1][0]
+    lo = hi = resolved_steps(cfg, field)
+    while not _over(_with_steps(cfg, field, hi)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _over(_with_steps(cfg, field, mid)) else (mid, hi)
+    return ([_with_steps(cfg, field, t) for t in range(max(hi - 2, 1), hi + 2)],
+            _over(_with_steps(cfg, field, hi)))
+
+
+def test_the_plan_gives_the_estimates_of_the_study_model_at_its_guards():
+    """The same on seeded `test_fuzz` draws of every kind, at their drawn t
+    and at the t around the first one that each draw's cost guard refuses:
+    there the site-steps switch to the cone's floor t * t // 4."""
+    rng = np.random.default_rng(39)
+    kinds = ("scan", "phase-diagram", "disorder", "edge", None)  # None: emulate or mc-errorbars
+    drawn, guards = [], set()
+    for case in range(100):
+        kind = kinds[case % len(kinds)]
+        cfg = cfgmod.resolve(_draw(rng) if kind is None else _draw_table_kind(rng, kind))
+        drawn.append(cfg)
+        if not _over(cfg) and case % 2 == 0:
+            near, over = _at_the_guard(cfg)
+            drawn += near
+            guards.update(over)
+    for cfg in drawn:
+        assert cfgmod._estimate(cfg) == parent_estimate(cfg), cfg
+    assert guards == set(GUARDS)
+    assert {cfg["experiment"] for cfg in drawn} == set(cfgmod.EXPERIMENTS)
+    # transitions, one of a single configuration, whose first call steps 3 walkers
+    transitions = [cfg["disorder"]["transition"] for cfg in drawn
+                   if "transition" in cfg.get("disorder", {})]
+    assert any(tr["n_configs"] == 1 for tr in transitions)
+    assert any(len(cfg.get("edge", {}).get("p_grid", ())) == 1 for cfg in drawn)
 
 
 @pytest.mark.parametrize("command", ["verify", "run"])
