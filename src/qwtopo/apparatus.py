@@ -317,7 +317,7 @@ def emulate_measurement(system: ScatteringSystem, t: int,
 
 
 def _measure(rho: np.ndarray, model: ApparatusModel, x_min: int, distributions,
-             alpha: float, mode="exact", shots=1_000_000, seed=0) -> MeasurementData:
+             alpha: float, mode: str, shots: int, seed: int) -> MeasurementData:
     """The batched read-out with B = 1 of one probe run's series rho_1 ..
     rho_t, whose intensities `distributions` start at position x_min."""
     magnitudes, series, reference = _readout(rho[None], _params([model]), alpha, mode, shots,
@@ -398,7 +398,7 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
 
 
 def _distances(observed: np.ndarray, at: int, h: np.ndarray, v: np.ndarray, loss: np.ndarray,
-               workspace: Workspace | None = None) -> np.ndarray:
+               workspace: Workspace) -> np.ndarray:
     """Summed squared difference of each walker's normalized intensities
     from the observed ones over steps 1 .. horizon, for the walkers' (horizon
     + 1, rows, B) history h and v on the observed columns [at, at + rows),
@@ -408,13 +408,12 @@ def _distances(observed: np.ndarray, at: int, h: np.ndarray, v: np.ndarray, loss
     stack of its walkers' rows would be, so every sum adds in the order of
     one walker alone.  A block holds no more elements than the batch's
     history rows of steps 1 .. horizon, one walker's at least, and is carved
-    from `workspace`'s engine arrays, or a fresh one's."""
+    from `workspace`'s engine arrays."""
     kept, rows, walkers = h.shape
     model = _intensities(h, v, loss)[1:]
     columns = observed.shape[1]
     target = _normalize(observed[1:kept].copy())
     chunk = max(1, walkers * rows // max(columns, 1))
-    workspace = Workspace() if workspace is None else workspace
     out = np.empty(walkers)
     for k in range(0, walkers, chunk):
         part = model[..., k:k + chunk].transpose(2, 0, 1)
@@ -430,14 +429,13 @@ def _distances(observed: np.ndarray, at: int, h: np.ndarray, v: np.ndarray, loss
 
 
 def _mc_batch(system: ScatteringSystem, data: MeasurementData, horizon: int,
-              params: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+              params: np.ndarray, workspace: Workspace) -> np.ndarray:
     """(distance, q0, qpi) of each model of one batch, one row per row of
     params, stepped in `workspace`, against the intensities of `data` over its
     first `horizon` steps, which a model's reach only on the probe's cone
     -1 +- horizon."""
     first = max(data.x_min, PROBE_SITE - horizon)
     rows = max(min(data.x_min + data.distributions.shape[1], PROBE_SITE + horizon + 1) - first, 0)
-    workspace = Workspace() if workspace is None else workspace
     rho, h, v = record_cut(0, *_model_coins(system, params), PROBE_SITE, H, data.t, first, rows,
                            horizon, READOUT_SITE, workspace=workspace)
     q0, qpi = invariant_rows(_readout(rho, params, data.alpha)[1])

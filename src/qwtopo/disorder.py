@@ -209,9 +209,9 @@ class PatternStudy:
         return np.split(value[inverse], np.cumsum([len(block) for block in masks[:-1]]))
 
 
-def _ensemble_batch(coin2: tuple, t: int, workspace: Workspace | None = None) -> np.ndarray:
+def _ensemble_batch(coin2: tuple, t: int, workspace: Workspace) -> np.ndarray:
     """Half r(0) after t steps of the sample of every row of a (B, sites)
-    block of second coins, stepped in `workspace`, or a fresh one."""
+    block of second coins, stepped in `workspace`."""
     return _halves(sample_rows(None, coin2, t, workspace=workspace))
 
 

@@ -95,8 +95,7 @@ def run_interface(theta_left: float, theta_a: float, theta_b: float, seed: int, 
     return LocalizationRecord(a * a + b * b, x_min + lo)
 
 
-def _ploc_batch(right: tuple, theta_left: float, t: int,
-                workspace: Workspace | None = None) -> np.ndarray:
+def _ploc_batch(right: tuple, theta_left: float, t: int, workspace: Workspace) -> np.ndarray:
     """P_loc after t steps of each row of the (B, sites) right-bulk coins, stepped
     in `workspace`: one sum over the rows x in [-LOC_WINDOW, LOC_WINDOW] of the
     whole batch's history, the only rows `walk.record_cut` keeps of it."""

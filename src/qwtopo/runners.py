@@ -25,35 +25,50 @@ def _group_stats(keys, values):
 
 
 def _intensity_matrix(steps, positions, values) -> tuple[np.ndarray, int, int]:
-    """The (step, position) matrix of an intensity table's cells, with its
-    first step and position.  Refused (UnknownDataKind, naming the row or
-    the span) unless every cell is finite, every step and position a whole
-    number within 2**53 of 0, and the matrix no larger than the table: a
-    run's table holds every cell of its matrix."""
-    finite = np.isfinite([steps, positions, values]).all(axis=0)
-    if not finite.all():
-        raise dataio.UnknownDataKind(f"data row {np.argmin(finite) + 1} holds a non-finite cell")
+    """The (step, position) matrix of an intensity table's finite cells, with
+    its first step and position.  Refused (UnknownDataKind, naming the row or
+    the span) unless every step and position is a whole number within 2**53
+    of 0, the matrix no larger than the table, and no two rows give one
+    cell: a run's table holds every cell of its matrix once."""
     index = np.array([steps, positions])
     whole = ((index == np.trunc(index)) & (np.abs(index) <= 2**53)).all(axis=0)
     if not whole.all():
         raise dataio.UnknownDataKind(f"data row {np.argmin(whole) + 1} holds a step or position "
                                      "that is not a whole number within 2**53 of 0")
-    first = index.min(axis=1)
-    shape = tuple(int(n) for n in index.max(axis=1) - first + 1)
+    start = index.min(axis=1)
+    shape = tuple(int(n) for n in index.max(axis=1) - start + 1)
     if shape[0] * shape[1] > len(values):
         raise dataio.UnknownDataKind(f"its steps and positions span {shape[0]} x {shape[1]} "
                                      f"cells, more than its {len(values)} data rows")
-    s0, p0 = (int(n) for n in first)
+    s0, p0 = (int(n) for n in start)
+    i, j = index[0].astype(int) - s0, index[1].astype(int) - p0
+    rows, cell = np.arange(len(values)), i * shape[1] + j
+    first = np.full(shape[0] * shape[1], len(values))
+    np.minimum.at(first, cell, rows)  # the first row of each cell
+    k = int(np.argmax(first[cell] != rows))  # the first row that repeats a cell, else 0
+    if first[cell[k]] != k:
+        raise dataio.UnknownDataKind(f"data row {k + 1} repeats the step and position of "
+                                     f"data row {first[cell[k]] + 1}")
     matrix = np.zeros(shape)
-    matrix[index[0].astype(int) - s0, index[1].astype(int) - p0] = values
+    matrix[i, j] = values
     return matrix, s0, p0
+
+
+#: The columns of each table kind that its plot needs finite: a scan's Q0
+#: and Qpi may be NaN, where its lines break.
+_FINITE = {"scan": (0, 1), "disorder_runs": (0, 2), "disorder_summary": (0, 1, 2),
+           "edge": (0, 2), "intensity": (0, 1, 2)}
 
 
 def plot_table(kind: str, columns) -> str:
     """The SVG text of a `kind` table's plot, drawn from the columns `run` wrote;
-    an intensity table that indexes no matrix is refused (`_intensity_matrix`)."""
+    a table with a non-finite cell where its plot needs a finite one, or an
+    intensity table that indexes no matrix (`_intensity_matrix`), is refused."""
     # arrays from `run` and from `replot`'s CSV cells
     cols = [np.asarray(c, dtype=float) for c in columns]
+    finite = np.isfinite([cols[k] for k in _FINITE[kind]]).all(axis=0)
+    if not finite.all():
+        raise dataio.UnknownDataKind(f"data row {np.argmin(finite) + 1} holds a non-finite cell")
     if kind == "scan":
         th1, th2, q0, qpi = cols[0], cols[1], cols[2], cols[3]
         xs = th1 if np.ptp(th1) >= np.ptp(th2) else th2

@@ -251,13 +251,13 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
 
     With `read`, returns the (B, steps) read-out: column j - 1 holds V of
     every walker on row `read` after step j.  The buffer and the read-out are
-    carved from `workspace`, or from a fresh `Workspace` if none is given
-    (`_buffer`).  With `history` = (first, h, v), h and v (k + 1, rows, B)
-    arrays with k <= steps, the cut history of the window rows [first, first
-    + rows) over steps 0 .. k: writes H and V of each step j = 1 .. k's cone
-    rows among them into h[j] and v[j] and leaves every other element alone.
-    Rows off the window are never written, so a range may reach past either
-    edge, or be empty.
+    carved from `workspace`, or from a fresh `Workspace` if none is given.
+    With `history` = (first, h, v), h and v (k + 1, rows, B) arrays with k
+    <= steps, the cut history of the window rows [first, first + rows) over
+    steps 0 .. k: writes H and V of each step j = 1 .. k's cone rows among
+    them into h[j] and v[j] and leaves every other element alone.  Rows off
+    the window are never written, so a range may reach past either edge, or
+    be empty.
 
     One kernel steps every batch: the walk with coin 1 the identity, which
     is bipartite (coin 2 maps the pair (H at row i, V at row i + 1) onto (H
@@ -276,7 +276,8 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     if doubled:
         site, steps = 2 * site + coin, 2 * steps
         read = None if read is None else 2 * read + 1
-    buf, rho = _buffer(coin1 if doubled else None, coin2, offset, rows, lo, hi, workspace,
+    buf, rho = _buffer(coin1 if doubled else None, coin2, offset, rows, lo, hi,
+                       Workspace() if workspace is None else workspace,
                        None if read is None else steps // per)
     buf[4 + 2 * coin + (site + 1) % 2, (site + 1) // 2] = 1.0
     first, last = cone(site, site, rows, steps, read if history is None else None)[:2]
@@ -285,13 +286,13 @@ def real_steps(coin1, coin2, offset: int, sites: int, site: int, coin: int, step
     return rho
 
 
-def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int,
-            workspace: Workspace | None = None, reads: int | None = None) -> tuple:
+def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int, workspace: Workspace,
+            reads: int | None) -> tuple:
     """(buf, rho): the kernel's buffer for a lattice of `rows` rows, the c, s,
     H, V and scratch half planes, with the coins of the window rows [lo, hi)
     placed and the state zero, and the zeroed (B, reads) read-out, None for
-    no `reads`.  Both are carved from one array of `workspace`, or of a fresh
-    `Workspace` if none is given, and the scratch plane is left as it was.
+    no `reads`.  Both are carved from one array of `workspace`, and the
+    scratch plane is left as it was.
     Kernel row R = lattice row + 1, a zero guard row with identity coins on
     each side; the rows R of parity p sit at p * half + R // 2 of a plane.
     With coin1 None window row i is kernel row i + 1, else coin 2 of row i
@@ -308,7 +309,7 @@ def _buffer(coin1, coin2, offset: int, rows: int, lo: int, hi: int,
     width = _width(walkers)
     size, read_out = 9 * half * width, walkers * (reads or 0)
     # one array, so no plane is trimmed and refaulted, 8 elements over to align it
-    raw = (Workspace() if workspace is None else workspace).engine(size + read_out + 8)
+    raw = workspace.engine(size + read_out + 8)
     first = -raw.__array_interface__["data"][0] % 64 // 8
     buf = raw[first:first + size].reshape(9, half, width)
     rho = None

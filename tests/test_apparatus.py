@@ -44,7 +44,7 @@ from qwtopo.apparatus import (
 )
 from qwtopo.budget import ALPHA_GUARD, within_guard
 from qwtopo.scattering import invariant_rows
-from qwtopo.walk import H, coins, windows as record_windows
+from qwtopo.walk import H, Workspace, coins, windows as record_windows
 
 from defaults import MC, RANGES
 from references import (MIXED_START, distances, evolve_windows, mixed_angles, mixed_windows,
@@ -416,7 +416,7 @@ def scalar_pair(magnitudes, signs, reference) -> tuple:
 
 def measure_pair(rho, model, alpha) -> tuple:
     """(q0, qpi) through _measure and measured_invariants."""
-    pair = measured_invariants(_measure(rho, model, -2, None, alpha))
+    pair = measured_invariants(_measure(rho, model, -2, None, alpha, "exact", 1_000_000, 0))
     return pair.q0, pair.qpi
 
 
@@ -473,7 +473,7 @@ def test_batched_readout_marks_each_unreadable_row():
     chain = [measure_pair(row, m, PI / 4) for row, m in zip(rho, models)]
     assert as_reprs(*zip(*chain)) == as_reprs(*zip(*want))
     # the B = 1 chain gives the same NaN row and NaN pair, with no exception
-    data = _measure(rho[2], models[2], -2, None, PI / 4)
+    data = _measure(rho[2], models[2], -2, None, PI / 4, "exact", 1_000_000, 0)
     assert np.isnan(data.series).all()
     pair = measured_invariants(data)
     assert np.isnan(pair.q0) and np.isnan(pair.qpi)
@@ -544,7 +544,7 @@ def test_mc_distances_equal_the_per_walker_form_bit_for_bit():
                 for lo_cut, hi_cut in ((first, first + w),
                                        (cone, max(min(first + w, horizon - x_min), cone))):
                     cut = (x[:horizon + 1, lo_cut:hi_cut].copy() for x in (h, v))
-                    got = _distances(observed, lo_cut - first, *cut, loss)
+                    got = _distances(observed, lo_cut - first, *cut, loss, Workspace())
                     assert as_reprs(got) == as_reprs(want)
         assert np.array_equal(h, before[0]) and np.array_equal(v, before[1])
 
@@ -570,13 +570,14 @@ def test_mc_batch_equals_the_per_walker_forms_in_any_split():
     wide = ErrorRanges(loss_asymmetry=0.1, eom_error=np.radians(10.0),
                        sbc_error=np.radians(10.0), efficiency_span=0.5)
     params = wide.draw(rng, 60)
-    got = _mc_batch(system, data, 7, params)
+    got = _mc_batch(system, data, 7, params, Workspace())
     windows = model_windows(system, params, 11)
     q0, qpi = invariant_rows(_readout(readout_rho(windows), params, PI / 4)[1])
     want = distances(data.distributions, data.x_min, windows, params[:, _LOSS, None], 7)
     assert as_reprs(*got.T) == as_reprs(want, q0, qpi)
     for cuts in ([1], [17, 18], [59], list(range(1, 60))):
-        parts = [_mc_batch(system, data, 7, block) for block in np.split(params, cuts)]
+        parts = [_mc_batch(system, data, 7, block, Workspace())
+                 for block in np.split(params, cuts)]
         assert as_reprs(*np.concatenate(parts).T) == as_reprs(*got.T)
 
 

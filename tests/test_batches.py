@@ -133,8 +133,9 @@ def test_a_fit_batch_holds_what_fit_held_counts(monkeypatch, t, horizon, models)
     held = qwtopo.budget.fit_held(t, horizon)
     monkeypatch.setattr(qwtopo.budget, "BATCH_BUDGET",
                         max(qwtopo.budget.BATCH_BUDGET, models * held))
-    _mc_batch(system, data, 1, params[:1])  # imports and caches outside the peak
-    runs = (lambda: _mc_batch(system, data, horizon, params),
+    # imports and caches outside the peak
+    _mc_batch(system, data, 1, params[:1], qwtopo.walk.Workspace())
+    runs = (lambda: _mc_batch(system, data, horizon, params, qwtopo.walk.Workspace()),
             lambda: qwtopo.walk.over_batches(
                 lambda block, workspace: _mc_batch(system, data, horizon, block, workspace),
                 params, held, beside=qwtopo.budget.readout_held(t)))

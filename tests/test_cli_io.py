@@ -19,7 +19,7 @@ import pytest
 
 from qwtopo import ConfigInvalid, IoFailure, RunManifest, UnknownDataKind
 from qwtopo import config as cfgmod
-from qwtopo import cells, dataio, disorder, edges, runners, scattering, svgplot, walk
+from qwtopo import dataio, disorder, edges, runners, scattering, svgplot, walk
 from qwtopo.cli import entrypoint
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -186,7 +186,7 @@ def test_a_float_column_keeps_signed_zeros_nan_and_repeats_apart(tmp_path, monke
     one among them, share the patterns, in CSV and in JSON.  The big-endian
     columns are also written with no native one beside them.  Lines are
     written 5 rows at a time, so the last block is a partial one."""
-    monkeypatch.setattr(cells, "BLOCK", 5)
+    monkeypatch.setattr(dataio, "BLOCK", 5)
     header, columns = shared_patterns_table()
     assert_reference_bytes(tmp_path, header, columns)
     assert_reference_bytes(tmp_path, ["b", "e"], [columns[1], columns[4]])
@@ -207,7 +207,7 @@ def test_a_table_formats_each_distinct_value_once(tmp_path, monkeypatch):
         calls.append(value)
         return str(value)
 
-    monkeypatch.setattr(cells, "str", counting_str, raising=False)
+    monkeypatch.setattr(dataio, "str", counting_str, raising=False)
     header, columns = shared_patterns_table()
     floats = np.concatenate(columns[:2])  # the list's cells are formatted one by one
     distinct = (np.unique(floats.view(np.int64)).size
@@ -573,20 +573,36 @@ def test_the_runtime_checks_watch_the_modules_this_suite_watches():
     assert ast.literal_eval(assigned[0]) == RUN_ONLY
 
 
+#: `python -m qwtopo ARGS...` in this process, printing whether it loaded
+#: numpy, as `tests/runtime_checks.py`'s `VERIFY_PROBE` does, and exiting with
+#: its code.
+UNREADABLE_PROBE = """
+import runpy, sys
+started = set(sys.modules)
+sys.argv = ["qwtopo", *sys.argv[1:]]
+try:
+    runpy.run_module("qwtopo", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("numpy" in sys.modules and "numpy" not in started)
+    raise
+"""
+
+
 @pytest.mark.parametrize("missing", [True, False])
 def test_verify_of_an_unreadable_config_exits_three_naming_its_path(tmp_path, missing):
     """A config that cannot be read, a missing file or a directory, exits 3
     under `verify` with the `IoFailure` that names its path, in a fresh
-    process: `config.load` imports `dataio` only to raise it."""
+    process: `config.load` imports `dataio` only to raise it, and so loads
+    no numpy."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = tmp_path / "nope.json"
     if not missing:
         path.mkdir()
-    done = subprocess.run([sys.executable, "-m", "qwtopo", "verify", "--config", str(path)],
-                          capture_output=True, text=True, timeout=60,
+    done = subprocess.run([sys.executable, "-c", UNREADABLE_PROBE, "verify", "--config",
+                           str(path)], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 3
-    assert done.stdout == ""
+    assert done.stdout == "False\n"  # nothing of its own, and no numpy
     assert done.stderr.startswith(f"IoFailure: cannot read {path}: ")
 
 
@@ -757,12 +773,27 @@ def test_replot_refuses_a_table_whose_rows_do_not_fit_its_header(tmp_path, capsy
      "data row 1 holds a step or position that is not a whole number within 2**53 of 0"),
     ("intensity.csv", ["step,position,intensity", "0,0,0.5", "5,0,0.5", "0,1,0.5"],
      "span 6 x 2 cells, more than its 3 data rows"),
+    ("intensity.csv", ["step,position,intensity", "0,0,0.5", "0,0,0.25", "1,1,0.5", "1,1,0.75"],
+     "data row 2 repeats the step and position of data row 1"),
+    ("disorder_runs.csv", ["p,config,half_r0,t,seed", "0.5,0,0.25,9,1", "inf,0,0.5,9,1"],
+     "data row 2 holds a non-finite cell"),
+    ("edge.csv", ["p,config,P_loc,t", "0.5,0,0.25,9", "nan,0,0.5,9"],
+     "data row 2 holds a non-finite cell"),
+    ("edge.csv", ["p,config,P_loc,t", "0.5,0,0.25,9", "0.5,1,inf,9"],
+     "data row 2 holds a non-finite cell"),
+    ("scan.csv", ["theta1_pi,theta2_pi,Q0,Qpi,residual,t", "0.1,0.2,1,1,0.0,5",
+                  "inf,0.2,1,1,0.0,5"],
+     "data row 2 holds a non-finite cell"),
+    ("disorder_summary.csv", ["p,mean_half_r0,std_half_r0,n_configs,t", "0.5,inf,inf,3,9"],
+     "data row 1 holds a non-finite cell"),
 ])
 def test_replot_refuses_a_cell_it_cannot_plot(tmp_path, capsys, name, lines, message):
-    """A cell that float() cannot read, or in an intensity table, whose plot
-    is a matrix indexed by step and position, a non-finite cell, a step or
-    position that indexes no matrix, or a matrix larger than the table: exit
-    3, naming the file and the row or the span, and no plot is drawn."""
+    """A cell that float() cannot read, a non-finite angle, p, member value
+    or summary mean or s.d., or in an intensity table, whose plot is a matrix
+    indexed by step and position, a non-finite cell, a step or position that
+    indexes no matrix, a matrix larger than the table or a cell two rows
+    give: exit 3, naming the file and the row or the span, and no plot is
+    drawn."""
     (tmp_path / name).write_text("\n".join(lines) + "\n")
     assert entrypoint(["replot", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err

@@ -297,7 +297,8 @@ def test_a_study_equals_per_member_stepping_in_any_order_and_split(kind, capacit
     a, b = np.array([CASE2["theta_a"], CASE2["theta_b"]]) % (2 * np.pi)
 
     def alone(row):
-        return float(disorder._ensemble_batch(coins(np.where(row, b, a)[None]), 11)[0])
+        return float(disorder._ensemble_batch(coins(np.where(row, b, a)[None]), 11,
+                                               walk.Workspace())[0])
 
     for order in (np.arange(len(masks)), rng.permutation(len(masks))):
         members = masks[order]

@@ -7,7 +7,7 @@ from qwtopo.disorder import coin_table, config_uniforms, pattern_coins
 import qwtopo.edges
 from qwtopo.edges import (LAUNCH_COIN, LAUNCH_SITE, LOC_WINDOW, LocalizationRecord, _launch,
                           _ploc_batch, localization_vs_disorder, run_interface)
-from qwtopo.walk import H, V, coins
+from qwtopo.walk import H, V, Workspace, coins
 
 from defaults import P_GRID
 from oracles import dense_interface_p_loc, _binary_pattern
@@ -187,11 +187,11 @@ def test_batch_p_loc_equals_the_per_walker_mask_in_any_split():
     the P_loc that masking each configuration's own distributions gives,
     whichever way the configurations are split into batches."""
     right = pattern_coins(coin_table(TH_A, TH_B), config_uniforms(SEED, range(30), 15) < 0.5)
-    got = _ploc_batch(right, TH_L, 13)
+    got = _ploc_batch(right, TH_L, 13, Workspace())
     want = [p_loc_at(run_interface(TH_L, TH_A, TH_B, SEED, 13, 0.5, k), 13) for k in range(30)]
     assert reprs(got) == reprs(want)
     for cuts in ([1], [11, 12], [29], list(range(1, 30))):
-        parts = [_ploc_batch(block, TH_L, 13)
+        parts = [_ploc_batch(block, TH_L, 13, Workspace())
                  for block in zip(*(np.split(plane, cuts) for plane in right))]
         assert reprs(np.concatenate(parts)) == reprs(want)
 
@@ -208,7 +208,8 @@ def test_batch_p_loc_holds_on_windows_of_different_widths(monkeypatch):
         monkeypatch.setattr(qwtopo.edges, "record_cut", lambda *args, **kwargs: cut)
         want = [p_loc_at(LocalizationRecord(a * a + b * b, x_min), t)
                 for x_min, a, b in evolve_windows(MIXED_START, None, mixed_angles(), -1, H, t)]
-        assert reprs(_ploc_batch(coins(np.zeros((len(want), 1))), TH_L, t)) == reprs(want)
+        got = _ploc_batch(coins(np.zeros((len(want), 1))), TH_L, t, Workspace())
+        assert reprs(got) == reprs(want)
 
 
 

@@ -431,7 +431,7 @@ def test_buffer_rows_start_on_cache_lines(walkers, identity):
     coin2 = coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
     coin1 = None if identity else coins(rng.uniform(0, 2 * np.pi, (walkers, 12)))
     rows = 20 if identity else 40
-    buf, _ = qwtopo.walk._buffer(coin1, coin2, 3, rows, 3, 15)
+    buf, _ = qwtopo.walk._buffer(coin1, coin2, 3, rows, 3, 15, qwtopo.walk.Workspace(), None)
     assert buf.__array_interface__["data"][0] % 64 == 0 and buf.strides[2] == 8
     assert buf.shape[:2] == (9, (rows + 3) // 2)
     if walkers < 64:

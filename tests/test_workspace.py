@@ -62,7 +62,7 @@ def test_an_interface_study_whose_batches_shrink_and_grow_gives_fresh_bits():
     table = coin_table(TH_A, TH_B)
     for block in blocks(rng, (40, 40, 25, 40), t + 2):
         got, = study.values([block])
-        want = edges._ploc_batch(pattern_coins(table, block), theta_left, t)
+        want = edges._ploc_batch(pattern_coins(table, block), theta_left, t, Workspace())
         assert reprs(got) == reprs(want)
 
 
